@@ -26,8 +26,8 @@ from functools import lru_cache
 from typing import Iterable, Optional, Union
 
 from .syntax import (
-    Arrow, BOT, Base, Bot, CttError, TypeExpr, TypeMismatch, is_neg_type,
-    render_type, strip_negations,
+    Arrow, BOT, Base, Bot, CttError, Interned, TypeExpr, TypeMismatch,
+    is_neg_type, render_type, strip_negations,
 )
 
 
@@ -42,78 +42,52 @@ class RankOverflow(CttError):
 
 # ---------------------------------------------------------------------------
 # atoms (rank-0 elements)
+#
+# Every element class is hash-consed (syntax.Interned): equal elements are
+# the same object, so dict lookups, dedup and `==` never walk a subtree.
 
-@dataclass(frozen=True)
-class TruthVal:
-    value: int  # 0 or 1
+class TruthVal(Interned):
+    __slots__ = __match_args__ = ("value",)  # 0 or 1
+    ty = BOT
 
-    def __post_init__(self):
+    def _build(self):
         if self.value not in (0, 1):
             raise CttError("truth values are 0 and 1")
 
-    @property
-    def ty(self) -> TypeExpr:
-        return BOT
 
-
-@dataclass(frozen=True)
-class Individual:
+class Individual(Interned):
     """A named rank-0 member; symbolic when the type is not a base type."""
 
-    ty: TypeExpr
-    name: str
+    __slots__ = __match_args__ = ("ty", "name")
 
 
-class _CachedHash:
-    """Deeply nested frozen values re-hash their whole subtree on every
-    dict lookup; caching the hash makes the caches below usable."""
+class FnTable(Interned):
+    __match_args__ = ("dom", "cod", "entries")  # entries: ((Atom, Atom), ...)
+    __slots__ = (*__match_args__, "ty")
 
-    def __hash__(self):
-        h = self.__dict__.get("_h")
-        if h is None:
-            h = hash(tuple(v for k, v in self.__dict__.items() if k != "_h"))
-            object.__setattr__(self, "_h", h)
-        return h
-
-
-@dataclass(frozen=True)
-class FnTable(_CachedHash):
-    dom: TypeExpr
-    cod: TypeExpr
-    entries: tuple[tuple["Atom", "Atom"], ...]
-
-    __hash__ = _CachedHash.__hash__
-
-    @property
-    def ty(self) -> TypeExpr:
-        return Arrow(self.dom, self.cod)
+    def _build(self):
+        object.__setattr__(self, "ty", Arrow(self.dom, self.cod))
 
     def lookup(self, key: "Atom") -> Optional["Atom"]:
         for k, v in self.entries:
-            if k == key:
+            if k is key:
                 return v
         return None
 
 
-@dataclass(frozen=True)
-class AtomicApp(_CachedHash):
+class AtomicApp(Interned):
     """Symbolic application of rank-0 atoms (kept when no table applies)."""
 
-    fun: "Atom"
-    arg: "Atom"
+    __match_args__ = ("fun", "arg")
+    __slots__ = (*__match_args__, "ty")
 
-    __hash__ = _CachedHash.__hash__
-
-    def __post_init__(self):
+    def _build(self):
         fty = self.fun.ty
-        if not isinstance(fty, Arrow) or fty.dom != self.arg.ty:
+        if not isinstance(fty, Arrow) or fty.dom is not self.arg.ty:
             raise TypeMismatch(
                 f"atomic application {render_elem(self.fun)} to "
                 f"{render_elem(self.arg)} does not compose")
-
-    @property
-    def ty(self) -> TypeExpr:
-        return self.fun.ty.cod
+        object.__setattr__(self, "ty", fty.cod)
 
 
 Atom = Union[TruthVal, Individual, FnTable, AtomicApp]
@@ -130,31 +104,16 @@ def fn_table(dom: TypeExpr, cod: TypeExpr, mapping: dict) -> FnTable:
 # ---------------------------------------------------------------------------
 # ranked elements
 
-@dataclass(frozen=True)
-class NegE(_CachedHash):
-    k: int
-    ty: TypeExpr
-    child: "CanonElem"
-
-    __hash__ = _CachedHash.__hash__
+class NegE(Interned):
+    __slots__ = __match_args__ = ("k", "ty", "child")
 
 
-@dataclass(frozen=True)
-class MeetE(_CachedHash):
-    k: int
-    ty: TypeExpr
-    children: tuple["CanonElem", ...]  # empty = top at rank k
-
-    __hash__ = _CachedHash.__hash__
+class MeetE(Interned):
+    __slots__ = __match_args__ = ("k", "ty", "children")  # () = top at rank k
 
 
-@dataclass(frozen=True)
-class JoinE(_CachedHash):
-    k: int
-    ty: TypeExpr
-    children: tuple["CanonElem", ...]  # empty = bottom at rank k
-
-    __hash__ = _CachedHash.__hash__
+class JoinE(Interned):
+    __slots__ = __match_args__ = ("k", "ty", "children")  # () = bottom at rank k
 
 
 CanonElem = Union[Atom, NegE, MeetE, JoinE]
@@ -278,30 +237,38 @@ def enumerate_domain(model: ModelConfig, ty: TypeExpr, rank: int) -> list[CanonE
 
     Rank 0 enumerates atoms. Rank 1 enumerates the full free Boolean
     algebra over the rank-0 carrier as complete-DNF joins of minterms:
-    2^(2^g) pairwise-inequivalent elements for g rank-0 atoms.
+    2^(2^g) pairwise-inequivalent elements for g rank-0 atoms. Carriers
+    depend only on the base sizes and are memoized; each call returns a
+    fresh list.
     """
+    return list(_carrier(tuple(sorted(model.base_sizes.items())), ty, rank))
+
+
+@lru_cache(maxsize=256)
+def _carrier(sizes: tuple, ty: TypeExpr, rank: int) -> tuple[CanonElem, ...]:
     if rank == 0:
         match ty:
             case Bot():
-                return [FALSE, TRUE]
+                return (FALSE, TRUE)
             case Base(name):
-                if name not in model.base_sizes:
+                size = dict(sizes).get(name)
+                if size is None:
                     raise CttError(f"model declares no base type {name}")
-                return [Individual(ty, n)
-                        for n in individual_names(model.base_sizes[name])]
+                return tuple(Individual(ty, n) for n in individual_names(size))
             case Arrow(dom, cod):
-                dom_atoms = sorted(enumerate_domain(model, dom, 0), key=elem_key)
-                cod_atoms = enumerate_domain(model, cod, 0)
+                dom_atoms = sorted(_carrier(sizes, dom, 0), key=elem_key)
+                cod_atoms = _carrier(sizes, cod, 0)
                 count = len(cod_atoms) ** len(dom_atoms)
                 if count > MAX_RANK0_ENUM:
                     raise CapExceeded(
                         f"{count} tables for {render_type(ty)} exceeds the cap")
-                return [FnTable(dom, cod, tuple(zip(dom_atoms, values)))
-                        for values in itertools.product(cod_atoms,
-                                                        repeat=len(dom_atoms))]
+                # one shared (key, value) pair per row cell, not per table
+                rows = [[(k, v) for v in cod_atoms] for k in dom_atoms]
+                return tuple(FnTable(dom, cod, entries)
+                             for entries in itertools.product(*rows))
         raise CttError(f"unknown type {ty!r}")
     if rank == 1:
-        atoms = enumerate_domain(model, ty, 0)
+        atoms = _carrier(sizes, ty, 0)
         g = len(atoms)
         if 2 ** (2 ** g) > MAX_RANK0_ENUM:
             raise CapExceeded(f"{g} generators is too many for rank-1 enumeration")
@@ -310,9 +277,9 @@ def enumerate_domain(model: ModelConfig, ty: TypeExpr, rank: int) -> list[CanonE
                               for i, a in enumerate(atoms)])
             for mask in range(2 ** g)
         ]
-        return [make_join(1, ty, [minterms[i] for i in range(2 ** g)
-                                  if (sel >> i) & 1])
-                for sel in range(2 ** (2 ** g))]
+        return tuple(make_join(1, ty, [minterms[i] for i in range(2 ** g)
+                                       if (sel >> i) & 1])
+                     for sel in range(2 ** (2 ** g)))
     raise CapExceeded(f"rank-{rank} domains are not enumerable here")
 
 
@@ -347,55 +314,24 @@ def _eval_bool(e: CanonElem, cut: int, lookup) -> int:
 
 
 def ba_equal(x: CanonElem, y: CanonElem) -> bool:
-    """Same element of the nested free Boolean algebra?
-
-    Both sides are read as Boolean functions at rank max(rank x, rank y);
-    maximal strictly-lower-rank subelements are the generators, deduplicated
-    by recursive ba_equal, and the two functions are compared under all 2^g
-    generator valuations. At rank 0 this bottoms out in atom equality.
-    """
+    """Same element of the nested free Boolean algebra? Decided by
+    canonical keys, which are equal exactly across equal elements."""
     if x.ty != y.ty:
         raise TypeMismatch(f"comparing elements of types {x.ty} and {y.ty}")
-    if x == y:
-        return True
-    cut = max(elem_rank(x), elem_rank(y))
-    if cut == 0:
-        return x == y
-    raw: list[CanonElem] = []
-    _generators(x, cut, raw)
-    _generators(y, cut, raw)
-    reps: list[CanonElem] = []
-    index: dict[CanonElem, int] = {}
-    for g in raw:
-        if g in index:
-            continue
-        for i, r in enumerate(reps):
-            if g.ty == r.ty and ba_equal(g, r):
-                index[g] = i
-                break
-        else:
-            index[g] = len(reps)
-            reps.append(g)
-    if len(reps) > MAX_GENERATORS:
-        raise CapExceeded(f"{len(reps)} generators exceeds the valuation cap")
-    for bits in range(2 ** len(reps)):
-        lookup = lambda e: (bits >> index[e]) & 1
-        if _eval_bool(x, cut, lookup) != _eval_bool(y, cut, lookup):
-            return False
-    return True
+    return x is y or canonical_key(x) == canonical_key(y)
 
 
 def ba_leq(x: CanonElem, y: CanonElem) -> bool:
     """Boolean-algebra order, lifting both sides into the higher rank:
-    x <= y iff x meet y is x. Decided through cached canonical keys, which
-    coincide with ba_equal (property-tested)."""
+    x <= y iff x meet y is x, decided through cached canonical keys."""
     k = max(elem_rank(x), elem_rank(y), 1)
     return canonical_key(make_meet(k, x.ty, [x, y])) == canonical_key(x)
 
 
 @lru_cache(maxsize=None)
 def canonical_key(e: CanonElem):
-    """A value equal across ba_equal elements and distinct otherwise.
+    """A value equal for two elements exactly when they are the same
+    element of the nested free Boolean algebra (ba_equal, ba_leq).
 
     Inessential generators are projected away; a function that is a bare
     projection keys as its generator (domains are cumulative), a constant
@@ -500,82 +436,7 @@ def apply_elem(p: CanonElem, a: CanonElem) -> CanonElem:
 
 
 # ---------------------------------------------------------------------------
-# molecular expressions and canonicalization
-
-@dataclass(frozen=True)
-class MLeaf:
-    value: CanonElem
-
-
-@dataclass(frozen=True)
-class MApp:
-    fun: "MolecularExpr"
-    arg: "MolecularExpr"
-
-
-@dataclass(frozen=True)
-class MNeg:
-    k: int
-    child: "MolecularExpr"
-
-
-@dataclass(frozen=True)
-class MConj:
-    k: int
-    left: "MolecularExpr"
-    right: "MolecularExpr"
-
-
-@dataclass(frozen=True)
-class MDisj:
-    k: int
-    left: "MolecularExpr"
-    right: "MolecularExpr"
-
-
-@dataclass(frozen=True)
-class MBigConj:
-    k: int
-    ty: TypeExpr
-
-
-@dataclass(frozen=True)
-class MBigDisj:
-    k: int
-    ty: TypeExpr
-
-
-MolecularExpr = Union[MLeaf, MApp, MNeg, MConj, MDisj, MBigConj, MBigDisj]
-
-
-def canonicalize(expr: MolecularExpr, model: Optional[ModelConfig] = None) -> CanonElem:
-    """Denotation-preserving canonical form of a molecular expression:
-    apply_elem pushes every Boolean node out from under applications.
-    Big operators materialize over the enumerated rank-0 carrier and
-    therefore need a model."""
-    match expr:
-        case MLeaf(value):
-            return value
-        case MApp(fun, arg):
-            return apply_elem(canonicalize(fun, model), canonicalize(arg, model))
-        case MNeg(k, child):
-            return make_neg(k, canonicalize(child, model))
-        case MConj(k, left, right):
-            l, r = canonicalize(left, model), canonicalize(right, model)
-            return make_meet(k, l.ty, [l, r])
-        case MDisj(k, left, right):
-            l, r = canonicalize(left, model), canonicalize(right, model)
-            return make_join(k, l.ty, [l, r])
-        case MBigConj(k, ty):
-            if model is None:
-                raise CttError("big operators need a model to enumerate")
-            return make_meet(k, ty, enumerate_domain(model, ty, 0))
-        case MBigDisj(k, ty):
-            if model is None:
-                raise CttError("big operators need a model to enumerate")
-            return make_join(k, ty, enumerate_domain(model, ty, 0))
-    raise CttError(f"unknown molecular node {expr!r}")
-
+# canonical form
 
 def is_canonical_elem(e: CanonElem) -> bool:
     """No application node above an atom anywhere."""
@@ -775,66 +636,67 @@ class _ElemParser:
     def elem(self, hint: Optional[TypeExpr]) -> CanonElem:
         c = self.c
         t = c.peek()
-        if t.kind == "NAT" and t.text in ("0", "1"):
-            c.next()
-            return TruthVal(int(t.text))
-        if t.text == "table":
-            c.next()
-            c.expect("{")
-            dom = hint.dom if isinstance(hint, Arrow) else None
-            cod = hint.cod if isinstance(hint, Arrow) else None
-            mapping = {}
-            while not c.at("}"):
-                key = self.elem(dom)
-                c.expect("->")
-                val = self.elem(cod)
-                mapping[key] = val
-                if c.at(","):
-                    c.next()
-            c.expect("}")
-            if not mapping and (dom is None or cod is None):
-                c.fail("empty table needs a type annotation context")
-            dom = dom or next(iter(mapping)).ty
-            cod = cod or next(iter(mapping.values())).ty
-            table = fn_table(dom, cod, mapping)
-            _check_table_total(table, self.model)
-            return table
-        if t.text in ("neg", "and", "or"):
-            op = t.text
-            c.next()
-            c.expect("[")
-            kt = c.peek()
-            if kt.kind != "NAT":
-                c.fail("expected a rank")
-            c.next()
-            k = int(kt.text)
-            c.expect("]")
-            c.expect("(")
-            if op == "neg":
-                child = self.elem(hint)
+        with c:
+            if t.kind == "NAT" and t.text in ("0", "1"):
+                c.next()
+                return TruthVal(int(t.text))
+            if t.text == "table":
+                c.next()
+                c.expect("{")
+                dom = hint.dom if isinstance(hint, Arrow) else None
+                cod = hint.cod if isinstance(hint, Arrow) else None
+                mapping = {}
+                while not c.at("}"):
+                    key = self.elem(dom)
+                    c.expect("->")
+                    val = self.elem(cod)
+                    mapping[key] = val
+                    if c.at(","):
+                        c.next()
+                c.expect("}")
+                if not mapping and (dom is None or cod is None):
+                    c.fail("empty table needs a type annotation context")
+                dom = dom or next(iter(mapping)).ty
+                cod = cod or next(iter(mapping.values())).ty
+                table = fn_table(dom, cod, mapping)
+                _check_table_total(table, self.model)
+                return table
+            if t.text in ("neg", "and", "or"):
+                op = t.text
+                c.next()
+                c.expect("[")
+                kt = c.peek()
+                if kt.kind != "NAT":
+                    c.fail("expected a rank")
+                c.next()
+                k = int(kt.text)
+                c.expect("]")
+                c.expect("(")
+                if op == "neg":
+                    child = self.elem(hint)
+                    c.expect(")")
+                    return make_neg(k, child)
+                parts = []
+                while not c.at(")"):
+                    parts.append(self.elem(hint))
+                    if c.at(","):
+                        c.next()
                 c.expect(")")
-                return make_neg(k, child)
-            parts = []
-            while not c.at(")"):
-                parts.append(self.elem(hint))
-                if c.at(","):
-                    c.next()
-            c.expect(")")
-            if not parts:
-                if hint is None:
-                    c.fail("empty and/or needs a type annotation context")
-                return (top_at if op == "and" else bottom_at)(k, hint)
-            make = make_meet if op == "and" else make_join
-            return make(k, parts[0].ty, parts)
-        if t.kind == "IDENT":
-            c.next()
-            name = t.text
-            hit = resolve_constant(self.model, name, hint)
-            if hit is None:
-                c.fail(f"unknown element name {name!r}"
-                       + (f" at type {hint}" if hint else ""))
-            return hit
-        c.fail("expected an element literal")
+                if not parts:
+                    if hint is None:
+                        c.fail("empty and/or needs a type annotation context")
+                    return (top_at if op == "and" else bottom_at)(k, hint)
+                make = make_meet if op == "and" else make_join
+                return make(k, parts[0].ty, parts)
+            if t.kind == "IDENT":
+                c.next()
+                name = t.text
+                hit = resolve_constant(self.model, name, hint)
+                if hit is None:
+                    c.fail(f"unknown element name {name!r}"
+                           + (f" at type {hint}" if hint else ""))
+                return hit
+            c.fail("expected an element literal")
 
 
 def _check_table_total(table: FnTable, model: ModelConfig):

@@ -14,6 +14,7 @@ first use; later occurrences may be bare and must be consistent.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -51,27 +52,77 @@ class UnboundVariable(CttError):
 
 
 # ---------------------------------------------------------------------------
+# hash-consing
+
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+class Interned:
+    """Hash-consed immutable value (Filliatre & Conchon, "Type-Safe Modular
+    Hash-Consing", 2006): constructing one looks up (class, *fields) in a
+    single table and returns the live object already built from equal
+    fields, so equal values are one object, `==` is `is` and hashing is
+    O(1). Subclasses name their fields in `__match_args__` (and slots);
+    `_build` validates and fills derived slots only when an object is new.
+    The table holds objects weakly, so it keeps only live values.
+    """
+
+    __slots__ = ("__weakref__",)
+    __match_args__: tuple[str, ...] = ()
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        self = _INTERNED.get(key)
+        if self is None:
+            if len(fields) != len(cls.__match_args__):
+                raise TypeError(f"{cls.__name__} takes fields {cls.__match_args__}")
+            self = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, fields):
+                object.__setattr__(self, name, value)
+            self._build()
+            _INTERNED[key] = self
+        return self
+
+    def _build(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self):
+        fields = ", ".join(repr(getattr(self, f)) for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+# ---------------------------------------------------------------------------
 # types
 
-@dataclass(frozen=True)
-class Base:
-    name: str
+class Base(Interned):
+    __slots__ = __match_args__ = ("name",)
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class Arrow:
-    dom: "TypeExpr"
-    cod: "TypeExpr"
+class Arrow(Interned):
+    __match_args__ = ("dom", "cod")
+    __slots__ = (*__match_args__, "text")
+
+    def _build(self):
+        # rendered once, from the children's texts, so printing a deeply
+        # nested type never recurses
+        object.__setattr__(self, "text", f"({self.dom} -> {self.cod})")
 
     def __str__(self):
-        return f"({self.dom} -> {self.cod})"
+        return self.text
 
 
-@dataclass(frozen=True)
-class Bot:
+class Bot(Interned):
+    __slots__ = ()
+
     def __str__(self):
         return "bot"
 
@@ -528,6 +579,12 @@ _TOKEN_RE = re.compile(r"""
 
 RESERVED = {"bot", "and", "or", "neg", "All", "Ex", "table"}
 
+# Deepest nesting of recursive parser productions. The passes that later
+# walk the tree (typing, rewriting, evaluation, rendering) recurse about as
+# deep, so inputs within the budget stay inside the interpreter's default
+# recursion limit; a 400-step identity chain still parses.
+MAX_NESTING = 450
+
 
 @dataclass
 class Token:
@@ -567,6 +624,19 @@ class _Cursor:
         self.toks = toks
         self.text = text
         self.i = 0
+        self.depth = 0
+
+    def __enter__(self):
+        """One level of a recursive production (`with c:`). Input nested
+        past MAX_NESTING fails here, before the interpreter stack runs out
+        in the parser or in any later recursive pass over the tree."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"input nests deeper than {MAX_NESTING} levels")
+        return self
+
+    def __exit__(self, *exc):
+        self.depth -= 1
 
     def peek(self) -> Token:
         return self.toks[self.i]
@@ -595,30 +665,32 @@ class _Cursor:
 # type parser
 
 def _parse_type_atom(c: _Cursor) -> TypeExpr:
-    t = c.peek()
-    if t.text == "bot":
-        c.next()
-        return BOT
-    if t.text == "~":
-        c.next()
-        return neg_type(_parse_type_atom(c))
-    if t.text == "(":
-        c.next()
-        ty = _parse_type(c)
-        c.expect(")")
-        return ty
-    if t.kind == "IDENT" and t.text not in RESERVED:
-        c.next()
-        return Base(t.text)
-    c.fail("expected a type")
+    with c:
+        t = c.peek()
+        if t.text == "bot":
+            c.next()
+            return BOT
+        if t.text == "~":
+            c.next()
+            return neg_type(_parse_type_atom(c))
+        if t.text == "(":
+            c.next()
+            ty = _parse_type(c)
+            c.expect(")")
+            return ty
+        if t.kind == "IDENT" and t.text not in RESERVED:
+            c.next()
+            return Base(t.text)
+        c.fail("expected a type")
 
 
 def _parse_type(c: _Cursor) -> TypeExpr:
-    left = _parse_type_atom(c)
-    if c.at("->"):
-        c.next()
-        return Arrow(left, _parse_type(c))
-    return left
+    with c:
+        left = _parse_type_atom(c)
+        if c.at("->"):
+            c.next()
+            return Arrow(left, _parse_type(c))
+        return left
 
 
 def parse_type(text: str) -> TypeExpr:
@@ -641,44 +713,45 @@ class _SlmParser:
 
     def term(self, bound: dict[str, TypeExpr]) -> SlmTerm:
         c = self.c
-        t = c.peek()
-        if t.text == "\\" or t.text == "#":
-            is_mu = t.text == "#"
-            c.next()
-            name = self.ident()
-            c.expect(":")
-            bty = _parse_type_atom(c)
-            if is_mu and not is_neg_type(bty):
-                c.fail(f"mu binder must have a negation type, got {bty}")
-            c.expect(".")
-            body = self.term({**bound, name: bty})
-            return Mu(name, bty, body) if is_mu else Lam(name, bty, body)
-        if t.text == "(":
-            c.next()
-            out = self.term(bound)
-            while not c.at(")"):  # (P) groups, (P Q R) left-folds
-                out = App(out, self.term(bound))
-            c.expect(")")
-            return out
-        if t.kind == "IDENT" and t.text not in RESERVED:
-            c.next()
-            name = t.text
-            if c.at(":") and name not in bound:
+        with c:
+            t = c.peek()
+            if t.text == "\\" or t.text == "#":
+                is_mu = t.text == "#"
                 c.next()
-                ty = _parse_type_atom(c)
-                if name in self.known and self.known[name] != ty:
-                    c.fail(f"{name} already annotated as {self.known[name]}")
-                self.known[name] = ty
-                return Var(name, ty)
-            if name in bound:
-                return Var(name, bound[name])
-            if name in self.known:
-                return Var(name, self.known[name])
-            if self.default_ty is not None:
-                self.known[name] = self.default_ty
-                return Var(name, self.default_ty)
-            c.fail(f"free variable {name} needs a type annotation")
-        c.fail("expected a term")
+                name = self.ident()
+                c.expect(":")
+                bty = _parse_type_atom(c)
+                if is_mu and not is_neg_type(bty):
+                    c.fail(f"mu binder must have a negation type, got {bty}")
+                c.expect(".")
+                body = self.term({**bound, name: bty})
+                return Mu(name, bty, body) if is_mu else Lam(name, bty, body)
+            if t.text == "(":
+                c.next()
+                out = self.term(bound)
+                while not c.at(")"):  # (P) groups, (P Q R) left-folds
+                    out = App(out, self.term(bound))
+                c.expect(")")
+                return out
+            if t.kind == "IDENT" and t.text not in RESERVED:
+                c.next()
+                name = t.text
+                if c.at(":") and name not in bound:
+                    c.next()
+                    ty = _parse_type_atom(c)
+                    if name in self.known and self.known[name] != ty:
+                        c.fail(f"{name} already annotated as {self.known[name]}")
+                    self.known[name] = ty
+                    return Var(name, ty)
+                if name in bound:
+                    return Var(name, bound[name])
+                if name in self.known:
+                    return Var(name, self.known[name])
+                if self.default_ty is not None:
+                    self.known[name] = self.default_ty
+                    return Var(name, self.default_ty)
+                c.fail(f"free variable {name} needs a type annotation")
+            c.fail("expected a term")
 
     def ident(self) -> str:
         t = self.c.peek()
@@ -753,53 +826,54 @@ class _CtsParser:
 
     def subterm(self) -> CtsSubterm:
         c = self.c
-        t = c.peek()
-        if t.text in ("neg", "and", "or", "All", "Ex"):
-            op = t.text
-            c.next()
-            k = self.bracket_rank()
-            c.expect("(")
-            if op == "neg":
-                child = self.subterm()
-                c.expect(")")
-                return CNeg(k, child)
-            if op in ("and", "or"):
-                left = self.subterm()
-                c.expect(",")
-                right = self.subterm()
-                c.expect(")")
-                return (CConj if op == "and" else CDisj)(k, left, right)
-            name, ty, m = self.annotated_var()
-            c.expect(")")
-            return (CBigConj if op == "All" else CBigDisj)(k, name, ty, m)
-        if t.text == "(":
-            c.next()
-            out = self.subterm()
-            while not c.at(")"):
-                out = CApp(out, self.subterm())
-            c.expect(")")
-            return out
-        if t.kind in ("IDENT", "NAT"):  # 0 and 1 name the truth values
-            c.next()
-            name = t.text
-            if c.at(":"):
+        with c:
+            t = c.peek()
+            if t.text in ("neg", "and", "or", "All", "Ex"):
+                op = t.text
                 c.next()
-                ty = _parse_type_atom(c)
-                c.expect("@")
-                m = self.rank()
-                if name in self.known and self.known[name] != (ty, m):
-                    c.fail(f"{name} already annotated as "
-                           f"{self.known[name][0]}@{self.known[name][1]}")
-                self.known[name] = (ty, m)
-                return CVar(name, ty, m)
-            if name in self.known:
-                ty, m = self.known[name]
-                return CVar(name, ty, m)
-            if self.default_var is not None:
-                self.known[name] = self.default_var
-                return CVar(name, *self.default_var)
-            c.fail(f"variable {name} needs a `:type@rank` annotation")
-        c.fail("expected a subterm")
+                k = self.bracket_rank()
+                c.expect("(")
+                if op == "neg":
+                    child = self.subterm()
+                    c.expect(")")
+                    return CNeg(k, child)
+                if op in ("and", "or"):
+                    left = self.subterm()
+                    c.expect(",")
+                    right = self.subterm()
+                    c.expect(")")
+                    return (CConj if op == "and" else CDisj)(k, left, right)
+                name, ty, m = self.annotated_var()
+                c.expect(")")
+                return (CBigConj if op == "All" else CBigDisj)(k, name, ty, m)
+            if t.text == "(":
+                c.next()
+                out = self.subterm()
+                while not c.at(")"):
+                    out = CApp(out, self.subterm())
+                c.expect(")")
+                return out
+            if t.kind in ("IDENT", "NAT"):  # 0 and 1 name the truth values
+                c.next()
+                name = t.text
+                if c.at(":"):
+                    c.next()
+                    ty = _parse_type_atom(c)
+                    c.expect("@")
+                    m = self.rank()
+                    if name in self.known and self.known[name] != (ty, m):
+                        c.fail(f"{name} already annotated as "
+                               f"{self.known[name][0]}@{self.known[name][1]}")
+                    self.known[name] = (ty, m)
+                    return CVar(name, ty, m)
+                if name in self.known:
+                    ty, m = self.known[name]
+                    return CVar(name, ty, m)
+                if self.default_var is not None:
+                    self.known[name] = self.default_var
+                    return CVar(name, *self.default_var)
+                c.fail(f"variable {name} needs a `:type@rank` annotation")
+            c.fail("expected a subterm")
 
 
 def parse_cts(text: str, sig: Optional[dict[str, tuple[TypeExpr, int]]] = None) -> CtsSubterm:

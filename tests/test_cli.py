@@ -1,7 +1,9 @@
+import pathlib
 import random
 import string
 
 from ctt.cli import main
+from ctt.syntax import MAX_NESTING
 
 import corpus
 
@@ -102,6 +104,16 @@ def test_prove_and_check_proof(capsys, tmp_path):
     assert code in (1, 2)
 
 
+def test_readme_derivation_file_checks(capsys, tmp_path):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Derivation files", 1)[1].split("```\n")[1]
+    path = tmp_path / "readme.proof"
+    path.write_text(block)
+    code, out, _ = run(capsys, "check-proof", str(path))
+    assert code == 0
+    assert out.strip() == "and[1](A:bot@0,B:bot@0) |- and[1](B:bot@0,A:bot@0)"
+
+
 def test_prove_negative_exit(capsys):
     code, out, _ = run(capsys, "prove", "--depth", "5", "A |- B")
     assert code == 1
@@ -190,3 +202,26 @@ def test_fuzz_no_crash(capsys):
             code = main([cmd, junk])
             capsys.readouterr()
             assert code in (0, 1, 2, 3)
+    # deep nesting is refused by the parser's budget, never a RecursionError
+    deep = 10_000
+    nests = {
+        "parse": ["(" * deep + "x:e" + ")" * deep, "\\x:" + "~" * deep + "e. x",
+                  "\\x:e. " * deep + "x"],
+        "normalize": ["e: " + "((\\x:e. x) " * deep + "y" + ")" * deep,
+                      "\\x:e. " * deep + "x", "\\x:(" + "e -> " * deep + "e). x"],
+        "entail": ["|- " + "neg[1](" * deep + "A" + ")" * deep,
+                   "|- " + "and[1](A," * deep + "A" + ")" * deep],
+        "canon": ["neg[1](" * deep + "A:bot@0" + ")" * deep,
+                  "(" * deep + "p:~e@0 a:e@0" + ")" * deep],
+    }
+    for cmd, texts in nests.items():
+        for text in texts:
+            code = main([cmd, text])
+            capsys.readouterr()
+            assert code in (2, 3), (cmd, text[:20])
+    # just inside the budget, later passes over the tree do not overflow
+    inside = MAX_NESTING - 2
+    for cmd in ("canon", "entail"):
+        text = "neg[1](" * inside + "A:bot@0" + ")" * inside
+        assert main([cmd, text if cmd == "canon" else "|- " + text]) in (0, 1)
+        capsys.readouterr()

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,15 +8,14 @@ from hypothesis import given, settings, strategies as st
 from ctt import gen
 from ctt.domains import (
     AtomicApp, CapExceeded, FALSE, FnTable, Individual, JoinE,
-    MeetE, ModelConfig, NegE, TRUE, apply_elem, ba_equal, ba_leq,
-    bottom_at, canonical_key, canonicalize, elem_rank, enumerate_domain,
+    MAX_GENERATORS, MeetE, ModelConfig, NegE, TRUE, TruthVal, apply_elem,
+    ba_equal, ba_leq, bottom_at, canonical_key, elem_rank, enumerate_domain,
     fn_table, iso_i, iso_iterate, make_join, make_meet, make_neg,
-    MApp, MConj, MLeaf, MNeg, MBigConj, parse_element,
-    parse_model_config, parse_set_of_sets, render_elem, resolve_constant,
-    top_at, is_canonical_elem,
+    parse_element, parse_model_config, parse_set_of_sets, render_elem,
+    resolve_constant, top_at, is_canonical_elem,
 )
 from ctt.semantics import canonicalize_cts
-from ctt.syntax import Arrow, BOT, Base, TypeMismatch, parse_cts  # noqa: F401
+from ctt.syntax import Arrow, BOT, Base, TypeMismatch, neg_type, parse_cts
 
 import corpus
 
@@ -81,6 +82,88 @@ def test_base_size_cap():
         ModelConfig(base_sizes={"e": 9})
 
 
+def test_enumerate_domain_returns_a_fresh_list(m3):
+    first = enumerate_domain(m3, E, 0)
+    first.reverse()
+    first.append(TRUE)
+    assert enumerate_domain(m3, E, 0) == [Individual(E, n) for n in "abc"]
+
+
+# --- hash-consing -----------------------------------------------------------
+
+def test_equal_constructions_are_one_object(m3):
+    assert Individual(E, "a") is Individual(E, "a")
+    assert Individual(Base("e"), "a") is Individual(E, "a")
+    assert Arrow(E, BOT) is neg_type(E)
+    assert TruthVal(1) is TRUE
+    parsed = parse_element(
+        "or[1](table{a->0,b->1,c->1},neg[1](table{a->1,b->1,c->0}))", m3, neg_type(E))
+    applied = apply_elem(parsed, Individual(E, "a"))
+    assert applied is parse_element("or[1](0,neg[1](1))", m3, BOT)
+    table = parse_element("table{a->0,b->1,c->1}", m3, neg_type(E))
+    assert any(t is table for t in enumerate_domain(m3, neg_type(E), 0))
+
+
+def test_elements_and_types_are_immutable(m3):
+    a = Individual(E, "a")
+    samples = [TRUE, a, enumerate_domain(m3, neg_type(E), 0)[0],
+               AtomicApp(Individual(neg_type(E), "p"), a), make_neg(1, a),
+               make_meet(1, E, [a, Individual(E, "b")]), bottom_at(1, E),
+               E, neg_type(E), BOT]
+    for value in samples:
+        field = value.__match_args__[0] if value.__match_args__ else "ty"
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    assert a.name == "a" and E.name == "e"
+
+
+def test_interning_table_holds_only_live_elements():
+    x = Individual(E, "only-referenced-here")
+    ref = weakref.ref(x)
+    del x
+    gc.collect()
+    assert ref() is None
+
+
+def _fields(e):
+    match e:
+        case TruthVal(v):
+            return ("tv", v)
+        case Individual(ty, name):
+            return ("ind", ty, name)
+        case FnTable(dom, cod, entries):
+            return ("tab", dom, cod, entries)
+        case AtomicApp(fun, arg):
+            return ("app", fun, arg)
+        case NegE(k, ty, child):
+            return ("neg", k, ty, child)
+        case MeetE(k, ty, children):
+            return ("meet", k, ty, children)
+        case JoinE(k, ty, children):
+            return ("join", k, ty, children)
+        case Arrow(dom, cod):
+            return ("arrow", dom, cod)
+        case Base(name):
+            return ("base", name)
+    return None
+
+
+def test_match_binds_every_element_field(m3):
+    a, b = Individual(E, "a"), Individual(E, "b")
+    p = Individual(neg_type(E), "p")
+    table = enumerate_domain(m3, neg_type(E), 0)[5]
+    assert _fields(FALSE) == ("tv", 0)
+    assert _fields(a) == ("ind", E, "a")
+    assert _fields(table) == ("tab", E, BOT, table.entries)
+    assert [k for k, _ in table.entries] == [a, b, Individual(E, "c")]
+    assert _fields(AtomicApp(p, a)) == ("app", p, a)
+    assert _fields(make_neg(1, a)) == ("neg", 1, E, a)
+    assert _fields(make_meet(2, E, [b, a])) == ("meet", 2, E, (a, b))
+    assert _fields(make_join(1, E, [a, b])) == ("join", 1, E, (a, b))
+    assert _fields(neg_type(E)) == ("arrow", E, BOT)
+    assert _fields(E) == ("base", "e")
+
+
 # --- equality and order -----------------------------------------------------
 
 def test_ba_equal_complement_law(m3):
@@ -127,6 +210,60 @@ def test_lattice_constructors_flatten_dedup_sort():
     assert make_meet(1, E, [a]) == a
 
 
+def _rank(e):
+    return e.k if isinstance(e, (NegE, MeetE, JoinE)) else 0
+
+
+def _opaque_below(e, cut, acc):
+    if _rank(e) < cut:
+        acc.append(e)
+    elif isinstance(e, NegE):
+        _opaque_below(e.child, cut, acc)
+    else:
+        for c in e.children:
+            _opaque_below(c, cut, acc)
+
+
+def _truth(e, cut, value):
+    if _rank(e) < cut:
+        return value(e)
+    if isinstance(e, NegE):
+        return 1 - _truth(e.child, cut, value)
+    outs = [_truth(c, cut, value) for c in e.children]
+    return int(all(outs) if isinstance(e, MeetE) else any(outs))
+
+
+def valuation_equal(x, y):
+    """Reference decision procedure for ba_equal, independent of
+    canonical_key: read both sides as Boolean functions at the higher rank
+    over their maximal lower-rank subelements, merge those generators by
+    recursive comparison, and compare under every valuation. At rank 0 it
+    is atom identity."""
+    cut = max(_rank(x), _rank(y))
+    if cut == 0:
+        return x is y
+    raw = []
+    _opaque_below(x, cut, raw)
+    _opaque_below(y, cut, raw)
+    reps, index = [], {}
+    for g in raw:
+        if g in index:
+            continue
+        for i, r in enumerate(reps):
+            if g.ty == r.ty and valuation_equal(g, r):
+                index[g] = i
+                break
+        else:
+            index[g] = len(reps)
+            reps.append(g)
+    assert len(reps) <= MAX_GENERATORS
+    for bits in range(2 ** len(reps)):
+        value = lambda e: (bits >> index[e]) & 1
+        if _truth(x, cut, value) != _truth(y, cut, value):
+            return False
+    return True
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 10 ** 9))
 def test_canonical_key_matches_ba_equal(seed):
@@ -134,7 +271,8 @@ def test_canonical_key_matches_ba_equal(seed):
     model = ModelConfig(base_sizes={"e": 2})
     x = gen.random_canon_elem(rng, model, E, max_rank=2, depth=2)
     y = gen.random_canon_elem(rng, model, E, max_rank=2, depth=2)
-    assert ba_equal(x, y) == (canonical_key(x) == canonical_key(y))
+    assert valuation_equal(x, y) == (canonical_key(x) == canonical_key(y))
+    assert ba_equal(x, y) == valuation_equal(x, y)
 
 
 @settings(max_examples=200, deadline=None)
@@ -283,11 +421,11 @@ def test_bracketed_one_and_two_share_shape():
 def test_canonicalize_molecular_nodes(m22):
     a = Individual(E, "a")
     r = enumerate_domain(m22, Arrow(E, BOT), 0)[1]
-    expr = MApp(MLeaf(r), MNeg(1, MLeaf(a)))
-    out = canonicalize(expr, m22)
+    expr = parse_cts("(r:~e@0 neg[1](a:e@0))")
+    out = canonicalize_cts(expr, m22, {"r": r})
     assert out == make_neg(1, apply_elem(r, a))
-    big = MApp(MLeaf(r), MBigConj(1, E))
-    out2 = canonicalize(big, m22)
+    big = parse_cts("(r:~e@0 All[1](x:e@0))")
+    out2 = canonicalize_cts(big, m22, {"r": r})
     expected = make_meet(1, BOT, [apply_elem(r, c)
                                   for c in enumerate_domain(m22, E, 0)])
     assert ba_equal(out2, expected)
@@ -295,10 +433,10 @@ def test_canonicalize_molecular_nodes(m22):
 
 def test_canonicalize_fixpoint(m22):
     a, b = Individual(E, "a"), Individual(E, "b")
-    already = MConj(1, MLeaf(a), MNeg(1, MLeaf(b)))
-    out = canonicalize(already, m22)
+    already = parse_cts("and[1](a:e@0, neg[1](b:e@0))")
+    out = canonicalize_cts(already, m22)
     assert out == make_meet(1, E, [a, make_neg(1, b)])
-    again = canonicalize(MLeaf(out), m22)
+    again = canonicalize_cts(parse_cts(render_elem(out), {"a": (E, 0), "b": (E, 0)}), m22)
     assert again == out
 
 
@@ -330,11 +468,11 @@ def test_canonicalize_agrees_with_syntactic_squeezing():
 
 
 def test_canonicalize_commuted_children_codenotational(m22):
-    a, b = Individual(E, "a"), Individual(E, "b")
     r = enumerate_domain(m22, Arrow(E, BOT), 0)[2]
-    e1 = MApp(MLeaf(r), MConj(1, MLeaf(a), MNeg(1, MLeaf(b))))
-    e2 = MApp(MLeaf(r), MConj(1, MNeg(1, MLeaf(b)), MLeaf(a)))
-    assert ba_equal(canonicalize(e1, m22), canonicalize(e2, m22))
+    e1 = parse_cts("(r:~e@0 and[1](a:e@0, neg[1](b:e@0)))")
+    e2 = parse_cts("(r:~e@0 and[1](neg[1](b:e@0), a:e@0))")
+    assert ba_equal(canonicalize_cts(e1, m22, {"r": r}),
+                    canonicalize_cts(e2, m22, {"r": r}))
 
 
 # --- the type-reduction isomorphism -----------------------------------------
