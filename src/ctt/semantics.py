@@ -14,6 +14,7 @@ present. Empty sides are top and bottom at that rank.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
@@ -21,15 +22,16 @@ from typing import Iterable, Optional
 from . import gen as _gen
 from .rewrite import structural_subst
 from .domains import (
-    CanonElem, CapExceeded, FALSE, Individual, ModelConfig, RankOverflow,
-    TRUE, TruthVal, apply_elem, ba_equal, ba_leq, bottom_at, elem_rank,
-    enumerate_domain, fn_table, iso_i, make_join, make_meet, make_neg,
-    render_elem, resolve_constant, top_at,
+    CanonElem, CapExceeded, FALSE, Individual, MAX_RANK0_ENUM, ModelConfig,
+    RankOverflow, TRUE, TruthVal, apply_elem, ba_equal, ba_leq, bottom_at,
+    elem_rank, enumerate_domain, fn_table, iso_i, make_join, make_meet,
+    make_neg, render_elem, resolve_constant, top_at,
 )
 from .syntax import (
     App, Arrow, BOT, Base, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg,
     CVar, CtsSubterm, CttError, Hole, Lam, Mu, SlmTerm, TypeExpr,
-    TypeMismatch, Var, cts_signature, render, slm_children, typecheck_slm,
+    TypeMismatch, Var, cts_children, cts_signature, render, slm_children,
+    typecheck_slm,
 )
 
 Assignment = dict[str, CanonElem]
@@ -60,16 +62,57 @@ def _lookup(name: str, ty: TypeExpr, model: ModelConfig, rho: Assignment,
 
 
 def eval_slm(term: SlmTerm, model: ModelConfig, rho: Assignment) -> CanonElem:
-    """Denotation of a typechecked lambda-mu term under rho."""
+    """Denotation of a typechecked lambda-mu term under rho.
+
+    Every binder evaluates its body once per atom of its rank-0 carrier, so
+    nested binders multiply; the largest product along a binder path is
+    checked against MAX_RANK0_ENUM before anything is evaluated."""
+    if _binder_sweep(term, model) > MAX_RANK0_ENUM:
+        raise CapExceeded(
+            f"evaluating the binders would sweep more than {MAX_RANK0_ENUM} "
+            "carrier atoms along one path")
+    return _eval_slm(term, model, rho)
+
+
+def _carrier_size(ty: TypeExpr, model: ModelConfig) -> int:
+    """Size of the rank-0 carrier of `ty` without enumerating it, saturated
+    at MAX_RANK0_ENUM + 1."""
+    match ty:
+        case Arrow(dom, cod):
+            a, b = _carrier_size(dom, model), _carrier_size(cod, model)
+            if b == 1 or a <= MAX_RANK0_ENUM.bit_length():
+                return min(b ** a, MAX_RANK0_ENUM + 1)
+            return MAX_RANK0_ENUM + 1
+        case Base(name):
+            return model.base_sizes.get(name, 1)  # undeclared: evaluation says so
+    return 2
+
+
+def _binder_sweep(term: SlmTerm, model: ModelConfig) -> int:
+    """Largest product of binder carrier sizes along any path of `term`,
+    saturated at MAX_RANK0_ENUM + 1. Iterative, so a nest as deep as the
+    parser admits stays inside the recursion limit."""
+    worst, stack = 1, [(term, 1)]
+    while stack:
+        t, sweep = stack.pop()
+        if isinstance(t, (Lam, Mu)):
+            sweep = min(sweep * _carrier_size(t.binder_ty, model),
+                        MAX_RANK0_ENUM + 1)
+        worst = max(worst, sweep)
+        stack.extend((c, sweep) for c in slm_children(t))
+    return worst
+
+
+def _eval_slm(term: SlmTerm, model: ModelConfig, rho: Assignment) -> CanonElem:
     match term:
         case Var(name, ty):
             return _lookup(name, ty, model, rho)
         case App(fun, arg):
-            return apply_elem(eval_slm(fun, model, rho), eval_slm(arg, model, rho))
+            return apply_elem(_eval_slm(fun, model, rho), _eval_slm(arg, model, rho))
         case Lam(binder, binder_ty, body):
             table = {}
             for a in enumerate_domain(model, binder_ty, 0):
-                v = eval_slm(body, model, {**rho, binder: a})
+                v = _eval_slm(body, model, {**rho, binder: a})
                 if elem_rank(v) != 0:
                     raise RankOverflow(
                         f"lambda body over {binder}:{binder_ty} yields the rank-"
@@ -81,7 +124,7 @@ def eval_slm(term: SlmTerm, model: ModelConfig, rho: Assignment) -> CanonElem:
                 raise RankOverflow("mu needs rank cap >= 1")
             table = {}
             for a in enumerate_domain(model, binder_ty, 0):
-                v = eval_slm(body, model, {**rho, binder: a})
+                v = _eval_slm(body, model, {**rho, binder: a})
                 if elem_rank(v) != 0:
                     raise RankOverflow(
                         f"mu body yields the rank-{elem_rank(v)} shadow "
@@ -278,27 +321,104 @@ def enumerate_assignments(members: list[CtsSubterm], model: ModelConfig,
     return [dict(zip(names, values)) for values in itertools.product(*pools)]
 
 
+@dataclass
+class SweepMemo:
+    """The two memos of one `sequent_valid` sweep over one model.
+
+    `values` maps (node id, values of the node's free variables) to the
+    node's denotation, so a subterm is evaluated once per distinct value of
+    its own variables rather than once per assignment. `verdicts` maps the
+    antecedent values followed by the succedent values (one flat tuple; the
+    split is fixed within a sweep) to the decision, so each distinct pair
+    of side values is decided once. `free` holds every node's sorted free
+    variable names by node id and is shared by all models of the call.
+    Keys use node ids and hash-consed elements, so lookups cost O(1); the
+    members must stay alive while the memo is in use.
+    """
+
+    free: dict[int, tuple[str, ...]]
+    values: dict = field(default_factory=dict)
+    verdicts: dict = field(default_factory=dict)
+
+    @classmethod
+    def over(cls, members: Iterable[CtsSubterm]) -> "SweepMemo":
+        free: dict[int, tuple[str, ...]] = {}
+        for m in members:
+            _free_names(m, free)
+        return cls(free)
+
+
+def _free_names(sub: CtsSubterm, free: dict[int, tuple[str, ...]]) -> tuple[str, ...]:
+    """Sorted free variable names of `sub`, recorded for it and every node
+    below it. Big-operator nodes have none."""
+    names = free.get(id(sub))
+    if names is None:
+        below = {sub.name} if isinstance(sub, CVar) else set()
+        for c in cts_children(sub):  # a loop, not a comprehension: one frame per level
+            below.update(_free_names(c, free))
+        names = free[id(sub)] = tuple(sorted(below))
+    return names
+
+
+def _eval_shared(sub: CtsSubterm, model: ModelConfig, rho: Assignment,
+                 memo: SweepMemo) -> CanonElem:
+    """`eval_cts` through the memo: a node that misses is built with the
+    same calls, recursing only into children that also miss."""
+    node = id(sub)
+    key = (node, tuple(map(rho.get, memo.free[node])))
+    value = memo.values.get(key)
+    if value is None:
+        match sub:
+            case CApp(fun, arg):
+                value = apply_elem(_eval_shared(fun, model, rho, memo),
+                                   _eval_shared(arg, model, rho, memo))
+            case CNeg(k, child):
+                value = make_neg(k, _eval_shared(child, model, rho, memo))
+            case CConj(k, left, right) | CDisj(k, left, right):
+                l = _eval_shared(left, model, rho, memo)
+                r = _eval_shared(right, model, rho, memo)
+                make = make_meet if isinstance(sub, CConj) else make_join
+                value = make(k, l.ty, [l, r])
+            case _:  # variables and big operators have no children to share
+                value = eval_cts(sub, model, rho)
+        memo.values[key] = value
+    return value
+
+
 def sequent_semantics(ante: list[CtsSubterm], succ: list[CtsSubterm],
-                      model: ModelConfig, rho: Assignment) -> bool:
+                      model: ModelConfig, rho: Assignment,
+                      memo: Optional[SweepMemo] = None) -> bool:
     """ba_leq of the antecedent meet against the succedent join at the
-    maximal rank present (>= 1)."""
-    lvals = [eval_cts(m, model, rho) for m in ante]
-    rvals = [eval_cts(m, model, rho) for m in succ]
-    k = max([1] + [elem_rank(v) for v in lvals + rvals])
-    lhs = make_meet(k, BOT, lvals) if lvals else top_at(k, BOT)
-    rhs = make_join(k, BOT, rvals) if rvals else bottom_at(k, BOT)
-    return ba_leq(lhs, rhs)
+    maximal rank present (>= 1). `memo` is the sweep memo of `model` (see
+    `sequent_valid`); without one, the decision starts from scratch."""
+    if memo is None:
+        memo = SweepMemo.over(list(ante) + list(succ))
+    values = tuple(_eval_shared(m, model, rho, memo)
+                   for m in itertools.chain(ante, succ))
+    holds = memo.verdicts.get(values)
+    if holds is None:
+        lvals, rvals = values[:len(ante)], values[len(ante):]
+        k = max([1] + [elem_rank(v) for v in values])
+        lhs = make_meet(k, BOT, lvals) if lvals else top_at(k, BOT)
+        rhs = make_join(k, BOT, rvals) if rvals else bottom_at(k, BOT)
+        holds = memo.verdicts[values] = ba_leq(lhs, rhs)
+    return holds
 
 
 def sequent_valid(ante: list[CtsSubterm], succ: list[CtsSubterm],
                   models: Iterable[ModelConfig],
                   cap: int = MAX_ASSIGNMENTS) -> SequentReport:
     """Validity over a family of models, one verdict per model and
-    enumerated assignment."""
+    enumerated assignment. Each model gets one `SweepMemo`, so the sweep
+    evaluates every subterm once per value of its free variables and
+    decides every distinct pair of side values once."""
     report = SequentReport()
+    members = list(ante) + list(succ)
+    free = SweepMemo.over(members).free
     for idx, model in enumerate(models):
-        for rho in enumerate_assignments(list(ante) + list(succ), model, cap):
-            holds = sequent_semantics(ante, succ, model, rho)
+        memo = SweepMemo(free)
+        for rho in enumerate_assignments(members, model, cap):
+            holds = sequent_semantics(ante, succ, model, rho, memo)
             report.verdicts.append(SequentVerdict(idx, rho, holds))
     return report
 
@@ -321,9 +441,11 @@ class TrialRecord:
     trial: int
     status: str  # pass | fail | skip
     detail: str = ""
+    ms: float = 0.0  # wall time of the trial
 
     def line(self) -> str:
-        out = f"rule={self.rule} seed={self.seed} trial={self.trial} status={self.status}"
+        out = (f"rule={self.rule} seed={self.seed} trial={self.trial} "
+               f"status={self.status} ms={self.ms:.2f}")
         if self.detail:
             out += f" detail={self.detail!r}"
         return out
@@ -362,6 +484,7 @@ def soundness_harness(rule: str, model: Optional[ModelConfig] = None,
     report = HarnessReport(rule)
     rule_salt = sum(map(ord, rule))
     for trial in range(trials):
+        start = time.perf_counter()
         rng = _gen.make_rng(seed * 1000003 + rule_salt * 9176 + trial)
         try:
             lhs, rhs, ctx = _gen.slm_rule_instance(rule, rng)
@@ -370,20 +493,25 @@ def soundness_harness(rule: str, model: Optional[ModelConfig] = None,
             rho = _gen.random_ground_assignment(rng, model, ctx)
             ok = check_equation(lhs, rhs, model, rho)
         except (RankOverflow, CapExceeded) as ex:
-            report.records.append(TrialRecord(rule, seed, trial, "skip", str(ex)))
-            continue
-        if ok:
-            report.records.append(TrialRecord(rule, seed, trial, "pass"))
+            status, detail = "skip", str(ex)
         else:
-            detail = f"{render(lhs)} /= {render(rhs)}"
-            report.records.append(TrialRecord(rule, seed, trial, "fail", detail))
+            status, detail = ("pass", "") if ok else (
+                "fail", f"{render(lhs)} /= {render(rhs)}")
+        report.records.append(
+            TrialRecord(rule, seed, trial, status, detail, _ms_since(start)))
     if rule == "mu" and not mutate:
-        for i, (cls, lhs, rhs, m, rho) in enumerate(mu_exhaustive_cases()):
+        start = time.perf_counter()
+        for i, (cls, lhs, rhs, m, rho) in enumerate(mu_exhaustive_cases(), trials):
             ok = check_equation(lhs, rhs, m, rho)
             report.records.append(TrialRecord(
-                rule, seed, trials + i, "pass" if ok else "fail",
-                f"context={cls.value}"))
+                rule, seed, i, "pass" if ok else "fail",
+                f"context={cls.value}", _ms_since(start)))
+            start = time.perf_counter()
     return report
+
+
+def _ms_since(start: float) -> float:
+    return (time.perf_counter() - start) * 1000.0
 
 
 def _mutate_mu_rhs(lhs: SlmTerm, rhs: SlmTerm) -> SlmTerm:
@@ -437,7 +565,13 @@ def cts_rule_harness(rule: str, trials: int = 100, seed: int = 0,
     report = HarnessReport(rule)
     rule_salt = sum(map(ord, rule))
     double_line = rule in sq.SUBST_RULES
+
+    def valid(seq):
+        return all(sequent_valid(seq.side("L"), seq.side("R"), [m]).valid
+                   for m in models)
+
     for trial in range(trials):
+        start = time.perf_counter()
         rng = _gen.make_rng(seed * 2000003 + rule_salt * 5077 + trial)
         try:
             conclusion, premises, pos, direction = _gen.cts_rule_instance(
@@ -445,27 +579,20 @@ def cts_rule_harness(rule: str, trials: int = 100, seed: int = 0,
             violation = sq.check_rule_instance(
                 conclusion, premises, rule, pos, direction, gen_model)
             if violation is not None:
-                report.records.append(TrialRecord(
-                    rule, seed, trial, "fail", f"generator rejected: {violation}"))
-                continue
-            def valid(seq):
-                return all(
-                    sequent_valid(seq.side("L"), seq.side("R"), [m]).valid
-                    for m in models)
-            prem_ok = all(valid(p) for p in premises)
-            concl_ok = valid(conclusion)
-            sound = concl_ok or not prem_ok
-            if double_line:
-                sound = sound and (prem_ok or not concl_ok)
+                status, detail = "fail", f"generator rejected: {violation}"
+            else:
+                prem_ok = all(valid(p) for p in premises)
+                concl_ok = valid(conclusion)
+                sound = concl_ok or not prem_ok
+                if double_line:
+                    sound = sound and (prem_ok or not concl_ok)
+                status, detail = ("pass", "") if sound else (
+                    "fail",
+                    f"{sq.render_sequent(conclusion)} breaks validity preservation")
         except CapExceeded as ex:
-            report.records.append(TrialRecord(rule, seed, trial, "skip", str(ex)))
-            continue
-        if sound:
-            report.records.append(TrialRecord(rule, seed, trial, "pass"))
-        else:
-            report.records.append(TrialRecord(
-                rule, seed, trial, "fail",
-                f"{sq.render_sequent(conclusion)} breaks validity preservation"))
+            status, detail = "skip", str(ex)
+        report.records.append(
+            TrialRecord(rule, seed, trial, status, detail, _ms_since(start)))
     return report
 
 

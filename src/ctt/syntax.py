@@ -593,11 +593,12 @@ class Token:
     pos: int
 
 
-def tokenize(text: str, mu_sigil: bool = False) -> list[Token]:
-    """Tokenize; `#` starts a comment unless mu_sigil and directly glued to
-    an identifier (the mu binder form `#x:...`)."""
+def tokenize(text: str, mu_sigil: bool = False, start: int = 0) -> list[Token]:
+    """Tokenize from `start` on, positions counted from the start of `text`;
+    `#` starts a comment unless mu_sigil and directly glued to an
+    identifier (the mu binder form `#x:...`)."""
     toks: list[Token] = []
-    i = 0
+    i = start
     while i < len(text):
         if text[i] == "#":
             rest = text[i + 1:]
@@ -706,8 +707,8 @@ def parse_type(text: str) -> TypeExpr:
 
 class _SlmParser:
     def __init__(self, text: str, ctx: Optional[dict[str, TypeExpr]],
-                 default_ty: Optional[TypeExpr]):
-        self.c = _Cursor(tokenize(text, mu_sigil=True), text)
+                 default_ty: Optional[TypeExpr], start: int = 0):
+        self.c = _Cursor(tokenize(text, mu_sigil=True, start=start), text)
         self.known: dict[str, TypeExpr] = dict(ctx or {})
         self.default_ty = default_ty
 
@@ -761,8 +762,8 @@ class _SlmParser:
         return t.text
 
 
-def _parse_slm_once(text: str, ctx, default_ty) -> SlmTerm:
-    p = _SlmParser(text, ctx, default_ty)
+def _parse_slm_once(text: str, ctx, default_ty, start: int = 0) -> SlmTerm:
+    p = _SlmParser(text, ctx, default_ty, start)
     term = p.term({})
     if p.c.peek().kind != "EOF":
         p.c.fail("trailing input after term")
@@ -776,19 +777,31 @@ def parse_slm(text: str, ctx: Optional[dict[str, TypeExpr]] = None,
 
     A leading `TYPE :` gives unannotated free variables a default type,
     e.g. `e: ((\\x:e. x) y)` types the free y as e. A plain term is tried
-    first, so `x:e` stays an annotated variable.
+    first, so `x:e` stays an annotated variable. When both readings fail,
+    the error of the one that got further into the input is raised.
     """
     try:
         return _parse_slm_once(text, ctx, default_ty)
     except CttError as original:
-        head, sep, rest = text.partition(":")
+        head, sep, _ = text.partition(":")
         if default_ty is not None or not sep:
             raise
         try:
             prefix_ty = parse_type(head)
         except CttError:
             raise original from None
-        return _parse_slm_once(rest, ctx, prefix_ty)
+        try:
+            return _parse_slm_once(text, ctx, prefix_ty, start=len(head) + 1)
+        except CttError as retry:
+            if _reach(original, text) > _reach(retry, text):
+                raise original from None
+            raise
+
+
+def _reach(error: CttError, text: str) -> int:
+    """How far into `text` a parse got before `error`: a parse error's
+    position, or the whole text for an error raised after parsing."""
+    return error.pos if isinstance(error, ParseError) else len(text)
 
 
 # ---------------------------------------------------------------------------

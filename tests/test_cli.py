@@ -1,6 +1,8 @@
 import pathlib
 import random
+import re
 import string
+import time
 
 from ctt.cli import main
 from ctt.syntax import MAX_NESTING
@@ -79,6 +81,29 @@ def test_eval_with_model_and_assignment(capsys, tmp_path):
     assert out.strip() == "0"
 
 
+def test_parse_failed_retry_keeps_nesting_message(capsys):
+    # the plain reading reaches the nesting budget; the `x:` retry fails at
+    # once, so the error that got further is reported
+    code, _, err = run(capsys, "parse", "x:" + "~" * 600 + "e")
+    assert code == 2
+    assert f"input nests deeper than {MAX_NESTING} levels" in err
+
+
+def binder_nest(n: int) -> str:
+    return "".join(f"\\x{i}:e. " for i in range(n)) + "x0"
+
+
+def test_eval_binder_nest_cap_is_checked_first(capsys):
+    # n nested binders over e of size 2 evaluate the body 2^n times
+    for depth in (100, MAX_NESTING - 3):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "eval", binder_nest(depth))
+        assert code == 3 and "resource cap" in err
+        assert time.perf_counter() - start < 1.0
+    code, out, _ = run(capsys, "eval", binder_nest(12))
+    assert code == 0 and out.startswith("table{a->table{")
+
+
 def test_eval_mu(capsys, tmp_path):
     mdl = tmp_path / "m.mdl"
     mdl.write_text("base e 2\n")
@@ -136,14 +161,17 @@ def test_demo_single_reading(capsys):
 
 
 def test_harness_subcommand_and_seed_env(capsys, monkeypatch):
+    def without_times(text):
+        return re.sub(r" ms=\S+", "", text)
+
     code, out, _ = run(capsys, "harness", "--rule", "beta",
                        "--trials", "4", "--seed", "9")
     assert code == 0
-    first = out
+    first = without_times(out)
     monkeypatch.setenv("CTT_SEED", "9")
     code, out, _ = run(capsys, "harness", "--rule", "beta",
                        "--trials", "4", "--seed", "0")
-    assert out == first  # the environment seed overrides the flag
+    assert without_times(out) == first  # the environment seed overrides the flag
 
 
 def test_harness_sequent_rule(capsys):

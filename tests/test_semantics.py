@@ -1,20 +1,26 @@
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctt import gen
 from ctt.domains import (
     FALSE, FnTable, Individual, ModelConfig, RankOverflow, TRUE,
-    apply_elem, ba_equal, bottom_at, enumerate_domain, fn_table, make_join,
-    make_meet, make_neg, render_elem, top_at, CapExceeded,
+    apply_elem, ba_equal, ba_leq, bottom_at, elem_rank, enumerate_domain,
+    fn_table, make_join, make_meet, make_neg, render_elem, top_at,
+    CapExceeded,
 )
 from ctt.rewrite import step
 from ctt.semantics import (
-    ContextClass, NonGroundValue, UnassignedVariable, canonicalize_cts,
-    check_equation, classify_context, cts_rule_harness, enumerate_assignments,
-    eval_cts, eval_slm, mu_exhaustive_cases, sequent_valid, soundness_harness,
+    MAX_ASSIGNMENTS, ContextClass, NonGroundValue, UnassignedVariable,
+    canonicalize_cts, check_equation, classify_context, cts_harness_model,
+    cts_rule_harness, enumerate_assignments, eval_cts, eval_slm,
+    mu_exhaustive_cases, sequent_semantics, sequent_valid, soundness_harness,
     standard_model_family, symbolic_assignment,
 )
+from ctt.sequents import INTRO_RULES, SUBST_RULES
 from ctt.syntax import (
-    App, Arrow, BOT, Base, Hole, Lam, Mu, Var, parse_cts,
+    App, Arrow, BOT, Base, CVar, Hole, Lam, Mu, TypeMismatch, Var, parse_cts,
     parse_sequent_members, parse_slm,
 )
 
@@ -248,6 +254,93 @@ def test_empty_sequent_invalid(m22):
     assert not sequent_valid([], [], [m22]).valid
 
 
+def reference_decision(ante, succ, model, rho):
+    """One assignment decided from scratch: a fresh eval_cts per member,
+    then ba_leq of the antecedent meet and the succedent join."""
+    lvals = [eval_cts(m, model, rho) for m in ante]
+    rvals = [eval_cts(m, model, rho) for m in succ]
+    k = max([1] + [elem_rank(v) for v in lvals + rvals])
+    lhs = make_meet(k, BOT, lvals) if lvals else top_at(k, BOT)
+    rhs = make_join(k, BOT, rvals) if rvals else bottom_at(k, BOT)
+    return ba_leq(lhs, rhs)
+
+
+def reference_sequent_verdicts(ante, succ, models, cap=MAX_ASSIGNMENTS):
+    """The per-assignment sweep the memoized one replaced, as
+    (model_index, assignment, holds) triples."""
+    out = []
+    for idx, model in enumerate(models):
+        for rho in enumerate_assignments(list(ante) + list(succ), model, cap):
+            out.append((idx, rho, reference_decision(ante, succ, model, rho)))
+    return out
+
+
+def outcome(check, *args):
+    """A sweep's verdict triples, or the class and text of what it raised."""
+    try:
+        report = check(*args)
+    except Exception as ex:  # noqa: BLE001 - the exception is the outcome
+        return type(ex), str(ex)
+    if isinstance(report, list):
+        return report
+    return [(v.model_index, v.assignment, v.holds) for v in report.verdicts]
+
+
+ORACLE_MODELS = (
+    [cts_harness_model(1)], [cts_harness_model(2)], standard_model_family())
+
+
+def assert_sweeps_agree(ante, succ, models):
+    assert (outcome(sequent_valid, ante, succ, models)
+            == outcome(reference_sequent_verdicts, ante, succ, models))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 2), st.integers(0, 2),
+       st.integers(0, 3), st.sampled_from(ORACLE_MODELS))
+def test_sweep_matches_reference_on_random_sequents(seed, n_ante, n_succ, depth,
+                                                    models):
+    rng = gen.make_rng(seed)
+    sig = {}
+    ante = [gen.random_bot_subterm(rng, depth, sig, var_ranks=(0, 0, 1))
+            for _ in range(n_ante)]
+    succ = [gen.random_bot_subterm(rng, depth, sig, var_ranks=(0, 0, 1))
+            for _ in range(n_succ)]
+    assert_sweeps_agree(ante, succ, models)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(INTRO_RULES + SUBST_RULES), st.integers(0, 2 ** 32),
+       st.sampled_from(ORACLE_MODELS))
+def test_sweep_matches_reference_on_rule_instances(rule, seed, models):
+    try:
+        conclusion, premises, _, _ = gen.cts_rule_instance(
+            rule, gen.make_rng(seed), cts_harness_model())
+    except CapExceeded:
+        return
+    for seq in [conclusion, *premises]:
+        assert_sweeps_agree(seq.side("L"), seq.side("R"), models)
+
+
+def test_sweep_raises_what_the_reference_raises(m22):
+    # a model constant above the variable's rank bound
+    model = ModelConfig(base_sizes={"e": 2}, constants={"c": make_neg(1, FALSE)})
+    low = [CVar("c", BOT, 0)]
+    for check in (sequent_valid, reference_sequent_verdicts):
+        with pytest.raises(TypeMismatch):
+            check(low, [], [model])
+    # an assignment that leaves a variable out
+    ante, succ = parse_sequent_members("A |- B")
+    for decide in (sequent_semantics, reference_decision):
+        with pytest.raises(UnassignedVariable):
+            decide(ante, succ, m22, {"A": TRUE})
+    # an assignment space over the cap, refused before any enumeration
+    members, _ = parse_sequent_members("x:bot@1, y:bot@1, z:bot@1, v:bot@1 |- x")
+    for check in (sequent_valid, reference_sequent_verdicts):
+        with pytest.raises(CapExceeded):
+            check(members, [], [m22], 1000)
+
+
 @pytest.mark.parametrize("rule", [r for r in gen.SLM_RULE_IDS if r != "mu"])
 def test_soundness_harness_rules(rule):
     report = soundness_harness(rule, trials=25, seed=11)
@@ -269,6 +362,9 @@ def test_harness_records_render():
     report = soundness_harness("beta", trials=3, seed=5)
     lines = [r.line() for r in report.records]
     assert all("rule=beta" in ln and "seed=5" in ln for ln in lines)
+    for ln in lines:
+        match = re.search(r" status=\w+ ms=(\S+)( detail=|$)", ln)
+        assert match and float(match.group(1)) >= 0.0
 
 
 def test_eta_mu_semantic_identity_random(m22):

@@ -62,6 +62,13 @@ def test_parse_error_carries_position():
     assert exc.value.col >= 9
 
 
+def test_default_type_retry_reports_whole_text_position():
+    # both readings fail; the `e:` retry gets further, to the end of input
+    with pytest.raises(ParseError) as exc:
+        parse_slm(r"e: ((\x:e. x) y")
+    assert (exc.value.line, exc.value.col) == (1, 16)
+
+
 def test_typecheck_app_mismatch_path():
     t = App(Var("x", Base("e")), Var("x", Base("e")))
     with pytest.raises(TypeMismatch) as exc:
