@@ -4,12 +4,15 @@
 Equality rules are checked as semantic equations under random rank-0
 assignments (the mu rule adds its exhaustive truth-context cases); sequent
 rules as validity preservation between premises and conclusion. The `ms`
-column sums the rule's per-trial durations, so slow rules show. Usage:
+column sums the rule's per-trial durations, so slow rules show. Exits 0
+when every trial passes, 1 on a failure, 2 when stdout closes early
+(`| head`). Usage:
 
     python scripts/run_harness.py [--trials N] [--seed S]
 """
 
 import argparse
+import os
 import sys
 import time
 
@@ -42,4 +45,11 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; let the exit-time flush write to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)

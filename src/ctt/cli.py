@@ -1,7 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 ok/valid/proved, 1 checked-and-negative, 2 usage or parse
-error, 3 resource cap (fuel, enumeration size, assignment space, rank).
+Exit codes: 0 ok/valid/proved, 1 checked-and-negative, 2 usage, parse or
+I/O error (an unreadable @file, a closed stdout), 3 resource cap (fuel,
+enumeration size, assignment space, rank).
 `--machine` switches to line-delimited key=value records with a stable
 field order; diagnostics go to stderr. Any input argument may be given
 inline or as @path to read a file.
@@ -29,7 +30,7 @@ from .sequents import (
 )
 from .syntax import (
     Base, CttError, parse_cts, parse_sequent_members, parse_slm, parse_type,
-    render, rank_check, classify,
+    render, classify,
 )
 
 OK, NEGATIVE, USAGE, CAP = 0, 1, 2, 3
@@ -99,7 +100,6 @@ def cmd_check(args, out: Printer) -> int:
         out.record("ok", "check", render(term), type=syntax.render_type(term.ty))
     else:
         sub = parse_cts(text)
-        rank_check(sub)
         out.record("ok", "check", render(sub), type=syntax.render_type(sub.ty),
                    rank=sub.rank, **{"class": classify(sub).value})
     return OK
@@ -338,7 +338,9 @@ def main(argv=None) -> int:
         return USAGE if ex.code not in (0, None) else OK
     out = Printer(args.machine)
     try:
-        return args.fn(args, out)
+        code = args.fn(args, out)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
     except (CapExceeded, RankOverflow) as ex:
         print(f"ctt: resource cap: {ex}", file=sys.stderr)
         return CAP
@@ -346,6 +348,9 @@ def main(argv=None) -> int:
         print(f"ctt: {ex}", file=sys.stderr)
         return USAGE
     except OSError as ex:
+        if isinstance(ex, BrokenPipeError):
+            # the reader is gone; let the exit-time flush write to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"ctt: {ex}", file=sys.stderr)
         return USAGE
 

@@ -123,10 +123,6 @@ def elem_rank(e: CanonElem) -> int:
     return e.k if isinstance(e, (NegE, MeetE, JoinE)) else 0
 
 
-def elem_ty(e: CanonElem) -> TypeExpr:
-    return e.ty
-
-
 @lru_cache(maxsize=None)
 def render_elem(e: CanonElem) -> str:
     match e:
@@ -499,13 +495,6 @@ def _iso_rank0(sets: frozenset, sigma: TypeExpr, model: ModelConfig) -> CanonEle
 
 _MINTERM_CACHE: dict = {}
 _ISO_ATOM_CACHE: dict = {}
-
-
-def _subsets(xs: list) -> list[frozenset]:
-    out = []
-    for mask in range(2 ** len(xs)):
-        out.append(frozenset(x for i, x in enumerate(xs) if (mask >> i) & 1))
-    return out
 
 
 def iso_i(f, model: ModelConfig, ty: Optional[TypeExpr] = None) -> CanonElem:

@@ -11,7 +11,7 @@ from . import rewrite
 from .domains import CanonElem, ModelConfig, enumerate_domain
 from .syntax import (
     App, Arrow, BOT, Base, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg,
-    CVar, CtsSubterm, CttError, Lam, Mu, SlmTerm, TypeExpr, Var, cts_replace,
+    CVar, CtsSubterm, CttError, Lam, Mu, SlmTerm, TypeExpr, Var,
     neg_type,
 )
 
@@ -366,18 +366,14 @@ def cts_rule_instance(rule: str, rng: random.Random, model,
         seq_in = sq.Sequent.make(gamma + [member], delta)
     else:
         seq_in = sq.Sequent.make(gamma, delta + [member])
-    out = sq.squeeze_out(redex, op, functor_side=app_side == "l", model=model)
-    if isinstance(out, str):
-        raise CttError(f"generator built a stuck redex: {out}")
-    rewritten = cts_replace(member, path, out)
-    seq_out = seq_in.replace(seq_side, member, [rewritten])
+    pos = sq.Pos(seq_side, seq_in.side(seq_side).index(member), path)
+    out = sq.rule_premises(seq_in, rule, pos, model)
+    if isinstance(out, sq.Violation):
+        raise CttError(f"generator built a stuck redex: {out.reason}")
     direction = rng.choice(("down", "up"))
     if direction == "down":
-        conclusion, premises = seq_in, [seq_out]
-    else:
-        conclusion, premises = seq_out, [seq_in]
-    pos = sq.Pos(seq_side, seq_in.side(seq_side).index(member), path)
-    return conclusion, premises, pos, direction
+        return seq_in, out, pos, direction
+    return out[0], [seq_in], pos, direction
 
 
 def random_canon_elem(rng: random.Random, model: ModelConfig, ty: TypeExpr,

@@ -83,11 +83,11 @@ class Pos:
     @staticmethod
     def parse(text: str) -> "Pos":
         head, _, path = text.partition(":")
-        side, idx = head[0], head[1:]
-        if side not in "LR" or not idx.isdigit():
+        steps = [p for p in path.split(".") if p != ""]
+        if head[:1] not in ("L", "R") or not head[1:].isdigit() \
+                or not all(p.isdigit() for p in steps):
             raise CttError(f"bad position {text!r}")
-        return Pos(side, int(idx),
-                   tuple(int(p) for p in path.split(".") if p != ""))
+        return Pos(head[0], int(head[1:]), tuple(map(int, steps)))
 
 
 OPS = ("neg", "and", "or", "all", "ex")
@@ -244,6 +244,72 @@ def _intro_rank_condition(k: int, side_members, subformula_ranks) -> Optional[st
     return None
 
 
+def rule_premises(seq: Sequent, rule: str, pos: Optional[Pos],
+                  model: Optional[ModelConfig] = None,
+                  eigen: Optional[CtsSubterm] = None,
+                  ) -> Union[list[Sequent], Violation]:
+    """The premises of `rule` applied at `pos` in `seq`, read downward, or
+    the side condition the application breaks.
+
+    A substitution rule squeezes the operator at `pos` out of its
+    application; an introduction rule decomposes the member at `pos`. A
+    big-operator introduction takes `eigen` as its eigenvariable, else the
+    index name primed until fresh."""
+    if rule == "ax":
+        if not (seq.ante & seq.succ):
+            return Violation(rule, "no member shared between the two sides")
+        return []
+
+    if rule in SUBST_RULES:
+        op, flavor = rule.rsplit("-", 1)  # flavor: L/R, then r (argument) / l (functor)
+        if pos is None or pos.side != flavor[0]:
+            return Violation(rule, f"position must be on side {flavor[0]}")
+        member = seq.side(pos.side)[pos.member]
+        out = squeeze_out(cts_at(member, pos.path), op, flavor[1] == "l", model)
+        if isinstance(out, str):
+            return Violation(rule, out)
+        return [seq.replace(pos.side, member, [cts_replace(member, pos.path, out)])]
+
+    if rule not in INTRO_RULES:
+        return Violation(rule, f"unknown rule {rule!r}")
+    op, side = rule.rsplit("-", 1)
+    if pos is None or pos.side != side or pos.path:
+        return Violation(rule, f"position must name a member on side {side}")
+    formula = seq.side(side)[pos.member]
+    if not isinstance(formula, _OP_NODE[op]):
+        return Violation(rule, f"member {render(formula)} is not a {op} node")
+    rest = seq.replace(side, formula, [])
+    side_members = rest.ante | rest.succ
+    ranks = [c.rank for c in cts_children(formula)]
+    if op in ("all", "ex"):
+        if formula.ty != BOT:
+            return Violation(rule, "big-operator introduction needs a bot-typed index")
+        ranks = [formula.atom_rank]
+    bad = _intro_rank_condition(formula.k, side_members, ranks)
+    if bad:
+        return Violation(rule, bad)
+
+    match formula:
+        case CNeg(_, a):
+            return [rest.replace("R" if side == "L" else "L", None, [a])]
+        case CConj(_, a, b) | CDisj(_, a, b):
+            if (op == "and") == (side == "R"):
+                return [rest.replace(side, None, [a]), rest.replace(side, None, [b])]
+            return [rest.replace(side, None, [a, b])]
+    m = formula.atom_rank
+    used = {name for mem in side_members for name in cts_signature(mem)}
+    if eigen is None:
+        name = formula.index_var
+        while name in used:
+            name += "'"
+        eigen = CVar(name, BOT, m)
+    if not isinstance(eigen, CVar) or eigen.ty != BOT or eigen.rank != m:
+        return Violation(rule, f"eigenvariable must be a bot variable at rank {m}")
+    if eigen.name in used:
+        return Violation(rule, f"eigenvariable {eigen.name} occurs free elsewhere")
+    return [rest.replace(side, None, [eigen])]
+
+
 def check_rule_instance(conclusion: Sequent, premises: list[Sequent], rule: str,
                         pos: Optional[Pos], direction: Optional[str] = None,
                         model: Optional[ModelConfig] = None,
@@ -256,110 +322,40 @@ def check_rule_instance(conclusion: Sequent, premises: list[Sequent], rule: str,
 
 
 def _check_rule(conclusion, premises, rule, pos, direction, model):
+    """Compare the given premises with `rule_premises`. A substitution read
+    upward swaps the two sequents, since `pos` addresses the one holding
+    the redex; a big-operator introduction offers the one member its
+    premise adds as the eigenvariable."""
     for seq in [conclusion] + premises:
         for m in seq.ante | seq.succ:
             rank_check(m)
             if m.ty != BOT:
                 return Violation(rule, f"member {render(m)} is not of type bot")
 
-    if rule == "ax":
-        if premises:
-            return Violation(rule, "the axiom takes no premises")
-        if not (conclusion.ante & conclusion.succ):
-            return Violation(rule, "no member shared between the two sides")
-        return None
-
+    eigen = None
     if rule in SUBST_RULES:
-        op, flavor = rule.rsplit("-", 1)
-        seq_side, app_side = flavor[0], flavor[1]  # L/R, r (argument) / l (functor)
         if direction not in ("down", "up"):
             return Violation(rule, "substitution rules need direction down or up")
         if len(premises) != 1:
             return Violation(rule, "substitution rules take one premise")
-        if pos is None or pos.side != seq_side:
-            return Violation(rule, f"position must be on side {seq_side}")
-        seq_in = conclusion if direction == "down" else premises[0]
-        seq_out = premises[0] if direction == "down" else conclusion
-        members = seq_in.side(pos.side)
-        member = members[pos.member]
-        redex = cts_at(member, pos.path)
-        out = squeeze_out(redex, op, functor_side=app_side == "l", model=model)
-        if isinstance(out, str):
-            return Violation(rule, out)
-        rewritten = cts_replace(member, pos.path, out)
-        expected = seq_in.replace(pos.side, member, [rewritten])
-        if seq_out != expected:
-            return Violation(rule, "the other sequent does not match the rewrite")
-        return None
+        if direction == "up":
+            conclusion, premises = premises[0], [conclusion]
+    elif rule in ("all-L", "all-R", "ex-L", "ex-R") and len(premises) == 1:
+        (p,) = premises
+        added = p.ante - conclusion.ante if rule[-1] == "L" else p.succ - conclusion.succ
+        if len(added) == 1:
+            (eigen,) = added
 
-    if rule not in INTRO_RULES:
-        return Violation(rule, f"unknown rule {rule!r}")
-    op, intro_side = rule.rsplit("-", 1)
-    if pos is None or pos.side != intro_side or pos.path:
-        return Violation(rule, f"position must name a member on side {intro_side}")
-    members = conclusion.side(intro_side)
-    formula = members[pos.member]
-    want = _OP_NODE[op]
-    if not isinstance(formula, want):
-        return Violation(rule, f"member {render(formula)} is not a {op} node")
-    k = formula.k
-    rest = conclusion.replace(intro_side, formula, [])
-    side_members = list(rest.ante | rest.succ)
-
-    if op == "neg":
-        (a,) = cts_children(formula)
-        bad = _intro_rank_condition(k, side_members, [a.rank])
-        if bad:
-            return Violation(rule, bad)
-        if intro_side == "L":
-            expected = [rest.replace("R", None, [a])]
-        else:
-            expected = [rest.replace("L", None, [a])]
-    elif op in ("and", "or"):
-        a, b = cts_children(formula)
-        bad = _intro_rank_condition(k, side_members, [a.rank, b.rank])
-        if bad:
-            return Violation(rule, bad)
-        two_premises = (op == "and") == (intro_side == "R")
-        if two_premises:
-            expected = [rest.replace(intro_side, None, [a]),
-                        rest.replace(intro_side, None, [b])]
-        else:
-            expected = [rest.replace(intro_side, None, [a, b])]
-    else:  # big operators: eigenvariable premise
-        if formula.ty != BOT:
-            return Violation(rule, "big-operator introduction needs a bot-typed index")
-        m = formula.atom_rank
-        bad = _intro_rank_condition(k, side_members, [m])
-        if bad:
-            return Violation(rule, bad)
-        if len(premises) != 1:
-            return Violation(rule, "big-operator introduction takes one premise")
-        premise = premises[0]
-        extra_side = set(premise.ante if intro_side == "L" else premise.succ) \
-            - set(rest.ante if intro_side == "L" else rest.succ)
-        if len(extra_side) != 1:
-            return Violation(rule, "premise must add exactly one eigenvariable member")
-        (eigen,) = extra_side
-        if not isinstance(eigen, CVar) or eigen.ty != BOT or eigen.rank != m:
-            return Violation(
-                rule, f"eigenvariable must be a bot variable at rank {m}")
-        free = set()
-        for mem in side_members:
-            free |= set(cts_signature(mem))
-        if eigen.name in free:
-            return Violation(
-                rule, f"eigenvariable {eigen.name} occurs free elsewhere")
-        expected = [rest.replace(intro_side, None, [eigen])]
-
+    expected = rule_premises(conclusion, rule, pos, model, eigen)
+    if isinstance(expected, Violation):
+        return expected
     if len(premises) != len(expected):
         return Violation(rule, f"expected {len(expected)} premise(s)")
     remaining = list(premises)
     for e in expected:
-        if e in remaining:
-            remaining.remove(e)
-        else:
+        if e not in remaining:
             return Violation(rule, "premises do not match the rule schema")
+        remaining.remove(e)
     return None
 
 
@@ -375,9 +371,13 @@ class Derivation:
     direction: Optional[str] = None
 
     def nodes(self) -> Iterator["Derivation"]:
-        for p in self.premises:
-            yield from p.nodes()
-        yield self
+        """Every node, premises before their conclusion, left to right."""
+        stack, out = [self], []
+        while stack:
+            node = stack.pop()
+            out.append(node)
+            stack.extend(node.premises)
+        return reversed(out)
 
 
 @dataclass
@@ -392,20 +392,17 @@ class DerivationFailure:
 
 def check_derivation(d: Derivation, model: Optional[ModelConfig] = None,
                      ) -> Optional[DerivationFailure]:
-    """Validate every node; returns the first failing node, if any."""
-
-    def go(node: Derivation, path) -> Optional[DerivationFailure]:
+    """Validate every node, conclusions before premises; returns the first
+    failing node, if any. Iterative, so a derivation of any depth checks."""
+    stack = [(d, ())]
+    while stack:
+        node, path = stack.pop()
         v = check_rule_instance(node.conclusion, [p.conclusion for p in node.premises],
                                 node.rule, node.pos, node.direction, model)
         if v is not None:
             return DerivationFailure(path, v)
-        for i, p in enumerate(node.premises):
-            bad = go(p, path + (i,))
-            if bad is not None:
-                return bad
-        return None
-
-    return go(d, ())
+        stack.extend((p, path + (i,)) for i, p in reversed(list(enumerate(node.premises))))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -457,15 +454,14 @@ def prove(goal: Sequent, depth: int = 30,
             if hit is None:
                 continue
             path, op, functor_side = hit
-            out = squeeze_out(cts_at(member, path), op, functor_side, model)
-            if isinstance(out, str):
+            rule, pos = f"{op}-{side}{'l' if functor_side else 'r'}", Pos(side, idx, path)
+            premises = rule_premises(goal, rule, pos, model)
+            if isinstance(premises, Violation):
                 return None  # stuck redex (unnamed carrier or rank break)
-            premise = goal.replace(side, member, [cts_replace(member, path, out)])
-            subproof = prove(premise, depth - 1, model)
+            subproof = prove(premises[0], depth - 1, model)
             if subproof is None:
                 return None
-            rule = f"{op}-{side}{'l' if functor_side else 'r'}"
-            return Derivation(rule, goal, (subproof,), Pos(side, idx, path), "down")
+            return Derivation(rule, goal, (subproof,), pos, "down")
 
     # phase 2: introduction rules (rank side conditions permitting)
     for side in ("R", "L"):
@@ -473,11 +469,9 @@ def prove(goal: Sequent, depth: int = 30,
             op = _node_op(member)
             if op is None:
                 continue
-            rule = f"{op}-{side}"
-            premises = _intro_premises(goal, side, member)
-            if premises is None:
-                continue
-            if check_rule_instance(goal, premises, rule, Pos(side, idx), model=model):
+            rule, pos = f"{op}-{side}", Pos(side, idx)
+            premises = rule_premises(goal, rule, pos, model)
+            if isinstance(premises, Violation):
                 continue  # side condition failed; try another member
             subproofs = []
             for p in premises:
@@ -486,34 +480,7 @@ def prove(goal: Sequent, depth: int = 30,
                     break
                 subproofs.append(sp)
             else:
-                return Derivation(rule, goal, tuple(subproofs), Pos(side, idx))
-    return None
-
-
-def _intro_premises(goal: Sequent, side: str, formula) -> Optional[list[Sequent]]:
-    rest = goal.replace(side, formula, [])
-    match formula:
-        case CNeg(_, a):
-            other = "R" if side == "L" else "L"
-            return [rest.replace(other, None, [a])]
-        case CConj(_, a, b):
-            if side == "L":
-                return [rest.replace("L", None, [a, b])]
-            return [rest.replace("R", None, [a]), rest.replace("R", None, [b])]
-        case CDisj(_, a, b):
-            if side == "R":
-                return [rest.replace("R", None, [a, b])]
-            return [rest.replace("L", None, [a]), rest.replace("L", None, [b])]
-        case CBigConj(_, x, ty, m) | CBigDisj(_, x, ty, m):
-            if ty != BOT:
-                return None
-            used = set()
-            for mem in rest.ante | rest.succ:
-                used |= set(cts_signature(mem))
-            name = x
-            while name in used:
-                name += "'"
-            return [rest.replace(side, None, [CVar(name, BOT, m)])]
+                return Derivation(rule, goal, tuple(subproofs), pos)
     return None
 
 
@@ -657,47 +624,57 @@ def render_derivation_file(d: Derivation) -> str:
 
 
 def parse_derivation_file(text: str) -> Derivation:
-    from .syntax import parse_sequent_members
-
+    """Read what `render_derivation_file` writes; a malformed line raises
+    CttError naming the line."""
     nodes: dict[int, Derivation] = {}
     root_id = None
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("root "):
-            root_id = int(line.split()[1])
-            continue
-        if not line.startswith("node "):
-            raise CttError(f"bad derivation line: {raw!r}")
-        rest = line[len("node "):]
-        nid_text, rest = rest.split(" ", 1)
-        fields = {}
-        for key in ("rule", "dir", "pos"):
-            if not rest.startswith(f"{key}="):
-                raise CttError(f"expected {key}= in: {raw!r}")
-            value, rest = rest[len(key) + 1:].split(" ", 1)
-            fields[key] = value
-        if not rest.startswith("concl=") or " premises=" not in rest:
-            raise CttError(f"expected concl= and premises= in: {raw!r}")
-        concl_text, premises_text = rest[len("concl="):].rsplit(" premises=", 1)
-        ante, succ = parse_sequent_members(concl_text)
-        premise_ids = [] if premises_text == "-" else [
-            int(p) for p in premises_text.split(",")]
-        for p in premise_ids:
-            if p not in nodes:
-                raise CttError(f"node {nid_text} references unknown premise {p}")
-        nodes[int(nid_text)] = Derivation(
-            rule=fields["rule"],
-            conclusion=Sequent.make(ante, succ),
-            premises=tuple(nodes[p] for p in premise_ids),
-            pos=None if fields["pos"] == "-" else Pos.parse(fields["pos"]),
-            direction=None if fields["dir"] == "-" else fields["dir"],
-        )
+        try:
+            if line.startswith("root "):
+                root_id = int(line.split()[1])
+            elif line.startswith("node "):
+                nid, node = _parse_node(line[len("node "):], nodes)
+                nodes[nid] = node
+            else:
+                raise ValueError("expected a node or root line")
+        except (ValueError, IndexError, CttError) as ex:
+            raise CttError(f"bad derivation line {raw!r}: {ex}") from None
     if root_id is None:
         referenced = {id(p) for n in nodes.values() for p in n.premises}
         roots = [n for n in nodes.values() if id(n) not in referenced]
         if len(roots) != 1:
             raise CttError("derivation file needs a unique root")
         return roots[0]
+    if root_id not in nodes:
+        raise CttError(f"root {root_id} names no node")
     return nodes[root_id]
+
+
+def _parse_node(text: str, nodes: dict[int, Derivation]) -> tuple[int, Derivation]:
+    from .syntax import parse_sequent_members
+
+    nid_text, rest = text.split(" ", 1)
+    fields = {}
+    for key in ("rule", "dir", "pos"):
+        if not rest.startswith(f"{key}="):
+            raise ValueError(f"expected {key}=")
+        fields[key], rest = rest[len(key) + 1:].split(" ", 1)
+    if not rest.startswith("concl=") or " premises=" not in rest:
+        raise ValueError("expected concl= and premises=")
+    concl_text, premises_text = rest[len("concl="):].rsplit(" premises=", 1)
+    ante, succ = parse_sequent_members(concl_text)
+    premise_ids = [] if premises_text == "-" else [
+        int(p) for p in premises_text.split(",")]
+    for p in premise_ids:
+        if p not in nodes:
+            raise ValueError(f"unknown premise {p}")
+    return int(nid_text), Derivation(
+        rule=fields["rule"],
+        conclusion=Sequent.make(ante, succ),
+        premises=tuple(nodes[p] for p in premise_ids),
+        pos=None if fields["pos"] == "-" else Pos.parse(fields["pos"]),
+        direction=None if fields["dir"] == "-" else fields["dir"],
+    )

@@ -504,8 +504,9 @@ def classify(sub: CtsSubterm) -> SyntaxClass:
 # ---------------------------------------------------------------------------
 # free variables
 
-def free_vars(term: Union[SlmTerm, CtsSubterm]) -> dict[str, TypeExpr]:
-    """Free variable names with their types; lambda and mu both bind.
+def free_vars(term: SlmTerm) -> dict[str, TypeExpr]:
+    """Free variable names of a lambda-mu term with their types; lambda and
+    mu both bind. Ranked subterms answer this through `cts_signature`.
 
     Raises TypeMismatch if one name occurs free at two different types.
     """
@@ -518,21 +519,16 @@ def free_vars(term: Union[SlmTerm, CtsSubterm]) -> dict[str, TypeExpr]:
 
     def go(t, bound: frozenset[str]):
         match t:
-            case Var(name, ty) | CVar(name, ty, _):
+            case Var(name, ty):
                 if name not in bound:
                     add(name, ty)
             case Lam(b, _, body) | Mu(b, _, body):
                 go(body, bound | {b})
-            case App(fun, arg) | CApp(fun, arg):
+            case App(fun, arg):
                 go(fun, bound)
                 go(arg, bound)
-            case CNeg(_, child):
-                go(child, bound)
-            case CConj(_, l, r) | CDisj(_, l, r):
-                go(l, bound)
-                go(r, bound)
-            case CBigConj() | CBigDisj() | Hole():
-                pass  # big-operator indices range over the carrier, not rho
+            case Hole():
+                pass
             case _:
                 raise CttError(f"unknown node {t!r}")
 

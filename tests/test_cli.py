@@ -1,7 +1,10 @@
+import os
 import pathlib
 import random
 import re
 import string
+import subprocess
+import sys
 import time
 
 from ctt.cli import main
@@ -221,7 +224,7 @@ def test_machine_transcript_replays(capsys):
     assert first[0][1].splitlines()[0].endswith("payload=" + corpus.WORKED_ISO_GOLDEN)
 
 
-def test_fuzz_no_crash(capsys):
+def test_fuzz_no_crash(capsys, tmp_path):
     rng = random.Random(5)
     alphabet = string.printable + "λμ⊥∧∨¬ÿ"
     for cmd in ("parse", "normalize", "entail", "canon"):
@@ -253,3 +256,35 @@ def test_fuzz_no_crash(capsys):
         text = "neg[1](" * inside + "A:bot@0" + ")" * inside
         assert main([cmd, text if cmd == "canon" else "|- " + text]) in (0, 1)
         capsys.readouterr()
+    # truncated and malformed derivation files: an exit code, never a traceback
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Derivation files", 1)[1].split("```\n")[1]
+    path = tmp_path / "cut.proof"
+    for n in range(len(block) + 1):
+        path.write_text(block[:n])
+        assert main(["check-proof", str(path)]) in (0, 1, 2), block[:n]
+        capsys.readouterr()
+    node = "node 1 rule=ax dir=- pos=- concl=A |- A premises="
+    for text in ("node 1 rule=ax", node + "1,", node + "-\nroot x", node + "-\nroot 9",
+                 node.replace("pos=-", "pos=") + "-", node.replace("pos=-", "pos=L0:x") + "-"):
+        path.write_text(text)
+        code, _, err = run(capsys, "check-proof", str(path))
+        assert code == 2 and ("bad derivation line" in err or "names no node" in err), text
+
+
+def test_closed_stdout_exits_without_traceback():
+    # the read end is closed before the child writes anything
+    repo = pathlib.Path(__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    env.pop("PYTHONUNBUFFERED", None)  # ctt's own flush must catch it
+    runs = [([sys.executable, "-m", "ctt.cli", "harness", "--rule", "beta",
+              "--trials", "5"], env),
+            ([sys.executable, str(repo / "scripts" / "run_harness.py"),
+              "--trials", "1"], dict(env, PYTHONUNBUFFERED="1"))]
+    for argv, child_env in runs:
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=child_env, text=True)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2, err
+        assert "Traceback" not in err and "Exception ignored" not in err, err

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ctt import gen
@@ -9,7 +11,8 @@ from ctt.semantics import (
 from ctt.sequents import (
     ALL_RULES, Derivation, Pos, Sequent, Violation, check_derivation,
     check_rule_instance, elaborate_ranks, erase_ranks, parse_derivation_file,
-    prove, render_derivation_file, squeeze_out, UBigConj, UConj, UNeg, UVar,
+    prove, render_derivation_file, rule_premises, squeeze_out, UBigConj, UConj,
+    UNeg, UVar,
 )
 from ctt.syntax import (
     Arrow, BOT, Base, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg, CVar,
@@ -163,6 +166,50 @@ def test_prove_respects_depth():
     assert prove(goal, depth=1) is None
 
 
+def test_prove_returns_checked_derivations_on_random_goals():
+    # goals over gen.cts_member subterms, in shapes that are mostly provable
+    # so the checker sees many prover outputs; "free" is mostly not
+    rng = random.Random(11)
+    found = 0
+    for _ in range(240):
+        sig = {}
+        k = rng.choice((1, 2))
+        a, b, c = (gen.cts_member(rng, sig, rng.choice((0, k)), depth=1)
+                   for _ in range(3))
+        shapes = {
+            "commute": ([CConj(k, a, b)], [CConj(k, b, a)]),
+            "weaken": ([a], [CDisj(k, c, a)]),
+            "excluded-middle": ([], [CDisj(k, a, CNeg(k, a))]),
+            "double-negation": ([CNeg(k, CNeg(k, a))], [a]),
+            "eigenvariable": ([CBigConj(k, "x", BOT, 0), a], [CNeg(k, CNeg(k, a))]),
+            "free": ([a, c], [b]),
+        }
+        ante, succ = shapes[rng.choice(sorted(shapes))]
+        d = prove(Sequent.make(ante, succ), depth=12)
+        if d is not None:
+            found += 1
+            assert check_derivation(d) is None
+    assert found >= 150
+
+
+def test_rule_premises_reads_rules_downward():
+    assert rule_premises(seq("and[1](A,B) |- A"), "and-L", Pos("L", 0)) == \
+        [seq("A, B |- A")]
+    assert rule_premises(seq("|- or[1](A, neg[1](A))"), "or-R", Pos("R", 0)) == \
+        [seq("|- A, neg[1](A)")]
+    # the eigenvariable defaults to the index name, primed until fresh
+    goal = Sequent.make([CBigConj(1, "A", BOT, 0), A], [B])
+    assert rule_premises(goal, "all-L", Pos("L", 1)) == \
+        [Sequent.make([A, CVar("A'", BOT, 0)], [B])]
+    clash = rule_premises(goal, "all-L", Pos("L", 1), eigen=B)
+    assert isinstance(clash, Violation) and "occurs free" in clash.reason
+    # a substitution rule squeezes the operator out; a stuck one says why
+    redex = CApp(CVar("p", Arrow(E, BOT), 0), CBigConj(1, "i", E, 0))
+    stuck = rule_premises(Sequent.make([redex], []), "all-Lr", Pos("L", 0))
+    assert isinstance(stuck, Violation) and "model" in stuck.reason
+    assert isinstance(rule_premises(seq("A |- B"), "ax", None), Violation)
+
+
 def test_substitution_instances_are_denotational_equalities():
     model = cts_harness_model()
     rng = gen.make_rng(31)
@@ -249,6 +296,21 @@ def test_elaborate_big_operators():
 
 
 # --- derivation files --------------------------------------------------------
+
+def test_deep_derivation_checks_without_recursion():
+    # neg-Lr read down, then up, repeated: valid at every node, deeper than
+    # the interpreter's recursion limit
+    a, b = "(p:~e@0 neg[1](c:e@0))", "neg[1]((p:~e@0 c:e@0))"
+    lines = [f"node 1 rule=ax dir=- pos=- concl={a} |- {a} premises=-"]
+    for i in range(2, 1502):
+        concl, direction = (b, "up") if i % 2 == 0 else (a, "down")
+        lines.append(f"node {i} rule=neg-Lr dir={direction} pos=L0 "
+                     f"concl={concl} |- {a} premises={i - 1}")
+    d = parse_derivation_file("\n".join(lines))
+    assert check_derivation(d) is None
+    assert [n.rule for n in d.nodes()][:2] == ["ax", "neg-Lr"]
+    assert len(list(d.nodes())) == 1501
+
 
 def test_derivation_file_round_trip():
     d = prove(seq("and[1](A,B) |- and[1](B,A)"), depth=10)
