@@ -11,6 +11,7 @@ inline or as @path to read a file.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -254,7 +255,10 @@ def cmd_demo(args, out: Printer) -> int:
     return OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `parse_args` leaves it
+    unchanged, so every `main` call reuses it."""
     p = argparse.ArgumentParser(
         prog="ctt",
         description="classical type theory toolkit: lambda-mu terms, ranked "

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional
+from functools import cached_property
+from typing import Callable, Optional
 
 from .syntax import (
     App, Arrow, BOT, CttError, Hole, Lam, Mu, SlmTerm, TypeMismatch, Var,
@@ -75,20 +76,30 @@ class NameSupply:
         return name
 
 
+class _LazySupply(NameSupply):
+    """A NameSupply whose avoid set, `names()`, is built on the first
+    `fresh` call: most contractions never ask for a fresh name."""
+
+    def __init__(self, names: Callable[[], set[str]]):
+        self._names = names
+
+    @cached_property
+    def avoid(self) -> set[str]:
+        return self._names()
+
+
 def _all_names(term: SlmTerm) -> set[str]:
     out = set()
-
-    def go(t):
-        match t:
+    todo = [term]
+    while todo:
+        match todo.pop():
             case Var(name, _):
                 out.add(name)
             case Lam(b, _, body) | Mu(b, _, body):
                 out.add(b)
-                go(body)
+                todo.append(body)
             case App(fun, arg):
-                go(fun)
-                go(arg)
-    go(term)
+                todo += (fun, arg)
     return out
 
 
@@ -96,8 +107,8 @@ def substitute(term: SlmTerm, x: str, repl: SlmTerm,
                supply: Optional[NameSupply] = None) -> SlmTerm:
     """Capture-avoiding substitution term[x := repl]."""
     if supply is None:
-        supply = NameSupply(_all_names(term) | _all_names(repl))
-    repl_fv = set(free_vars(repl))
+        supply = _LazySupply(lambda: _all_names(term) | _all_names(repl))
+    repl_fv = free_vars(repl)
 
     def go(t: SlmTerm) -> SlmTerm:
         match t:
@@ -135,8 +146,8 @@ def structural_subst(body: SlmTerm, x: str, q: SlmTerm, y: str,
     inapplicable (NonFunctorOccurrence).
     """
     if supply is None:
-        supply = NameSupply(_all_names(body) | _all_names(q) | {x, y})
-    q_fv = set(free_vars(q))
+        supply = _LazySupply(lambda: _all_names(body) | _all_names(q) | {x, y})
+    q_fv = free_vars(q)
     y_ty = None
 
     def go(t: SlmTerm) -> SlmTerm:
@@ -197,33 +208,132 @@ def _match_redex(term: SlmTerm, supply: NameSupply) -> Optional[tuple[SlmTerm, R
     return None
 
 
-def _positions(term: SlmTerm, innermost: bool) -> Iterator[tuple[int, ...]]:
-    def outer(t, path):
-        yield path
-        for i, c in enumerate(slm_children(t)):
-            yield from outer(c, path + (i,))
+def _with_child(parent: SlmTerm, i: int, child: SlmTerm) -> SlmTerm:
+    if isinstance(parent, App):
+        return App(child, parent.arg) if i == 0 else App(parent.fun, child)
+    return type(parent)(parent.binder, parent.binder_ty, child)
 
-    def inner(t, path):
-        for i, c in enumerate(slm_children(t)):
-            yield from inner(c, path + (i,))
-        yield path
 
-    return inner(term, ()) if innermost else outer(term, ())
+class _RedexSearch:
+    """The leftmost-outermost (preorder) or leftmost-innermost (postorder)
+    redex search over one term, resumed after each contraction instead of
+    restarted at the root.
+
+    The search is a zipper (Huet, "The Zipper", JFP 1997): `focus` is the
+    subterm at `path`, and `up[d]` is the ancestor at `path[:d]`, whose
+    child on the path may be stale until the search climbs back through it.
+    Resuming is sound because the subtrees that come before the contracted
+    position p in search order, apart from p's ancestors, are unchanged and
+    were already found to hold no redex. Preorder re-checks p's ancestors
+    top-down, then continues at p; postorder searches the contractum's
+    subtree, then continues after it (the ancestors come later anyway).
+    """
+
+    def __init__(self, term: SlmTerm, innermost: bool):
+        self.innermost = innermost
+        self.focus = term
+        self.path: list[int] = []
+        self.up: list[SlmTerm] = []
+        # the focus is new: postorder must search its subtree, preorder
+        # must re-check its ancestors
+        self.changed = True
+
+    def root(self) -> SlmTerm:
+        t = self.focus
+        for parent, i in zip(reversed(self.up), reversed(self.path)):
+            t = parent if slm_children(parent)[i] is t else _with_child(parent, i, t)
+        return t
+
+    def next(self) -> Optional[Step]:
+        """Find and contract the next redex; None at normal form. The name
+        supply of a contraction avoids every name of the current term, as
+        a search from the root would."""
+        supply = _LazySupply(lambda: _all_names(self.root()))
+        if self.innermost:
+            return self._postorder(supply)
+        if self.changed:
+            self.changed = False
+            rebuilt = self.root()  # `up` is refreshed on the way down
+            for d in range(len(self.up)):
+                self.up[d] = rebuilt
+                hit = _match_redex(rebuilt, supply)
+                if hit is not None:
+                    self.focus = rebuilt
+                    del self.path[d:], self.up[d:]
+                    return self._contract(hit)
+                rebuilt = slm_children(rebuilt)[self.path[d]]
+            self.focus = rebuilt
+        return self._preorder(supply)
+
+    def _contract(self, hit: tuple[SlmTerm, RuleTag]) -> Step:
+        after, tag = hit
+        before, self.focus = self.focus, after
+        self.changed = True
+        return Step(tuple(self.path), tag, before, after)
+
+    def _climb(self) -> Optional[int]:
+        """Move the focus to its parent, re-attaching it; returns the index
+        the focus had there, or None at the root."""
+        if not self.path:
+            return None
+        i, parent = self.path.pop(), self.up.pop()
+        if slm_children(parent)[i] is not self.focus:
+            parent = _with_child(parent, i, self.focus)
+        self.focus = parent
+        return i
+
+    def _to_child(self, i: int):
+        self.up.append(self.focus)
+        self.path.append(i)
+        self.focus = slm_children(self.focus)[i]
+
+    def _preorder(self, supply: NameSupply) -> Optional[Step]:
+        while True:
+            hit = _match_redex(self.focus, supply)
+            if hit is not None:
+                return self._contract(hit)
+            if slm_children(self.focus):
+                self._to_child(0)
+                continue
+            while True:  # the next right sibling of the nearest ancestor
+                i = self._climb()
+                if i is None:
+                    return None
+                if i + 1 < len(slm_children(self.focus)):
+                    self._to_child(i + 1)
+                    break
+
+    def _postorder(self, supply: NameSupply) -> Optional[Step]:
+        while True:
+            if self.changed:  # start at the leftmost leaf of the focus
+                while slm_children(self.focus):
+                    self._to_child(0)
+                self.changed = False
+            hit = _match_redex(self.focus, supply)
+            if hit is not None:
+                return self._contract(hit)
+            i = self._climb()
+            if i is None:
+                return None
+            if i + 1 < len(slm_children(self.focus)):
+                self._to_child(i + 1)
+                self.changed = True
+
+
+def _check_strategy(strategy: str):
+    if strategy not in ("outermost", "innermost"):
+        raise CttError(f"unknown strategy {strategy!r}")
 
 
 def step(term: SlmTerm, strategy: str = "outermost",
          ) -> Optional[tuple[SlmTerm, tuple[int, ...], RuleTag]]:
     """Contract the leftmost-outermost (or -innermost) redex, if any."""
-    if strategy not in ("outermost", "innermost"):
-        raise CttError(f"unknown strategy {strategy!r}")
-    supply = NameSupply(_all_names(term))
-    for path in _positions(term, innermost=strategy == "innermost"):
-        sub = slm_at(term, path)
-        hit = _match_redex(sub, supply)
-        if hit is not None:
-            after, tag = hit
-            return slm_replace(term, path, after), path, tag
-    return None
+    _check_strategy(strategy)
+    search = _RedexSearch(term, strategy == "innermost")
+    hit = search.next()
+    if hit is None:
+        return None
+    return search.root(), hit.path, hit.rule
 
 
 class NormalStatus(Enum):
@@ -236,16 +346,20 @@ DEFAULT_FUEL = 10000
 
 def normalize(term: SlmTerm, strategy: str = "outermost",
               fuel: int = DEFAULT_FUEL) -> tuple[SlmTerm, RewriteTrace, NormalStatus]:
-    """Iterate `step` until normal form or the fuel runs out."""
+    """Contract redexes until normal form or the fuel runs out. Each step
+    resumes the search where the last one contracted, so it costs about
+    the size of its redex (plus, outermost, the depth of its position);
+    the steps are those that repeated `step` calls would take."""
+    _check_strategy(strategy)
     trace = RewriteTrace(term)
+    search = _RedexSearch(term, strategy == "innermost")
     for _ in range(fuel):
-        hit = step(term, strategy)
+        hit = search.next()
         if hit is None:
-            return term, trace, NormalStatus.NORMAL_FORM
-        new, path, tag = hit
-        trace.steps.append(Step(path, tag, slm_at(term, path), slm_at(new, path)))
-        term = new
-    if step(term, strategy) is None:
+            return search.root(), trace, NormalStatus.NORMAL_FORM
+        trace.steps.append(hit)
+    term = search.root()
+    if search.next() is None:
         return term, trace, NormalStatus.NORMAL_FORM
     return term, trace, NormalStatus.FUEL_EXHAUSTED
 

@@ -24,6 +24,7 @@ carrier is name-addressable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Union
 
 from .domains import ModelConfig, enumerate_domain, render_elem, Individual, TruthVal
@@ -49,8 +50,17 @@ class Sequent:
         return Sequent(ante, succ)
 
     def side(self, which: str) -> list[CtsSubterm]:
-        members = self.ante if which == "L" else self.succ
-        return sorted(members, key=render)
+        """The members of side L or R in rendering order, which positions
+        index into; sorted once per sequent, copied per call."""
+        return list(self._left if which == "L" else self._right)
+
+    @cached_property
+    def _left(self) -> tuple[CtsSubterm, ...]:
+        return tuple(sorted(self.ante, key=render))
+
+    @cached_property
+    def _right(self) -> tuple[CtsSubterm, ...]:
+        return tuple(sorted(self.succ, key=render))
 
     def replace(self, which: str, old: CtsSubterm, new_members) -> "Sequent":
         side = set(self.ante if which == "L" else self.succ)
@@ -637,6 +647,8 @@ def parse_derivation_file(text: str) -> Derivation:
                 root_id = int(line.split()[1])
             elif line.startswith("node "):
                 nid, node = _parse_node(line[len("node "):], nodes)
+                if nid in nodes:
+                    raise ValueError(f"duplicate node id {nid}")
                 nodes[nid] = node
             else:
                 raise ValueError("expected a node or root line")

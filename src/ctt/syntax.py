@@ -505,11 +505,78 @@ def classify(sub: CtsSubterm) -> SyntaxClass:
 # free variables
 
 def free_vars(term: SlmTerm) -> dict[str, TypeExpr]:
-    """Free variable names of a lambda-mu term with their types; lambda and
-    mu both bind. Ranked subterms answer this through `cts_signature`.
+    """Free variable names of a lambda-mu term with their types, in order of
+    first occurrence; lambda and mu both bind. Ranked subterms answer this
+    through `cts_signature`.
 
     Raises TypeMismatch if one name occurs free at two different types.
+    Terms are immutable, so every node keeps its table once asked: asking
+    about a term built around subterms already asked costs its new nodes.
     """
+    table = _free_table(term)
+    if table is None:
+        return _free_vars_walk(term)
+    return dict(table)
+
+
+_SLM_NODES = (Var, App, Lam, Mu, Hole)
+_NO_FREE: dict[str, TypeExpr] = {}
+
+
+def _free_table(term: SlmTerm) -> Optional[dict[str, TypeExpr]]:
+    """The memoized free-variable table of `term` (shared between nodes:
+    never mutate it), or None when a name occurs at two types below it or
+    a node is not a lambda-mu node, where `free_vars` leaves the answer to
+    the walk. Fills the missing tables bottom-up with an explicit stack."""
+    todo = [term]
+    while todo:
+        t = todo[-1]
+        if type(t) not in _SLM_NODES:
+            return None
+        if "_free" in t.__dict__:
+            todo.pop()
+            continue
+        missing = [c for c in slm_children(t)
+                   if type(c) not in _SLM_NODES or "_free" not in c.__dict__]
+        if missing:
+            todo += missing
+            continue
+        todo.pop()
+        t.__dict__["_free"] = _node_free_table(t)
+    return term.__dict__["_free"]
+
+
+def _node_free_table(t: SlmTerm) -> Optional[dict[str, TypeExpr]]:
+    """One node's table from its children's tables."""
+    match t:
+        case Var(name, ty):
+            return {name: ty}
+        case Lam(b, _, body) | Mu(b, _, body):
+            inner = body.__dict__["_free"]
+            if inner is None or b not in inner:
+                return inner
+            out = dict(inner)
+            del out[b]
+            return out
+        case App(fun, arg):
+            out = fun.__dict__["_free"]
+            more = arg.__dict__["_free"]
+            if out is None or more is None:
+                return None
+            shared = True
+            for name, ty in more.items():
+                have = out.get(name)
+                if have is None:
+                    if shared:
+                        out, shared = dict(out), False
+                    out[name] = ty
+                elif have != ty:
+                    return None
+            return out
+    return _NO_FREE  # Hole
+
+
+def _free_vars_walk(term: SlmTerm) -> dict[str, TypeExpr]:
     out: dict[str, TypeExpr] = {}
 
     def add(name: str, ty: TypeExpr):

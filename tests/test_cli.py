@@ -7,7 +7,7 @@ import subprocess
 import sys
 import time
 
-from ctt.cli import main
+from ctt.cli import build_parser, main
 from ctt.syntax import MAX_NESTING
 
 import corpus
@@ -199,6 +199,33 @@ def test_usage_error_exit(capsys):
     assert main([]) == 2
 
 
+def test_reused_parser_answers_like_a_fresh_one(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at a fixed width
+    mdl = tmp_path / "m.mdl"
+    mdl.write_text("base e 2\n")
+    mu = "#x:~e. (x p:e)"
+    commands = [
+        ["--machine", "normalize", "--strategy", "innermost", r"e: ((\x:e. x) y)"],
+        ["eval", "--model", str(mdl), "--assign", "p=a", mu],
+        ["normalize", "--fuel"],  # usage error
+        ["eval", "--model", str(mdl), mu],  # no --assign left over: exit 2
+        ["eval", "--model", str(mdl), "--assign", "p=b", "--assign", "q=a", mu],
+        ["normalize", "--help"],
+        ["entail", "x:bot@0 |- x:bot@0"],
+        ["no-such-command"],
+        ["canon", corpus.BRACKETED_1_TEXT],
+    ]
+    reused = [run(capsys, *argv) for argv in commands]
+    fresh = []
+    for argv in commands:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 2, 2, 0, 0, 0, 2, 0]
+    assert reused[1][1] == "a\n" and reused[4][1] == "b\n"
+    assert reused[5][1].startswith("usage: ctt normalize")
+
+
 def test_model_cap_violation(capsys, tmp_path):
     mdl = tmp_path / "big.mdl"
     mdl.write_text("base e 9\n")
@@ -265,8 +292,10 @@ def test_fuzz_no_crash(capsys, tmp_path):
         assert main(["check-proof", str(path)]) in (0, 1, 2), block[:n]
         capsys.readouterr()
     node = "node 1 rule=ax dir=- pos=- concl=A |- A premises="
+    twice = node + "-\n" + node.replace("A |- A", "B |- B") + "-\nroot 1"  # node 1 twice
     for text in ("node 1 rule=ax", node + "1,", node + "-\nroot x", node + "-\nroot 9",
-                 node.replace("pos=-", "pos=") + "-", node.replace("pos=-", "pos=L0:x") + "-"):
+                 node.replace("pos=-", "pos=") + "-", node.replace("pos=-", "pos=L0:x") + "-",
+                 twice):
         path.write_text(text)
         code, _, err = run(capsys, "check-proof", str(path))
         assert code == 2 and ("bad derivation line" in err or "names no node" in err), text

@@ -1,15 +1,18 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctt import gen
 from ctt.rewrite import (
-    EqVerdict, NameSupply, NonFunctorOccurrence, NormalStatus,
-    RuleTag, alpha_equal, decide_equal, normalize, step, structural_subst,
-    substitute,
+    DEFAULT_FUEL, EqVerdict, NameSupply, NonFunctorOccurrence, NormalStatus,
+    RewriteTrace, RuleTag, Step, _match_redex, alpha_equal, decide_equal,
+    normalize, step, structural_subst, substitute,
 )
 from ctt.syntax import (
-    App, Arrow, BOT, Base, Lam, Mu, TypeMismatch, Var, free_vars, neg_type,
-    parse_slm, render, typecheck_slm,
+    App, Arrow, BOT, Base, CttError, Lam, Mu, TypeMismatch, Var, free_vars,
+    neg_type, parse_slm, render, slm_at, slm_children, slm_replace,
+    typecheck_slm,
 )
 
 import corpus
@@ -229,3 +232,152 @@ def test_corpus_terms_normalize_within_fuel():
         out, _, status = normalize(t)
         assert status is NormalStatus.NORMAL_FORM
         assert typecheck_slm(out, free_vars(t)) == t.ty
+
+
+# ---------------------------------------------------------------------------
+# the restart-from-the-root engine that the resumable search replaced, kept
+# verbatim (from `step` down) as the reference
+
+def _reference_all_names(term):
+    out = set()
+
+    def go(t):
+        match t:
+            case Var(name, _):
+                out.add(name)
+            case Lam(b, _, body) | Mu(b, _, body):
+                out.add(b)
+                go(body)
+            case App(fun, arg):
+                go(fun)
+                go(arg)
+    go(term)
+    return out
+
+
+def _reference_positions(term, innermost):
+    def outer(t, path):
+        yield path
+        for i, c in enumerate(slm_children(t)):
+            yield from outer(c, path + (i,))
+
+    def inner(t, path):
+        for i, c in enumerate(slm_children(t)):
+            yield from inner(c, path + (i,))
+        yield path
+
+    return inner(term, ()) if innermost else outer(term, ())
+
+
+def reference_step(term, strategy="outermost"):
+    if strategy not in ("outermost", "innermost"):
+        raise CttError(f"unknown strategy {strategy!r}")
+    supply = NameSupply(_reference_all_names(term))
+    for path in _reference_positions(term, innermost=strategy == "innermost"):
+        sub = slm_at(term, path)
+        hit = _match_redex(sub, supply)
+        if hit is not None:
+            after, tag = hit
+            return slm_replace(term, path, after), path, tag
+    return None
+
+
+def reference_normalize(term, strategy="outermost", fuel=DEFAULT_FUEL):
+    trace = RewriteTrace(term)
+    for _ in range(fuel):
+        hit = reference_step(term, strategy)
+        if hit is None:
+            return term, trace, NormalStatus.NORMAL_FORM
+        new, path, tag = hit
+        trace.steps.append(Step(path, tag, slm_at(term, path), slm_at(new, path)))
+        term = new
+    if reference_step(term, strategy) is None:
+        return term, trace, NormalStatus.NORMAL_FORM
+    return term, trace, NormalStatus.FUEL_EXHAUSTED
+
+
+FUELS = (0, 1, 3, DEFAULT_FUEL)
+
+
+def outcome(fn, *args):
+    """What `fn(*args)` returns (a trace as its replayed steps), or the
+    class and text of what it raised."""
+    try:
+        result = fn(*args)
+    except Exception as ex:
+        return type(ex), str(ex)
+    if fn in (normalize, reference_normalize):
+        out, trace, status = result
+        assert trace.replay() == out
+        return out, status, [(s.path, s.rule, s.before, s.after) for s in trace.steps]
+    return result
+
+
+def assert_normalizers_agree(term):
+    for strategy in ("outermost", "innermost"):
+        for fuel in FUELS:
+            assert (outcome(normalize, term, strategy, fuel)
+                    == outcome(reference_normalize, term, strategy, fuel)), (
+                render(term), strategy, fuel)
+        assert outcome(step, term, strategy) == outcome(reference_step, term, strategy)
+
+
+def identity_chain(n, binder="x"):
+    text = "y"
+    for _ in range(n):
+        text = f"((\\{binder}:e. {binder}) {text})"
+    return parse_slm("e: " + text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_normalize_matches_reference_on_generated_terms(seed):
+    rng = gen.make_rng(seed)
+    tg = gen.TermGen(rng)
+    assert_normalizers_agree(tg.term(gen.random_type(rng, depth=1), depth=rng.randint(2, 4)))
+    for rule in ("beta", "eta", "beta-mu", "eta-mu", "mu"):
+        lhs, rhs, _ = gen.slm_rule_instance(rule, rng)
+        assert_normalizers_agree(lhs)
+        assert_normalizers_agree(rhs)
+
+
+# the first step erases y, so the mu rule may take y again
+ERASES_Y = r"((\z:e. ((#x:~(e -> t). (x r:(e -> t))) q:e)) y:e)"
+
+# a redex made at an ancestor, one made inside a contractum, a name erased
+# before the mu rule asks for a fresh one, a stuck mu rule, and chains under
+# binders and in both positions
+RESUME_TEXTS = [
+    r"(((\x:(e -> e). x) \z:e. z) w:e)",
+    r"((\f:(e -> e). (g:(e -> e) (f w:e))) \z:e. z)",
+    r"(\f:(e -> e). (f ((\u:e. u) w:e)) \z:e. ((\v:e. v) z))",
+    ERASES_Y,
+    r"((#x:~(e -> t). (k:(~(e -> t) -> bot) x)) q:e)",
+    r"(#k:~(e -> t). (k ((\u:(e -> t). u) r:(e -> t))) ((\v:e. v) w:e))",
+]
+
+
+def test_normalize_matches_reference_on_corpus_and_chains():
+    for text in corpus.SLM_TEXTS + RESUME_TEXTS:
+        assert_normalizers_agree(parse_slm(text))
+    for n in (1, 2, 7, 30):
+        chain = identity_chain(n, "y")
+        assert_normalizers_agree(chain)
+        assert_normalizers_agree(Lam("y", E, chain))
+        assert_normalizers_agree(App(Lam("w", E, chain), chain))
+
+
+def test_fresh_names_avoid_only_the_current_term():
+    out, trace, _ = normalize(parse_slm(ERASES_Y))
+    assert [s.rule for s in trace.steps] == [RuleTag.BETA, RuleTag.MU, RuleTag.ETA_MU]
+    assert trace.steps[1].after.binder == "y"
+    assert out == slm("(r:(e -> t) q:e)")
+
+
+def test_normalize_identity_chains_scale():
+    chain = identity_chain(400)
+    start = time.perf_counter()
+    for strategy in ("outermost", "innermost"):
+        out, trace, status = normalize(chain, strategy)
+        assert (out, len(trace.steps), status) == (Var("y", E), 400, NormalStatus.NORMAL_FORM)
+    assert time.perf_counter() - start < 1.0

@@ -16,7 +16,8 @@ from ctt.sequents import (
 )
 from ctt.syntax import (
     Arrow, BOT, Base, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg, CVar,
-    RankViolation, TypeMismatch, parse_cts, parse_sequent_members,
+    CttError, RankViolation, TypeMismatch, parse_cts, parse_sequent_members,
+    render,
 )
 
 import corpus
@@ -325,6 +326,23 @@ def test_derivation_file_bad_reference():
     with pytest.raises(Exception):
         parse_derivation_file(
             "node 1 rule=ax dir=- pos=- concl=A |- A premises=9\nroot 1\n")
+
+
+def test_derivation_file_duplicate_node_id():
+    first = "node 1 rule=ax dir=- pos=- concl=A |- A premises=-"
+    second = first.replace("A |- A", "B |- B")
+    with pytest.raises(CttError, match="duplicate node id 1") as info:
+        parse_derivation_file(f"{first}\n{second}\nroot 1\n")
+    assert repr(second) in str(info.value)
+
+
+def test_sides_are_sorted_once_and_stay_private():
+    s = seq("B, and[1](A,B), A |- C")
+    left = s.side("L")
+    assert [render(m) for m in left] == sorted(render(m) for m in left)
+    left.reverse()  # the caller's copy; the sequent's order is unchanged
+    assert s.side("L") == left[::-1]
+    assert s.side("L") is not s.side("L")
 
 
 def test_every_rule_is_documented():

@@ -3,10 +3,11 @@ from hypothesis import given, settings, strategies as st
 
 from ctt import gen
 from ctt.syntax import (
-    App, Arrow, BOT, Base, CConj, CVar, Lam, Mu, ParseError,
+    App, Arrow, BOT, Base, CConj, CttError, CVar, Hole, Lam, Mu, ParseError,
     RankViolation, SyntaxClass, TypeMismatch, UnboundVariable, Var, classify,
     cts_signature, free_vars, parse, parse_cts, parse_sequent_members,
-    parse_slm, parse_type, rank_check, render, render_type, typecheck_slm,
+    parse_slm, parse_type, rank_check, render, render_type, slm_children,
+    typecheck_slm,
 )
 
 import corpus
@@ -116,6 +117,73 @@ def test_free_vars_conflicting_types():
     t = App(Var("f", Arrow(Base("e"), BOT)), Var("f", Base("e")))
     with pytest.raises(TypeMismatch):
         free_vars(t)
+
+
+def reference_free_vars(term):
+    """The walk that `free_vars` memoizes per node, kept as the reference."""
+    out = {}
+
+    def add(name, ty):
+        if name in out and out[name] != ty:
+            raise TypeMismatch(f"{name} occurs free at both {out[name]} and {ty}")
+        out[name] = ty
+
+    def go(t, bound):
+        match t:
+            case Var(name, ty):
+                if name not in bound:
+                    add(name, ty)
+            case Lam(b, _, body) | Mu(b, _, body):
+                go(body, bound | {b})
+            case App(fun, arg):
+                go(fun, bound)
+                go(arg, bound)
+            case Hole():
+                pass
+            case _:
+                raise CttError(f"unknown node {t!r}")
+
+    go(term, frozenset())
+    return out
+
+
+def free_vars_outcome(fn, term):
+    try:
+        table = fn(term)
+    except CttError as ex:
+        return type(ex), str(ex)
+    return list(table.items())  # the order of first occurrence counts
+
+
+# terms over three names at three types, so names clash, also under binders
+# that capture one side of a clash; a ranked variable is an unknown node
+_NAMES = st.sampled_from("xyz")
+_TYPES = st.sampled_from([Base("e"), Base("t"), Arrow(Base("e"), BOT)])
+_RAW_TERMS = st.recursive(
+    st.builds(Var, _NAMES, _TYPES) | st.just(Hole())
+    | st.builds(CVar, _NAMES, _TYPES, st.just(0)),
+    lambda kids: st.builds(App, kids, kids) | st.builds(Lam, _NAMES, _TYPES, kids)
+    | st.builds(Mu, _NAMES, _TYPES, kids) | kids.map(lambda t: App(t, t)),
+    max_leaves=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RAW_TERMS, st.randoms(use_true_random=False))
+def test_free_vars_matches_reference_walk(term, rng):
+    def subterms(t):
+        yield t
+        for c in slm_children(t):
+            yield from subterms(c)
+
+    # ask in a random order, so tables are reused from either side
+    order = list(subterms(term))
+    rng.shuffle(order)
+    for t in order + [term]:
+        assert free_vars_outcome(free_vars, t) == free_vars_outcome(reference_free_vars, t)
+    want = free_vars_outcome(reference_free_vars, term)
+    if isinstance(want, list):  # callers own the table they get
+        free_vars(term)["spoil"] = BOT
+        assert free_vars_outcome(free_vars, term) == want
 
 
 def test_cts_signature_excludes_bound_index():
