@@ -5,8 +5,8 @@ Equality rules are checked as semantic equations under random rank-0
 assignments (the mu rule adds its exhaustive truth-context cases); sequent
 rules as validity preservation between premises and conclusion. The `ms`
 column sums the rule's per-trial durations, so slow rules show. Exits 0
-when every trial passes, 1 on a failure, 2 when stdout closes early
-(`| head`). Usage:
+when every trial passes, 1 on a failure, 2 on a usage error (a negative
+`--trials`) or when stdout closes early (`| head`). Usage:
 
     python scripts/run_harness.py [--trials N] [--seed S]
 """
@@ -16,6 +16,7 @@ import os
 import sys
 import time
 
+from ctt.cli import count
 from ctt.gen import SLM_RULE_IDS
 from ctt.semantics import cts_rule_harness, soundness_harness
 from ctt.sequents import INTRO_RULES, SUBST_RULES
@@ -23,7 +24,7 @@ from ctt.sequents import INTRO_RULES, SUBST_RULES
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--trials", type=int, default=100)
+    ap.add_argument("--trials", type=count, default=100)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 

@@ -23,7 +23,7 @@ from .domains import (
 from .rewrite import NormalStatus, normalize
 from .semantics import (
     canonicalize_cts, cts_rule_harness, eval_cts, eval_slm, sequent_valid,
-    soundness_harness, standard_model_family,
+    sequent_verdicts, soundness_harness, standard_model_family,
 )
 from .sequents import (
     ALL_RULES, Sequent, check_derivation, parse_derivation_file, prove,
@@ -147,15 +147,19 @@ def cmd_entail(args, out: Printer) -> int:
     models = [_load_model(args.model)] if args.model else standard_model_family()
     ante, succ = parse_sequent_members(_input(args.input),
                                        sig=model_signature(models[0]))
-    report = sequent_valid(ante, succ, models)
-    if out.machine:
-        for v in report.verdicts:
+    if out.machine:  # every verdict; nothing is printed if a model is over the cap
+        verdicts = list(sequent_verdicts(ante, succ, models))
+        for v in verdicts:
             rho = ",".join(f"{n}={render_elem(e)}" for n, e in sorted(v.assignment.items()))
             print(f"model={v.model_index} holds={int(v.holds)} assignment={rho or '-'}")
-    if report.valid:
-        out.record("ok", "entail", "valid", checked=len(report.verdicts))
+        checked = len(verdicts)
+        ce = next((v for v in verdicts if not v.holds), None)
+    else:
+        report = sequent_valid(ante, succ, models)
+        checked, ce = report.checked, report.counterexample()
+    if ce is None:
+        out.record("ok", "entail", "valid", checked=checked)
         return OK
-    ce = report.counterexample()
     rho = ", ".join(f"{n} = {render_elem(e)}" for n, e in sorted(ce.assignment.items()))
     out.record("fail", "entail", "invalid",
                model=ce.model_index, counterexample=rho or "-")
@@ -255,6 +259,14 @@ def cmd_demo(args, out: Printer) -> int:
     return OK
 
 
+def count(text: str) -> int:
+    """argparse type of a count option: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: `parse_args` leaves it
@@ -280,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("normalize", help="reduce a lambda-mu term")
-    sp.add_argument("--fuel", type=int, default=rewrite.DEFAULT_FUEL)
+    sp.add_argument("--fuel", type=count, default=rewrite.DEFAULT_FUEL)
     sp.add_argument("--strategy", choices=("outermost", "innermost"),
                     default="outermost")
     sp.add_argument("input")
@@ -310,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_check_proof)
 
     sp = sub.add_parser("prove", help="bounded backward proof search")
-    sp.add_argument("--depth", type=int, default=30)
+    sp.add_argument("--depth", type=count, default=30)
     sp.add_argument("--model")
     sp.add_argument("input")
     sp.set_defaults(fn=cmd_prove)
@@ -322,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("harness", help="soundness harness for one rule")
     sp.add_argument("--rule", required=True)
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--trials", type=count, default=100)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_harness)
 

@@ -17,7 +17,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import gen as _gen
 from .rewrite import structural_subst
@@ -276,14 +276,18 @@ class SequentVerdict:
 
 @dataclass
 class SequentReport:
-    verdicts: list[SequentVerdict] = field(default_factory=list)
+    """What `sequent_valid` found: how many assignments it decided and the
+    first verdict that refutes the sequent, if any."""
+
+    checked: int
+    failure: Optional[SequentVerdict] = None
 
     @property
     def valid(self) -> bool:
-        return all(v.holds for v in self.verdicts)
+        return self.failure is None
 
     def counterexample(self) -> Optional[SequentVerdict]:
-        return next((v for v in self.verdicts if not v.holds), None)
+        return self.failure
 
 
 def _pool_size(model: ModelConfig, ty: TypeExpr, rank: int) -> int:
@@ -298,9 +302,12 @@ def _candidate_values(model: ModelConfig, ty: TypeExpr, rank: int) -> list[Canon
 
 
 def enumerate_assignments(members: list[CtsSubterm], model: ModelConfig,
-                          cap: int = MAX_ASSIGNMENTS) -> list[Assignment]:
+                          cap: int = MAX_ASSIGNMENTS) -> Iterator[Assignment]:
     """Every assignment of the members' free non-constant variables,
-    each variable ranging over its type's carrier up to rank min(bound, 1)."""
+    each variable ranging over its type's carrier up to rank min(bound, 1).
+
+    The space is sized, and CapExceeded raised, when this is called; the
+    assignments themselves are built one at a time as the caller asks."""
     sig: dict[str, tuple[TypeExpr, int]] = {}
     for m in members:
         for name, (ty, rank) in cts_signature(m).items():
@@ -318,12 +325,12 @@ def enumerate_assignments(members: list[CtsSubterm], model: ModelConfig,
         chosen.append((name, ty, rank))
     names = [n for n, _, _ in chosen]
     pools = [_candidate_values(model, ty, rank) for _, ty, rank in chosen]
-    return [dict(zip(names, values)) for values in itertools.product(*pools)]
+    return (dict(zip(names, values)) for values in itertools.product(*pools))
 
 
 @dataclass
 class SweepMemo:
-    """The two memos of one `sequent_valid` sweep over one model.
+    """The two memos of one model's part of a `sequent_verdicts` sweep.
 
     `values` maps (node id, values of the node's free variables) to the
     node's denotation, so a subterm is evaluated once per distinct value of
@@ -333,7 +340,9 @@ class SweepMemo:
     of side values is decided once. `free` holds every node's sorted free
     variable names by node id and is shared by all models of the call.
     Keys use node ids and hash-consed elements, so lookups cost O(1); the
-    members must stay alive while the memo is in use.
+    members must stay alive while the memo is in use. The memos grow with
+    the distinct values met, not with the assignments: a sweep that stops
+    at its first counterexample fills only what it decided.
     """
 
     free: dict[int, tuple[str, ...]]
@@ -390,7 +399,7 @@ def sequent_semantics(ante: list[CtsSubterm], succ: list[CtsSubterm],
                       memo: Optional[SweepMemo] = None) -> bool:
     """ba_leq of the antecedent meet against the succedent join at the
     maximal rank present (>= 1). `memo` is the sweep memo of `model` (see
-    `sequent_valid`); without one, the decision starts from scratch."""
+    `sequent_verdicts`); without one, the decision starts from scratch."""
     if memo is None:
         memo = SweepMemo.over(list(ante) + list(succ))
     values = tuple(_eval_shared(m, model, rho, memo)
@@ -405,22 +414,40 @@ def sequent_semantics(ante: list[CtsSubterm], succ: list[CtsSubterm],
     return holds
 
 
-def sequent_valid(ante: list[CtsSubterm], succ: list[CtsSubterm],
-                  models: Iterable[ModelConfig],
-                  cap: int = MAX_ASSIGNMENTS) -> SequentReport:
-    """Validity over a family of models, one verdict per model and
-    enumerated assignment. Each model gets one `SweepMemo`, so the sweep
-    evaluates every subterm once per value of its free variables and
-    decides every distinct pair of side values once."""
-    report = SequentReport()
+def sequent_verdicts(ante: list[CtsSubterm], succ: list[CtsSubterm],
+                     models: Iterable[ModelConfig],
+                     cap: int = MAX_ASSIGNMENTS) -> Iterator[SequentVerdict]:
+    """One verdict per model and assignment, lazily, model by model and
+    each model's assignments in `enumerate_assignments` order. A model's
+    assignment space is sized (CapExceeded) when the stream reaches it.
+    Each model gets one `SweepMemo`, so the sweep evaluates every subterm
+    once per value of its free variables and decides every distinct pair
+    of side values once."""
     members = list(ante) + list(succ)
     free = SweepMemo.over(members).free
     for idx, model in enumerate(models):
         memo = SweepMemo(free)
         for rho in enumerate_assignments(members, model, cap):
-            holds = sequent_semantics(ante, succ, model, rho, memo)
-            report.verdicts.append(SequentVerdict(idx, rho, holds))
-    return report
+            yield SequentVerdict(idx, rho, sequent_semantics(ante, succ, model, rho, memo))
+
+
+def sequent_valid(ante: list[CtsSubterm], succ: list[CtsSubterm],
+                  models: Iterable[ModelConfig],
+                  cap: int = MAX_ASSIGNMENTS) -> SequentReport:
+    """Validity over a family of models: `sequent_verdicts` read up to its
+    first failing verdict, keeping no assignment but that counterexample.
+    A valid sequent decides every assignment. An invalid one stops at the
+    counterexample, then sizes the assignment space of every later model,
+    so that an over-cap model raises CapExceeded as the full sweep does."""
+    models = list(models)
+    checked = 0
+    for verdict in sequent_verdicts(ante, succ, models, cap):
+        checked += 1
+        if not verdict.holds:
+            for model in models[verdict.model_index + 1:]:
+                enumerate_assignments(list(ante) + list(succ), model, cap)
+            return SequentReport(checked, verdict)
+    return SequentReport(checked)
 
 
 def standard_model_family() -> list[ModelConfig]:

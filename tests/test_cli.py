@@ -61,6 +61,24 @@ def test_entail_machine_verdicts(capsys):
     assert lines[-1].startswith("status=ok cmd=entail")
 
 
+OVER_CAP_IN_LAST_MODEL = ("|- x:bot@0, (f:(e -> bot)@0 u:e@0), (g:(e -> bot)@0 w:e@0), "
+                          "(h:(e -> bot)@0 v:e@0)")
+
+
+def test_entail_over_cap_model_after_the_counterexample(capsys, tmp_path):
+    # the standard family's first model refutes the sequent, its last is over the cap
+    for machine in ([], ["--machine"]):
+        code, out, err = run(capsys, *machine, "entail", OVER_CAP_IN_LAST_MODEL)
+        assert (code, out) == (3, "")
+        assert err == "ctt: resource cap: assignment space 4608 exceeds the cap 4096\n"
+    mdl = tmp_path / "one.mdl"
+    mdl.write_text("base e 1\n")
+    code, out, err = run(capsys, "entail", "--model", str(mdl), OVER_CAP_IN_LAST_MODEL)
+    assert (code, out) == (1, "invalid\n")
+    assert err == ("model: 0\ncounterexample: f = table{a->0}, g = table{a->0}, "
+                   "h = table{a->0}, u = a, v = a, w = a, x = 0\n")
+
+
 def test_parse_check_exit_codes(capsys):
     code, out, _ = run(capsys, "parse", "--lang", "cts",
                        "and[1](p:bot@0, neg[2](q:bot@0))")
@@ -277,6 +295,21 @@ def test_fuzz_no_crash(capsys, tmp_path):
             code = main([cmd, text])
             capsys.readouterr()
             assert code in (2, 3), (cmd, text[:20])
+    # negative counts are usage errors; zero stays legal
+    counts = [(["harness", "--rule", "beta", "--trials", "-5"], 2),
+              (["harness", "--rule", "beta", "--trials", "0"], 0),
+              (["normalize", "--fuel", "-3", "e: ((\\x:e. x) y)"], 2),
+              (["normalize", "--fuel", "0", "e: ((\\x:e. x) y)"], 3),
+              (["prove", "--depth", "-1", "A |- A"], 2),
+              (["prove", "--depth", "0", "A |- A"], 1)]
+    for argv, want in counts:
+        assert main(argv) == want, argv
+        capsys.readouterr()
+    repo = pathlib.Path(__file__).parents[1]
+    proc = subprocess.run([sys.executable, str(repo / "scripts" / "run_harness.py"),
+                           "--trials", "-1"], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(repo / "src")))
+    assert proc.returncode == 2 and "must be >= 0" in proc.stderr, proc.stderr
     # just inside the budget, later passes over the tree do not overflow
     inside = MAX_NESTING - 2
     for cmd in ("canon", "entail"):

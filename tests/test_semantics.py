@@ -15,8 +15,8 @@ from ctt.semantics import (
     MAX_ASSIGNMENTS, ContextClass, NonGroundValue, UnassignedVariable,
     canonicalize_cts, check_equation, classify_context, cts_harness_model,
     cts_rule_harness, enumerate_assignments, eval_cts, eval_slm,
-    mu_exhaustive_cases, sequent_semantics, sequent_valid, soundness_harness,
-    standard_model_family, symbolic_assignment,
+    mu_exhaustive_cases, sequent_semantics, sequent_valid, sequent_verdicts,
+    soundness_harness, standard_model_family, symbolic_assignment,
 )
 from ctt.sequents import INTRO_RULES, SUBST_RULES
 from ctt.syntax import (
@@ -220,7 +220,7 @@ def test_sequent_valid_axiom_shape(m22):
     ante, succ = parse_sequent_members("A |- A")
     report = sequent_valid(ante, succ, [m22])
     assert report.valid
-    assert len(report.verdicts) == 2  # A:bot@0 ranges over 0 and 1
+    assert report.checked == 2  # A:bot@0 ranges over 0 and 1
 
 
 def test_sequent_valid_excluded_middle(m22):
@@ -265,25 +265,51 @@ def reference_decision(ante, succ, model, rho):
     return ba_leq(lhs, rhs)
 
 
-def reference_sequent_verdicts(ante, succ, models, cap=MAX_ASSIGNMENTS):
+def iter_reference_verdicts(ante, succ, models, cap=MAX_ASSIGNMENTS):
     """The per-assignment sweep the memoized one replaced, as
-    (model_index, assignment, holds) triples."""
-    out = []
+    (model_index, assignment, holds) triples, one model after another."""
     for idx, model in enumerate(models):
         for rho in enumerate_assignments(list(ante) + list(succ), model, cap):
-            out.append((idx, rho, reference_decision(ante, succ, model, rho)))
-    return out
+            yield idx, rho, reference_decision(ante, succ, model, rho)
+
+
+def reference_sequent_verdicts(ante, succ, models, cap=MAX_ASSIGNMENTS):
+    return list(iter_reference_verdicts(ante, succ, models, cap))
+
+
+def verdict_triples(ante, succ, models, cap=MAX_ASSIGNMENTS):
+    return [(v.model_index, v.assignment, v.holds)
+            for v in sequent_verdicts(ante, succ, models, cap)]
+
+
+def reference_answer(ante, succ, models, cap=MAX_ASSIGNMENTS):
+    """What the reference sweep implies for `sequent_valid`: None when every
+    verdict holds, else the first failing (model_index, assignment) and the
+    number of verdicts up to it. After that failure only the later models'
+    assignment spaces are sized; what sizing raises is raised."""
+    checked = 0
+    for idx, rho, holds in iter_reference_verdicts(ante, succ, models, cap):
+        checked += 1
+        if not holds:
+            for model in models[idx + 1:]:
+                enumerate_assignments(list(ante) + list(succ), model, cap)
+            return (idx, rho), checked
+    return None, checked
+
+
+def valid_answer(ante, succ, models, cap=MAX_ASSIGNMENTS):
+    report = sequent_valid(ante, succ, models, cap)
+    ce = report.counterexample()
+    assert report.valid == (ce is None)
+    return (None if ce is None else (ce.model_index, ce.assignment)), report.checked
 
 
 def outcome(check, *args):
-    """A sweep's verdict triples, or the class and text of what it raised."""
+    """What a check returned, or the class and text of what it raised."""
     try:
-        report = check(*args)
+        return check(*args)
     except Exception as ex:  # noqa: BLE001 - the exception is the outcome
         return type(ex), str(ex)
-    if isinstance(report, list):
-        return report
-    return [(v.model_index, v.assignment, v.holds) for v in report.verdicts]
 
 
 ORACLE_MODELS = (
@@ -291,8 +317,36 @@ ORACLE_MODELS = (
 
 
 def assert_sweeps_agree(ante, succ, models):
-    assert (outcome(sequent_valid, ante, succ, models)
+    assert (outcome(verdict_triples, ante, succ, models)
             == outcome(reference_sequent_verdicts, ante, succ, models))
+
+
+def assert_answer_agrees(ante, succ, models):
+    answer = outcome(valid_answer, ante, succ, models)
+    assert answer == outcome(reference_answer, ante, succ, models)
+    reference = outcome(reference_sequent_verdicts, ante, succ, models)
+    if isinstance(reference, list):  # the whole sweep ran: read the answer off it
+        failing = [(i, rho) for i, rho, holds in reference if not holds]
+        assert answer[0] == (failing[0] if failing else None)
+
+
+def random_sequent(seed, n_ante, n_succ, depth):
+    rng = gen.make_rng(seed)
+    sig = {}
+    ante = [gen.random_bot_subterm(rng, depth, sig, var_ranks=(0, 0, 1))
+            for _ in range(n_ante)]
+    succ = [gen.random_bot_subterm(rng, depth, sig, var_ranks=(0, 0, 1))
+            for _ in range(n_succ)]
+    return ante, succ
+
+
+def rule_instance_sequents(rule, seed):
+    try:
+        conclusion, premises, _, _ = gen.cts_rule_instance(
+            rule, gen.make_rng(seed), cts_harness_model())
+    except CapExceeded:
+        return []
+    return [conclusion, *premises]
 
 
 @settings(max_examples=50, deadline=None)
@@ -300,33 +354,34 @@ def assert_sweeps_agree(ante, succ, models):
        st.integers(0, 3), st.sampled_from(ORACLE_MODELS))
 def test_sweep_matches_reference_on_random_sequents(seed, n_ante, n_succ, depth,
                                                     models):
-    rng = gen.make_rng(seed)
-    sig = {}
-    ante = [gen.random_bot_subterm(rng, depth, sig, var_ranks=(0, 0, 1))
-            for _ in range(n_ante)]
-    succ = [gen.random_bot_subterm(rng, depth, sig, var_ranks=(0, 0, 1))
-            for _ in range(n_succ)]
-    assert_sweeps_agree(ante, succ, models)
+    assert_sweeps_agree(*random_sequent(seed, n_ante, n_succ, depth), models)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(INTRO_RULES + SUBST_RULES), st.integers(0, 2 ** 32),
        st.sampled_from(ORACLE_MODELS))
 def test_sweep_matches_reference_on_rule_instances(rule, seed, models):
-    try:
-        conclusion, premises, _, _ = gen.cts_rule_instance(
-            rule, gen.make_rng(seed), cts_harness_model())
-    except CapExceeded:
-        return
-    for seq in [conclusion, *premises]:
+    for seq in rule_instance_sequents(rule, seed):
         assert_sweeps_agree(seq.side("L"), seq.side("R"), models)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(INTRO_RULES + SUBST_RULES),
+       st.integers(0, 2), st.integers(0, 2), st.integers(0, 3),
+       st.sampled_from(ORACLE_MODELS))
+def test_sequent_valid_answers_what_the_reference_implies(seed, rule, n_ante, n_succ,
+                                                          depth, models):
+    sequents = [random_sequent(seed, n_ante, n_succ, depth)]
+    sequents += [(s.side("L"), s.side("R")) for s in rule_instance_sequents(rule, seed)]
+    for ante, succ in sequents:
+        assert_answer_agrees(ante, succ, models)
 
 
 def test_sweep_raises_what_the_reference_raises(m22):
     # a model constant above the variable's rank bound
     model = ModelConfig(base_sizes={"e": 2}, constants={"c": make_neg(1, FALSE)})
     low = [CVar("c", BOT, 0)]
-    for check in (sequent_valid, reference_sequent_verdicts):
+    for check in (sequent_valid, verdict_triples, reference_sequent_verdicts):
         with pytest.raises(TypeMismatch):
             check(low, [], [model])
     # an assignment that leaves a variable out
@@ -336,9 +391,27 @@ def test_sweep_raises_what_the_reference_raises(m22):
             decide(ante, succ, m22, {"A": TRUE})
     # an assignment space over the cap, refused before any enumeration
     members, _ = parse_sequent_members("x:bot@1, y:bot@1, z:bot@1, v:bot@1 |- x")
-    for check in (sequent_valid, reference_sequent_verdicts):
+    with pytest.raises(CapExceeded):
+        enumerate_assignments(members, m22, 1000)  # at the call, before any next()
+    for check in (sequent_valid, verdict_triples, reference_sequent_verdicts):
         with pytest.raises(CapExceeded):
             check(members, [], [m22], 1000)
+
+
+OVER_CAP_IN_LAST_MODEL = ("|- x:bot@0, (f:(e -> bot)@0 u:e@0), (g:(e -> bot)@0 w:e@0), "
+                          "(h:(e -> bot)@0 v:e@0)")
+
+
+def test_over_cap_model_after_the_counterexample_still_raises():
+    # model 0 refutes the sequent at its first assignment, but the e = 3
+    # model's assignment space is over the cap, so the full sweep raises
+    ante, succ = parse_sequent_members(OVER_CAP_IN_LAST_MODEL)
+    first = next(sequent_verdicts(ante, succ, standard_model_family()))
+    assert (first.model_index, first.holds) == (0, False)
+    with pytest.raises(CapExceeded, match=r"^assignment space 4608 exceeds the cap 4096$"):
+        sequent_valid(ante, succ, standard_model_family())
+    report = sequent_valid(ante, succ, standard_model_family()[:2])
+    assert (report.checked, report.counterexample()) == (1, first)
 
 
 @pytest.mark.parametrize("rule", [r for r in gen.SLM_RULE_IDS if r != "mu"])
