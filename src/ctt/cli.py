@@ -59,17 +59,21 @@ class Printer:
 
 
 def _input(text: str) -> str:
-    if text.startswith("@"):
+    """An input argument: the text itself, or the file it names as @path."""
+    if not text.startswith("@"):
+        return text
+    try:
         with open(text[1:], "r", encoding="utf-8") as fh:
             return fh.read()
-    return text
+    except UnicodeDecodeError as ex:
+        raise CttError(f"cannot decode {text[1:]} as UTF-8: "
+                       f"{ex.reason} at byte {ex.start}") from None
 
 
 def _load_model(path: str) -> ModelConfig:
     if path is None:
         return ModelConfig(base_sizes={"e": 2, "t": 2})
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model_config(fh.read())
+    return parse_model_config(_input("@" + path))
 
 
 def _assignments(model: ModelConfig, pairs: list[str]) -> dict:
@@ -168,9 +172,8 @@ def cmd_entail(args, out: Printer) -> int:
 
 def cmd_check_proof(args, out: Printer) -> int:
     model = _load_model(args.model) if args.model else None
-    path = args.file[1:] if args.file.startswith("@") else args.file
-    with open(path, "r", encoding="utf-8") as fh:
-        d = parse_derivation_file(fh.read())
+    path = args.file if args.file.startswith("@") else "@" + args.file
+    d = parse_derivation_file(_input(path))
     bad = check_derivation(d, model)
     if bad is None:
         out.record("ok", "check-proof", render_sequent(d.conclusion),
@@ -196,7 +199,7 @@ def cmd_prove(args, out: Printer) -> int:
 
 def cmd_iso(args, out: Printer) -> int:
     name, sep, size = args.base.partition("=")
-    if not sep or not size.isdigit():
+    if not sep or not size.isdecimal():
         raise CttError(f"--base needs name=size, got {args.base!r}")
     model = ModelConfig(base_sizes={name: int(size)}, rank_cap=4)
     ty = Base(name)
@@ -207,7 +210,11 @@ def cmd_iso(args, out: Printer) -> int:
 
 
 def cmd_harness(args, out: Printer) -> int:
-    seed = int(os.environ.get("CTT_SEED", args.seed))
+    seed = os.environ.get("CTT_SEED", args.seed)
+    try:
+        seed = int(seed)
+    except ValueError:
+        raise CttError(f"CTT_SEED must be an integer, got {seed!r}") from None
     if args.rule in gen.SLM_RULE_IDS:
         report = soundness_harness(args.rule, trials=args.trials, seed=seed)
     elif args.rule in ALL_RULES and args.rule != "ax":

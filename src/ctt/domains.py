@@ -587,11 +587,11 @@ def parse_model_config(text: str) -> ModelConfig:
         head, _, rest = line.partition(" ")
         if head == "base":
             parts = rest.split()
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise CttError(f"bad base line: {raw!r}")
             base_sizes[parts[0]] = int(parts[1])
         elif head == "rankcap":
-            if not rest.strip().isdigit():
+            if not rest.strip().isdecimal():
                 raise CttError(f"bad rankcap line: {raw!r}")
             rank_cap = int(rest.strip())
         elif head == "const":

@@ -241,7 +241,7 @@ class _RedexSearch:
     def root(self) -> SlmTerm:
         t = self.focus
         for parent, i in zip(reversed(self.up), reversed(self.path)):
-            t = parent if slm_children(parent)[i] is t else _with_child(parent, i, t)
+            t = _with_child(parent, i, t)  # the parent itself if t is its child
         return t
 
     def next(self) -> Optional[Step]:
@@ -276,10 +276,8 @@ class _RedexSearch:
         the focus had there, or None at the root."""
         if not self.path:
             return None
-        i, parent = self.path.pop(), self.up.pop()
-        if slm_children(parent)[i] is not self.focus:
-            parent = _with_child(parent, i, self.focus)
-        self.focus = parent
+        i = self.path.pop()
+        self.focus = _with_child(self.up.pop(), i, self.focus)
         return i
 
     def _to_child(self, i: int):

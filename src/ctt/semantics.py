@@ -30,7 +30,7 @@ from .domains import (
 from .syntax import (
     App, Arrow, BOT, Base, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg,
     CVar, CtsSubterm, CttError, Hole, Lam, Mu, SlmTerm, TypeExpr,
-    TypeMismatch, Var, cts_children, cts_signature, render, slm_children,
+    TypeMismatch, Var, cts_signature, render, signature_table, slm_children,
     typecheck_slm,
 )
 
@@ -332,49 +332,34 @@ def enumerate_assignments(members: list[CtsSubterm], model: ModelConfig,
 class SweepMemo:
     """The two memos of one model's part of a `sequent_verdicts` sweep.
 
-    `values` maps (node id, values of the node's free variables) to the
-    node's denotation, so a subterm is evaluated once per distinct value of
-    its own variables rather than once per assignment. `verdicts` maps the
-    antecedent values followed by the succedent values (one flat tuple; the
-    split is fixed within a sweep) to the decision, so each distinct pair
-    of side values is decided once. `free` holds every node's sorted free
-    variable names by node id and is shared by all models of the call.
-    Keys use node ids and hash-consed elements, so lookups cost O(1); the
-    members must stay alive while the memo is in use. The memos grow with
-    the distinct values met, not with the assignments: a sweep that stops
-    at its first counterexample fills only what it decided.
+    `values` maps (node, values of the node's free variables) to the node's
+    denotation, so a subterm is evaluated once per distinct value of its
+    own variables rather than once per assignment; equal subterms are one
+    node, so members share their entries. `verdicts` maps the antecedent
+    values followed by the succedent values (one flat tuple; the split is
+    fixed within a sweep) to the decision, so each distinct pair of side
+    values is decided once. Keys are hash-consed nodes and elements, so
+    lookups cost O(1). The memos grow with the distinct values met, not
+    with the assignments: a sweep that stops at its first counterexample
+    fills only what it decided.
     """
 
-    free: dict[int, tuple[str, ...]]
     values: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)
-
-    @classmethod
-    def over(cls, members: Iterable[CtsSubterm]) -> "SweepMemo":
-        free: dict[int, tuple[str, ...]] = {}
-        for m in members:
-            _free_names(m, free)
-        return cls(free)
-
-
-def _free_names(sub: CtsSubterm, free: dict[int, tuple[str, ...]]) -> tuple[str, ...]:
-    """Sorted free variable names of `sub`, recorded for it and every node
-    below it. Big-operator nodes have none."""
-    names = free.get(id(sub))
-    if names is None:
-        below = {sub.name} if isinstance(sub, CVar) else set()
-        for c in cts_children(sub):  # a loop, not a comprehension: one frame per level
-            below.update(_free_names(c, free))
-        names = free[id(sub)] = tuple(sorted(below))
-    return names
 
 
 def _eval_shared(sub: CtsSubterm, model: ModelConfig, rho: Assignment,
                  memo: SweepMemo) -> CanonElem:
     """`eval_cts` through the memo: a node that misses is built with the
-    same calls, recursing only into children that also miss."""
-    node = id(sub)
-    key = (node, tuple(map(rho.get, memo.free[node])))
+    same calls, recursing only into children that also miss. A node's free
+    variables are the names of its `cts_signature` table."""
+    try:
+        names = sub._free
+    except AttributeError:  # not asked before
+        names = signature_table(sub)
+    if names is None:  # a name used at two signatures below: no key
+        return eval_cts(sub, model, rho)
+    key = (sub, tuple(map(rho.get, names)))
     value = memo.values.get(key)
     if value is None:
         match sub:
@@ -401,7 +386,7 @@ def sequent_semantics(ante: list[CtsSubterm], succ: list[CtsSubterm],
     maximal rank present (>= 1). `memo` is the sweep memo of `model` (see
     `sequent_verdicts`); without one, the decision starts from scratch."""
     if memo is None:
-        memo = SweepMemo.over(list(ante) + list(succ))
+        memo = SweepMemo()
     values = tuple(_eval_shared(m, model, rho, memo)
                    for m in itertools.chain(ante, succ))
     holds = memo.verdicts.get(values)
@@ -424,9 +409,8 @@ def sequent_verdicts(ante: list[CtsSubterm], succ: list[CtsSubterm],
     once per value of its free variables and decides every distinct pair
     of side values once."""
     members = list(ante) + list(succ)
-    free = SweepMemo.over(members).free
     for idx, model in enumerate(models):
-        memo = SweepMemo(free)
+        memo = SweepMemo()
         for rho in enumerate_assignments(members, model, cap):
             yield SequentVerdict(idx, rho, sequent_semantics(ante, succ, model, rho, memo))
 

@@ -24,21 +24,21 @@ carrier is name-addressable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Optional, Union
 
 from .domains import ModelConfig, enumerate_domain, render_elem, Individual, TruthVal
 from .syntax import (
     BOT, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg, CVar, CtsSubterm,
-    CttError, RankViolation, TypeExpr, TypeMismatch, cts_at, cts_children,
-    cts_replace, cts_signature, rank_check, render,
+    CttError, Interned, RankViolation, TypeExpr, TypeMismatch, cts_at,
+    cts_children, cts_replace, cts_signature, rank_check, render,
 )
 
 
-@dataclass(frozen=True)
-class Sequent:
-    ante: frozenset
-    succ: frozenset
+class Sequent(Interned):
+    """Two sets of ranked subterms, hash-consed like the subterms."""
+
+    __match_args__ = ("ante", "succ")  # frozensets
+    __slots__ = (*__match_args__, "_sides")
 
     @staticmethod
     def make(ante, succ) -> "Sequent":
@@ -52,15 +52,13 @@ class Sequent:
     def side(self, which: str) -> list[CtsSubterm]:
         """The members of side L or R in rendering order, which positions
         index into; sorted once per sequent, copied per call."""
-        return list(self._left if which == "L" else self._right)
-
-    @cached_property
-    def _left(self) -> tuple[CtsSubterm, ...]:
-        return tuple(sorted(self.ante, key=render))
-
-    @cached_property
-    def _right(self) -> tuple[CtsSubterm, ...]:
-        return tuple(sorted(self.succ, key=render))
+        try:
+            sides = self._sides
+        except AttributeError:  # not asked before
+            sides = (tuple(sorted(self.ante, key=render)),
+                     tuple(sorted(self.succ, key=render)))
+            object.__setattr__(self, "_sides", sides)
+        return list(sides[which != "L"])
 
     def replace(self, which: str, old: CtsSubterm, new_members) -> "Sequent":
         side = set(self.ante if which == "L" else self.succ)
@@ -497,45 +495,32 @@ def prove(goal: Sequent, depth: int = 30,
 # ---------------------------------------------------------------------------
 # unranked terms: erasure and elaboration
 
-@dataclass(frozen=True)
-class UVar:
-    name: str
-    ty: TypeExpr
+class UVar(Interned):
+    __slots__ = __match_args__ = ("name", "ty")
 
 
-@dataclass(frozen=True)
-class UApp:
-    fun: "Unranked"
-    arg: "Unranked"
+class UApp(Interned):
+    __slots__ = __match_args__ = ("fun", "arg")
 
 
-@dataclass(frozen=True)
-class UNeg:
-    child: "Unranked"
+class UNeg(Interned):
+    __slots__ = __match_args__ = ("child",)
 
 
-@dataclass(frozen=True)
-class UConj:
-    left: "Unranked"
-    right: "Unranked"
+class UConj(Interned):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class UDisj:
-    left: "Unranked"
-    right: "Unranked"
+class UDisj(Interned):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class UBigConj:
-    index_var: str
-    index_ty: TypeExpr
+class UBigConj(Interned):
+    __slots__ = __match_args__ = ("index_var", "index_ty")
 
 
-@dataclass(frozen=True)
-class UBigDisj:
-    index_var: str
-    index_ty: TypeExpr
+class UBigDisj(Interned):
+    __slots__ = __match_args__ = ("index_var", "index_ty")
 
 
 Unranked = Union[UVar, UApp, UNeg, UConj, UDisj, UBigConj, UBigDisj]

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import re
 import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Optional, Union
 
 
@@ -54,7 +54,18 @@ class UnboundVariable(CttError):
 # ---------------------------------------------------------------------------
 # hash-consing
 
-_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+class _Ref(weakref.ref):
+    """A weak reference to an interned object that knows its table key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref):
+    # drops the entry only while it still holds this dead reference
+    _remove_dead_weakref(_INTERNED, ref.key)
+
+
+_INTERNED: dict[tuple, _Ref] = {}
 
 
 class Interned:
@@ -72,7 +83,8 @@ class Interned:
 
     def __new__(cls, *fields):
         key = (cls, *fields)
-        self = _INTERNED.get(key)
+        ref = _INTERNED.get(key)
+        self = None if ref is None else ref()
         if self is None:
             if len(fields) != len(cls.__match_args__):
                 raise TypeError(f"{cls.__name__} takes fields {cls.__match_args__}")
@@ -80,7 +92,8 @@ class Interned:
             for name, value in zip(cls.__match_args__, fields):
                 object.__setattr__(self, name, value)
             self._build()
-            _INTERNED[key] = self
+            ref = _INTERNED[key] = _Ref(self, _forget)
+            ref.key = key
         return self
 
     def _build(self):
@@ -149,58 +162,74 @@ def strip_negations(ty: TypeExpr) -> tuple[int, TypeExpr]:
 
 
 # ---------------------------------------------------------------------------
+# tree nodes
+
+class _Node(Interned):
+    """A lambda-mu term or ranked subterm, hash-consed like types. Derived
+    facts live in slots: `_ty` holds the type or, for an ill-typed node, the
+    message `.ty` raises with, so construction never raises; `_free` is
+    filled by `free_vars`/`cts_signature` and `_text` by `render`."""
+
+    __slots__ = ("_ty", "_free", "_text")
+
+    def _build(self):  # a leaf (Var, CVar, Hole) stores its type
+        object.__setattr__(self, "_ty", self.ty)
+
+    @property
+    def ty(self) -> TypeExpr:
+        ty = self._ty
+        if isinstance(ty, str):
+            raise TypeMismatch(ty)
+        return ty
+
+
+def _applied(fty) -> Union[TypeExpr, str]:
+    """The `_ty` of an application whose functor's `_ty` is `fty`."""
+    if isinstance(fty, Arrow):
+        return fty.cod
+    return fty if isinstance(fty, str) else f"{fty} is not an arrow type"
+
+
+# ---------------------------------------------------------------------------
 # lambda-mu terms
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    ty: TypeExpr
+class Var(_Node):
+    __slots__ = __match_args__ = ("name", "ty")
 
 
-@dataclass(frozen=True)
-class App:
-    fun: "SlmTerm"
-    arg: "SlmTerm"
+class App(_Node):
+    __slots__ = __match_args__ = ("fun", "arg")
 
-    @cached_property
-    def ty(self) -> TypeExpr:
-        fty = self.fun.ty
-        if not isinstance(fty, Arrow):
-            raise TypeMismatch(f"{fty} is not an arrow type")
-        return fty.cod
+    def _build(self):
+        object.__setattr__(self, "_ty", _applied(self.fun._ty))
 
 
-@dataclass(frozen=True)
-class Lam:
-    binder: str
-    binder_ty: TypeExpr
-    body: "SlmTerm"
+class Lam(_Node):
+    __slots__ = __match_args__ = ("binder", "binder_ty", "body")
 
-    @cached_property
-    def ty(self) -> TypeExpr:
-        return Arrow(self.binder_ty, self.body.ty)
+    def _build(self):
+        ty = self.body._ty
+        if not isinstance(ty, str):
+            ty = Arrow(self.binder_ty, ty)
+        object.__setattr__(self, "_ty", ty)
 
 
-@dataclass(frozen=True)
-class Mu:
+class Mu(_Node):
     """mu-abstraction: binder has type ~s, body type bot, whole term type s."""
 
-    binder: str
-    binder_ty: TypeExpr
-    body: "SlmTerm"
+    __slots__ = __match_args__ = ("binder", "binder_ty", "body")
 
-    @cached_property
-    def ty(self) -> TypeExpr:
-        if not is_neg_type(self.binder_ty):
-            raise TypeMismatch("mu binder must have a negation type")
-        return self.binder_ty.dom
+    def _build(self):
+        ty = (self.binder_ty.dom if is_neg_type(self.binder_ty)
+              else "mu binder must have a negation type")
+        object.__setattr__(self, "_ty", ty)
 
 
-@dataclass(frozen=True)
-class Hole:
+class Hole(_Node):
     """One-hole position in a bot-typed context (internal; not parseable)."""
 
-    ty: TypeExpr = BOT
+    __slots__ = ()
+    ty = BOT
 
 
 SlmTerm = Union[Var, App, Lam, Mu, Hole]
@@ -237,8 +266,8 @@ def typecheck_slm(term: SlmTerm, ctx: Optional[dict[str, TypeExpr]] = None,
             if bty != BOT:
                 raise TypeMismatch(f"mu body has type {bty}, expected bot", _path + (0,))
             return binder_ty.dom
-        case Hole(ty):
-            return ty
+        case Hole():
+            return term.ty
     raise TypeMismatch(f"unknown node {term!r}", _path)
 
 
@@ -277,106 +306,51 @@ def slm_at(term: SlmTerm, path: tuple[int, ...]) -> SlmTerm:
 # ---------------------------------------------------------------------------
 # ranked subterms
 
-@dataclass(frozen=True)
-class CVar:
-    name: str
-    ty: TypeExpr
-    rank: int
+class CVar(_Node):
+    __slots__ = __match_args__ = ("name", "ty", "rank")
 
 
-@dataclass(frozen=True)
-class CApp:
-    fun: "CtsSubterm"
-    arg: "CtsSubterm"
+class CApp(_Node):
+    __match_args__ = ("fun", "arg")
+    __slots__ = (*__match_args__, "rank")
 
-    @property
-    def rank(self) -> int:
-        return max(self.fun.rank, self.arg.rank)
-
-    @cached_property
-    def ty(self) -> TypeExpr:
-        fty = self.fun.ty
-        if not isinstance(fty, Arrow):
-            raise TypeMismatch(f"{fty} is not an arrow type")
-        return fty.cod
+    def _build(self):
+        object.__setattr__(self, "_ty", _applied(self.fun._ty))
+        object.__setattr__(self, "rank", max(self.fun.rank, self.arg.rank))
 
 
-@dataclass(frozen=True)
-class CNeg:
-    k: int
-    child: "CtsSubterm"
+class _Op(_Node):
+    """A Boolean or big operator node: its rank is its k, its type that of
+    its first child (of its index, for a big operator)."""
 
-    @property
-    def rank(self) -> int:
-        return self.k
+    __slots__ = ("rank",)
 
-    @property
-    def ty(self) -> TypeExpr:
-        return self.child.ty
+    def _build(self):
+        kids = cts_children(self)
+        object.__setattr__(self, "_ty", kids[0]._ty if kids else self.index_ty)
+        object.__setattr__(self, "rank", self.k)
 
 
-@dataclass(frozen=True)
-class CConj:
-    k: int
-    left: "CtsSubterm"
-    right: "CtsSubterm"
-
-    @property
-    def rank(self) -> int:
-        return self.k
-
-    @property
-    def ty(self) -> TypeExpr:
-        return self.left.ty
+class CNeg(_Op):
+    __slots__ = __match_args__ = ("k", "child")
 
 
-@dataclass(frozen=True)
-class CDisj:
-    k: int
-    left: "CtsSubterm"
-    right: "CtsSubterm"
-
-    @property
-    def rank(self) -> int:
-        return self.k
-
-    @property
-    def ty(self) -> TypeExpr:
-        return self.left.ty
+class CConj(_Op):
+    __slots__ = __match_args__ = ("k", "left", "right")
 
 
-@dataclass(frozen=True)
-class CBigConj:
+class CDisj(_Op):
+    __slots__ = __match_args__ = ("k", "left", "right")
+
+
+class CBigConj(_Op):
     """Generalized conjunction over the rank-`atom_rank` carrier of `index_ty`."""
 
-    k: int
-    index_var: str
-    index_ty: TypeExpr
-    atom_rank: int = 0
-
-    @property
-    def rank(self) -> int:
-        return self.k
-
-    @property
-    def ty(self) -> TypeExpr:
-        return self.index_ty
+    __slots__ = __match_args__ = ("k", "index_var", "index_ty", "atom_rank")
 
 
-@dataclass(frozen=True)
-class CBigDisj:
-    k: int
-    index_var: str
-    index_ty: TypeExpr
-    atom_rank: int = 0
-
-    @property
-    def rank(self) -> int:
-        return self.k
-
-    @property
-    def ty(self) -> TypeExpr:
-        return self.index_ty
+class CBigDisj(_Op):
+    __slots__ = __match_args__ = ("k", "index_var", "index_ty", "atom_rank")
 
 
 CtsSubterm = Union[CVar, CApp, CNeg, CConj, CDisj, CBigConj, CBigDisj]
@@ -510,70 +484,107 @@ def free_vars(term: SlmTerm) -> dict[str, TypeExpr]:
     through `cts_signature`.
 
     Raises TypeMismatch if one name occurs free at two different types.
-    Terms are immutable, so every node keeps its table once asked: asking
-    about a term built around subterms already asked costs its new nodes.
+    Every node keeps its table once asked: asking about a term built around
+    subterms already asked costs its new nodes.
     """
-    table = _free_table(term)
+    table = _free_table(term, _SLM_NODES, slm_children, _slm_free)
     if table is None:
         return _free_vars_walk(term)
     return dict(table)
 
 
+def cts_signature(sub: CtsSubterm) -> dict[str, tuple[TypeExpr, int]]:
+    """Free ranked variables of a subterm: name -> (type, rank bound), in
+    order of first occurrence.
+
+    Big-operator index variables are bound by the operator and excluded.
+    Inconsistent reuse of a name raises TypeMismatch. Memoized per node
+    like `free_vars`.
+    """
+    table = signature_table(sub)
+    if table is None:
+        return _signature_walk(sub)
+    return dict(table)
+
+
+def signature_table(sub: CtsSubterm) -> Optional[dict[str, tuple[TypeExpr, int]]]:
+    """The memoized `cts_signature` table of `sub`, shared between nodes
+    (never mutate it), or None when a name occurs at two signatures below
+    it. Fills the table of every node below it."""
+    return _free_table(sub, _CTS_NODES, cts_children, _cts_free)
+
+
 _SLM_NODES = (Var, App, Lam, Mu, Hole)
-_NO_FREE: dict[str, TypeExpr] = {}
+_CTS_NODES = (CVar, CApp, CNeg, CConj, CDisj, CBigConj, CBigDisj)
 
 
-def _free_table(term: SlmTerm) -> Optional[dict[str, TypeExpr]]:
-    """The memoized free-variable table of `term` (shared between nodes:
-    never mutate it), or None when a name occurs at two types below it or
-    a node is not a lambda-mu node, where `free_vars` leaves the answer to
-    the walk. Fills the missing tables bottom-up with an explicit stack."""
-    todo = [term]
+def _free_table(node, kinds, children, local) -> Optional[dict]:
+    """The memoized `_free` table of `node`, or None when a name maps to two
+    values below it or a node is not of `kinds`, where the callers leave
+    the answer to the walk. Fills the missing tables bottom-up with an
+    explicit stack, each one by `local` from its children's tables."""
+    todo = [node]
     while todo:
         t = todo[-1]
-        if type(t) not in _SLM_NODES:
+        if type(t) not in kinds:
             return None
-        if "_free" in t.__dict__:
+        if hasattr(t, "_free"):
             todo.pop()
             continue
-        missing = [c for c in slm_children(t)
-                   if type(c) not in _SLM_NODES or "_free" not in c.__dict__]
+        missing = [c for c in children(t)
+                   if type(c) not in kinds or not hasattr(c, "_free")]
         if missing:
             todo += missing
             continue
         todo.pop()
-        t.__dict__["_free"] = _node_free_table(t)
-    return term.__dict__["_free"]
+        object.__setattr__(t, "_free", local(t))
+    return node._free
 
 
-def _node_free_table(t: SlmTerm) -> Optional[dict[str, TypeExpr]]:
-    """One node's table from its children's tables."""
+def _union(out: Optional[dict], more: Optional[dict]) -> Optional[dict]:
+    """Both tables in one, sharing `out` when `more` adds nothing; None when
+    a name maps to two values."""
+    if out is None or more is None:
+        return None
+    shared = True
+    for name, value in more.items():
+        have = out.get(name)
+        if have is None:
+            if shared:
+                out, shared = dict(out), False
+            out[name] = value
+        elif have != value:
+            return None
+    return out
+
+
+def _slm_free(t: SlmTerm) -> Optional[dict[str, TypeExpr]]:
+    """One lambda-mu node's table from its children's tables."""
     match t:
         case Var(name, ty):
             return {name: ty}
         case Lam(b, _, body) | Mu(b, _, body):
-            inner = body.__dict__["_free"]
+            inner = body._free
             if inner is None or b not in inner:
                 return inner
             out = dict(inner)
             del out[b]
             return out
         case App(fun, arg):
-            out = fun.__dict__["_free"]
-            more = arg.__dict__["_free"]
-            if out is None or more is None:
-                return None
-            shared = True
-            for name, ty in more.items():
-                have = out.get(name)
-                if have is None:
-                    if shared:
-                        out, shared = dict(out), False
-                    out[name] = ty
-                elif have != ty:
-                    return None
-            return out
-    return _NO_FREE  # Hole
+            return _union(fun._free, arg._free)
+    return {}  # Hole
+
+
+def _cts_free(s: CtsSubterm) -> Optional[dict[str, tuple[TypeExpr, int]]]:
+    """One ranked node's table from its children's tables."""
+    match s:
+        case CVar(name, ty, rank):
+            return {name: (ty, rank)}
+        case CNeg(_, child):
+            return child._free
+        case CApp(l, r) | CConj(_, l, r) | CDisj(_, l, r):
+            return _union(l._free, r._free)
+    return {}  # big operators bind their index
 
 
 def _free_vars_walk(term: SlmTerm) -> dict[str, TypeExpr]:
@@ -603,12 +614,7 @@ def _free_vars_walk(term: SlmTerm) -> dict[str, TypeExpr]:
     return out
 
 
-def cts_signature(sub: CtsSubterm) -> dict[str, tuple[TypeExpr, int]]:
-    """Free ranked variables of a subterm: name -> (type, rank bound).
-
-    Big-operator index variables are bound by the operator and excluded.
-    Inconsistent reuse of a name raises TypeMismatch.
-    """
+def _signature_walk(sub: CtsSubterm) -> dict[str, tuple[TypeExpr, int]]:
     out: dict[str, tuple[TypeExpr, int]] = {}
 
     def go(s: CtsSubterm):
@@ -1023,10 +1029,23 @@ def render(ast, sort_children: bool = False, annotate: bool = True) -> str:
     Free variables are annotated at first (leftmost) use only; annotate=False
     drops those annotations (display form, not reparseable in general). With
     sort_children=True the children of and/or nodes print in lexicographic
-    order (canonical printing for golden files).
+    order (canonical printing for golden files). A node keeps its text for
+    the default arguments once asked.
     """
     if isinstance(ast, (Base, Arrow, Bot)):
         return render_type(ast)
+    if sort_children or not annotate or not isinstance(ast, _Node):
+        return _render(ast, sort_children, annotate)
+    try:
+        return ast._text
+    except AttributeError:  # not asked before
+        text = _render(ast, False, True)
+        object.__setattr__(ast, "_text", text)
+        return text
+
+
+def _render(ast, sort_children: bool, annotate: bool) -> str:
+    """The walk behind `render`, for lambda-mu terms and ranked subterms."""
 
     def _bare_key(s: CtsSubterm) -> str:
         match s:

@@ -269,7 +269,7 @@ def test_machine_transcript_replays(capsys):
     assert first[0][1].splitlines()[0].endswith("payload=" + corpus.WORKED_ISO_GOLDEN)
 
 
-def test_fuzz_no_crash(capsys, tmp_path):
+def test_fuzz_no_crash(capsys, tmp_path, monkeypatch):
     rng = random.Random(5)
     alphabet = string.printable + "λμ⊥∧∨¬ÿ"
     for cmd in ("parse", "normalize", "entail", "canon"):
@@ -332,6 +332,23 @@ def test_fuzz_no_crash(capsys, tmp_path):
         path.write_text(text)
         code, _, err = run(capsys, "check-proof", str(path))
         assert code == 2 and ("bad derivation line" in err or "names no node" in err), text
+    # files that are not UTF-8, and numbers in digits int() does not read:
+    # exit 2 with a message
+    path.write_bytes(b"A |- A\xff")
+    model = tmp_path / "bad.mdl"
+    bad = [["parse", f"@{path}"], ["check-proof", str(path)],
+           ["entail", "--model", str(model), "A |- A"],
+           ["iso", "--base", "e=\u00b2", "--element", "{{a}}"]]
+    for lines in (b"base e 2\n\xff", "base e \u00b2".encode(), "rankcap \u00b2".encode()):
+        model.write_bytes(lines)
+        code, _, err = run(capsys, *bad[2])
+        assert code == 2 and err.startswith("ctt: "), lines
+    for argv in bad:
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("ctt: "), argv
+    monkeypatch.setenv("CTT_SEED", "abc")
+    code, _, err = run(capsys, "harness", "--rule", "beta", "--trials", "1")
+    assert code == 2 and "CTT_SEED" in err
 
 
 def test_closed_stdout_exits_without_traceback():

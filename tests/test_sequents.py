@@ -1,9 +1,12 @@
+import gc
+import hashlib
 import random
 
 import pytest
 
-from ctt import gen
+from ctt import gen, syntax
 from ctt.domains import ModelConfig, ba_equal
+from ctt.rewrite import NormalStatus, normalize
 from ctt.semantics import (
     cts_harness_model, enumerate_assignments, eval_cts, sequent_valid,
     standard_model_family,
@@ -12,12 +15,12 @@ from ctt.sequents import (
     ALL_RULES, Derivation, Pos, Sequent, Violation, check_derivation,
     check_rule_instance, elaborate_ranks, erase_ranks, parse_derivation_file,
     prove, render_derivation_file, rule_premises, squeeze_out, UBigConj, UConj,
-    UNeg, UVar,
+    UApp, UBigDisj, UDisj, UNeg, UVar,
 )
 from ctt.syntax import (
     Arrow, BOT, Base, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg, CVar,
     CttError, RankViolation, TypeMismatch, parse_cts, parse_sequent_members,
-    render,
+    parse_slm, render,
 )
 
 import corpus
@@ -167,11 +170,17 @@ def test_prove_respects_depth():
     assert prove(goal, depth=1) is None
 
 
+# SHA-256 over the derivation files of the 240 goals below ("none" for a
+# goal not proved), as the prover wrote them before nodes were hash-consed
+RANDOM_GOALS_DIGEST = "1a678388102aafc3736dbc46817e05e78cd31a838638259148e79634c1102c87"
+
+
 def test_prove_returns_checked_derivations_on_random_goals():
     # goals over gen.cts_member subterms, in shapes that are mostly provable
     # so the checker sees many prover outputs; "free" is mostly not
     rng = random.Random(11)
     found = 0
+    digest = hashlib.sha256()
     for _ in range(240):
         sig = {}
         k = rng.choice((1, 2))
@@ -187,10 +196,12 @@ def test_prove_returns_checked_derivations_on_random_goals():
         }
         ante, succ = shapes[rng.choice(sorted(shapes))]
         d = prove(Sequent.make(ante, succ), depth=12)
+        digest.update((render_derivation_file(d) if d is not None else "none\n").encode())
         if d is not None:
             found += 1
             assert check_derivation(d) is None
     assert found >= 150
+    assert digest.hexdigest() == RANDOM_GOALS_DIGEST
 
 
 def test_rule_premises_reads_rules_downward():
@@ -343,6 +354,39 @@ def test_sides_are_sorted_once_and_stay_private():
     left.reverse()  # the caller's copy; the sequent's order is unchanged
     assert s.side("L") == left[::-1]
     assert s.side("L") is not s.side("L")
+
+
+def test_equal_fields_build_one_sequent_and_unranked_node():
+    u = UVar("u", E)
+    builds = [(Sequent, frozenset([A]), frozenset([A, B])), (UVar, "u", E),
+              (UApp, u, u), (UNeg, u), (UConj, u, u), (UDisj, u, u),
+              (UBigConj, "x", E), (UBigDisj, "x", E)]
+    for cls, *fields in builds:
+        assert cls(*fields) is cls(*fields)
+    assert seq("A |- A, B") is seq("A |- B, A")
+
+
+def test_interning_table_returns_to_its_size_after_a_run():
+    # memory is bounded by the problem: once a run's results are dropped,
+    # every term, subterm and sequent it built can be freed
+    def run():
+        text = "y"
+        for _ in range(400):
+            text = f"((\\x:e. x) {text})"
+        out, trace, status = normalize(parse_slm("e: " + text))
+        assert (len(trace.steps), status) == (400, NormalStatus.NORMAL_FORM)
+        n = 8
+        goal = seq(", ".join(f"and[1](A{i},B{i})" for i in range(n)) + " |- "
+                   + ", ".join(f"or[1](A{i},D{i})" for i in range(n)))
+        d = prove(goal, depth=30)
+        assert d is not None and check_derivation(d) is None
+        assert parse_derivation_file(render_derivation_file(d)).conclusion is goal
+
+    gc.collect()
+    before = len(syntax._INTERNED)
+    run()
+    gc.collect()
+    assert len(syntax._INTERNED) == before
 
 
 def test_every_rule_is_documented():

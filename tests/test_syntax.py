@@ -1,11 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctt import gen
+from ctt import syntax
 from ctt.syntax import (
-    App, Arrow, BOT, Base, CConj, CttError, CVar, Hole, Lam, Mu, ParseError,
-    RankViolation, SyntaxClass, TypeMismatch, UnboundVariable, Var, classify,
-    cts_signature, free_vars, parse, parse_cts, parse_sequent_members,
+    App, Arrow, BOT, Base, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg,
+    CttError, CVar, Hole, Lam, Mu, ParseError, RankViolation, SyntaxClass,
+    TypeMismatch, UnboundVariable, Var, classify, cts_children, cts_signature,
+    free_vars, is_neg_type, neg_type, parse, parse_cts, parse_sequent_members,
     parse_slm, parse_type, rank_check, render, render_type, slm_children,
     typecheck_slm,
 )
@@ -147,12 +151,14 @@ def reference_free_vars(term):
     return out
 
 
-def free_vars_outcome(fn, term):
+def outcome(fn, term):
+    """What fn(term) returns, a table as its items (the order of first
+    occurrence counts), or the type and text of what it raises."""
     try:
-        table = fn(term)
-    except CttError as ex:
+        value = fn(term)
+    except Exception as ex:
         return type(ex), str(ex)
-    return list(table.items())  # the order of first occurrence counts
+    return list(value.items()) if isinstance(value, dict) else value
 
 
 # terms over three names at three types, so names clash, also under binders
@@ -179,11 +185,120 @@ def test_free_vars_matches_reference_walk(term, rng):
     order = list(subterms(term))
     rng.shuffle(order)
     for t in order + [term]:
-        assert free_vars_outcome(free_vars, t) == free_vars_outcome(reference_free_vars, t)
-    want = free_vars_outcome(reference_free_vars, term)
+        assert outcome(free_vars, t) == outcome(reference_free_vars, t)
+    want = outcome(reference_free_vars, term)
     if isinstance(want, list):  # callers own the table they get
         free_vars(term)["spoil"] = BOT
-        assert free_vars_outcome(free_vars, term) == want
+        assert outcome(free_vars, term) == want
+
+
+def reference_cts_signature(sub):
+    """The walk that `cts_signature` memoizes per node, kept as the reference."""
+    out = {}
+
+    def go(s):
+        match s:
+            case CVar(name, ty, rank):
+                if name in out and out[name] != (ty, rank):
+                    raise TypeMismatch(f"{name} used at {out[name]} and ({ty}, {rank})")
+                out[name] = (ty, rank)
+            case CBigConj() | CBigDisj():
+                pass
+            case _:
+                for c in cts_children(s):
+                    go(c)
+
+    go(sub)
+    return out
+
+
+def reference_ty(t):
+    """A node's type as each node class computed it on demand before nodes
+    kept it in a slot; an ill-typed node raises TypeMismatch."""
+    match t:
+        case Var(_, ty) | CVar(_, ty, _) | CBigConj(_, _, ty, _) | CBigDisj(_, _, ty, _):
+            return ty
+        case Hole():
+            return BOT
+        case App(fun, _) | CApp(fun, _):
+            fty = reference_ty(fun)
+            if not isinstance(fty, Arrow):
+                raise TypeMismatch(f"{fty} is not an arrow type")
+            return fty.cod
+        case Lam(_, bty, body):
+            return Arrow(bty, reference_ty(body))
+        case Mu(_, bty, _):
+            if not is_neg_type(bty):
+                raise TypeMismatch("mu binder must have a negation type")
+            return bty.dom
+        case CNeg(_, child) | CConj(_, child, _) | CDisj(_, child, _):
+            return reference_ty(child)
+    raise CttError(f"unknown node {t!r}")
+
+
+def uncached_render(t):
+    return syntax._render(t, False, True)
+
+
+def node_type(t):
+    return t.ty
+
+
+# ranked trees over the same names and types at three ranks, with names
+# reused at two signatures; ranks are not checked, as construction does not
+_RANKS = st.integers(0, 2)
+_RAW_SUBTERMS = st.recursive(
+    st.builds(CVar, _NAMES, _TYPES, _RANKS)
+    | st.builds(CBigConj, _RANKS, _NAMES, _TYPES, _RANKS)
+    | st.builds(CBigDisj, _RANKS, _NAMES, _TYPES, _RANKS),
+    lambda kids: st.builds(CApp, kids, kids) | st.builds(CNeg, _RANKS, kids)
+    | st.builds(CConj, _RANKS, kids, kids) | st.builds(CDisj, _RANKS, kids, kids)
+    | kids.map(lambda s: CApp(s, s)),
+    max_leaves=10)
+
+
+def subterms(t):
+    yield t
+    for c in slm_children(t) + cts_children(t):
+        yield from subterms(c)
+
+
+def assert_slots_match_reference_walks(tree, rng):
+    # ask in a random order, so slots are filled from either side
+    order = list(subterms(tree))
+    rng.shuffle(order)
+    for t in order + [tree]:
+        assert outcome(node_type, t) == outcome(reference_ty, t)
+        assert outcome(cts_signature, t) == outcome(reference_cts_signature, t)
+        assert outcome(render, t) == outcome(uncached_render, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RAW_TERMS | _RAW_SUBTERMS, st.randoms(use_true_random=False))
+def test_node_slots_match_reference_walks(tree, rng):
+    assert_slots_match_reference_walks(tree, rng)
+
+
+def test_node_slots_match_reference_walks_on_corpus():
+    rng = random.Random(3)
+    for text in corpus.CTS_TEXTS:
+        assert_slots_match_reference_walks(parse_cts(text), rng)
+    for text in corpus.SLM_TEXTS:
+        assert_slots_match_reference_walks(parse_slm(text), rng)
+
+
+def test_equal_fields_build_one_node():
+    e, x, c = Base("e"), Var("x", Base("e")), CVar("c", BOT, 0)
+    builds = [
+        (Var, "x", e), (App, x, x), (Lam, "x", e, x), (Mu, "k", neg_type(e), x),
+        (Hole,), (CVar, "c", BOT, 0), (CApp, c, c), (CNeg, 1, c), (CConj, 1, c, c),
+        (CDisj, 1, c, c), (CBigConj, 1, "x", e, 0), (CBigDisj, 1, "x", e, 0),
+    ]
+    for cls, *fields in builds:
+        assert cls(*fields) is cls(*fields)
+    # the node classes are distinct even where their fields agree
+    assert CConj(1, c, c) is not CDisj(1, c, c)
+    assert Lam("x", e, x) is not Mu("x", e, x)
 
 
 def test_cts_signature_excludes_bound_index():
