@@ -118,7 +118,7 @@ def _eval_slm(term: SlmTerm, model: ModelConfig, rho: Assignment) -> CanonElem:
                         f"lambda body over {binder}:{binder_ty} yields the rank-"
                         f"{elem_rank(v)} shadow {render_elem(v)}; tables are rank 0")
                 table[a] = v
-            return fn_table(binder_ty, body_ty(term), table)
+            return fn_table(binder_ty, term.ty.cod, table)
         case Mu(binder, binder_ty, body):
             if model.rank_cap < 1:
                 raise RankOverflow("mu needs rank cap >= 1")
@@ -139,33 +139,51 @@ def _eval_slm(term: SlmTerm, model: ModelConfig, rho: Assignment) -> CanonElem:
     raise CttError(f"cannot evaluate {term!r}")
 
 
-def body_ty(lam: Lam) -> TypeExpr:
-    return lam.ty.cod
-
-
 def eval_cts(sub: CtsSubterm, model: ModelConfig, rho: Assignment) -> CanonElem:
     """Denotation of a rank-checked subterm: operators land on the same-rank
-    lattice constructors; big operators expand over the rank-0 carrier."""
+    lattice constructors; big operators expand over the rank-0 carrier.
+    A subterm that occurs twice is evaluated once."""
+    return _denote(sub, model, rho, {})
+
+
+def _denote(sub: CtsSubterm, model: ModelConfig, rho: Assignment,
+            values: dict) -> CanonElem:
+    """`eval_cts` through `values`, a memo from (node, values of the names
+    in its `cts_signature` table) to denotation: a node that misses recurses
+    only into children that also miss. A name used at two signatures below
+    a node leaves the node without a key."""
+    try:
+        names = sub._free
+    except AttributeError:  # not asked before
+        names = signature_table(sub)
+    key = None if names is None else (sub, tuple(map(rho.get, names)))
+    value = values.get(key)
+    if value is not None:
+        return value
     match sub:
         case CVar(name, ty, rank):
-            return _lookup(name, ty, model, rho, rank_bound=rank)
+            value = _lookup(name, ty, model, rho, rank_bound=rank)
         case CApp(fun, arg):
-            return apply_elem(eval_cts(fun, model, rho), eval_cts(arg, model, rho))
+            value = apply_elem(_denote(fun, model, rho, values),
+                               _denote(arg, model, rho, values))
         case CNeg(k, child):
-            return make_neg(k, eval_cts(child, model, rho))
-        case CConj(k, left, right):
-            l, r = eval_cts(left, model, rho), eval_cts(right, model, rho)
-            return make_meet(k, l.ty, [l, r])
-        case CDisj(k, left, right):
-            l, r = eval_cts(left, model, rho), eval_cts(right, model, rho)
-            return make_join(k, l.ty, [l, r])
+            value = make_neg(k, _denote(child, model, rho, values))
+        case CConj(k, left, right) | CDisj(k, left, right):
+            l = _denote(left, model, rho, values)
+            r = _denote(right, model, rho, values)
+            make = make_meet if isinstance(sub, CConj) else make_join
+            value = make(k, l.ty, [l, r])
         case CBigConj(k, _, ty, m) | CBigDisj(k, _, ty, m):
             if m != 0:
                 raise CttError(
                     f"big operators evaluate only over rank-0 carriers, got @{m}")
             make = make_meet if isinstance(sub, CBigConj) else make_join
-            return make(k, ty, enumerate_domain(model, ty, 0))
-    raise CttError(f"cannot evaluate {sub!r}")
+            value = make(k, ty, enumerate_domain(model, ty, 0))
+        case _:
+            raise CttError(f"cannot evaluate {sub!r}")
+    if key is not None:
+        values[key] = value
+    return value
 
 
 def symbolic_assignment(subs: Iterable[CtsSubterm], model: ModelConfig) -> Assignment:
@@ -348,37 +366,6 @@ class SweepMemo:
     verdicts: dict = field(default_factory=dict)
 
 
-def _eval_shared(sub: CtsSubterm, model: ModelConfig, rho: Assignment,
-                 memo: SweepMemo) -> CanonElem:
-    """`eval_cts` through the memo: a node that misses is built with the
-    same calls, recursing only into children that also miss. A node's free
-    variables are the names of its `cts_signature` table."""
-    try:
-        names = sub._free
-    except AttributeError:  # not asked before
-        names = signature_table(sub)
-    if names is None:  # a name used at two signatures below: no key
-        return eval_cts(sub, model, rho)
-    key = (sub, tuple(map(rho.get, names)))
-    value = memo.values.get(key)
-    if value is None:
-        match sub:
-            case CApp(fun, arg):
-                value = apply_elem(_eval_shared(fun, model, rho, memo),
-                                   _eval_shared(arg, model, rho, memo))
-            case CNeg(k, child):
-                value = make_neg(k, _eval_shared(child, model, rho, memo))
-            case CConj(k, left, right) | CDisj(k, left, right):
-                l = _eval_shared(left, model, rho, memo)
-                r = _eval_shared(right, model, rho, memo)
-                make = make_meet if isinstance(sub, CConj) else make_join
-                value = make(k, l.ty, [l, r])
-            case _:  # variables and big operators have no children to share
-                value = eval_cts(sub, model, rho)
-        memo.values[key] = value
-    return value
-
-
 def sequent_semantics(ante: list[CtsSubterm], succ: list[CtsSubterm],
                       model: ModelConfig, rho: Assignment,
                       memo: Optional[SweepMemo] = None) -> bool:
@@ -387,7 +374,7 @@ def sequent_semantics(ante: list[CtsSubterm], succ: list[CtsSubterm],
     `sequent_verdicts`); without one, the decision starts from scratch."""
     if memo is None:
         memo = SweepMemo()
-    values = tuple(_eval_shared(m, model, rho, memo)
+    values = tuple(_denote(m, model, rho, memo.values)
                    for m in itertools.chain(ante, succ))
     holds = memo.verdicts.get(values)
     if holds is None:

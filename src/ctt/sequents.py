@@ -29,7 +29,7 @@ from typing import Iterator, Optional, Union
 from .domains import ModelConfig, enumerate_domain, render_elem, Individual, TruthVal
 from .syntax import (
     BOT, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg, CVar, CtsSubterm,
-    CttError, Interned, RankViolation, TypeExpr, TypeMismatch, cts_at,
+    CttError, Interned, RankViolation, TypeExpr, check_sequent_member, cts_at,
     cts_children, cts_replace, cts_signature, rank_check, render,
 )
 
@@ -44,9 +44,7 @@ class Sequent(Interned):
     def make(ante, succ) -> "Sequent":
         ante, succ = frozenset(ante), frozenset(succ)
         for m in ante | succ:
-            rank_check(m)
-            if m.ty != BOT:
-                raise TypeMismatch(f"sequent member {render(m)} must have type bot")
+            check_sequent_member(m)
         return Sequent(ante, succ)
 
     def side(self, which: str) -> list[CtsSubterm]:
@@ -336,9 +334,7 @@ def _check_rule(conclusion, premises, rule, pos, direction, model):
     premise adds as the eigenvariable."""
     for seq in [conclusion] + premises:
         for m in seq.ante | seq.succ:
-            rank_check(m)
-            if m.ty != BOT:
-                return Violation(rule, f"member {render(m)} is not of type bot")
+            check_sequent_member(m)
 
     eigen = None
     if rule in SUBST_RULES:

@@ -306,20 +306,38 @@ def slm_at(term: SlmTerm, path: tuple[int, ...]) -> SlmTerm:
 # ---------------------------------------------------------------------------
 # ranked subterms
 
-class CVar(_Node):
+class _Ranked(_Node):
+    """A ranked subterm; `_fault` is None or the (class, message) that
+    `rank_check` raises: a child's fault, left to right, else `_own_fault`."""
+
+    __slots__ = ("_fault",)
+
+    def _build(self):  # a variable; the other nodes store type and rank first
+        super()._build()
+        self._settle(())
+
+    def _settle(self, kids):
+        faults = [c._fault if isinstance(c, _Ranked)
+                  else (CttError, f"unknown subterm {c!r}") for c in kids]
+        fault = next(filter(None, faults), None) or _own_fault(self)
+        object.__setattr__(self, "_fault", fault)
+
+
+class CVar(_Ranked):
     __slots__ = __match_args__ = ("name", "ty", "rank")
 
 
-class CApp(_Node):
+class CApp(_Ranked):
     __match_args__ = ("fun", "arg")
     __slots__ = (*__match_args__, "rank")
 
     def _build(self):
         object.__setattr__(self, "_ty", _applied(self.fun._ty))
         object.__setattr__(self, "rank", max(self.fun.rank, self.arg.rank))
+        self._settle((self.fun, self.arg))
 
 
-class _Op(_Node):
+class _Op(_Ranked):
     """A Boolean or big operator node: its rank is its k, its type that of
     its first child (of its index, for a big operator)."""
 
@@ -329,6 +347,7 @@ class _Op(_Node):
         kids = cts_children(self)
         object.__setattr__(self, "_ty", kids[0]._ty if kids else self.index_ty)
         object.__setattr__(self, "rank", self.k)
+        self._settle(kids)
 
 
 class CNeg(_Op):
@@ -351,6 +370,30 @@ class CBigConj(_Op):
 
 class CBigDisj(_Op):
     __slots__ = __match_args__ = ("k", "index_var", "index_ty", "atom_rank")
+
+
+def _own_fault(s: "CtsSubterm") -> Optional[tuple[type, str]]:
+    """The side condition a node breaks itself, its children being well-ranked
+    (so well-typed): k >= 1 and each child's rank <= k; types compose."""
+    match s:
+        case CVar() if s.rank < 0:
+            return RankViolation, "variable rank must be a natural number"
+        case CApp() if not isinstance(s.fun.ty, Arrow):
+            return TypeMismatch, f"{s.fun.ty} is not an arrow type"
+        case CApp() if s.fun.ty.dom != s.arg.ty:
+            return (TypeMismatch,
+                    f"argument type {s.arg.ty} does not match domain {s.fun.ty.dom}")
+        case CNeg() if s.k < 1 or s.child.rank > s.k:
+            return RankViolation, f"neg[{s.k}] needs child rank {s.child.rank} <= k, k >= 1"
+        case CConj(k, l, r) | CDisj(k, l, r):
+            op = "and" if isinstance(s, CConj) else "or"
+            if k < 1 or l.rank > k or r.rank > k:
+                return (RankViolation,
+                        f"{op}[{k}] needs child ranks {l.rank},{r.rank} <= k, k >= 1")
+            if l.ty != r.ty:
+                return TypeMismatch, f"{op}[{k}] children differ in type: {l.ty} vs {r.ty}"
+        case CBigConj() | CBigDisj() if s.k < 1 or s.atom_rank > s.k or s.atom_rank < 0:
+            return RankViolation, f"big operator needs index rank {s.atom_rank} <= k, k >= 1"
 
 
 CtsSubterm = Union[CVar, CApp, CNeg, CConj, CDisj, CBigConj, CBigDisj]
@@ -400,44 +443,21 @@ def cts_replace(sub: CtsSubterm, path: tuple[int, ...], new: CtsSubterm) -> CtsS
 
 
 def rank_check(sub: CtsSubterm) -> int:
-    """Validate every rank side condition; returns the subterm's rank.
+    """Raise the first broken rank or type side condition in `sub`, found
+    when its nodes were built (`_own_fault`); else return its rank."""
+    if not isinstance(sub, _Ranked):
+        raise CttError(f"unknown subterm {sub!r}")
+    if sub._fault is not None:
+        cls, msg = sub._fault
+        raise cls(msg)
+    return sub.rank
 
-    Boolean nodes need k >= 1 and k >= every immediate child's rank;
-    application ranks are max(m, n) by construction and types must compose.
-    """
-    match sub:
-        case CVar(_, _, rank):
-            if rank < 0:
-                raise RankViolation("variable rank must be a natural number")
-            return rank
-        case CApp(fun, arg):
-            m, n = rank_check(fun), rank_check(arg)
-            fty = fun.ty
-            if not isinstance(fty, Arrow):
-                raise TypeMismatch(f"{fty} is not an arrow type")
-            if fty.dom != arg.ty:
-                raise TypeMismatch(
-                    f"argument type {arg.ty} does not match domain {fty.dom}")
-            return max(m, n)
-        case CNeg(k, child):
-            m = rank_check(child)
-            if k < 1 or m > k:
-                raise RankViolation(f"neg[{k}] needs child rank {m} <= k, k >= 1")
-            return k
-        case CConj(k, l, r) | CDisj(k, l, r):
-            m, n = rank_check(l), rank_check(r)
-            op = "and" if isinstance(sub, CConj) else "or"
-            if k < 1 or m > k or n > k:
-                raise RankViolation(
-                    f"{op}[{k}] needs child ranks {m},{n} <= k, k >= 1")
-            if l.ty != r.ty:
-                raise TypeMismatch(f"{op}[{k}] children differ in type: {l.ty} vs {r.ty}")
-            return k
-        case CBigConj(k, _, _, m) | CBigDisj(k, _, _, m):
-            if k < 1 or m > k or m < 0:
-                raise RankViolation(f"big operator needs index rank {m} <= k, k >= 1")
-            return k
-    raise CttError(f"unknown subterm {sub!r}")
+
+def check_sequent_member(m: CtsSubterm) -> None:
+    """A sequent member is a well-ranked subterm of type bot."""
+    rank_check(m)
+    if m.ty != BOT:
+        raise TypeMismatch(f"sequent member {render(m)} has type {m.ty}, expected bot")
 
 
 class SyntaxClass(Enum):
@@ -701,9 +721,14 @@ class _Cursor:
         past MAX_NESTING fails here, before the interpreter stack runs out
         in the parser or in any later recursive pass over the tree."""
         self.depth += 1
-        if self.depth > MAX_NESTING:
-            self.fail(f"input nests deeper than {MAX_NESTING} levels")
+        self.within(0)
         return self
+
+    def within(self, below: int):
+        """Fail unless `below` levels under this one stay within the budget:
+        the n-th argument of `(P Q R ...)` puts the functor chain n deeper."""
+        if self.depth + below > MAX_NESTING:
+            self.fail(f"input nests deeper than {MAX_NESTING} levels")
 
     def __exit__(self, *exc):
         self.depth -= 1
@@ -798,8 +823,10 @@ class _SlmParser:
                 return Mu(name, bty, body) if is_mu else Lam(name, bty, body)
             if t.text == "(":
                 c.next()
-                out = self.term(bound)
+                out, n = self.term(bound), 0
                 while not c.at(")"):  # (P) groups, (P Q R) left-folds
+                    n += 1
+                    c.within(n)  # the argument itself is parsed at this level
                     out = App(out, self.term(bound))
                 c.expect(")")
                 return out
@@ -930,8 +957,10 @@ class _CtsParser:
                 return (CBigConj if op == "All" else CBigDisj)(k, name, ty, m)
             if t.text == "(":
                 c.next()
-                out = self.subterm()
+                out, n = self.subterm(), 0
                 while not c.at(")"):
+                    n += 1
+                    c.within(n)
                     out = CApp(out, self.subterm())
                 c.expect(")")
                 return out
@@ -992,9 +1021,7 @@ def parse_sequent_members(text: str,
     if p.c.peek().kind != "EOF":
         p.c.fail("trailing input after sequent")
     for m in ante + succ:
-        rank_check(m)
-        if m.ty != BOT:
-            raise TypeMismatch(f"sequent member {render(m)} has type {m.ty}, expected bot")
+        check_sequent_member(m)
     return ante, succ
 
 
@@ -1014,13 +1041,6 @@ def parse(text: str, mode: str):
 
 def render_type(ty: TypeExpr) -> str:
     return str(ty)
-
-
-def _render_binder_ty(ty: TypeExpr, mu: bool) -> str:
-    if mu:
-        assert is_neg_type(ty)
-        return "~" + render_type(ty.dom)
-    return render_type(ty)
 
 
 def render(ast, sort_children: bool = False, annotate: bool = True) -> str:
@@ -1076,21 +1096,17 @@ def _render(ast, sort_children: bool, annotate: bool) -> str:
                 if name in bound or name in seen or not annotate:
                     return name
                 seen.add(name)
-                return f"{name}:{_type_atom(ty)}"
+                return f"{name}:{ty}"
             case App(fun, arg):
                 f = slm(fun, bound)
                 if isinstance(fun, (Lam, Mu)):
                     f = f"({f})"
                 return f"({f} {slm(arg, bound)})"
             case Lam(b, bty, body):
-                return f"\\{b}:{_type_atom(bty)}. {slm(body, bound | {b})}"
-            case Mu(b, bty, body):
-                return f"#{b}:{_render_binder_ty(bty, mu=True)}. {slm(body, bound | {b})}"
+                return f"\\{b}:{bty}. {slm(body, bound | {b})}"
+            case Mu(b, _, body):  # the binder has type ~s for the term's type s
+                return f"#{b}:~{t.ty}. {slm(body, bound | {b})}"
         raise CttError(f"cannot render {t!r}")
-
-    def _type_atom(ty: TypeExpr) -> str:
-        # annotation position binds tight: parenthesized unless atomic
-        return render_type(ty)
 
     def cts(s: CtsSubterm) -> str:
         match s:
@@ -1098,7 +1114,7 @@ def _render(ast, sort_children: bool, annotate: bool) -> str:
                 if name in seen or not annotate:
                     return name
                 seen.add(name)
-                return f"{name}:{_type_atom(ty)}@{rank}"
+                return f"{name}:{ty}@{rank}"
             case CApp(fun, arg):
                 return f"({cts(fun)} {cts(arg)})"
             case CNeg(k, child):
@@ -1113,7 +1129,7 @@ def _render(ast, sort_children: bool, annotate: bool) -> str:
                 return f"{op}[{k}]({cts(l)},{cts(r)})"
             case CBigConj(k, x, ty, m) | CBigDisj(k, x, ty, m):
                 op = "All" if isinstance(s, CBigConj) else "Ex"
-                return f"{op}[{k}]({x}:{_type_atom(ty)}@{m})"
+                return f"{op}[{k}]({x}:{ty}@{m})"
         raise CttError(f"cannot render {s!r}")
 
     if isinstance(ast, (Var, App, Lam, Mu, Hole)):

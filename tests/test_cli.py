@@ -295,6 +295,13 @@ def test_fuzz_no_crash(capsys, tmp_path, monkeypatch):
             code = main([cmd, text])
             capsys.readouterr()
             assert code in (2, 3), (cmd, text[:20])
+    # a wide application nests its functor chain as deep as it has
+    # arguments: the budget refuses it before any pass walks the chain
+    wide = 5_000
+    for argv in (["parse", "(x:e" + " x" * wide + ")"],
+                 ["check", "--lang", "cts", "(p:e@0 x:e@0" + " x" * wide + ")"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and f"nests deeper than {MAX_NESTING}" in err, argv[:-1]
     # negative counts are usage errors; zero stays legal
     counts = [(["harness", "--rule", "beta", "--trials", "-5"], 2),
               (["harness", "--rule", "beta", "--trials", "0"], 0),
@@ -316,6 +323,15 @@ def test_fuzz_no_crash(capsys, tmp_path, monkeypatch):
         text = "neg[1](" * inside + "A:bot@0" + ")" * inside
         assert main([cmd, text if cmd == "canon" else "|- " + text]) in (0, 1)
         capsys.readouterr()
+    # a 400-step identity chain still normalizes, and 440 arguments still
+    # reach the type checker
+    chain = "y"
+    for _ in range(400):
+        chain = f"((\\x:e. x) {chain})"
+    code, out, _ = run(capsys, "normalize", "e: " + chain)
+    assert code == 0 and out.strip() == "y"
+    code, _, err = run(capsys, "parse", "(x:e" + " x" * 440 + ")")
+    assert code == 2 and "e is not an arrow type" in err and "nests" not in err
     # truncated and malformed derivation files: an exit code, never a traceback
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## Derivation files", 1)[1].split("```\n")[1]

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -16,12 +17,13 @@ from ctt.semantics import (
     canonicalize_cts, check_equation, classify_context, cts_harness_model,
     cts_rule_harness, enumerate_assignments, eval_cts, eval_slm,
     mu_exhaustive_cases, sequent_semantics, sequent_valid, sequent_verdicts,
-    soundness_harness, standard_model_family, symbolic_assignment,
+    soundness_harness, standard_model_family, symbolic_assignment, _lookup,
 )
 from ctt.sequents import INTRO_RULES, SUBST_RULES
 from ctt.syntax import (
-    App, Arrow, BOT, Base, CVar, Hole, Lam, Mu, TypeMismatch, Var, parse_cts,
-    parse_sequent_members, parse_slm,
+    App, Arrow, BOT, Base, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg, CVar,
+    CttError, Hole, Lam, Mu, TypeMismatch, Var, parse_cts, parse_sequent_members,
+    parse_slm, render,
 )
 
 import corpus
@@ -254,11 +256,37 @@ def test_empty_sequent_invalid(m22):
     assert not sequent_valid([], [], [m22]).valid
 
 
+def reference_eval_cts(sub, model, rho):
+    """`eval_cts` as a plain recursive walk, before it shared one memoized
+    evaluator with the sweep; kept verbatim as the unmemoized reference."""
+    match sub:
+        case CVar(name, ty, rank):
+            return _lookup(name, ty, model, rho, rank_bound=rank)
+        case CApp(fun, arg):
+            return apply_elem(reference_eval_cts(fun, model, rho),
+                              reference_eval_cts(arg, model, rho))
+        case CNeg(k, child):
+            return make_neg(k, reference_eval_cts(child, model, rho))
+        case CConj(k, left, right):
+            l, r = reference_eval_cts(left, model, rho), reference_eval_cts(right, model, rho)
+            return make_meet(k, l.ty, [l, r])
+        case CDisj(k, left, right):
+            l, r = reference_eval_cts(left, model, rho), reference_eval_cts(right, model, rho)
+            return make_join(k, l.ty, [l, r])
+        case CBigConj(k, _, ty, m) | CBigDisj(k, _, ty, m):
+            if m != 0:
+                raise CttError(
+                    f"big operators evaluate only over rank-0 carriers, got @{m}")
+            make = make_meet if isinstance(sub, CBigConj) else make_join
+            return make(k, ty, enumerate_domain(model, ty, 0))
+    raise CttError(f"cannot evaluate {sub!r}")
+
+
 def reference_decision(ante, succ, model, rho):
-    """One assignment decided from scratch: a fresh eval_cts per member,
-    then ba_leq of the antecedent meet and the succedent join."""
-    lvals = [eval_cts(m, model, rho) for m in ante]
-    rvals = [eval_cts(m, model, rho) for m in succ]
+    """One assignment decided from scratch: a fresh reference_eval_cts per
+    member, then ba_leq of the antecedent meet and the succedent join."""
+    lvals = [reference_eval_cts(m, model, rho) for m in ante]
+    rvals = [reference_eval_cts(m, model, rho) for m in succ]
     k = max([1] + [elem_rank(v) for v in lvals + rvals])
     lhs = make_meet(k, BOT, lvals) if lvals else top_at(k, BOT)
     rhs = make_join(k, BOT, rvals) if rvals else bottom_at(k, BOT)
@@ -338,6 +366,25 @@ def random_sequent(seed, n_ante, n_succ, depth):
     succ = [gen.random_bot_subterm(rng, depth, sig, var_ranks=(0, 0, 1))
             for _ in range(n_succ)]
     return ante, succ
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(0, 3),
+       st.sampled_from(ORACLE_MODELS))
+def test_eval_cts_matches_reference_on_random_members(seed, n, depth, models):
+    # members over one signature, so equal subterms recur across members;
+    # assignments missing names show which variable is evaluated first
+    members, _ = random_sequent(seed, n, 0, depth)
+    for model in models:
+        try:
+            rhos = list(itertools.islice(enumerate_assignments(members, model), 40))
+        except CapExceeded:
+            continue
+        rhos += [{}] + [dict(list(rho.items())[1:]) for rho in rhos]
+        for rho in rhos:
+            for m in members:
+                assert (outcome(eval_cts, m, model, rho)
+                        == outcome(reference_eval_cts, m, model, rho)), render(m)
 
 
 def rule_instance_sequents(rule, seed):

@@ -35,8 +35,16 @@ def seq(text):
 
 
 def test_sequent_members_must_be_bot():
-    with pytest.raises(TypeMismatch):
+    # the parser, Sequent.make and the rule checker give one message
+    want = "sequent member x:e@0 has type e, expected bot (at path root)"
+    with pytest.raises(TypeMismatch) as parsed:
+        parse_sequent_members("x:e@0 |- A")
+    with pytest.raises(TypeMismatch) as made:
         Sequent.make([CVar("x", E, 0)], [])
+    raw = Sequent(frozenset([CVar("x", E, 0), A]), frozenset([A]))
+    v = check_rule_instance(raw, [], "ax", None)
+    assert str(parsed.value) == str(made.value) == want
+    assert v == Violation("ax", want)
 
 
 def test_axiom_instance():

@@ -1,4 +1,8 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -236,6 +240,44 @@ def reference_ty(t):
     raise CttError(f"unknown node {t!r}")
 
 
+def reference_rank_check(sub):
+    """`rank_check` as a recursive walk, before nodes kept its outcome in a
+    slot; kept verbatim as the reference."""
+    match sub:
+        case CVar(_, _, rank):
+            if rank < 0:
+                raise RankViolation("variable rank must be a natural number")
+            return rank
+        case CApp(fun, arg):
+            m, n = reference_rank_check(fun), reference_rank_check(arg)
+            fty = fun.ty
+            if not isinstance(fty, Arrow):
+                raise TypeMismatch(f"{fty} is not an arrow type")
+            if fty.dom != arg.ty:
+                raise TypeMismatch(
+                    f"argument type {arg.ty} does not match domain {fty.dom}")
+            return max(m, n)
+        case CNeg(k, child):
+            m = reference_rank_check(child)
+            if k < 1 or m > k:
+                raise RankViolation(f"neg[{k}] needs child rank {m} <= k, k >= 1")
+            return k
+        case CConj(k, l, r) | CDisj(k, l, r):
+            m, n = reference_rank_check(l), reference_rank_check(r)
+            op = "and" if isinstance(sub, CConj) else "or"
+            if k < 1 or m > k or n > k:
+                raise RankViolation(
+                    f"{op}[{k}] needs child ranks {m},{n} <= k, k >= 1")
+            if l.ty != r.ty:
+                raise TypeMismatch(f"{op}[{k}] children differ in type: {l.ty} vs {r.ty}")
+            return k
+        case CBigConj(k, _, _, m) | CBigDisj(k, _, _, m):
+            if k < 1 or m > k or m < 0:
+                raise RankViolation(f"big operator needs index rank {m} <= k, k >= 1")
+            return k
+    raise CttError(f"unknown subterm {sub!r}")
+
+
 def uncached_render(t):
     return syntax._render(t, False, True)
 
@@ -244,9 +286,10 @@ def node_type(t):
     return t.ty
 
 
-# ranked trees over the same names and types at three ranks, with names
-# reused at two signatures; ranks are not checked, as construction does not
-_RANKS = st.integers(0, 2)
+# ranked trees over the same names and types at four ranks (one negative),
+# with names reused at two signatures; ranks are not checked, as
+# construction does not
+_RANKS = st.integers(-1, 2)
 _RAW_SUBTERMS = st.recursive(
     st.builds(CVar, _NAMES, _TYPES, _RANKS)
     | st.builds(CBigConj, _RANKS, _NAMES, _TYPES, _RANKS)
@@ -271,6 +314,7 @@ def assert_slots_match_reference_walks(tree, rng):
         assert outcome(node_type, t) == outcome(reference_ty, t)
         assert outcome(cts_signature, t) == outcome(reference_cts_signature, t)
         assert outcome(render, t) == outcome(uncached_render, t)
+        assert outcome(rank_check, t) == outcome(reference_rank_check, t)
 
 
 @settings(max_examples=300, deadline=None)
@@ -322,6 +366,20 @@ def test_sequent_parsing_defaults():
     assert ante == [] and len(succ) == 1
     with pytest.raises(TypeMismatch):
         parse_sequent_members("x:e@0 |- x")
+
+
+def test_render_refuses_a_mu_binder_without_negation_type():
+    bad = Mu("x", Base("e"), Hole())
+    with pytest.raises(CttError, match="mu binder must have a negation type"):
+        render(bad)
+    # the same error with assertions compiled out
+    code = ("from ctt.syntax import Base, CttError, Hole, Mu, render\n"
+            "try:\n    render(Mu('x', Base('e'), Hole()))\n"
+            "except CttError as ex:\n    print(type(ex).__name__)\n")
+    src = pathlib.Path(__file__).parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.stdout == "TypeMismatch\n", proc.stderr
 
 
 def test_render_sorted_children_flag():
