@@ -97,7 +97,7 @@ TRUE = TruthVal(1)
 
 
 def fn_table(dom: TypeExpr, cod: TypeExpr, mapping: dict) -> FnTable:
-    entries = tuple(sorted(mapping.items(), key=lambda kv: elem_key(kv[0])))
+    entries = tuple(sorted(mapping.items(), key=lambda kv: render_elem(kv[0])))
     return FnTable(dom, cod, entries)
 
 
@@ -144,10 +144,6 @@ def render_elem(e: CanonElem) -> str:
     raise CttError(f"cannot render {e!r}")
 
 
-def elem_key(e: CanonElem) -> str:
-    return render_elem(e)
-
-
 def _check_node(k: int, ty: TypeExpr, children: Iterable[CanonElem]):
     if k < 1:
         raise CttError("Boolean operator nodes carry rank >= 1")
@@ -175,7 +171,7 @@ def _make_lattice(cls, k: int, ty: TypeExpr, children: Iterable[CanonElem]) -> C
         else:
             flat.append(c)
     _check_node(k, ty, flat)
-    uniq = tuple(sorted(dict.fromkeys(flat), key=elem_key))
+    uniq = tuple(sorted(dict.fromkeys(flat), key=render_elem))
     if len(uniq) == 1:
         return uniq[0]
     return cls(k, ty, uniq)
@@ -252,7 +248,7 @@ def _carrier(sizes: tuple, ty: TypeExpr, rank: int) -> tuple[CanonElem, ...]:
                     raise CttError(f"model declares no base type {name}")
                 return tuple(Individual(ty, n) for n in individual_names(size))
             case Arrow(dom, cod):
-                dom_atoms = sorted(_carrier(sizes, dom, 0), key=elem_key)
+                dom_atoms = sorted(_carrier(sizes, dom, 0), key=render_elem)
                 cod_atoms = _carrier(sizes, cod, 0)
                 count = len(cod_atoms) ** len(dom_atoms)
                 if count > MAX_RANK0_ENUM:
@@ -694,7 +690,7 @@ def _check_table_total(table: FnTable, model: ModelConfig):
     except CttError:
         return  # symbolic domain; nothing to check against
     keys = [k for k, _ in table.entries]
-    if sorted(map(elem_key, keys)) != sorted(map(elem_key, carrier)):
+    if sorted(map(render_elem, keys)) != sorted(map(render_elem, carrier)):
         raise TypeMismatch(
             f"table over {render_type(table.dom)} does not cover the carrier")
 

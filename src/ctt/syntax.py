@@ -167,13 +167,18 @@ def strip_negations(ty: TypeExpr) -> tuple[int, TypeExpr]:
 class _Node(Interned):
     """A lambda-mu term or ranked subterm, hash-consed like types. Derived
     facts live in slots: `_ty` holds the type or, for an ill-typed node, the
-    message `.ty` raises with, so construction never raises; `_free` is
-    filled by `free_vars`/`cts_signature` and `_text` by `render`."""
+    message `.ty` raises with, so construction never raises; `height` counts
+    the term levels of the tree (types not counted); `_free` is filled by
+    `free_vars`/`cts_signature` and `_text` by `render`."""
 
-    __slots__ = ("_ty", "_free", "_text")
+    __slots__ = ("_ty", "height", "_free", "_text")
 
     def _build(self):  # a leaf (Var, CVar, Hole) stores its type
         object.__setattr__(self, "_ty", self.ty)
+        self._stack(())
+
+    def _stack(self, kids):
+        object.__setattr__(self, "height", 1 + max((c.height for c in kids), default=0))
 
     @property
     def ty(self) -> TypeExpr:
@@ -202,6 +207,7 @@ class App(_Node):
 
     def _build(self):
         object.__setattr__(self, "_ty", _applied(self.fun._ty))
+        self._stack((self.fun, self.arg))
 
 
 class Lam(_Node):
@@ -212,6 +218,7 @@ class Lam(_Node):
         if not isinstance(ty, str):
             ty = Arrow(self.binder_ty, ty)
         object.__setattr__(self, "_ty", ty)
+        self._stack((self.body,))
 
 
 class Mu(_Node):
@@ -223,6 +230,7 @@ class Mu(_Node):
         ty = (self.binder_ty.dom if is_neg_type(self.binder_ty)
               else "mu binder must have a negation type")
         object.__setattr__(self, "_ty", ty)
+        self._stack((self.body,))
 
 
 class Hole(_Node):
@@ -317,6 +325,7 @@ class _Ranked(_Node):
         self._settle(())
 
     def _settle(self, kids):
+        self._stack(kids)
         faults = [c._fault if isinstance(c, _Ranked)
                   else (CttError, f"unknown subterm {c!r}") for c in kids]
         fault = next(filter(None, faults), None) or _own_fault(self)
@@ -657,54 +666,52 @@ def _signature_walk(sub: CtsSubterm) -> dict[str, tuple[TypeExpr, int]]:
 # ---------------------------------------------------------------------------
 # tokenizer
 
-_TOKEN_RE = re.compile(r"""
+# One match per token: whitespace and comments are skipped, then the token
+# is read. A comment runs from `#` to the end of the line, except that in
+# lambda-mu text a `#` glued to an identifier is the mu sigil (`#x:...`),
+# which SYM then reads. BAD is a character no token starts with; the empty
+# alternative matches at the end of the text and reads no token.
+_SKIP = r"(?:\s|\#[^\n]*)*"
+_SKIP_MU = r"(?:\s|\#(?![A-Za-z_])[^\n]*)*"
+_TOKEN = r"""(?:
       (?P<ARROW>->)
     | (?P<TURNSTILE>\|-)
     | (?P<IDENT>[A-Za-z_][A-Za-z0-9_']*)
     | (?P<NAT>[0-9]+)
-    | (?P<SYM>[()\[\]{}.,:;@~\\#=])
-    | (?P<WS>\s+)
-""", re.VERBOSE)
+    | (?P<SYM>[()\[\]{}.,:;@~\\\#=])
+    | (?P<BAD>.)
+    | \Z
+)"""
+_SCANNERS = tuple(re.compile(skip + _TOKEN, re.VERBOSE | re.DOTALL)
+                  for skip in (_SKIP, _SKIP_MU))
 
 RESERVED = {"bot", "and", "or", "neg", "All", "Ex", "table"}
 
-# Deepest nesting of recursive parser productions. The passes that later
-# walk the tree (typing, rewriting, evaluation, rendering) recurse about as
-# deep, so inputs within the budget stay inside the interpreter's default
-# recursion limit; a 400-step identity chain still parses.
+# Deepest nesting of recursive parser productions, and of the tree an
+# application chain builds. The passes that later walk the tree (typing,
+# rewriting, evaluation, rendering) recurse about as deep, so inputs within
+# the budget stay inside the interpreter's default recursion limit; a
+# 400-step identity chain still parses.
 MAX_NESTING = 450
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str
     text: str
     pos: int
 
 
-def tokenize(text: str, mu_sigil: bool = False, start: int = 0) -> list[Token]:
-    """Tokenize from `start` on, positions counted from the start of `text`;
-    `#` starts a comment unless mu_sigil and directly glued to an
-    identifier (the mu binder form `#x:...`)."""
+def tokenize(text: str, mu_sigil: bool = False) -> list[Token]:
+    """The tokens of `text` and a final EOF; `#` starts a comment unless
+    mu_sigil and directly glued to an identifier (the mu binder `#x:...`)."""
     toks: list[Token] = []
-    i = start
-    while i < len(text):
-        if text[i] == "#":
-            rest = text[i + 1:]
-            if mu_sigil and re.match(r"[A-Za-z_]", rest[:1] or ""):
-                toks.append(Token("SYM", "#", i))
-                i += 1
-                continue
-            nl = text.find("\n", i)
-            i = len(text) if nl < 0 else nl + 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            raise ParseError(f"unexpected character {text[i]!r}", i, text)
-        kind = m.lastgroup or "WS"
-        if kind != "WS":
-            toks.append(Token(kind, m.group(), i))
-        i = m.end()
+    for m in _SCANNERS[mu_sigil].finditer(text):
+        kind = m.lastgroup
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind), text)
+        if kind:
+            toks.append(Token(kind, m[kind], m.start(kind)))
     toks.append(Token("EOF", "", len(text)))
     return toks
 
@@ -726,7 +733,8 @@ class _Cursor:
 
     def within(self, below: int):
         """Fail unless `below` levels under this one stay within the budget:
-        the n-th argument of `(P Q R ...)` puts the functor chain n deeper."""
+        applying the functor `out` of `(P Q R ...)` to one more argument
+        puts its deepest node `out.height` levels under this one."""
         if self.depth + below > MAX_NESTING:
             self.fail(f"input nests deeper than {MAX_NESTING} levels")
 
@@ -800,9 +808,9 @@ def parse_type(text: str) -> TypeExpr:
 # lambda-mu parser
 
 class _SlmParser:
-    def __init__(self, text: str, ctx: Optional[dict[str, TypeExpr]],
-                 default_ty: Optional[TypeExpr], start: int = 0):
-        self.c = _Cursor(tokenize(text, mu_sigil=True, start=start), text)
+    def __init__(self, c: _Cursor, ctx: Optional[dict[str, TypeExpr]],
+                 default_ty: Optional[TypeExpr]):
+        self.c = c
         self.known: dict[str, TypeExpr] = dict(ctx or {})
         self.default_ty = default_ty
 
@@ -823,10 +831,9 @@ class _SlmParser:
                 return Mu(name, bty, body) if is_mu else Lam(name, bty, body)
             if t.text == "(":
                 c.next()
-                out, n = self.term(bound), 0
+                out = self.term(bound)
                 while not c.at(")"):  # (P) groups, (P Q R) left-folds
-                    n += 1
-                    c.within(n)  # the argument itself is parsed at this level
+                    c.within(out.height)
                     out = App(out, self.term(bound))
                 c.expect(")")
                 return out
@@ -858,11 +865,11 @@ class _SlmParser:
         return t.text
 
 
-def _parse_slm_once(text: str, ctx, default_ty, start: int = 0) -> SlmTerm:
-    p = _SlmParser(text, ctx, default_ty, start)
+def _parse_slm_once(c: _Cursor, ctx, default_ty) -> SlmTerm:
+    p = _SlmParser(c, ctx, default_ty)
     term = p.term({})
-    if p.c.peek().kind != "EOF":
-        p.c.fail("trailing input after term")
+    if c.peek().kind != "EOF":
+        c.fail("trailing input after term")
     typecheck_slm(term, {**(ctx or {}), **p.known})
     return term
 
@@ -872,22 +879,25 @@ def parse_slm(text: str, ctx: Optional[dict[str, TypeExpr]] = None,
     """Parse a lambda-mu term and typecheck it.
 
     A leading `TYPE :` gives unannotated free variables a default type,
-    e.g. `e: ((\\x:e. x) y)` types the free y as e. A plain term is tried
-    first, so `x:e` stays an annotated variable. When both readings fail,
-    the error of the one that got further into the input is raised.
+    e.g. `e: ((\\x:e. x) y)` types the free y as e; its colon is a token,
+    not one in a comment. A plain term is tried first, so `x:e` stays an
+    annotated variable. Both readings share one token list. When both
+    fail, the error of the one that got further into the input is raised.
     """
+    toks = tokenize(text, mu_sigil=True)
     try:
-        return _parse_slm_once(text, ctx, default_ty)
+        return _parse_slm_once(_Cursor(toks, text), ctx, default_ty)
     except CttError as original:
-        head, sep, _ = text.partition(":")
-        if default_ty is not None or not sep:
+        if default_ty is not None:
             raise
+        c = _Cursor(toks, text)
         try:
-            prefix_ty = parse_type(head)
+            prefix_ty = _parse_type(c)
+            c.expect(":")
         except CttError:
             raise original from None
         try:
-            return _parse_slm_once(text, ctx, prefix_ty, start=len(head) + 1)
+            return _parse_slm_once(c, ctx, prefix_ty)
         except CttError as retry:
             if _reach(original, text) > _reach(retry, text):
                 raise original from None
@@ -957,10 +967,9 @@ class _CtsParser:
                 return (CBigConj if op == "All" else CBigDisj)(k, name, ty, m)
             if t.text == "(":
                 c.next()
-                out, n = self.subterm(), 0
+                out = self.subterm()
                 while not c.at(")"):
-                    n += 1
-                    c.within(n)
+                    c.within(out.height)
                     out = CApp(out, self.subterm())
                 c.expect(")")
                 return out
@@ -997,13 +1006,11 @@ def parse_cts(text: str, sig: Optional[dict[str, tuple[TypeExpr, int]]] = None) 
     return sub
 
 
-def parse_sequent_members(text: str,
-                          sig: Optional[dict[str, tuple[TypeExpr, int]]] = None,
-                          default_var: tuple[TypeExpr, int] = (BOT, 0),
+def parse_sequent_members(text: str, sig: Optional[dict[str, tuple[TypeExpr, int]]] = None
                           ) -> tuple[list[CtsSubterm], list[CtsSubterm]]:
     """Parse `A, B |- C, D`. Bare unannotated variables default to bot@0."""
     p = _CtsParser(text, sig)
-    p.default_var = default_var
+    p.default_var = (BOT, 0)
 
     def side(stop_kind: str) -> list[CtsSubterm]:
         members = []
@@ -1066,26 +1073,6 @@ def render(ast, sort_children: bool = False, annotate: bool = True) -> str:
 
 def _render(ast, sort_children: bool, annotate: bool) -> str:
     """The walk behind `render`, for lambda-mu terms and ranked subterms."""
-
-    def _bare_key(s: CtsSubterm) -> str:
-        match s:
-            case CVar(name, _, _):
-                return name
-            case CApp(fun, arg):
-                return f"({_bare_key(fun)} {_bare_key(arg)})"
-            case CNeg(k, child):
-                return f"neg[{k}]({_bare_key(child)})"
-            case CConj(k, l, r) | CDisj(k, l, r):
-                op = "and" if isinstance(s, CConj) else "or"
-                a, b = _bare_key(l), _bare_key(r)
-                if sort_children and b < a:
-                    a, b = b, a
-                return f"{op}[{k}]({a},{b})"
-            case CBigConj(k, x, _, m) | CBigDisj(k, x, _, m):
-                op = "All" if isinstance(s, CBigConj) else "Ex"
-                return f"{op}[{k}]({x}@{m})"
-        raise CttError(f"cannot render {s!r}")
-
     seen: set[str] = set()
 
     def slm(t: SlmTerm, bound: frozenset[str]) -> str:
@@ -1108,28 +1095,38 @@ def _render(ast, sort_children: bool, annotate: bool) -> str:
                 return f"#{b}:~{t.ty}. {slm(body, bound | {b})}"
         raise CttError(f"cannot render {t!r}")
 
-    def cts(s: CtsSubterm) -> str:
+    keys: dict[CtsSubterm, str] = {}
+
+    def key(s: CtsSubterm) -> str:
+        """The `sort_children` order of `s`: its sorted text without
+        annotations or index types, worked out once per node per call."""
+        if s not in keys:
+            keys[s] = cts(s, True)
+        return keys[s]
+
+    def cts(s: CtsSubterm, bare: bool = False) -> str:
+        part = key if bare else cts
         match s:
             case CVar(name, ty, rank):
-                if name in seen or not annotate:
+                if bare or name in seen or not annotate:
                     return name
                 seen.add(name)
                 return f"{name}:{ty}@{rank}"
             case CApp(fun, arg):
-                return f"({cts(fun)} {cts(arg)})"
+                return f"({part(fun)} {part(arg)})"
             case CNeg(k, child):
-                return f"neg[{k}]({cts(child)})"
+                return f"neg[{k}]({part(child)})"
             case CConj(k, l, r) | CDisj(k, l, r):
                 op = "and" if isinstance(s, CConj) else "or"
-                # ordering is decided on annotation-free keys, then the
-                # children are rendered in that order so first-use
-                # annotations still come out left to right
-                if sort_children and _bare_key(r) < _bare_key(l):
+                # ordering is decided on the keys, then the children are
+                # rendered in that order so first-use annotations still
+                # come out left to right
+                if sort_children and key(r) < key(l):
                     l, r = r, l
-                return f"{op}[{k}]({cts(l)},{cts(r)})"
+                return f"{op}[{k}]({part(l)},{part(r)})"
             case CBigConj(k, x, ty, m) | CBigDisj(k, x, ty, m):
                 op = "All" if isinstance(s, CBigConj) else "Ex"
-                return f"{op}[{k}]({x}:{ty}@{m})"
+                return f"{op}[{k}]({x}@{m})" if bare else f"{op}[{k}]({x}:{ty}@{m})"
         raise CttError(f"cannot render {s!r}")
 
     if isinstance(ast, (Var, App, Lam, Mu, Hole)):

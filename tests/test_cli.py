@@ -298,8 +298,17 @@ def test_fuzz_no_crash(capsys, tmp_path, monkeypatch):
     # a wide application nests its functor chain as deep as it has
     # arguments: the budget refuses it before any pass walks the chain
     wide = 5_000
+    # a deep functor or first argument applied to as many arguments: the
+    # chain puts the functor one level deeper per argument and the first
+    # argument one level less, and outer arguments put an inner chain
+    # deeper still
+    lams = "(" + "\\y:e. " * 440 + "y)"
+    deep_fun = "((" + lams + " x:e" + " x" * 439 + ")" + " x" * 440 + ")"
+    deep_arg = "(f:e " + lams + " x:e" + " x" * 439 + ")"
     for argv in (["parse", "(x:e" + " x" * wide + ")"],
-                 ["check", "--lang", "cts", "(p:e@0 x:e@0" + " x" * wide + ")"]):
+                 ["check", "--lang", "cts", "(p:e@0 x:e@0" + " x" * wide + ")"],
+                 ["parse", deep_fun], ["check", deep_fun], ["normalize", deep_fun],
+                 ["parse", deep_arg]):
         code, _, err = run(capsys, *argv)
         assert code == 2 and f"nests deeper than {MAX_NESTING}" in err, argv[:-1]
     # negative counts are usage errors; zero stays legal
