@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
 """Scope-ambiguity walkthrough: one sentence shape, two rank assignments,
-two canonical forms, and the sequent derivations connecting them.
+two canonical forms, and the sequent derivations connecting them. Exits
+0 when both derivations are found and re-checked, 1 (with the failure on
+stderr) otherwise.
 
     python scripts/scope_demo.py
 """
+
+import sys
 
 from ctt.cli import demo_scope_outputs
 from ctt.sequents import Sequent, check_derivation, prove, render_derivation_file
@@ -24,11 +28,16 @@ def main():
         lhs = parse_cts(text, sig=dict(SIG))
         rhs = parse_cts(canon, sig=dict(SIG))
         derivation = prove(Sequent.make([lhs], [rhs]), depth=30)
-        assert derivation is not None and check_derivation(derivation) is None
+        failure = ("no derivation found" if derivation is None
+                   else check_derivation(derivation))
+        if failure is not None:
+            print(f"reading {reading}: {failure}", file=sys.stderr)
+            return 1
         steps = sum(1 for _ in derivation.nodes()) - 1
         print(f"  derivation: {steps} substitution steps, re-checked")
         print("  " + render_derivation_file(derivation).replace("\n", "\n  "))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

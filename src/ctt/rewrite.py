@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 from .syntax import (
     App, Arrow, BOT, CttError, Hole, Lam, Mu, SlmTerm, TypeMismatch, Var,
-    free_vars, render, slm_at, slm_children, slm_replace,
+    children, free_vars, render, replace_at, subterm_at, with_child,
 )
 
 
@@ -56,9 +56,13 @@ class RewriteTrace:
     def replay(self) -> SlmTerm:
         term = self.start
         for s in self.steps:
-            if slm_at(term, s.path) != s.before:
+            try:
+                here = subterm_at(term, s.path)
+            except CttError:  # the path leaves the term
+                here = None
+            if here != s.before:
                 raise CttError(f"trace does not replay at {s.path}")
-            term = slm_replace(term, s.path, s.after)
+            term = replace_at(term, s.path, s.after)
         return term
 
 
@@ -208,12 +212,6 @@ def _match_redex(term: SlmTerm, supply: NameSupply) -> Optional[tuple[SlmTerm, R
     return None
 
 
-def _with_child(parent: SlmTerm, i: int, child: SlmTerm) -> SlmTerm:
-    if isinstance(parent, App):
-        return App(child, parent.arg) if i == 0 else App(parent.fun, child)
-    return type(parent)(parent.binder, parent.binder_ty, child)
-
-
 class _RedexSearch:
     """The leftmost-outermost (preorder) or leftmost-innermost (postorder)
     redex search over one term, resumed after each contraction instead of
@@ -241,7 +239,7 @@ class _RedexSearch:
     def root(self) -> SlmTerm:
         t = self.focus
         for parent, i in zip(reversed(self.up), reversed(self.path)):
-            t = _with_child(parent, i, t)  # the parent itself if t is its child
+            t = with_child(parent, i, t)  # the parent itself if t is its child
         return t
 
     def next(self) -> Optional[Step]:
@@ -261,7 +259,7 @@ class _RedexSearch:
                     self.focus = rebuilt
                     del self.path[d:], self.up[d:]
                     return self._contract(hit)
-                rebuilt = slm_children(rebuilt)[self.path[d]]
+                rebuilt = children(rebuilt)[self.path[d]]
             self.focus = rebuilt
         return self._preorder(supply)
 
@@ -277,34 +275,34 @@ class _RedexSearch:
         if not self.path:
             return None
         i = self.path.pop()
-        self.focus = _with_child(self.up.pop(), i, self.focus)
+        self.focus = with_child(self.up.pop(), i, self.focus)
         return i
 
     def _to_child(self, i: int):
         self.up.append(self.focus)
         self.path.append(i)
-        self.focus = slm_children(self.focus)[i]
+        self.focus = children(self.focus)[i]
 
     def _preorder(self, supply: NameSupply) -> Optional[Step]:
         while True:
             hit = _match_redex(self.focus, supply)
             if hit is not None:
                 return self._contract(hit)
-            if slm_children(self.focus):
+            if children(self.focus):
                 self._to_child(0)
                 continue
             while True:  # the next right sibling of the nearest ancestor
                 i = self._climb()
                 if i is None:
                     return None
-                if i + 1 < len(slm_children(self.focus)):
+                if i + 1 < len(children(self.focus)):
                     self._to_child(i + 1)
                     break
 
     def _postorder(self, supply: NameSupply) -> Optional[Step]:
         while True:
             if self.changed:  # start at the leftmost leaf of the focus
-                while slm_children(self.focus):
+                while children(self.focus):
                     self._to_child(0)
                 self.changed = False
             hit = _match_redex(self.focus, supply)
@@ -313,7 +311,7 @@ class _RedexSearch:
             i = self._climb()
             if i is None:
                 return None
-            if i + 1 < len(slm_children(self.focus)):
+            if i + 1 < len(children(self.focus)):
                 self._to_child(i + 1)
                 self.changed = True
 

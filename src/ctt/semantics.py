@@ -30,8 +30,8 @@ from .domains import (
 from .syntax import (
     App, Arrow, BOT, Base, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg,
     CVar, CtsSubterm, CttError, Hole, Lam, Mu, SlmTerm, TypeExpr,
-    TypeMismatch, Var, cts_signature, render, signature_table, slm_children,
-    typecheck_slm,
+    TypeMismatch, Var, children, cts_signature, render, signature_table,
+    typecheck_slm, with_child,
 )
 
 Assignment = dict[str, CanonElem]
@@ -99,7 +99,7 @@ def _binder_sweep(term: SlmTerm, model: ModelConfig) -> int:
             sweep = min(sweep * _carrier_size(t.binder_ty, model),
                         MAX_RANK0_ENUM + 1)
         worst = max(worst, sweep)
-        stack.extend((c, sweep) for c in slm_children(t))
+        stack.extend((c, sweep) for c in children(t))
     return worst
 
 
@@ -226,22 +226,16 @@ class ContextClass(Enum):
 def count_holes(term: SlmTerm) -> int:
     if isinstance(term, Hole):
         return 1
-    return sum(count_holes(c) for c in slm_children(term))
+    return sum(count_holes(c) for c in children(term))
 
 
 def fill_hole(context: SlmTerm, filler: SlmTerm) -> SlmTerm:
     """Plug the unique bot-typed hole."""
-    match context:
-        case Hole():
-            return filler
-        case App(fun, arg):
-            return App(fill_hole(fun, filler), fill_hole(arg, filler))
-        case Lam(b, bty, body):
-            return Lam(b, bty, fill_hole(body, filler))
-        case Mu(b, bty, body):
-            return Mu(b, bty, fill_hole(body, filler))
-        case _:
-            return context
+    if isinstance(context, Hole):
+        return filler
+    for i, c in enumerate(children(context)):
+        context = with_child(context, i, fill_hole(c, filler))
+    return context
 
 
 def classify_context(context: SlmTerm, model: ModelConfig,
@@ -521,7 +515,7 @@ def _mutate_mu_rhs(lhs: SlmTerm, rhs: SlmTerm) -> SlmTerm:
             case App(Var(name, _), _) if name == binder:
                 return t
             case _:
-                for c in slm_children(t):
+                for c in children(t):
                     hit = find_bound_app(c, binder)
                     if hit is not None:
                         return hit

@@ -29,8 +29,8 @@ from typing import Iterator, Optional, Union
 from .domains import ModelConfig, enumerate_domain, render_elem, Individual, TruthVal
 from .syntax import (
     BOT, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg, CVar, CtsSubterm,
-    CttError, Interned, RankViolation, TypeExpr, check_sequent_member, cts_at,
-    cts_children, cts_replace, cts_signature, rank_check, render,
+    CttError, Interned, RankViolation, TypeExpr, check_sequent_member, children,
+    cts_signature, rank_check, render, replace_at, subterm_at,
 )
 
 
@@ -271,10 +271,10 @@ def rule_premises(seq: Sequent, rule: str, pos: Optional[Pos],
         if pos is None or pos.side != flavor[0]:
             return Violation(rule, f"position must be on side {flavor[0]}")
         member = seq.side(pos.side)[pos.member]
-        out = squeeze_out(cts_at(member, pos.path), op, flavor[1] == "l", model)
+        out = squeeze_out(subterm_at(member, pos.path), op, flavor[1] == "l", model)
         if isinstance(out, str):
             return Violation(rule, out)
-        return [seq.replace(pos.side, member, [cts_replace(member, pos.path, out)])]
+        return [seq.replace(pos.side, member, [replace_at(member, pos.path, out)])]
 
     if rule not in INTRO_RULES:
         return Violation(rule, f"unknown rule {rule!r}")
@@ -286,7 +286,7 @@ def rule_premises(seq: Sequent, rule: str, pos: Optional[Pos],
         return Violation(rule, f"member {render(formula)} is not a {op} node")
     rest = seq.replace(side, formula, [])
     side_members = rest.ante | rest.succ
-    ranks = [c.rank for c in cts_children(formula)]
+    ranks = [c.rank for c in children(formula)]
     if op in ("all", "ex"):
         if formula.ty != BOT:
             return Violation(rule, "big-operator introduction needs a bot-typed index")
@@ -416,7 +416,7 @@ def _innermost_redex(sub: CtsSubterm, path=()) -> Optional[tuple[tuple[int, ...]
     """Deepest application with a Boolean-topped side: (path, op, functor?).
     Rank picks the side, functor winning ties, exactly matching how
     apply_elem distributes."""
-    for i, c in enumerate(cts_children(sub)):
+    for i, c in enumerate(children(sub)):
         hit = _innermost_redex(c, path + (i,))
         if hit is not None:
             return hit

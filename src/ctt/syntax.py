@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 import weakref
+from operator import attrgetter
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from enum import Enum
@@ -165,13 +166,27 @@ def strip_negations(ty: TypeExpr) -> tuple[int, TypeExpr]:
 # tree nodes
 
 class _Node(Interned):
-    """A lambda-mu term or ranked subterm, hash-consed like types. Derived
-    facts live in slots: `_ty` holds the type or, for an ill-typed node, the
-    message `.ty` raises with, so construction never raises; `height` counts
-    the term levels of the tree (types not counted); `_free` is filled by
-    `free_vars`/`cts_signature` and `_text` by `render`."""
+    """A lambda-mu term or ranked subterm, hash-consed like types. Each node
+    class names its child fields once, in `_child_fields`, from which
+    `children`, `with_child`, `subterm_at` and `replace_at` serve both
+    languages. Derived facts live in slots: `_ty` holds the type or, for an
+    ill-typed node, the message `.ty` raises with, so construction never
+    raises; `height` counts the term levels of the tree (types not counted);
+    `_free` is filled by `free_vars`/`cts_signature` and `_text` by
+    `render`."""
 
     __slots__ = ("_ty", "height", "_free", "_text")
+    _child_fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # one getter per class, returning the children as a tuple
+        names = cls._child_fields
+        get = attrgetter(*names) if names else (lambda node: ())
+        if len(names) == 1:
+            one = get
+            get = lambda node: (one(node),)
+        cls._children = staticmethod(get)
 
     def _build(self):  # a leaf (Var, CVar, Hole) stores its type
         object.__setattr__(self, "_ty", self.ty)
@@ -196,6 +211,49 @@ def _applied(fty) -> Union[TypeExpr, str]:
 
 
 # ---------------------------------------------------------------------------
+# navigation, for both languages
+
+def children(node: _Node) -> tuple:
+    """The node-valued fields of `node`, in declaration order."""
+    return node._children(node)
+
+
+def with_child(node: _Node, i: int, new: _Node) -> _Node:
+    """`node` with its `i`-th child replaced by `new`; `node` itself when
+    `new` is that child already."""
+    name = node._child_fields[i]
+    if getattr(node, name) is new:
+        return node
+    return type(node)(*(new if f == name else getattr(node, f)
+                        for f in node.__match_args__))
+
+
+def subterm_at(node: _Node, path: tuple[int, ...]) -> _Node:
+    """The subterm at `path`, a child index per level."""
+    for i in path:
+        kids = children(node)
+        if not 0 <= i < len(kids):
+            raise CttError(f"bad path component {i} at {render(node)}")
+        node = kids[i]
+    return node
+
+
+def replace_at(node: _Node, path: tuple[int, ...], new: _Node) -> _Node:
+    """`node` with the subterm at `path` replaced by `new`; the ancestors
+    are rebuilt bottom-up from an explicit spine."""
+    spine = []
+    for d, i in enumerate(path):
+        kids = children(node)
+        if not 0 <= i < len(kids):
+            raise CttError(f"bad path {path[d:]} into {render(node)}")
+        spine.append(node)
+        node = kids[i]
+    for parent, i in zip(reversed(spine), reversed(path)):
+        new = with_child(parent, i, new)
+    return new
+
+
+# ---------------------------------------------------------------------------
 # lambda-mu terms
 
 class Var(_Node):
@@ -203,34 +261,36 @@ class Var(_Node):
 
 
 class App(_Node):
-    __slots__ = __match_args__ = ("fun", "arg")
+    __slots__ = __match_args__ = _child_fields = ("fun", "arg")
 
     def _build(self):
         object.__setattr__(self, "_ty", _applied(self.fun._ty))
-        self._stack((self.fun, self.arg))
+        self._stack(children(self))
 
 
 class Lam(_Node):
     __slots__ = __match_args__ = ("binder", "binder_ty", "body")
+    _child_fields = ("body",)
 
     def _build(self):
         ty = self.body._ty
         if not isinstance(ty, str):
             ty = Arrow(self.binder_ty, ty)
         object.__setattr__(self, "_ty", ty)
-        self._stack((self.body,))
+        self._stack(children(self))
 
 
 class Mu(_Node):
     """mu-abstraction: binder has type ~s, body type bot, whole term type s."""
 
     __slots__ = __match_args__ = ("binder", "binder_ty", "body")
+    _child_fields = ("body",)
 
     def _build(self):
         ty = (self.binder_ty.dom if is_neg_type(self.binder_ty)
               else "mu binder must have a negation type")
         object.__setattr__(self, "_ty", ty)
-        self._stack((self.body,))
+        self._stack(children(self))
 
 
 class Hole(_Node):
@@ -279,38 +339,6 @@ def typecheck_slm(term: SlmTerm, ctx: Optional[dict[str, TypeExpr]] = None,
     raise TypeMismatch(f"unknown node {term!r}", _path)
 
 
-def slm_children(term: SlmTerm) -> tuple[SlmTerm, ...]:
-    match term:
-        case App(fun, arg):
-            return (fun, arg)
-        case Lam(_, _, body) | Mu(_, _, body):
-            return (body,)
-        case _:
-            return ()
-
-
-def slm_replace(term: SlmTerm, path: tuple[int, ...], new: SlmTerm) -> SlmTerm:
-    if not path:
-        return new
-    i, rest = path[0], path[1:]
-    match term, i:
-        case App(fun, arg), 0:
-            return App(slm_replace(fun, rest, new), arg)
-        case App(fun, arg), 1:
-            return App(fun, slm_replace(arg, rest, new))
-        case Lam(b, bt, body), 0:
-            return Lam(b, bt, slm_replace(body, rest, new))
-        case Mu(b, bt, body), 0:
-            return Mu(b, bt, slm_replace(body, rest, new))
-    raise CttError(f"bad path {path} into {render(term)}")
-
-
-def slm_at(term: SlmTerm, path: tuple[int, ...]) -> SlmTerm:
-    for i in path:
-        term = slm_children(term)[i]
-    return term
-
-
 # ---------------------------------------------------------------------------
 # ranked subterms
 
@@ -337,13 +365,13 @@ class CVar(_Ranked):
 
 
 class CApp(_Ranked):
-    __match_args__ = ("fun", "arg")
+    __match_args__ = _child_fields = ("fun", "arg")
     __slots__ = (*__match_args__, "rank")
 
     def _build(self):
         object.__setattr__(self, "_ty", _applied(self.fun._ty))
         object.__setattr__(self, "rank", max(self.fun.rank, self.arg.rank))
-        self._settle((self.fun, self.arg))
+        self._settle(children(self))
 
 
 class _Op(_Ranked):
@@ -353,7 +381,7 @@ class _Op(_Ranked):
     __slots__ = ("rank",)
 
     def _build(self):
-        kids = cts_children(self)
+        kids = children(self)
         object.__setattr__(self, "_ty", kids[0]._ty if kids else self.index_ty)
         object.__setattr__(self, "rank", self.k)
         self._settle(kids)
@@ -361,14 +389,17 @@ class _Op(_Ranked):
 
 class CNeg(_Op):
     __slots__ = __match_args__ = ("k", "child")
+    _child_fields = ("child",)
 
 
 class CConj(_Op):
     __slots__ = __match_args__ = ("k", "left", "right")
+    _child_fields = ("left", "right")
 
 
 class CDisj(_Op):
     __slots__ = __match_args__ = ("k", "left", "right")
+    _child_fields = ("left", "right")
 
 
 class CBigConj(_Op):
@@ -408,49 +439,6 @@ def _own_fault(s: "CtsSubterm") -> Optional[tuple[type, str]]:
 CtsSubterm = Union[CVar, CApp, CNeg, CConj, CDisj, CBigConj, CBigDisj]
 
 
-def cts_children(sub: CtsSubterm) -> tuple[CtsSubterm, ...]:
-    match sub:
-        case CApp(fun, arg):
-            return (fun, arg)
-        case CNeg(_, child):
-            return (child,)
-        case CConj(_, l, r) | CDisj(_, l, r):
-            return (l, r)
-        case _:
-            return ()
-
-
-def cts_at(sub: CtsSubterm, path: tuple[int, ...]) -> CtsSubterm:
-    for i in path:
-        kids = cts_children(sub)
-        if i >= len(kids):
-            raise CttError(f"bad path component {i} at {render(sub)}")
-        sub = kids[i]
-    return sub
-
-
-def cts_replace(sub: CtsSubterm, path: tuple[int, ...], new: CtsSubterm) -> CtsSubterm:
-    if not path:
-        return new
-    i, rest = path[0], path[1:]
-    match sub, i:
-        case CApp(fun, arg), 0:
-            return CApp(cts_replace(fun, rest, new), arg)
-        case CApp(fun, arg), 1:
-            return CApp(fun, cts_replace(arg, rest, new))
-        case CNeg(k, child), 0:
-            return CNeg(k, cts_replace(child, rest, new))
-        case CConj(k, l, r), 0:
-            return CConj(k, cts_replace(l, rest, new), r)
-        case CConj(k, l, r), 1:
-            return CConj(k, l, cts_replace(r, rest, new))
-        case CDisj(k, l, r), 0:
-            return CDisj(k, cts_replace(l, rest, new), r)
-        case CDisj(k, l, r), 1:
-            return CDisj(k, l, cts_replace(r, rest, new))
-    raise CttError(f"bad path {path} into {render(sub)}")
-
-
 def rank_check(sub: CtsSubterm) -> int:
     """Raise the first broken rank or type side condition in `sub`, found
     when its nodes were built (`_own_fault`); else return its rank."""
@@ -478,7 +466,7 @@ class SyntaxClass(Enum):
 def _has_boolean(sub: CtsSubterm) -> bool:
     if isinstance(sub, (CNeg, CConj, CDisj, CBigConj, CBigDisj)):
         return True
-    return any(_has_boolean(c) for c in cts_children(sub))
+    return any(_has_boolean(c) for c in children(sub))
 
 
 def _canonical_shape(sub: CtsSubterm) -> bool:
@@ -488,7 +476,7 @@ def _canonical_shape(sub: CtsSubterm) -> bool:
         case CBigConj(_, _, _, m) | CBigDisj(_, _, _, m):
             return m == 0
         case _:
-            return all(_canonical_shape(c) for c in cts_children(sub))
+            return all(_canonical_shape(c) for c in children(sub))
 
 
 def classify(sub: CtsSubterm) -> SyntaxClass:
@@ -516,7 +504,7 @@ def free_vars(term: SlmTerm) -> dict[str, TypeExpr]:
     Every node keeps its table once asked: asking about a term built around
     subterms already asked costs its new nodes.
     """
-    table = _free_table(term, _SLM_NODES, slm_children, _slm_free)
+    table = _free_table(term, _SLM_NODES, _slm_free)
     if table is None:
         return _free_vars_walk(term)
     return dict(table)
@@ -540,14 +528,14 @@ def signature_table(sub: CtsSubterm) -> Optional[dict[str, tuple[TypeExpr, int]]
     """The memoized `cts_signature` table of `sub`, shared between nodes
     (never mutate it), or None when a name occurs at two signatures below
     it. Fills the table of every node below it."""
-    return _free_table(sub, _CTS_NODES, cts_children, _cts_free)
+    return _free_table(sub, _CTS_NODES, _cts_free)
 
 
 _SLM_NODES = (Var, App, Lam, Mu, Hole)
 _CTS_NODES = (CVar, CApp, CNeg, CConj, CDisj, CBigConj, CBigDisj)
 
 
-def _free_table(node, kinds, children, local) -> Optional[dict]:
+def _free_table(node, kinds, local) -> Optional[dict]:
     """The memoized `_free` table of `node`, or None when a name maps to two
     values below it or a node is not of `kinds`, where the callers leave
     the answer to the walk. Fills the missing tables bottom-up with an
@@ -655,8 +643,8 @@ def _signature_walk(sub: CtsSubterm) -> dict[str, tuple[TypeExpr, int]]:
                 out[name] = (ty, rank)
             case CBigConj() | CBigDisj():
                 pass
-            case _:
-                for c in cts_children(s):
+            case _Ranked():  # lambda-mu nodes have no ranked variables
+                for c in children(s):
                     go(c)
 
     go(sub)
@@ -1129,8 +1117,8 @@ def _render(ast, sort_children: bool, annotate: bool) -> str:
                 return f"{op}[{k}]({x}@{m})" if bare else f"{op}[{k}]({x}:{ty}@{m})"
         raise CttError(f"cannot render {s!r}")
 
-    if isinstance(ast, (Var, App, Lam, Mu, Hole)):
+    if isinstance(ast, _SLM_NODES):
         return slm(ast, frozenset())
-    if isinstance(ast, (CVar, CApp, CNeg, CConj, CDisj, CBigConj, CBigDisj)):
+    if isinstance(ast, _CTS_NODES):
         return cts(ast)
     raise CttError(f"cannot render {ast!r}")

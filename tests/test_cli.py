@@ -392,3 +392,24 @@ def test_closed_stdout_exits_without_traceback():
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 2, err
         assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+def test_scope_demo_exits_1_when_a_derivation_fails_to_check():
+    # run under -O, where an assert would not check anything; the patched
+    # checker is what the script imports
+    repo = pathlib.Path(__file__).parents[1]
+    script = repo / "scripts" / "scope_demo.py"
+    patch = ("import runpy, sys, ctt.sequents as s\n"
+             "s.check_derivation = lambda d: s.DerivationFailure((0,), "
+             "s.Violation('ax', 'forced failure'))\n"
+             "sys.argv = [sys.argv[1]]\n"
+             "runpy.run_path(sys.argv[0], run_name='__main__')\n")
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", patch, str(script)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "reading 1: at 0: ax: forced failure\n"
+    assert "re-checked" not in proc.stdout
+    proc = subprocess.run([sys.executable, "-O", str(script)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stdout.count("re-checked") == 2, proc.stderr

@@ -446,7 +446,7 @@ def test_canonicalize_agrees_with_syntactic_squeezing():
     separate code path from apply_elem) must reach the same canonical
     element on random subterms."""
     from ctt.sequents import squeeze_out, _innermost_redex
-    from ctt.syntax import cts_at, cts_replace, classify, SyntaxClass
+    from ctt.syntax import classify, replace_at, subterm_at, SyntaxClass
     from ctt.semantics import canonicalize_cts
 
     model = ModelConfig()
@@ -460,9 +460,9 @@ def test_canonicalize_agrees_with_syntactic_squeezing():
             if hit is None:
                 break
             path, op, functor_side = hit
-            out = squeeze_out(cts_at(syntactic, path), op, functor_side, model)
+            out = squeeze_out(subterm_at(syntactic, path), op, functor_side, model)
             assert not isinstance(out, str), out
-            syntactic = cts_replace(syntactic, path, out)
+            syntactic = replace_at(syntactic, path, out)
         assert classify(syntactic) in (SyntaxClass.ATOMIC, SyntaxClass.CANONICAL)
         assert canonicalize_cts(syntactic, model) == canonicalize_cts(sub, model)
 

@@ -10,8 +10,8 @@ from ctt.rewrite import (
     normalize, step, structural_subst, substitute,
 )
 from ctt.syntax import (
-    App, Arrow, BOT, Base, CttError, Lam, Mu, TypeMismatch, Var, free_vars,
-    neg_type, parse_slm, render, slm_at, slm_children, slm_replace,
+    App, Arrow, BOT, Base, CttError, Lam, Mu, TypeMismatch, Var, children,
+    free_vars, neg_type, parse_slm, render, replace_at, subterm_at,
     typecheck_slm,
 )
 
@@ -160,6 +160,18 @@ def test_trace_replay():
     assert trace.replay() == out
 
 
+@pytest.mark.parametrize("path", [(0, 0, 5), (2,), (0, 1)])
+def test_trace_replay_rejects_a_path_that_leaves_the_term(path):
+    """Past a leaf (x), past the last child of an application, past the
+    only child of a lambda: each is a step that does not replay."""
+    t = slm(r"e: ((\x:e. x) y)")
+    _, trace, _ = normalize(t)
+    bad = RewriteTrace(t, [Step(path, RuleTag.BETA, t, trace.steps[0].after)])
+    with pytest.raises(CttError) as err:
+        bad.replay()
+    assert str(err.value) == f"trace does not replay at {path}"
+
+
 def test_normalize_innermost_strategy():
     t = slm(r"e: ((\x:e. x) ((\y:e. y) z))")
     out, trace, _ = normalize(t, strategy="innermost")
@@ -258,11 +270,11 @@ def _reference_all_names(term):
 def _reference_positions(term, innermost):
     def outer(t, path):
         yield path
-        for i, c in enumerate(slm_children(t)):
+        for i, c in enumerate(children(t)):
             yield from outer(c, path + (i,))
 
     def inner(t, path):
-        for i, c in enumerate(slm_children(t)):
+        for i, c in enumerate(children(t)):
             yield from inner(c, path + (i,))
         yield path
 
@@ -274,11 +286,11 @@ def reference_step(term, strategy="outermost"):
         raise CttError(f"unknown strategy {strategy!r}")
     supply = NameSupply(_reference_all_names(term))
     for path in _reference_positions(term, innermost=strategy == "innermost"):
-        sub = slm_at(term, path)
+        sub = subterm_at(term, path)
         hit = _match_redex(sub, supply)
         if hit is not None:
             after, tag = hit
-            return slm_replace(term, path, after), path, tag
+            return replace_at(term, path, after), path, tag
     return None
 
 
@@ -289,7 +301,7 @@ def reference_normalize(term, strategy="outermost", fuel=DEFAULT_FUEL):
         if hit is None:
             return term, trace, NormalStatus.NORMAL_FORM
         new, path, tag = hit
-        trace.steps.append(Step(path, tag, slm_at(term, path), slm_at(new, path)))
+        trace.steps.append(Step(path, tag, subterm_at(term, path), subterm_at(new, path)))
         term = new
     if reference_step(term, strategy) is None:
         return term, trace, NormalStatus.NORMAL_FORM

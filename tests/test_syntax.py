@@ -14,10 +14,10 @@ from ctt import syntax
 from ctt.syntax import (
     App, Arrow, BOT, Base, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg,
     CttError, CVar, Hole, Lam, Mu, ParseError, RankViolation, SyntaxClass,
-    TypeMismatch, UnboundVariable, Var, classify, cts_children, cts_signature,
+    TypeMismatch, UnboundVariable, Var, children, classify, cts_signature,
     free_vars, is_neg_type, neg_type, parse, parse_cts, parse_sequent_members,
-    parse_slm, parse_type, rank_check, render, render_type, slm_children,
-    typecheck_slm,
+    parse_slm, parse_type, rank_check, render, render_type, replace_at,
+    subterm_at, typecheck_slm, with_child,
 )
 
 import corpus
@@ -184,7 +184,7 @@ _RAW_TERMS = st.recursive(
 def test_free_vars_matches_reference_walk(term, rng):
     def subterms(t):
         yield t
-        for c in slm_children(t):
+        for c in children(t):
             yield from subterms(c)
 
     # ask in a random order, so tables are reused from either side
@@ -281,8 +281,7 @@ def reference_rank_check(sub):
 
 
 def reference_height(t):
-    kids = slm_children(t) + cts_children(t)
-    return 1 + max(map(reference_height, kids), default=0)
+    return 1 + max(map(reference_height, slm_children(t) + cts_children(t)), default=0)
 
 
 def uncached_render(t):
@@ -309,7 +308,7 @@ _RAW_SUBTERMS = st.recursive(
 
 def subterms(t):
     yield t
-    for c in slm_children(t) + cts_children(t):
+    for c in children(t):
         yield from subterms(c)
 
 
@@ -351,6 +350,176 @@ def test_equal_fields_build_one_node():
     # the node classes are distinct even where their fields agree
     assert CConj(1, c, c) is not CDisj(1, c, c)
     assert Lam("x", e, x) is not Mu("x", e, x)
+
+
+# The per-language navigation that one declaration of child fields per node
+# class replaced, kept verbatim as the reference.
+
+def slm_children(term):
+    match term:
+        case App(fun, arg):
+            return (fun, arg)
+        case Lam(_, _, body) | Mu(_, _, body):
+            return (body,)
+        case _:
+            return ()
+
+
+def slm_replace(term, path, new):
+    if not path:
+        return new
+    i, rest = path[0], path[1:]
+    match term, i:
+        case App(fun, arg), 0:
+            return App(slm_replace(fun, rest, new), arg)
+        case App(fun, arg), 1:
+            return App(fun, slm_replace(arg, rest, new))
+        case Lam(b, bt, body), 0:
+            return Lam(b, bt, slm_replace(body, rest, new))
+        case Mu(b, bt, body), 0:
+            return Mu(b, bt, slm_replace(body, rest, new))
+    raise CttError(f"bad path {path} into {render(term)}")
+
+
+def slm_at(term, path):
+    for i in path:
+        term = slm_children(term)[i]
+    return term
+
+
+def cts_children(sub):
+    match sub:
+        case CApp(fun, arg):
+            return (fun, arg)
+        case CNeg(_, child):
+            return (child,)
+        case CConj(_, l, r) | CDisj(_, l, r):
+            return (l, r)
+        case _:
+            return ()
+
+
+def cts_at(sub, path):
+    for i in path:
+        kids = cts_children(sub)
+        if i >= len(kids):
+            raise CttError(f"bad path component {i} at {render(sub)}")
+        sub = kids[i]
+    return sub
+
+
+def cts_replace(sub, path, new):
+    if not path:
+        return new
+    i, rest = path[0], path[1:]
+    match sub, i:
+        case CApp(fun, arg), 0:
+            return CApp(cts_replace(fun, rest, new), arg)
+        case CApp(fun, arg), 1:
+            return CApp(fun, cts_replace(arg, rest, new))
+        case CNeg(k, child), 0:
+            return CNeg(k, cts_replace(child, rest, new))
+        case CConj(k, l, r), 0:
+            return CConj(k, cts_replace(l, rest, new), r)
+        case CConj(k, l, r), 1:
+            return CConj(k, l, cts_replace(r, rest, new))
+        case CDisj(k, l, r), 0:
+            return CDisj(k, cts_replace(l, rest, new), r)
+        case CDisj(k, l, r), 1:
+            return CDisj(k, l, cts_replace(r, rest, new))
+    raise CttError(f"bad path {path} into {render(sub)}")
+
+
+def _with_child(parent, i, child):
+    if isinstance(parent, App):
+        return App(child, parent.arg) if i == 0 else App(parent.fun, child)
+    return type(parent)(parent.binder, parent.binder_ty, child)
+
+
+def positions(t, path=()):
+    """Every (path, subterm) of `t`, in preorder."""
+    yield path, t
+    for i, c in enumerate(children(t)):
+        yield from positions(c, path + (i,))
+
+
+def assert_navigation_matches_reference(tree):
+    lambda_mu = isinstance(tree, syntax._SLM_NODES)
+    at, replace = (slm_at, slm_replace) if lambda_mu else (cts_at, cts_replace)
+    leaf = Var("w", Base("e")) if lambda_mu else CVar("w", BOT, 0)
+    for path, node in positions(tree):
+        # nodes are hash-consed, so == on them (and on outcomes) is `is`
+        kids = children(node)
+        assert kids == slm_children(node) + cts_children(node)
+        assert subterm_at(tree, path) is at(tree, path)
+        for new in (node, leaf):
+            assert replace_at(tree, path, new) is replace(tree, path, new)
+        if isinstance(node, (App, Lam, Mu)):
+            for i, c in enumerate(kids):
+                for new in (c, leaf):
+                    assert with_child(node, i, new) is _with_child(node, i, new)
+        past = path + (len(kids),)
+        for bad in (past, past + (0,)):
+            assert (outcome(lambda t: replace_at(t, bad, leaf), tree)
+                    == outcome(lambda t: replace(t, bad, leaf), tree))
+        got = outcome(lambda t: subterm_at(t, past), tree)
+        if lambda_mu:
+            # the old lookup let IndexError escape; the shared one raises
+            # the ranked text
+            with pytest.raises(IndexError):
+                at(tree, past)
+            assert got == outcome(lambda n: _bad_component(n, len(kids)), node)
+        else:
+            assert got == outcome(lambda t: at(t, past), tree)
+
+
+def _bad_component(node, i):
+    raise CttError(f"bad path component {i} at {render(node)}")
+
+
+def navigation_trees():
+    """The corpus, generated lambda-mu terms and generated ranked subterms."""
+    trees = [parse_slm(t) for t in corpus.SLM_TEXTS]
+    trees += [parse_cts(t) for t in corpus.CTS_TEXTS]
+    rng = gen.make_rng(17)
+    for _ in range(100):
+        trees.append(gen.TermGen(rng).term(gen.random_type(rng, depth=2), depth=3))
+        trees.append(gen.random_bot_subterm(rng, depth=4, sig={}))
+    return trees
+
+
+def test_navigation_matches_reference_on_corpus_and_generated_trees():
+    for tree in navigation_trees():
+        assert_navigation_matches_reference(tree)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RAW_TERMS | _RAW_SUBTERMS)
+def test_navigation_matches_reference(tree):
+    assert_navigation_matches_reference(tree)
+
+
+def concrete_node_classes(cls=syntax._Node):
+    for sub in cls.__subclasses__():
+        if not sub.__name__.startswith("_"):
+            yield sub
+        yield from concrete_node_classes(sub)
+
+
+def test_each_node_class_declares_its_children():
+    """children(n) is exactly the node-valued fields of n, in field order."""
+    e, x, c = Base("e"), Var("x", Base("e")), CVar("c", BOT, 0)
+    y, d = Var("y", Base("e")), CVar("d", BOT, 0)
+    builds = [
+        (Var, "x", e), (App, x, y), (Lam, "x", e, x), (Mu, "k", neg_type(e), y),
+        (Hole,), (CVar, "c", BOT, 0), (CApp, c, d), (CNeg, 1, c), (CConj, 1, c, d),
+        (CDisj, 1, d, c), (CBigConj, 1, "x", e, 0), (CBigDisj, 1, "x", e, 0),
+    ]
+    assert {cls for cls, *_ in builds} == set(concrete_node_classes())
+    for cls, *fields in builds:
+        node = cls(*fields)
+        want = tuple(f for f in fields if isinstance(f, syntax._Node))
+        assert children(node) == want, cls.__name__
 
 
 def test_cts_signature_excludes_bound_index():
