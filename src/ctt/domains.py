@@ -26,8 +26,8 @@ from functools import lru_cache
 from typing import Iterable, Optional, Union
 
 from .syntax import (
-    Arrow, BOT, Base, Bot, CttError, Interned, TypeExpr, TypeMismatch,
-    is_neg_type, render_type, strip_negations,
+    Arrow, BOT, Base, Bot, CttError, Interned, ParseError, TypeExpr, TypeMismatch,
+    is_neg_type, parse_type, render_type, strip_negations,
 )
 
 
@@ -213,11 +213,22 @@ class ModelConfig:
 
     def __post_init__(self):
         for name, size in self.base_sizes.items():
+            if not _names_base_type(name):
+                raise CttError(f"base {name!r} is not a base type name")
             if not 1 <= size <= MAX_BASE_SIZE:
                 raise CapExceeded(
                     f"base {name} has size {size}; sizes must be 1..{MAX_BASE_SIZE}")
         if self.rank_cap < 0:
             raise CttError("rank cap must be a natural number")
+
+
+@lru_cache(maxsize=64)  # harnesses build models per trial; parsing costs more
+def _names_base_type(name: str) -> bool:
+    """Whether type text `name` reads as the base type of that name."""
+    try:
+        return parse_type(name) == Base(name)
+    except ParseError:
+        return False
 
 
 def individual_names(size: int) -> list[str]:
@@ -632,7 +643,11 @@ class _ElemParser:
                 cod = hint.cod if isinstance(hint, Arrow) else None
                 mapping = {}
                 while not c.at("}"):
+                    at = c.peek().pos
                     key = self.elem(dom)
+                    if key in mapping:
+                        raise ParseError(f"table maps {render_elem(key)} twice",
+                                         at, c.text)
                     c.expect("->")
                     val = self.elem(cod)
                     mapping[key] = val

@@ -1,5 +1,5 @@
 """Ranked sequent calculus: rule-instance checking, derivations, bounded
-backward search, and the unranked erasure/elaboration.
+backward search, and derivation files.
 
 Sequents hold sets of type-bot subterms. Each Boolean operator has two
 introduction rules (antecedent/succedent) and four bidirectional
@@ -29,8 +29,8 @@ from typing import Iterator, Optional, Union
 from .domains import ModelConfig, enumerate_domain, render_elem, Individual, TruthVal
 from .syntax import (
     BOT, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg, CVar, CtsSubterm,
-    CttError, Interned, RankViolation, TypeExpr, check_sequent_member, children,
-    cts_signature, rank_check, render, replace_at, subterm_at,
+    CttError, Interned, TypeExpr, check_sequent_member, children, cts_signature,
+    render, replace_at, subterm_at,
 )
 
 
@@ -489,103 +489,6 @@ def prove(goal: Sequent, depth: int = 30,
 
 
 # ---------------------------------------------------------------------------
-# unranked terms: erasure and elaboration
-
-class UVar(Interned):
-    __slots__ = __match_args__ = ("name", "ty")
-
-
-class UApp(Interned):
-    __slots__ = __match_args__ = ("fun", "arg")
-
-
-class UNeg(Interned):
-    __slots__ = __match_args__ = ("child",)
-
-
-class UConj(Interned):
-    __slots__ = __match_args__ = ("left", "right")
-
-
-class UDisj(Interned):
-    __slots__ = __match_args__ = ("left", "right")
-
-
-class UBigConj(Interned):
-    __slots__ = __match_args__ = ("index_var", "index_ty")
-
-
-class UBigDisj(Interned):
-    __slots__ = __match_args__ = ("index_var", "index_ty")
-
-
-Unranked = Union[UVar, UApp, UNeg, UConj, UDisj, UBigConj, UBigDisj]
-
-
-def erase_ranks(sub) -> Unranked:
-    """Forget every rank annotation; idempotent on unranked input."""
-    match sub:
-        case UVar() | UApp() | UNeg() | UConj() | UDisj() | UBigConj() | UBigDisj():
-            return sub
-        case CVar(name, ty, _):
-            return UVar(name, ty)
-        case CApp(fun, arg):
-            return UApp(erase_ranks(fun), erase_ranks(arg))
-        case CNeg(_, child):
-            return UNeg(erase_ranks(child))
-        case CConj(_, l, r):
-            return UConj(erase_ranks(l), erase_ranks(r))
-        case CDisj(_, l, r):
-            return UDisj(erase_ranks(l), erase_ranks(r))
-        case CBigConj(_, x, ty, _):
-            return UBigConj(x, ty)
-        case CBigDisj(_, x, ty, _):
-            return UBigDisj(x, ty)
-    raise CttError(f"cannot erase {sub!r}")
-
-
-def elaborate_ranks(u, strategy: str = "outermost-increasing",
-                    k: Optional[int] = None) -> CtsSubterm:
-    """Assign ranks so every side condition holds.
-
-    outermost-increasing gives each Boolean node 1 + the highest child
-    rank (the minimal sufficient ranks); uniform(k) stamps every node with
-    the same k >= 1 (same-rank nesting is legal); annotations validates an
-    already-ranked subterm and echoes it.
-    """
-    if strategy == "annotations":
-        rank_check(u)
-        return u
-    if strategy == "uniform":
-        if k is None or k < 1:
-            raise RankViolation("uniform elaboration needs a rank k >= 1")
-
-    def go(t) -> CtsSubterm:
-        match t:
-            case UVar(name, ty):
-                return CVar(name, ty, 0)
-            case UApp(fun, arg):
-                return CApp(go(fun), go(arg))
-            case UNeg(child):
-                c = go(child)
-                return CNeg(k if strategy == "uniform" else c.rank + 1, c)
-            case UConj(l, r) | UDisj(l, r):
-                a, b = go(l), go(r)
-                kk = k if strategy == "uniform" else max(a.rank, b.rank) + 1
-                return (CConj if isinstance(t, UConj) else CDisj)(kk, a, b)
-            case UBigConj(x, ty) | UBigDisj(x, ty):
-                kk = k if strategy == "uniform" else 1
-                return (CBigConj if isinstance(t, UBigConj) else CBigDisj)(kk, x, ty, 0)
-        raise CttError(f"cannot elaborate {t!r}")
-
-    if strategy not in ("uniform", "outermost-increasing"):
-        raise CttError(f"unknown elaboration strategy {strategy!r}")
-    out = go(u)
-    rank_check(out)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # derivation files
 
 def render_derivation_file(d: Derivation) -> str:
@@ -593,24 +496,19 @@ def render_derivation_file(d: Derivation) -> str:
     node <id> rule=<rule> dir=<down|up|-> pos=<pos|-> concl=<sequent> premises=<ids|->
 
     The sequent text may contain spaces but never '=', so the trailing
-    premises field parses unambiguously.
+    premises field parses unambiguously. Nodes are numbered in the
+    post-order of `Derivation.nodes`, so a node's premises are the last ids
+    on the stack when it is written; a node reached twice is written twice.
     """
-    lines = []
-    counter = 0
-
-    def go(node: Derivation) -> int:
-        nonlocal counter
-        ids = [go(p) for p in node.premises]
-        counter += 1
-        nid = counter
+    lines, ids = [], []
+    for nid, node in enumerate(d.nodes(), 1):
+        cut = len(ids) - len(node.premises)
+        premise_ids, ids[cut:] = ids[cut:], [nid]
         lines.append(
             f"node {nid} rule={node.rule} dir={node.direction or '-'} "
             f"pos={node.pos or '-'} concl={render_sequent(node.conclusion)} "
-            f"premises={','.join(map(str, ids)) or '-'}")
-        return nid
-
-    root = go(d)
-    lines.append(f"root {root}")
+            f"premises={','.join(map(str, premise_ids)) or '-'}")
+    lines.append(f"root {ids[0]}")
     return "\n".join(lines) + "\n"
 
 

@@ -796,10 +796,9 @@ def parse_type(text: str) -> TypeExpr:
 # lambda-mu parser
 
 class _SlmParser:
-    def __init__(self, c: _Cursor, ctx: Optional[dict[str, TypeExpr]],
-                 default_ty: Optional[TypeExpr]):
+    def __init__(self, c: _Cursor, default_ty: Optional[TypeExpr]):
         self.c = c
-        self.known: dict[str, TypeExpr] = dict(ctx or {})
+        self.known: dict[str, TypeExpr] = {}
         self.default_ty = default_ty
 
     def term(self, bound: dict[str, TypeExpr]) -> SlmTerm:
@@ -853,17 +852,16 @@ class _SlmParser:
         return t.text
 
 
-def _parse_slm_once(c: _Cursor, ctx, default_ty) -> SlmTerm:
-    p = _SlmParser(c, ctx, default_ty)
+def _parse_slm_once(c: _Cursor, default_ty: Optional[TypeExpr]) -> SlmTerm:
+    p = _SlmParser(c, default_ty)
     term = p.term({})
     if c.peek().kind != "EOF":
         c.fail("trailing input after term")
-    typecheck_slm(term, {**(ctx or {}), **p.known})
+    typecheck_slm(term, p.known)
     return term
 
 
-def parse_slm(text: str, ctx: Optional[dict[str, TypeExpr]] = None,
-              default_ty: Optional[TypeExpr] = None) -> SlmTerm:
+def parse_slm(text: str) -> SlmTerm:
     """Parse a lambda-mu term and typecheck it.
 
     A leading `TYPE :` gives unannotated free variables a default type,
@@ -874,10 +872,8 @@ def parse_slm(text: str, ctx: Optional[dict[str, TypeExpr]] = None,
     """
     toks = tokenize(text, mu_sigil=True)
     try:
-        return _parse_slm_once(_Cursor(toks, text), ctx, default_ty)
+        return _parse_slm_once(_Cursor(toks, text), None)
     except CttError as original:
-        if default_ty is not None:
-            raise
         c = _Cursor(toks, text)
         try:
             prefix_ty = _parse_type(c)
@@ -885,7 +881,7 @@ def parse_slm(text: str, ctx: Optional[dict[str, TypeExpr]] = None,
         except CttError:
             raise original from None
         try:
-            return _parse_slm_once(c, ctx, prefix_ty)
+            return _parse_slm_once(c, prefix_ty)
         except CttError as retry:
             if _reach(original, text) > _reach(retry, text):
                 raise original from None

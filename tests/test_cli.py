@@ -102,6 +102,34 @@ def test_eval_with_model_and_assignment(capsys, tmp_path):
     assert out.strip() == "0"
 
 
+def test_table_literal_maps_each_key_once(capsys, tmp_path):
+    code, out, err = run(capsys, "eval", "--lang", "cts", "--assign",
+                         "x=table{0->1,1->0,0->0}", "x:(bot -> bot)@0")
+    assert (code, out, err) == (2, "", "ctt: table maps 0 twice at line 1, column 17\n")
+    mdl = tmp_path / "m.model"
+    mdl.write_text("base e 2\nconst f : (e -> bot) = table{a->1,b->0}\n")
+    code, out, _ = run(capsys, "eval", "--model", str(mdl), "--lang", "cts",
+                       "f:(e -> bot)@0")
+    assert (code, out) == (0, "table{a->1,b->0}\n")
+    mdl.write_text("base e 2\nconst f : (e -> bot) = table{a->1,b->0,a->0}\n")
+    code, out, err = run(capsys, "eval", "--model", str(mdl), "--lang", "cts",
+                         "f:(e -> bot)@0")
+    assert (code, out, err) == (2, "", "ctt: table maps a twice at line 1, column 17\n")
+
+
+def test_base_names_must_read_back_as_base_types(capsys, tmp_path):
+    for name in ("bot", "(e", "e -> e", "e # note"):
+        code, out, err = run(capsys, "iso", "--base", f"{name}=2", "--element", "{{a}}")
+        assert (code, out, err) == (2, "", f"ctt: base {name!r} is not a base type name\n")
+    mdl = tmp_path / "m.model"
+    mdl.write_text("base bot 2\n")
+    code, out, err = run(capsys, "eval", "--model", str(mdl), "--lang", "cts", "1")
+    assert (code, out, err) == (2, "", "ctt: base 'bot' is not a base type name\n")
+    mdl.write_text("base t 2\n")
+    code, out, _ = run(capsys, "eval", "--model", str(mdl), "--lang", "cts", "1")
+    assert (code, out) == (0, "1\n")
+
+
 def test_parse_failed_retry_keeps_nesting_message(capsys):
     # the plain reading reaches the nesting budget; the `x:` retry fails at
     # once, so the error that got further is reported
@@ -163,6 +191,21 @@ def test_readme_derivation_file_checks(capsys, tmp_path):
 def test_prove_negative_exit(capsys):
     code, out, _ = run(capsys, "prove", "--depth", "5", "A |- B")
     assert code == 1
+
+
+def test_prove_tall_goal_writes_its_derivation(capsys):
+    # two right-nested 300-atom chains: and-L takes both apart, one level
+    # per step, so the derivation is 599 levels tall
+    def chain(name, n):
+        text = f"{name}{n}"
+        for i in range(n - 1, 0, -1):
+            text = f"and[1]({name}{i},{text})"
+        return text
+
+    goal = f"{chain('A', 300)}, {chain('B', 300)} |- B300"
+    code, out, err = run(capsys, "prove", "--depth", "100000", goal)
+    assert (code, err) == (0, "nodes: 599\n")
+    assert out.count("\nnode ") == 598 and out.endswith("\nroot 599\n")
 
 
 def test_demo_scope_goldens(capsys):
@@ -386,11 +429,11 @@ def test_closed_stdout_exits_without_traceback():
             ([sys.executable, str(repo / "scripts" / "run_harness.py"),
               "--trials", "1"], dict(env, PYTHONUNBUFFERED="1"))]
     for argv, child_env in runs:
-        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                env=child_env, text=True)
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 2, err
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=child_env, text=True) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 2, err
         assert "Traceback" not in err and "Exception ignored" not in err, err
 
 

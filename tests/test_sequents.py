@@ -13,13 +13,12 @@ from ctt.semantics import (
 )
 from ctt.sequents import (
     ALL_RULES, Derivation, Pos, Sequent, Violation, check_derivation,
-    check_rule_instance, elaborate_ranks, erase_ranks, parse_derivation_file,
-    prove, render_derivation_file, rule_premises, squeeze_out, UBigConj, UConj,
-    UApp, UBigDisj, UDisj, UNeg, UVar,
+    check_rule_instance, parse_derivation_file, prove, render_derivation_file,
+    rule_premises, squeeze_out,
 )
 from ctt.syntax import (
     Arrow, BOT, Base, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg, CVar,
-    CttError, RankViolation, TypeMismatch, parse_cts, parse_sequent_members,
+    CttError, TypeMismatch, parse_cts, parse_sequent_members,
     parse_slm, render,
 )
 
@@ -270,51 +269,6 @@ def test_accepted_derivations_are_valid_on_models():
     assert sequent_valid([rhs], [lhs], [small]).valid
 
 
-# --- erasure and elaboration -------------------------------------------------
-
-def test_erase_examples():
-    assert erase_ranks(parse_cts("and[1](A:bot@0,B:bot@0)")) == \
-        UConj(UVar("A", BOT), UVar("B", BOT))
-    u = UNeg(UVar("A", BOT))
-    assert erase_ranks(u) == u  # idempotent on unranked input
-
-
-def test_elaborate_outermost_increasing():
-    u = UConj(UVar("A", BOT), UNeg(UVar("B", BOT)))
-    out = elaborate_ranks(u)
-    assert out == CConj(2, CVar("A", BOT, 0), CNeg(1, CVar("B", BOT, 0)))
-
-
-def test_elaborate_uniform_same_rank_nesting():
-    u = UNeg(UNeg(UVar("A", BOT)))
-    out = elaborate_ranks(u, "uniform", k=1)
-    assert out == CNeg(1, CNeg(1, CVar("A", BOT, 0)))
-    with pytest.raises(RankViolation):
-        elaborate_ranks(u, "uniform", k=0)
-
-
-def test_elaborate_annotations_echoes_or_fails():
-    good = parse_cts("and[2](A:bot@0, neg[1](B:bot@0))")
-    assert elaborate_ranks(good, "annotations") == good
-    bad = CConj(1, CVar("A", BOT, 0), CNeg(2, CVar("B", BOT, 0)))
-    with pytest.raises(RankViolation):
-        elaborate_ranks(bad, "annotations")
-
-
-def test_erase_elaborate_round_trip_on_corpus():
-    for text in corpus.CTS_TEXTS:
-        sub = parse_cts(text)
-        u = erase_ranks(sub)
-        for strategy, k in (("outermost-increasing", None), ("uniform", 3)):
-            ranked = elaborate_ranks(u, strategy, k=k)
-            assert erase_ranks(ranked) == u
-
-
-def test_elaborate_big_operators():
-    u = UBigConj("x", E)
-    assert elaborate_ranks(u) == CBigConj(1, "x", E, 0)
-
-
 # --- derivation files --------------------------------------------------------
 
 def test_deep_derivation_checks_without_recursion():
@@ -326,10 +280,15 @@ def test_deep_derivation_checks_without_recursion():
         concl, direction = (b, "up") if i % 2 == 0 else (a, "down")
         lines.append(f"node {i} rule=neg-Lr dir={direction} pos=L0 "
                      f"concl={concl} |- {a} premises={i - 1}")
-    d = parse_derivation_file("\n".join(lines))
+    text = "\n".join(lines + ["root 1501"]) + "\n"
+    d = parse_derivation_file(text)
     assert check_derivation(d) is None
     assert [n.rule for n in d.nodes()][:2] == ["ax", "neg-Lr"]
     assert len(list(d.nodes())) == 1501
+    # writing it back needs no recursion either, and reads back the same
+    text = text.replace("~e", "(e -> bot)")  # the printer's type syntax
+    assert render_derivation_file(d) == text
+    assert render_derivation_file(parse_derivation_file(text)) == text
 
 
 def test_derivation_file_round_trip():
@@ -339,6 +298,17 @@ def test_derivation_file_round_trip():
     assert back.conclusion == d.conclusion
     assert check_derivation(back) is None
     assert render_derivation_file(back) == text
+
+
+def test_derivation_file_writes_a_shared_premise_once_per_use():
+    # two premise ids naming one node read back as one shared object; it is
+    # written once for each time it is used, premises before conclusions
+    ax = "rule=ax dir=- pos=- concl=A:bot@0 |- A:bot@0 premises=-"
+    and_r = "rule=and-R dir=- pos=R0 concl=A:bot@0 |- and[1](A:bot@0,A)"
+    shared = parse_derivation_file(f"node 1 {ax}\nnode 2 {and_r} premises=1,1\n")
+    assert shared.premises[0] is shared.premises[1]
+    assert render_derivation_file(shared) == (
+        f"node 1 {ax}\nnode 2 {ax}\nnode 3 {and_r} premises=1,2\nroot 3\n")
 
 
 def test_derivation_file_bad_reference():
@@ -365,12 +335,8 @@ def test_sides_are_sorted_once_and_stay_private():
 
 
 def test_equal_fields_build_one_sequent_and_unranked_node():
-    u = UVar("u", E)
-    builds = [(Sequent, frozenset([A]), frozenset([A, B])), (UVar, "u", E),
-              (UApp, u, u), (UNeg, u), (UConj, u, u), (UDisj, u, u),
-              (UBigConj, "x", E), (UBigDisj, "x", E)]
-    for cls, *fields in builds:
-        assert cls(*fields) is cls(*fields)
+    assert Sequent(frozenset([A]), frozenset([A, B])) is \
+        Sequent(frozenset([A]), frozenset([A, B]))
     assert seq("A |- A, B") is seq("A |- B, A")
 
 

@@ -35,9 +35,6 @@ def test_parse_mu_with_free_variable():
     assert t.ty == Base("e")
     assert t.body.ty == BOT
     assert free_vars(t) == {"y": Base("e")}
-    # an external context types bare free variables too
-    t2 = parse_slm("#x:~e. (x y)", ctx={"y": Base("e")})
-    assert t2 == t
 
 
 def test_parse_cts_rank_side_condition():
@@ -668,9 +665,9 @@ def test_tokenize_matches_reference_on_corpus():
 
 
 class ReferenceSlmParser(syntax._SlmParser):
-    def __init__(self, text, ctx, default_ty, start=0):
+    def __init__(self, text, default_ty, start=0):
         self.c = syntax._Cursor(reference_tokenize(text, mu_sigil=True, start=start), text)
-        self.known = dict(ctx or {})
+        self.known = {}
         self.default_ty = default_ty
 
 
@@ -682,28 +679,28 @@ def reference_parse_type(text):
     return ty
 
 
-def reference_parse_slm_once(text, ctx, default_ty, start=0):
-    p = ReferenceSlmParser(text, ctx, default_ty, start)
+def reference_parse_slm_once(text, default_ty, start=0):
+    p = ReferenceSlmParser(text, default_ty, start)
     term = p.term({})
     if p.c.peek().kind != "EOF":
         p.c.fail("trailing input after term")
-    typecheck_slm(term, {**(ctx or {}), **p.known})
+    typecheck_slm(term, p.known)
     return term
 
 
-def reference_parse_slm(text, ctx=None, default_ty=None):
+def reference_parse_slm(text):
     try:
-        return reference_parse_slm_once(text, ctx, default_ty)
+        return reference_parse_slm_once(text, None)
     except CttError as original:
         head, sep, _ = text.partition(":")
-        if default_ty is not None or not sep:
+        if not sep:
             raise
         try:
             prefix_ty = reference_parse_type(head)
         except CttError:
             raise original from None
         try:
-            return reference_parse_slm_once(text, ctx, prefix_ty, start=len(head) + 1)
+            return reference_parse_slm_once(text, prefix_ty, start=len(head) + 1)
         except CttError as retry:
             if reference_reach(original, text) > reference_reach(retry, text):
                 raise original from None
