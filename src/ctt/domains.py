@@ -586,8 +586,8 @@ def parse_model_config(text: str) -> ModelConfig:
 
     base_sizes: dict[str, int] = {}
     rank_cap = 2
-    consts: list[tuple[str, TypeExpr, str]] = []
-    for raw in text.splitlines():
+    consts: list[tuple[str, TypeExpr, str, str, int, int]] = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -606,16 +606,26 @@ def parse_model_config(text: str) -> ModelConfig:
             if not sep or "=" not in decl:
                 raise CttError(f"bad const line: {raw!r}")
             ty_text, _, literal = decl.partition("=")
-            c = _Cursor(tokenize(ty_text), ty_text)
-            ty = _parse_type(c)
+            literal = literal.strip()
+            # `line` ends at `end` in `raw`, and so do `decl` and the
+            # literal: a parse error in them names the file's column
+            end = len(raw) - len(raw.lstrip()) + len(line)
+            try:
+                c = _Cursor(tokenize(ty_text), ty_text)
+                ty = _parse_type(c)
+            except ParseError as ex:
+                raise ParseError(ex.msg, end - len(decl) + ex.pos, raw, lineno) from None
             if c.peek().kind != "EOF":
                 raise CttError(f"bad const type in: {raw!r}")
-            consts.append((name.strip(), ty, literal.strip()))
+            consts.append((name.strip(), ty, literal, raw, lineno, end - len(literal)))
         else:
             raise CttError(f"unknown model directive {head!r}")
     model = ModelConfig(base_sizes=base_sizes, rank_cap=rank_cap)
-    for name, ty, literal in consts:
-        value = parse_element(literal, model, ty)
+    for name, ty, literal, raw, lineno, start in consts:
+        try:
+            value = parse_element(literal, model, ty)
+        except ParseError as ex:
+            raise ParseError(ex.msg, start + ex.pos, raw, lineno) from None
         if value.ty != ty:
             raise TypeMismatch(
                 f"constant {name} declared {ty} but literal has type {value.ty}")

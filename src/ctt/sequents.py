@@ -30,7 +30,7 @@ from .domains import ModelConfig, enumerate_domain, render_elem, Individual, Tru
 from .syntax import (
     BOT, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg, CVar, CtsSubterm,
     CttError, Interned, TypeExpr, check_sequent_member, children, cts_signature,
-    render, replace_at, subterm_at,
+    parse_sequent_reusing, render, replace_at, subterm_at,
 )
 
 
@@ -439,6 +439,10 @@ def _node_op(sub: CtsSubterm) -> Optional[str]:
     return None
 
 
+# the introduction rules with two premises
+_BRANCHING = ("and-R", "or-L")
+
+
 def prove(goal: Sequent, depth: int = 30,
           model: Optional[ModelConfig] = None) -> Optional[Derivation]:
     """Backward search: substitution rules push every member to canonical
@@ -467,24 +471,28 @@ def prove(goal: Sequent, depth: int = 30,
                 return None
             return Derivation(rule, goal, (subproof,), pos, "down")
 
-    # phase 2: introduction rules (rank side conditions permitting)
+    # phase 2: introduction rules (rank side conditions permitting), the
+    # one-premise rules before the branching and-R and or-L, so a branch
+    # does not take the rest of the sequent apart once per premise
+    candidates = []
     for side in ("R", "L"):
         for idx, member in enumerate(goal.side(side)):
             op = _node_op(member)
-            if op is None:
-                continue
-            rule, pos = f"{op}-{side}", Pos(side, idx)
-            premises = rule_premises(goal, rule, pos, model)
-            if isinstance(premises, Violation):
-                continue  # side condition failed; try another member
-            subproofs = []
-            for p in premises:
-                sp = prove(p, depth - 1, model)
-                if sp is None:
-                    break
-                subproofs.append(sp)
-            else:
-                return Derivation(rule, goal, tuple(subproofs), pos)
+            if op is not None:
+                candidates.append((f"{op}-{side}", Pos(side, idx)))
+    candidates.sort(key=lambda c: c[0] in _BRANCHING)  # stable: keeps side order
+    for rule, pos in candidates:
+        premises = rule_premises(goal, rule, pos, model)
+        if isinstance(premises, Violation):
+            continue  # side condition failed; try another member
+        subproofs = []
+        for p in premises:
+            sp = prove(p, depth - 1, model)
+            if sp is None:
+                break
+            subproofs.append(sp)
+        else:
+            return Derivation(rule, goal, tuple(subproofs), pos)
     return None
 
 
@@ -514,8 +522,10 @@ def render_derivation_file(d: Derivation) -> str:
 
 def parse_derivation_file(text: str) -> Derivation:
     """Read what `render_derivation_file` writes; a malformed line raises
-    CttError naming the line."""
+    CttError naming the line. Each distinct member text of the file's
+    conclusions is parsed once (`parse_sequent_reusing`)."""
     nodes: dict[int, Derivation] = {}
+    seen: dict = {}  # the member texts read so far, for parse_sequent_reusing
     root_id = None
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -525,7 +535,7 @@ def parse_derivation_file(text: str) -> Derivation:
             if line.startswith("root "):
                 root_id = int(line.split()[1])
             elif line.startswith("node "):
-                nid, node = _parse_node(line[len("node "):], nodes)
+                nid, node = _parse_node(line[len("node "):], nodes, seen)
                 if nid in nodes:
                     raise ValueError(f"duplicate node id {nid}")
                 nodes[nid] = node
@@ -544,9 +554,8 @@ def parse_derivation_file(text: str) -> Derivation:
     return nodes[root_id]
 
 
-def _parse_node(text: str, nodes: dict[int, Derivation]) -> tuple[int, Derivation]:
-    from .syntax import parse_sequent_members
-
+def _parse_node(text: str, nodes: dict[int, Derivation],
+                seen: dict) -> tuple[int, Derivation]:
     nid_text, rest = text.split(" ", 1)
     fields = {}
     for key in ("rule", "dir", "pos"):
@@ -556,7 +565,7 @@ def _parse_node(text: str, nodes: dict[int, Derivation]) -> tuple[int, Derivatio
     if not rest.startswith("concl=") or " premises=" not in rest:
         raise ValueError("expected concl= and premises=")
     concl_text, premises_text = rest[len("concl="):].rsplit(" premises=", 1)
-    ante, succ = parse_sequent_members(concl_text)
+    ante, succ = parse_sequent_reusing(concl_text, seen)
     premise_ids = [] if premises_text == "-" else [
         int(p) for p in premises_text.split(",")]
     for p in premise_ids:

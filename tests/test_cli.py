@@ -111,10 +111,17 @@ def test_table_literal_maps_each_key_once(capsys, tmp_path):
     code, out, _ = run(capsys, "eval", "--model", str(mdl), "--lang", "cts",
                        "f:(e -> bot)@0")
     assert (code, out) == (0, "table{a->1,b->0}\n")
+    # a model file's parse error names the file's line and column
     mdl.write_text("base e 2\nconst f : (e -> bot) = table{a->1,b->0,a->0}\n")
     code, out, err = run(capsys, "eval", "--model", str(mdl), "--lang", "cts",
                          "f:(e -> bot)@0")
-    assert (code, out, err) == (2, "", "ctt: table maps a twice at line 1, column 17\n")
+    assert (code, out, err) == (2, "", "ctt: table maps a twice at line 2, column 40\n")
+    mdl.write_text("# keys\nbase e 2\n\n  const f :(e -> bot)=  table{a->1,b->0,a->0} # c\n")
+    code, out, err = run(capsys, "check-proof", "--model", str(mdl), str(mdl))
+    assert (code, out, err) == (2, "", "ctt: table maps a twice at line 4, column 41\n")
+    mdl.write_text("base e 2\nconst f : (e -> ) = table{a->1,b->0}\n")
+    code, out, err = run(capsys, "check-proof", "--model", str(mdl), str(mdl))
+    assert (code, out, err) == (2, "", "ctt: expected a type at line 2, column 17\n")
 
 
 def test_base_names_must_read_back_as_base_types(capsys, tmp_path):
@@ -181,6 +188,9 @@ def test_prove_and_check_proof(capsys, tmp_path):
 def test_readme_derivation_file_checks(capsys, tmp_path):
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## Derivation files", 1)[1].split("```\n")[1]
+    # the block is what the prover writes today
+    code, out, _ = run(capsys, "prove", "and[1](A,B) |- and[1](B,A)")
+    assert (code, out) == (0, block)
     path = tmp_path / "readme.proof"
     path.write_text(block)
     code, out, _ = run(capsys, "check-proof", str(path))

@@ -1,10 +1,12 @@
 import gc
 import hashlib
+import pathlib
 import random
+import time
 
 import pytest
 
-from ctt import gen, syntax
+from ctt import gen, sequents, syntax
 from ctt.domains import ModelConfig, ba_equal
 from ctt.rewrite import NormalStatus, normalize
 from ctt.semantics import (
@@ -14,12 +16,12 @@ from ctt.semantics import (
 from ctt.sequents import (
     ALL_RULES, Derivation, Pos, Sequent, Violation, check_derivation,
     check_rule_instance, parse_derivation_file, prove, render_derivation_file,
-    rule_premises, squeeze_out,
+    _innermost_redex, _node_op, rule_premises, squeeze_out,
 )
 from ctt.syntax import (
     Arrow, BOT, Base, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg, CVar,
     CttError, TypeMismatch, parse_cts, parse_sequent_members,
-    parse_slm, render,
+    parse_sequent_reusing, parse_slm, render,
 )
 
 import corpus
@@ -177,17 +179,52 @@ def test_prove_respects_depth():
     assert prove(goal, depth=1) is None
 
 
-# SHA-256 over the derivation files of the 240 goals below ("none" for a
-# goal not proved), as the prover wrote them before nodes were hash-consed
-RANDOM_GOALS_DIGEST = "1a678388102aafc3736dbc46817e05e78cd31a838638259148e79634c1102c87"
+def reference_prove(goal, depth=30, model=None):
+    """The search before phase 2 tried one-premise rules first: members in
+    side order, R before L, whatever their rule's premise count."""
+    if depth <= 0:
+        return None
+    if goal.ante & goal.succ:
+        return Derivation("ax", goal)
+    for side in ("L", "R"):
+        for idx, member in enumerate(goal.side(side)):
+            hit = _innermost_redex(member)
+            if hit is None:
+                continue
+            path, op, functor_side = hit
+            rule, pos = f"{op}-{side}{'l' if functor_side else 'r'}", Pos(side, idx, path)
+            premises = rule_premises(goal, rule, pos, model)
+            if isinstance(premises, Violation):
+                return None
+            subproof = reference_prove(premises[0], depth - 1, model)
+            if subproof is None:
+                return None
+            return Derivation(rule, goal, (subproof,), pos, "down")
+    for side in ("R", "L"):
+        for idx, member in enumerate(goal.side(side)):
+            op = _node_op(member)
+            if op is None:
+                continue
+            rule, pos = f"{op}-{side}", Pos(side, idx)
+            premises = rule_premises(goal, rule, pos, model)
+            if isinstance(premises, Violation):
+                continue
+            subproofs = []
+            for p in premises:
+                sp = reference_prove(p, depth - 1, model)
+                if sp is None:
+                    break
+                subproofs.append(sp)
+            else:
+                return Derivation(rule, goal, tuple(subproofs), pos)
+    return None
 
 
-def test_prove_returns_checked_derivations_on_random_goals():
-    # goals over gen.cts_member subterms, in shapes that are mostly provable
-    # so the checker sees many prover outputs; "free" is mostly not
+def random_goals():
+    """240 goals over gen.cts_member subterms, in shapes that are mostly
+    provable so the checker sees many prover outputs; "free" is mostly not."""
     rng = random.Random(11)
-    found = 0
-    digest = hashlib.sha256()
+    goals = []
     for _ in range(240):
         sig = {}
         k = rng.choice((1, 2))
@@ -201,14 +238,45 @@ def test_prove_returns_checked_derivations_on_random_goals():
             "eigenvariable": ([CBigConj(k, "x", BOT, 0), a], [CNeg(k, CNeg(k, a))]),
             "free": ([a, c], [b]),
         }
-        ante, succ = shapes[rng.choice(sorted(shapes))]
-        d = prove(Sequent.make(ante, succ), depth=12)
-        digest.update((render_derivation_file(d) if d is not None else "none\n").encode())
+        goals.append(Sequent.make(*shapes[rng.choice(sorted(shapes))]))
+    return goals
+
+
+def size(d):
+    return 0 if d is None else len(list(d.nodes()))
+
+
+# SHA-256 over the derivation files of the random goals ("none" for a goal
+# not proved): as the prover writes them with one-premise rules first, and
+# as it wrote them before, which the reference search still does
+RANDOM_GOALS_DIGEST = "c2b523508e28eb8393a709f6550508f4947b53062e60799b6d1fa498c95c3904"
+REFERENCE_DIGEST = "1a678388102aafc3736dbc46817e05e78cd31a838638259148e79634c1102c87"
+
+
+def test_prove_returns_checked_derivations_on_random_goals():
+    digest, reference_digest = hashlib.sha256(), hashlib.sha256()
+    proved, reference_proved, sizes, reference_sizes = set(), set(), [], []
+    for i, goal in enumerate(random_goals()):
+        d, ref = prove(goal, depth=12), reference_prove(goal, depth=12)
+        for h, found in ((digest, d), (reference_digest, ref)):
+            h.update((render_derivation_file(found) if found is not None
+                      else "none\n").encode())
         if d is not None:
-            found += 1
+            proved.add(i)
             assert check_derivation(d) is None
-    assert found >= 150
+        if ref is not None:
+            reference_proved.add(i)
+        sizes.append(size(d))
+        reference_sizes.append(size(ref))
+    # both orders prove the same goals; one-premise rules first never costs
+    # more nodes overall, and on a few goals it runs rules that an axiom
+    # under a branching rule would not have needed
+    assert proved == reference_proved and len(proved) == 206
+    assert (sum(sizes), sum(reference_sizes)) == (833, 1134)
+    grown = {i: (r, n) for i, (n, r) in enumerate(zip(sizes, reference_sizes)) if n > r}
+    assert grown == {23: (7, 8), 40: (10, 13), 114: (10, 13)}
     assert digest.hexdigest() == RANDOM_GOALS_DIGEST
+    assert reference_digest.hexdigest() == REFERENCE_DIGEST
 
 
 def test_rule_premises_reads_rules_downward():
@@ -323,6 +391,128 @@ def test_derivation_file_duplicate_node_id():
     with pytest.raises(CttError, match="duplicate node id 1") as info:
         parse_derivation_file(f"{first}\n{second}\nroot 1\n")
     assert repr(second) in str(info.value)
+
+
+def outcome(parse, *args):
+    try:
+        return parse(*args)
+    except CttError as ex:
+        return type(ex).__name__, str(ex)
+
+
+def file_outcome(text):
+    """What `parse_derivation_file` reads: each node's rule, position and
+    (interned) conclusion, premises first, or the error it raises."""
+    d = outcome(parse_derivation_file, text)
+    if isinstance(d, tuple):
+        return d
+    return [(n.rule, n.pos, n.direction, n.conclusion) for n in d.nodes()]
+
+
+def assert_reuse_reads_line_by_line(texts, monkeypatch):
+    """Member reuse gives what parsing each line on its own gives: the same
+    interned members, or the same error; over whole files too."""
+    seen = {}
+    for text in texts:
+        assert outcome(parse_sequent_reusing, text, seen) == \
+            outcome(parse_sequent_members, text), text
+    files = ["".join(f"node {i} rule=ax dir=- pos=- concl={t} premises=-\n"
+                     for i, t in enumerate(texts, 1))]
+    files += [t for t in texts if t.startswith("node ")]
+    reused = [file_outcome(f) for f in files]
+    with monkeypatch.context() as m:
+        m.setattr(sequents, "parse_sequent_reusing",
+                  lambda text, seen: parse_sequent_members(text))
+        assert reused == [file_outcome(f) for f in files]
+
+
+def concl_texts(file_text):
+    return [line.split(" concl=", 1)[1].rsplit(" premises=", 1)[0]
+            for line in file_text.splitlines() if " concl=" in line]
+
+
+README_BLOCK = (pathlib.Path(__file__).parents[1] / "README.md").read_text() \
+    .split("## Derivation files", 1)[1].split("```\n")[1]
+
+
+def test_member_reuse_reads_prover_files_line_by_line(monkeypatch):
+    for goal in random_goals():
+        d = prove(goal, depth=12)
+        if d is not None:
+            text = render_derivation_file(d)
+            assert_reuse_reads_line_by_line(concl_texts(text) + [text], monkeypatch)
+    assert_reuse_reads_line_by_line(concl_texts(README_BLOCK) + [README_BLOCK],
+                                    monkeypatch)
+
+
+def test_member_reuse_falls_back_where_a_member_reads_differently(monkeypatch):
+    assert_reuse_reads_line_by_line([
+        # unannotated names, defaulting to bot@0
+        "A, and[1](A,B) |- B", "and[1](A, B) |- or[1](B,A)", "|- or[1](A,neg[1](A))",
+        # an annotation on one member sets what a bare name reads in the next
+        "A:bot@1 |- A", "A |- A", "A:e@0, A |- A", "(p:~e@0 A:e@0), (p A) |- A",
+        "(p:~e@0 a:e@0) |- (p a)", "(p a) |- A",
+        # conflicts across members, bare or annotated
+        "A |- A:e@0", "A |- A:bot@1", "and[1](A,B) |- and[1](A:bot@1,B)",
+        "A:bot@0 |- A:bot@1", "A:bot@1, A:bot@0 |- B:bot@0",
+        "and[1](A:bot@1,B:bot@1) |- A:bot@1, neg[1](A:bot@0)",
+        # members that parse on their own but are no sequent members
+        "x:e@0 |- A:bot@0", "A:bot@0 |- (p:~e@0 x:e@0), x:e@0",
+        # spacing
+        "A,B|-C", "  A ,  B |-C ", "|- A", "A |-", "|-", "and[1](A,B)|-and[1]( B , A )",
+        "and[1]( A ,B ), A|- neg[1] (A)",
+        # separators in odd places and bad characters
+        "A, |- B", "A |- B,", ", A |- B", "A, , B |- C", "A |- |- B", "A B |- C",
+        "A ||- B", "A |-- B", "A |> B", "A |- B$", "A % B |- C", "A |- B # note",
+        "A:bot@0 # note, B:bot@0 |- C:bot@0", "A:bot@0 |- B:bot@0 # note, C:bot@0",
+        "A |- B)", "(A |- B", "A |- and[1](A", "and[1](A,B |- C)", "A |- B]",
+        "and[1,2](A) |- A", "{A} |- A", "A |- (A", "A:bot@ |- A", "A:bot@0:e |- A",
+    ], monkeypatch)
+
+
+def test_member_reuse_reads_cut_files_line_by_line(monkeypatch):
+    cuts = [README_BLOCK[:n] for n in range(0, len(README_BLOCK) + 1, 7)]
+    assert_reuse_reads_line_by_line(cuts, monkeypatch)
+    for cut in cuts:
+        assert_reuse_reads_line_by_line(concl_texts(cut), monkeypatch)
+
+
+def chain_goal(n):
+    """An and[1] chain of n atoms |- the reversed chain."""
+    atoms = [CVar(f"P{i}", BOT, 0) for i in range(n)]
+
+    def chain(xs):
+        out = xs[-1]
+        for x in reversed(xs[:-1]):
+            out = CConj(1, x, out)
+        return out
+    return Sequent.make([chain(atoms)], [chain(atoms[::-1])])
+
+
+def test_prove_takes_a_chain_apart_once():
+    # and-L before and-R: each branch of and-R closes at once
+    goal = chain_goal(100)
+    start = time.perf_counter()
+    d = prove(goal, depth=100000)
+    elapsed = time.perf_counter() - start
+    assert size(d) == 3 * 100 - 2 and check_derivation(d) is None
+    assert elapsed < 0.5
+
+
+def test_derivation_file_tokenizes_each_distinct_member_once(monkeypatch):
+    d = prove(chain_goal(100), depth=100000)
+    text = render_derivation_file(d)
+    members = {render(m) for n in d.nodes()
+               for m in n.conclusion.ante | n.conclusion.succ}
+    tokenized = []
+    real = syntax.tokenize
+    monkeypatch.setattr(syntax, "tokenize",
+                        lambda text, *rest: tokenized.append(text) or real(text, *rest))
+    back = parse_derivation_file(text)
+    assert back.conclusion is d.conclusion
+    # one parse for each of the 298 distinct members, where a read line by
+    # line tokenizes the 298 whole conclusions, 25,048 member occurrences
+    assert sorted(tokenized) == sorted(members) and len(members) == 298
 
 
 def test_sides_are_sorted_once_and_stay_private():
