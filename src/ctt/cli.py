@@ -2,7 +2,7 @@
 
 Exit codes: 0 ok/valid/proved, 1 checked-and-negative, 2 usage, parse or
 I/O error (an unreadable @file, a closed stdout), 3 resource cap (fuel,
-enumeration size, assignment space, rank).
+enumeration size, assignment space, rank, a derivation too tall to search).
 `--machine` switches to line-delimited key=value records with a stable
 field order; diagnostics go to stderr. Any input argument may be given
 inline or as @path to read a file.
@@ -187,7 +187,12 @@ def cmd_prove(args, out: Printer) -> int:
     model = _load_model(args.model) if args.model else None
     sig = model_signature(model) if model else None
     ante, succ = parse_sequent_members(_input(args.input), sig=sig)
-    d = prove(Sequent.make(ante, succ), depth=args.depth, model=model)
+    try:
+        d = prove(Sequent.make(ante, succ), depth=args.depth, model=model)
+    except RecursionError:
+        # prove recurses once per derivation level
+        raise CapExceeded("derivation too tall: the search ran out of stack "
+                          f"before --depth {args.depth}") from None
     if d is None:
         # bounded search: absence is not a refutation
         out.record("unknown", "prove", "no derivation found", depth=args.depth)

@@ -303,16 +303,24 @@ def _generators(e: CanonElem, cut: int, acc: list[CanonElem]):
                 _generators(c, cut, acc)
 
 
-def _eval_bool(e: CanonElem, cut: int, lookup) -> int:
+def _truth_table(e: CanonElem, cut: int, columns: dict, full: int) -> int:
+    """Every row of `e`'s truth table at once: bit b is `e`'s value under
+    valuation b, given each generator's column of bits in `columns`."""
     if elem_rank(e) < cut:
-        return lookup(e)
+        return columns[e]
     match e:
         case NegE(_, _, child):
-            return 1 - _eval_bool(child, cut, lookup)
+            return full ^ _truth_table(child, cut, columns, full)
         case MeetE(_, _, children):
-            return int(all(_eval_bool(c, cut, lookup) for c in children))
+            bits = full
+            for c in children:
+                bits &= _truth_table(c, cut, columns, full)
+            return bits
         case JoinE(_, _, children):
-            return int(any(_eval_bool(c, cut, lookup) for c in children))
+            bits = 0
+            for c in children:
+                bits |= _truth_table(c, cut, columns, full)
+            return bits
     raise CttError(f"cannot evaluate {e!r}")
 
 
@@ -371,18 +379,24 @@ def canonical_key(e: CanonElem):
     n = len(reps)
     if n > MAX_GENERATORS:
         raise CapExceeded(f"{n} generators exceeds the valuation cap")
-    table = [_eval_bool(e, cut, lambda x: (bits >> index[x]) & 1)
-             for bits in range(2 ** n)]
+    # row b of the table is bit b of `table`; generator i is bit i of b, so
+    # its column repeats 2^i zeros then 2^i ones
+    full = (1 << 2 ** n) - 1
+    cols = [full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+            for i in range(n)]
+    table = _truth_table(e, cut, {g: cols[i] for g, i in index.items()}, full)
+    # generator i matters iff some row with bit i set differs from the row
+    # without it
     essential = [i for i in range(n)
-                 if any(table[b] != table[b ^ (1 << i)] for b in range(2 ** n))]
+                 if (table & cols[i]) >> (1 << i) != table & ~cols[i]]
     if not essential:
-        return ("const", cut, table[0], render_type(e.ty))
+        return ("const", cut, table & 1, render_type(e.ty))
     proj = []
     for sel in range(2 ** len(essential)):
         bits = 0
         for j, i in enumerate(essential):
             bits |= ((sel >> j) & 1) << i
-        proj.append(table[bits])
+        proj.append((table >> bits) & 1)
     if len(essential) == 1 and proj == [0, 1]:
         return keys[essential[0]]
     order = sorted(range(len(essential)), key=lambda j: keys[essential[j]])
@@ -501,6 +515,10 @@ def _iso_rank0(sets: frozenset, sigma: TypeExpr, model: ModelConfig) -> CanonEle
 
 
 _MINTERM_CACHE: dict = {}
+# the image of every element iso_i has mapped (tables and operator nodes
+# alike), per (element, sorted base sizes): the image depends on the model
+# only through its carriers, and elements are interned, so a minterm or a
+# table shared by many inputs is mapped once
 _ISO_ATOM_CACHE: dict = {}
 
 
@@ -517,37 +535,37 @@ def iso_i(f, model: ModelConfig, ty: Optional[TypeExpr] = None) -> CanonElem:
         if ty is None:
             raise CttError("a raw set-of-sets needs the target type")
         return _iso_rank0(frozenset(frozenset(s) for s in f), ty, model)
-    if isinstance(f, FnTable):
-        # table atoms recur heavily inside ranked inputs; carrier shape is
-        # fixed by the base sizes, so cache per (table, sizes)
-        key = (f, tuple(sorted(model.base_sizes.items())))
-        hit = _ISO_ATOM_CACHE.get(key)
-        if hit is None:
+    return _iso_elem(f, model, tuple(sorted(model.base_sizes.items())))
+
+
+def _iso_elem(f: CanonElem, model: ModelConfig, sizes: tuple) -> CanonElem:
+    key = (f, sizes)
+    hit = _ISO_ATOM_CACHE.get(key)
+    if hit is not None:
+        return hit
+    # an input that fails raises before anything is stored, so it fails
+    # again on every later call
+    match f:
+        case FnTable():
             carrier = enumerate_domain(model, f.dom, 0)
             if {k for k, _ in f.entries} != set(carrier):
                 raise TypeMismatch(
                     f"table {render_elem(f)} is not total over its carrier")
             sigma, sets = _table_as_sets(f)
-            hit = _iso_rank0(sets, sigma, model)
-            _ISO_ATOM_CACHE[key] = hit
-        return hit
-    match f:
-        case NegE(k, fty, child):
-            out = iso_i(child, model, ty)
-            return make_neg(k + 1, out)
-        case MeetE(k, fty, children):
+            out = _iso_rank0(sets, sigma, model)
+        case NegE(k, _, child):
+            out = make_neg(k + 1, _iso_elem(child, model, sizes))
+        case MeetE(k, fty, children) | JoinE(k, fty, children):
             if not (is_neg_type(fty) and is_neg_type(fty.dom)):
                 raise TypeMismatch(f"element of type {fty} is not over ~~s")
-            sigma = fty.dom.dom
-            outs = [iso_i(c, model, ty) for c in children]
-            return make_meet(k + 1, sigma, outs)
-        case JoinE(k, fty, children):
-            if not (is_neg_type(fty) and is_neg_type(fty.dom)):
-                raise TypeMismatch(f"element of type {fty} is not over ~~s")
-            sigma = fty.dom.dom
-            outs = [iso_i(c, model, ty) for c in children]
-            return make_join(k + 1, sigma, outs)
-    raise TypeMismatch(f"cannot apply the isomorphism to {f!r}")
+            make = make_meet if isinstance(f, MeetE) else make_join
+            out = make(k + 1, fty.dom.dom,
+                       [_iso_elem(c, model, sizes) for c in children])
+        case _:
+            raise TypeMismatch(
+                f"cannot apply the isomorphism to {render_elem(f)}")
+    _ISO_ATOM_CACHE[key] = out
+    return out
 
 
 def iso_iterate(ty: TypeExpr, f, model: ModelConfig) -> CanonElem:
@@ -557,6 +575,10 @@ def iso_iterate(ty: TypeExpr, f, model: ModelConfig) -> CanonElem:
     m = j // 2
     if m < 1:
         raise CttError(f"{render_type(ty)} carries no double negation to reduce")
+    if not isinstance(f, (set, frozenset)) and f.ty != ty:
+        raise TypeMismatch(
+            f"isomorphism over {render_type(ty)} applied to "
+            f"{render_elem(f)} : {render_type(f.ty)}")
     out = f
     current = ty
     for _ in range(m):

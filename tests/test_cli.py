@@ -218,6 +218,33 @@ def test_prove_tall_goal_writes_its_derivation(capsys):
     assert out.count("\nnode ") == 598 and out.endswith("\nroot 599\n")
 
 
+def test_prove_too_tall_goal_hits_a_cap(capsys):
+    # prove recurses once per derivation level: thirty 10-atom chains give
+    # a 199-level derivation, taller than the stack left here, while each
+    # member parses within it
+    def chain(name, n):
+        text = f"{name}{n}"
+        for i in range(n - 1, 0, -1):
+            text = f"and[1]({name}{i},{text})"
+        return text
+
+    goal = ", ".join(chain(f"A{j}x", 10) for j in range(30)) + " |- A29x10"
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 150)
+    try:
+        code, out, err = run(capsys, "prove", "--depth", "100000", goal)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, out) == (3, "")
+    assert err == ("ctt: resource cap: derivation too tall: the search ran out "
+                   "of stack before --depth 100000\n")
+    code, out, err = run(capsys, "prove", "--depth", "100000", goal)
+    assert code == 0 and out.endswith("\nroot 199\n")
+
+
 def test_demo_scope_goldens(capsys):
     code, out, _ = run(capsys, "--machine", "demo", "scope")
     assert code == 0

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 import weakref
 
 import pytest
@@ -15,7 +16,9 @@ from ctt.domains import (
     resolve_constant, top_at, is_canonical_elem,
 )
 from ctt.semantics import canonicalize_cts
-from ctt.syntax import Arrow, BOT, Base, TypeMismatch, neg_type, parse_cts
+from ctt.syntax import (
+    Arrow, BOT, Base, TypeMismatch, is_neg_type, neg_type, parse_cts, render_type,
+)
 
 import corpus
 
@@ -291,6 +294,89 @@ def test_fixed_rank_boolean_laws(seed):
     assert ba_equal(neg(meet(x, y)), join(neg(x), neg(y)))  # De Morgan
     assert ba_equal(meet(x, join(x, y)), x)  # absorption
     assert ba_equal(meet(x, join(y, z)), join(meet(x, y), meet(x, z)))
+
+
+def reference_canonical_key(e):
+    """canonical_key with its truth table read one row at a time: the
+    element is evaluated once per valuation of its generators."""
+    match e:
+        case TruthVal(v):
+            return ("tv", v)
+        case Individual(ty, name):
+            return ("ind", render_type(ty), name)
+        case FnTable(dom, cod, entries):
+            return ("tab", render_type(dom), render_type(cod),
+                    tuple((reference_canonical_key(k), reference_canonical_key(v))
+                          for k, v in entries))
+        case AtomicApp(fun, arg):
+            return ("app", reference_canonical_key(fun), reference_canonical_key(arg))
+    cut = _rank(e)
+    raw = []
+    _opaque_below(e, cut, raw)
+    reps, keys, index = [], [], {}
+    for g in raw:
+        kg = reference_canonical_key(g)
+        if g in index:
+            continue
+        for i, existing in enumerate(keys):
+            if existing == kg:
+                index[g] = i
+                break
+        else:
+            index[g] = len(reps)
+            reps.append(g)
+            keys.append(kg)
+    n = len(reps)
+    if n > MAX_GENERATORS:
+        raise CapExceeded(f"{n} generators exceeds the valuation cap")
+    table = [_truth(e, cut, lambda x: (bits >> index[x]) & 1)
+             for bits in range(2 ** n)]
+    essential = [i for i in range(n)
+                 if any(table[b] != table[b ^ (1 << i)] for b in range(2 ** n))]
+    if not essential:
+        return ("const", cut, table[0], render_type(e.ty))
+    proj = []
+    for sel in range(2 ** len(essential)):
+        bits = 0
+        for j, i in enumerate(essential):
+            bits |= ((sel >> j) & 1) << i
+        proj.append(table[bits])
+    if len(essential) == 1 and proj == [0, 1]:
+        return keys[essential[0]]
+    order = sorted(range(len(essential)), key=lambda j: keys[essential[j]])
+    reordered = []
+    for sel in range(2 ** len(essential)):
+        src = 0
+        for newpos, j in enumerate(order):
+            src |= ((sel >> newpos) & 1) << j
+        reordered.append(proj[src])
+    return ("node", cut, render_type(e.ty),
+            tuple(keys[essential[j]] for j in order), tuple(reordered))
+
+
+def test_canonical_key_matches_reference():
+    model = ModelConfig(base_sizes={"e": 3})
+    a, b, c = enumerate_domain(model, E, 0)
+    elems = [top_at(1, E), bottom_at(2, E), top_at(1, BOT), bottom_at(3, BOT),
+             FALSE, TRUE, a, make_neg(1, a), make_neg(2, make_neg(1, a)),
+             make_meet(1, E, [a]), make_join(2, E, [a, top_at(1, E)]),
+             make_meet(1, E, [a, make_neg(1, a)]), make_join(1, E, [a, make_neg(1, a)]),
+             make_meet(2, E, [make_join(1, E, [a, b]), make_join(1, E, [b, a])]),
+             make_join(1, E, [make_meet(1, E, [a, b]), make_meet(1, E, [a, make_neg(1, b)])]),
+             make_join(1, BOT, [TRUE, make_neg(1, FALSE)])]
+    rng = gen.make_rng(13)
+    elems += [gen.random_canon_elem(rng, model, E, max_rank=3, depth=3)
+              for _ in range(3000)]
+    assert any(isinstance(e, (MeetE, JoinE)) and not e.children for e in elems[16:])
+    assert len({_rank(e) for e in elems[16:]}) == 4
+    for e in elems:
+        assert canonical_key(e) == reference_canonical_key(e), render_elem(e)
+
+
+def test_canonical_key_cap_is_checked():
+    atoms = [Individual(E, f"g{i}") for i in range(MAX_GENERATORS + 1)]
+    with pytest.raises(CapExceeded):
+        canonical_key(make_join(1, E, atoms))
 
 
 # --- application ------------------------------------------------------------
@@ -603,6 +689,95 @@ def test_iso_iterate_rank_cap():
     f = enumerate_domain(model, n4, 0)[0]
     with pytest.raises(CapExceeded):
         iso_iterate(n4, f, model)
+
+
+def reference_iso_i(f, model):
+    """iso_i without its memo: every child is mapped again on every call,
+    and a table goes through the raw set-of-sets form."""
+    if isinstance(f, FnTable):
+        if {k for k, _ in f.entries} != set(enumerate_domain(model, f.dom, 0)):
+            raise TypeMismatch("not total")
+        sets = frozenset(frozenset(a for a, v in key.entries if v == TRUE)
+                         for key, val in f.entries if val == TRUE)
+        return iso_i(sets, model, ty=f.dom.dom)
+    match f:
+        case NegE(k, _, child):
+            return make_neg(k + 1, reference_iso_i(child, model))
+        case MeetE(k, fty, children) | JoinE(k, fty, children):
+            if not (is_neg_type(fty) and is_neg_type(fty.dom)):
+                raise TypeMismatch("not over ~~s")
+            make = make_meet if isinstance(f, MeetE) else make_join
+            return make(k + 1, fty.dom.dom, [reference_iso_i(c, model) for c in children])
+    raise TypeMismatch("not an element over ~~s")
+
+
+def test_iso_memo_matches_reference(m3):
+    m1 = ModelConfig(base_sizes={"e": 1}, rank_cap=3)
+    ne = neg_type(E)
+    nne, n3 = neg_type(ne), neg_type(neg_type(ne))
+    n4 = neg_type(n3)
+    sample = random.Random(29).sample(enumerate_domain(m1, n4, 0), 2000)
+    for f in sample:
+        once = iso_i(f, m1)
+        assert once is reference_iso_i(f, m1)
+        twice = iso_i(once, m1)
+        assert twice is reference_iso_i(once, m1)
+        assert iso_iterate(n4, f, m1) is twice
+    for out in [iso_iterate(n4, f, m1) for f in sample[::20]]:
+        assert canonical_key(out) == reference_canonical_key(out)
+    for f in enumerate_domain(m1, n3, 0):
+        assert iso_iterate(n3, f, m1) is reference_iso_i(f, m1)
+    t = enumerate_domain(m3, nne, 0)
+    hand_built = [
+        make_meet(2, nne, [make_join(1, nne, [t[0], make_neg(1, t[1])]),
+                           make_neg(2, t[2]),
+                           make_join(2, nne, [t[3], make_meet(1, nne, [t[1], t[4]])])]),
+        make_neg(2, make_neg(1, t[5])), top_at(2, nne), bottom_at(1, nne),
+        make_join(2, nne, [top_at(1, nne), make_meet(2, nne, [t[6], t[255]])]),
+    ]
+    for f in t + hand_built:
+        assert iso_i(f, m3) is reference_iso_i(f, m3)
+
+
+def test_iso_memo_keys_images_by_base_sizes():
+    # a ~~e table of a one-element e is not total once e has two elements:
+    # an image mapped under one model must not answer for the other
+    m1, m2 = ModelConfig(base_sizes={"e": 1}), ModelConfig(base_sizes={"e": 2})
+    nne = neg_type(neg_type(E))
+    f = enumerate_domain(m1, nne, 0)[1]
+    g = make_join(1, nne, [f, make_neg(1, enumerate_domain(m1, nne, 0)[2])])
+    for x in (f, g):
+        assert iso_i(x, m1) is reference_iso_i(x, m1)
+        with pytest.raises(TypeMismatch, match="not total"):
+            iso_i(x, m2)
+    wider = ModelConfig(base_sizes={"e": 1, "t": 2})
+    assert iso_i(g, wider) is iso_i(g, m1)
+
+
+def test_iso_failures_are_not_memoized(m3):
+    ne = neg_type(E)
+    partial = fn_table(ne, BOT, {enumerate_domain(m3, ne, 0)[0]: TRUE})
+    a, b = enumerate_domain(m3, E, 0)[:2]
+    for bad, msg in [(partial, "not total"), (make_neg(1, partial), "not total"),
+                     (make_meet(1, E, [a, b]), "not over ~~s"),
+                     (a, r"cannot apply the isomorphism to a \(")]:
+        for _ in range(2):
+            with pytest.raises(TypeMismatch, match=msg):
+                iso_i(bad, m3)
+
+
+def test_iso_iterate_checks_the_input_type():
+    model = ModelConfig(base_sizes={"e": 1}, rank_cap=3)
+    nne = neg_type(neg_type(E))
+    n3, n4 = neg_type(nne), neg_type(neg_type(nne))
+    f4 = enumerate_domain(model, n4, 0)[5]
+    f2 = enumerate_domain(model, nne, 0)[1]
+    for ty, f in [(nne, f4), (n3, f4), (n4, f2)]:
+        with pytest.raises(TypeMismatch) as ex:
+            iso_iterate(ty, f, model)
+        assert render_type(ty) in str(ex.value)
+        assert render_type(f.ty) in str(ex.value)
+        assert "FnTable(" not in str(ex.value)
 
 
 # --- model files and literals -----------------------------------------------
