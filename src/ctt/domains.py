@@ -26,8 +26,9 @@ from functools import lru_cache
 from typing import Iterable, Optional, Union
 
 from .syntax import (
-    Arrow, BOT, Base, Bot, CttError, Interned, ParseError, TypeExpr, TypeMismatch,
-    is_neg_type, parse_type, render_type, strip_negations,
+    Arrow, BOT, Base, Bot, CttError, Interned, MAX_NESTING, ParseError, TypeExpr,
+    TypeMismatch, _Cursor, _TOO_DEEP, _is_name, _parse_type, is_neg_type, parse_type,
+    render_type, strip_negations,
 )
 
 
@@ -381,33 +382,67 @@ def canonical_key(e: CanonElem):
         raise CapExceeded(f"{n} generators exceeds the valuation cap")
     # row b of the table is bit b of `table`; generator i is bit i of b, so
     # its column repeats 2^i zeros then 2^i ones
-    full = (1 << 2 ** n) - 1
-    cols = [full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
-            for i in range(n)]
-    table = _truth_table(e, cut, {g: cols[i] for g, i in index.items()}, full)
+    width = 2 ** n
+    cols = [_low_blocks(1 << i, width) << (1 << i) for i in range(n)]
+    table = _truth_table(e, cut, {g: cols[i] for g, i in index.items()}, (1 << width) - 1)
     # generator i matters iff some row with bit i set differs from the row
     # without it
     essential = [i for i in range(n)
                  if (table & cols[i]) >> (1 << i) != table & ~cols[i]]
     if not essential:
         return ("const", cut, table & 1, render_type(e.ty))
-    proj = []
-    for sel in range(2 ** len(essential)):
-        bits = 0
-        for j, i in enumerate(essential):
-            bits |= ((sel >> j) & 1) << i
-        proj.append((table >> bits) & 1)
-    if len(essential) == 1 and proj == [0, 1]:
+    # drop the other generators, highest first, each by keeping the rows
+    # where it is 0, then move the essential ones into key order
+    for i in reversed(range(n)):
+        if i not in essential:
+            table = _drop_column(table, i, width)
+            width //= 2
+    if len(essential) == 1 and table == 0b10:
         return keys[essential[0]]
-    order = sorted(range(len(essential)), key=lambda j: keys[essential[j]])
-    reordered = []
-    for sel in range(2 ** len(essential)):
-        src = 0
-        for newpos, j in enumerate(order):
-            src |= ((sel >> newpos) & 1) << j
-        reordered.append(proj[src])
+    order = sorted(essential, key=keys.__getitem__)
+    at = list(essential)  # at[p]: the generator whose column is p now
+    for p, g in enumerate(order):
+        q = at.index(g)
+        if q != p:
+            table = _swap_columns(table, p, q, width)
+            at[p], at[q] = g, at[p]
+    rows = format(table, "b").zfill(width)[::-1]
     return ("node", cut, render_type(e.ty),
-            tuple(keys[essential[j]] for j in order), tuple(reordered))
+            tuple(keys[g] for g in order), tuple(rows.encode().translate(_BITS)))
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _low_blocks(size: int, width: int) -> int:
+    """`size` one bits, `size` zero bits, repeated over `width` bits, by
+    doubling (a division by the period costs quadratic time in `width`)."""
+    bits, span = (1 << size) - 1, 2 * size
+    while span < width:
+        bits |= bits << span
+        span *= 2
+    return bits
+
+
+def _drop_column(table: int, i: int, width: int) -> int:
+    """The rows of a `width`-row table where generator `i` is 0, in order:
+    the blocks of 2^i rows kept are pushed together, twice as many blocks
+    per step."""
+    size = 1 << i
+    table &= _low_blocks(size, width)
+    while size < width // 2:
+        table = (table | table >> size) & _low_blocks(2 * size, width)
+        size *= 2
+    return table
+
+
+def _swap_columns(table: int, p: int, q: int, width: int) -> int:
+    """The table with generators `p` < `q` trading places: each row with
+    p set and q clear trades its bit with the row with q set and p clear."""
+    shift = (1 << q) - (1 << p)
+    rows = ~_low_blocks(1 << p, width) & _low_blocks(1 << q, width)
+    diff = (table >> shift ^ table) & rows
+    return table ^ diff ^ diff << shift
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +639,6 @@ def parse_model_config(text: str) -> ModelConfig:
     `#` starts a comment. Element literals use the ranked-term syntax plus
     `table{a->0,b->1}`; and/or take any number of arguments.
     """
-    from .syntax import tokenize, _Cursor, _parse_type
-
     base_sizes: dict[str, int] = {}
     rank_cap = 2
     consts: list[tuple[str, TypeExpr, str, str, int, int]] = []
@@ -633,11 +666,11 @@ def parse_model_config(text: str) -> ModelConfig:
             # literal: a parse error in them names the file's column
             end = len(raw) - len(raw.lstrip()) + len(line)
             try:
-                c = _Cursor(tokenize(ty_text), ty_text)
+                c = _Cursor(ty_text)
                 ty = _parse_type(c)
             except ParseError as ex:
                 raise ParseError(ex.msg, end - len(decl) + ex.pos, raw, lineno) from None
-            if c.peek().kind != "EOF":
+            if c.toks[c.i]:
                 raise CttError(f"bad const type in: {raw!r}")
             consts.append((name.strip(), ty, literal, raw, lineno, end - len(literal)))
         else:
@@ -657,34 +690,35 @@ def parse_model_config(text: str) -> ModelConfig:
 
 class _ElemParser:
     def __init__(self, text: str, model: ModelConfig):
-        from .syntax import tokenize, _Cursor
-        self.c = _Cursor(tokenize(text), text)
+        self.c = _Cursor(text)
         self.model = model
 
     def elem(self, hint: Optional[TypeExpr]) -> CanonElem:
         c = self.c
-        t = c.peek()
-        with c:
-            if t.kind == "NAT" and t.text in ("0", "1"):
-                c.next()
-                return TruthVal(int(t.text))
-            if t.text == "table":
-                c.next()
+        t = c.toks[c.i]
+        c.depth += 1
+        if c.depth > MAX_NESTING:
+            c.fail(_TOO_DEEP)
+        try:
+            if t in ("0", "1"):
+                c.i += 1
+                return TruthVal(int(t))
+            if t == "table":
+                c.i += 1
                 c.expect("{")
                 dom = hint.dom if isinstance(hint, Arrow) else None
                 cod = hint.cod if isinstance(hint, Arrow) else None
                 mapping = {}
-                while not c.at("}"):
-                    at = c.peek().pos
+                while c.toks[c.i] != "}":
+                    at = c.i
                     key = self.elem(dom)
                     if key in mapping:
-                        raise ParseError(f"table maps {render_elem(key)} twice",
-                                         at, c.text)
+                        c.fail(f"table maps {render_elem(key)} twice", at)
                     c.expect("->")
                     val = self.elem(cod)
                     mapping[key] = val
-                    if c.at(","):
-                        c.next()
+                    if c.toks[c.i] == ",":
+                        c.i += 1
                 c.expect("}")
                 if not mapping and (dom is None or cod is None):
                     c.fail("empty table needs a type annotation context")
@@ -693,15 +727,15 @@ class _ElemParser:
                 table = fn_table(dom, cod, mapping)
                 _check_table_total(table, self.model)
                 return table
-            if t.text in ("neg", "and", "or"):
-                op = t.text
-                c.next()
+            if t in ("neg", "and", "or"):
+                op = t
+                c.i += 1
                 c.expect("[")
-                kt = c.peek()
-                if kt.kind != "NAT":
+                kt = c.toks[c.i]
+                if not kt.isdigit():
                     c.fail("expected a rank")
-                c.next()
-                k = int(kt.text)
+                c.i += 1
+                k = int(kt)
                 c.expect("]")
                 c.expect("(")
                 if op == "neg":
@@ -709,10 +743,10 @@ class _ElemParser:
                     c.expect(")")
                     return make_neg(k, child)
                 parts = []
-                while not c.at(")"):
+                while c.toks[c.i] != ")":
                     parts.append(self.elem(hint))
-                    if c.at(","):
-                        c.next()
+                    if c.toks[c.i] == ",":
+                        c.i += 1
                 c.expect(")")
                 if not parts:
                     if hint is None:
@@ -720,15 +754,17 @@ class _ElemParser:
                     return (top_at if op == "and" else bottom_at)(k, hint)
                 make = make_meet if op == "and" else make_join
                 return make(k, parts[0].ty, parts)
-            if t.kind == "IDENT":
-                c.next()
-                name = t.text
+            if _is_name(t):
+                c.i += 1
+                name = t
                 hit = resolve_constant(self.model, name, hint)
                 if hit is None:
                     c.fail(f"unknown element name {name!r}"
                            + (f" at type {hint}" if hint else ""))
                 return hit
             c.fail("expected an element literal")
+        finally:
+            c.depth -= 1
 
 
 def _check_table_total(table: FnTable, model: ModelConfig):
@@ -787,8 +823,7 @@ def parse_element(text: str, model: ModelConfig,
                   hint: Optional[TypeExpr] = None) -> CanonElem:
     p = _ElemParser(text, model)
     e = p.elem(hint)
-    if p.c.peek().kind != "EOF":
-        p.c.fail("trailing input after element")
+    p.c.end("element")
     return e
 
 
@@ -799,21 +834,20 @@ def parse_set_of_sets(text: str, model: ModelConfig,
     c = p.c
     c.expect("{")
     sets = []
-    while not c.at("}"):
+    while c.toks[c.i] != "}":
         c.expect("{")
         members = []
-        while not c.at("}"):
+        while c.toks[c.i] != "}":
             e = p.elem(sigma)
             if elem_rank(e) != 0:
                 c.fail("set members must be rank-0 atoms")
             members.append(e)
-            if c.at(","):
-                c.next()
+            if c.toks[c.i] == ",":
+                c.i += 1
         c.expect("}")
         sets.append(frozenset(members))
-        if c.at(","):
-            c.next()
+        if c.toks[c.i] == ",":
+            c.i += 1
     c.expect("}")
-    if c.peek().kind != "EOF":
-        c.fail("trailing input after set of sets")
+    c.end("set of sets")
     return frozenset(sets)

@@ -14,10 +14,11 @@ first use; later occurrences may be bare and must be consistent.
 from __future__ import annotations
 
 import re
+import string
 import weakref
+from itertools import islice
 from operator import attrgetter
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
@@ -658,23 +659,27 @@ def _signature_walk(sub: CtsSubterm) -> dict[str, tuple[TypeExpr, int]]:
 # tokenizer
 
 # One match per token: whitespace and comments are skipped, then the token
-# is read. A comment runs from `#` to the end of the line, except that in
-# lambda-mu text a `#` glued to an identifier is the mu sigil (`#x:...`),
-# which SYM then reads. BAD is a character no token starts with; the empty
-# alternative matches at the end of the text and reads no token.
+# is read into the one group. A comment runs from `#` to the end of the
+# line, except that in lambda-mu text a `#` glued to an identifier is the mu
+# sigil (`#x:...`), read as a token. `.` reads a character no token starts
+# with; the empty alternative matches at the end of the text and reads "",
+# which stands for the end of input.
 _SKIP = r"(?:\s|\#[^\n]*)*"
 _SKIP_MU = r"(?:\s|\#(?![A-Za-z_])[^\n]*)*"
-_TOKEN = r"""(?:
-      (?P<ARROW>->)
-    | (?P<TURNSTILE>\|-)
-    | (?P<IDENT>[A-Za-z_][A-Za-z0-9_']*)
-    | (?P<NAT>[0-9]+)
-    | (?P<SYM>[()\[\]{}.,:;@~\\\#=])
-    | (?P<BAD>.)
+_TOKEN = r"""(
+      ->
+    | \|-
+    | [A-Za-z_][A-Za-z0-9_']*
+    | [0-9]+
+    | [()\[\]{}.,:;@~\\\#=]
+    | .
     | \Z
 )"""
 _SCANNERS = tuple(re.compile(skip + _TOKEN, re.VERBOSE | re.DOTALL)
                   for skip in (_SKIP, _SKIP_MU))
+_NAME_START = frozenset(string.ascii_letters + "_")
+# every text a one-character token can have; `.` reads any other character
+_ONE_CHAR_TOKENS = _NAME_START | frozenset(string.digits + "()[]{}.,:;@~\\#=")
 
 RESERVED = {"bot", "and", "or", "neg", "All", "Ex", "table"}
 
@@ -684,114 +689,110 @@ RESERVED = {"bot", "and", "or", "neg", "All", "Ex", "table"}
 # the budget stay inside the interpreter's default recursion limit; a
 # 400-step identity chain still parses.
 MAX_NESTING = 450
+_TOO_DEEP = f"input nests deeper than {MAX_NESTING} levels"
 
 
-@dataclass(slots=True)
-class Token:
-    kind: str
-    text: str
-    pos: int
-
-
-def tokenize(text: str, mu_sigil: bool = False) -> list[Token]:
-    """The tokens of `text` and a final EOF; `#` starts a comment unless
-    mu_sigil and directly glued to an identifier (the mu binder `#x:...`)."""
-    toks: list[Token] = []
-    for m in _SCANNERS[mu_sigil].finditer(text):
-        kind = m.lastgroup
-        if kind == "BAD":
-            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind), text)
-        if kind:
-            toks.append(Token(kind, m[kind], m.start(kind)))
-    toks.append(Token("EOF", "", len(text)))
+def tokenize(text: str, mu_sigil: bool = False) -> list[str]:
+    """The token texts of `text` and a final "" for the end of input, from
+    one scan; `#` starts a comment unless mu_sigil and directly glued to an
+    identifier (the mu binder `#x:...`)."""
+    toks = _SCANNERS[mu_sigil].findall(text)
+    if len(toks) > 1 and not toks[-2]:
+        toks.pop()  # after skipped text, the end matches twice
+    for tok in set(toks):
+        if len(tok) == 1 and tok not in _ONE_CHAR_TOKENS:
+            i = next(i for i, t in enumerate(toks)
+                     if len(t) == 1 and t not in _ONE_CHAR_TOKENS)
+            raise ParseError(f"unexpected character {toks[i]!r}",
+                             _token_start(text, mu_sigil, i), text)
     return toks
 
 
+def _token_start(text: str, mu_sigil: bool, i: int) -> int:
+    """The offset in `text` of token `i` of `tokenize(text, mu_sigil)`,
+    found by scanning again: only an error needs a position."""
+    return next(islice(_SCANNERS[mu_sigil].finditer(text), i, None)).start(1)
+
+
+def _is_name(tok: str) -> bool:
+    """Whether `tok` is an identifier token, reserved words included."""
+    return tok[:1] in _NAME_START
+
+
 class _Cursor:
-    def __init__(self, toks: list[Token], text: str):
-        self.toks = toks
+    """The token list of `text` and the index of the next token. Parsers
+    read `toks[i]` and advance `i` themselves, and count their nesting in
+    `depth`, failing past MAX_NESTING before the interpreter stack runs out
+    in the parser or in any later recursive pass over the tree."""
+
+    def __init__(self, text: str, mu_sigil: bool = False):
+        self.toks = tokenize(text, mu_sigil)
         self.text = text
+        self.mu_sigil = mu_sigil
         self.i = 0
         self.depth = 0
 
-    def __enter__(self):
-        """One level of a recursive production (`with c:`). Input nested
-        past MAX_NESTING fails here, before the interpreter stack runs out
-        in the parser or in any later recursive pass over the tree."""
-        self.depth += 1
-        self.within(0)
-        return self
-
-    def within(self, below: int):
-        """Fail unless `below` levels under this one stay within the budget:
-        applying the functor `out` of `(P Q R ...)` to one more argument
-        puts its deepest node `out.height` levels under this one."""
-        if self.depth + below > MAX_NESTING:
-            self.fail(f"input nests deeper than {MAX_NESTING} levels")
-
-    def __exit__(self, *exc):
-        self.depth -= 1
-
-    def peek(self) -> Token:
-        return self.toks[self.i]
-
-    def next(self) -> Token:
-        t = self.toks[self.i]
+    def expect(self, tok: str):
+        if self.toks[self.i] != tok:
+            self.fail(f"expected {tok!r}, found {self.toks[self.i] or 'end of input'!r}")
         self.i += 1
-        return t
 
-    def expect(self, text: str) -> Token:
-        t = self.peek()
-        if t.text != text:
-            raise ParseError(f"expected {text!r}, found {t.text or 'end of input'!r}",
-                             t.pos, self.text)
-        return self.next()
+    def fail(self, msg: str, at: Optional[int] = None):
+        """Raise `msg` at token `at`, by default the next one."""
+        at = self.i if at is None else at
+        raise ParseError(msg, _token_start(self.text, self.mu_sigil, at), self.text)
 
-    def at(self, text: str) -> bool:
-        return self.peek().text == text
-
-    def fail(self, msg: str):
-        t = self.peek()
-        raise ParseError(msg, t.pos, self.text)
+    def end(self, what: str):
+        if self.toks[self.i]:
+            self.fail(f"trailing input after {what}")
 
 
 # ---------------------------------------------------------------------------
 # type parser
 
 def _parse_type_atom(c: _Cursor) -> TypeExpr:
-    with c:
-        t = c.peek()
-        if t.text == "bot":
-            c.next()
+    c.depth += 1
+    if c.depth > MAX_NESTING:
+        c.fail(_TOO_DEEP)
+    try:
+        t = c.toks[c.i]
+        if t == "bot":
+            c.i += 1
             return BOT
-        if t.text == "~":
-            c.next()
+        if t == "~":
+            c.i += 1
             return neg_type(_parse_type_atom(c))
-        if t.text == "(":
-            c.next()
+        if t == "(":
+            c.i += 1
             ty = _parse_type(c)
             c.expect(")")
             return ty
-        if t.kind == "IDENT" and t.text not in RESERVED:
-            c.next()
-            return Base(t.text)
+        if _is_name(t) and t not in RESERVED:
+            c.i += 1
+            return Base(t)
         c.fail("expected a type")
+    finally:
+        c.depth -= 1
 
 
 def _parse_type(c: _Cursor) -> TypeExpr:
-    with c:
+    c.depth += 1
+    if c.depth > MAX_NESTING:
+        c.fail(_TOO_DEEP)
+    try:
         left = _parse_type_atom(c)
-        if c.at("->"):
-            c.next()
+        if c.toks[c.i] == "->":
+            c.i += 1
             return Arrow(left, _parse_type(c))
         return left
+    finally:
+        c.depth -= 1
 
 
 def parse_type(text: str) -> TypeExpr:
-    c = _Cursor(tokenize(text), text)
+    c = _Cursor(text)
     ty = _parse_type(c)
-    if c.peek().kind != "EOF":
-        c.fail("trailing input after type")
+    c.end("type")
     return ty
 
 
@@ -806,11 +807,14 @@ class _SlmParser:
 
     def term(self, bound: dict[str, TypeExpr]) -> SlmTerm:
         c = self.c
-        with c:
-            t = c.peek()
-            if t.text == "\\" or t.text == "#":
-                is_mu = t.text == "#"
-                c.next()
+        c.depth += 1
+        if c.depth > MAX_NESTING:
+            c.fail(_TOO_DEEP)
+        try:
+            t = c.toks[c.i]
+            if t == "\\" or t == "#":
+                is_mu = t == "#"
+                c.i += 1
                 name = self.ident()
                 c.expect(":")
                 bty = _parse_type_atom(c)
@@ -819,19 +823,21 @@ class _SlmParser:
                 c.expect(".")
                 body = self.term({**bound, name: bty})
                 return Mu(name, bty, body) if is_mu else Lam(name, bty, body)
-            if t.text == "(":
-                c.next()
+            if t == "(":
+                c.i += 1
                 out = self.term(bound)
-                while not c.at(")"):  # (P) groups, (P Q R) left-folds
-                    c.within(out.height)
+                while c.toks[c.i] != ")":  # (P) groups, (P Q R) left-folds
+                    # the functor `out` goes one level down per argument
+                    if c.depth + out.height > MAX_NESTING:
+                        c.fail(_TOO_DEEP)
                     out = App(out, self.term(bound))
-                c.expect(")")
+                c.i += 1
                 return out
-            if t.kind == "IDENT" and t.text not in RESERVED:
-                c.next()
-                name = t.text
-                if c.at(":") and name not in bound:
-                    c.next()
+            if _is_name(t) and t not in RESERVED:
+                c.i += 1
+                name = t
+                if c.toks[c.i] == ":" and name not in bound:
+                    c.i += 1
                     ty = _parse_type_atom(c)
                     if name in self.known and self.known[name] != ty:
                         c.fail(f"{name} already annotated as {self.known[name]}")
@@ -846,20 +852,22 @@ class _SlmParser:
                     return Var(name, self.default_ty)
                 c.fail(f"free variable {name} needs a type annotation")
             c.fail("expected a term")
+        finally:
+            c.depth -= 1
 
     def ident(self) -> str:
-        t = self.c.peek()
-        if t.kind != "IDENT" or t.text in RESERVED:
-            self.c.fail("expected an identifier")
-        self.c.next()
-        return t.text
+        c = self.c
+        t = c.toks[c.i]
+        if not _is_name(t) or t in RESERVED:
+            c.fail("expected an identifier")
+        c.i += 1
+        return t
 
 
 def _parse_slm_once(c: _Cursor, default_ty: Optional[TypeExpr]) -> SlmTerm:
     p = _SlmParser(c, default_ty)
     term = p.term({})
-    if c.peek().kind != "EOF":
-        c.fail("trailing input after term")
+    c.end("term")
     typecheck_slm(term, p.known)
     return term
 
@@ -873,11 +881,11 @@ def parse_slm(text: str) -> SlmTerm:
     annotated variable. Both readings share one token list. When both
     fail, the error of the one that got further into the input is raised.
     """
-    toks = tokenize(text, mu_sigil=True)
+    c = _Cursor(text, mu_sigil=True)
     try:
-        return _parse_slm_once(_Cursor(toks, text), None)
+        return _parse_slm_once(c, None)
     except CttError as original:
-        c = _Cursor(toks, text)
+        c.i = c.depth = 0
         try:
             prefix_ty = _parse_type(c)
             c.expect(":")
@@ -902,16 +910,17 @@ def _reach(error: CttError, text: str) -> int:
 
 class _CtsParser:
     def __init__(self, text: str, sig: Optional[dict[str, tuple[TypeExpr, int]]]):
-        self.c = _Cursor(tokenize(text), text)
+        self.c = _Cursor(text)
         self.known: dict[str, tuple[TypeExpr, int]] = dict(sig or {})
         self.default_var: Optional[tuple[TypeExpr, int]] = None
 
     def rank(self) -> int:
-        t = self.c.peek()
-        if t.kind != "NAT":
-            self.c.fail("expected a rank (natural number)")
-        self.c.next()
-        return int(t.text)
+        c = self.c
+        t = c.toks[c.i]
+        if not t.isdigit():
+            c.fail("expected a rank (natural number)")
+        c.i += 1
+        return int(t)
 
     def bracket_rank(self) -> int:
         self.c.expect("[")
@@ -920,23 +929,27 @@ class _CtsParser:
         return k
 
     def annotated_var(self) -> tuple[str, TypeExpr, int]:
-        t = self.c.peek()
-        if t.kind != "IDENT" or t.text in RESERVED:
-            self.c.fail("expected a variable")
-        self.c.next()
-        self.c.expect(":")
-        ty = _parse_type_atom(self.c)
-        self.c.expect("@")
+        c = self.c
+        t = c.toks[c.i]
+        if not _is_name(t) or t in RESERVED:
+            c.fail("expected a variable")
+        c.i += 1
+        c.expect(":")
+        ty = _parse_type_atom(c)
+        c.expect("@")
         m = self.rank()
-        return t.text, ty, m
+        return t, ty, m
 
     def subterm(self) -> CtsSubterm:
         c = self.c
-        with c:
-            t = c.peek()
-            if t.text in ("neg", "and", "or", "All", "Ex"):
-                op = t.text
-                c.next()
+        c.depth += 1
+        if c.depth > MAX_NESTING:
+            c.fail(_TOO_DEEP)
+        try:
+            t = c.toks[c.i]
+            if t in ("neg", "and", "or", "All", "Ex"):
+                op = t
+                c.i += 1
                 k = self.bracket_rank()
                 c.expect("(")
                 if op == "neg":
@@ -952,19 +965,20 @@ class _CtsParser:
                 name, ty, m = self.annotated_var()
                 c.expect(")")
                 return (CBigConj if op == "All" else CBigDisj)(k, name, ty, m)
-            if t.text == "(":
-                c.next()
+            if t == "(":
+                c.i += 1
                 out = self.subterm()
-                while not c.at(")"):
-                    c.within(out.height)
+                while c.toks[c.i] != ")":
+                    if c.depth + out.height > MAX_NESTING:
+                        c.fail(_TOO_DEEP)
                     out = CApp(out, self.subterm())
-                c.expect(")")
+                c.i += 1
                 return out
-            if t.kind in ("IDENT", "NAT"):  # 0 and 1 name the truth values
-                c.next()
-                name = t.text
-                if c.at(":"):
-                    c.next()
+            if _is_name(t) or t.isdigit():  # 0 and 1 name the truth values
+                c.i += 1
+                name = t
+                if c.toks[c.i] == ":":
+                    c.i += 1
                     ty = _parse_type_atom(c)
                     c.expect("@")
                     m = self.rank()
@@ -981,39 +995,40 @@ class _CtsParser:
                     return CVar(name, *self.default_var)
                 c.fail(f"variable {name} needs a `:type@rank` annotation")
             c.fail("expected a subterm")
+        finally:
+            c.depth -= 1
 
 
 def parse_cts(text: str, sig: Optional[dict[str, tuple[TypeExpr, int]]] = None) -> CtsSubterm:
     """Parse a ranked subterm and check every rank side condition."""
     p = _CtsParser(text, sig)
     sub = p.subterm()
-    if p.c.peek().kind != "EOF":
-        p.c.fail("trailing input after subterm")
+    p.c.end("subterm")
     rank_check(sub)
     return sub
 
 
 def parse_sequent_members(text: str, sig: Optional[dict[str, tuple[TypeExpr, int]]] = None
                           ) -> tuple[list[CtsSubterm], list[CtsSubterm]]:
-    """Parse `A, B |- C, D`. Bare unannotated variables default to bot@0."""
+    """Parse `A, B |- C, D`. Bare unannotated variables default to bot@0.
+    Either side may be empty; a comma is always followed by a member."""
     p = _CtsParser(text, sig)
     p.default_var = (BOT, 0)
+    c = p.c
 
-    def side(stop_kind: str) -> list[CtsSubterm]:
-        members = []
-        while not p.c.at(stop_kind) and p.c.peek().kind != "EOF":
+    def side(stop: str) -> list[CtsSubterm]:
+        if c.toks[c.i] in (stop, ""):
+            return []
+        members = [p.subterm()]
+        while c.toks[c.i] == ",":
+            c.i += 1
             members.append(p.subterm())
-            if p.c.at(","):
-                p.c.next()
-            else:
-                break
         return members
 
     ante = side("|-")
-    p.c.expect("|-")
+    c.expect("|-")
     succ = side("")
-    if p.c.peek().kind != "EOF":
-        p.c.fail("trailing input after sequent")
+    c.end("sequent")
     for m in ante + succ:
         check_sequent_member(m)
     return ante, succ
@@ -1122,7 +1137,8 @@ def render(ast, sort_children: bool = False, annotate: bool = True) -> str:
     drops those annotations (display form, not reparseable in general). With
     sort_children=True the children of and/or nodes print in lexicographic
     order (canonical printing for golden files). A node keeps its text for
-    the default arguments once asked.
+    the default arguments once asked, and so do the nodes below it whose
+    texts it is built from.
     """
     if isinstance(ast, (Base, Arrow, Bot)):
         return render_type(ast)
@@ -1131,9 +1147,83 @@ def render(ast, sort_children: bool = False, annotate: bool = True) -> str:
     try:
         return ast._text
     except AttributeError:  # not asked before
-        text = _render(ast, False, True)
-        object.__setattr__(ast, "_text", text)
-        return text
+        if ast.height <= _WALKED_HEIGHT:
+            object.__setattr__(ast, "_text", _render(ast, False, True))
+        else:
+            _fill_texts(ast)
+        return ast._text
+
+
+# A tree at most this tall is walked whole when first rendered: over
+# generated sequent members that costs about half of filling its nodes'
+# free tables and texts, and walking a short tree again at its subterms
+# costs little.
+_WALKED_HEIGHT = 8
+
+
+def _fill_texts(node: _Node):
+    """Fill the `_text` of `node` bottom-up with an explicit stack: a node
+    the walk writes as its children's own texts (`_joins`) joins them, any
+    other node is walked, and the nodes below it are left alone. Errors are
+    the walk's: a node of the other language is walked from each of its
+    ancestors, and every ill-typed mu binder raises the same error."""
+    if isinstance(node, _SLM_NODES):
+        _free_table(node, _SLM_NODES, _slm_free)
+    else:
+        _free_table(node, _CTS_NODES, _cts_free)
+    todo = [node]
+    while todo:
+        t = todo[-1]
+        if hasattr(t, "_text"):
+            todo.pop()
+            continue
+        if t.height > _WALKED_HEIGHT and _joins(t):
+            missing = [c for c in children(t) if not hasattr(c, "_text")]
+            if missing:
+                todo += missing
+                continue
+            text = _joined(t)
+        else:
+            text = _render(t, False, True)
+        todo.pop()
+        object.__setattr__(t, "_text", text)
+
+
+def _joins(t: _Node) -> bool:
+    """Whether the walk writes `t` with its children's own texts: no free
+    name of a child meets a binder of `t` or the other child's free names,
+    so each is annotated where it would be on its own; `neg` always does.
+    A node with a free table has children of its own language."""
+    if not hasattr(t, "_free"):
+        return False
+    match t:
+        case App(l, r) | CApp(l, r) | CConj(_, l, r) | CDisj(_, l, r):
+            return (l._free is not None and r._free is not None
+                    and l._free.keys().isdisjoint(r._free))
+        case Lam(b, _, body) | Mu(b, _, body):
+            return body._free is not None and b not in body._free
+        case CNeg():
+            return True
+    return False
+
+
+def _joined(t: _Node) -> str:
+    """The text of a node that `_joins`, from its children's texts."""
+    match t:
+        case App(fun, arg):
+            f = f"({fun._text})" if isinstance(fun, (Lam, Mu)) else fun._text
+            return f"({f} {arg._text})"
+        case Lam(b, bty, body):
+            return f"\\{b}:{bty}. {body._text}"
+        case Mu(b, _, body):
+            return f"#{b}:~{t.ty}. {body._text}"
+        case CApp(fun, arg):
+            return f"({fun._text} {arg._text})"
+        case CNeg(k, child):
+            return f"neg[{k}]({child._text})"
+        case CConj(k, l, r) | CDisj(k, l, r):
+            op = "and" if isinstance(t, CConj) else "or"
+            return f"{op}[{k}]({l._text},{r._text})"
 
 
 def _render(ast, sort_children: bool, annotate: bool) -> str:

@@ -198,6 +198,19 @@ def test_readme_derivation_file_checks(capsys, tmp_path):
     assert out.strip() == "and[1](A:bot@0,B:bot@0) |- and[1](B:bot@0,A:bot@0)"
 
 
+def test_trailing_comma_is_a_parse_error(capsys, tmp_path):
+    # a comma is always followed by a member, on either side
+    path = tmp_path / "comma.proof"
+    path.write_text("node 1 rule=ax dir=- pos=- concl=A:bot@0, |- A:bot@0 premises=-\n"
+                    "root 1\n")
+    for argv, col in ((["entail", "A, |- A"], 4), (["entail", "A |- A,"], 8),
+                      (["prove", "A, |- A"], 4), (["prove", "A |- A, B,"], 11),
+                      (["check-proof", str(path)], 10)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert f"expected a subterm at line 1, column {col}" in err, (argv, err)
+
+
 def test_prove_negative_exit(capsys):
     code, out, _ = run(capsys, "prove", "--depth", "5", "A |- B")
     assert code == 1
@@ -454,6 +467,20 @@ def test_fuzz_no_crash(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("CTT_SEED", "abc")
     code, _, err = run(capsys, "harness", "--rule", "beta", "--trials", "1")
     assert code == 2 and "CTT_SEED" in err
+    # every prefix of the README tour inputs, some corpus texts and the
+    # README derivation file, read from a file by every parsing command:
+    # parse errors at any token, positions included, end in an exit code
+    tour = readme.split("## CLI tour", 1)[1].split("```\n")[1]
+    texts = [t for t in re.findall(r"'([^']*)'", tour) if t != "..."]
+    texts += corpus.SLM_TEXTS[:3] + corpus.CTS_TEXTS[:3] + [block]
+    path = tmp_path / "prefix.txt"
+    for text in texts:
+        for n in range(len(text) + 1):
+            path.write_text(text[:n])
+            for cmd in ("parse", "check", "normalize", "canon", "entail", "prove",
+                        "check-proof"):
+                code, _, err = run(capsys, cmd, f"@{path}")
+                assert code in (0, 1, 2, 3) and "Traceback" not in err, (cmd, text[:n])
 
 
 def test_closed_stdout_exits_without_traceback():

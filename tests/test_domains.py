@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import time
 import weakref
 
 import pytest
@@ -371,6 +372,22 @@ def test_canonical_key_matches_reference():
     assert len({_rank(e) for e in elems[16:]}) == 4
     for e in elems:
         assert canonical_key(e) == reference_canonical_key(e), render_elem(e)
+
+
+def test_canonical_key_at_the_generator_cap_is_fast():
+    # the table is projected and reordered by whole-table bit operations,
+    # not one row at a time
+    atoms = [Individual(E, f"g{i}") for i in reversed(range(MAX_GENERATORS))]
+    start = time.perf_counter()
+    key = canonical_key(make_join(1, E, atoms))
+    assert time.perf_counter() - start < 1.0
+    assert len(key[4]) == 2 ** MAX_GENERATORS and sum(key[4]) == 2 ** MAX_GENERATORS - 1
+    # generators out of key order, and some that do not matter
+    x, y = Individual(E, "x"), Individual(E, "y")
+    dead = [make_meet(1, E, [x, make_neg(1, x)]), make_join(1, E, [y, make_neg(1, y)])]
+    e = make_meet(1, E, [make_join(1, E, atoms[:10] + dead[:1]), make_neg(1, atoms[3]),
+                         make_join(1, E, [dead[1], atoms[11]])])
+    assert canonical_key(e) == reference_canonical_key(e)
 
 
 def test_canonical_key_cap_is_checked():

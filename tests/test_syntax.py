@@ -1,10 +1,10 @@
 import os
 import pathlib
 import random
-import re
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +21,7 @@ from ctt.syntax import (
 )
 
 import corpus
+import reference_syntax
 
 
 def test_parse_identity_lambda():
@@ -282,7 +283,9 @@ def reference_height(t):
 
 
 def uncached_render(t):
-    return syntax._render(t, False, True)
+    """`render(t)` as the walk that wrote every text before texts were
+    joined from the children's."""
+    return reference_syntax._render(t, False, True)
 
 
 def node_type(t):
@@ -309,20 +312,34 @@ def subterms(t):
         yield from subterms(c)
 
 
-def assert_slots_match_reference_walks(tree, rng):
-    # ask in a random order, so slots are filled from either side
+def assert_slots_match_reference_walks(tree, rng, walked_height=0):
+    # ask in a random order, so slots are filled from either side; texts
+    # are joined from the children's above `walked_height`, by default on
+    # nodes of every height
     order = list(subterms(tree))
     rng.shuffle(order)
-    for t in order + [tree]:
-        assert outcome(node_type, t) == outcome(reference_ty, t)
-        assert outcome(cts_signature, t) == outcome(reference_cts_signature, t)
-        assert outcome(render, t) == outcome(uncached_render, t)
-        assert outcome(rank_check, t) == outcome(reference_rank_check, t)
-        assert t.height == reference_height(t)
+    with mock.patch.object(syntax, "_WALKED_HEIGHT", walked_height):
+        for t in order + [tree]:
+            assert outcome(node_type, t) == outcome(reference_ty, t)
+            assert outcome(cts_signature, t) == outcome(reference_cts_signature, t)
+            assert outcome(render, t) == outcome(uncached_render, t)
+            assert outcome(rank_check, t) == outcome(reference_rank_check, t)
+            assert t.height == reference_height(t)
+
+
+# lambda-mu trees with two mu binders that are not negations, one inside
+# or left of the other, beside free names, holes and ranked variables: the
+# walk's first error is the one `render` raises
+_BAD_MU = st.builds(Mu, _NAMES, st.sampled_from([Base("e"), BOT]), _RAW_TERMS)
+_FAULTY_TERMS = (
+    st.tuples(_BAD_MU, _BAD_MU, _RAW_TERMS).flatmap(st.permutations)
+    .map(lambda ts: App(App(ts[0], ts[1]), ts[2]))
+    | st.builds(lambda mu, inner, other: Mu(mu.binder, mu.binder_ty, App(inner, other)),
+                _BAD_MU, _BAD_MU, _RAW_TERMS))
 
 
 @settings(max_examples=300, deadline=None)
-@given(_RAW_TERMS | _RAW_SUBTERMS, st.randoms(use_true_random=False))
+@given(_RAW_TERMS | _RAW_SUBTERMS | _FAULTY_TERMS, st.randoms(use_true_random=False))
 def test_node_slots_match_reference_walks(tree, rng):
     assert_slots_match_reference_walks(tree, rng)
 
@@ -333,6 +350,15 @@ def test_node_slots_match_reference_walks_on_corpus():
         assert_slots_match_reference_walks(parse_cts(text), rng)
     for text in corpus.SLM_TEXTS:
         assert_slots_match_reference_walks(parse_slm(text), rng)
+    # trees taller than the ones `render` walks whole: an identity chain,
+    # an and-chain, and a chain whose levels all share the free name f
+    chain, conj, shared = "y", "p0:bot@0", "x:e"
+    for i in range(1, 40):
+        chain = f"((\\x:e. x) {chain})"
+        conj = f"and[1](p{i}:bot@0,{conj})"
+        shared = f"(f:(e -> e) {shared})"
+    for tree in (parse_slm("e: " + chain), parse_cts(conj), parse_slm(shared)):
+        assert_slots_match_reference_walks(tree, rng, syntax._WALKED_HEIGHT)
 
 
 def test_equal_fields_build_one_node():
@@ -540,6 +566,11 @@ def test_sequent_parsing_defaults():
     assert ante == [] and len(succ) == 1
     with pytest.raises(TypeMismatch):
         parse_sequent_members("x:e@0 |- x")
+    # a comma is always followed by a member
+    for text, col in (("A, |- A", 4), ("A |- A,", 8), ("A:bot@0, |- A:bot@0", 10),
+                      ("A, B, |- C", 7)):
+        with pytest.raises(ParseError, match=f"expected a subterm at line 1, column {col}$"):
+            parse_sequent_members(text)
 
 
 def test_render_refuses_a_mu_binder_without_negation_type():
@@ -599,122 +630,92 @@ def test_round_trip_on_corpus():
 
 
 # ---------------------------------------------------------------------------
-# the per-character tokenizer, the twice-tokenizing `parse_slm` and the
-# `_bare_key` sort order, kept verbatim as references for their replacements
+# the scanner and the parsers against the `Token` tokenizer and the parsers
+# over it, kept verbatim in `reference_syntax`
 
-REFERENCE_TOKEN_RE = re.compile(r"""
-      (?P<ARROW>->)
-    | (?P<TURNSTILE>\|-)
-    | (?P<IDENT>[A-Za-z_][A-Za-z0-9_']*)
-    | (?P<NAT>[0-9]+)
-    | (?P<SYM>[()\[\]{}.,:;@~\\#=])
-    | (?P<WS>\s+)
-""", re.VERBOSE)
-
-
-def reference_tokenize(text, mu_sigil=False, start=0):
-    toks = []
-    i = start
-    while i < len(text):
-        if text[i] == "#":
-            rest = text[i + 1:]
-            if mu_sigil and re.match(r"[A-Za-z_]", rest[:1] or ""):
-                toks.append(syntax.Token("SYM", "#", i))
-                i += 1
-                continue
-            nl = text.find("\n", i)
-            i = len(text) if nl < 0 else nl + 1
-            continue
-        m = REFERENCE_TOKEN_RE.match(text, i)
-        if not m:
-            raise ParseError(f"unexpected character {text[i]!r}", i, text)
-        kind = m.lastgroup or "WS"
-        if kind != "WS":
-            toks.append(syntax.Token(kind, m.group(), i))
-        i = m.end()
-    toks.append(syntax.Token("EOF", "", len(text)))
-    return toks
-
-
-def token_triples(tokenizer, text, mu_sigil):
+def token_triples(text, mu_sigil):
+    """The reference tokens of `text` as (kind, text, offset), or the
+    error it raises."""
     try:
-        toks = tokenizer(text, mu_sigil)
+        toks = reference_syntax.tokenize(text, mu_sigil)
     except ParseError as ex:
         return ParseError, str(ex), ex.pos
     return [(t.kind, t.text, t.pos) for t in toks]
 
 
-_SCAN_ALPHABET = "#\n:  \t()[]{}.,;@~\\=-|>_'aAzexy019λμ⊥ÿ\xa0 "
+def scanned_triples(text, mu_sigil):
+    """`syntax.tokenize` as `token_triples`: the kind read off the token's
+    text, the offset recovered as a parse error recovers it."""
+    try:
+        toks = syntax.tokenize(text, mu_sigil)
+    except ParseError as ex:
+        return ParseError, str(ex), ex.pos
+    return [(token_kind(t), t, syntax._token_start(text, mu_sigil, i))
+            for i, t in enumerate(toks)]
+
+
+def token_kind(tok):
+    if tok in ("", "->", "|-"):
+        return {"": "EOF", "->": "ARROW", "|-": "TURNSTILE"}[tok]
+    if tok[0].isdigit():
+        return "NAT"
+    return "IDENT" if tok[0].isalpha() or tok[0] == "_" else "SYM"
+
+
+_SCAN_ALPHABET = "#\n:  \t()[]{}.,;@~\\=-|>_'aAzexy019λμ⊥ÿ\xa0 "
 
 
 @settings(max_examples=1000, deadline=None)
 @given(st.text(st.sampled_from(_SCAN_ALPHABET), max_size=30), st.booleans())
 def test_tokenize_matches_reference(text, mu_sigil):
-    assert (token_triples(syntax.tokenize, text, mu_sigil)
-            == token_triples(reference_tokenize, text, mu_sigil))
+    assert scanned_triples(text, mu_sigil) == token_triples(text, mu_sigil)
 
 
 def test_tokenize_matches_reference_on_corpus():
     texts = corpus.SLM_TEXTS + corpus.CTS_TEXTS + [
         "#x:~e. (x y:e) # comment", "and[1](p:bot@0, # c\n q:bot@0)", "A, B |- C",
-        "table{a->0,b->1}", "#", "#\n#x", "x#y", "e # note: x", "#c\ne: y"]
+        "table{a->0,b->1}", "#", "#\n#x", "x#y", "e # note: x", "#c\ne: y",
+        "", "  ", "x ", "x # c", "x\n", "a -b", "a ->", "|", "x λ y", "x' y''"]
     for text in texts:
         for mu_sigil in (False, True):
-            assert (token_triples(syntax.tokenize, text, mu_sigil)
-                    == token_triples(reference_tokenize, text, mu_sigil)), text
+            assert scanned_triples(text, mu_sigil) == token_triples(text, mu_sigil), text
 
 
-class ReferenceSlmParser(syntax._SlmParser):
-    def __init__(self, text, default_ty, start=0):
-        self.c = syntax._Cursor(reference_tokenize(text, mu_sigil=True, start=start), text)
-        self.known = {}
-        self.default_ty = default_ty
-
-
-def reference_parse_type(text):
-    c = syntax._Cursor(reference_tokenize(text), text)
-    ty = syntax._parse_type(c)
-    if c.peek().kind != "EOF":
-        c.fail("trailing input after type")
-    return ty
-
-
-def reference_parse_slm_once(text, default_ty, start=0):
-    p = ReferenceSlmParser(text, default_ty, start)
-    term = p.term({})
-    if p.c.peek().kind != "EOF":
-        p.c.fail("trailing input after term")
-    typecheck_slm(term, p.known)
-    return term
-
-
-def reference_parse_slm(text):
+def parse_outcome(parser, text):
+    """What `parser(text)` returns, or the class, text and offset of the
+    error it raises. Nodes are interned and define no `==`, so equal
+    outcomes hold the same objects."""
     try:
-        return reference_parse_slm_once(text, None)
-    except CttError as original:
-        head, sep, _ = text.partition(":")
-        if not sep:
-            raise
-        try:
-            prefix_ty = reference_parse_type(head)
-        except CttError:
-            raise original from None
-        try:
-            return reference_parse_slm_once(text, prefix_ty, start=len(head) + 1)
-        except CttError as retry:
-            if reference_reach(original, text) > reference_reach(retry, text):
-                raise original from None
-            raise
+        return parser(text)
+    except CttError as ex:
+        return "raises", type(ex), str(ex), getattr(ex, "pos", None)
 
 
-def reference_reach(error, text):
-    return error.pos if isinstance(error, ParseError) else len(text)
+def after_trailing_comma(text):
+    """The offset of the token after the first comma that a turnstile or
+    the end of input follows, in the reference's tokens, or None."""
+    try:
+        toks = reference_syntax.tokenize(text)
+    except ParseError:
+        return None
+    for t, after in zip(toks, toks[1:]):
+        if t.text == "," and after.text in ("|-", ""):
+            return after.pos
+    return None
 
 
-def assert_parse_slm_matches_reference(text):
-    if "#" in text.partition(":")[0]:
-        return  # read differently on purpose: see test_comment_before_prefix_colon
-    assert outcome(parse_slm, text) == outcome(reference_parse_slm, text), text
+def assert_parsers_match_reference(text):
+    """Each parser gives the reference's outcome on `text`. A sequent side
+    no longer ends in a comma: the sequent parser reads as the reference
+    up to the token after such a comma, and fails there."""
+    for name in ("parse_type", "parse_slm", "parse_cts", "parse_sequent_members"):
+        want = parse_outcome(getattr(reference_syntax, name), text)
+        stop = after_trailing_comma(text) if name == "parse_sequent_members" else None
+        if stop is not None and not (want[0] == "raises" and want[3] is not None
+                                     and want[3] < stop):
+            error = ParseError("expected a subterm", stop, text)
+            want = "raises", ParseError, str(error), stop
+        assert parse_outcome(getattr(syntax, name), text) == want, (name, text)
 
 
 def slm_texts():
@@ -732,20 +733,45 @@ def slm_texts():
     return texts
 
 
+def cts_texts():
+    """The corpus and generated subterms and sequents, their subterms,
+    and types, with and without annotations."""
+    rng = gen.make_rng(12)
+    subs = [parse_cts(t) for t in corpus.CTS_TEXTS]
+    for _ in range(150):
+        subs.append(gen.random_bot_subterm(rng, depth=4, sig={}))
+        subs.append(gen.cts_member(rng, {}, rank=rng.randint(1, 2), depth=3))
+    texts = list(corpus.CTS_TEXTS)
+    for sub in subs:
+        texts += [render(s) for s in subterms(sub)] + [render(sub, annotate=False)]
+    for i in range(0, len(subs) - 3, 3):
+        ante, succ = subs[i:i + 2], subs[i + 2:i + 3 + i % 2]
+        for show in (render, lambda s: render(s, annotate=False)):
+            texts.append(", ".join(map(show, ante)) + " |- " + ", ".join(map(show, succ)))
+    texts += [render_type(gen.random_type(rng, depth=3)) for _ in range(100)]
+    return texts + ["A, |- A", "A |- A,", "A,, |- A", ", A |- A", "|-", "A |-", "|- ,"]
+
+
 def test_parse_slm_matches_reference_on_corpus_and_generated_terms():
     for text in slm_texts():
-        assert_parse_slm_matches_reference(text)
+        assert_parsers_match_reference(text)
 
 
-_SLM_PIECES = st.sampled_from(
-    ["e", "t", "x", "y", "f", ":", "#", "#x", "\\", "(", ")", ".", " ", "\n", "~",
-     "->", "bot", "@", "# c:", "e:", "x:e", "λ", "\\x:e.", "#k:~e."])
+def test_parsers_match_reference_on_corpus_and_generated_subterms():
+    for text in cts_texts():
+        assert_parsers_match_reference(text)
 
 
-@settings(max_examples=1000, deadline=None)
-@given(st.lists(_SLM_PIECES, max_size=14).map("".join))
+_PIECES = st.sampled_from(
+    ["e", "t", "x", "y", "f", "A", ":", "#", "#x", "\\", "(", ")", ".", " ", "\n", "~",
+     "->", "bot", "@", "0", "1", "[", "]", ",", "|-", "neg", "and", "or", "All",
+     "# c:", "e:", "x:e", "λ", "\\x:e.", "#k:~e.", "A:bot@0", "and[1](", "neg[1]("])
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(_PIECES, max_size=14).map("".join))
 def test_parse_slm_matches_reference_on_fuzz(text):
-    assert_parse_slm_matches_reference(text)
+    assert_parsers_match_reference(text)
 
 
 def test_comment_before_prefix_colon(capsys):
@@ -756,6 +782,10 @@ def test_comment_before_prefix_colon(capsys):
         assert main(["parse", text]) == 2, text
         capsys.readouterr()
 
+
+# ---------------------------------------------------------------------------
+# the `_bare_key` sort order, kept verbatim as the reference for the
+# sorted printer
 
 def reference_sorted_render(ast, annotate=True):
     """`render(ast, sort_children=True)` of a ranked subterm as it was,
