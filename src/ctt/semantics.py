@@ -25,7 +25,7 @@ from .domains import (
     CanonElem, CapExceeded, FALSE, Individual, MAX_RANK0_ENUM, ModelConfig,
     RankOverflow, TRUE, TruthVal, apply_elem, ba_equal, ba_leq, bottom_at,
     elem_rank, enumerate_domain, fn_table, iso_i, make_join, make_meet,
-    make_neg, render_elem, resolve_constant, top_at,
+    make_neg, rank1_count, render_elem, resolve_constant, top_at,
 )
 from .syntax import (
     App, Arrow, BOT, Base, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg,
@@ -303,8 +303,10 @@ class SequentReport:
 
 
 def _pool_size(model: ModelConfig, ty: TypeExpr, rank: int) -> int:
+    """How many values a variable ranges over; a rank-1 pool is saturated
+    at MAX_RANK0_ENUM + 1 (`rank1_count`)."""
     base = len(enumerate_domain(model, ty, 0))
-    return base if rank <= 0 else 2 ** (2 ** base)
+    return base if rank <= 0 else rank1_count(base)
 
 
 def _candidate_values(model: ModelConfig, ty: TypeExpr, rank: int) -> list[CanonElem]:
@@ -331,8 +333,12 @@ def enumerate_assignments(members: list[CtsSubterm], model: ModelConfig,
     for name, (ty, rank) in sorted(sig.items()):
         if resolve_constant(model, name, ty) is not None:
             continue
-        total *= _pool_size(model, ty, rank)  # sized before any enumeration
+        pool = _pool_size(model, ty, rank)  # sized before any enumeration
+        total *= pool
         if total > cap:
+            if pool > MAX_RANK0_ENUM:  # saturated: the exact size is not computed
+                raise CapExceeded(f"assignment space exceeds the cap {cap}: {name} "
+                                  f"alone ranges over more than {MAX_RANK0_ENUM} values")
             raise CapExceeded(f"assignment space {total} exceeds the cap {cap}")
         chosen.append((name, ty, rank))
     names = [n for n, _, _ in chosen]

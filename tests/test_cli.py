@@ -79,6 +79,23 @@ def test_entail_over_cap_model_after_the_counterexample(capsys, tmp_path):
                    "h = table{a->0}, u = a, v = a, w = a, x = 0\n")
 
 
+RANK1_POOL_OVER_CAP = "|- ((x:(e -> (e -> bot))@1 y:e@0) z:e@0)"
+
+
+def test_rank1_pool_is_sized_without_its_power(capsys, tmp_path):
+    # x ranges over 2^(2^16) rank-1 values at e = 2 and 2^(2^512) at e = 3:
+    # the pool is saturated before the cap is compared, not computed
+    mdl = tmp_path / "three.mdl"
+    mdl.write_text("base e 3\n")
+    for argv in ([], ["--model", str(mdl)]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "entail", *argv, RANK1_POOL_OVER_CAP)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == ("ctt: resource cap: assignment space exceeds the cap 4096: "
+                       "x alone ranges over more than 65536 values\n")
+
+
 def test_parse_check_exit_codes(capsys):
     code, out, _ = run(capsys, "parse", "--lang", "cts",
                        "and[1](p:bot@0, neg[2](q:bot@0))")

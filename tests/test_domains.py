@@ -7,7 +7,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctt import gen
+from ctt import domains, gen
 from ctt.domains import (
     AtomicApp, CapExceeded, FALSE, FnTable, Individual, JoinE,
     MAX_GENERATORS, MeetE, ModelConfig, NegE, TRUE, TruthVal, apply_elem,
@@ -18,7 +18,8 @@ from ctt.domains import (
 )
 from ctt.semantics import canonicalize_cts
 from ctt.syntax import (
-    Arrow, BOT, Base, TypeMismatch, is_neg_type, neg_type, parse_cts, render_type,
+    Arrow, BOT, Base, CttError, TypeMismatch, is_neg_type, neg_type, parse_cts,
+    render_type,
 )
 
 import corpus
@@ -433,6 +434,111 @@ def test_apply_functor_wins_rank_tie():
     out = apply_elem(functor, argument)
     assert isinstance(out, MeetE) and out.k == 2  # meet outermost
     assert all(isinstance(c, JoinE) for c in out.children)
+
+
+# --- computed tables --------------------------------------------------------
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as ex:  # the failure itself is the outcome compared
+        return type(ex), str(ex)
+
+
+def _table_operations(seed):
+    """Applications and lattice nodes over random elements of ranks 0-2,
+    some of them ill-ranked (a rank-2 child under a rank-1 node)."""
+    rng = random.Random(seed)
+    model = ModelConfig(base_sizes={"e": 2})
+    fty = Arrow(E, BOT)
+    funs = [gen.random_canon_elem(rng, model, fty) for _ in range(80)]
+    args = [gen.random_canon_elem(rng, model, E) for _ in range(80)]
+    applies = [(p, a) for p in funs[:20] for a in args[:20]]
+    nodes = [(cls, rng.randint(1, 2), E, tuple(rng.sample(args, rng.randint(0, 4))))
+             for cls in (MeetE, JoinE) for _ in range(150)]
+    return applies, nodes
+
+
+def _through_tables(applies, nodes):
+    make = {MeetE: make_meet, JoinE: make_join}
+    return ([_outcome(domains.apply_elem, p, a) for p, a in applies]
+            + [_outcome(make[cls], k, ty, cs) for cls, k, ty, cs in nodes])
+
+
+def test_computed_tables_agree_with_the_uncached_bodies(monkeypatch):
+    applies, nodes = _table_operations(17)
+    with monkeypatch.context() as patch:
+        # the old engine: every call, nested ones too, runs the body
+        patch.setattr(domains, "apply_elem", apply_elem.__wrapped__)
+        patch.setattr(domains, "_make_lattice", domains._make_lattice.__wrapped__)
+        want = _through_tables(applies, nodes)
+    assert any(isinstance(w, tuple) for w in want)  # some operations fail
+    apply_elem.cache_clear()
+    domains._make_lattice.cache_clear()
+    cold = _through_tables(applies, nodes)
+    warm = _through_tables(applies, nodes)
+    for w, c, h in zip(want, cold, warm):
+        if isinstance(w, tuple):
+            assert w == c == h
+        else:
+            assert w is c is h
+    assert apply_elem.cache_info().hits >= len(applies)
+
+
+def test_failed_operations_are_not_tabled():
+    p = Individual(Arrow(E, BOT), "p")
+    x, y = Individual(T, "x"), Individual(E, "y")
+    high = make_meet(2, E, [y, make_neg(2, Individual(E, "z"))])
+    apply_elem.cache_clear()
+    domains._make_lattice.cache_clear()
+    for _ in range(2):
+        with pytest.raises(TypeMismatch, match="does not match"):
+            apply_elem(p, x)
+        with pytest.raises(TypeMismatch, match="differs from node type"):
+            make_join(1, E, [y, x])
+        with pytest.raises(CttError, match="exceeds node rank"):
+            make_meet(1, E, [y, high])
+    assert apply_elem.cache_info().currsize == 0
+    assert domains._make_lattice.cache_info().currsize == 0
+
+
+def test_tables_stay_within_their_bounds_over_a_harness_sweep():
+    from ctt.semantics import cts_rule_harness
+    for rule in ("and-L", "or-R", "neg-Lr", "all-R"):
+        cts_rule_harness(rule, trials=10, seed=3)
+    assert [(name, info.maxsize) for name, info in domains.table_stats()] == [
+        ("apply_elem", domains.APPLY_TABLE_SIZE),
+        ("lattice", domains.LATTICE_TABLE_SIZE),
+        ("render_elem", domains.RENDER_TABLE_SIZE),
+        ("canonical_key", domains.KEY_TABLE_SIZE)]
+    for name, info in domains.table_stats():
+        assert info.hits > 0, name
+        assert info.currsize <= info.maxsize, name
+
+
+def test_the_isomorphism_bypasses_the_lattice_table():
+    # base t is unused by ~~~~e, so every image is mapped afresh
+    model = ModelConfig(base_sizes={"e": 1, "t": 1}, rank_cap=2)
+    n4 = neg_type(neg_type(neg_type(neg_type(E))))
+    inputs = random.Random(41).sample(enumerate_domain(model, n4, 0), 400)
+    before = domains._make_lattice.cache_info()
+    outs = [iso_iterate(n4, f, model) for f in inputs]
+    assert domains._make_lattice.cache_info() == before
+    alone = ModelConfig(base_sizes={"e": 1}, rank_cap=2)
+    assert all(o is iso_iterate(n4, f, alone) for o, f in zip(outs, inputs))
+
+
+def test_render_and_key_tables_are_bounded():
+    f = Individual(Arrow(E, BOT), "f")
+    elems = [AtomicApp(f, Individual(E, f"x{i}"))
+             for i in range(domains.RENDER_TABLE_SIZE + 50)]
+    first = [render_elem(e) for e in elems]
+    assert render_elem.cache_info().currsize <= domains.RENDER_TABLE_SIZE
+    assert first[:3] == ["(f x0)", "(f x1)", "(f x2)"]
+    assert [render_elem(e) for e in elems[:100]] == first[:100]  # evicted, re-rendered
+    keys = [canonical_key(e) for e in elems[:domains.KEY_TABLE_SIZE + 50]]
+    assert canonical_key.cache_info().currsize <= domains.KEY_TABLE_SIZE
+    assert [canonical_key(e) for e in elems[:100]] == keys[:100]
 
 
 def _shadows(model, ty, limit=None):
