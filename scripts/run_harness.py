@@ -5,8 +5,9 @@ Equality rules are checked as semantic equations under random rank-0
 assignments (the mu rule adds its exhaustive truth-context cases); sequent
 rules as validity preservation between premises and conclusion. The `ms`
 column sums the rule's per-trial durations, so slow rules show. Then one
-line per bounded table of `ctt.domains` gives its hits, misses and size
-(entries out of the bound), so the share of repeated operations shows.
+line per bounded table of `ctt.domains` and `ctt.semantics` gives its
+hits, misses and size (entries out of the bound), so the share of repeated
+operations shows.
 Exits 0 when every trial passes, 1 on a failure, 2 on a usage error (a
 negative `--trials`) or when stdout closes early (`| head`). Usage:
 
@@ -18,8 +19,8 @@ import os
 import sys
 import time
 
+from ctt import domains, semantics
 from ctt.cli import count
-from ctt.domains import table_stats
 from ctt.gen import SLM_RULE_IDS
 from ctt.semantics import cts_rule_harness, soundness_harness
 from ctt.sequents import INTRO_RULES, SUBST_RULES
@@ -45,7 +46,7 @@ def main():
         print(f"{rep.rule:14s} {rep.passes:5d} {len(rep.failures):5d} {skip:5d} "
               f"{ms:9.1f}")
     print(f"total failures: {failures}  ({time.time() - t0:.1f}s)")
-    for name, info in table_stats():
+    for name, info in domains.table_stats() + semantics.table_stats():
         print(f"table {name:14s} hits {info.hits:8d} misses {info.misses:7d} "
               f"size {info.currsize}/{info.maxsize}")
     return 1 if failures else 0

@@ -682,20 +682,26 @@ def parse_model_config(text: str) -> ModelConfig:
         const <name> : <type> = <element-literal>
 
     `#` starts a comment. Element literals use the ranked-term syntax plus
-    `table{a->0,b->1}`; and/or take any number of arguments.
+    `table{a->0,b->1}`; and/or take any number of arguments. Each base and
+    each constant is declared once.
     """
     base_sizes: dict[str, int] = {}
     rank_cap = 2
-    consts: list[tuple[str, TypeExpr, str, str, int, int]] = []
+    consts: dict[str, tuple[TypeExpr, str, str, int, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         head, _, rest = line.partition(" ")
+        # where the declared name starts in `raw`, for a repeated name
+        name_at = (len(raw) - len(raw.lstrip()) + len(head) + 1
+                   + len(rest) - len(rest.lstrip()))
         if head == "base":
             parts = rest.split()
             if len(parts) != 2 or not parts[1].isdecimal():
                 raise CttError(f"bad base line: {raw!r}")
+            if parts[0] in base_sizes:
+                raise ParseError(f"model declares base {parts[0]} twice", name_at, raw, lineno)
             base_sizes[parts[0]] = int(parts[1])
         elif head == "rankcap":
             if not rest.strip().isdecimal():
@@ -717,11 +723,14 @@ def parse_model_config(text: str) -> ModelConfig:
                 raise ParseError(ex.msg, end - len(decl) + ex.pos, raw, lineno) from None
             if c.toks[c.i]:
                 raise CttError(f"bad const type in: {raw!r}")
-            consts.append((name.strip(), ty, literal, raw, lineno, end - len(literal)))
+            name = name.strip()
+            if name in consts:
+                raise ParseError(f"model declares constant {name} twice", name_at, raw, lineno)
+            consts[name] = (ty, literal, raw, lineno, end - len(literal))
         else:
             raise CttError(f"unknown model directive {head!r}")
     model = ModelConfig(base_sizes=base_sizes, rank_cap=rank_cap)
-    for name, ty, literal, raw, lineno, start in consts:
+    for name, (ty, literal, raw, lineno, start) in consts.items():
         try:
             value = parse_element(literal, model, ty)
         except ParseError as ex:

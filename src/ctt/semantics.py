@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Optional
@@ -30,8 +31,8 @@ from .domains import (
 from .syntax import (
     App, Arrow, BOT, Base, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg,
     CVar, CtsSubterm, CttError, Hole, Lam, Mu, SlmTerm, TypeExpr,
-    TypeMismatch, Var, children, cts_signature, render, signature_table,
-    typecheck_slm, with_child,
+    TypeMismatch, Var, children, cts_signature, free_table, render,
+    signature_table, typecheck_slm, with_child,
 )
 
 Assignment = dict[str, CanonElem]
@@ -61,17 +62,113 @@ def _lookup(name: str, ty: TypeExpr, model: ModelConfig, rho: Assignment,
     return value
 
 
+# ---------------------------------------------------------------------------
+# the evaluation table
+#
+# A memo function (Michie, "Memo functions and machine learning", 1968) in
+# front of both evaluators, beside the domains' computed tables: harness
+# trials and validity sweeps evaluate the same subterms under the same
+# values call after call, so each distinct evaluation is done once while
+# it stays in the table. A denotation depends only on the model's
+# contents, the node and the values of the node's free names, so that is
+# the key, read afresh at every call: a ModelConfig is mutable, and the
+# harness model and model files gain their constants after it is built.
+# The table is bounded, so memory does not grow with how long the process
+# has run: the most recent EVAL_TABLE_MODELS model contents, each with its
+# most recent EVAL_TABLE_SIZE evaluations (rule-harness's 1,344 measured
+# ops meet four). An evaluation that raises stores nothing.
+EVAL_TABLE_MODELS = 8
+EVAL_TABLE_SIZE = 512
+
+TableInfo = namedtuple("TableInfo", "hits misses maxsize currsize")
+
+
+class _EvalTable:
+    """Model contents -> LRU of (node, values of its free names) -> value,
+    with the lookups that hit and missed."""
+
+    def __init__(self):
+        self.models: OrderedDict = OrderedDict()
+        self.hits = self.misses = 0
+        # the model last asked about, a copy of its contents and its table:
+        # a sweep asks once per assignment, and comparing the contents
+        # costs less than building the key
+        self.last = (None, None, None, None, None)
+
+    def of(self, model: ModelConfig) -> OrderedDict:
+        """The table of `model`'s contents: its sorted base sizes, its rank
+        cap and its constants sorted by name."""
+        last, sizes, cap, consts, table = self.last
+        if (last is model and sizes == model.base_sizes and cap == model.rank_cap
+                and consts == model.constants):
+            return table
+        key = (tuple(sorted(model.base_sizes.items())), model.rank_cap,
+               tuple(sorted(model.constants.items())))
+        table = self.models.get(key)
+        if table is None:
+            table = self.models[key] = OrderedDict()
+            if len(self.models) > EVAL_TABLE_MODELS:
+                self.models.popitem(last=False)
+        else:
+            self.models.move_to_end(key)
+        self.last = (model, dict(model.base_sizes), model.rank_cap,
+                     dict(model.constants), table)
+        return table
+
+    def recall(self, table: OrderedDict, key):
+        """The value stored under `key`, or None."""
+        value = table.get(key)
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+            table.move_to_end(key)
+        return value
+
+    @staticmethod
+    def store(table: OrderedDict, key, value):
+        table[key] = value
+        if len(table) > EVAL_TABLE_SIZE:
+            table.popitem(last=False)
+
+    def info(self) -> TableInfo:
+        return TableInfo(self.hits, self.misses, EVAL_TABLE_MODELS * EVAL_TABLE_SIZE,
+                         sum(map(len, self.models.values())))
+
+
+_EVALS = _EvalTable()
+
+
+def table_stats() -> list:
+    """(name, hits/misses/maxsize/currsize) of the evaluation table, shaped
+    like `domains.table_stats()`; the bound counts every model's part."""
+    return [("eval", _EVALS.info())]
+
+
 def eval_slm(term: SlmTerm, model: ModelConfig, rho: Assignment) -> CanonElem:
-    """Denotation of a typechecked lambda-mu term under rho.
+    """Denotation of a typechecked lambda-mu term under rho, through the
+    evaluation table keyed on the model's contents, the term and the values
+    of its free names; the nodes below are evaluated without it.
 
     Every binder evaluates its body once per atom of its rank-0 carrier, so
     nested binders multiply; the largest product along a binder path is
-    checked against MAX_RANK0_ENUM before anything is evaluated."""
+    checked against MAX_RANK0_ENUM before anything is evaluated. A table
+    hit skips that check, which an earlier call with the same key passed."""
+    table = _EVALS.of(model)
+    names = free_table(term)
+    if names is not None:
+        key = (term, tuple(map(rho.get, names)))
+        value = _EVALS.recall(table, key)
+        if value is not None:
+            return value
     if _binder_sweep(term, model) > MAX_RANK0_ENUM:
         raise CapExceeded(
             f"evaluating the binders would sweep more than {MAX_RANK0_ENUM} "
             "carrier atoms along one path")
-    return _eval_slm(term, model, rho)
+    value = _eval_slm(term, model, rho)
+    if names is not None:
+        _EVALS.store(table, key, value)
+    return value
 
 
 def _carrier_size(ty: TypeExpr, model: ModelConfig) -> int:
@@ -142,35 +239,41 @@ def _eval_slm(term: SlmTerm, model: ModelConfig, rho: Assignment) -> CanonElem:
 def eval_cts(sub: CtsSubterm, model: ModelConfig, rho: Assignment) -> CanonElem:
     """Denotation of a rank-checked subterm: operators land on the same-rank
     lattice constructors; big operators expand over the rank-0 carrier.
-    A subterm that occurs twice is evaluated once."""
-    return _denote(sub, model, rho, {})
+    Every node goes through the evaluation table, so a subterm that occurs
+    twice, or that an earlier call met under the same values of its free
+    names in a model of the same contents, is evaluated once."""
+    return _denote(sub, model, rho, _EVALS.of(model))
 
 
 def _denote(sub: CtsSubterm, model: ModelConfig, rho: Assignment,
-            values: dict) -> CanonElem:
-    """`eval_cts` through `values`, a memo from (node, values of the names
-    in its `cts_signature` table) to denotation: a node that misses recurses
-    only into children that also miss. A name used at two signatures below
-    a node leaves the node without a key."""
+            table: OrderedDict) -> CanonElem:
+    """`eval_cts` through `table`, the evaluation table's part for `model`,
+    keyed on (node, values of the names in its `cts_signature` table): a
+    node that misses recurses only into children that also miss. A name
+    used at two signatures below a node leaves the node without a key."""
     try:
         names = sub._free
     except AttributeError:  # not asked before
         names = signature_table(sub)
-    key = None if names is None else (sub, tuple(map(rho.get, names)))
-    value = values.get(key)
-    if value is not None:
-        return value
+    if names is not None:
+        key = (sub, tuple(map(rho.get, names)))
+        value = table.get(key)  # `_EVALS.recall`, inline on the sweep's hot path
+        if value is not None:
+            _EVALS.hits += 1
+            table.move_to_end(key)
+            return value
+        _EVALS.misses += 1
     match sub:
         case CVar(name, ty, rank):
             value = _lookup(name, ty, model, rho, rank_bound=rank)
         case CApp(fun, arg):
-            value = apply_elem(_denote(fun, model, rho, values),
-                               _denote(arg, model, rho, values))
+            value = apply_elem(_denote(fun, model, rho, table),
+                               _denote(arg, model, rho, table))
         case CNeg(k, child):
-            value = make_neg(k, _denote(child, model, rho, values))
+            value = make_neg(k, _denote(child, model, rho, table))
         case CConj(k, left, right) | CDisj(k, left, right):
-            l = _denote(left, model, rho, values)
-            r = _denote(right, model, rho, values)
+            l = _denote(left, model, rho, table)
+            r = _denote(right, model, rho, table)
             make = make_meet if isinstance(sub, CConj) else make_join
             value = make(k, l.ty, [l, r])
         case CBigConj(k, _, ty, m) | CBigDisj(k, _, ty, m):
@@ -181,8 +284,8 @@ def _denote(sub: CtsSubterm, model: ModelConfig, rho: Assignment,
             value = make(k, ty, enumerate_domain(model, ty, 0))
         case _:
             raise CttError(f"cannot evaluate {sub!r}")
-    if key is not None:
-        values[key] = value
+    if names is not None:
+        _EVALS.store(table, key, value)
     return value
 
 
@@ -346,43 +449,28 @@ def enumerate_assignments(members: list[CtsSubterm], model: ModelConfig,
     return (dict(zip(names, values)) for values in itertools.product(*pools))
 
 
-@dataclass
-class SweepMemo:
-    """The two memos of one model's part of a `sequent_verdicts` sweep.
-
-    `values` maps (node, values of the node's free variables) to the node's
-    denotation, so a subterm is evaluated once per distinct value of its
-    own variables rather than once per assignment; equal subterms are one
-    node, so members share their entries. `verdicts` maps the antecedent
-    values followed by the succedent values (one flat tuple; the split is
-    fixed within a sweep) to the decision, so each distinct pair of side
-    values is decided once. Keys are hash-consed nodes and elements, so
-    lookups cost O(1). The memos grow with the distinct values met, not
-    with the assignments: a sweep that stops at its first counterexample
-    fills only what it decided.
-    """
-
-    values: dict = field(default_factory=dict)
-    verdicts: dict = field(default_factory=dict)
-
-
 def sequent_semantics(ante: list[CtsSubterm], succ: list[CtsSubterm],
                       model: ModelConfig, rho: Assignment,
-                      memo: Optional[SweepMemo] = None) -> bool:
+                      verdicts: Optional[dict] = None) -> bool:
     """ba_leq of the antecedent meet against the succedent join at the
-    maximal rank present (>= 1). `memo` is the sweep memo of `model` (see
-    `sequent_verdicts`); without one, the decision starts from scratch."""
-    if memo is None:
-        memo = SweepMemo()
-    values = tuple(_denote(m, model, rho, memo.values)
-                   for m in itertools.chain(ante, succ))
-    holds = memo.verdicts.get(values)
+    maximal rank present (>= 1). The members are evaluated through the
+    evaluation table, as `eval_cts` does. `verdicts` maps the antecedent
+    values followed by the succedent values (one flat tuple; the split is
+    fixed within a sweep) to the decision, so a sweep that passes one dict
+    for a model (see `sequent_verdicts`) decides each distinct pair of side
+    values once; without one, the decision is made afresh."""
+    table = _EVALS.of(model)
+    values = tuple([_denote(m, model, rho, table) for m in ante]
+                   + [_denote(m, model, rho, table) for m in succ])
+    if verdicts is None:
+        verdicts = {}
+    holds = verdicts.get(values)
     if holds is None:
         lvals, rvals = values[:len(ante)], values[len(ante):]
         k = max([1] + [elem_rank(v) for v in values])
         lhs = make_meet(k, BOT, lvals) if lvals else top_at(k, BOT)
         rhs = make_join(k, BOT, rvals) if rvals else bottom_at(k, BOT)
-        holds = memo.verdicts[values] = ba_leq(lhs, rhs)
+        holds = verdicts[values] = ba_leq(lhs, rhs)
     return holds
 
 
@@ -392,14 +480,17 @@ def sequent_verdicts(ante: list[CtsSubterm], succ: list[CtsSubterm],
     """One verdict per model and assignment, lazily, model by model and
     each model's assignments in `enumerate_assignments` order. A model's
     assignment space is sized (CapExceeded) when the stream reaches it.
-    Each model gets one `SweepMemo`, so the sweep evaluates every subterm
-    once per value of its free variables and decides every distinct pair
-    of side values once."""
+    Each model gets one verdicts dict, so the sweep decides every distinct
+    pair of side values once; its subterms go through the evaluation
+    table, so each is evaluated once per value of its free variables while
+    its entry stays there, in this sweep or an earlier call. Keys are
+    hash-consed nodes and elements, so lookups cost O(1)."""
     members = list(ante) + list(succ)
     for idx, model in enumerate(models):
-        memo = SweepMemo()
+        verdicts: dict = {}
         for rho in enumerate_assignments(members, model, cap):
-            yield SequentVerdict(idx, rho, sequent_semantics(ante, succ, model, rho, memo))
+            yield SequentVerdict(idx, rho,
+                                 sequent_semantics(ante, succ, model, rho, verdicts))
 
 
 def sequent_valid(ante: list[CtsSubterm], succ: list[CtsSubterm],

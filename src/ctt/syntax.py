@@ -508,10 +508,16 @@ def free_vars(term: SlmTerm) -> dict[str, TypeExpr]:
     Every node keeps its table once asked: asking about a term built around
     subterms already asked costs its new nodes.
     """
-    table = _free_table(term, _SLM_NODES, _slm_free)
+    table = free_table(term)
     if table is None:
         return _free_vars_walk(term)
     return dict(table)
+
+
+def free_table(term: SlmTerm) -> Optional[dict[str, TypeExpr]]:
+    """The memoized `free_vars` table of `term`, shared between nodes (never
+    mutate it), or None when a name occurs free at two types below it."""
+    return _free_table(term, _SLM_NODES, _slm_free)
 
 
 def cts_signature(sub: CtsSubterm) -> dict[str, tuple[TypeExpr, int]]:

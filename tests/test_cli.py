@@ -141,6 +141,25 @@ def test_table_literal_maps_each_key_once(capsys, tmp_path):
     assert (code, out, err) == (2, "", "ctt: expected a type at line 2, column 17\n")
 
 
+def test_model_file_declares_each_name_once(capsys, tmp_path):
+    # the later line used to win silently: e of size 3, c = 1
+    mdl = tmp_path / "m.model"
+    files = {"base e 2\nbase e 3\n":
+             "model declares base e twice at line 2, column 6",
+             "base e 2\nconst c : bot = 0\n  const   c: bot = 1 # again\n":
+             "model declares constant c twice at line 3, column 11"}
+    for text, msg in files.items():
+        mdl.write_text(text)
+        for argv in (["eval", "--model", str(mdl), "--lang", "cts", "c:bot@0"],
+                     ["entail", "--model", str(mdl), "A |- A"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (2, "", f"ctt: {msg}\n"), argv
+    # a base and a constant may share a name
+    mdl.write_text("base e 2\nconst e : bot = 1\n")
+    code, out, _ = run(capsys, "eval", "--model", str(mdl), "--lang", "cts", "e:bot@0")
+    assert (code, out) == (0, "1\n")
+
+
 def test_base_names_must_read_back_as_base_types(capsys, tmp_path):
     for name in ("bot", "(e", "e -> e", "e # note"):
         code, out, err = run(capsys, "iso", "--base", f"{name}=2", "--element", "{{a}}")
@@ -488,8 +507,8 @@ def test_fuzz_no_crash(capsys, tmp_path, monkeypatch):
     # README derivation file, read from a file by every parsing command:
     # parse errors at any token, positions included, end in an exit code
     tour = readme.split("## CLI tour", 1)[1].split("```\n")[1]
-    texts = [t for t in re.findall(r"'([^']*)'", tour) if t != "..."]
-    texts += corpus.SLM_TEXTS[:3] + corpus.CTS_TEXTS[:3] + [block]
+    tour_texts = [t for t in re.findall(r"'([^']*)'", tour) if t != "..."]
+    texts = tour_texts + corpus.SLM_TEXTS[:3] + corpus.CTS_TEXTS[:3] + [block]
     path = tmp_path / "prefix.txt"
     for text in texts:
         for n in range(len(text) + 1):
@@ -498,6 +517,26 @@ def test_fuzz_no_crash(capsys, tmp_path, monkeypatch):
                         "check-proof"):
                 code, _, err = run(capsys, cmd, f"@{path}")
                 assert code in (0, 1, 2, 3) and "Traceback" not in err, (cmd, text[:n])
+    # the tour prefixes as `eval` terms of both languages and as `iso` elements
+    evals = [["eval", "--lang", "slm", f"@{path}"], ["eval", "--lang", "cts", f"@{path}"],
+             ["iso", "--base", "e=3", "--element", f"@{path}"]]
+    for text in tour_texts:
+        for n in range(len(text) + 1):
+            path.write_text(text[:n])
+            for argv in evals:
+                code, _, err = run(capsys, *argv)
+                assert code in (0, 1, 2, 3) and "Traceback" not in err, (argv, text[:n])
+    # every prefix of the README model file, as the model of `entail` and `eval`
+    world = readme.split("## Model files", 1)[1].split("```\n")[1]
+    mdl = tmp_path / "world.mdl"
+    uses = [["entail", "--model", str(mdl), "|- (f:(e -> bot)@0 x:e@0), c0:bot@0"],
+            ["eval", "--model", str(mdl), "--assign", "p=a", "#x:~e. (x p:e)"],
+            ["eval", "--model", str(mdl), "--lang", "cts", "or[1](shadow:e@1, a:e@0)"]]
+    for n in range(len(world) + 1):
+        mdl.write_text(world[:n])
+        for argv in uses:
+            code, _, err = run(capsys, *argv)
+            assert code in (0, 1, 2, 3) and "Traceback" not in err, (argv, world[:n])
 
 
 def test_closed_stdout_exits_without_traceback():

@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctt import gen
+from ctt import gen, semantics
 from ctt.domains import (
     FALSE, FnTable, Individual, ModelConfig, RankOverflow, TRUE,
     apply_elem, ba_equal, ba_leq, bottom_at, elem_rank, enumerate_domain,
@@ -17,7 +17,8 @@ from ctt.semantics import (
     canonicalize_cts, check_equation, classify_context, cts_harness_model,
     cts_rule_harness, enumerate_assignments, eval_cts, eval_slm,
     mu_exhaustive_cases, sequent_semantics, sequent_valid, sequent_verdicts,
-    soundness_harness, standard_model_family, symbolic_assignment, _lookup,
+    soundness_harness, standard_model_family, symbolic_assignment, table_stats,
+    _lookup,
 )
 from ctt.sequents import INTRO_RULES, SUBST_RULES
 from ctt.syntax import (
@@ -459,6 +460,129 @@ def test_over_cap_model_after_the_counterexample_still_raises():
         sequent_valid(ante, succ, standard_model_family())
     report = sequent_valid(ante, succ, standard_model_family()[:2])
     assert (report.checked, report.counterexample()) == (1, first)
+
+
+# ---------------------------------------------------------------------------
+# the evaluation table, which lives for the process: every case below runs
+# with the table warm from what ran before it, and compares against the
+# references, or against `eval_slm` through an empty table
+
+def cold(check, *args):
+    """The `outcome` of `check` through an empty evaluation table, leaving
+    the process's table as it was."""
+    warm = semantics._EVALS
+    semantics._EVALS = semantics._EvalTable()
+    try:
+        return outcome(check, *args)
+    finally:
+        semantics._EVALS = warm
+
+
+K0_MEMBER = "(k0:(e -> bot)@0 x:e@0)"
+K0_TERM = "(k0:(e -> bot) x:e)"
+
+
+def assert_k0_answers_agree(model):
+    member, term = parse_cts(K0_MEMBER), parse_slm(K0_TERM)
+    for x in enumerate_domain(model, E, 0):
+        rho = {"x": x}
+        assert (outcome(eval_cts, member, model, rho)
+                == outcome(reference_eval_cts, member, model, rho))
+        assert outcome(eval_slm, term, model, rho) == cold(eval_slm, term, model, rho)
+    assert (outcome(valid_answer, [], [member], [model])
+            == outcome(reference_answer, [], [member], [model]))
+
+
+def test_eval_table_keys_on_the_constants_as_well_as_the_base_sizes():
+    # equal base sizes, k0 naming two different tables, used alternately
+    tables = enumerate_domain(ModelConfig(base_sizes={"e": 2}), Arrow(E, BOT), 0)
+    models = [ModelConfig(base_sizes={"e": 2}, constants={"k0": tab})
+              for tab in (tables[1], tables[2])]
+    member, a = parse_cts(K0_MEMBER), Individual(E, "a")
+    assert eval_cts(member, models[0], {"x": a}) != eval_cts(member, models[1], {"x": a})
+    for _ in range(3):
+        for model in models:
+            assert_k0_answers_agree(model)
+
+
+def test_eval_table_reads_a_model_mutated_after_a_call():
+    # no k0, then k0 gained, then k0 rebound, on the one model object
+    tables = enumerate_domain(ModelConfig(base_sizes={"e": 2}), Arrow(E, BOT), 0)
+    model = ModelConfig(base_sizes={"e": 2})
+    assert_k0_answers_agree(model)
+    for tab in (tables[1], tables[2], tables[1]):
+        model.constants["k0"] = tab
+        assert_k0_answers_agree(model)
+    a = Individual(E, "a")
+    assert eval_cts(parse_cts(K0_MEMBER), model, {"x": a}) == tables[1].lookup(a)
+
+
+def test_eval_table_keys_on_the_rank_cap():
+    term = parse_slm("#x:~e. (n:(bot -> bot) (x p:e))")  # a rank-1 value
+    rho = {"n": fn_table(BOT, BOT, {FALSE: FALSE, TRUE: FALSE}), "p": Individual(E, "a")}
+    model = ModelConfig(base_sizes={"e": 2}, rank_cap=2)
+    assert eval_slm(term, model, rho) == bottom_at(1, E) == cold(eval_slm, term, model, rho)
+    with pytest.raises(RankOverflow):
+        eval_slm(term, ModelConfig(base_sizes={"e": 2}, rank_cap=0), rho)
+    model.rank_cap = 0  # the same object, capped after a call that passed
+    with pytest.raises(RankOverflow):
+        eval_slm(term, model, rho)
+    model.rank_cap = 2
+    assert eval_slm(term, model, rho) == bottom_at(1, E)
+
+
+def test_eval_table_stores_nothing_for_an_evaluation_that_raises(m22, monkeypatch):
+    monkeypatch.setattr(semantics, "_EVALS", semantics._EvalTable())
+    capped = ModelConfig(base_sizes={"e": 2}, rank_cap=0)
+    mu = parse_slm("#x:~e. (x p:e)")
+    raising = [(eval_cts, CVar("A", BOT, 0), m22, {}, UnassignedVariable),
+               (eval_slm, Var("A", BOT), m22, {}, UnassignedVariable),
+               (eval_slm, mu, capped, {"p": Individual(E, "a")}, RankOverflow)]
+    for check, node, model, rho, error in raising:
+        for _ in range(2):
+            with pytest.raises(error):
+                check(node, model, rho)
+    (_, info), = table_stats()
+    assert (info.hits, info.misses, info.currsize) == (0, 6, 0)
+    # a subterm that was evaluated is kept; the node that raised is not
+    with pytest.raises(UnassignedVariable):
+        eval_cts(parse_cts("and[1](B:bot@0, A:bot@0)"), m22, {"B": TRUE})
+    assert table_stats()[0][1].currsize == 1
+
+
+def test_eval_table_stays_within_its_bound(monkeypatch):
+    # a small bound, so that many more distinct evaluations than it holds
+    # evict entries and whole models; the answers do not change
+    monkeypatch.setattr(semantics, "EVAL_TABLE_SIZE", 16)
+    monkeypatch.setattr(semantics, "EVAL_TABLE_MODELS", 2)
+    monkeypatch.setattr(semantics, "_EVALS", semantics._EvalTable())
+    models = [m for family in ORACLE_MODELS for m in family]
+    for seed in range(12):
+        members, succ = random_sequent(seed, 2, 1, 2)
+        for model in models:
+            rhos = list(itertools.islice(enumerate_assignments(members, model), 8))
+            for rho in rhos:
+                for m in members:
+                    assert (outcome(eval_cts, m, model, rho)
+                            == outcome(reference_eval_cts, m, model, rho)), render(m)
+            assert (outcome(valid_answer, members, succ, [model])
+                    == outcome(reference_answer, members, succ, [model]))
+            (_, info), = table_stats()
+            assert info.currsize <= info.maxsize == 32
+    assert info.misses > 10 * info.maxsize
+
+
+def test_eval_table_stats_after_harness_runs(monkeypatch):
+    monkeypatch.setattr(semantics, "_EVALS", semantics._EvalTable())
+    assert not cts_rule_harness("and-L", trials=5, seed=1).failures
+    assert not soundness_harness("mu", trials=5, seed=1).failures
+    (name, info), = table_stats()
+    assert name == "eval" and info.hits > 0
+    assert 0 < info.currsize <= info.maxsize == (semantics.EVAL_TABLE_MODELS
+                                                 * semantics.EVAL_TABLE_SIZE)
+    # a second mu run finds its 32 exhaustive cases, both sides, in the table
+    soundness_harness("mu", trials=0, seed=1)
+    assert table_stats()[0][1].hits - info.hits == 64
 
 
 @pytest.mark.parametrize("rule", [r for r in gen.SLM_RULE_IDS if r != "mu"])
