@@ -21,6 +21,7 @@ carrier as a full disjunctive normal form one rank up.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional, Union
@@ -131,16 +132,50 @@ def elem_rank(e: CanonElem) -> int:
 # Computed tables (Brace, Rudell & Bryant, "Efficient Implementation of a
 # BDD Package", 1990), beside the hash-consing table: `apply_elem` and the
 # lattice constructors keep their recent results keyed on the interned
-# operands, so an operation a sweep repeats is done once. Every table is a
-# bounded LRU, so memory does not grow with how long the process has run,
+# operands, so an operation a sweep repeats is done once; the isomorphism
+# keeps the images of the children it maps (never the image of the element
+# it was asked about, which a sweep does not ask about again). Every table
+# is bounded, so memory does not grow with how long the process has run,
 # and an operation that raises stores nothing. The sizes sit above the
 # working sets of the perfbench workloads: rule-harness's 1,344 measured
 # ops leave about 1,100 applications, 3,500 lattice nodes and 1,400 keys,
-# iso-sweep's 16,000 leave 16,060 renderings.
+# iso-sweep's 16,000 leave 16,060 renderings and 24 child images.
 APPLY_TABLE_SIZE = 4096
 LATTICE_TABLE_SIZE = 4096
 RENDER_TABLE_SIZE = 32768
 KEY_TABLE_SIZE = 4096
+ISO_TABLE_SIZE = 4096
+
+TableInfo = namedtuple("TableInfo", "hits misses maxsize currsize")
+
+
+class _BoundedTable(dict):
+    """A dict that keeps its `maxsize` most recent insertions and counts
+    the lookups that hit and missed; `cache_info()` reads like an
+    `lru_cache`'s."""
+
+    __slots__ = ("maxsize", "hits", "misses")
+
+    def __init__(self, maxsize: int):
+        super().__init__()
+        self.maxsize, self.hits, self.misses = maxsize, 0, 0
+
+    def recall(self, key):
+        """The value stored under `key`, or None."""
+        value = self.get(key)
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return value
+
+    def store(self, key, value):
+        self[key] = value
+        if len(self) > self.maxsize:
+            del self[next(iter(self))]
+
+    def cache_info(self) -> TableInfo:
+        return TableInfo(self.hits, self.misses, self.maxsize, len(self))
 
 
 @lru_cache(maxsize=RENDER_TABLE_SIZE)
@@ -297,17 +332,12 @@ def _carrier(sizes: tuple, ty: TypeExpr, rank: int) -> tuple[CanonElem, ...]:
                              for entries in itertools.product(*rows))
         raise CttError(f"unknown type {ty!r}")
     if rank == 1:
-        atoms = _carrier(sizes, ty, 0)
-        g = len(atoms)
+        layout = _layout(ty, sizes)
+        g = len(layout.atoms)
         if rank1_count(g) > MAX_RANK0_ENUM:
             raise CapExceeded(f"{g} generators is too many for rank-1 enumeration")
-        minterms = [
-            _lattice(MeetE, 1, ty, [a if (mask >> i) & 1 else make_neg(1, a)
-                                    for i, a in enumerate(atoms)])
-            for mask in range(2 ** g)
-        ]
-        return tuple(_lattice(JoinE, 1, ty, [minterms[i] for i in range(2 ** g)
-                                             if (sel >> i) & 1])
+        minterms = [layout.minterm(mask) for mask in range(2 ** g)]
+        return tuple(_rank1_join(ty, [minterms[i] for i in range(2 ** g) if (sel >> i) & 1])
                      for sel in range(2 ** (2 ** g)))
     raise CapExceeded(f"rank-{rank} domains are not enumerable here")
 
@@ -522,17 +552,6 @@ def apply_elem(p: CanonElem, a: CanonElem) -> CanonElem:
     raise CttError(f"cannot apply {render_elem(p)} to {render_elem(a)}")
 
 
-# bound at import, so a wrapper installed over a module-level name later
-# (a tracer, say) still reports the table itself
-_TABLES = (("apply_elem", apply_elem), ("lattice", _make_lattice),
-           ("render_elem", render_elem), ("canonical_key", canonical_key))
-
-
-def table_stats() -> list:
-    """(name, `cache_info()`) of every bounded table of this module."""
-    return [(name, table.cache_info()) for name, table in _TABLES]
-
-
 # ---------------------------------------------------------------------------
 # canonical form
 
@@ -550,57 +569,82 @@ def is_canonical_elem(e: CanonElem) -> bool:
 # ---------------------------------------------------------------------------
 # the type-reduction isomorphism
 
-def _table_as_sets(f: FnTable) -> tuple[TypeExpr, frozenset[frozenset[Atom]]]:
-    """Read a table of type ~~s as a set of sets over the rank-0 carrier
-    of s: each ~s argument is the set of atoms it maps to 1."""
-    if not (is_neg_type(f.ty) and is_neg_type(f.dom)):
-        raise TypeMismatch(f"{render_elem(f)} is not of a ~~s type")
-    sigma = f.dom.dom
-    sets = []
-    for key, val in f.entries:
-        if not isinstance(key, FnTable) or not isinstance(val, TruthVal):
-            raise TypeMismatch("isomorphism input table must be concrete")
-        if val.value == 1:
-            sets.append(frozenset(a for a, v in key.entries
-                                  if isinstance(v, TruthVal) and v.value == 1))
-    return sigma, frozenset(sets)
+# The children's images iso_i has mapped, per (element, sorted base sizes):
+# an image depends on the model only through its carriers, and elements are
+# interned, so a table or a node shared by many inputs is mapped once. The
+# element iso_i is asked about is not a child, and its image is not kept.
+_ISO_ATOM_CACHE = _BoundedTable(ISO_TABLE_SIZE)
+# the layout of each carrier the isomorphism has read, per (type, sorted
+# base sizes), each with the minterms made over it (the table's name is
+# from when it held minterms alone; perfbench reports its size)
+LAYOUT_TABLE_SIZE = 256
+MINTERM_TABLE_SIZE = 4096
+_MINTERM_CACHE = _BoundedTable(LAYOUT_TABLE_SIZE)
 
 
-def _iso_rank0(sets: frozenset, sigma: TypeExpr, model: ModelConfig) -> CanonElem:
-    """Full-DNF reading: each member set becomes the rank-1 minterm with a
-    positive literal per member atom and a negative literal per non-member;
-    the whole is their rank-1 join. Collapses to a rank-0 atom when the
-    result is that atom's principal set family."""
-    carrier = enumerate_domain(model, sigma, 0)
-    carrier_set = set(carrier)
-    for s in sets:
-        if not s <= carrier_set:
-            raise TypeMismatch("set-of-sets mentions atoms outside the carrier")
-    if len(sets) == 2 ** (len(carrier) - 1):
-        # sets is a's principal family iff all members contain a (counting:
-        # there are exactly 2^(g-1) subsets through a)
-        for a in carrier:
-            if all(a in s for s in sets):
-                return a
-    sig = (render_type(sigma), len(carrier))
-    minterms = []
-    for s in sets:
-        key = (sig, s)
-        m = _MINTERM_CACHE.get(key)
+class _Layout:
+    """How the isomorphism reads one carrier of a type s: s's rank-0 atoms,
+    mask bit i standing for atom i; the rank-1 minterm of each mask, made
+    on first use; and, from the first table read on, the ~s carrier in
+    table-entry order with each key's mask (the atoms it maps to 1)."""
+
+    __slots__ = ("sigma", "sizes", "atoms", "bits", "minterms", "keys", "masks")
+
+    def __init__(self, sigma: TypeExpr, sizes: tuple):
+        self.sigma, self.sizes = sigma, sizes
+        self.atoms = _carrier(sizes, sigma, 0)
+        self.bits = {a: 1 << i for i, a in enumerate(self.atoms)}
+        self.minterms = _BoundedTable(MINTERM_TABLE_SIZE)
+        self.keys = self.masks = None
+
+    def table_keys(self) -> tuple:
+        """The ~s carrier sorted by rendering, as table entries are."""
+        if self.keys is None:
+            keys = sorted(_carrier(self.sizes, Arrow(self.sigma, BOT), 0), key=render_elem)
+            self.masks = tuple(sum(self.bits[a] for a, v in k.entries if v is TRUE)
+                               for k in keys)
+            self.keys = tuple(keys)
+        return self.keys
+
+    def minterm(self, mask: int) -> CanonElem:
+        """The rank-1 meet of each atom in `mask` and each other atom's
+        negation."""
+        m = self.minterms.get(mask)
         if m is None:
-            m = _lattice(MeetE, 1, sigma, [a if a in s else make_neg(1, a)
-                                           for a in carrier])
-            _MINTERM_CACHE[key] = m
-        minterms.append(m)
-    return _lattice(JoinE, 1, sigma, minterms)
+            m = _lattice(MeetE, 1, self.sigma, [a if (mask >> i) & 1 else make_neg(1, a)
+                                                for i, a in enumerate(self.atoms)])
+            self.minterms.store(mask, m)
+        return m
+
+    def read(self, masks) -> CanonElem:
+        """Full-DNF reading of the family of member sets `masks` (distinct):
+        the rank-1 join of their minterms, or a rank-0 atom when the family
+        is that atom's principal family."""
+        if len(masks) == 1 << (len(self.atoms) - 1):
+            # all 2^(g-1) sets contain one atom exactly when it is this
+            # family's only common atom
+            common = -1
+            for m in masks:
+                common &= m
+            if common:
+                return self.atoms[common.bit_length() - 1]
+        return _rank1_join(self.sigma, map(self.minterm, masks))
 
 
-_MINTERM_CACHE: dict = {}
-# the image of every element iso_i has mapped (tables and operator nodes
-# alike), per (element, sorted base sizes): the image depends on the model
-# only through its carriers, and elements are interned, so a minterm or a
-# table shared by many inputs is mapped once
-_ISO_ATOM_CACHE: dict = {}
+def _layout(sigma: TypeExpr, sizes: tuple) -> _Layout:
+    key = (sigma, sizes)
+    layout = _MINTERM_CACHE.get(key)
+    if layout is None:
+        layout = _Layout(sigma, sizes)
+        _MINTERM_CACHE.store(key, layout)
+    return layout
+
+
+def _rank1_join(sigma: TypeExpr, minterms: Iterable[CanonElem]) -> CanonElem:
+    """The rank-1 join of distinct minterms, which no lattice step but the
+    sort and the singleton collapse can change."""
+    ms = sorted(minterms, key=render_elem)
+    return ms[0] if len(ms) == 1 else JoinE(1, sigma, tuple(ms))
 
 
 def iso_i(f, model: ModelConfig, ty: Optional[TypeExpr] = None) -> CanonElem:
@@ -612,40 +656,72 @@ def iso_i(f, model: ModelConfig, ty: Optional[TypeExpr] = None) -> CanonElem:
     which maps atom generators through the rank-0 case and bumps every
     operator rank by one.
     """
+    sizes = tuple(sorted(model.base_sizes.items()))
     if isinstance(f, (set, frozenset)):
         if ty is None:
             raise CttError("a raw set-of-sets needs the target type")
-        return _iso_rank0(frozenset(frozenset(s) for s in f), ty, model)
-    return _iso_elem(f, model, tuple(sorted(model.base_sizes.items())))
+        sets = frozenset(frozenset(s) for s in f)
+        layout = _layout(ty, sizes)
+        bits = layout.bits
+        if not all(bits.keys() >= s for s in sets):
+            raise TypeMismatch("set-of-sets mentions atoms outside the carrier")
+        return layout.read({sum(map(bits.__getitem__, s)) for s in sets})
+    return _iso_elem(f, sizes, False)
 
 
-def _iso_elem(f: CanonElem, model: ModelConfig, sizes: tuple) -> CanonElem:
+def _iso_elem(f: CanonElem, sizes: tuple, child: bool) -> CanonElem:
+    """`f`'s image; a `child` image is kept in `_ISO_ATOM_CACHE`."""
     key = (f, sizes)
-    hit = _ISO_ATOM_CACHE.get(key)
+    hit = _ISO_ATOM_CACHE.recall(key)
     if hit is not None:
         return hit
     # an input that fails raises before anything is stored, so it fails
     # again on every later call
     match f:
         case FnTable():
-            carrier = enumerate_domain(model, f.dom, 0)
-            if {k for k, _ in f.entries} != set(carrier):
-                raise TypeMismatch(
-                    f"table {render_elem(f)} is not total over its carrier")
-            sigma, sets = _table_as_sets(f)
-            out = _iso_rank0(sets, sigma, model)
-        case NegE(k, _, child):
-            out = make_neg(k + 1, _iso_elem(child, model, sizes))
+            out = _iso_table(f, sizes)
+        case NegE(k, _, c):
+            image = _iso_elem(c, sizes, True)
+            out = NegE(k + 1, image.ty, image)
         case MeetE(k, fty, children) | JoinE(k, fty, children):
             if not (is_neg_type(fty) and is_neg_type(fty.dom)):
                 raise TypeMismatch(f"element of type {fty} is not over ~~s")
-            out = _lattice(type(f), k + 1, fty.dom.dom,
-                           [_iso_elem(c, model, sizes) for c in children])
+            # the children are distinct, two or more, and none is a node of
+            # this flavor at rank k; the map is injective and raises every
+            # rank by one, so the images need only the sort
+            images = [_iso_elem(c, sizes, True) for c in children]
+            out = type(f)(k + 1, fty.dom.dom, tuple(sorted(images, key=render_elem)))
         case _:
             raise TypeMismatch(
                 f"cannot apply the isomorphism to {render_elem(f)}")
-    _ISO_ATOM_CACHE[key] = out
+    if child:
+        _ISO_ATOM_CACHE.store(key, out)
     return out
+
+
+def _iso_table(f: FnTable, sizes: tuple) -> CanonElem:
+    """Read a table of type ~~s as a set of sets over the rank-0 carrier of
+    s, each ~s argument the set of atoms it maps to 1, through the layout of
+    s's carrier."""
+    if is_neg_type(f.ty) and is_neg_type(f.dom) and f.entries:
+        layout = _layout(f.dom.dom, sizes)
+        keys, values = zip(*f.entries)
+        if (keys == layout.table_keys()
+                and values.count(TRUE) + values.count(FALSE) == len(values)):
+            return layout.read([m for m, v in zip(layout.masks, values) if v is TRUE])
+    # a table that does not fit its layout: the checks, in their order
+    carrier = _carrier(sizes, f.dom, 0)
+    if {k for k, _ in f.entries} != set(carrier):
+        raise TypeMismatch(f"table {render_elem(f)} is not total over its carrier")
+    if not (is_neg_type(f.ty) and is_neg_type(f.dom)):
+        raise TypeMismatch(f"{render_elem(f)} is not of a ~~s type")
+    for key, val in f.entries:
+        if not isinstance(key, FnTable) or not isinstance(val, TruthVal):
+            raise TypeMismatch("isomorphism input table must be concrete")
+    # total and concrete, with its entries out of order or repeated
+    layout = _layout(f.dom.dom, sizes)
+    mask = dict(zip(layout.table_keys(), layout.masks))
+    return layout.read({mask[k] for k, v in f.entries if v is TRUE})
 
 
 def iso_iterate(ty: TypeExpr, f, model: ModelConfig) -> CanonElem:
@@ -669,6 +745,18 @@ def iso_iterate(ty: TypeExpr, f, model: ModelConfig) -> CanonElem:
                 f"iterated isomorphism passed the rank cap {model.rank_cap}")
         current = target
     return out
+
+
+# bound at import, so a wrapper installed over a module-level name later
+# (a tracer, say) still reports the table itself
+_TABLES = (("apply_elem", apply_elem), ("lattice", _make_lattice),
+           ("render_elem", render_elem), ("canonical_key", canonical_key),
+           ("iso", _ISO_ATOM_CACHE))
+
+
+def table_stats() -> list:
+    """(name, `cache_info()`) of every bounded table of this module."""
+    return [(name, table.cache_info()) for name, table in _TABLES]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import OrderedDict, namedtuple
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Optional
@@ -24,7 +24,7 @@ from . import gen as _gen
 from .rewrite import structural_subst
 from .domains import (
     CanonElem, CapExceeded, FALSE, Individual, MAX_RANK0_ENUM, ModelConfig,
-    RankOverflow, TRUE, TruthVal, apply_elem, ba_equal, ba_leq, bottom_at,
+    RankOverflow, TRUE, TableInfo, TruthVal, apply_elem, ba_equal, ba_leq, bottom_at,
     elem_rank, enumerate_domain, fn_table, iso_i, make_join, make_meet,
     make_neg, rank1_count, render_elem, resolve_constant, top_at,
 )
@@ -79,8 +79,6 @@ def _lookup(name: str, ty: TypeExpr, model: ModelConfig, rho: Assignment,
 # ops meet four). An evaluation that raises stores nothing.
 EVAL_TABLE_MODELS = 8
 EVAL_TABLE_SIZE = 512
-
-TableInfo = namedtuple("TableInfo", "hits misses maxsize currsize")
 
 
 class _EvalTable:
