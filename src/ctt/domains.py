@@ -553,20 +553,6 @@ def apply_elem(p: CanonElem, a: CanonElem) -> CanonElem:
 
 
 # ---------------------------------------------------------------------------
-# canonical form
-
-def is_canonical_elem(e: CanonElem) -> bool:
-    """No application node above an atom anywhere."""
-    match e:
-        case NegE(_, _, child):
-            return is_canonical_elem(child)
-        case MeetE(_, _, children) | JoinE(_, _, children):
-            return all(is_canonical_elem(c) for c in children)
-        case _:
-            return True  # atoms, including symbolic applications of atoms
-
-
-# ---------------------------------------------------------------------------
 # the type-reduction isomorphism
 
 # The children's images iso_i has mapped, per (element, sorted base sizes):

@@ -375,52 +375,3 @@ def cts_rule_instance(rule: str, rng: random.Random, model,
         return seq_in, out, pos, direction
     return out[0], [seq_in], pos, direction
 
-
-def random_canon_elem(rng: random.Random, model: ModelConfig, ty: TypeExpr,
-                      max_rank: int = 2, depth: int = 3) -> CanonElem:
-    """A random element of the given type with rank <= max_rank."""
-    from .domains import make_join, make_meet, make_neg
-
-    atoms = enumerate_domain(model, ty, 0)
-    if max_rank == 0 or depth <= 0 or rng.random() < 0.3:
-        return rng.choice(atoms)
-    k = rng.randint(1, max_rank)
-    pick = rng.randrange(3)
-    if pick == 0:
-        return make_neg(k, random_canon_elem(rng, model, ty, k, depth - 1))
-    make = make_meet if pick == 1 else make_join
-    n = rng.randint(0, 3)
-    return make(k, ty, [random_canon_elem(rng, model, ty, k, depth - 1)
-                        for _ in range(n)])
-
-
-def random_bot_subterm(rng: random.Random, depth: int, sig: dict[str, tuple[TypeExpr, int]],
-                       max_rank: int = 2, var_ranks=(0, 0, 1)) -> CtsSubterm:
-    """A random type-bot subterm over a shared variable signature."""
-
-    def var(ty: TypeExpr, rank: int) -> CtsSubterm:
-        existing = [n for n, (t, r) in sig.items() if t == ty and r == rank]
-        if existing and rng.random() < 0.7:
-            return CVar(rng.choice(existing), ty, rank)
-        name = f"{'w' if ty == BOT else 'u'}{len(sig)}"
-        sig[name] = (ty, rank)
-        return CVar(name, ty, rank)
-
-    def bot_term(d: int) -> CtsSubterm:
-        if d <= 0:
-            return var(BOT, rng.choice(var_ranks))
-        pick = rng.randrange(5)
-        if pick == 0:
-            return var(BOT, rng.choice(var_ranks))
-        if pick == 1:
-            c = bot_term(d - 1)
-            k = rng.randint(max(1, c.rank), max_rank)
-            return CNeg(k, c)
-        if pick in (2, 3):
-            a, b = bot_term(d - 1), bot_term(d - 1)
-            k = rng.randint(max(1, a.rank, b.rank), max_rank)
-            return (CConj if pick == 2 else CDisj)(k, a, b)
-        f = var(neg_type(Base("e")), 0)
-        return CApp(f, var(Base("e"), 0))
-
-    return bot_term(depth)

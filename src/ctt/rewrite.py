@@ -10,9 +10,7 @@ The five computation rules are oriented left to right:
 
 The last rule rewrites, inductively, every subterm of the body shaped
 (x R) into (y (R Q)); it is undefined when x occurs outside functor
-position, which surfaces as NonFunctorOccurrence. Reflexivity, symmetry,
-transitivity and the congruence rules are realised by normalize-and-compare
-rather than proof search.
+position, which surfaces as NonFunctorOccurrence.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from functools import cached_property
 from typing import Callable, Optional
 
 from .syntax import (
-    App, Arrow, BOT, CttError, Hole, Lam, Mu, SlmTerm, TypeMismatch, Var,
+    App, Arrow, BOT, CttError, Lam, Mu, SlmTerm, TypeMismatch, Var,
     children, free_vars, render, replace_at, subterm_at, with_child,
 )
 
@@ -134,8 +132,6 @@ def substitute(term: SlmTerm, x: str, repl: SlmTerm,
                     body = substitute(body, b, Var(b2, bty), supply)
                     return cls(b2, bty, go(body))
                 return cls(b, bty, go(body))
-            case Hole():
-                return t
         raise CttError(f"cannot substitute into {t!r}")
 
     return go(term)
@@ -178,8 +174,6 @@ def structural_subst(body: SlmTerm, x: str, q: SlmTerm, y: str,
                     inner = substitute(inner, b, Var(b2, bty), supply)
                     return cls(b2, bty, go(inner))
                 return cls(b, bty, go(inner))
-            case Hole():
-                return t
         raise CttError(f"cannot rewrite {t!r}")
 
     return go(body)
@@ -359,47 +353,3 @@ def normalize(term: SlmTerm, strategy: str = "outermost",
         return term, trace, NormalStatus.NORMAL_FORM
     return term, trace, NormalStatus.FUEL_EXHAUSTED
 
-
-# ---------------------------------------------------------------------------
-# alpha-equivalence and the equality decision attempt
-
-def alpha_equal(t1: SlmTerm, t2: SlmTerm) -> bool:
-    """Structural equality up to consistent renaming of bound variables."""
-
-    def go(a, b, env1: dict[str, int], env2: dict[str, int], depth: int) -> bool:
-        match a, b:
-            case Var(n1, ty1), Var(n2, ty2):
-                if ty1 != ty2:
-                    return False
-                d1, d2 = env1.get(n1), env2.get(n2)
-                return d1 == d2 if (d1 is not None or d2 is not None) else n1 == n2
-            case App(f1, a1), App(f2, a2):
-                return go(f1, f2, env1, env2, depth) and go(a1, a2, env1, env2, depth)
-            case (Lam(b1, ty1, m1), Lam(b2, ty2, m2)) | (Mu(b1, ty1, m1), Mu(b2, ty2, m2)):
-                if type(a) is not type(b) or ty1 != ty2:
-                    return False
-                return go(m1, m2, {**env1, b1: depth}, {**env2, b2: depth}, depth + 1)
-            case Hole(), Hole():
-                return True
-        return False
-
-    return go(t1, t2, {}, {}, 0)
-
-
-class EqVerdict(Enum):
-    EQUAL_BY_NORMAL_FORM = "equal"
-    UNKNOWN = "unknown"
-
-
-def decide_equal(t1: SlmTerm, t2: SlmTerm, fuel: int = DEFAULT_FUEL) -> EqVerdict:
-    """Equal when both sides reach alpha-equivalent normal forms in `fuel`
-    steps; Unknown otherwise (the oriented system carries no completeness
-    claim, so callers may escalate to the semantic oracle)."""
-    if t1.ty != t2.ty:
-        raise TypeMismatch(f"comparing terms of types {t1.ty} and {t2.ty}")
-    n1, _, s1 = normalize(t1, fuel=fuel)
-    n2, _, s2 = normalize(t2, fuel=fuel)
-    if s1 is NormalStatus.NORMAL_FORM and s2 is NormalStatus.NORMAL_FORM:
-        if alpha_equal(n1, n2):
-            return EqVerdict.EQUAL_BY_NORMAL_FORM
-    return EqVerdict.UNKNOWN

@@ -30,9 +30,8 @@ from .domains import (
 )
 from .syntax import (
     App, Arrow, BOT, Base, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg,
-    CVar, CtsSubterm, CttError, Hole, Lam, Mu, SlmTerm, TypeExpr,
-    TypeMismatch, Var, children, cts_signature, free_table, render,
-    signature_table, typecheck_slm, with_child,
+    CVar, CtsSubterm, CttError, Lam, Mu, SlmTerm, TypeExpr, TypeMismatch,
+    Var, children, cts_signature, free_table, render, signature_table,
 )
 
 Assignment = dict[str, CanonElem]
@@ -229,8 +228,6 @@ def _eval_slm(term: SlmTerm, model: ModelConfig, rho: Assignment) -> CanonElem:
                         f"mu body value {render_elem(v)} is symbolic, not 0/1")
                 table[a] = v
             return iso_i(fn_table(binder_ty, BOT, table), model)
-        case Hole():
-            raise CttError("cannot evaluate a context hole")
     raise CttError(f"cannot evaluate {term!r}")
 
 
@@ -318,52 +315,12 @@ def canonicalize_cts(sub: CtsSubterm, model: ModelConfig,
 # truth contexts
 
 class ContextClass(Enum):
+    """The four truth functions a one-hole context of type bot can denote."""
+
     T1 = "T1"  # identity
     T2 = "T2"  # negation
     T3 = "T3"  # constant falsity
     T4 = "T4"  # constant truth
-
-
-def count_holes(term: SlmTerm) -> int:
-    if isinstance(term, Hole):
-        return 1
-    return sum(count_holes(c) for c in children(term))
-
-
-def fill_hole(context: SlmTerm, filler: SlmTerm) -> SlmTerm:
-    """Plug the unique bot-typed hole."""
-    if isinstance(context, Hole):
-        return filler
-    for i, c in enumerate(children(context)):
-        context = with_child(context, i, fill_hole(c, filler))
-    return context
-
-
-def classify_context(context: SlmTerm, model: ModelConfig,
-                     rho: Assignment) -> ContextClass:
-    """Which of the four truth functions a one-hole bot-context denotes,
-    by evaluating it with the hole set to 0 and then 1."""
-    if count_holes(context) != 1:
-        raise CttError("a truth context has exactly one hole")
-    h = "h"
-    while h in rho:
-        h += "'"
-    filled = fill_hole(context, Var(h, BOT))
-    if typecheck_slm(filled, {**{n: v.ty for n, v in rho.items()}, h: BOT}) != BOT:
-        raise TypeMismatch("a truth context must have type bot")
-    outcomes = []
-    for tv in (FALSE, TRUE):
-        v = eval_slm(filled, model, {**rho, h: tv})
-        if not isinstance(v, TruthVal):
-            raise NonGroundValue(
-                f"context value {render_elem(v)} is not a rank-0 truth value")
-        outcomes.append(v.value)
-    return {
-        (0, 1): ContextClass.T1,
-        (1, 0): ContextClass.T2,
-        (0, 0): ContextClass.T3,
-        (1, 1): ContextClass.T4,
-    }[tuple(outcomes)]
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +642,9 @@ def cts_rule_harness(rule: str, trials: int = 100, seed: int = 0,
 
 def mu_exhaustive_cases(sizes: tuple[int, int] = (2, 2)):
     """Every truth-context class x functor table x argument atom for the mu
-    rule at small base sizes; yields (context_class, lhs, rhs, model, rho)."""
+    rule at small base sizes; yields (context_class, lhs, rhs, model, rho).
+    The mu body is (x0 r) for T1 and (n (x0 r)) for T2-T4, with `n` the
+    truth function the class names."""
     model = ModelConfig(base_sizes={"s": sizes[0], "t": sizes[1]})
     sigma, tau = Base("s"), Base("t")
     fn_ty = Arrow(sigma, tau)
@@ -693,17 +652,17 @@ def mu_exhaustive_cases(sizes: tuple[int, int] = (2, 2)):
     neg_table = fn_table(BOT, BOT, {FALSE: TRUE, TRUE: FALSE})
     const0 = fn_table(BOT, BOT, {FALSE: FALSE, TRUE: FALSE})
     const1 = fn_table(BOT, BOT, {FALSE: TRUE, TRUE: TRUE})
+    redex = App(Var("x0", Arrow(fn_ty, BOT)), Var("r", fn_ty))
+    n = Var("n", Arrow(BOT, BOT))
     contexts = {
-        ContextClass.T1: (Hole(), {}),
-        ContextClass.T2: (App(Var("n", Arrow(BOT, BOT)), Hole()), {"n": neg_table}),
-        ContextClass.T3: (App(Var("n", Arrow(BOT, BOT)), Hole()), {"n": const0}),
-        ContextClass.T4: (App(Var("n", Arrow(BOT, BOT)), Hole()), {"n": const1}),
+        ContextClass.T1: (redex, {}),
+        ContextClass.T2: (App(n, redex), {"n": neg_table}),
+        ContextClass.T3: (App(n, redex), {"n": const0}),
+        ContextClass.T4: (App(n, redex), {"n": const1}),
     }
-    x = Var("x0", Arrow(fn_ty, BOT))
-    for cls, (ctx_term, extra) in contexts.items():
+    for cls, (body, extra) in contexts.items():
         for r_table in enumerate_domain(model, fn_ty, 0):
             for q_atom in enumerate_domain(model, sigma, 0):
-                body = fill_hole(ctx_term, App(x, Var("r", fn_ty)))
                 lhs = App(Mu("x0", Arrow(fn_ty, BOT), body), Var("q", sigma))
                 rhs = Mu("y0", Arrow(tau, BOT),
                          structural_subst(body, "x0", Var("q", sigma), "y0"))

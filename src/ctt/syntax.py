@@ -52,10 +52,6 @@ class RankViolation(CttError):
     """A ranked subterm breaks a grammar side condition."""
 
 
-class UnboundVariable(CttError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # hash-consing
 
@@ -174,10 +170,11 @@ class _Node(Interned):
     class names its child fields once, in `_child_fields`, from which
     `children`, `with_child`, `subterm_at` and `replace_at` serve both
     languages. Derived facts live in slots: `_ty` holds the type or, for an
-    ill-typed node, the message `.ty` raises with, so construction never
-    raises; `height` counts the term levels of the tree (types not counted);
-    `_free` is filled by `free_vars`/`cts_signature` and `_text` by
-    `render`."""
+    ill-typed node, its first fault in a left-to-right walk as the message
+    and path `.ty` raises with, so a term is typed once, as it is built,
+    and construction never raises; `height` counts the term levels of the
+    tree (types not counted); `_free` is filled by
+    `free_vars`/`cts_signature` and `_text` by `render`."""
 
     __slots__ = ("_ty", "height", "_free", "_text")
     _child_fields: tuple[str, ...] = ()
@@ -192,7 +189,7 @@ class _Node(Interned):
             get = lambda node: (one(node),)
         cls._children = staticmethod(get)
 
-    def _build(self):  # a leaf (Var, CVar, Hole) stores its type
+    def _build(self):  # a leaf (Var, CVar) stores its type
         object.__setattr__(self, "_ty", self.ty)
         self._stack(())
 
@@ -202,16 +199,27 @@ class _Node(Interned):
     @property
     def ty(self) -> TypeExpr:
         ty = self._ty
-        if isinstance(ty, str):
-            raise TypeMismatch(ty)
+        if isinstance(ty, tuple):
+            raise TypeMismatch(*ty)
         return ty
 
 
-def _applied(fty) -> Union[TypeExpr, str]:
-    """The `_ty` of an application whose functor's `_ty` is `fty`."""
+# The `_ty` of an ill-typed node: the message `.ty` raises, and the path
+# from the node down to the subterm at fault.
+Fault = tuple[str, tuple[int, ...]]
+
+
+def _below(i: int, fault: Fault) -> Fault:
+    """A child's fault as seen from its parent, where it is child `i`."""
+    msg, path = fault
+    return msg, (i, *path)
+
+
+def _applied(fty) -> Union[TypeExpr, Fault]:
+    """The `_ty` of a ranked application whose functor's `_ty` is `fty`."""
     if isinstance(fty, Arrow):
         return fty.cod
-    return fty if isinstance(fty, str) else f"{fty} is not an arrow type"
+    return fty if isinstance(fty, tuple) else (f"{fty} is not an arrow type", ())
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +276,18 @@ class App(_Node):
     __slots__ = __match_args__ = _child_fields = ("fun", "arg")
 
     def _build(self):
-        object.__setattr__(self, "_ty", _applied(self.fun._ty))
+        fty, aty = self.fun._ty, self.arg._ty
+        if isinstance(fty, tuple):
+            ty = _below(0, fty)
+        elif isinstance(aty, tuple):
+            ty = _below(1, aty)
+        elif not isinstance(fty, Arrow):
+            ty = f"{fty} is not an arrow type", (0,)
+        elif fty.dom != aty:
+            ty = f"argument type {aty} does not match domain {fty.dom}", (1,)
+        else:
+            ty = fty.cod
+        object.__setattr__(self, "_ty", ty)
         self._stack(children(self))
 
 
@@ -278,10 +297,12 @@ class Lam(_Node):
 
     def _build(self):
         ty = self.body._ty
-        if not isinstance(ty, str):
-            ty = Arrow(self.binder_ty, ty)
+        ty = _below(0, ty) if isinstance(ty, tuple) else Arrow(self.binder_ty, ty)
         object.__setattr__(self, "_ty", ty)
         self._stack(children(self))
+
+
+_BAD_MU_BINDER = "mu binder must have a negation type"
 
 
 class Mu(_Node):
@@ -291,56 +312,28 @@ class Mu(_Node):
     _child_fields = ("body",)
 
     def _build(self):
-        ty = (self.binder_ty.dom if is_neg_type(self.binder_ty)
-              else "mu binder must have a negation type")
+        ty = self.body._ty
+        if not is_neg_type(self.binder_ty):
+            ty = _BAD_MU_BINDER, ()
+        elif isinstance(ty, tuple):
+            ty = _below(0, ty)
+        elif ty != BOT:
+            ty = f"mu body has type {ty}, expected bot", (0,)
+        else:
+            ty = self.binder_ty.dom
         object.__setattr__(self, "_ty", ty)
         self._stack(children(self))
 
 
-class Hole(_Node):
-    """One-hole position in a bot-typed context (internal; not parseable)."""
-
-    __slots__ = ()
-    ty = BOT
-
-
-SlmTerm = Union[Var, App, Lam, Mu, Hole]
+def _mu_dom(mu: Mu) -> TypeExpr:
+    """The s of the binder type ~s of `mu`, as the printers write it: they
+    read the binder, not `.ty`, which may hold a fault of the body."""
+    if not is_neg_type(mu.binder_ty):
+        raise TypeMismatch(_BAD_MU_BINDER)
+    return mu.binder_ty.dom
 
 
-def typecheck_slm(term: SlmTerm, ctx: Optional[dict[str, TypeExpr]] = None,
-                  _path: tuple[int, ...] = ()) -> TypeExpr:
-    """Type of `term` under `ctx`; raises on unbound variables or mismatches."""
-    ctx = ctx or {}
-    match term:
-        case Var(name, ty):
-            if name in ctx and ctx[name] != ty:
-                raise TypeMismatch(
-                    f"variable {name} annotated {ty} but bound to {ctx[name]}", _path)
-            if name not in ctx:
-                raise UnboundVariable(f"unbound variable {name}")
-            return ty
-        case App(fun, arg):
-            fty = typecheck_slm(fun, ctx, _path + (0,))
-            aty = typecheck_slm(arg, ctx, _path + (1,))
-            if not isinstance(fty, Arrow):
-                raise TypeMismatch(f"{fty} is not an arrow type", _path + (0,))
-            if fty.dom != aty:
-                raise TypeMismatch(
-                    f"argument type {aty} does not match domain {fty.dom}", _path + (1,))
-            return fty.cod
-        case Lam(binder, binder_ty, body):
-            bty = typecheck_slm(body, {**ctx, binder: binder_ty}, _path + (0,))
-            return Arrow(binder_ty, bty)
-        case Mu(binder, binder_ty, body):
-            if not is_neg_type(binder_ty):
-                raise TypeMismatch("mu binder must have a negation type", _path)
-            bty = typecheck_slm(body, {**ctx, binder: binder_ty}, _path + (0,))
-            if bty != BOT:
-                raise TypeMismatch(f"mu body has type {bty}, expected bot", _path + (0,))
-            return binder_ty.dom
-        case Hole():
-            return term.ty
-    raise TypeMismatch(f"unknown node {term!r}", _path)
+SlmTerm = Union[Var, App, Lam, Mu]
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +534,7 @@ def signature_table(sub: CtsSubterm) -> Optional[dict[str, tuple[TypeExpr, int]]
     return _free_table(sub, _CTS_NODES, _cts_free)
 
 
-_SLM_NODES = (Var, App, Lam, Mu, Hole)
+_SLM_NODES = (Var, App, Lam, Mu)
 _CTS_NODES = (CVar, CApp, CNeg, CConj, CDisj, CBigConj, CBigDisj)
 
 
@@ -599,7 +592,6 @@ def _slm_free(t: SlmTerm) -> Optional[dict[str, TypeExpr]]:
             return out
         case App(fun, arg):
             return _union(fun._free, arg._free)
-    return {}  # Hole
 
 
 def _cts_free(s: CtsSubterm) -> Optional[dict[str, tuple[TypeExpr, int]]]:
@@ -632,8 +624,6 @@ def _free_vars_walk(term: SlmTerm) -> dict[str, TypeExpr]:
             case App(fun, arg):
                 go(fun, bound)
                 go(arg, bound)
-            case Hole():
-                pass
             case _:
                 raise CttError(f"unknown node {t!r}")
 
@@ -690,8 +680,8 @@ _ONE_CHAR_TOKENS = _NAME_START | frozenset(string.digits + "()[]{}.,:;@~\\#=")
 RESERVED = {"bot", "and", "or", "neg", "All", "Ex", "table"}
 
 # Deepest nesting of recursive parser productions, and of the tree an
-# application chain builds. The passes that later walk the tree (typing,
-# rewriting, evaluation, rendering) recurse about as deep, so inputs within
+# application chain builds. The passes that later walk the tree (rewriting,
+# evaluation, rendering) recurse about as deep, so inputs within
 # the budget stay inside the interpreter's default recursion limit; a
 # 400-step identity chain still parses.
 MAX_NESTING = 450
@@ -874,7 +864,7 @@ def _parse_slm_once(c: _Cursor, default_ty: Optional[TypeExpr]) -> SlmTerm:
     p = _SlmParser(c, default_ty)
     term = p.term({})
     c.end("term")
-    typecheck_slm(term, p.known)
+    term.ty  # raises the first type fault, with its path
     return term
 
 
@@ -1172,7 +1162,9 @@ def _fill_texts(node: _Node):
     the walk writes as its children's own texts (`_joins`) joins them, any
     other node is walked, and the nodes below it are left alone. Errors are
     the walk's: a node of the other language is walked from each of its
-    ancestors, and every ill-typed mu binder raises the same error."""
+    ancestors, and every mu binder without a negation type raises the same
+    error, read from the binder by both, so a fault elsewhere in a body
+    never shows."""
     if isinstance(node, _SLM_NODES):
         _free_table(node, _SLM_NODES, _slm_free)
     else:
@@ -1222,7 +1214,7 @@ def _joined(t: _Node) -> str:
         case Lam(b, bty, body):
             return f"\\{b}:{bty}. {body._text}"
         case Mu(b, _, body):
-            return f"#{b}:~{t.ty}. {body._text}"
+            return f"#{b}:~{_mu_dom(t)}. {body._text}"
         case CApp(fun, arg):
             return f"({fun._text} {arg._text})"
         case CNeg(k, child):
@@ -1238,8 +1230,6 @@ def _render(ast, sort_children: bool, annotate: bool) -> str:
 
     def slm(t: SlmTerm, bound: frozenset[str]) -> str:
         match t:
-            case Hole():
-                return "_"
             case Var(name, ty):
                 if name in bound or name in seen or not annotate:
                     return name
@@ -1252,8 +1242,8 @@ def _render(ast, sort_children: bool, annotate: bool) -> str:
                 return f"({f} {slm(arg, bound)})"
             case Lam(b, bty, body):
                 return f"\\{b}:{bty}. {slm(body, bound | {b})}"
-            case Mu(b, _, body):  # the binder has type ~s for the term's type s
-                return f"#{b}:~{t.ty}. {slm(body, bound | {b})}"
+            case Mu(b, _, body):
+                return f"#{b}:~{_mu_dom(t)}. {slm(body, bound | {b})}"
         raise CttError(f"cannot render {t!r}")
 
     keys: dict[CtsSubterm, str] = {}

@@ -1,4 +1,5 @@
-"""Shared golden corpus: named inputs and their frozen expected outputs.
+"""Shared golden corpus: named inputs and their frozen expected outputs,
+and the random elements and subterms the property tests draw.
 
 The canonicalization goldens are the three bracketed displays (two with
 identical output shape, one with the meet/join nesting swapped) and the
@@ -6,8 +7,16 @@ two scope-demo readings; expected structures were derived by hand from
 the rank-driven distribution discipline and frozen here.
 """
 
-from ctt.domains import Individual, ModelConfig, make_join, make_meet, make_neg
-from ctt.syntax import Base, parse_cts, parse_type
+import random
+
+from ctt.domains import (
+    CanonElem, Individual, JoinE, MeetE, ModelConfig, NegE, enumerate_domain,
+    make_join, make_meet, make_neg,
+)
+from ctt.syntax import (
+    BOT, Base, CApp, CConj, CDisj, CNeg, CVar, CtsSubterm, TypeExpr, neg_type,
+    parse_cts, parse_type,
+)
 
 E = Base("e")
 S = Base("s")
@@ -105,3 +114,64 @@ CTS_TEXTS = [
     BRACKETED_2_TEXT,
     BRACKETED_3_TEXT,
 ]
+
+
+# --- random elements and subterms -------------------------------------------
+
+def random_canon_elem(rng: random.Random, model: ModelConfig, ty: TypeExpr,
+                      max_rank: int = 2, depth: int = 3) -> CanonElem:
+    """A random element of the given type with rank <= max_rank."""
+    atoms = enumerate_domain(model, ty, 0)
+    if max_rank == 0 or depth <= 0 or rng.random() < 0.3:
+        return rng.choice(atoms)
+    k = rng.randint(1, max_rank)
+    pick = rng.randrange(3)
+    if pick == 0:
+        return make_neg(k, random_canon_elem(rng, model, ty, k, depth - 1))
+    make = make_meet if pick == 1 else make_join
+    n = rng.randint(0, 3)
+    return make(k, ty, [random_canon_elem(rng, model, ty, k, depth - 1)
+                        for _ in range(n)])
+
+
+def random_bot_subterm(rng: random.Random, depth: int, sig: dict[str, tuple[TypeExpr, int]],
+                       max_rank: int = 2, var_ranks=(0, 0, 1)) -> CtsSubterm:
+    """A random type-bot subterm over a shared variable signature."""
+
+    def var(ty: TypeExpr, rank: int) -> CtsSubterm:
+        existing = [n for n, (t, r) in sig.items() if t == ty and r == rank]
+        if existing and rng.random() < 0.7:
+            return CVar(rng.choice(existing), ty, rank)
+        name = f"{'w' if ty == BOT else 'u'}{len(sig)}"
+        sig[name] = (ty, rank)
+        return CVar(name, ty, rank)
+
+    def bot_term(d: int) -> CtsSubterm:
+        if d <= 0:
+            return var(BOT, rng.choice(var_ranks))
+        pick = rng.randrange(5)
+        if pick == 0:
+            return var(BOT, rng.choice(var_ranks))
+        if pick == 1:
+            c = bot_term(d - 1)
+            k = rng.randint(max(1, c.rank), max_rank)
+            return CNeg(k, c)
+        if pick in (2, 3):
+            a, b = bot_term(d - 1), bot_term(d - 1)
+            k = rng.randint(max(1, a.rank, b.rank), max_rank)
+            return (CConj if pick == 2 else CDisj)(k, a, b)
+        f = var(neg_type(Base("e")), 0)
+        return CApp(f, var(Base("e"), 0))
+
+    return bot_term(depth)
+
+
+def is_canonical_elem(e: CanonElem) -> bool:
+    """No application node above an atom anywhere."""
+    match e:
+        case NegE(_, _, child):
+            return is_canonical_elem(child)
+        case MeetE(_, _, children) | JoinE(_, _, children):
+            return all(is_canonical_elem(c) for c in children)
+        case _:
+            return True  # atoms, including symbolic applications of atoms

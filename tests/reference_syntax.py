@@ -5,6 +5,10 @@ lambda-mu, ranked and sequent parsers, and the rendering walk. Kept
 verbatim as the reference the tests compare the current parsers and
 `render` with. One deliberate difference: `parse_sequent_members` here
 accepts a comma after the last member of a side.
+
+It also keeps `typecheck_slm`, the recursive checker that typed a parsed
+lambda-mu term before each node typed itself as it was built, as the
+reference the tests compare `.ty` with.
 """
 
 import re
@@ -13,10 +17,51 @@ from typing import Optional
 
 from ctt.syntax import (
     App, Arrow, BOT, Base, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg, CVar,
-    CttError, CtsSubterm, Hole, Lam, MAX_NESTING, Mu, ParseError, SlmTerm, TypeExpr,
-    Var, _CTS_NODES, _SLM_NODES, check_sequent_member, is_neg_type, neg_type,
-    rank_check, typecheck_slm,
+    CttError, CtsSubterm, Lam, MAX_NESTING, Mu, ParseError, SlmTerm, TypeExpr,
+    TypeMismatch, Var, _CTS_NODES, _SLM_NODES, check_sequent_member, is_neg_type,
+    neg_type, rank_check,
 )
+
+
+# ---------------------------------------------------------------------------
+# type checker
+
+class UnboundVariable(CttError):
+    pass
+
+
+def typecheck_slm(term: SlmTerm, ctx: Optional[dict[str, TypeExpr]] = None,
+                  _path: tuple[int, ...] = ()) -> TypeExpr:
+    """Type of `term` under `ctx`; raises on unbound variables or mismatches."""
+    ctx = ctx or {}
+    match term:
+        case Var(name, ty):
+            if name in ctx and ctx[name] != ty:
+                raise TypeMismatch(
+                    f"variable {name} annotated {ty} but bound to {ctx[name]}", _path)
+            if name not in ctx:
+                raise UnboundVariable(f"unbound variable {name}")
+            return ty
+        case App(fun, arg):
+            fty = typecheck_slm(fun, ctx, _path + (0,))
+            aty = typecheck_slm(arg, ctx, _path + (1,))
+            if not isinstance(fty, Arrow):
+                raise TypeMismatch(f"{fty} is not an arrow type", _path + (0,))
+            if fty.dom != aty:
+                raise TypeMismatch(
+                    f"argument type {aty} does not match domain {fty.dom}", _path + (1,))
+            return fty.cod
+        case Lam(binder, binder_ty, body):
+            bty = typecheck_slm(body, {**ctx, binder: binder_ty}, _path + (0,))
+            return Arrow(binder_ty, bty)
+        case Mu(binder, binder_ty, body):
+            if not is_neg_type(binder_ty):
+                raise TypeMismatch("mu binder must have a negation type", _path)
+            bty = typecheck_slm(body, {**ctx, binder: binder_ty}, _path + (0,))
+            if bty != BOT:
+                raise TypeMismatch(f"mu body has type {bty}, expected bot", _path + (0,))
+            return binder_ty.dom
+    raise TypeMismatch(f"unknown node {term!r}", _path)
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +428,6 @@ def _render(ast, sort_children: bool, annotate: bool) -> str:
 
     def slm(t: SlmTerm, bound: frozenset[str]) -> str:
         match t:
-            case Hole():
-                return "_"
             case Var(name, ty):
                 if name in bound or name in seen or not annotate:
                     return name
@@ -397,8 +440,10 @@ def _render(ast, sort_children: bool, annotate: bool) -> str:
                 return f"({f} {slm(arg, bound)})"
             case Lam(b, bty, body):
                 return f"\\{b}:{bty}. {slm(body, bound | {b})}"
-            case Mu(b, _, body):  # the binder has type ~s for the term's type s
-                return f"#{b}:~{t.ty}. {slm(body, bound | {b})}"
+            case Mu(b, bty, body):  # the binder has type ~s for the term's type s
+                if not is_neg_type(bty):
+                    raise TypeMismatch("mu binder must have a negation type")
+                return f"#{b}:~{bty.dom}. {slm(body, bound | {b})}"
         raise CttError(f"cannot render {t!r}")
 
     keys: dict[CtsSubterm, str] = {}

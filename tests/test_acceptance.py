@@ -212,9 +212,9 @@ def test_criterion_08_free_algebra_rank_laws():
     checked = 0
     while checked < 200:
         k = rng.randint(1, 2)
-        x = gen.random_canon_elem(rng, model, E, max_rank=k, depth=2)
-        y = gen.random_canon_elem(rng, model, E, max_rank=k, depth=2)
-        z = gen.random_canon_elem(rng, model, E, max_rank=k, depth=2)
+        x = corpus.random_canon_elem(rng, model, E, max_rank=k, depth=2)
+        y = corpus.random_canon_elem(rng, model, E, max_rank=k, depth=2)
+        z = corpus.random_canon_elem(rng, model, E, max_rank=k, depth=2)
         assert ba_equal(make_neg(k, make_neg(k, x)), x)
         assert ba_equal(make_neg(k, make_meet(k, E, [x, y])),
                         make_join(k, E, [make_neg(k, x), make_neg(k, y)]))

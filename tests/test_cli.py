@@ -181,6 +181,19 @@ def test_parse_failed_retry_keeps_nesting_message(capsys):
     assert f"input nests deeper than {MAX_NESTING} levels" in err
 
 
+def test_type_faults_name_their_path(capsys):
+    faults = {
+        "(f:(e -> t) y:t)": "argument type t does not match domain e (at path 1)",
+        "#k:~e. y:e": "mu body has type e, expected bot (at path 0)",
+        "(x:e y:e)": "e is not an arrow type (at path 0)",
+        r"\x:e. #k:~t. (k (f:(e -> e) x))":
+            "argument type e does not match domain t (at path 0.0.1)",
+    }
+    for text, message in faults.items():
+        for cmd in ("parse", "check"):
+            assert run(capsys, cmd, text) == (2, "", f"ctt: {message}\n"), (cmd, text)
+
+
 def binder_nest(n: int) -> str:
     return "".join(f"\\x{i}:e. " for i in range(n)) + "x0"
 
@@ -446,7 +459,11 @@ def test_fuzz_no_crash(capsys, tmp_path, monkeypatch):
               (["normalize", "--fuel", "-3", "e: ((\\x:e. x) y)"], 2),
               (["normalize", "--fuel", "0", "e: ((\\x:e. x) y)"], 3),
               (["prove", "--depth", "-1", "A |- A"], 2),
-              (["prove", "--depth", "0", "A |- A"], 1)]
+              (["prove", "--depth", "0", "A |- A"], 1),
+              # oversized counts are bounds, not work: these finish at once
+              (["prove", "--depth", str(10 ** 30), "A |- A"], 0),
+              (["prove", "--depth", str(10 ** 30), "A |- B"], 1),
+              (["normalize", "--fuel", str(10 ** 30), "e: ((\\x:e. x) y)"], 0)]
     for argv, want in counts:
         assert main(argv) == want, argv
         capsys.readouterr()

@@ -14,7 +14,7 @@ from ctt.domains import (
     ba_equal, ba_leq, bottom_at, canonical_key, elem_rank, enumerate_domain,
     fn_table, iso_i, iso_iterate, make_join, make_meet, make_neg,
     parse_element, parse_model_config, parse_set_of_sets, render_elem,
-    resolve_constant, top_at, is_canonical_elem,
+    resolve_constant, top_at,
 )
 from ctt.semantics import canonicalize_cts
 from ctt.syntax import (
@@ -274,8 +274,8 @@ def valuation_equal(x, y):
 def test_canonical_key_matches_ba_equal(seed):
     rng = gen.make_rng(seed)
     model = ModelConfig(base_sizes={"e": 2})
-    x = gen.random_canon_elem(rng, model, E, max_rank=2, depth=2)
-    y = gen.random_canon_elem(rng, model, E, max_rank=2, depth=2)
+    x = corpus.random_canon_elem(rng, model, E, max_rank=2, depth=2)
+    y = corpus.random_canon_elem(rng, model, E, max_rank=2, depth=2)
     assert valuation_equal(x, y) == (canonical_key(x) == canonical_key(y))
     assert ba_equal(x, y) == valuation_equal(x, y)
 
@@ -286,9 +286,9 @@ def test_fixed_rank_boolean_laws(seed):
     rng = gen.make_rng(seed)
     model = ModelConfig(base_sizes={"e": 2})
     k = rng.randint(1, 2)
-    x = gen.random_canon_elem(rng, model, E, max_rank=k, depth=2)
-    y = gen.random_canon_elem(rng, model, E, max_rank=k, depth=2)
-    z = gen.random_canon_elem(rng, model, E, max_rank=k, depth=2)
+    x = corpus.random_canon_elem(rng, model, E, max_rank=k, depth=2)
+    y = corpus.random_canon_elem(rng, model, E, max_rank=k, depth=2)
+    z = corpus.random_canon_elem(rng, model, E, max_rank=k, depth=2)
     meet = lambda *cs: make_meet(k, E, cs)
     join = lambda *cs: make_join(k, E, cs)
     neg = lambda c: make_neg(k, c)
@@ -367,7 +367,7 @@ def test_canonical_key_matches_reference():
              make_join(1, E, [make_meet(1, E, [a, b]), make_meet(1, E, [a, make_neg(1, b)])]),
              make_join(1, BOT, [TRUE, make_neg(1, FALSE)])]
     rng = gen.make_rng(13)
-    elems += [gen.random_canon_elem(rng, model, E, max_rank=3, depth=3)
+    elems += [corpus.random_canon_elem(rng, model, E, max_rank=3, depth=3)
               for _ in range(3000)]
     assert any(isinstance(e, (MeetE, JoinE)) and not e.children for e in elems[16:])
     assert len({_rank(e) for e in elems[16:]}) == 4
@@ -451,8 +451,8 @@ def _table_operations(seed):
     rng = random.Random(seed)
     model = ModelConfig(base_sizes={"e": 2})
     fty = Arrow(E, BOT)
-    funs = [gen.random_canon_elem(rng, model, fty) for _ in range(80)]
-    args = [gen.random_canon_elem(rng, model, E) for _ in range(80)]
+    funs = [corpus.random_canon_elem(rng, model, fty) for _ in range(80)]
+    args = [corpus.random_canon_elem(rng, model, E) for _ in range(80)]
     applies = [(p, a) for p in funs[:20] for a in args[:20]]
     nodes = [(cls, rng.randint(1, 2), E, tuple(rng.sample(args, rng.randint(0, 4))))
              for cls in (MeetE, JoinE) for _ in range(150)]
@@ -606,7 +606,7 @@ def test_bracketed_goldens_render():
     for sub, golden in corpus.bracketed_examples():
         value = canonicalize_cts(sub, corpus.EMPTY_MODEL)
         assert render_elem(value) == golden
-        assert is_canonical_elem(value)
+        assert corpus.is_canonical_elem(value)
 
 
 def test_bracketed_one_and_two_share_shape():
@@ -665,7 +665,7 @@ def test_canonicalize_agrees_with_syntactic_squeezing():
     rng = gen.make_rng(42)
     for _ in range(150):
         sig = {}
-        sub = gen.random_bot_subterm(rng, depth=3, sig=sig, var_ranks=(0,))
+        sub = corpus.random_bot_subterm(rng, depth=3, sig=sig, var_ranks=(0,))
         syntactic = sub
         for _ in range(200):
             hit = _innermost_redex(syntactic)

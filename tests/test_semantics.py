@@ -14,7 +14,7 @@ from ctt.domains import (
 from ctt.rewrite import step
 from ctt.semantics import (
     MAX_ASSIGNMENTS, ContextClass, NonGroundValue, UnassignedVariable,
-    canonicalize_cts, check_equation, classify_context, cts_harness_model,
+    canonicalize_cts, check_equation, cts_harness_model,
     cts_rule_harness, enumerate_assignments, eval_cts, eval_slm,
     mu_exhaustive_cases, sequent_semantics, sequent_valid, sequent_verdicts,
     soundness_harness, standard_model_family, symbolic_assignment, table_stats,
@@ -23,7 +23,7 @@ from ctt.semantics import (
 from ctt.sequents import INTRO_RULES, SUBST_RULES
 from ctt.syntax import (
     App, Arrow, BOT, Base, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg, CVar,
-    CttError, Hole, Lam, Mu, TypeMismatch, Var, parse_cts, parse_sequent_members,
+    CttError, Lam, Mu, TypeMismatch, Var, parse_cts, parse_sequent_members,
     parse_slm, render,
 )
 
@@ -142,31 +142,6 @@ def test_canonical_output_equals_molecular_input_on_corpus(m22):
         molecular = eval_cts(sub, m22, symbolic_assignment([sub], m22))
         again = canonicalize_cts(sub, m22)
         assert ba_equal(molecular, again)
-
-
-def test_classify_context_cases(m3):
-    neg_t = fn_table(BOT, BOT, {FALSE: TRUE, TRUE: FALSE})
-    const0 = fn_table(BOT, BOT, {FALSE: FALSE, TRUE: FALSE})
-    const1 = fn_table(BOT, BOT, {FALSE: TRUE, TRUE: TRUE})
-    assert classify_context(Hole(), m3, {}) is ContextClass.T1
-    wrap = App(Var("n", Arrow(BOT, BOT)), Hole())
-    assert classify_context(wrap, m3, {"n": neg_t}) is ContextClass.T2
-    assert classify_context(wrap, m3, {"n": const0}) is ContextClass.T3
-    assert classify_context(wrap, m3, {"n": const1}) is ContextClass.T4
-
-
-def test_classify_context_exhausts_outcomes(m3):
-    tables = enumerate_domain(m3, Arrow(BOT, BOT), 0)
-    seen = set()
-    wrap = App(Var("n", Arrow(BOT, BOT)), Hole())
-    for t in tables:
-        seen.add(classify_context(wrap, m3, {"n": t}))
-    assert seen == set(ContextClass)
-
-
-def test_classify_context_needs_exactly_one_hole(m3):
-    with pytest.raises(Exception):
-        classify_context(Var("x", BOT), m3, {})
 
 
 def test_check_equation_beta(m22):
@@ -362,9 +337,9 @@ def assert_answer_agrees(ante, succ, models):
 def random_sequent(seed, n_ante, n_succ, depth):
     rng = gen.make_rng(seed)
     sig = {}
-    ante = [gen.random_bot_subterm(rng, depth, sig, var_ranks=(0, 0, 1))
+    ante = [corpus.random_bot_subterm(rng, depth, sig, var_ranks=(0, 0, 1))
             for _ in range(n_ante)]
-    succ = [gen.random_bot_subterm(rng, depth, sig, var_ranks=(0, 0, 1))
+    succ = [corpus.random_bot_subterm(rng, depth, sig, var_ranks=(0, 0, 1))
             for _ in range(n_succ)]
     return ante, succ
 

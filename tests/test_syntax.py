@@ -11,13 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 from ctt import gen
 from ctt import syntax
+from ctt.rewrite import RuleTag
 from ctt.syntax import (
     App, Arrow, BOT, Base, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg,
-    CttError, CVar, Hole, Lam, Mu, ParseError, RankViolation, SyntaxClass,
-    TypeMismatch, UnboundVariable, Var, children, classify, cts_signature,
-    free_vars, is_neg_type, neg_type, parse, parse_cts, parse_sequent_members,
-    parse_slm, parse_type, rank_check, render, render_type, replace_at,
-    subterm_at, typecheck_slm, with_child,
+    CttError, CVar, Lam, Mu, ParseError, RankViolation, SyntaxClass,
+    TypeMismatch, Var, children, classify, cts_signature, free_vars,
+    is_neg_type, neg_type, parse, parse_cts, parse_sequent_members, parse_slm,
+    parse_type, rank_check, render, render_type, replace_at, subterm_at,
+    with_child,
 )
 
 import corpus
@@ -80,25 +81,74 @@ def test_default_type_retry_reports_whole_text_position():
 
 def test_typecheck_app_mismatch_path():
     t = App(Var("x", Base("e")), Var("x", Base("e")))
-    with pytest.raises(TypeMismatch) as exc:
-        typecheck_slm(t, {"x": Base("e")})
-    assert "not an arrow" in str(exc.value)
+    with pytest.raises(TypeMismatch, match=r"^e is not an arrow type \(at path 0\)$"):
+        t.ty
 
 
 def test_typecheck_unbound():
-    with pytest.raises(UnboundVariable):
-        typecheck_slm(Var("z", Base("e")), {})
+    # the parser types every free name, so a parsed term has no unbound one
+    with pytest.raises(ParseError, match="free variable z needs a type annotation"):
+        parse_slm("(f:(e -> e) z)")
 
 
 def test_typecheck_mu_rule_shape():
     t = parse_slm("#x:~e. (x y:e)")
-    assert typecheck_slm(t, {"y": Base("e")}) == Base("e")
+    assert t.ty == Base("e")
 
 
-def test_typecheck_agrees_with_stored_annotations_on_corpus():
+# One type per name, binders included, so the reference checker's checks
+# of a variable against its context never fire; the ill-typed trees below
+# are faults of application and mu alone.
+_TYPE_OF = {"a": Base("e"), "b": Base("t"), "f": Arrow(Base("e"), Base("t")),
+            "g": neg_type(Base("t")), "k": neg_type(Base("e")), "o": BOT}
+
+
+def one_type_tree(rng, depth):
+    """A random lambda-mu tree over the names of `_TYPE_OF`, each at its type."""
+    name = rng.choice(sorted(_TYPE_OF))
+    pick = rng.randrange(4) if depth > 0 else 0
+    if pick == 0:
+        return Var(name, _TYPE_OF[name])
+    if pick == 1:
+        return App(one_type_tree(rng, depth - 1), one_type_tree(rng, depth - 1))
+    return (Lam if pick == 2 else Mu)(name, _TYPE_OF[name], one_type_tree(rng, depth - 1))
+
+
+def assert_ty_matches_reference(t):
+    def checked(t):
+        return reference_syntax.typecheck_slm(t, free_vars(t))
+
+    assert outcome(node_type, t) == outcome(checked, t)
+
+
+def test_ty_matches_reference_typecheck():
     for text in corpus.SLM_TEXTS:
-        t = parse_slm(text)
-        assert typecheck_slm(t, free_vars(t)) == t.ty
+        assert_ty_matches_reference(parse_slm(text))
+    rng = gen.make_rng(11)
+    for i in range(3000):
+        tg = gen.TermGen(rng)
+        assert_ty_matches_reference(tg.term(gen.random_type(rng, depth=2), depth=3))
+        assert_ty_matches_reference(one_type_tree(rng, 4))
+        if i % 10 == 0:  # rule instances, for terms with mu
+            lhs, rhs, _ = gen.slm_rule_instance(rng.choice(list(RuleTag)).value, rng)
+            assert_ty_matches_reference(lhs)
+            assert_ty_matches_reference(rhs)
+    a, b, f, g = (Var(n, _TYPE_OF[n]) for n in "abfg")
+    faults = {
+        App(a, a): "e is not an arrow type (at path 0)",
+        App(f, b): "argument type t does not match domain e (at path 1)",
+        App(App(a, a), App(f, b)): "e is not an arrow type (at path 0.0)",
+        App(f, App(f, b)): "argument type t does not match domain e (at path 1.1)",
+        Lam("a", Base("e"), App(f, b)): "argument type t does not match domain e (at path 0.1)",
+        Mu("g", _TYPE_OF["g"], App(f, a)): "mu body has type t, expected bot (at path 0)",
+        Mu("a", Base("e"), App(f, b)): "mu binder must have a negation type (at path root)",
+        Mu("g", _TYPE_OF["g"], App(g, App(f, b))):
+            "argument type t does not match domain e (at path 0.1.1)",
+    }
+    for t, message in faults.items():
+        assert outcome(node_type, t) == (TypeMismatch, message)
+        assert_ty_matches_reference(t)
+
 
 
 def test_classify_examples():
@@ -146,8 +196,6 @@ def reference_free_vars(term):
             case App(fun, arg):
                 go(fun, bound)
                 go(arg, bound)
-            case Hole():
-                pass
             case _:
                 raise CttError(f"unknown node {t!r}")
 
@@ -170,7 +218,7 @@ def outcome(fn, term):
 _NAMES = st.sampled_from("xyz")
 _TYPES = st.sampled_from([Base("e"), Base("t"), Arrow(Base("e"), BOT)])
 _RAW_TERMS = st.recursive(
-    st.builds(Var, _NAMES, _TYPES) | st.just(Hole())
+    st.builds(Var, _NAMES, _TYPES)
     | st.builds(CVar, _NAMES, _TYPES, st.just(0)),
     lambda kids: st.builds(App, kids, kids) | st.builds(Lam, _NAMES, _TYPES, kids)
     | st.builds(Mu, _NAMES, _TYPES, kids) | kids.map(lambda t: App(t, t)),
@@ -216,27 +264,40 @@ def reference_cts_signature(sub):
     return out
 
 
-def reference_ty(t):
-    """A node's type as each node class computed it on demand before nodes
-    kept it in a slot; an ill-typed node raises TypeMismatch."""
+def reference_ty(t, path=()):
+    """A node's type by the contract of `.ty`, as a walk: a lambda-mu node
+    raises the first fault of a left-to-right walk, at its path from `t`,
+    as the checker that typed parsed terms did; a ranked node raises the
+    fault its class computed on demand before nodes kept it in a slot, at
+    its ancestors' path. A ranked variable is a leaf of either language."""
     match t:
         case Var(_, ty) | CVar(_, ty, _) | CBigConj(_, _, ty, _) | CBigDisj(_, _, ty, _):
             return ty
-        case Hole():
-            return BOT
-        case App(fun, _) | CApp(fun, _):
-            fty = reference_ty(fun)
+        case App(fun, arg):
+            fty = reference_ty(fun, path + (0,))
+            aty = reference_ty(arg, path + (1,))
             if not isinstance(fty, Arrow):
-                raise TypeMismatch(f"{fty} is not an arrow type")
+                raise TypeMismatch(f"{fty} is not an arrow type", path + (0,))
+            if fty.dom != aty:
+                raise TypeMismatch(
+                    f"argument type {aty} does not match domain {fty.dom}", path + (1,))
+            return fty.cod
+        case CApp(fun, _):
+            fty = reference_ty(fun, path)
+            if not isinstance(fty, Arrow):
+                raise TypeMismatch(f"{fty} is not an arrow type", path)
             return fty.cod
         case Lam(_, bty, body):
-            return Arrow(bty, reference_ty(body))
-        case Mu(_, bty, _):
+            return Arrow(bty, reference_ty(body, path + (0,)))
+        case Mu(_, bty, body):
             if not is_neg_type(bty):
-                raise TypeMismatch("mu binder must have a negation type")
+                raise TypeMismatch("mu binder must have a negation type", path)
+            ty = reference_ty(body, path + (0,))
+            if ty != BOT:
+                raise TypeMismatch(f"mu body has type {ty}, expected bot", path + (0,))
             return bty.dom
         case CNeg(_, child) | CConj(_, child, _) | CDisj(_, child, _):
-            return reference_ty(child)
+            return reference_ty(child, path)
     raise CttError(f"unknown node {t!r}")
 
 
@@ -365,7 +426,7 @@ def test_equal_fields_build_one_node():
     e, x, c = Base("e"), Var("x", Base("e")), CVar("c", BOT, 0)
     builds = [
         (Var, "x", e), (App, x, x), (Lam, "x", e, x), (Mu, "k", neg_type(e), x),
-        (Hole,), (CVar, "c", BOT, 0), (CApp, c, c), (CNeg, 1, c), (CConj, 1, c, c),
+        (CVar, "c", BOT, 0), (CApp, c, c), (CNeg, 1, c), (CConj, 1, c, c),
         (CDisj, 1, c, c), (CBigConj, 1, "x", e, 0), (CBigDisj, 1, "x", e, 0),
     ]
     for cls, *fields in builds:
@@ -507,7 +568,7 @@ def navigation_trees():
     rng = gen.make_rng(17)
     for _ in range(100):
         trees.append(gen.TermGen(rng).term(gen.random_type(rng, depth=2), depth=3))
-        trees.append(gen.random_bot_subterm(rng, depth=4, sig={}))
+        trees.append(corpus.random_bot_subterm(rng, depth=4, sig={}))
     return trees
 
 
@@ -535,7 +596,7 @@ def test_each_node_class_declares_its_children():
     y, d = Var("y", Base("e")), CVar("d", BOT, 0)
     builds = [
         (Var, "x", e), (App, x, y), (Lam, "x", e, x), (Mu, "k", neg_type(e), y),
-        (Hole,), (CVar, "c", BOT, 0), (CApp, c, d), (CNeg, 1, c), (CConj, 1, c, d),
+        (CVar, "c", BOT, 0), (CApp, c, d), (CNeg, 1, c), (CConj, 1, c, d),
         (CDisj, 1, d, c), (CBigConj, 1, "x", e, 0), (CBigDisj, 1, "x", e, 0),
     ]
     assert {cls for cls, *_ in builds} == set(concrete_node_classes())
@@ -574,12 +635,12 @@ def test_sequent_parsing_defaults():
 
 
 def test_render_refuses_a_mu_binder_without_negation_type():
-    bad = Mu("x", Base("e"), Hole())
+    bad = Mu("x", Base("e"), Var("y", BOT))
     with pytest.raises(CttError, match="mu binder must have a negation type"):
         render(bad)
     # the same error with assertions compiled out
-    code = ("from ctt.syntax import Base, CttError, Hole, Mu, render\n"
-            "try:\n    render(Mu('x', Base('e'), Hole()))\n"
+    code = ("from ctt.syntax import BOT, Base, CttError, Mu, Var, render\n"
+            "try:\n    render(Mu('x', Base('e'), Var('y', BOT)))\n"
             "except CttError as ex:\n    print(type(ex).__name__)\n")
     src = pathlib.Path(__file__).parents[1] / "src"
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
@@ -616,7 +677,7 @@ def test_render_parse_round_trip_slm(seed):
 def test_render_parse_round_trip_cts(seed):
     rng = gen.make_rng(seed)
     sig = {}
-    sub = gen.random_bot_subterm(rng, depth=3, sig=sig)
+    sub = corpus.random_bot_subterm(rng, depth=3, sig=sig)
     assert parse_cts(render(sub)) == sub
 
 
@@ -739,7 +800,7 @@ def cts_texts():
     rng = gen.make_rng(12)
     subs = [parse_cts(t) for t in corpus.CTS_TEXTS]
     for _ in range(150):
-        subs.append(gen.random_bot_subterm(rng, depth=4, sig={}))
+        subs.append(corpus.random_bot_subterm(rng, depth=4, sig={}))
         subs.append(gen.cts_member(rng, {}, rank=rng.randint(1, 2), depth=3))
     texts = list(corpus.CTS_TEXTS)
     for sub in subs:
@@ -846,7 +907,7 @@ def test_sorted_render_matches_reference_on_corpus_and_generated_subterms():
     subs = [parse_cts(text) for text in corpus.CTS_TEXTS]
     rng = gen.make_rng(13)
     for _ in range(300):
-        subs.append(gen.random_bot_subterm(rng, depth=4, sig={}))
+        subs.append(corpus.random_bot_subterm(rng, depth=4, sig={}))
         subs.append(gen.cts_member(rng, {}, rank=rng.randint(1, 2), depth=3))
     e_bot = Arrow(Base("e"), BOT)
     subs += [CConj(1, CBigConj(1, "y", BOT, 0), CBigDisj(1, "x", BOT, 0)),
