@@ -15,7 +15,7 @@ import functools
 import os
 import sys
 
-from . import domains, gen, rewrite, semantics, sequents, syntax
+from . import domains, gen, rewrite, syntax
 from .domains import (
     CapExceeded, ModelConfig, RankOverflow, iso_i, model_signature,
     parse_element, parse_model_config, parse_set_of_sets, render_elem,

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Optional, Union
 
 from .syntax import (
@@ -263,27 +263,42 @@ MAX_RANK0_ENUM = 2 ** 16
 MAX_GENERATORS = 20
 
 
-@dataclass
-class ModelConfig:
+class ModelConfig(Interned):
     """Finite model: base carrier sizes (names auto-generated a, b, ...),
-    a rank cap for mu-evaluation, and named constants."""
+    a rank cap for mu-evaluation, and named constants.
 
-    base_sizes: dict[str, int] = field(default_factory=dict)
-    rank_cap: int = 2
-    constants: dict[str, CanonElem] = field(default_factory=dict)
+    A model is a hash-consed value like an element: models of equal
+    contents are one object, and nothing in one can be assigned.
+    `base_sizes` and `constants` are read-only mappings; constants keep
+    their declaration order. `names` maps each name the model resolves to
+    the elements it can denote: a constant alone, else a truth value for
+    0 and 1, else every base's individual of that name."""
 
-    def __post_init__(self):
-        for name, size in self.base_sizes.items():
+    __match_args__ = ("sizes", "rank_cap", "consts")  # sizes sorted by base
+    __slots__ = (*__match_args__, "base_sizes", "constants", "names")
+
+    def __new__(cls, base_sizes=(), rank_cap: int = 2, constants=()):
+        return super().__new__(cls, tuple(sorted(dict(base_sizes).items())), rank_cap,
+                               tuple(dict(constants).items()))
+
+    def _build(self):
+        names: dict[str, tuple[CanonElem, ...]] = {"0": (FALSE,), "1": (TRUE,)}
+        for name, size in self.sizes:
             if not _names_base_type(name):
                 raise CttError(f"base {name!r} is not a base type name")
             if not 1 <= size <= MAX_BASE_SIZE:
                 raise CapExceeded(
                     f"base {name} has size {size}; sizes must be 1..{MAX_BASE_SIZE}")
+            for n in individual_names(size):
+                names[n] = names.get(n, ()) + (Individual(Base(name), n),)
         if self.rank_cap < 0:
             raise CttError("rank cap must be a natural number")
+        names.update((name, (value,)) for name, value in self.consts)
+        for attr, mapping in (("base_sizes", self.sizes), ("constants", self.consts),
+                              ("names", names)):
+            object.__setattr__(self, attr, MappingProxyType(dict(mapping)))
 
 
-@lru_cache(maxsize=64)  # harnesses build models per trial; parsing costs more
 def _names_base_type(name: str) -> bool:
     """Whether type text `name` reads as the base type of that name."""
     try:
@@ -305,7 +320,7 @@ def enumerate_domain(model: ModelConfig, ty: TypeExpr, rank: int) -> list[CanonE
     depend only on the base sizes and are memoized; each call returns a
     fresh list.
     """
-    return list(_carrier(tuple(sorted(model.base_sizes.items())), ty, rank))
+    return list(_carrier(model.sizes, ty, rank))
 
 
 @lru_cache(maxsize=256)
@@ -642,17 +657,16 @@ def iso_i(f, model: ModelConfig, ty: Optional[TypeExpr] = None) -> CanonElem:
     which maps atom generators through the rank-0 case and bumps every
     operator rank by one.
     """
-    sizes = tuple(sorted(model.base_sizes.items()))
     if isinstance(f, (set, frozenset)):
         if ty is None:
             raise CttError("a raw set-of-sets needs the target type")
         sets = frozenset(frozenset(s) for s in f)
-        layout = _layout(ty, sizes)
+        layout = _layout(ty, model.sizes)
         bits = layout.bits
         if not all(bits.keys() >= s for s in sets):
             raise TypeMismatch("set-of-sets mentions atoms outside the carrier")
         return layout.read({sum(map(bits.__getitem__, s)) for s in sets})
-    return _iso_elem(f, sizes, False)
+    return _iso_elem(f, model.sizes, False)
 
 
 def _iso_elem(f: CanonElem, sizes: tuple, child: bool) -> CanonElem:
@@ -803,8 +817,10 @@ def parse_model_config(text: str) -> ModelConfig:
             consts[name] = (ty, literal, raw, lineno, end - len(literal))
         else:
             raise CttError(f"unknown model directive {head!r}")
-    model = ModelConfig(base_sizes=base_sizes, rank_cap=rank_cap)
+    values: dict[str, CanonElem] = {}
     for name, (ty, literal, raw, lineno, start) in consts.items():
+        # a literal may name the constants declared before it
+        model = ModelConfig(base_sizes=base_sizes, rank_cap=rank_cap, constants=values)
         try:
             value = parse_element(literal, model, ty)
         except ParseError as ex:
@@ -812,8 +828,8 @@ def parse_model_config(text: str) -> ModelConfig:
         if value.ty != ty:
             raise TypeMismatch(
                 f"constant {name} declared {ty} but literal has type {value.ty}")
-        model.constants[name] = value
-    return model
+        values[name] = value
+    return ModelConfig(base_sizes=base_sizes, rank_cap=rank_cap, constants=values)
 
 
 class _ElemParser:
@@ -907,44 +923,21 @@ def _check_table_total(table: FnTable, model: ModelConfig):
 
 
 def model_signature(model: ModelConfig) -> dict[str, tuple[TypeExpr, int]]:
-    """Parser signature for every name the model can resolve: declared
-    constants, auto-named base individuals, and the truth values 0/1."""
-    sig: dict[str, tuple[TypeExpr, int]] = {}
-    counts: dict[str, int] = {}
-    for base, size in model.base_sizes.items():
-        for n in individual_names(size):
-            counts[n] = counts.get(n, 0) + 1
-            sig[n] = (Base(base), 0)
-    for n, c in counts.items():
-        if c > 1:  # shared by several bases: needs an explicit annotation
-            del sig[n]
-    sig["0"] = (BOT, 0)
-    sig["1"] = (BOT, 0)
-    for name, value in model.constants.items():
-        sig[name] = (value.ty, elem_rank(value))
-    return sig
+    """Parser signature for every name the model resolves alone: declared
+    constants, base individuals no other base shares, and the truth values
+    0/1."""
+    return {name: (elems[0].ty, elems[0].k)
+            for name, elems in model.names.items() if len(elems) == 1}
 
 
 def resolve_constant(model: ModelConfig, name: str,
                      hint: Optional[TypeExpr] = None) -> Optional[CanonElem]:
-    """Named element: a declared constant, an auto-named base individual,
-    or a truth value written 0/1."""
-    if name in model.constants:
-        value = model.constants[name]
-        if hint is None or value.ty == hint:
-            return value
-        return None
-    if name in ("0", "1") and (hint is None or hint == BOT):
-        return TruthVal(int(name))
-    candidates = []
-    for base, size in model.base_sizes.items():
-        if name in individual_names(size):
-            candidates.append(Individual(Base(base), name))
+    """The one element `name` denotes in the model at type `hint` (at any
+    type when None), or None when it denotes none or several."""
+    elems = model.names.get(name, ())
     if hint is not None:
-        candidates = [c for c in candidates if c.ty == hint]
-    if len(candidates) == 1:
-        return candidates[0]
-    return None
+        elems = [e for e in elems if e.ty == hint]
+    return elems[0] if len(elems) == 1 else None
 
 
 def parse_element(text: str, model: ModelConfig,

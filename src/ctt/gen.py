@@ -95,14 +95,14 @@ SLM_RULE_IDS = (
 )
 
 
-def _beta_pair(gen: TermGen, ty: TypeExpr, depth: int = 2) -> tuple[SlmTerm, SlmTerm]:
+def _beta_pair(gen: TermGen, ty: TypeExpr) -> tuple[SlmTerm, SlmTerm]:
     """A beta redex of the given type together with its contraction."""
     rng = gen.rng
     arg_ty = rng.choice([Base(b) for b in gen.bases] + [BOT])
     gen.counter += 1
     b = f"x{gen.counter}"
-    body = gen.term(ty, depth, {b: arg_ty})
-    arg = gen.term(arg_ty, depth - 1)
+    body = gen.term(ty, 2, {b: arg_ty})
+    arg = gen.term(arg_ty, 1)
     redex = App(Lam(b, arg_ty, body), arg)
     return redex, rewrite.substitute(body, b, arg)
 

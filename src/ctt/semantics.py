@@ -24,9 +24,9 @@ from . import gen as _gen
 from .rewrite import structural_subst
 from .domains import (
     CanonElem, CapExceeded, FALSE, Individual, MAX_RANK0_ENUM, ModelConfig,
-    RankOverflow, TRUE, TableInfo, TruthVal, apply_elem, ba_equal, ba_leq, bottom_at,
-    elem_rank, enumerate_domain, fn_table, iso_i, make_join, make_meet,
-    make_neg, rank1_count, render_elem, resolve_constant, top_at,
+    RankOverflow, TRUE, TableInfo, TruthVal, _carrier, apply_elem, ba_equal,
+    ba_leq, bottom_at, elem_rank, enumerate_domain, fn_table, iso_i, make_join,
+    make_meet, make_neg, rank1_count, render_elem, resolve_constant, top_at,
 )
 from .syntax import (
     App, Arrow, BOT, Base, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg,
@@ -68,48 +68,34 @@ def _lookup(name: str, ty: TypeExpr, model: ModelConfig, rho: Assignment,
 # front of both evaluators, beside the domains' computed tables: harness
 # trials and validity sweeps evaluate the same subterms under the same
 # values call after call, so each distinct evaluation is done once while
-# it stays in the table. A denotation depends only on the model's
-# contents, the node and the values of the node's free names, so that is
-# the key, read afresh at every call: a ModelConfig is mutable, and the
-# harness model and model files gain their constants after it is built.
-# The table is bounded, so memory does not grow with how long the process
-# has run: the most recent EVAL_TABLE_MODELS model contents, each with its
-# most recent EVAL_TABLE_SIZE evaluations (rule-harness's 1,344 measured
-# ops meet four). An evaluation that raises stores nothing.
+# it stays in the table. A denotation depends only on the model, the node
+# and the values of the node's free names, so that is the key; models are
+# hash-consed values, so the model object stands for its contents. The
+# table is bounded, so memory does not grow with how long the process has
+# run: the most recent EVAL_TABLE_MODELS models, each with its most recent
+# EVAL_TABLE_SIZE evaluations (rule-harness's 1,344 measured ops meet
+# four). An evaluation that raises stores nothing.
 EVAL_TABLE_MODELS = 8
 EVAL_TABLE_SIZE = 512
 
 
 class _EvalTable:
-    """Model contents -> LRU of (node, values of its free names) -> value,
-    with the lookups that hit and missed."""
+    """Model -> LRU of (node, values of its free names) -> value, with the
+    lookups that hit and missed."""
 
     def __init__(self):
         self.models: OrderedDict = OrderedDict()
         self.hits = self.misses = 0
-        # the model last asked about, a copy of its contents and its table:
-        # a sweep asks once per assignment, and comparing the contents
-        # costs less than building the key
-        self.last = (None, None, None, None, None)
 
     def of(self, model: ModelConfig) -> OrderedDict:
-        """The table of `model`'s contents: its sorted base sizes, its rank
-        cap and its constants sorted by name."""
-        last, sizes, cap, consts, table = self.last
-        if (last is model and sizes == model.base_sizes and cap == model.rank_cap
-                and consts == model.constants):
-            return table
-        key = (tuple(sorted(model.base_sizes.items())), model.rank_cap,
-               tuple(sorted(model.constants.items())))
-        table = self.models.get(key)
+        """The table of `model`."""
+        table = self.models.get(model)
         if table is None:
-            table = self.models[key] = OrderedDict()
+            table = self.models[model] = OrderedDict()
             if len(self.models) > EVAL_TABLE_MODELS:
                 self.models.popitem(last=False)
         else:
-            self.models.move_to_end(key)
-        self.last = (model, dict(model.base_sizes), model.rank_cap,
-                     dict(model.constants), table)
+            self.models.move_to_end(model)
         return table
 
     def recall(self, table: OrderedDict, key):
@@ -144,8 +130,8 @@ def table_stats() -> list:
 
 def eval_slm(term: SlmTerm, model: ModelConfig, rho: Assignment) -> CanonElem:
     """Denotation of a typechecked lambda-mu term under rho, through the
-    evaluation table keyed on the model's contents, the term and the values
-    of its free names; the nodes below are evaluated without it.
+    evaluation table keyed on the model, the term and the values of its
+    free names; the nodes below are evaluated without it.
 
     Every binder evaluates its body once per atom of its rank-0 carrier, so
     nested binders multiply; the largest product along a binder path is
@@ -236,7 +222,7 @@ def eval_cts(sub: CtsSubterm, model: ModelConfig, rho: Assignment) -> CanonElem:
     lattice constructors; big operators expand over the rank-0 carrier.
     Every node goes through the evaluation table, so a subterm that occurs
     twice, or that an earlier call met under the same values of its free
-    names in a model of the same contents, is evaluated once."""
+    names in the same model, is evaluated once."""
     return _denote(sub, model, rho, _EVALS.of(model))
 
 
@@ -585,14 +571,15 @@ def cts_harness_model(size: int = 2) -> ModelConfig:
     """Model for sequent-rule trials: base e plus constants naming every
     e -> bot table, so functor-side big-operator substitution has a
     name-addressable carrier."""
-    model = ModelConfig(base_sizes={"e": size})
-    for i, tab in enumerate(enumerate_domain(model, Arrow(Base("e"), BOT), 0)):
-        model.constants[f"k{i}"] = tab
-    return model
+    # the carrier read from the base sizes, as enumerate_domain reads a
+    # model's: a model built only to be read would die and be built anew
+    # on every call
+    tables = _carrier((("e", size),), Arrow(Base("e"), BOT), 0)
+    return ModelConfig(base_sizes={"e": size},
+                       constants={f"k{i}": tab for i, tab in enumerate(tables)})
 
 
-def cts_rule_harness(rule: str, trials: int = 100, seed: int = 0,
-                     models=None) -> HarnessReport:
+def cts_rule_harness(rule: str, trials: int = 100, seed: int = 0) -> HarnessReport:
     """Random accepted instances of one sequent rule, checked for validity
     preservation: premise validity implies conclusion validity, and
     conversely for the bidirectional substitution rules.
@@ -604,8 +591,7 @@ def cts_rule_harness(rule: str, trials: int = 100, seed: int = 0,
 
     gen_model = cts_harness_model()
     big_subst = rule.startswith(("all-", "ex-")) and rule[-1] in "rl"
-    if models is None:
-        models = [gen_model] if big_subst else [cts_harness_model(1), gen_model]
+    models = [gen_model] if big_subst else [cts_harness_model(1), gen_model]
     report = HarnessReport(rule)
     rule_salt = sum(map(ord, rule))
     double_line = rule in sq.SUBST_RULES

@@ -102,52 +102,6 @@ SUBST_RULES = tuple(f"{op}-{s}{f}" for op in OPS for s in "LR" for f in "rl")
 ALL_RULES = ("ax",) + INTRO_RULES + SUBST_RULES
 
 
-def _schema_docs() -> dict[str, str]:
-    """Every generated rule schema with its side conditions.
-
-    G/D are the side sets, C[.] a bot-typed context, R/A the application
-    sides with h the untouched side's rank; the introduction condition
-    'ranks in {0,k}' covers all side members and immediate subformulas."""
-    docs = {"ax": "G, A |- A, D  (shared member)"}
-    intro = {
-        "neg-L": "from G |- A, D infer G, neg[k](A) |- D",
-        "neg-R": "from G, A |- D infer G |- neg[k](A), D",
-        "and-L": "from G, A, B |- D infer G, and[k](A,B) |- D",
-        "and-R": "from G |- A, D and G |- B, D infer G |- and[k](A,B), D",
-        "or-L": "from G, A |- D and G, B |- D infer G, or[k](A,B) |- D",
-        "or-R": "from G |- A, B, D infer G |- or[k](A,B), D",
-        "all-L": "from G, y |- D (y a fresh bot@m variable) infer G, All[k](x:bot@m) |- D",
-        "all-R": "from G |- y, D (y fresh) infer G |- All[k](x:bot@m), D",
-        "ex-L": "from G, y |- D (y fresh) infer G, Ex[k](x:bot@m) |- D",
-        "ex-R": "from G |- y, D (y fresh) infer G |- Ex[k](x:bot@m), D",
-    }
-    for rid, text in intro.items():
-        docs[rid] = text + "; m,n <= k != 0 and all ranks in {0,k}"
-    shapes = {
-        "neg": ("(R neg[k](A)) <=> neg[k]((R A))",
-                "(neg[k](P) A) <=> neg[k]((P A))"),
-        "and": ("(R and[k](A,B)) <=> and[k]((R A),(R B))",
-                "(and[k](P,Q) A) <=> and[k]((P A),(Q A))"),
-        "or": ("(R or[k](A,B)) <=> or[k]((R A),(R B))",
-               "(or[k](P,Q) A) <=> or[k]((P A),(Q A))"),
-        "all": ("(R All[k](x:T@0)) <=> and[k]-chain of (R c) over T's carrier",
-                "(All[k](x:F@0) A) <=> and[k]-chain of (c A) over F's named carrier"),
-        "ex": ("(R Ex[k](x:T@0)) <=> or[k]-chain of (R c) over T's carrier",
-               "(Ex[k](x:F@0) A) <=> or[k]-chain of (c A) over F's named carrier"),
-    }
-    for op, (arg_side, fun_side) in shapes.items():
-        for side in "LR":
-            where = "antecedent" if side == "L" else "succedent"
-            docs[f"{op}-{side}r"] = (
-                f"in a {where} member, C[{arg_side}]; h+1, m, n <= k")
-            docs[f"{op}-{side}l"] = (
-                f"in a {where} member, C[{fun_side}]; h, m, n <= k != 0")
-    return docs
-
-
-RULE_DOCS = _schema_docs()
-
-
 @dataclass
 class Violation:
     rule: str

@@ -10,8 +10,8 @@ the rank-driven distribution discipline and frozen here.
 import random
 
 from ctt.domains import (
-    CanonElem, Individual, JoinE, MeetE, ModelConfig, NegE, enumerate_domain,
-    make_join, make_meet, make_neg,
+    AtomicApp, CanonElem, Individual, JoinE, MeetE, ModelConfig, NegE,
+    enumerate_domain, make_join, make_meet, make_neg,
 )
 from ctt.syntax import (
     BOT, Base, CApp, CConj, CDisj, CNeg, CVar, CtsSubterm, TypeExpr, neg_type,
@@ -167,11 +167,14 @@ def random_bot_subterm(rng: random.Random, depth: int, sig: dict[str, tuple[Type
 
 
 def is_canonical_elem(e: CanonElem) -> bool:
-    """No application node above an atom anywhere."""
+    """No Boolean operator node under an application anywhere: both sides
+    of every symbolic application are rank-0 atoms."""
     match e:
         case NegE(_, _, child):
             return is_canonical_elem(child)
         case MeetE(_, _, children) | JoinE(_, _, children):
             return all(is_canonical_elem(c) for c in children)
+        case AtomicApp(fun, arg):
+            return all(c.k == 0 and is_canonical_elem(c) for c in (fun, arg))
         case _:
-            return True  # atoms, including symbolic applications of atoms
+            return True

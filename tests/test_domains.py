@@ -13,8 +13,8 @@ from ctt.domains import (
     MAX_GENERATORS, MeetE, ModelConfig, NegE, TRUE, TruthVal, apply_elem,
     ba_equal, ba_leq, bottom_at, canonical_key, elem_rank, enumerate_domain,
     fn_table, iso_i, iso_iterate, make_join, make_meet, make_neg,
-    parse_element, parse_model_config, parse_set_of_sets, render_elem,
-    resolve_constant, top_at,
+    individual_names, model_signature, parse_element, parse_model_config,
+    parse_set_of_sets, render_elem, resolve_constant, top_at,
 )
 from ctt.semantics import canonicalize_cts
 from ctt.syntax import (
@@ -609,6 +609,16 @@ def test_bracketed_goldens_render():
         assert corpus.is_canonical_elem(value)
 
 
+def test_is_canonical_elem_rejects_an_operator_under_an_application():
+    f = fn_table(E, BOT, {Individual(E, "a"): TRUE, Individual(E, "b"): FALSE})
+    a = Individual(E, "a")
+    assert corpus.is_canonical_elem(AtomicApp(f, a))
+    for bad in (AtomicApp(make_neg(1, f), a),
+                make_neg(2, AtomicApp(make_neg(1, f), a)),
+                AtomicApp(fn_table(E, E, {a: a}), make_neg(1, a))):
+        assert not corpus.is_canonical_elem(bad)
+
+
 def test_bracketed_one_and_two_share_shape():
     def shape(e):
         match e:
@@ -1025,3 +1035,83 @@ def test_resolve_constant_scoping(m22):
     assert resolve_constant(m22, "zzz", E) is None
     # ambiguous without a hint: a exists in both bases
     assert resolve_constant(m22, "a", None) is None
+
+
+# the two walks the model's name table replaced, kept as the reference
+
+def reference_model_signature(model):
+    sig = {}
+    counts = {}
+    for base, size in model.base_sizes.items():
+        for n in individual_names(size):
+            counts[n] = counts.get(n, 0) + 1
+            sig[n] = (Base(base), 0)
+    for n, c in counts.items():
+        if c > 1:  # shared by several bases: needs an explicit annotation
+            del sig[n]
+    sig["0"] = (BOT, 0)
+    sig["1"] = (BOT, 0)
+    for name, value in model.constants.items():
+        sig[name] = (value.ty, elem_rank(value))
+    return sig
+
+
+def reference_resolve_constant(model, name, hint=None):
+    if name in model.constants:
+        value = model.constants[name]
+        if hint is None or value.ty == hint:
+            return value
+        return None
+    if name in ("0", "1") and (hint is None or hint == BOT):
+        return TruthVal(int(name))
+    candidates = []
+    for base, size in model.base_sizes.items():
+        if name in individual_names(size):
+            candidates.append(Individual(Base(base), name))
+    if hint is not None:
+        candidates = [c for c in candidates if c.ty == hint]
+    if len(candidates) == 1:
+        return candidates[0]
+    return None
+
+
+BASE_NAMES = ("e", "s", "t")
+# individual names, the truth values and names no base generates
+ELEMENT_NAMES = ("a", "b", "c", "d", "0", "1", "k", "zz")
+HINTS = (None, BOT, Arrow(BOT, BOT), *map(Base, BASE_NAMES))
+CONSTANT_VALUES = (
+    FALSE, TRUE, make_neg(1, TRUE), fn_table(BOT, BOT, {FALSE: TRUE, TRUE: FALSE}),
+    *(Individual(Base(b), n) for b in BASE_NAMES for n in "ab"))
+
+
+@st.composite
+def named_models(draw):
+    """Bases that share individual names, and constants that may shadow an
+    individual, a truth value or each other's types."""
+    sizes = draw(st.dictionaries(st.sampled_from(BASE_NAMES),
+                                 st.integers(1, domains.MAX_BASE_SIZE), max_size=3))
+    consts = draw(st.lists(st.tuples(st.sampled_from(ELEMENT_NAMES),
+                                     st.sampled_from(CONSTANT_VALUES)),
+                           max_size=4, unique_by=lambda kv: kv[0]))
+    return ModelConfig(base_sizes=sizes, rank_cap=draw(st.integers(0, 3)),
+                       constants=dict(consts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(named_models())
+def test_name_table_answers_as_the_two_walks(model):
+    assert model_signature(model) == reference_model_signature(model)
+    for name in ELEMENT_NAMES:
+        for hint in HINTS:
+            assert (resolve_constant(model, name, hint)
+                    is reference_resolve_constant(model, name, hint)), (name, hint)
+
+
+def test_later_constants_keep_their_declaration_order():
+    # sequents._named_carrier names a carrier element by the last constant
+    # holding it, so the order constants were declared in is kept
+    model = parse_model_config("base e 1\nconst z : bot = 1\nconst y : bot = 1\n"
+                               "const w : bot = y")
+    assert list(model.constants) == ["z", "y", "w"]
+    assert model is ModelConfig(base_sizes={"e": 1},
+                                constants={"z": TRUE, "y": TRUE, "w": TRUE})

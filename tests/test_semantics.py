@@ -469,41 +469,74 @@ def assert_k0_answers_agree(model):
 
 
 def test_eval_table_keys_on_the_constants_as_well_as_the_base_sizes():
-    # equal base sizes, k0 naming two different tables, used alternately
+    # equal base sizes, k0 naming two different tables or nothing, used
+    # alternately
     tables = enumerate_domain(ModelConfig(base_sizes={"e": 2}), Arrow(E, BOT), 0)
     models = [ModelConfig(base_sizes={"e": 2}, constants={"k0": tab})
               for tab in (tables[1], tables[2])]
     member, a = parse_cts(K0_MEMBER), Individual(E, "a")
     assert eval_cts(member, models[0], {"x": a}) != eval_cts(member, models[1], {"x": a})
+    models.append(ModelConfig(base_sizes={"e": 2}))
     for _ in range(3):
         for model in models:
             assert_k0_answers_agree(model)
 
 
-def test_eval_table_reads_a_model_mutated_after_a_call():
-    # no k0, then k0 gained, then k0 rebound, on the one model object
+def test_a_model_cannot_be_assigned():
     tables = enumerate_domain(ModelConfig(base_sizes={"e": 2}), Arrow(E, BOT), 0)
-    model = ModelConfig(base_sizes={"e": 2})
-    assert_k0_answers_agree(model)
-    for tab in (tables[1], tables[2], tables[1]):
-        model.constants["k0"] = tab
-        assert_k0_answers_agree(model)
-    a = Individual(E, "a")
-    assert eval_cts(parse_cts(K0_MEMBER), model, {"x": a}) == tables[1].lookup(a)
+    model = ModelConfig(base_sizes={"e": 2}, constants={"k0": tables[1]})
+    for attr in ("base_sizes", "rank_cap", "constants", "names", "sizes", "consts"):
+        with pytest.raises(AttributeError):
+            setattr(model, attr, getattr(model, attr))
+        with pytest.raises(AttributeError):
+            delattr(model, attr)
+    with pytest.raises(TypeError):
+        model.base_sizes["e"] = 3
+    with pytest.raises(TypeError):
+        model.constants["k0"] = tables[2]
+    with pytest.raises(TypeError):
+        model.names["k0"] = (tables[2],)
+    with pytest.raises(TypeError):
+        del model.constants["k0"]
+    assert model.base_sizes == {"e": 2} and model.constants == {"k0": tables[1]}
+
+
+def test_equal_models_are_one_object_with_one_eval_table_part(monkeypatch):
+    monkeypatch.setattr(semantics, "_EVALS", semantics._EvalTable())
+    tab = enumerate_domain(ModelConfig(base_sizes={"e": 2}), Arrow(E, BOT), 0)[1]
+    sizes = {"e": 2, "t": 1}
+    first = ModelConfig(base_sizes=sizes, rank_cap=3, constants={"k0": tab})
+    # the base sizes in another order, passed as pairs, are the same contents
+    again = ModelConfig(rank_cap=3, constants=[("k0", tab)],
+                        base_sizes=dict(reversed(list(sizes.items()))))
+    assert again is first
+    assert ModelConfig() is ModelConfig(base_sizes={}, rank_cap=2, constants={})
+    member, a = parse_cts(K0_MEMBER), Individual(E, "a")
+    value = eval_cts(member, first, {"x": a})
+    assert eval_cts(member, again, {"x": a}) is value
+    (_, info), = table_stats()
+    assert (info.hits, info.misses, info.currsize) == (1, 3, 3)  # k0, x, app
+    assert list(semantics._EVALS.models) == [first]
+    # a model of other contents gets a part of its own
+    other = ModelConfig(base_sizes=sizes, rank_cap=2, constants={"k0": tab})
+    assert other is not first
+    assert eval_cts(member, other, {"x": a}) is value
+    assert list(semantics._EVALS.models) == [first, other]
 
 
 def test_eval_table_keys_on_the_rank_cap():
     term = parse_slm("#x:~e. (n:(bot -> bot) (x p:e))")  # a rank-1 value
     rho = {"n": fn_table(BOT, BOT, {FALSE: FALSE, TRUE: FALSE}), "p": Individual(E, "a")}
-    model = ModelConfig(base_sizes={"e": 2}, rank_cap=2)
-    assert eval_slm(term, model, rho) == bottom_at(1, E) == cold(eval_slm, term, model, rho)
-    with pytest.raises(RankOverflow):
-        eval_slm(term, ModelConfig(base_sizes={"e": 2}, rank_cap=0), rho)
-    model.rank_cap = 0  # the same object, capped after a call that passed
-    with pytest.raises(RankOverflow):
-        eval_slm(term, model, rho)
-    model.rank_cap = 2
-    assert eval_slm(term, model, rho) == bottom_at(1, E)
+    # equal contents but the cap, used alternately
+    for _ in range(2):
+        for cap in (2, 0, 1):
+            model = ModelConfig(base_sizes={"e": 2}, rank_cap=cap)
+            answer = outcome(eval_slm, term, model, rho)
+            assert answer == cold(eval_slm, term, model, rho)
+            if cap:
+                assert answer == bottom_at(1, E)
+            else:
+                assert answer[0] is RankOverflow
 
 
 def test_eval_table_stores_nothing_for_an_evaluation_that_raises(m22, monkeypatch):

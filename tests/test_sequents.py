@@ -551,13 +551,3 @@ def test_interning_table_returns_to_its_size_after_a_run():
     run()
     gc.collect()
     assert len(syntax._INTERNED) == before
-
-
-def test_every_rule_is_documented():
-    from ctt.sequents import RULE_DOCS
-    assert set(RULE_DOCS) == set(ALL_RULES)
-    for rule in ALL_RULES:
-        if rule.endswith("r") and rule != "ax":
-            assert "h+1" in RULE_DOCS[rule]
-        elif rule.endswith("l"):
-            assert "h," in RULE_DOCS[rule]
