@@ -27,9 +27,9 @@ from types import MappingProxyType
 from typing import Iterable, Optional, Union
 
 from .syntax import (
-    Arrow, BOT, Base, Bot, CttError, Interned, MAX_NESTING, ParseError, TypeExpr,
-    TypeMismatch, _Cursor, _TOO_DEEP, _is_name, _parse_type, is_neg_type, parse_type,
-    render_type, strip_negations,
+    Arrow, BOT, Base, Bot, CttError, Interned, MAX_NESTING, ParseError, RESERVED,
+    TypeExpr, TypeMismatch, _Cursor, _TOO_DEEP, _is_name, _parse_type, is_neg_type,
+    render_type, strip_negations, tokenize,
 )
 
 
@@ -278,8 +278,15 @@ class ModelConfig(Interned):
     __slots__ = (*__match_args__, "base_sizes", "constants", "names")
 
     def __new__(cls, base_sizes=(), rank_cap: int = 2, constants=()):
-        return super().__new__(cls, tuple(sorted(dict(base_sizes).items())), rank_cap,
-                               tuple(dict(constants).items()))
+        sizes = tuple(sorted(dict(base_sizes).items()))
+        # checked before the lookup, which compares by `==`: 2.0 and True
+        # would otherwise find the live model of 2 and 1
+        for name, size in sizes:
+            if not _is_int(size):
+                raise CttError(f"base {name} has size {size!r}; sizes must be integers")
+        if not _is_int(rank_cap):
+            raise CttError(f"rank cap must be a natural number, not {rank_cap!r}")
+        return super().__new__(cls, sizes, rank_cap, tuple(dict(constants).items()))
 
     def _build(self):
         names: dict[str, tuple[CanonElem, ...]] = {"0": (FALSE,), "1": (TRUE,)}
@@ -299,10 +306,15 @@ class ModelConfig(Interned):
             object.__setattr__(self, attr, MappingProxyType(dict(mapping)))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _names_base_type(name: str) -> bool:
-    """Whether type text `name` reads as the base type of that name."""
+    """Whether type text `name` reads as the base type of that name: it is
+    one identifier token, not a reserved word, with nothing around it."""
     try:
-        return parse_type(name) == Base(name)
+        return tokenize(name) == [name, ""] and _is_name(name) and name not in RESERVED
     except ParseError:
         return False
 

@@ -18,6 +18,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from . import gen as _gen
@@ -359,13 +360,12 @@ def _candidate_values(model: ModelConfig, ty: TypeExpr, rank: int) -> list[Canon
     return enumerate_domain(model, ty, 1)  # rank-1 list covers rank 0 up to ba_equal
 
 
-def enumerate_assignments(members: list[CtsSubterm], model: ModelConfig,
-                          cap: int = MAX_ASSIGNMENTS) -> Iterator[Assignment]:
-    """Every assignment of the members' free non-constant variables,
-    each variable ranging over its type's carrier up to rank min(bound, 1).
-
-    The space is sized, and CapExceeded raised, when this is called; the
-    assignments themselves are built one at a time as the caller asks."""
+def _assignment_space(members: list[CtsSubterm], model: ModelConfig,
+                      cap: int) -> tuple[list[str], list[list[CanonElem]]]:
+    """The members' free non-constant variables, sorted by name, and the
+    values each ranges over: its type's carrier up to rank min(bound, 1).
+    The space is sized, and CapExceeded raised, before any pool is
+    enumerated."""
     sig: dict[str, tuple[TypeExpr, int]] = {}
     for m in members:
         for name, (ty, rank) in cts_signature(m).items():
@@ -385,34 +385,95 @@ def enumerate_assignments(members: list[CtsSubterm], model: ModelConfig,
                                   f"alone ranges over more than {MAX_RANK0_ENUM} values")
             raise CapExceeded(f"assignment space {total} exceeds the cap {cap}")
         chosen.append((name, ty, rank))
-    names = [n for n, _, _ in chosen]
-    pools = [_candidate_values(model, ty, rank) for _, ty, rank in chosen]
+    return ([n for n, _, _ in chosen],
+            [_candidate_values(model, ty, rank) for _, ty, rank in chosen])
+
+
+def enumerate_assignments(members: list[CtsSubterm], model: ModelConfig,
+                          cap: int = MAX_ASSIGNMENTS) -> Iterator[Assignment]:
+    """Every assignment of the members' free non-constant variables,
+    each variable ranging over its type's carrier up to rank min(bound, 1).
+
+    The space is sized, and CapExceeded raised, when this is called; the
+    assignments themselves are built one at a time as the caller asks."""
+    names, pools = _assignment_space(members, model, cap)
     return (dict(zip(names, values)) for values in itertools.product(*pools))
 
 
+def _decide(values: tuple, n_ante: int) -> bool:
+    """ba_leq of the meet of the first `n_ante` member values against the
+    join of the rest, at the maximal rank present (>= 1)."""
+    lvals, rvals = values[:n_ante], values[n_ante:]
+    k = max([1] + [elem_rank(v) for v in values])
+    lhs = make_meet(k, BOT, lvals) if lvals else top_at(k, BOT)
+    rhs = make_join(k, BOT, rvals) if rvals else bottom_at(k, BOT)
+    return ba_leq(lhs, rhs)
+
+
 def sequent_semantics(ante: list[CtsSubterm], succ: list[CtsSubterm],
-                      model: ModelConfig, rho: Assignment,
-                      verdicts: Optional[dict] = None) -> bool:
-    """ba_leq of the antecedent meet against the succedent join at the
-    maximal rank present (>= 1). The members are evaluated through the
-    evaluation table, as `eval_cts` does. `verdicts` maps the antecedent
-    values followed by the succedent values (one flat tuple; the split is
-    fixed within a sweep) to the decision, so a sweep that passes one dict
-    for a model (see `sequent_verdicts`) decides each distinct pair of side
-    values once; without one, the decision is made afresh."""
+                      model: ModelConfig, rho: Assignment) -> bool:
+    """Whether one assignment satisfies the sequent: ba_leq of the
+    antecedent meet against the succedent join at the maximal rank present
+    (>= 1). The members are evaluated through the evaluation table, as
+    `eval_cts` does."""
     table = _EVALS.of(model)
-    values = tuple([_denote(m, model, rho, table) for m in ante]
-                   + [_denote(m, model, rho, table) for m in succ])
-    if verdicts is None:
-        verdicts = {}
-    holds = verdicts.get(values)
-    if holds is None:
-        lvals, rvals = values[:len(ante)], values[len(ante):]
-        k = max([1] + [elem_rank(v) for v in values])
-        lhs = make_meet(k, BOT, lvals) if lvals else top_at(k, BOT)
-        rhs = make_join(k, BOT, rvals) if rvals else bottom_at(k, BOT)
-        holds = verdicts[values] = ba_leq(lhs, rhs)
-    return holds
+    return _decide(tuple([_denote(m, model, rho, table) for m in [*ante, *succ]]),
+                   len(ante))
+
+
+# the key of a member without variables: () from any value tuple
+_NO_VARIABLES = itemgetter(slice(0))
+
+
+def _sweep(ante: list[CtsSubterm], succ: list[CtsSubterm],
+           models: Iterable[ModelConfig], cap: int) -> Iterator[tuple]:
+    """(model index, names, values, holds) for every value tuple of every
+    model's assignment space, lazily, model by model and each model's
+    tuples in `itertools.product` order; a model's space is sized
+    (CapExceeded) when the stream reaches it. `holds` is what
+    `sequent_semantics` answers for the assignment `dict(zip(names,
+    values))`, but a member is evaluated once per value of its own
+    variables (as MACE-style model finders evaluate a clause only over
+    the tuples of its own variables: Claessen & Sorensson, 2003).
+
+    Each member reads its projection, the values of the names it uses, off
+    the tuple and looks it up in a dict of the model's sweep. Only a
+    projection met for the first time builds the assignment dict and goes
+    to the evaluation table. Members are still looked up ante then succ,
+    left to right, and a projection is in the dict only once it evaluated
+    without raising, so an evaluation error is raised at the same
+    assignment and member as a sweep that evaluates every assignment.
+    Each distinct tuple of member values is decided once per call: the
+    decision reads the values alone, not the model."""
+    members = [*ante, *succ]
+    n_ante = len(ante)
+    verdicts: dict = {}
+    for idx, model in enumerate(models):
+        names, pools = _assignment_space(members, model, cap)
+        table = _EVALS.of(model)
+        position = {name: i for i, name in enumerate(names)}
+        memos: dict = {}  # member -> projection -> value; a member may recur
+        lookups = []
+        for m in members:
+            own = [position[n] for n in cts_signature(m) if n in position]
+            lookups.append((m, itemgetter(*own) if own else _NO_VARIABLES,
+                            memos.setdefault(m, {})))
+        for values in itertools.product(*pools):
+            rho = None
+            member_values = []
+            for m, project, memo in lookups:
+                key = project(values)
+                value = memo.get(key)
+                if value is None:
+                    if rho is None:
+                        rho = dict(zip(names, values))
+                    value = memo[key] = _denote(m, model, rho, table)
+                member_values.append(value)
+            member_values = tuple(member_values)
+            holds = verdicts.get(member_values)
+            if holds is None:
+                holds = verdicts[member_values] = _decide(member_values, n_ante)
+            yield idx, names, values, holds
 
 
 def sequent_verdicts(ante: list[CtsSubterm], succ: list[CtsSubterm],
@@ -421,35 +482,30 @@ def sequent_verdicts(ante: list[CtsSubterm], succ: list[CtsSubterm],
     """One verdict per model and assignment, lazily, model by model and
     each model's assignments in `enumerate_assignments` order. A model's
     assignment space is sized (CapExceeded) when the stream reaches it.
-    Each model gets one verdicts dict, so the sweep decides every distinct
-    pair of side values once; its subterms go through the evaluation
-    table, so each is evaluated once per value of its free variables while
-    its entry stays there, in this sweep or an earlier call. Keys are
-    hash-consed nodes and elements, so lookups cost O(1)."""
-    members = list(ante) + list(succ)
-    for idx, model in enumerate(models):
-        verdicts: dict = {}
-        for rho in enumerate_assignments(members, model, cap):
-            yield SequentVerdict(idx, rho,
-                                 sequent_semantics(ante, succ, model, rho, verdicts))
+    Each verdict builds its assignment dict; see `_sweep` for how the
+    members are evaluated and the verdicts decided."""
+    for idx, names, values, holds in _sweep(ante, succ, models, cap):
+        yield SequentVerdict(idx, dict(zip(names, values)), holds)
 
 
 def sequent_valid(ante: list[CtsSubterm], succ: list[CtsSubterm],
                   models: Iterable[ModelConfig],
                   cap: int = MAX_ASSIGNMENTS) -> SequentReport:
-    """Validity over a family of models: `sequent_verdicts` read up to its
-    first failing verdict, keeping no assignment but that counterexample.
-    A valid sequent decides every assignment. An invalid one stops at the
-    counterexample, then sizes the assignment space of every later model,
-    so that an over-cap model raises CapExceeded as the full sweep does."""
+    """Validity over a family of models: the `sequent_verdicts` sweep read
+    up to its first failing verdict, building no assignment dict but that
+    counterexample's. A valid sequent decides every assignment. An invalid
+    one stops at the counterexample, then sizes the assignment space of
+    every later model, so that an over-cap model raises CapExceeded as the
+    full sweep does."""
     models = list(models)
     checked = 0
-    for verdict in sequent_verdicts(ante, succ, models, cap):
+    for idx, names, values, holds in _sweep(ante, succ, models, cap):
         checked += 1
-        if not verdict.holds:
-            for model in models[verdict.model_index + 1:]:
-                enumerate_assignments(list(ante) + list(succ), model, cap)
-            return SequentReport(checked, verdict)
+        if not holds:
+            for model in models[idx + 1:]:
+                _assignment_space([*ante, *succ], model, cap)
+            return SequentReport(checked,
+                                 SequentVerdict(idx, dict(zip(names, values)), False))
     return SequentReport(checked)
 
 

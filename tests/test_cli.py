@@ -61,6 +61,18 @@ def test_entail_machine_verdicts(capsys):
     assert lines[-1].startswith("status=ok cmd=entail")
 
 
+GOLDENS = pathlib.Path(__file__).parent / "goldens"
+
+
+def test_entail_machine_lines_are_pinned(capsys):
+    # a rank-1 and a rank-0 variable over the standard family: 32 verdicts
+    # per model, some holding and some not, and the first failure reported
+    code, out, _ = run(capsys, "--machine", "entail", "x:bot@1, y:bot@0 |- neg[1](y)")
+    assert code == 1
+    assert out == (GOLDENS / "entail_machine_mixed_ranks.txt").read_text()
+    assert "holds=1" in out and "holds=0" in out
+
+
 OVER_CAP_IN_LAST_MODEL = ("|- x:bot@0, (f:(e -> bot)@0 u:e@0), (g:(e -> bot)@0 w:e@0), "
                           "(h:(e -> bot)@0 v:e@0)")
 

@@ -1115,3 +1115,50 @@ def test_later_constants_keep_their_declaration_order():
     assert list(model.constants) == ["z", "y", "w"]
     assert model is ModelConfig(base_sizes={"e": 1},
                                 constants={"z": TRUE, "y": TRUE, "w": TRUE})
+
+
+@pytest.mark.parametrize("base", ["e", "unused_base"])
+def test_model_sizes_and_rank_cap_must_be_integers(base):
+    # the interning lookup compares by `==`, so 2.0 and True would find the
+    # live models of size 2 and cap 1; they are refused whether an equal
+    # model is live ("e") or none is ("unused_base")
+    live = ModelConfig(base_sizes={"e": 2}, rank_cap=1)
+    bad = [({base: 2.0}, 1, f"base {base} has size 2.0; sizes must be integers"),
+           ({base: True}, 1, f"base {base} has size True; sizes must be integers"),
+           ({base: 2}, True, "rank cap must be a natural number, not True"),
+           ({base: 2}, 1.0, "rank cap must be a natural number, not 1.0"),
+           ({base: 2}, "2", "rank cap must be a natural number, not '2'")]
+    for sizes, cap, msg in bad:
+        with pytest.raises(CttError) as info:
+            ModelConfig(base_sizes=sizes, rank_cap=cap)
+        assert str(info.value) == msg
+    assert ModelConfig(base_sizes={"e": 2}, rank_cap=1) is live
+
+
+def reference_names_base_type(name):
+    """The check `_names_base_type` replaced: parse the name as a type."""
+    try:
+        return syntax.parse_type(name) == Base(name)
+    except syntax.ParseError:
+        return False
+
+
+BASE_NAME_TEXT = st.text(alphabet="ae_'09 \t\n#~()->@é", max_size=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(BASE_NAME_TEXT,
+                 st.sampled_from(sorted(syntax.RESERVED)),
+                 st.builds(str.__add__, st.sampled_from(sorted(syntax.RESERVED)),
+                           BASE_NAME_TEXT)))
+def test_base_name_check_answers_as_parsing_the_type(name):
+    assert domains._names_base_type(name) == reference_names_base_type(name), repr(name)
+
+
+def test_base_name_check_on_chosen_names():
+    for name in ["e", "e'", "_t0", "bot2", "tablex"]:
+        assert domains._names_base_type(name) and reference_names_base_type(name)
+    for name in ["", " ", "e ", " e", "e\n", "bot", "table", "e#", "#e", "~e", "(e)",
+                 "e -> e", "0", "é", "e-"]:
+        assert not domains._names_base_type(name), repr(name)
+        assert not reference_names_base_type(name), repr(name)

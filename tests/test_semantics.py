@@ -1,3 +1,4 @@
+import collections
 import itertools
 import re
 
@@ -419,6 +420,41 @@ def test_sweep_raises_what_the_reference_raises(m22):
     for check in (sequent_valid, verdict_triples, reference_sequent_verdicts):
         with pytest.raises(CapExceeded):
             check(members, [], [m22], 1000)
+
+
+def test_sweep_evaluates_a_member_once_per_value_of_its_own_variables(m22, monkeypatch):
+    # neg[1](A) uses one of the three variables, so the sweep's 8
+    # assignments meet 2 of its projections; every call is counted,
+    # whether or not the evaluation table then holds the value
+    calls = collections.Counter()
+    denote = semantics._denote
+
+    def counting(sub, *args):
+        calls[sub] += 1
+        return denote(sub, *args)
+
+    monkeypatch.setattr(semantics, "_denote", counting)
+    ante, succ = parse_sequent_members("neg[1](A:bot@0) |- B:bot@0, C:bot@0")
+    assert len(list(sequent_verdicts(ante, succ, [m22]))) == 8
+    assert [calls[m] for m in ante + succ] == [2, 2, 2]
+    # a member met twice shares its lookups; valid, so every assignment is decided
+    calls.clear()
+    ante, succ = parse_sequent_members("neg[1](A:bot@0) |- B:bot@0, neg[1](A:bot@0), C:bot@0")
+    report = sequent_valid(ante, succ, [m22])
+    assert report.valid and report.checked == 8
+    assert [calls[m] for m in ante + succ] == [2, 2, 2, 2]
+
+
+def test_sweep_decides_each_tuple_of_member_values_once_across_models(monkeypatch):
+    # truth values are the same elements in every model of the family, so
+    # its 24 assignments meet 8 tuples of member values
+    decided = []
+    decide = semantics._decide
+    monkeypatch.setattr(semantics, "_decide",
+                        lambda values, n_ante: decided.append(values) or decide(values, n_ante))
+    ante, succ = parse_sequent_members("neg[1](A:bot@0) |- B:bot@0, neg[1](A:bot@0), C:bot@0")
+    assert sequent_valid(ante, succ, standard_model_family()).checked == 24
+    assert len(decided) == len(set(decided)) == 8
 
 
 OVER_CAP_IN_LAST_MODEL = ("|- x:bot@0, (f:(e -> bot)@0 u:e@0), (g:(e -> bot)@0 w:e@0), "
