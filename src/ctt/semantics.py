@@ -389,17 +389,6 @@ def _assignment_space(members: list[CtsSubterm], model: ModelConfig,
             [_candidate_values(model, ty, rank) for _, ty, rank in chosen])
 
 
-def enumerate_assignments(members: list[CtsSubterm], model: ModelConfig,
-                          cap: int = MAX_ASSIGNMENTS) -> Iterator[Assignment]:
-    """Every assignment of the members' free non-constant variables,
-    each variable ranging over its type's carrier up to rank min(bound, 1).
-
-    The space is sized, and CapExceeded raised, when this is called; the
-    assignments themselves are built one at a time as the caller asks."""
-    names, pools = _assignment_space(members, model, cap)
-    return (dict(zip(names, values)) for values in itertools.product(*pools))
-
-
 def _decide(values: tuple, n_ante: int) -> bool:
     """ba_leq of the meet of the first `n_ante` member values against the
     join of the rest, at the maximal rank present (>= 1)."""
@@ -480,7 +469,8 @@ def sequent_verdicts(ante: list[CtsSubterm], succ: list[CtsSubterm],
                      models: Iterable[ModelConfig],
                      cap: int = MAX_ASSIGNMENTS) -> Iterator[SequentVerdict]:
     """One verdict per model and assignment, lazily, model by model and
-    each model's assignments in `enumerate_assignments` order. A model's
+    each model's assignments in `itertools.product` order over the pools
+    of `_assignment_space`, its names sorted. A model's
     assignment space is sized (CapExceeded) when the stream reaches it.
     Each verdict builds its assignment dict; see `_sweep` for how the
     members are evaluated and the verdicts decided."""

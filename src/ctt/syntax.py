@@ -174,9 +174,11 @@ class _Node(Interned):
     and path `.ty` raises with, so a term is typed once, as it is built,
     and construction never raises; `height` counts the term levels of the
     tree (types not counted); `_free` is filled by
-    `free_vars`/`cts_signature` and `_text` by `render`."""
+    `free_vars`/`cts_signature`. `render` fills `_text`, the default text,
+    and `_marks`, the span of each free name's annotation in it, joining
+    both from the children's, so printing a term costs its new nodes."""
 
-    __slots__ = ("_ty", "height", "_free", "_text")
+    __slots__ = ("_ty", "height", "_free", "_text", "_marks")
     _child_fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
@@ -681,7 +683,7 @@ RESERVED = {"bot", "and", "or", "neg", "All", "Ex", "table"}
 
 # Deepest nesting of recursive parser productions, and of the tree an
 # application chain builds. The passes that later walk the tree (rewriting,
-# evaluation, rendering) recurse about as deep, so inputs within
+# evaluation) recurse about as deep, so inputs within
 # the budget stay inside the interpreter's default recursion limit; a
 # 400-step identity chain still parses.
 MAX_NESTING = 450
@@ -1132,156 +1134,150 @@ def render(ast, sort_children: bool = False, annotate: bool = True) -> str:
     Free variables are annotated at first (leftmost) use only; annotate=False
     drops those annotations (display form, not reparseable in general). With
     sort_children=True the children of and/or nodes print in lexicographic
-    order (canonical printing for golden files). A node keeps its text for
-    the default arguments once asked, and so do the nodes below it whose
-    texts it is built from.
+    order (canonical printing for golden files). A node keeps its default
+    text once asked, joined from its children's texts (`_fill_texts`);
+    annotate=False cuts the annotations out of it, and sort_children=True
+    renders the tree rebuilt with sorted children (`_sorted`).
     """
     if isinstance(ast, (Base, Arrow, Bot)):
         return render_type(ast)
-    if sort_children or not annotate or not isinstance(ast, _Node):
-        return _render(ast, sort_children, annotate)
-    try:
-        return ast._text
-    except AttributeError:  # not asked before
-        if ast.height <= _WALKED_HEIGHT:
-            object.__setattr__(ast, "_text", _render(ast, False, True))
-        else:
-            _fill_texts(ast)
-        return ast._text
-
-
-# A tree at most this tall is walked whole when first rendered: over
-# generated sequent members that costs about half of filling its nodes'
-# free tables and texts, and walking a short tree again at its subterms
-# costs little.
-_WALKED_HEIGHT = 8
-
-
-def _fill_texts(node: _Node):
-    """Fill the `_text` of `node` bottom-up with an explicit stack: a node
-    the walk writes as its children's own texts (`_joins`) joins them, any
-    other node is walked, and the nodes below it are left alone. Errors are
-    the walk's: a node of the other language is walked from each of its
-    ancestors, and every mu binder without a negation type raises the same
-    error, read from the binder by both, so a fault elsewhere in a body
-    never shows."""
-    if isinstance(node, _SLM_NODES):
-        _free_table(node, _SLM_NODES, _slm_free)
+    if isinstance(ast, _SLM_NODES):
+        kinds = _SLM_NODES
+    elif isinstance(ast, _CTS_NODES):
+        kinds = _CTS_NODES
+        if sort_children:
+            ast = _sorted(ast)
     else:
-        _free_table(node, _CTS_NODES, _cts_free)
+        raise CttError(f"cannot render {ast!r}")
+    if not hasattr(ast, "_text"):
+        _fill_texts(ast, kinds)
+    if annotate:
+        return ast._text
+    text, out, last = ast._text, [], 0
+    for i, j in ast._marks.values():
+        out.append(text[last:i])
+        last = j
+    out.append(text[last:])
+    return "".join(out)
+
+
+_NO_MARKS: dict[str, tuple[int, int]] = {}  # shared; never mutated
+
+
+def _fill_texts(node: _Node, kinds: tuple):
+    """Fill `_text` and `_marks` below `node` bottom-up with an explicit
+    stack, leftmost child first. Each node is checked before its children:
+    its language (`kinds`, the root's) and its mu binder, so the first
+    fault in a left-to-right reading raises, as in a recursive printer."""
     todo = [node]
     while todo:
-        t = todo[-1]
-        if hasattr(t, "_text"):
-            todo.pop()
+        t = todo.pop()
+        if type(t) is tuple:  # its children are filled: join them
+            _join(*t)
             continue
-        if t.height > _WALKED_HEIGHT and _joins(t):
-            missing = [c for c in children(t) if not hasattr(c, "_text")]
-            if missing:
-                todo += missing
-                continue
-            text = _joined(t)
-        else:
-            text = _render(t, False, True)
-        todo.pop()
-        object.__setattr__(t, "_text", text)
+        if type(t) not in kinds:
+            raise CttError(f"cannot render {t!r}")
+        if hasattr(t, "_text"):
+            continue
+        todo.append((t, *_layout(t)))
+        todo += reversed(children(t))
 
 
-def _joins(t: _Node) -> bool:
-    """Whether the walk writes `t` with its children's own texts: no free
-    name of a child meets a binder of `t` or the other child's free names,
-    so each is annotated where it would be on its own; `neg` always does.
-    A node with a free table has children of its own language."""
-    if not hasattr(t, "_free"):
-        return False
+def _layout(t: _Node) -> tuple[tuple, Optional[str]]:
+    """The pieces of the text of `t` in order, literal strings and
+    children, and the name `t` binds in them. A variable is its name and
+    its annotation."""
     match t:
-        case App(l, r) | CApp(l, r) | CConj(_, l, r) | CDisj(_, l, r):
-            return (l._free is not None and r._free is not None
-                    and l._free.keys().isdisjoint(r._free))
-        case Lam(b, _, body) | Mu(b, _, body):
-            return body._free is not None and b not in body._free
-        case CNeg():
-            return True
-    return False
-
-
-def _joined(t: _Node) -> str:
-    """The text of a node that `_joins`, from its children's texts."""
-    match t:
-        case App(fun, arg):
-            f = f"({fun._text})" if isinstance(fun, (Lam, Mu)) else fun._text
-            return f"({f} {arg._text})"
+        case Var(name, ty):
+            return (name, f":{ty}"), None
+        case CVar(name, ty, rank):
+            return (name, f":{ty}@{rank}"), None
+        case App(fun, arg) if isinstance(fun, (Lam, Mu)):
+            return ("((", fun, ") ", arg, ")"), None
+        case App(fun, arg) | CApp(fun, arg):
+            return ("(", fun, " ", arg, ")"), None
         case Lam(b, bty, body):
-            return f"\\{b}:{bty}. {body._text}"
+            return (f"\\{b}:{bty}. ", body), b
         case Mu(b, _, body):
-            return f"#{b}:~{_mu_dom(t)}. {body._text}"
-        case CApp(fun, arg):
-            return f"({fun._text} {arg._text})"
+            return (f"#{b}:~{_mu_dom(t)}. ", body), b
         case CNeg(k, child):
-            return f"neg[{k}]({child._text})"
+            return (f"neg[{k}](", child, ")"), None
         case CConj(k, l, r) | CDisj(k, l, r):
             op = "and" if isinstance(t, CConj) else "or"
-            return f"{op}[{k}]({l._text},{r._text})"
+            return (f"{op}[{k}](", l, ",", r, ")"), None
+        case CBigConj(k, x, ty, m) | CBigDisj(k, x, ty, m):
+            op = "All" if isinstance(t, CBigConj) else "Ex"
+            return (f"{op}[{k}]({x}:{ty}@{m})",), None
 
 
-def _render(ast, sort_children: bool, annotate: bool) -> str:
-    """The walk behind `render`, for lambda-mu terms and ranked subterms."""
-    seen: set[str] = set()
+def _join(t: _Node, pieces: tuple, binder: Optional[str]):
+    """Set the text of `t` from its `_layout` and its children's texts, and
+    `_marks`: each free name's annotation span in it, in text order. A
+    child keeps the annotations of names not marked to its left and not
+    bound by `t`; the others are cut out of its text."""
+    if type(t) in (Var, CVar):
+        name, note = pieces
+        text = name + note
+        object.__setattr__(t, "_text", text)
+        object.__setattr__(t, "_marks", {name: (len(name), len(text))})
+        return
+    out, marks, at = [], {}, 0
+    for p in pieces:
+        if type(p) is str:
+            out.append(p)
+            at += len(p)
+            continue
+        text, last = p._text, 0
+        for name, (i, j) in p._marks.items():
+            if name in marks or name == binder:
+                out.append(text[last:i])
+                at += i - last
+                last = j
+            else:
+                marks[name] = (at + i - last, at + j - last)
+        out.append(text[last:])
+        at += len(text) - last
+    object.__setattr__(t, "_text", "".join(out))
+    object.__setattr__(t, "_marks", marks or _NO_MARKS)
 
-    def slm(t: SlmTerm, bound: frozenset[str]) -> str:
-        match t:
-            case Var(name, ty):
-                if name in bound or name in seen or not annotate:
-                    return name
-                seen.add(name)
-                return f"{name}:{ty}"
-            case App(fun, arg):
-                f = slm(fun, bound)
-                if isinstance(fun, (Lam, Mu)):
-                    f = f"({f})"
-                return f"({f} {slm(arg, bound)})"
-            case Lam(b, bty, body):
-                return f"\\{b}:{bty}. {slm(body, bound | {b})}"
-            case Mu(b, _, body):
-                return f"#{b}:~{_mu_dom(t)}. {slm(body, bound | {b})}"
-        raise CttError(f"cannot render {t!r}")
 
+def _sorted(root: CtsSubterm) -> CtsSubterm:
+    """`root` rebuilt with the children of every and/or node in the order
+    of their bare keys: the sorted text without annotations or index
+    types. One explicit-stack pass works out each node's key once, from
+    its children's; and/or nodes take their right child first, as keys
+    were compared, so a node of the other language raises where it did."""
     keys: dict[CtsSubterm, str] = {}
-
-    def key(s: CtsSubterm) -> str:
-        """The `sort_children` order of `s`: its sorted text without
-        annotations or index types, worked out once per node per call."""
-        if s not in keys:
-            keys[s] = cts(s, True)
-        return keys[s]
-
-    def cts(s: CtsSubterm, bare: bool = False) -> str:
-        part = key if bare else cts
+    built: dict[CtsSubterm, CtsSubterm] = {}
+    todo = [root]
+    while todo:
+        s = todo.pop()
+        if type(s) is not tuple:
+            if s in keys:
+                continue
+            if type(s) not in _CTS_NODES:
+                raise CttError(f"cannot render {s!r}")
+            todo.append((s,))
+            kids = children(s)
+            todo += kids if type(s) in (CConj, CDisj) else reversed(kids)
+            continue
+        s, = s  # its children have keys
         match s:
-            case CVar(name, ty, rank):
-                if bare or name in seen or not annotate:
-                    return name
-                seen.add(name)
-                return f"{name}:{ty}@{rank}"
+            case CVar(name, _, _):
+                keys[s], built[s] = name, s
             case CApp(fun, arg):
-                return f"({part(fun)} {part(arg)})"
+                keys[s] = f"({keys[fun]} {keys[arg]})"
+                built[s] = CApp(built[fun], built[arg])
             case CNeg(k, child):
-                return f"neg[{k}]({part(child)})"
+                keys[s] = f"neg[{k}]({keys[child]})"
+                built[s] = CNeg(k, built[child])
             case CConj(k, l, r) | CDisj(k, l, r):
                 op = "and" if isinstance(s, CConj) else "or"
-                # ordering is decided on the keys, then the children are
-                # rendered in that order so first-use annotations still
-                # come out left to right
-                if sort_children and key(r) < key(l):
+                if keys[r] < keys[l]:
                     l, r = r, l
-                return f"{op}[{k}]({part(l)},{part(r)})"
-            case CBigConj(k, x, ty, m) | CBigDisj(k, x, ty, m):
+                keys[s] = f"{op}[{k}]({keys[l]},{keys[r]})"
+                built[s] = type(s)(k, built[l], built[r])
+            case CBigConj(k, x, _, m) | CBigDisj(k, x, _, m):
                 op = "All" if isinstance(s, CBigConj) else "Ex"
-                return f"{op}[{k}]({x}@{m})" if bare else f"{op}[{k}]({x}:{ty}@{m})"
-        raise CttError(f"cannot render {s!r}")
-
-    if isinstance(ast, _SLM_NODES):
-        return slm(ast, frozenset())
-    if isinstance(ast, _CTS_NODES):
-        return cts(ast)
-    raise CttError(f"cannot render {ast!r}")
+                keys[s], built[s] = f"{op}[{k}]({x}@{m})", s
+    return built[root]

@@ -7,8 +7,10 @@ two scope-demo readings; expected structures were derived by hand from
 the rank-driven distribution discipline and frozen here.
 """
 
+import itertools
 import random
 
+from ctt import semantics
 from ctt.domains import (
     AtomicApp, CanonElem, Individual, JoinE, MeetE, ModelConfig, NegE,
     enumerate_domain, make_join, make_meet, make_neg,
@@ -178,3 +180,13 @@ def is_canonical_elem(e: CanonElem) -> bool:
             return all(c.k == 0 and is_canonical_elem(c) for c in (fun, arg))
         case _:
             return True
+
+
+def assignments(members: list[CtsSubterm], model: ModelConfig,
+                cap: int = semantics.MAX_ASSIGNMENTS):
+    """Every assignment of the members' free non-constant variables, in the
+    order a validity sweep decides them. The space is sized, and
+    CapExceeded raised, at the call; the assignments are built one at a
+    time as the caller asks."""
+    names, pools = semantics._assignment_space(members, model, cap)
+    return (dict(zip(names, values)) for values in itertools.product(*pools))

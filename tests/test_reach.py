@@ -1,12 +1,14 @@
 """No code that only tests reach: every top-level function, class and
-module-level name of the library is named somewhere in the library, the
-scripts or the benchmark, outside its own definition; and every name a
-library module imports is read in that module."""
+module-level name of the library is referenced somewhere in the library,
+the scripts or the benchmark, outside its own definition; and every name a
+library module imports is read in that module. A reference is read off the
+syntax tree: a name, an attribute, an imported name or its alias, or a
+string constant that is an identifier (as `getattr` and patching take), so
+a mention in a docstring or a comment is none."""
 
 import ast
 import collections
 import pathlib
-import re
 
 REPO = pathlib.Path(__file__).parents[1]
 
@@ -37,14 +39,29 @@ def definitions(node):
     return []
 
 
+def references(tree):
+    """(name, line) for each reference in a module's syntax tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1], node.lineno
+            if node.asname:
+                yield node.asname, node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            yield node.value, node.lineno
+
+
 def unreached_definitions():
-    # the lines each word occurs on, per file, one entry per occurrence
+    # the lines each name is referenced on, per file, one entry per reference
     lines_of = {}
     for path in program_files():
         lines_of[path] = collections.defaultdict(list)
-        for i, line in enumerate(path.read_text().splitlines(), 1):
-            for word in re.findall(r"\w+", line):
-                lines_of[path][word].append(i)
+        for name, line in references(ast.parse(path.read_text())):
+            lines_of[path][name].append(line)
     unreached = []
     for path, tree in library_modules():
         for node in tree.body:
@@ -52,8 +69,8 @@ def unreached_definitions():
             first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
             for name in definitions(node):
                 if not any(other != path or not first <= i <= node.end_lineno
-                           for other, words in lines_of.items()
-                           for i in words.get(name, ())):
+                           for other, names in lines_of.items()
+                           for i in names.get(name, ())):
                     unreached.append(f"{path.name}:{name}")
     return unreached
 

@@ -16,7 +16,7 @@ from ctt.rewrite import step
 from ctt.semantics import (
     MAX_ASSIGNMENTS, ContextClass, NonGroundValue, UnassignedVariable,
     canonicalize_cts, check_equation, cts_harness_model,
-    cts_rule_harness, enumerate_assignments, eval_cts, eval_slm,
+    cts_rule_harness, eval_cts, eval_slm,
     mu_exhaustive_cases, sequent_semantics, sequent_valid, sequent_verdicts,
     soundness_harness, standard_model_family, symbolic_assignment, table_stats,
     _lookup,
@@ -226,7 +226,7 @@ def test_assignment_cap(m22):
     members, _ = parse_sequent_members(
         "x:bot@1, y:bot@1, z:bot@1, v:bot@1 |- x")
     with pytest.raises(CapExceeded):
-        enumerate_assignments(members, m22, cap=1000)
+        corpus.assignments(members, m22, cap=1000)
 
 
 def test_empty_sequent_invalid(m22):
@@ -274,7 +274,7 @@ def iter_reference_verdicts(ante, succ, models, cap=MAX_ASSIGNMENTS):
     """The per-assignment sweep the memoized one replaced, as
     (model_index, assignment, holds) triples, one model after another."""
     for idx, model in enumerate(models):
-        for rho in enumerate_assignments(list(ante) + list(succ), model, cap):
+        for rho in corpus.assignments(list(ante) + list(succ), model, cap):
             yield idx, rho, reference_decision(ante, succ, model, rho)
 
 
@@ -297,7 +297,7 @@ def reference_answer(ante, succ, models, cap=MAX_ASSIGNMENTS):
         checked += 1
         if not holds:
             for model in models[idx + 1:]:
-                enumerate_assignments(list(ante) + list(succ), model, cap)
+                corpus.assignments(list(ante) + list(succ), model, cap)
             return (idx, rho), checked
     return None, checked
 
@@ -354,7 +354,7 @@ def test_eval_cts_matches_reference_on_random_members(seed, n, depth, models):
     members, _ = random_sequent(seed, n, 0, depth)
     for model in models:
         try:
-            rhos = list(itertools.islice(enumerate_assignments(members, model), 40))
+            rhos = list(itertools.islice(corpus.assignments(members, model), 40))
         except CapExceeded:
             continue
         rhos += [{}] + [dict(list(rho.items())[1:]) for rho in rhos]
@@ -416,7 +416,7 @@ def test_sweep_raises_what_the_reference_raises(m22):
     # an assignment space over the cap, refused before any enumeration
     members, _ = parse_sequent_members("x:bot@1, y:bot@1, z:bot@1, v:bot@1 |- x")
     with pytest.raises(CapExceeded):
-        enumerate_assignments(members, m22, 1000)  # at the call, before any next()
+        corpus.assignments(members, m22, 1000)  # at the call, before any next()
     for check in (sequent_valid, verdict_triples, reference_sequent_verdicts):
         with pytest.raises(CapExceeded):
             check(members, [], [m22], 1000)
@@ -604,7 +604,7 @@ def test_eval_table_stays_within_its_bound(monkeypatch):
     for seed in range(12):
         members, succ = random_sequent(seed, 2, 1, 2)
         for model in models:
-            rhos = list(itertools.islice(enumerate_assignments(members, model), 8))
+            rhos = list(itertools.islice(corpus.assignments(members, model), 8))
             for rho in rhos:
                 for m in members:
                     assert (outcome(eval_cts, m, model, rho)

@@ -10,7 +10,7 @@ from ctt import gen, sequents, syntax
 from ctt.domains import ModelConfig, ba_equal
 from ctt.rewrite import NormalStatus, normalize
 from ctt.semantics import (
-    cts_harness_model, enumerate_assignments, eval_cts, sequent_valid,
+    cts_harness_model, eval_cts, sequent_valid,
     standard_model_family,
 )
 from ctt.sequents import (
@@ -314,7 +314,7 @@ def test_substitution_instances_are_denotational_equalities():
         assert diff_in == {member_in} and len(diff_out) == 1
         (member_out,) = diff_out
         try:
-            assignments = enumerate_assignments([member_in, member_out], model)
+            assignments = corpus.assignments([member_in, member_out], model)
         except Exception:
             continue
         for rho in assignments:

@@ -4,14 +4,13 @@ import random
 import subprocess
 import sys
 import time
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctt import gen
 from ctt import syntax
-from ctt.rewrite import RuleTag
+from ctt.rewrite import RuleTag, normalize
 from ctt.syntax import (
     App, Arrow, BOT, Base, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg,
     CttError, CVar, Lam, Mu, ParseError, RankViolation, SyntaxClass,
@@ -373,19 +372,16 @@ def subterms(t):
         yield from subterms(c)
 
 
-def assert_slots_match_reference_walks(tree, rng, walked_height=0):
-    # ask in a random order, so slots are filled from either side; texts
-    # are joined from the children's above `walked_height`, by default on
-    # nodes of every height
+def assert_slots_match_reference_walks(tree, rng):
+    # ask in a random order, so slots are filled from either side
     order = list(subterms(tree))
     rng.shuffle(order)
-    with mock.patch.object(syntax, "_WALKED_HEIGHT", walked_height):
-        for t in order + [tree]:
-            assert outcome(node_type, t) == outcome(reference_ty, t)
-            assert outcome(cts_signature, t) == outcome(reference_cts_signature, t)
-            assert outcome(render, t) == outcome(uncached_render, t)
-            assert outcome(rank_check, t) == outcome(reference_rank_check, t)
-            assert t.height == reference_height(t)
+    for t in order + [tree]:
+        assert outcome(node_type, t) == outcome(reference_ty, t)
+        assert outcome(cts_signature, t) == outcome(reference_cts_signature, t)
+        assert outcome(render, t) == outcome(uncached_render, t)
+        assert outcome(rank_check, t) == outcome(reference_rank_check, t)
+        assert t.height == reference_height(t)
 
 
 # lambda-mu trees with two mu binders that are not negations, one inside
@@ -411,15 +407,31 @@ def test_node_slots_match_reference_walks_on_corpus():
         assert_slots_match_reference_walks(parse_cts(text), rng)
     for text in corpus.SLM_TEXTS:
         assert_slots_match_reference_walks(parse_slm(text), rng)
-    # trees taller than the ones `render` walks whole: an identity chain,
-    # an and-chain, and a chain whose levels all share the free name f
+    # tall trees: an identity chain, an and-chain, and a chain whose levels
+    # all share the free name f
     chain, conj, shared = "y", "p0:bot@0", "x:e"
     for i in range(1, 40):
         chain = f"((\\x:e. x) {chain})"
         conj = f"and[1](p{i}:bot@0,{conj})"
         shared = f"(f:(e -> e) {shared})"
     for tree in (parse_slm("e: " + chain), parse_cts(conj), parse_slm(shared)):
-        assert_slots_match_reference_walks(tree, rng, syntax._WALKED_HEIGHT)
+        assert_slots_match_reference_walks(tree, rng)
+
+
+def test_rendering_a_normalize_trace_is_linear_in_its_size():
+    # every level applies the same free function f, so every text of the
+    # trace shares f with its subterms; each node's text is joined from its
+    # children's once, not walked again at every ancestor
+    chain = "y"
+    for _ in range(440):
+        chain = f"((\\x:e. (f:(e -> e) x)) {chain})"
+    result, trace, _ = normalize(parse_slm("e: " + chain))
+    shown = [t for s in trace.steps for t in (s.before, s.after)] + [result]
+    start = time.perf_counter()
+    texts = [render(t) for t in shown]
+    assert time.perf_counter() - start < 0.15
+    assert len(trace.steps) == 440
+    assert texts == [uncached_render(t) for t in shown]
 
 
 def test_equal_fields_build_one_node():
