@@ -26,7 +26,7 @@ from .semantics import (
     sequent_verdicts, soundness_harness, standard_model_family,
 )
 from .sequents import (
-    ALL_RULES, Sequent, check_derivation, parse_derivation_file, prove,
+    ALL_RULES, Sequent, check_derivation_file, prove,
     render_derivation_file, render_sequent,
 )
 from .syntax import (
@@ -173,11 +173,9 @@ def cmd_entail(args, out: Printer) -> int:
 def cmd_check_proof(args, out: Printer) -> int:
     model = _load_model(args.model) if args.model else None
     path = args.file if args.file.startswith("@") else "@" + args.file
-    d = parse_derivation_file(_input(path))
-    bad = check_derivation(d, model)
+    conclusion, nodes, bad = check_derivation_file(_input(path), model)
     if bad is None:
-        out.record("ok", "check-proof", render_sequent(d.conclusion),
-                   nodes=sum(1 for _ in d.nodes()))
+        out.record("ok", "check-proof", render_sequent(conclusion), nodes=nodes)
         return OK
     out.record("fail", "check-proof", str(bad))
     return NEGATIVE

@@ -23,14 +23,17 @@ carrier is name-addressable.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Optional, Union
 
 from .domains import ModelConfig, enumerate_domain, render_elem, Individual, TruthVal
 from .syntax import (
     BOT, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg, CVar, CtsSubterm,
-    CttError, Interned, TypeExpr, check_sequent_member, children, cts_signature,
-    parse_sequent_reusing, render, replace_at, subterm_at,
+    CttError, Interned, TypeExpr, _union, check_sequent_member, children,
+    cts_signature, parse_sequent_reusing, render, replace_at, signature_table,
+    subterm_at,
 )
 
 
@@ -38,39 +41,72 @@ class Sequent(Interned):
     """Two sets of ranked subterms, hash-consed like the subterms."""
 
     __match_args__ = ("ante", "succ")  # frozensets
-    __slots__ = (*__match_args__, "_sides")
+    __slots__ = (*__match_args__, "_sides", "_checked")
 
     @staticmethod
     def make(ante, succ) -> "Sequent":
-        ante, succ = frozenset(ante), frozenset(succ)
-        for m in ante | succ:
-            check_sequent_member(m)
-        return Sequent(ante, succ)
+        seq = Sequent(frozenset(ante), frozenset(succ))
+        seq.check()
+        return seq
+
+    def check(self, members=None) -> None:
+        """Raise what `check_sequent_member` raises for the first member
+        that fails it; `members` narrows the check to the members not known
+        to pass. A sequent that passed records it, so it is checked once."""
+        if not hasattr(self, "_checked"):
+            for m in self.ante | self.succ if members is None else members:
+                check_sequent_member(m)
+            object.__setattr__(self, "_checked", True)
 
     def side(self, which: str) -> list[CtsSubterm]:
         """The members of side L or R in rendering order, which positions
         index into; sorted once per sequent, copied per call."""
-        try:
-            sides = self._sides
-        except AttributeError:  # not asked before
-            sides = (tuple(sorted(self.ante, key=render)),
-                     tuple(sorted(self.succ, key=render)))
-            object.__setattr__(self, "_sides", sides)
-        return list(sides[which != "L"])
+        return list(self._layout()[which != "L"][0])
 
-    def replace(self, which: str, old: CtsSubterm, new_members) -> "Sequent":
-        side = set(self.ante if which == "L" else self.succ)
+    def _layout(self) -> tuple[tuple[tuple, tuple], tuple[tuple, tuple]]:
+        """Each side's members in rendering order, with their texts."""
+        try:
+            return self._sides
+        except AttributeError:  # not asked before, nor built by `replace`
+            layout = []
+            for members in (self.ante, self.succ):
+                keyed = sorted(((render(m), m) for m in members), key=itemgetter(0))
+                layout.append((tuple(m for _, m in keyed), tuple(t for t, _ in keyed)))
+            layout = tuple(layout)
+            object.__setattr__(self, "_sides", layout)
+            return layout
+
+    def replace(self, which: str, old: Optional[CtsSubterm], new_members) -> "Sequent":
+        """This sequent with `old` taken out of side `which` and
+        `new_members` put in. When this sequent's sides are sorted already,
+        the new one's are too: the side that changes is re-sorted by moving
+        only the members that change."""
+        i = which != "L"
+        before = (self.ante, self.succ)[i]
+        side = set(before)
         side.discard(old)
         side.update(new_members)
-        if which == "L":
-            return Sequent(frozenset(side), self.succ)
-        return Sequent(self.ante, frozenset(side))
+        seq = Sequent(frozenset(side), self.succ) if i == 0 else \
+            Sequent(self.ante, frozenset(side))
+        if hasattr(self, "_sides") and not hasattr(seq, "_sides"):
+            members, texts = map(list, self._sides[i])
+            if old in before and old not in side:
+                j = members.index(old)
+                del members[j], texts[j]
+            for m in side.difference(before):
+                text = render(m)
+                j = bisect_right(texts, text)
+                members.insert(j, m)
+                texts.insert(j, text)
+            layout = list(self._sides)
+            layout[i] = (tuple(members), tuple(texts))
+            object.__setattr__(seq, "_sides", tuple(layout))
+        return seq
 
 
 def render_sequent(seq: Sequent) -> str:
-    left = ", ".join(render(m) for m in seq.side("L"))
-    right = ", ".join(render(m) for m in seq.side("R"))
-    return f"{left} |- {right}".strip()
+    (_, left), (_, right) = seq._layout()
+    return f"{', '.join(left)} |- {', '.join(right)}".strip()
 
 
 @dataclass(frozen=True)
@@ -287,8 +323,7 @@ def _check_rule(conclusion, premises, rule, pos, direction, model):
     the redex; a big-operator introduction offers the one member its
     premise adds as the eigenvariable."""
     for seq in [conclusion] + premises:
-        for m in seq.ante | seq.succ:
-            check_sequent_member(m)
+        seq.check()
 
     eigen = None
     if rule in SUBST_RULES:
@@ -366,23 +401,52 @@ def check_derivation(d: Derivation, model: Optional[ModelConfig] = None,
 # ---------------------------------------------------------------------------
 # bounded backward search
 
-def _innermost_redex(sub: CtsSubterm, path=()) -> Optional[tuple[tuple[int, ...], str, bool]]:
-    """Deepest application with a Boolean-topped side: (path, op, functor?).
-    Rank picks the side, functor winning ties, exactly matching how
-    apply_elem distributes."""
-    for i, c in enumerate(children(sub)):
-        hit = _innermost_redex(c, path + (i,))
-        if hit is not None:
-            return hit
-    if isinstance(sub, CApp):
-        fun_op = _node_op(sub.fun)
-        arg_op = _node_op(sub.arg)
-        if fun_op and sub.fun.rank >= sub.arg.rank:
-            return path, fun_op, True
+def _innermost_redex(sub: CtsSubterm) -> Optional[tuple[tuple[int, ...], str, bool]]:
+    """Deepest application with a Boolean-topped side: (path, op, functor?),
+    in the leftmost child that holds one, else at `sub` itself. Rank picks
+    the side, functor winning ties, exactly matching how apply_elem
+    distributes.
+
+    Each node keeps the answer in its `_redex` slot: None, the index of the
+    child the redex is in, or (op, functor?) at the redex itself. The slots
+    are filled bottom-up with an explicit stack, so a member is walked
+    once, and the path is read down the indices."""
+    todo = [sub]
+    while todo:
+        t = todo[-1]
+        if hasattr(t, "_redex"):
+            todo.pop()
+            continue
+        kids = children(t)
+        missing = [c for c in kids if not hasattr(c, "_redex")]
+        if missing:
+            todo += missing
+            continue
+        todo.pop()
+        object.__setattr__(t, "_redex", _own_redex(t, kids))
+    path = []
+    hit = sub._redex
+    while isinstance(hit, int):
+        path.append(hit)
+        sub = children(sub)[hit]
+        hit = sub._redex
+    return None if hit is None else (tuple(path), *hit)
+
+
+def _own_redex(t: CtsSubterm, kids: tuple):
+    """The `_redex` slot of `t`, from its children's slots."""
+    for i, c in enumerate(kids):
+        if c._redex is not None:
+            return i
+    if isinstance(t, CApp):
+        fun_op = _node_op(t.fun)
+        arg_op = _node_op(t.arg)
+        if fun_op and t.fun.rank >= t.arg.rank:
+            return fun_op, True
         if arg_op:
-            return path, arg_op, False
+            return arg_op, False
         if fun_op:
-            return path, fun_op, True
+            return fun_op, True
     return None
 
 
@@ -481,15 +545,14 @@ def parse_derivation_file(text: str) -> Derivation:
     nodes: dict[int, Derivation] = {}
     seen: dict = {}  # the member texts read so far, for parse_sequent_reusing
     root_id = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for raw, line in _file_lines(text):
         try:
             if line.startswith("root "):
-                root_id = int(line.split()[1])
+                if root_id is not None:
+                    raise ValueError("a second root line")
+                root_id = _root_id(line)
             elif line.startswith("node "):
-                nid, node = _parse_node(line[len("node "):], nodes, seen)
+                nid, node = _parse_node(_node_fields(line), nodes, seen)
                 if nid in nodes:
                     raise ValueError(f"duplicate node id {nid}")
                 nodes[nid] = node
@@ -508,27 +571,146 @@ def parse_derivation_file(text: str) -> Derivation:
     return nodes[root_id]
 
 
-def _parse_node(text: str, nodes: dict[int, Derivation],
-                seen: dict) -> tuple[int, Derivation]:
-    nid_text, rest = text.split(" ", 1)
+def _file_lines(text: str) -> Iterator[tuple[str, str]]:
+    """Each line that is not blank once its comment is cut: (raw, cut)."""
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield raw, line
+
+
+def _root_id(line: str) -> int:
+    words = line.split()
+    if len(words) != 2:
+        raise ValueError("expected root <id>")
+    return int(words[1])
+
+
+def _node_fields(line: str) -> tuple[str, str, str, str, str, str]:
+    """The texts of a node line's id, rule, dir, pos, concl and premises."""
+    nid_text, rest = line[len("node "):].split(" ", 1)
     fields = {}
     for key in ("rule", "dir", "pos"):
         if not rest.startswith(f"{key}="):
             raise ValueError(f"expected {key}=")
         fields[key], rest = rest[len(key) + 1:].split(" ", 1)
+    if fields["dir"] not in ("down", "up", "-"):
+        raise ValueError(f"dir must be down, up or -, got {fields['dir']!r}")
     if not rest.startswith("concl=") or " premises=" not in rest:
         raise ValueError("expected concl= and premises=")
     concl_text, premises_text = rest[len("concl="):].rsplit(" premises=", 1)
+    return nid_text, fields["rule"], fields["dir"], fields["pos"], concl_text, premises_text
+
+
+def _premise_ids(premises_text: str) -> list[int]:
+    return [] if premises_text == "-" else [int(p) for p in premises_text.split(",")]
+
+
+def _parse_node(fields, nodes: dict[int, Derivation],
+                seen: dict) -> tuple[int, Derivation]:
+    nid_text, rule, direction, pos, concl_text, premises_text = fields
     ante, succ = parse_sequent_reusing(concl_text, seen)
-    premise_ids = [] if premises_text == "-" else [
-        int(p) for p in premises_text.split(",")]
+    premise_ids = _premise_ids(premises_text)
     for p in premise_ids:
         if p not in nodes:
             raise ValueError(f"unknown premise {p}")
     return int(nid_text), Derivation(
-        rule=fields["rule"],
+        rule=rule,
         conclusion=Sequent.make(ante, succ),
         premises=tuple(nodes[p] for p in premise_ids),
-        pos=None if fields["pos"] == "-" else Pos.parse(fields["pos"]),
-        direction=None if fields["dir"] == "-" else fields["dir"],
+        pos=None if pos == "-" else Pos.parse(pos),
+        direction=None if direction == "-" else direction,
     )
+
+
+def check_derivation_file(text: str, model: Optional[ModelConfig] = None,
+                          ) -> tuple[Sequent, int, Optional[DerivationFailure]]:
+    """Read and check a derivation file: the root's conclusion, the number
+    of nodes and the first failing node, if any.
+
+    The file is read top-down first (`_read_top_down`), parsing only the
+    root's conclusion. A file that cannot be read that way is read line by
+    line (`parse_derivation_file`, then `check_derivation`), which gives
+    every error and failure, so the results are those of that read."""
+    read = _read_top_down(text, model)
+    if read is not None:
+        return (*read, None)
+    d = parse_derivation_file(text)
+    return d.conclusion, sum(1 for _ in d.nodes()), check_derivation(d, model)
+
+
+def _read_top_down(text: str, model: Optional[ModelConfig],
+                   ) -> Optional[tuple[Sequent, int]]:
+    """The root's conclusion and the number of nodes of a file whose every
+    node checks, or None where that is not shown this way.
+
+    Only the root's conclusion is parsed. At each node, `rule_premises`
+    gives the premises, and the node's premise lines, which must come
+    before it, are accepted when their conclusions are the renderings of
+    those premises, in order. A rendering reads back as the sequent it
+    renders (`parse_sequent_reusing`) when its members pass
+    `check_sequent_member` and no name has two signatures, so those are
+    checked for the members a premise adds. Every node line must be
+    reached once. A substitution must read downward, and a big-operator
+    introduction must use the default eigenvariable, which is the one
+    `check_rule_instance` offers for that premise."""
+    lines: dict[int, tuple] = {}  # id -> (index, rule, dir, pos, concl, premise ids)
+    root_id = None
+    try:
+        for index, (_, line) in enumerate(_file_lines(text)):
+            if line.startswith("root "):
+                if root_id is not None:
+                    return None
+                root_id = _root_id(line)
+                continue
+            if not line.startswith("node "):
+                return None
+            nid_text, rule, direction, pos, concl, premises = _node_fields(line)
+            nid = int(nid_text)
+            if nid in lines:
+                return None
+            lines[nid] = (index, rule, direction, None if pos == "-" else Pos.parse(pos),
+                          concl, _premise_ids(premises))
+        root = Sequent.make(*parse_sequent_reusing(lines[root_id][4], {}))
+    except (ValueError, IndexError, KeyError, CttError):
+        return None
+    names: Optional[dict] = {}  # name -> signature, over the members met so far
+    for m in root.ante | root.succ:
+        names = _union(names, signature_table(m))
+    if names is None:
+        return None
+    reached = set()
+    stack = [(root_id, root, names)]
+    while stack:
+        nid, seq, names = stack.pop()
+        if nid in reached:
+            return None
+        reached.add(nid)
+        index, rule, direction, pos, _, premise_ids = lines[nid]
+        if rule in SUBST_RULES and direction != "down":
+            return None
+        try:
+            premises = rule_premises(seq, rule, pos, model)
+        except (CttError, IndexError):
+            return None
+        if isinstance(premises, Violation) or len(premises) != len(premise_ids):
+            return None
+        members = seq.ante | seq.succ
+        for pid, premise in zip(premise_ids, premises):
+            line = lines.get(pid)
+            if line is None or line[0] >= index or line[4] != render_sequent(premise):
+                return None
+            added = (premise.ante | premise.succ) - members
+            try:
+                premise.check(added)
+            except CttError:
+                return None
+            more = names
+            for m in added:
+                more = _union(more, signature_table(m))
+            if more is None:
+                return None
+            stack.append((pid, premise, more))
+    if len(reached) != len(lines):
+        return None
+    return root, len(reached)

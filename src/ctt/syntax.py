@@ -343,9 +343,10 @@ SlmTerm = Union[Var, App, Lam, Mu]
 
 class _Ranked(_Node):
     """A ranked subterm; `_fault` is None or the (class, message) that
-    `rank_check` raises: a child's fault, left to right, else `_own_fault`."""
+    `rank_check` raises: a child's fault, left to right, else `_own_fault`.
+    `_redex` is filled by `sequents._innermost_redex`."""
 
-    __slots__ = ("_fault",)
+    __slots__ = ("_fault", "_redex")
 
     def _build(self):  # a variable; the other nodes store type and rank first
         super()._build()

@@ -2,11 +2,14 @@ import gc
 import hashlib
 import pathlib
 import random
+import re
 import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ctt import gen, sequents, syntax
+from ctt.cli import main
 from ctt.domains import ModelConfig, ba_equal
 from ctt.rewrite import NormalStatus, normalize
 from ctt.semantics import (
@@ -15,13 +18,14 @@ from ctt.semantics import (
 )
 from ctt.sequents import (
     ALL_RULES, Derivation, Pos, Sequent, Violation, check_derivation,
-    check_rule_instance, parse_derivation_file, prove, render_derivation_file,
-    _innermost_redex, _node_op, rule_premises, squeeze_out,
+    check_derivation_file, check_rule_instance, parse_derivation_file, prove,
+    render_derivation_file, render_sequent, _innermost_redex, _node_op,
+    rule_premises, squeeze_out,
 )
 from ctt.syntax import (
     Arrow, BOT, Base, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg, CVar,
-    CttError, TypeMismatch, parse_cts, parse_sequent_members,
-    parse_sequent_reusing, parse_slm, render,
+    CttError, TypeMismatch, children, parse_cts, parse_sequent_members,
+    parse_sequent_reusing, parse_slm, render, signature_table,
 )
 
 import corpus
@@ -551,3 +555,275 @@ def test_interning_table_returns_to_its_size_after_a_run():
     run()
     gc.collect()
     assert len(syntax._INTERNED) == before
+
+
+# --- reading derivation files top-down ---------------------------------------
+
+def test_top_down_read_tokenizes_only_the_root_line(monkeypatch):
+    d = prove(chain_goal(100), depth=100000)
+    text = render_derivation_file(d)
+    tokenized, checks = [], []
+    real_tokenize, real_check = syntax.tokenize, sequents.check_sequent_member
+    monkeypatch.setattr(syntax, "tokenize",
+                        lambda text, *rest: tokenized.append(text) or real_tokenize(text, *rest))
+    monkeypatch.setattr(sequents, "check_sequent_member",
+                        lambda m: checks.append(m) or real_check(m))
+    assert check_derivation_file(text) == (d.conclusion, 298, None)
+    # the root's two chains, where the line-by-line read tokenizes the 298
+    # distinct members (test_derivation_file_tokenizes_each_distinct_member_once)
+    assert sorted(tokenized) == sorted(render(m) for m in d.conclusion.ante | d.conclusion.succ)
+    # each member a premise adds is checked once: at most two per sequent
+    sequents_read = {n.conclusion for n in d.nodes()}
+    assert len(checks) <= 2 * len(sequents_read) and len(sequents_read) == 298
+
+
+def test_check_rule_validates_each_sequent_once(monkeypatch):
+    d = prove(chain_goal(30), depth=100000)
+    checks = []
+    real_check = sequents.check_sequent_member
+    monkeypatch.setattr(sequents, "check_sequent_member",
+                        lambda m: checks.append(m) or real_check(m))
+    assert check_derivation(d) is None
+    # each sequent the prover built is checked once; Sequent.make checked the goal
+    built = {n.conclusion for n in d.nodes()} - {d.conclusion}
+    assert len(checks) == sum(len(s.ante | s.succ) for s in built)
+    checks.clear()
+    assert check_derivation(d) is None and checks == []
+
+
+def test_top_down_read_refuses_a_premise_whose_names_clash():
+    # squeezing All[1](j:e@0) out over the carrier of e names a:e@0 beside
+    # a:e@1: the premise renders as text that does not read back, and a
+    # line-by-line read refuses it
+    model = ModelConfig(base_sizes={"e": 2})
+    goal = seq("(p:(e -> bot)@0 All[1](j:e@0)), (q:(e -> bot)@1 a:e@1) "
+               "|- (p All[1](i:e@0))")
+    text = render_derivation_file(prove(goal, depth=10, model=model))
+    assert sequents._read_top_down(text, model) is None
+    with pytest.raises(CttError, match="a already annotated as e@1"):
+        check_derivation_file(text, model)
+
+
+def test_top_down_read_gives_up_on_shared_and_unreachable_lines():
+    # a premise named twice counts once per use, as the line-by-line read
+    # counts it
+    ax = "rule=ax dir=- pos=- concl=A:bot@0 |- A:bot@0 premises=-"
+    and_r = "rule=and-R dir=- pos=R0 concl=A:bot@0 |- and[1](A:bot@0,A)"
+    shared = f"node 1 {ax}\nnode 2 {and_r} premises=1,1\nroot 2\n"
+    assert sequents._read_top_down(shared, None) is None
+    assert check_derivation_file(shared) == (seq("A |- and[1](A, A)"), 3, None)
+    # a line no node reaches is still read
+    unreachable = README_BLOCK + "node 9 rule=ax dir=- pos=- concl=A |- |- A premises=-\n"
+    assert sequents._read_top_down(unreachable, None) is None
+    with pytest.raises(CttError, match="bad derivation line 'node 9"):
+        check_derivation_file(unreachable)
+
+
+def reference_innermost_redex(sub, path=()):
+    """The recursive walk the `_redex` slots replace."""
+    for i, c in enumerate(children(sub)):
+        hit = reference_innermost_redex(c, path + (i,))
+        if hit is not None:
+            return hit
+    if isinstance(sub, CApp):
+        fun_op, arg_op = _node_op(sub.fun), _node_op(sub.arg)
+        if fun_op and sub.fun.rank >= sub.arg.rank:
+            return path, fun_op, True
+        if arg_op:
+            return path, arg_op, False
+        if fun_op:
+            return path, fun_op, True
+    return None
+
+
+def subterms(t):
+    yield t
+    for c in children(t):
+        yield from subterms(c)
+
+
+def assert_redex_slots_match_reference_walk(members, rng):
+    # ask in a random order, so slots are filled from either side
+    order = [t for m in members for t in subterms(m)]
+    rng.shuffle(order)
+    for t in order + list(members):
+        assert _innermost_redex(t) == reference_innermost_redex(t)
+
+
+def test_innermost_redex_matches_reference_walk():
+    rng = random.Random(5)
+    members = [m for g in random_goals() for m in g.ante | g.succ]
+    members += [parse_cts(t, sig=dict(corpus.SCOPE_SIG))
+                for t in (corpus.SCOPE_INPUT_1, corpus.SCOPE_INPUT_2)]
+    members += [parse_cts(t) for t in corpus.CTS_TEXTS]
+    assert_redex_slots_match_reference_walk(members, rng)
+    # a redex under more levels than the interpreter's recursion limit
+    f, a = CVar("f", Arrow(E, BOT), 0), CVar("a", E, 0)
+    deep = CApp(f, CNeg(1, a))
+    for _ in range(5000):
+        deep = CNeg(1, deep)
+    assert _innermost_redex(deep) == ((0,) * 5000, "neg", False)
+
+
+# bot-typed members over names that clash at two ranks or types, with
+# operators inside applications, on either side; operators are at rank 2,
+# above every child, so that most members are well-ranked
+_K, _RANK = st.integers(1, 2), st.integers(0, 1)
+
+
+def _ops(kids):
+    return (st.builds(CNeg, st.just(2), kids) | st.builds(CConj, st.just(2), kids, kids)
+            | st.builds(CDisj, st.just(2), kids, kids))
+
+
+def _big(names, ty):
+    return (st.builds(CBigConj, _K, st.sampled_from(names), st.just(ty), _RANK)
+            | st.builds(CBigDisj, _K, st.sampled_from(names), st.just(ty), _RANK))
+
+
+_INDIVIDUALS = st.recursive(
+    st.builds(CVar, st.sampled_from("ab"), st.just(E), _RANK) | _big("ij", E),
+    _ops, max_leaves=3)
+_PREDICATES = st.recursive(
+    st.builds(CVar, st.sampled_from("pq"), st.just(Arrow(E, BOT)), _RANK)
+    | _big("i", Arrow(E, BOT)), _ops, max_leaves=2)
+_MEMBERS = st.recursive(
+    st.builds(CVar, st.sampled_from("ABa"), st.just(BOT), _RANK)
+    | st.builds(CApp, _PREDICATES, _INDIVIDUALS) | _big("xA", BOT),
+    _ops, max_leaves=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_MEMBERS, max_size=3), st.lists(_MEMBERS, max_size=3),
+       st.randoms(use_true_random=False))
+def test_rendered_sequents_read_back(ante, succ, rng):
+    """The top-down read accepts a premise line by its rendering: that
+    rendering must read back as the premise whenever the members pass
+    `check_sequent_member` and agree on each name's signature, which the
+    read checks."""
+    assert_redex_slots_match_reference_walk(ante + succ, rng)
+    s = Sequent(frozenset(ante), frozenset(succ))
+    names = {}
+    for m in ante + succ:
+        names = syntax._union(names, signature_table(m))
+    try:
+        s.check()
+    except CttError:
+        names = None
+    assume(names is not None)
+    assert Sequent.make(*parse_sequent_reusing(render_sequent(s), {})) is s
+
+
+def strict_line_outcome(capsys, tmp_path, text):
+    """What both reads make of `text`: the top-down read gives it up, and
+    check-proof reports the line-by-line read's error with exit 2."""
+    assert sequents._read_top_down(text, None) is None
+    path = tmp_path / "strict.proof"
+    path.write_text(text)
+    code = main(["check-proof", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    return err
+
+
+def test_root_line_with_trailing_text_is_an_error(capsys, tmp_path):
+    text = README_BLOCK.replace("root 4", "root 4 junk")
+    assert strict_line_outcome(capsys, tmp_path, text) == \
+        "ctt: bad derivation line 'root 4 junk': expected root <id>\n"
+
+
+def test_second_root_line_is_an_error(capsys, tmp_path):
+    text = README_BLOCK + "root 3\n"
+    assert strict_line_outcome(capsys, tmp_path, text) == \
+        "ctt: bad derivation line 'root 3': a second root line\n"
+
+
+def test_unknown_direction_is_an_error(capsys, tmp_path):
+    text = README_BLOCK.replace("node 1 rule=ax dir=-", "node 1 rule=ax dir=sideways")
+    err = strict_line_outcome(capsys, tmp_path, text)
+    assert err.startswith("ctt: bad derivation line 'node 1 rule=ax dir=sideways ")
+    assert err.endswith(": dir must be down, up or -, got 'sideways'\n")
+
+
+def mutants(text, rng):
+    """Copies of a derivation file with one edit each, by kind: a line
+    deleted, two adjacent lines swapped, a conclusion's members reordered
+    or re-spaced, a comment appended, a substitution read upward, an
+    eigenvariable renamed in the lines above its rule, a premise list
+    reversed."""
+    lines = text.splitlines()
+    out = {}
+
+    def edit(kind, i, line):
+        out[kind] = "\n".join(lines[:i] + [line] + lines[i + 1:]) + "\n"
+
+    i = rng.randrange(len(lines))
+    out["deleted"] = "\n".join(lines[:i] + lines[i + 1:]) + "\n"
+    i = rng.randrange(len(lines) - 1)
+    out["swapped"] = "\n".join(lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2:]) + "\n"
+    i = rng.choice([i for i, line in enumerate(lines) if line.startswith("node ")])
+    head, rest = lines[i].split(" concl=", 1)
+    concl, premises = rest.rsplit(" premises=", 1)
+    left, right = concl.split("|-")
+    members = [m.strip() for m in left.split(", ") if m.strip()]
+    edit("reordered", i, f"{head} concl={', '.join(members[::-1])} |- {right.strip()} "
+                         f"premises={premises}")
+    edit("re-spaced", i, lines[i].replace(", ", ",").replace(" |- ", "  |-"))
+    i = rng.randrange(len(lines))
+    edit("comment", i, lines[i] + " # note")
+    for i, line in enumerate(lines):
+        if "dir=down" in line:
+            edit("upward", i, line.replace("dir=down", "dir=up"))
+            break
+    for i, line in enumerate(lines):
+        if re.search(r"rule=(all|ex)-[LR] ", line):
+            rename = [re.sub(r"(?<![\w'])x(?![\w'])", "x9", ln) for ln in lines[:i]]
+            out["eigenvariable"] = "\n".join(rename + lines[i:]) + "\n"
+            break
+    for i, line in enumerate(lines):
+        if re.search(r"premises=\d+,\d+$", line):
+            head, ids = line.rsplit("premises=", 1)
+            edit("premise order", i, f"{head}premises={','.join(ids.split(',')[::-1])}")
+            break
+    return out
+
+
+def test_check_proof_reads_files_as_a_line_by_line_read_does(capsys, tmp_path, monkeypatch):
+    """check-proof on the prover's files and on mutants of them: the same
+    stdout, stderr and exit code as when every file is read line by line
+    (`parse_derivation_file`, then `check_derivation`), always 0, 1 or 2."""
+    files = [render_derivation_file(d) for d in (prove(g, depth=12) for g in random_goals())
+             if d is not None]
+    for text, golden in ((corpus.SCOPE_INPUT_1, corpus.SCOPE_GOLDEN_1),
+                         (corpus.SCOPE_INPUT_2, corpus.SCOPE_GOLDEN_2)):
+        lhs, rhs = (parse_cts(t, sig=dict(corpus.SCOPE_SIG)) for t in (text, golden))
+        for goal in (Sequent.make([lhs], [rhs]), Sequent.make([rhs], [lhs])):
+            files.append(render_derivation_file(prove(goal, depth=30)))
+    rng = random.Random(23)
+    cases = [(text, "prover") for text in files] + \
+        [(m, kind) for text in files for kind, m in mutants(text, rng).items()]
+    top_down = []
+    real = sequents._read_top_down
+    monkeypatch.setattr(sequents, "_read_top_down",
+                        lambda *args: top_down.append(real(*args)) or top_down[-1])
+    path = tmp_path / "case.proof"
+    answers = []
+    for text, _ in cases:
+        path.write_text(text)
+        code = main(["check-proof", str(path)])
+        answers.append((code, *capsys.readouterr()))
+    monkeypatch.setattr(sequents, "_read_top_down", lambda *args: None)
+    for (text, kind), answer, read in zip(cases, answers, top_down):
+        path.write_text(text)
+        code = main(["check-proof", str(path)])
+        assert answer == (code, *capsys.readouterr()), text
+        assert answer[0] in (0, 1, 2)
+        assert read is not None or kind != "prover"  # the prover's files read top-down
+    assert {a[0] for a in answers} == {0, 1, 2} and len(files) == 210
+    assert {kind for _, kind in cases} == {
+        "prover", "deleted", "swapped", "reordered", "re-spaced", "comment", "upward",
+        "eigenvariable", "premise order"}
+    # some mutants still read top-down (a comment, a swap of independent
+    # lines), the others fall back
+    mutants_read = sum(r is not None for r in top_down[len(files):])
+    assert 0 < mutants_read < len(cases) - len(files)
