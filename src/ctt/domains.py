@@ -20,6 +20,7 @@ carrier as a full disjunctive normal form one rank up.
 
 from __future__ import annotations
 
+import gc
 import itertools
 from collections import namedtuple
 from functools import lru_cache
@@ -28,8 +29,8 @@ from typing import Iterable, Optional, Union
 
 from .syntax import (
     Arrow, BOT, Base, Bot, CttError, Interned, MAX_NESTING, ParseError, RESERVED,
-    TypeExpr, TypeMismatch, _Cursor, _TOO_DEEP, _is_name, _parse_type, is_neg_type,
-    render_type, strip_negations, tokenize,
+    TypeExpr, TypeMismatch, _Cursor, _INTERNED, _TOO_DEEP, _intern, _is_name,
+    _parse_type, is_neg_type, render_type, strip_negations, tokenize,
 )
 
 
@@ -72,6 +73,41 @@ class FnTable(Interned):
 
     def _build(self):
         object.__setattr__(self, "ty", Arrow(self.dom, self.cod))
+
+    @classmethod
+    def carrier(cls, dom: TypeExpr, cod: TypeExpr, rows: list) -> tuple["FnTable", ...]:
+        """The table `FnTable(dom, cod, entries)` for each `entries` of
+        `itertools.product(*rows)`, in that order, interned in one loop. A
+        live table is reused; a new one gets its slots set directly, with
+        the one `Arrow(dom, cod)` as its `ty`, and enters the table through
+        `_intern`, as in `__new__`. The cyclic collector is paused for the
+        loop: a table refers only to values built before it, so the loop
+        forms no cycle, and a large carrier would otherwise set off
+        collections of the whole growing heap."""
+        ty = Arrow(dom, cod)
+        get, new = _INTERNED.get, object.__new__
+        set_dom, set_cod = cls.dom.__set__, cls.cod.__set__
+        set_entries, set_ty = cls.entries.__set__, cls.ty.__set__
+        tables = []
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for entries in itertools.product(*rows):
+                key = (cls, dom, cod, entries)
+                ref = get(key)
+                table = None if ref is None else ref()
+                if table is None:
+                    table = new(cls)
+                    set_dom(table, dom)
+                    set_cod(table, cod)
+                    set_entries(table, entries)
+                    set_ty(table, ty)
+                    _intern(key, table)
+                tables.append(table)
+        finally:
+            if enabled:
+                gc.enable()
+        return tuple(tables)
 
     def lookup(self, key: "Atom") -> Optional["Atom"]:
         for k, v in self.entries:
@@ -347,16 +383,20 @@ def _carrier(sizes: tuple, ty: TypeExpr, rank: int) -> tuple[CanonElem, ...]:
                     raise CttError(f"model declares no base type {name}")
                 return tuple(Individual(ty, n) for n in individual_names(size))
             case Arrow(dom, cod):
-                dom_atoms = sorted(_carrier(sizes, dom, 0), key=render_elem)
+                dom_atoms = _carrier(sizes, dom, 0)
                 cod_atoms = _carrier(sizes, cod, 0)
                 count = len(cod_atoms) ** len(dom_atoms)
                 if count > MAX_RANK0_ENUM:
+                    # past 2^64 the count is written as a power: its
+                    # decimal form can be too long for `str` to make
+                    shown = (count if count.bit_length() <= 64
+                             else f"{len(cod_atoms)}^{len(dom_atoms)}")
                     raise CapExceeded(
-                        f"{count} tables for {render_type(ty)} exceeds the cap")
+                        f"{shown} tables for {render_type(ty)} exceeds the cap")
                 # one shared (key, value) pair per row cell, not per table
-                rows = [[(k, v) for v in cod_atoms] for k in dom_atoms]
-                return tuple(FnTable(dom, cod, entries)
-                             for entries in itertools.product(*rows))
+                rows = [[(k, v) for v in cod_atoms]
+                        for k in sorted(dom_atoms, key=render_elem)]
+                return FnTable.carrier(dom, cod, rows)
         raise CttError(f"unknown type {ty!r}")
     if rank == 1:
         layout = _layout(ty, sizes)

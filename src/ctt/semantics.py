@@ -160,13 +160,34 @@ def _carrier_size(ty: TypeExpr, model: ModelConfig) -> int:
     at MAX_RANK0_ENUM + 1."""
     match ty:
         case Arrow(dom, cod):
-            a, b = _carrier_size(dom, model), _carrier_size(cod, model)
-            if b == 1 or a <= MAX_RANK0_ENUM.bit_length():
-                return min(b ** a, MAX_RANK0_ENUM + 1)
-            return MAX_RANK0_ENUM + 1
+            return _table_count(_carrier_size(dom, model), _carrier_size(cod, model))
         case Base(name):
             return model.base_sizes.get(name, 1)  # undeclared: evaluation says so
     return 2
+
+
+def _table_count(a: int, b: int) -> int:
+    """How many tables map a carrier of `a` atoms into one of `b`,
+    saturated at MAX_RANK0_ENUM + 1."""
+    if b == 1 or a <= MAX_RANK0_ENUM.bit_length():
+        return min(b ** a, MAX_RANK0_ENUM + 1)
+    return MAX_RANK0_ENUM + 1
+
+
+def _enumerated_size(ty: TypeExpr, model: ModelConfig) -> Optional[int]:
+    """How many atoms `enumerate_domain` builds for `ty` at rank 0,
+    counted without building them, or None where it raises instead: at a
+    base the model does not declare, or at a carrier on the way that
+    exceeds MAX_RANK0_ENUM."""
+    if isinstance(ty, Arrow):  # not `match`: sized once per pool of every sweep
+        a, b = _enumerated_size(ty.dom, model), _enumerated_size(ty.cod, model)
+        if a is None or b is None:
+            return None
+        count = _table_count(a, b)
+        return count if count <= MAX_RANK0_ENUM else None
+    if isinstance(ty, Base):
+        return model.base_sizes.get(ty.name)
+    return 2 if ty is BOT else None
 
 
 def _binder_sweep(term: SlmTerm, model: ModelConfig) -> int:
@@ -349,8 +370,12 @@ class SequentReport:
 
 def _pool_size(model: ModelConfig, ty: TypeExpr, rank: int) -> int:
     """How many values a variable ranges over; a rank-1 pool is saturated
-    at MAX_RANK0_ENUM + 1 (`rank1_count`)."""
-    base = len(enumerate_domain(model, ty, 0))
+    at MAX_RANK0_ENUM + 1 (`rank1_count`). The rank-0 carrier is counted,
+    not built; where enumerating it raises, it is enumerated, so the error
+    is the one enumeration gives."""
+    base = _enumerated_size(ty, model)
+    if base is None:
+        base = len(enumerate_domain(model, ty, 0))
     return base if rank <= 0 else rank1_count(base)
 
 

@@ -18,7 +18,8 @@ rank in the sequent, with no rank strictly between).
 Big operators: introduction uses an eigenvariable premise; substitution
 distributes over the enumerated rank-0 carrier, producing a left-nested
 binary chain over named elements, and therefore needs a model whose
-carrier is name-addressable.
+carrier is name-addressable, and no other use in the sequent of those
+names at another signature.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from typing import Iterator, Optional, Union
 from .domains import ModelConfig, enumerate_domain, render_elem, Individual, TruthVal
 from .syntax import (
     BOT, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg, CVar, CtsSubterm,
-    CttError, Interned, TypeExpr, _union, check_sequent_member, children,
-    cts_signature, parse_sequent_reusing, render, replace_at, signature_table,
-    subterm_at,
+    CttError, Interned, TypeExpr, TypeMismatch, _union, check_sequent_member,
+    children, cts_signature, parse_sequent_reusing, render, replace_at,
+    signature_table, subterm_at,
 )
 
 
@@ -228,6 +229,23 @@ def squeeze_out(sub: CtsSubterm, rule_op: str, functor_side: bool,
     return "unrecognized operator node"
 
 
+def _signature_clash(seq: Sequent) -> Optional[str]:
+    """Why the members of `seq` cannot share one signature table, which
+    its rendering in a derivation file needs, or None."""
+    sig: dict[str, tuple[TypeExpr, int]] = {}
+    for m in seq.side("L") + seq.side("R"):
+        try:
+            table = cts_signature(m)
+        except TypeMismatch as ex:
+            return str(ex)
+        for name, (ty, rank) in table.items():
+            have = sig.setdefault(name, (ty, rank))
+            if have != (ty, rank):
+                return (f"the premise would use {name} at {have[0]}@{have[1]} "
+                        f"and at {ty}@{rank}")
+    return None
+
+
 # ---------------------------------------------------------------------------
 # rule-instance checking
 
@@ -248,7 +266,10 @@ def rule_premises(seq: Sequent, rule: str, pos: Optional[Pos],
     the side condition the application breaks.
 
     A substitution rule squeezes the operator at `pos` out of its
-    application; an introduction rule decomposes the member at `pos`. A
+    application; a big operator's squeeze is refused when the carrier's
+    names would stand at two signatures in the premise, which no
+    derivation file could write. An introduction rule decomposes the
+    member at `pos`. A
     big-operator introduction takes `eigen` as its eigenvariable, else the
     index name primed until fresh."""
     if rule == "ax":
@@ -264,7 +285,12 @@ def rule_premises(seq: Sequent, rule: str, pos: Optional[Pos],
         out = squeeze_out(subterm_at(member, pos.path), op, flavor[1] == "l", model)
         if isinstance(out, str):
             return Violation(rule, out)
-        return [seq.replace(pos.side, member, [replace_at(member, pos.path, out)])]
+        premise = seq.replace(pos.side, member, [replace_at(member, pos.path, out)])
+        if op in ("all", "ex"):  # the carrier's names join the sequent's
+            clash = _signature_clash(premise)
+            if clash:
+                return Violation(rule, clash)
+        return [premise]
 
     if rule not in INTRO_RULES:
         return Violation(rule, f"unknown rule {rule!r}")

@@ -69,6 +69,13 @@ def _forget(ref: _Ref):
 _INTERNED: dict[tuple, _Ref] = {}
 
 
+def _intern(key: tuple, obj) -> None:
+    """Enter the new value `obj` in the table under `key`: the one way a
+    value enters it, for `Interned.__new__` and bulk builders alike."""
+    ref = _INTERNED[key] = _Ref(obj, _forget)
+    ref.key = key
+
+
 class Interned:
     """Hash-consed immutable value (Filliatre & Conchon, "Type-Safe Modular
     Hash-Consing", 2006): constructing one looks up (class, *fields) in a
@@ -93,8 +100,7 @@ class Interned:
             for name, value in zip(cls.__match_args__, fields):
                 object.__setattr__(self, name, value)
             self._build()
-            ref = _INTERNED[key] = _Ref(self, _forget)
-            ref.key = key
+            _intern(key, self)
         return self
 
     def _build(self):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 
+from ctt import domains
 from ctt.cli import build_parser, main
 from ctt.syntax import MAX_NESTING
 
@@ -89,6 +90,35 @@ def test_entail_over_cap_model_after_the_counterexample(capsys, tmp_path):
     assert (code, out) == (1, "invalid\n")
     assert err == ("model: 0\ncounterexample: f = table{a->0}, g = table{a->0}, "
                    "h = table{a->0}, u = a, v = a, w = a, x = 0\n")
+
+
+ARROW_POOL_OVER_CAP = "(x:((e -> bot) -> bot)@0 y:(e -> bot)@0) |- (x y)"
+
+
+def test_arrow_pool_is_counted_not_built(capsys, tmp_path):
+    # at e = 4, x ranges over the 65,536 tables of ((e -> bot) -> bot):
+    # the pool is counted, so the cap stops the command before any
+    # carrier is built
+    mdl = tmp_path / "four.mdl"
+    mdl.write_text("base e 4\n")
+    domains._carrier.cache_clear()
+    code, out, err = run(capsys, "entail", "--model", str(mdl), ARROW_POOL_OVER_CAP)
+    assert (code, out) == (3, "")
+    assert err == "ctt: resource cap: assignment space 65536 exceeds the cap 4096\n"
+    assert domains._carrier.cache_info().misses == 0
+
+
+def test_a_carrier_count_too_long_for_decimal_exits_3(capsys, tmp_path):
+    # at e = 2, ~~~~e has 2^65536 tables; the count's decimal form has
+    # 19,729 digits, more than `str` converts
+    mdl = tmp_path / "two.mdl"
+    mdl.write_text("base e 2\n")
+    code, out, err = run(capsys, "entail", "--model", str(mdl),
+                         "|- (x:((((e -> bot) -> bot) -> bot) -> bot)@0 "
+                         "y:(((e -> bot) -> bot) -> bot)@0)")
+    assert (code, out) == (3, "")
+    assert err == ("ctt: resource cap: 2^65536 tables for "
+                   "((((e -> bot) -> bot) -> bot) -> bot) exceeds the cap\n")
 
 
 RANK1_POOL_OVER_CAP = "|- ((x:(e -> (e -> bot))@1 y:e@0) z:e@0)"

@@ -94,6 +94,74 @@ def test_enumerate_domain_returns_a_fresh_list(m3):
     assert enumerate_domain(m3, E, 0) == [Individual(E, n) for n in "abc"]
 
 
+N4 = neg_type(neg_type(neg_type(neg_type(E))))
+
+
+def test_bulk_built_carriers_are_the_hash_consed_tables():
+    cases = [(ModelConfig(base_sizes={"e": 1}, rank_cap=2), N4)]
+    for size in (1, 2, 3):
+        model = ModelConfig(base_sizes={"e": size})
+        cases += [(model, ty) for ty in (neg_type(E), Arrow(E, E), Arrow(BOT, E),
+                                         Arrow(E, neg_type(E)), neg_type(neg_type(E)))]
+    for model, ty in cases:
+        domains._carrier.cache_clear()
+        tables = enumerate_domain(model, ty, 0)
+        keys = sorted(enumerate_domain(model, ty.dom, 0), key=render_elem)
+        rows = [[(k, v) for v in enumerate_domain(model, ty.cod, 0)] for k in keys]
+        # interned values compare by identity
+        assert tables == [FnTable(ty.dom, ty.cod, entries)
+                          for entries in itertools.product(*rows)]
+        assert all(t.ty is ty for t in tables)
+
+
+def test_bulk_build_reuses_a_live_table():
+    u = Base("u")
+    model = ModelConfig(base_sizes={"u": 2})
+    a, b = enumerate_domain(model, u, 0)
+    domains._carrier.cache_clear()
+    gc.collect()
+    table = FnTable(u, BOT, ((a, FALSE), (b, TRUE)))
+    assert [t for t in enumerate_domain(model, neg_type(u), 0) if t is table] == [table]
+
+
+def test_bulk_build_leaves_no_entry_behind():
+    model = ModelConfig(base_sizes={"e": 1}, rank_cap=2)
+    domains._carrier.cache_clear()
+    render_elem.cache_clear()  # it keeps the sorted keys of a carrier alive
+    gc.collect()
+    live = len(syntax._INTERNED)
+    tables = enumerate_domain(model, N4, 0)
+    assert len(syntax._INTERNED) >= live + len(tables)
+    del tables
+    domains._carrier.cache_clear()
+    render_elem.cache_clear()
+    gc.collect()
+    assert len(syntax._INTERNED) == live
+
+
+def test_bulk_build_restores_the_collector_state(monkeypatch):
+    model = ModelConfig(base_sizes={"e": 2})
+    fresh = ModelConfig(base_sizes={"w": 2})  # no table of w is live
+
+    def refuse(key, obj):
+        raise MemoryError
+
+    try:
+        for enabled in (True, False, True):
+            (gc.enable if enabled else gc.disable)()
+            domains._carrier.cache_clear()
+            assert len(enumerate_domain(model, neg_type(neg_type(E)), 0)) == 16
+            assert gc.isenabled() is enabled
+            # a loop that raises part-way restores it too
+            with monkeypatch.context() as patch:
+                patch.setattr(domains, "_intern", refuse)
+                with pytest.raises(MemoryError):
+                    enumerate_domain(fresh, neg_type(Base("w")), 0)
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
 # --- hash-consing -----------------------------------------------------------
 
 def test_equal_constructions_are_one_object(m3):

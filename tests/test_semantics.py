@@ -3,7 +3,7 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ctt import gen, semantics
 from ctt.domains import (
@@ -227,6 +227,29 @@ def test_assignment_cap(m22):
         "x:bot@1, y:bot@1, z:bot@1, v:bot@1 |- x")
     with pytest.raises(CapExceeded):
         corpus.assignments(members, m22, cap=1000)
+
+
+_CARRIER_TYPES = st.recursive(
+    st.sampled_from([BOT, E, Base("t")]),
+    lambda kids: st.builds(Arrow, kids, kids), max_leaves=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CARRIER_TYPES, st.dictionaries(st.sampled_from("et"), st.integers(1, 4)))
+# one table per over-cap domain: counted as 1, but enumeration refuses it
+@example(Arrow(Arrow(Arrow(E, E), E), Base("t")), {"e": 4, "t": 1})
+# 2^65536 tables: a count too long to write in decimal
+@example(Arrow(Arrow(Base("t"), Arrow(BOT, Base("t"))), BOT), {"t": 4})
+def test_pool_size_counts_the_carrier_enumeration_builds(ty, sizes):
+    model = ModelConfig(base_sizes=sizes)
+    try:
+        size = len(enumerate_domain(model, ty, 0))
+    except CttError:  # an undeclared base or a carrier over the cap
+        assert semantics._enumerated_size(ty, model) is None
+        return
+    assert semantics._enumerated_size(ty, model) == size
+    assert semantics._carrier_size(ty, model) == size
+    assert semantics._pool_size(model, ty, 0) == size
 
 
 def test_empty_sequent_invalid(m22):

@@ -591,17 +591,53 @@ def test_check_rule_validates_each_sequent_once(monkeypatch):
     assert check_derivation(d) is None and checks == []
 
 
+# squeezing All[1](j:e@0) out over the carrier of e (size 2) names a:e@0
+# and b:e@0, beside the variable a:e@1
+CLASH_GOAL = "(p:(e -> bot)@0 All[1](j:e@0)), (q:(e -> bot)@1 a:e@1) |- (p All[1](i:e@0))"
+# the steps that squeeze, written out by hand: every premise names a at two
+# signatures, so no line below the root reads back
+CLASH_FILE = """\
+node 1 rule=ax dir=- pos=- concl=(q:(e -> bot)@1 a:e@1), \
+and[1]((p:(e -> bot)@0 a:e@0),(p b:e@0)) |- and[1]((p:(e -> bot)@0 a:e@0),(p b:e@0)) premises=-
+node 2 rule=all-Rr dir=down pos=R0 concl=(q:(e -> bot)@1 a:e@1), \
+and[1]((p:(e -> bot)@0 a:e@0),(p b:e@0)) |- (p:(e -> bot)@0 All[1](i:e@0)) premises=1
+node 3 rule=all-Lr dir=down pos=L0 concl=(p:(e -> bot)@0 All[1](j:e@0)), \
+(q:(e -> bot)@1 a:e@1) |- (p:(e -> bot)@0 All[1](i:e@0)) premises=2
+root 3
+"""
+
+
 def test_top_down_read_refuses_a_premise_whose_names_clash():
-    # squeezing All[1](j:e@0) out over the carrier of e names a:e@0 beside
-    # a:e@1: the premise renders as text that does not read back, and a
+    # the premise renders as text that does not read back, and a
     # line-by-line read refuses it
     model = ModelConfig(base_sizes={"e": 2})
-    goal = seq("(p:(e -> bot)@0 All[1](j:e@0)), (q:(e -> bot)@1 a:e@1) "
-               "|- (p All[1](i:e@0))")
-    text = render_derivation_file(prove(goal, depth=10, model=model))
-    assert sequents._read_top_down(text, model) is None
+    assert sequents._read_top_down(CLASH_FILE, model) is None
     with pytest.raises(CttError, match="a already annotated as e@1"):
-        check_derivation_file(text, model)
+        check_derivation_file(CLASH_FILE, model)
+
+
+def test_a_squeeze_that_puts_a_name_at_two_signatures_is_refused():
+    model = ModelConfig(base_sizes={"e": 2})
+    goal = seq(CLASH_GOAL)
+    pos = Pos("L", 0)
+    want = Violation("all-Lr", "the premise would use a at e@1 and at e@0")
+    assert rule_premises(goal, "all-Lr", pos, model) == want
+    # the checker refuses the step the old prover took
+    member = goal.side("L")[0]
+    premise = goal.replace("L", member, [squeeze_out(member, "all", False, model)])
+    assert check_rule_instance(goal, [premise], "all-Lr", pos, "down", model) == want
+    step = Derivation("all-Lr", goal, (Derivation("ax", premise),), pos, "down")
+    assert check_derivation(step, model) == sequents.DerivationFailure((), want)
+    # so the prover does not take it; a variable at the carrier's own
+    # signature, or of another name, does not clash, and the derivation
+    # the prover returns reads back
+    assert prove(goal, depth=10, model=model) is None
+    for variable in ("a:e@0", "c:e@1"):
+        goal = seq(CLASH_GOAL.replace("a:e@1", variable))
+        d = prove(goal, depth=10, model=model)
+        text = render_derivation_file(d)
+        assert sequents._read_top_down(text, model) is not None
+        assert check_derivation_file(text, model) == (goal, len(list(d.nodes())), None)
 
 
 def test_top_down_read_gives_up_on_shared_and_unreachable_lines():
