@@ -143,7 +143,7 @@ def cmd_eval(args, out: Printer) -> int:
         value = eval_slm(parse_slm(text), model, rho)
     else:
         value = eval_cts(parse_cts(text, sig=model_signature(model)), model, rho)
-    out.record("ok", "eval", render_elem(value), rank=domains.elem_rank(value))
+    out.record("ok", "eval", render_elem(value), rank=value.k)
     return OK
 
 
@@ -160,7 +160,7 @@ def cmd_entail(args, out: Printer) -> int:
         ce = next((v for v in verdicts if not v.holds), None)
     else:
         report = sequent_valid(ante, succ, models)
-        checked, ce = report.checked, report.counterexample()
+        checked, ce = report.checked, report.failure
     if ce is None:
         out.record("ok", "entail", "valid", checked=checked)
         return OK
@@ -208,7 +208,7 @@ def cmd_iso(args, out: Printer) -> int:
     ty = Base(name)
     sets = parse_set_of_sets(_input(args.element), model, ty)
     value = iso_i(sets, model, ty=ty)
-    out.record("ok", "iso", render_elem(value), rank=domains.elem_rank(value))
+    out.record("ok", "iso", render_elem(value), rank=value.k)
     return OK
 
 

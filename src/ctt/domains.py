@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import gc
 import itertools
-from collections import namedtuple
+from collections import OrderedDict, namedtuple
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Optional, Union
@@ -161,10 +161,6 @@ class JoinE(Interned):
 CanonElem = Union[Atom, NegE, MeetE, JoinE]
 
 
-def elem_rank(e: CanonElem) -> int:
-    return e.k
-
-
 # Computed tables (Brace, Rudell & Bryant, "Efficient Implementation of a
 # BDD Package", 1990), beside the hash-consing table: `apply_elem` and the
 # lattice constructors keep their recent results keyed on the interned
@@ -185,10 +181,11 @@ ISO_TABLE_SIZE = 4096
 TableInfo = namedtuple("TableInfo", "hits misses maxsize currsize")
 
 
-class _BoundedTable(dict):
-    """A dict that keeps its `maxsize` most recent insertions and counts
-    the lookups that hit and missed; `cache_info()` reads like an
-    `lru_cache`'s."""
+class _BoundedTable(OrderedDict):
+    """A dict that keeps its `maxsize` most recently used entries and counts
+    the lookups that hit and missed; `recall` marks a hit as used, `store`
+    evicts the least recently used entry, and a plain `get` does neither.
+    `cache_info()` reads like an `lru_cache`'s."""
 
     __slots__ = ("maxsize", "hits", "misses")
 
@@ -203,12 +200,13 @@ class _BoundedTable(dict):
             self.misses += 1
         else:
             self.hits += 1
+            self.move_to_end(key)
         return value
 
     def store(self, key, value):
         self[key] = value
         if len(self) > self.maxsize:
-            del self[next(iter(self))]
+            self.popitem(last=False)
 
     def cache_info(self) -> TableInfo:
         return TableInfo(self.hits, self.misses, self.maxsize, len(self))
@@ -792,7 +790,7 @@ def iso_iterate(ty: TypeExpr, f, model: ModelConfig) -> CanonElem:
     for _ in range(m):
         target = current.dom.dom  # peel two negations
         out = iso_i(out, model, ty=target)
-        if elem_rank(out) > model.rank_cap:
+        if out.k > model.rank_cap:
             raise CapExceeded(
                 f"iterated isomorphism passed the rank cap {model.rank_cap}")
         current = target
@@ -1012,7 +1010,7 @@ def parse_set_of_sets(text: str, model: ModelConfig,
         members = []
         while c.toks[c.i] != "}":
             e = p.elem(sigma)
-            if elem_rank(e) != 0:
+            if e.k != 0:
                 c.fail("set members must be rank-0 atoms")
             members.append(e)
             if c.toks[c.i] == ",":

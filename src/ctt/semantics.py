@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
@@ -25,8 +24,8 @@ from . import gen as _gen
 from .rewrite import structural_subst
 from .domains import (
     CanonElem, CapExceeded, FALSE, Individual, MAX_RANK0_ENUM, ModelConfig,
-    RankOverflow, TRUE, TableInfo, TruthVal, _carrier, apply_elem, ba_equal,
-    ba_leq, bottom_at, elem_rank, enumerate_domain, fn_table, iso_i, make_join,
+    RankOverflow, TRUE, TruthVal, _BoundedTable, _carrier, apply_elem, ba_equal,
+    ba_leq, bottom_at, enumerate_domain, fn_table, iso_i, make_join,
     make_meet, make_neg, rank1_count, render_elem, resolve_constant, top_at,
 )
 from .syntax import (
@@ -56,9 +55,9 @@ def _lookup(name: str, ty: TypeExpr, model: ModelConfig, rho: Assignment,
             raise UnassignedVariable(f"no value for {name} : {ty}")
     if value.ty != ty:
         raise TypeMismatch(f"{name} : {ty} assigned a value of type {value.ty}")
-    if rank_bound is not None and elem_rank(value) > rank_bound:
+    if rank_bound is not None and value.k > rank_bound:
         raise TypeMismatch(
-            f"{name}@{rank_bound} assigned a rank-{elem_rank(value)} value")
+            f"{name}@{rank_bound} assigned a rank-{value.k} value")
     return value
 
 
@@ -73,60 +72,17 @@ def _lookup(name: str, ty: TypeExpr, model: ModelConfig, rho: Assignment,
 # and the values of the node's free names, so that is the key; models are
 # hash-consed values, so the model object stands for its contents. The
 # table is bounded, so memory does not grow with how long the process has
-# run: the most recent EVAL_TABLE_MODELS models, each with its most recent
-# EVAL_TABLE_SIZE evaluations (rule-harness's 1,344 measured ops meet
-# four). An evaluation that raises stores nothing.
-EVAL_TABLE_MODELS = 8
-EVAL_TABLE_SIZE = 512
-
-
-class _EvalTable:
-    """Model -> LRU of (node, values of its free names) -> value, with the
-    lookups that hit and missed."""
-
-    def __init__(self):
-        self.models: OrderedDict = OrderedDict()
-        self.hits = self.misses = 0
-
-    def of(self, model: ModelConfig) -> OrderedDict:
-        """The table of `model`."""
-        table = self.models.get(model)
-        if table is None:
-            table = self.models[model] = OrderedDict()
-            if len(self.models) > EVAL_TABLE_MODELS:
-                self.models.popitem(last=False)
-        else:
-            self.models.move_to_end(model)
-        return table
-
-    def recall(self, table: OrderedDict, key):
-        """The value stored under `key`, or None."""
-        value = table.get(key)
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-            table.move_to_end(key)
-        return value
-
-    @staticmethod
-    def store(table: OrderedDict, key, value):
-        table[key] = value
-        if len(table) > EVAL_TABLE_SIZE:
-            table.popitem(last=False)
-
-    def info(self) -> TableInfo:
-        return TableInfo(self.hits, self.misses, EVAL_TABLE_MODELS * EVAL_TABLE_SIZE,
-                         sum(map(len, self.models.values())))
-
-
-_EVALS = _EvalTable()
+# run: it keeps the EVAL_TABLE_SIZE most recently used evaluations, over
+# all models, and a model is freed with its last entry. An evaluation that
+# raises stores nothing.
+EVAL_TABLE_SIZE = 2048
+_EVALS = _BoundedTable(EVAL_TABLE_SIZE)
 
 
 def table_stats() -> list:
     """(name, hits/misses/maxsize/currsize) of the evaluation table, shaped
-    like `domains.table_stats()`; the bound counts every model's part."""
-    return [("eval", _EVALS.info())]
+    like `domains.table_stats()`."""
+    return [("eval", _EVALS.cache_info())]
 
 
 def eval_slm(term: SlmTerm, model: ModelConfig, rho: Assignment) -> CanonElem:
@@ -138,11 +94,10 @@ def eval_slm(term: SlmTerm, model: ModelConfig, rho: Assignment) -> CanonElem:
     nested binders multiply; the largest product along a binder path is
     checked against MAX_RANK0_ENUM before anything is evaluated. A table
     hit skips that check, which an earlier call with the same key passed."""
-    table = _EVALS.of(model)
     names = free_table(term)
     if names is not None:
-        key = (term, tuple(map(rho.get, names)))
-        value = _EVALS.recall(table, key)
+        key = (model, term, tuple(map(rho.get, names)))
+        value = _EVALS.recall(key)
         if value is not None:
             return value
     if _binder_sweep(term, model) > MAX_RANK0_ENUM:
@@ -151,7 +106,7 @@ def eval_slm(term: SlmTerm, model: ModelConfig, rho: Assignment) -> CanonElem:
             "carrier atoms along one path")
     value = _eval_slm(term, model, rho)
     if names is not None:
-        _EVALS.store(table, key, value)
+        _EVALS.store(key, value)
     return value
 
 
@@ -215,10 +170,10 @@ def _eval_slm(term: SlmTerm, model: ModelConfig, rho: Assignment) -> CanonElem:
             table = {}
             for a in enumerate_domain(model, binder_ty, 0):
                 v = _eval_slm(body, model, {**rho, binder: a})
-                if elem_rank(v) != 0:
+                if v.k != 0:
                     raise RankOverflow(
                         f"lambda body over {binder}:{binder_ty} yields the rank-"
-                        f"{elem_rank(v)} shadow {render_elem(v)}; tables are rank 0")
+                        f"{v.k} shadow {render_elem(v)}; tables are rank 0")
                 table[a] = v
             return fn_table(binder_ty, term.ty.cod, table)
         case Mu(binder, binder_ty, body):
@@ -227,9 +182,9 @@ def _eval_slm(term: SlmTerm, model: ModelConfig, rho: Assignment) -> CanonElem:
             table = {}
             for a in enumerate_domain(model, binder_ty, 0):
                 v = _eval_slm(body, model, {**rho, binder: a})
-                if elem_rank(v) != 0:
+                if v.k != 0:
                     raise RankOverflow(
-                        f"mu body yields the rank-{elem_rank(v)} shadow "
+                        f"mu body yields the rank-{v.k} shadow "
                         f"{render_elem(v)}; this exceeds the table form")
                 if not isinstance(v, TruthVal):
                     raise NonGroundValue(
@@ -245,38 +200,34 @@ def eval_cts(sub: CtsSubterm, model: ModelConfig, rho: Assignment) -> CanonElem:
     Every node goes through the evaluation table, so a subterm that occurs
     twice, or that an earlier call met under the same values of its free
     names in the same model, is evaluated once."""
-    return _denote(sub, model, rho, _EVALS.of(model))
+    return _denote(sub, model, rho)
 
 
-def _denote(sub: CtsSubterm, model: ModelConfig, rho: Assignment,
-            table: OrderedDict) -> CanonElem:
-    """`eval_cts` through `table`, the evaluation table's part for `model`,
-    keyed on (node, values of the names in its `cts_signature` table): a
-    node that misses recurses only into children that also miss. A name
-    used at two signatures below a node leaves the node without a key."""
+def _denote(sub: CtsSubterm, model: ModelConfig, rho: Assignment) -> CanonElem:
+    """`eval_cts` through the evaluation table, keyed on (model, node,
+    values of the names in its `cts_signature` table): a node that misses
+    recurses only into children that also miss. A name used at two
+    signatures below a node leaves the node without a key."""
     try:
         names = sub._free
     except AttributeError:  # not asked before
         names = signature_table(sub)
     if names is not None:
-        key = (sub, tuple(map(rho.get, names)))
-        value = table.get(key)  # `_EVALS.recall`, inline on the sweep's hot path
+        key = (model, sub, tuple(map(rho.get, names)))
+        value = _EVALS.recall(key)
         if value is not None:
-            _EVALS.hits += 1
-            table.move_to_end(key)
             return value
-        _EVALS.misses += 1
     match sub:
         case CVar(name, ty, rank):
             value = _lookup(name, ty, model, rho, rank_bound=rank)
         case CApp(fun, arg):
-            value = apply_elem(_denote(fun, model, rho, table),
-                               _denote(arg, model, rho, table))
+            value = apply_elem(_denote(fun, model, rho),
+                               _denote(arg, model, rho))
         case CNeg(k, child):
-            value = make_neg(k, _denote(child, model, rho, table))
+            value = make_neg(k, _denote(child, model, rho))
         case CConj(k, left, right) | CDisj(k, left, right):
-            l = _denote(left, model, rho, table)
-            r = _denote(right, model, rho, table)
+            l = _denote(left, model, rho)
+            r = _denote(right, model, rho)
             make = make_meet if isinstance(sub, CConj) else make_join
             value = make(k, l.ty, [l, r])
         case CBigConj(k, _, ty, m) | CBigDisj(k, _, ty, m):
@@ -288,7 +239,7 @@ def _denote(sub: CtsSubterm, model: ModelConfig, rho: Assignment,
         case _:
             raise CttError(f"cannot evaluate {sub!r}")
     if names is not None:
-        _EVALS.store(table, key, value)
+        _EVALS.store(key, value)
     return value
 
 
@@ -364,9 +315,6 @@ class SequentReport:
     def valid(self) -> bool:
         return self.failure is None
 
-    def counterexample(self) -> Optional[SequentVerdict]:
-        return self.failure
-
 
 def _pool_size(model: ModelConfig, ty: TypeExpr, rank: int) -> int:
     """How many values a variable ranges over; a rank-1 pool is saturated
@@ -418,7 +366,7 @@ def _decide(values: tuple, n_ante: int) -> bool:
     """ba_leq of the meet of the first `n_ante` member values against the
     join of the rest, at the maximal rank present (>= 1)."""
     lvals, rvals = values[:n_ante], values[n_ante:]
-    k = max([1] + [elem_rank(v) for v in values])
+    k = max([1] + [v.k for v in values])
     lhs = make_meet(k, BOT, lvals) if lvals else top_at(k, BOT)
     rhs = make_join(k, BOT, rvals) if rvals else bottom_at(k, BOT)
     return ba_leq(lhs, rhs)
@@ -430,8 +378,7 @@ def sequent_semantics(ante: list[CtsSubterm], succ: list[CtsSubterm],
     antecedent meet against the succedent join at the maximal rank present
     (>= 1). The members are evaluated through the evaluation table, as
     `eval_cts` does."""
-    table = _EVALS.of(model)
-    return _decide(tuple([_denote(m, model, rho, table) for m in [*ante, *succ]]),
+    return _decide(tuple([_denote(m, model, rho) for m in [*ante, *succ]]),
                    len(ante))
 
 
@@ -464,7 +411,6 @@ def _sweep(ante: list[CtsSubterm], succ: list[CtsSubterm],
     verdicts: dict = {}
     for idx, model in enumerate(models):
         names, pools = _assignment_space(members, model, cap)
-        table = _EVALS.of(model)
         position = {name: i for i, name in enumerate(names)}
         memos: dict = {}  # member -> projection -> value; a member may recur
         lookups = []
@@ -481,7 +427,7 @@ def _sweep(ante: list[CtsSubterm], succ: list[CtsSubterm],
                 if value is None:
                     if rho is None:
                         rho = dict(zip(names, values))
-                    value = memo[key] = _denote(m, model, rho, table)
+                    value = memo[key] = _denote(m, model, rho)
                 member_values.append(value)
             member_values = tuple(member_values)
             holds = verdicts.get(member_values)

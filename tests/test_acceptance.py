@@ -10,7 +10,7 @@ import pytest
 from ctt import gen
 from ctt.domains import (
     FALSE, Individual, JoinE, MeetE, ModelConfig, TRUE, ba_equal, bottom_at,
-    canonical_key, elem_rank, enumerate_domain, make_join, make_meet,
+    canonical_key, enumerate_domain, make_join, make_meet,
     make_neg, render_elem, top_at,
 )
 from ctt.semantics import (
@@ -51,7 +51,7 @@ def test_criterion_01_bracketed_canonicalization_goldens():
             case JoinE(k, _, cs):
                 return ("or", k, tuple(skeleton(c) for c in cs))
             case _:
-                return "leaf" if elem_rank(e) == 0 else ("neg", e.k, skeleton(e.child))
+                return "leaf" if e.k == 0 else ("neg", e.k, skeleton(e.child))
 
     assert skeleton(results[0]) == skeleton(results[1])
     assert isinstance(results[1], JoinE) and isinstance(results[2], MeetE)

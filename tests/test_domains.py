@@ -11,7 +11,7 @@ from ctt import domains, gen, syntax
 from ctt.domains import (
     AtomicApp, CapExceeded, FALSE, FnTable, Individual, JoinE,
     MAX_GENERATORS, MeetE, ModelConfig, NegE, TRUE, TruthVal, apply_elem,
-    ba_equal, ba_leq, bottom_at, canonical_key, elem_rank, enumerate_domain,
+    ba_equal, ba_leq, bottom_at, canonical_key, enumerate_domain,
     fn_table, iso_i, iso_iterate, make_join, make_meet, make_neg,
     individual_names, model_signature, parse_element, parse_model_config,
     parse_set_of_sets, render_elem, resolve_constant, top_at,
@@ -612,6 +612,18 @@ def test_render_and_key_tables_are_bounded():
     assert [canonical_key(e) for e in elems[:100]] == keys[:100]
 
 
+def test_bounded_table_evicts_the_least_recently_used_entry():
+    table = domains._BoundedTable(4)
+    table.store("read", 1)
+    table.store("unread", 2)
+    for i in range(4):
+        assert table.recall("read") == 1
+        table.store(i, i)
+    assert list(table) == [1, 2, "read", 3]
+    assert table.recall("unread") is None
+    assert table.cache_info() == (4, 1, 4, 4)  # hits, misses, maxsize, currsize
+
+
 def _shadows(model, ty, limit=None):
     elems = enumerate_domain(model, ty, 1)
     return elems if limit is None else elems[:limit]
@@ -840,7 +852,7 @@ def test_iso_rank_raising_homomorphism(m3):
     tables = enumerate_domain(m3, nne, 0)[:2]
     elem = make_meet(1, nne, [tables[0], make_neg(1, tables[1])])
     out = iso_i(elem, m3)
-    assert elem_rank(out) == 2
+    assert out.k == 2
     assert ba_equal(out, make_meet(2, E, [
         iso_i(tables[0], m3), make_neg(2, iso_i(tables[1], m3))]))
 
@@ -867,7 +879,7 @@ def test_iso_iterate_four_negations_exhaustive_size1():
     outs = []
     for f in inputs:
         out = iso_iterate(n4, f, model)
-        assert elem_rank(out) <= 2
+        assert out.k <= 2
         outs.append(out)
     assert len({render_elem(o) for o in outs}) == 2 ** 16
     nne = Arrow(Arrow(E, BOT), BOT)
@@ -883,7 +895,7 @@ def test_iso_iterate_odd_negations(m3):
     model = ModelConfig(base_sizes={"e": 1}, rank_cap=3)
     outs = [iso_iterate(n3, f, model) for f in enumerate_domain(model, n3, 0)]
     assert all(o.ty == Arrow(E, BOT) for o in outs)  # lands in the negated type
-    assert {elem_rank(o) for o in outs} == {0, 1}  # principal images collapse
+    assert {o.k for o in outs} == {0, 1}  # principal images collapse
     assert len({canonical_key(o) for o in outs}) == len(outs)
 
 
@@ -951,7 +963,7 @@ def test_iso_matches_the_reference_on_tables_and_families():
     families += [frozenset(s for s in subsets if a in s) for a in atoms]
     for family in families:
         assert iso_i(family, model, ty=E) is reference_family_image(family, E, model)
-    assert {elem_rank(iso_i(family, model, ty=E)) for family in families} == {0, 1}
+    assert {iso_i(family, model, ty=E).k for family in families} == {0, 1}
 
 
 def test_iso_memo_matches_reference(m3):
@@ -1076,7 +1088,7 @@ const shadow : e = or[1](a, neg[1](b))
     assert model.rank_cap == 2
     assert model.constants["c0"] == FALSE
     assert isinstance(model.constants["f"], FnTable)
-    assert elem_rank(model.constants["shadow"]) == 1
+    assert model.constants["shadow"].k == 1
 
 
 def test_parse_model_config_cap_violation():
@@ -1120,7 +1132,7 @@ def reference_model_signature(model):
     sig["0"] = (BOT, 0)
     sig["1"] = (BOT, 0)
     for name, value in model.constants.items():
-        sig[name] = (value.ty, elem_rank(value))
+        sig[name] = (value.ty, value.k)
     return sig
 
 

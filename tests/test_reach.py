@@ -96,3 +96,20 @@ def test_every_library_definition_is_reached_outside_the_tests():
 
 def test_every_import_is_read_in_its_module():
     assert unread_imports() == []
+
+
+def test_no_alias_is_referenced():
+    # `domains.elem_rank(e)` was `e.k`; `SequentReport.counterexample()` was
+    # `.failure`; this file names them only here
+    gone = {"elem_rank", "counterexample"}
+    tests = [p for p in sorted((REPO / "tests").glob("*.py")) if p.name != "test_reach.py"]
+    found = [f"{path.relative_to(REPO)}:{line}" for path in program_files() + tests
+             for name, line in references(ast.parse(path.read_text())) if name in gone]
+    assert found == []
+
+
+def test_the_library_has_no_assert_statements():
+    # `python -O` drops an assert, and with it any check it makes
+    found = [f"{path.name}:{node.lineno}" for path, tree in library_modules()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

@@ -1,6 +1,8 @@
 import collections
+import gc
 import itertools
 import re
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,9 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 from ctt import gen, semantics
 from ctt.domains import (
     FALSE, FnTable, Individual, ModelConfig, RankOverflow, TRUE,
-    apply_elem, ba_equal, ba_leq, bottom_at, elem_rank, enumerate_domain,
+    apply_elem, ba_equal, ba_leq, bottom_at, enumerate_domain,
     fn_table, make_join, make_meet, make_neg, render_elem, top_at,
-    CapExceeded,
+    CapExceeded, _BoundedTable,
 )
 from ctt.rewrite import step
 from ctt.semantics import (
@@ -211,7 +213,7 @@ def test_sequent_not_valid_truth_value_is_free_generator(m22):
     ante, succ = parse_sequent_members("|- x:bot@0")
     report = sequent_valid(ante, succ, [m22])
     assert not report.valid
-    ce = report.counterexample()
+    ce = report.failure
     assert ce is not None  # fails already at x = 0
 
 
@@ -287,7 +289,7 @@ def reference_decision(ante, succ, model, rho):
     member, then ba_leq of the antecedent meet and the succedent join."""
     lvals = [reference_eval_cts(m, model, rho) for m in ante]
     rvals = [reference_eval_cts(m, model, rho) for m in succ]
-    k = max([1] + [elem_rank(v) for v in lvals + rvals])
+    k = max([1] + [v.k for v in lvals + rvals])
     lhs = make_meet(k, BOT, lvals) if lvals else top_at(k, BOT)
     rhs = make_join(k, BOT, rvals) if rvals else bottom_at(k, BOT)
     return ba_leq(lhs, rhs)
@@ -327,7 +329,7 @@ def reference_answer(ante, succ, models, cap=MAX_ASSIGNMENTS):
 
 def valid_answer(ante, succ, models, cap=MAX_ASSIGNMENTS):
     report = sequent_valid(ante, succ, models, cap)
-    ce = report.counterexample()
+    ce = report.failure
     assert report.valid == (ce is None)
     return (None if ce is None else (ce.model_index, ce.assignment)), report.checked
 
@@ -493,7 +495,7 @@ def test_over_cap_model_after_the_counterexample_still_raises():
     with pytest.raises(CapExceeded, match=r"^assignment space 4608 exceeds the cap 4096$"):
         sequent_valid(ante, succ, standard_model_family())
     report = sequent_valid(ante, succ, standard_model_family()[:2])
-    assert (report.checked, report.counterexample()) == (1, first)
+    assert (report.checked, report.failure) == (1, first)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +507,7 @@ def cold(check, *args):
     """The `outcome` of `check` through an empty evaluation table, leaving
     the process's table as it was."""
     warm = semantics._EVALS
-    semantics._EVALS = semantics._EvalTable()
+    semantics._EVALS = _BoundedTable(semantics.EVAL_TABLE_SIZE)
     try:
         return outcome(check, *args)
     finally:
@@ -561,7 +563,7 @@ def test_a_model_cannot_be_assigned():
 
 
 def test_equal_models_are_one_object_with_one_eval_table_part(monkeypatch):
-    monkeypatch.setattr(semantics, "_EVALS", semantics._EvalTable())
+    monkeypatch.setattr(semantics, "_EVALS", _BoundedTable(semantics.EVAL_TABLE_SIZE))
     tab = enumerate_domain(ModelConfig(base_sizes={"e": 2}), Arrow(E, BOT), 0)[1]
     sizes = {"e": 2, "t": 1}
     first = ModelConfig(base_sizes=sizes, rank_cap=3, constants={"k0": tab})
@@ -575,12 +577,30 @@ def test_equal_models_are_one_object_with_one_eval_table_part(monkeypatch):
     assert eval_cts(member, again, {"x": a}) is value
     (_, info), = table_stats()
     assert (info.hits, info.misses, info.currsize) == (1, 3, 3)  # k0, x, app
-    assert list(semantics._EVALS.models) == [first]
-    # a model of other contents gets a part of its own
+    assert {model for model, _, _ in semantics._EVALS} == {first}
+    # a model of other contents gets keys of its own
     other = ModelConfig(base_sizes=sizes, rank_cap=2, constants={"k0": tab})
     assert other is not first
     assert eval_cts(member, other, {"x": a}) is value
-    assert list(semantics._EVALS.models) == [first, other]
+    assert {model for model, _, _ in semantics._EVALS} == {first, other}
+
+
+def test_a_model_is_freed_with_its_last_eval_table_entry(monkeypatch):
+    monkeypatch.setattr(semantics, "_EVALS", _BoundedTable(4))
+    tab = enumerate_domain(ModelConfig(base_sizes={"e": 2}), Arrow(E, BOT), 0)[1]
+    member, a = parse_cts(K0_MEMBER), Individual(E, "a")
+    throwaway = ModelConfig(base_sizes={"e": 2}, rank_cap=5, constants={"k0": tab})
+    eval_cts(member, throwaway, {"x": a})
+    model = weakref.ref(throwaway)
+    del throwaway
+    gc.collect()
+    assert model() is not None  # its three keys name it
+    # five evaluations in another model evict those keys
+    other = ModelConfig(base_sizes={"e": 2}, constants={"k0": tab})
+    for x in enumerate_domain(other, E, 0):
+        eval_cts(member, other, {"x": x})
+    gc.collect()
+    assert model() is None
 
 
 def test_eval_table_keys_on_the_rank_cap():
@@ -599,7 +619,7 @@ def test_eval_table_keys_on_the_rank_cap():
 
 
 def test_eval_table_stores_nothing_for_an_evaluation_that_raises(m22, monkeypatch):
-    monkeypatch.setattr(semantics, "_EVALS", semantics._EvalTable())
+    monkeypatch.setattr(semantics, "_EVALS", _BoundedTable(semantics.EVAL_TABLE_SIZE))
     capped = ModelConfig(base_sizes={"e": 2}, rank_cap=0)
     mu = parse_slm("#x:~e. (x p:e)")
     raising = [(eval_cts, CVar("A", BOT, 0), m22, {}, UnassignedVariable),
@@ -619,10 +639,8 @@ def test_eval_table_stores_nothing_for_an_evaluation_that_raises(m22, monkeypatc
 
 def test_eval_table_stays_within_its_bound(monkeypatch):
     # a small bound, so that many more distinct evaluations than it holds
-    # evict entries and whole models; the answers do not change
-    monkeypatch.setattr(semantics, "EVAL_TABLE_SIZE", 16)
-    monkeypatch.setattr(semantics, "EVAL_TABLE_MODELS", 2)
-    monkeypatch.setattr(semantics, "_EVALS", semantics._EvalTable())
+    # evict entries, of every model; the answers do not change
+    monkeypatch.setattr(semantics, "_EVALS", _BoundedTable(32))
     models = [m for family in ORACLE_MODELS for m in family]
     for seed in range(12):
         members, succ = random_sequent(seed, 2, 1, 2)
@@ -640,13 +658,12 @@ def test_eval_table_stays_within_its_bound(monkeypatch):
 
 
 def test_eval_table_stats_after_harness_runs(monkeypatch):
-    monkeypatch.setattr(semantics, "_EVALS", semantics._EvalTable())
+    monkeypatch.setattr(semantics, "_EVALS", _BoundedTable(semantics.EVAL_TABLE_SIZE))
     assert not cts_rule_harness("and-L", trials=5, seed=1).failures
     assert not soundness_harness("mu", trials=5, seed=1).failures
     (name, info), = table_stats()
     assert name == "eval" and info.hits > 0
-    assert 0 < info.currsize <= info.maxsize == (semantics.EVAL_TABLE_MODELS
-                                                 * semantics.EVAL_TABLE_SIZE)
+    assert 0 < info.currsize <= info.maxsize == semantics.EVAL_TABLE_SIZE
     # a second mu run finds its 32 exhaustive cases, both sides, in the table
     soundness_harness("mu", trials=0, seed=1)
     assert table_stats()[0][1].hits - info.hits == 64
