@@ -327,8 +327,8 @@ class ModelConfig(Interned):
         for name, size in self.sizes:
             if not _names_base_type(name):
                 raise CttError(f"base {name!r} is not a base type name")
-            if not 1 <= size <= MAX_BASE_SIZE:
-                raise CapExceeded(
+            if not 1 <= size <= MAX_BASE_SIZE:  # an empty carrier is bad input
+                raise (CttError if size < 1 else CapExceeded)(
                     f"base {name} has size {size}; sizes must be 1..{MAX_BASE_SIZE}")
             for n in individual_names(size):
                 names[n] = names.get(n, ()) + (Individual(Base(name), n),)

@@ -199,15 +199,12 @@ def eval_cts(sub: CtsSubterm, model: ModelConfig, rho: Assignment) -> CanonElem:
     lattice constructors; big operators expand over the rank-0 carrier.
     Every node goes through the evaluation table, so a subterm that occurs
     twice, or that an earlier call met under the same values of its free
-    names in the same model, is evaluated once."""
-    return _denote(sub, model, rho)
+    names in the same model, is evaluated once.
 
-
-def _denote(sub: CtsSubterm, model: ModelConfig, rho: Assignment) -> CanonElem:
-    """`eval_cts` through the evaluation table, keyed on (model, node,
-    values of the names in its `cts_signature` table): a node that misses
-    recurses only into children that also miss. A name used at two
-    signatures below a node leaves the node without a key."""
+    The table is keyed on (model, node, values of the names in its
+    `cts_signature` table): a node that misses recurses only into children
+    that also miss. A name used at two signatures below a node leaves the
+    node without a key."""
     try:
         names = sub._free
     except AttributeError:  # not asked before
@@ -221,13 +218,13 @@ def _denote(sub: CtsSubterm, model: ModelConfig, rho: Assignment) -> CanonElem:
         case CVar(name, ty, rank):
             value = _lookup(name, ty, model, rho, rank_bound=rank)
         case CApp(fun, arg):
-            value = apply_elem(_denote(fun, model, rho),
-                               _denote(arg, model, rho))
+            value = apply_elem(eval_cts(fun, model, rho),
+                               eval_cts(arg, model, rho))
         case CNeg(k, child):
-            value = make_neg(k, _denote(child, model, rho))
+            value = make_neg(k, eval_cts(child, model, rho))
         case CConj(k, left, right) | CDisj(k, left, right):
-            l = _denote(left, model, rho)
-            r = _denote(right, model, rho)
+            l = eval_cts(left, model, rho)
+            r = eval_cts(right, model, rho)
             make = make_meet if isinstance(sub, CConj) else make_join
             value = make(k, l.ty, [l, r])
         case CBigConj(k, _, ty, m) | CBigDisj(k, _, ty, m):
@@ -378,7 +375,7 @@ def sequent_semantics(ante: list[CtsSubterm], succ: list[CtsSubterm],
     antecedent meet against the succedent join at the maximal rank present
     (>= 1). The members are evaluated through the evaluation table, as
     `eval_cts` does."""
-    return _decide(tuple([_denote(m, model, rho) for m in [*ante, *succ]]),
+    return _decide(tuple([eval_cts(m, model, rho) for m in [*ante, *succ]]),
                    len(ante))
 
 
@@ -427,7 +424,7 @@ def _sweep(ante: list[CtsSubterm], succ: list[CtsSubterm],
                 if value is None:
                     if rho is None:
                         rho = dict(zip(names, values))
-                    value = memo[key] = _denote(m, model, rho)
+                    value = memo[key] = eval_cts(m, model, rho)
                 member_values.append(value)
             member_values = tuple(member_values)
             holds = verdicts.get(member_values)

@@ -33,7 +33,7 @@ from .domains import ModelConfig, enumerate_domain, render_elem, Individual, Tru
 from .syntax import (
     BOT, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg, CVar, CtsSubterm,
     CttError, Interned, TypeExpr, TypeMismatch, _union, check_sequent_member,
-    children, cts_signature, parse_sequent_reusing, render, replace_at,
+    children, cts_signature, parse_sequent_members, render, replace_at,
     signature_table, subterm_at,
 )
 
@@ -281,7 +281,10 @@ def rule_premises(seq: Sequent, rule: str, pos: Optional[Pos],
         op, flavor = rule.rsplit("-", 1)  # flavor: L/R, then r (argument) / l (functor)
         if pos is None or pos.side != flavor[0]:
             return Violation(rule, f"position must be on side {flavor[0]}")
-        member = seq.side(pos.side)[pos.member]
+        members = seq.side(pos.side)
+        if not 0 <= pos.member < len(members):
+            return Violation(rule, f"position {pos} names no member of side {pos.side}")
+        member = members[pos.member]
         out = squeeze_out(subterm_at(member, pos.path), op, flavor[1] == "l", model)
         if isinstance(out, str):
             return Violation(rule, out)
@@ -297,7 +300,10 @@ def rule_premises(seq: Sequent, rule: str, pos: Optional[Pos],
     op, side = rule.rsplit("-", 1)
     if pos is None or pos.side != side or pos.path:
         return Violation(rule, f"position must name a member on side {side}")
-    formula = seq.side(side)[pos.member]
+    members = seq.side(side)
+    if not 0 <= pos.member < len(members):
+        return Violation(rule, f"position {pos} names no member of side {side}")
+    formula = members[pos.member]
     if not isinstance(formula, _OP_NODE[op]):
         return Violation(rule, f"member {render(formula)} is not a {op} node")
     rest = seq.replace(side, formula, [])
@@ -339,7 +345,7 @@ def check_rule_instance(conclusion: Sequent, premises: list[Sequent], rule: str,
     """Validate one rule application; None means the instance is accepted."""
     try:
         return _check_rule(conclusion, premises, rule, pos, direction, model)
-    except (CttError, IndexError) as ex:
+    except CttError as ex:
         return Violation(rule, str(ex))
 
 
@@ -566,10 +572,9 @@ def render_derivation_file(d: Derivation) -> str:
 
 def parse_derivation_file(text: str) -> Derivation:
     """Read what `render_derivation_file` writes; a malformed line raises
-    CttError naming the line. Each distinct member text of the file's
-    conclusions is parsed once (`parse_sequent_reusing`)."""
+    CttError naming the line. Each node's conclusion is parsed whole
+    (`parse_sequent_members`)."""
     nodes: dict[int, Derivation] = {}
-    seen: dict = {}  # the member texts read so far, for parse_sequent_reusing
     root_id = None
     for raw, line in _file_lines(text):
         try:
@@ -578,7 +583,7 @@ def parse_derivation_file(text: str) -> Derivation:
                     raise ValueError("a second root line")
                 root_id = _root_id(line)
             elif line.startswith("node "):
-                nid, node = _parse_node(_node_fields(line), nodes, seen)
+                nid, node = _parse_node(_node_fields(line), nodes)
                 if nid in nodes:
                     raise ValueError(f"duplicate node id {nid}")
                 nodes[nid] = node
@@ -632,10 +637,9 @@ def _premise_ids(premises_text: str) -> list[int]:
     return [] if premises_text == "-" else [int(p) for p in premises_text.split(",")]
 
 
-def _parse_node(fields, nodes: dict[int, Derivation],
-                seen: dict) -> tuple[int, Derivation]:
+def _parse_node(fields, nodes: dict[int, Derivation]) -> tuple[int, Derivation]:
     nid_text, rule, direction, pos, concl_text, premises_text = fields
-    ante, succ = parse_sequent_reusing(concl_text, seen)
+    ante, succ = parse_sequent_members(concl_text)
     premise_ids = _premise_ids(premises_text)
     for p in premise_ids:
         if p not in nodes:
@@ -674,7 +678,7 @@ def _read_top_down(text: str, model: Optional[ModelConfig],
     gives the premises, and the node's premise lines, which must come
     before it, are accepted when their conclusions are the renderings of
     those premises, in order. A rendering reads back as the sequent it
-    renders (`parse_sequent_reusing`) when its members pass
+    renders (`parse_sequent_members`) when its members pass
     `check_sequent_member` and no name has two signatures, so those are
     checked for the members a premise adds. Every node line must be
     reached once. A substitution must read downward, and a big-operator
@@ -697,7 +701,7 @@ def _read_top_down(text: str, model: Optional[ModelConfig],
                 return None
             lines[nid] = (index, rule, direction, None if pos == "-" else Pos.parse(pos),
                           concl, _premise_ids(premises))
-        root = Sequent.make(*parse_sequent_reusing(lines[root_id][4], {}))
+        root = Sequent.make(*parse_sequent_members(lines[root_id][4]))
     except (ValueError, IndexError, KeyError, CttError):
         return None
     names: Optional[dict] = {}  # name -> signature, over the members met so far
@@ -717,7 +721,7 @@ def _read_top_down(text: str, model: Optional[ModelConfig],
             return None
         try:
             premises = rule_premises(seq, rule, pos, model)
-        except (CttError, IndexError):
+        except CttError:
             return None
         if isinstance(premises, Violation) or len(premises) != len(premise_ids):
             return None

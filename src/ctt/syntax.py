@@ -1039,84 +1039,6 @@ def parse_sequent_members(text: str, sig: Optional[dict[str, tuple[TypeExpr, int
     return ante, succ
 
 
-# A member parsed on its own: the subterm and its signature table, or None
-# when the text is no member that parses on its own.
-MemberParse = Optional[tuple[CtsSubterm, dict[str, tuple[TypeExpr, int]]]]
-
-
-def parse_sequent_reusing(text: str, seen: dict[str, MemberParse]
-                          ) -> tuple[list[CtsSubterm], list[CtsSubterm]]:
-    """What `parse_sequent_members(text)` returns, parsing only the member
-    texts `seen` does not hold yet, each on its own, and adding them.
-
-    A member that parses on its own annotates every name at its first use
-    there, as `render` writes it. Inside the text it reads the same,
-    unless a member before it set another annotation for one of its names.
-    In that case, or when a member does not parse on its own, the whole
-    text goes through `parse_sequent_members`, so results and errors are
-    the same."""
-    members = _reuse_members(text, seen)
-    return parse_sequent_members(text) if members is None else members
-
-
-def _reuse_members(text: str, seen: dict[str, MemberParse]):
-    """The two sides of `text` from members parsed on their own, or None
-    when the text must be parsed whole."""
-    sides = _split_sequent(text)
-    if sides is None:
-        return None
-    known: dict[str, tuple[TypeExpr, int]] = {}
-    out = ([], [])
-    for texts, members in zip(sides, out):
-        for member_text in texts:
-            if member_text not in seen:
-                seen[member_text] = _parse_member(member_text)
-            parsed = seen[member_text]
-            if parsed is None:
-                return None
-            sub, names = parsed
-            for name, annotation in names.items():
-                if known.setdefault(name, annotation) != annotation:
-                    return None
-            members.append(sub)
-    return out
-
-
-def _split_sequent(text: str) -> Optional[tuple[list[str], list[str]]]:
-    """The member texts of `A, B |- C, D` on each side: the text split at
-    its turnstile and at the commas outside parentheses. None for a text
-    with a comment or without exactly one turnstile.
-
-    A split that is wrong for some text only costs speed: each member must
-    then parse on its own, and a wrong one would not."""
-    sides = text.split("|-")
-    if len(sides) != 2 or "#" in text:
-        return None
-    out = []
-    for side in sides:
-        members, pieces, depth = [], [], 0
-        for piece in side.split(","):
-            pieces.append(piece)
-            depth += piece.count("(") - piece.count(")")
-            if depth == 0:
-                members.append(",".join(pieces).strip())
-                pieces = []
-        if pieces:
-            members.append(",".join(pieces).strip())
-        out.append([] if members == [""] else members)
-    return out[0], out[1]
-
-
-def _parse_member(text: str) -> MemberParse:
-    try:
-        sub = parse_cts(text)
-        check_sequent_member(sub)
-    except CttError:
-        return None
-    # never None: the parser refuses a name annotated two ways
-    return sub, signature_table(sub)
-
-
 def parse(text: str, mode: str):
     """Dispatch parser: mode is 'type', 'slm', or 'cts'."""
     if mode == "type":

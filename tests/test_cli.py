@@ -435,6 +435,14 @@ def test_model_cap_violation(capsys, tmp_path):
     assert code == 3
 
 
+def test_empty_base_is_a_usage_error(capsys, tmp_path):
+    mdl = tmp_path / "empty.mdl"
+    mdl.write_text("base e 0\n")
+    for argv in (["iso", "--base", "e=0", "--element", "{{a}}"],
+                 ["entail", "--model", str(mdl), "A |- A"]):
+        assert run(capsys, *argv) == (2, "", "ctt: base e has size 0; sizes must be 1..4\n")
+
+
 def test_machine_transcript_replays(capsys):
     """Machine-mode outputs for the golden corpus are byte-stable."""
     commands = [

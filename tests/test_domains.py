@@ -87,6 +87,14 @@ def test_base_size_cap():
         ModelConfig(base_sizes={"e": 9})
 
 
+def test_empty_base_is_invalid_input():
+    # bad input, not a resource cap: only a carrier over the cap is that
+    for size in (0, -1):
+        with pytest.raises(CttError, match=f"base e has size {size}; sizes must be 1..4") as info:
+            ModelConfig(base_sizes={"e": size})
+        assert not isinstance(info.value, CapExceeded)
+
+
 def test_enumerate_domain_returns_a_fresh_list(m3):
     first = enumerate_domain(m3, E, 0)
     first.reverse()

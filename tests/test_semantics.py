@@ -452,13 +452,13 @@ def test_sweep_evaluates_a_member_once_per_value_of_its_own_variables(m22, monke
     # assignments meet 2 of its projections; every call is counted,
     # whether or not the evaluation table then holds the value
     calls = collections.Counter()
-    denote = semantics._denote
+    denote = semantics.eval_cts
 
     def counting(sub, *args):
         calls[sub] += 1
         return denote(sub, *args)
 
-    monkeypatch.setattr(semantics, "_denote", counting)
+    monkeypatch.setattr(semantics, "eval_cts", counting)
     ante, succ = parse_sequent_members("neg[1](A:bot@0) |- B:bot@0, C:bot@0")
     assert len(list(sequent_verdicts(ante, succ, [m22]))) == 8
     assert [calls[m] for m in ante + succ] == [2, 2, 2]

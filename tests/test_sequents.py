@@ -25,7 +25,7 @@ from ctt.sequents import (
 from ctt.syntax import (
     Arrow, BOT, Base, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg, CVar,
     CttError, TypeMismatch, children, parse_cts, parse_sequent_members,
-    parse_sequent_reusing, parse_slm, render, signature_table,
+    parse_slm, render, signature_table,
 )
 
 import corpus
@@ -146,6 +146,19 @@ def test_check_derivation_localizes_failure():
     broken = Derivation("or-R", seq("|- or[1](A, B)"), (bad_mid,), Pos("R", 0))
     failure = check_derivation(broken)
     assert failure is not None and failure.path == ()
+
+
+def test_position_past_its_side_is_named(capsys, tmp_path):
+    # an introduction and a substitution, each pointing past side R's end
+    for concl, rule, pos in (("|- neg[1](A)", "neg-R", "R99"),
+                             ("|- (p:~e@0 neg[1](x:e@0))", "neg-Rr", "R1")):
+        reason = f"position {pos} names no member of side R"
+        assert rule_premises(seq(concl), rule, Pos.parse(pos)) == Violation(rule, reason)
+        path = tmp_path / "past.proof"
+        path.write_text("node 1 rule=ax dir=- pos=- concl=A |- A premises=-\n"
+                        f"node 2 rule={rule} dir=down pos={pos} concl={concl} premises=1\n")
+        assert main(["check-proof", str(path)]) == 1
+        assert capsys.readouterr().out == f"at root: {rule}: {reason}\n"
 
 
 def test_prove_axiom_and_unprovable():
@@ -397,88 +410,70 @@ def test_derivation_file_duplicate_node_id():
     assert repr(second) in str(info.value)
 
 
-def outcome(parse, *args):
-    try:
-        return parse(*args)
-    except CttError as ex:
-        return type(ex).__name__, str(ex)
-
-
-def file_outcome(text):
-    """What `parse_derivation_file` reads: each node's rule, position and
-    (interned) conclusion, premises first, or the error it raises."""
-    d = outcome(parse_derivation_file, text)
-    if isinstance(d, tuple):
-        return d
-    return [(n.rule, n.pos, n.direction, n.conclusion) for n in d.nodes()]
-
-
-def assert_reuse_reads_line_by_line(texts, monkeypatch):
-    """Member reuse gives what parsing each line on its own gives: the same
-    interned members, or the same error; over whole files too."""
-    seen = {}
-    for text in texts:
-        assert outcome(parse_sequent_reusing, text, seen) == \
-            outcome(parse_sequent_members, text), text
-    files = ["".join(f"node {i} rule=ax dir=- pos=- concl={t} premises=-\n"
-                     for i, t in enumerate(texts, 1))]
-    files += [t for t in texts if t.startswith("node ")]
-    reused = [file_outcome(f) for f in files]
-    with monkeypatch.context() as m:
-        m.setattr(sequents, "parse_sequent_reusing",
-                  lambda text, seen: parse_sequent_members(text))
-        assert reused == [file_outcome(f) for f in files]
-
-
-def concl_texts(file_text):
-    return [line.split(" concl=", 1)[1].rsplit(" premises=", 1)[0]
-            for line in file_text.splitlines() if " concl=" in line]
-
-
 README_BLOCK = (pathlib.Path(__file__).parents[1] / "README.md").read_text() \
     .split("## Derivation files", 1)[1].split("```\n")[1]
 
 
-def test_member_reuse_reads_prover_files_line_by_line(monkeypatch):
-    for goal in random_goals():
-        d = prove(goal, depth=12)
-        if d is not None:
-            text = render_derivation_file(d)
-            assert_reuse_reads_line_by_line(concl_texts(text) + [text], monkeypatch)
-    assert_reuse_reads_line_by_line(concl_texts(README_BLOCK) + [README_BLOCK],
-                                    monkeypatch)
+# odd conclusions for one-line files, each read line by line
+SEQUENT_TEXTS = [
+    # unannotated names, defaulting to bot@0
+    "A, and[1](A,B) |- B", "and[1](A, B) |- or[1](B,A)", "|- or[1](A,neg[1](A))",
+    # an annotation on one member sets what a bare name reads in the next
+    "A:bot@1 |- A", "A |- A", "A:e@0, A |- A", "(p:~e@0 A:e@0), (p A) |- A",
+    "(p:~e@0 a:e@0) |- (p a)", "(p a) |- A",
+    # conflicts across members, bare or annotated
+    "A |- A:e@0", "A |- A:bot@1", "and[1](A,B) |- and[1](A:bot@1,B)",
+    "A:bot@0 |- A:bot@1", "A:bot@1, A:bot@0 |- B:bot@0",
+    "and[1](A:bot@1,B:bot@1) |- A:bot@1, neg[1](A:bot@0)",
+    # members that parse on their own but are no sequent members
+    "x:e@0 |- A:bot@0", "A:bot@0 |- (p:~e@0 x:e@0), x:e@0",
+    # spacing
+    "A,B|-C", "  A ,  B |-C ", "|- A", "A |-", "|-", "and[1](A,B)|-and[1]( B , A )",
+    "and[1]( A ,B ), A|- neg[1] (A)",
+    # separators in odd places and bad characters
+    "A, |- B", "A |- B,", ", A |- B", "A, , B |- C", "A |- |- B", "A B |- C",
+    "A ||- B", "A |-- B", "A |> B", "A |- B$", "A % B |- C", "A |- B # note",
+    "A:bot@0 # note, B:bot@0 |- C:bot@0", "A:bot@0 |- B:bot@0 # note, C:bot@0",
+    "A |- B)", "(A |- B", "A |- and[1](A", "and[1](A,B |- C)", "A |- B]",
+    "and[1,2](A) |- A", "{A} |- A", "A |- (A", "A:bot@ |- A", "A:bot@0:e |- A",
+]
 
 
-def test_member_reuse_falls_back_where_a_member_reads_differently(monkeypatch):
-    assert_reuse_reads_line_by_line([
-        # unannotated names, defaulting to bot@0
-        "A, and[1](A,B) |- B", "and[1](A, B) |- or[1](B,A)", "|- or[1](A,neg[1](A))",
-        # an annotation on one member sets what a bare name reads in the next
-        "A:bot@1 |- A", "A |- A", "A:e@0, A |- A", "(p:~e@0 A:e@0), (p A) |- A",
-        "(p:~e@0 a:e@0) |- (p a)", "(p a) |- A",
-        # conflicts across members, bare or annotated
-        "A |- A:e@0", "A |- A:bot@1", "and[1](A,B) |- and[1](A:bot@1,B)",
-        "A:bot@0 |- A:bot@1", "A:bot@1, A:bot@0 |- B:bot@0",
-        "and[1](A:bot@1,B:bot@1) |- A:bot@1, neg[1](A:bot@0)",
-        # members that parse on their own but are no sequent members
-        "x:e@0 |- A:bot@0", "A:bot@0 |- (p:~e@0 x:e@0), x:e@0",
-        # spacing
-        "A,B|-C", "  A ,  B |-C ", "|- A", "A |-", "|-", "and[1](A,B)|-and[1]( B , A )",
-        "and[1]( A ,B ), A|- neg[1] (A)",
-        # separators in odd places and bad characters
-        "A, |- B", "A |- B,", ", A |- B", "A, , B |- C", "A |- |- B", "A B |- C",
-        "A ||- B", "A |-- B", "A |> B", "A |- B$", "A % B |- C", "A |- B # note",
-        "A:bot@0 # note, B:bot@0 |- C:bot@0", "A:bot@0 |- B:bot@0 # note, C:bot@0",
-        "A |- B)", "(A |- B", "A |- and[1](A", "and[1](A,B |- C)", "A |- B]",
-        "and[1,2](A) |- A", "{A} |- A", "A |- (A", "A:bot@ |- A", "A:bot@0:e |- A",
-    ], monkeypatch)
+def conclusion_error(text):
+    """The error `parse_sequent_members` raises on the first conclusion of
+    `text` that does not parse, when every line before it is a node line
+    with all its fields; else None."""
+    for _, line in sequents._file_lines(text):
+        try:
+            concl = sequents._node_fields(line)[4]
+        except ValueError:
+            return None
+        try:
+            parse_sequent_members(concl)
+        except CttError as ex:
+            return str(ex)
+    return None
 
 
-def test_member_reuse_reads_cut_files_line_by_line(monkeypatch):
-    cuts = [README_BLOCK[:n] for n in range(0, len(README_BLOCK) + 1, 7)]
-    assert_reuse_reads_line_by_line(cuts, monkeypatch)
-    for cut in cuts:
-        assert_reuse_reads_line_by_line(concl_texts(cut), monkeypatch)
+def test_check_proof_reports_conclusions_that_do_not_parse(capsys, tmp_path):
+    """check-proof on each odd sequent text as the conclusion of a one-line
+    `ax` file, and on the README's derivation cut every 7 characters:
+    exit 0, 1 or 2 and no exception, and exit 2 with the parser's error
+    where a conclusion does not parse."""
+    files = [f"node 1 rule=ax dir=- pos=- concl={t} premises=-\n" for t in SEQUENT_TEXTS]
+    files += [README_BLOCK[:n] for n in range(0, len(README_BLOCK) + 1, 7)]
+    path = tmp_path / "case.proof"
+    errors = 0
+    for text in files:
+        path.write_text(text)
+        code = main(["check-proof", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), text
+        error = conclusion_error(text)
+        if error is not None:
+            assert code == 2 and error in err, text
+            errors += 1
+    assert errors > 20
 
 
 def chain_goal(n):
@@ -501,22 +496,6 @@ def test_prove_takes_a_chain_apart_once():
     elapsed = time.perf_counter() - start
     assert size(d) == 3 * 100 - 2 and check_derivation(d) is None
     assert elapsed < 0.5
-
-
-def test_derivation_file_tokenizes_each_distinct_member_once(monkeypatch):
-    d = prove(chain_goal(100), depth=100000)
-    text = render_derivation_file(d)
-    members = {render(m) for n in d.nodes()
-               for m in n.conclusion.ante | n.conclusion.succ}
-    tokenized = []
-    real = syntax.tokenize
-    monkeypatch.setattr(syntax, "tokenize",
-                        lambda text, *rest: tokenized.append(text) or real(text, *rest))
-    back = parse_derivation_file(text)
-    assert back.conclusion is d.conclusion
-    # one parse for each of the 298 distinct members, where a read line by
-    # line tokenizes the 298 whole conclusions, 25,048 member occurrences
-    assert sorted(tokenized) == sorted(members) and len(members) == 298
 
 
 def test_sides_are_sorted_once_and_stay_private():
@@ -569,9 +548,8 @@ def test_top_down_read_tokenizes_only_the_root_line(monkeypatch):
     monkeypatch.setattr(sequents, "check_sequent_member",
                         lambda m: checks.append(m) or real_check(m))
     assert check_derivation_file(text) == (d.conclusion, 298, None)
-    # the root's two chains, where the line-by-line read tokenizes the 298
-    # distinct members (test_derivation_file_tokenizes_each_distinct_member_once)
-    assert sorted(tokenized) == sorted(render(m) for m in d.conclusion.ante | d.conclusion.succ)
+    # the root line alone, where the line-by-line read tokenizes all 298
+    assert tokenized == [render_sequent(d.conclusion)]
     # each member a premise adds is checked once: at most two per sequent
     sequents_read = {n.conclusion for n in d.nodes()}
     assert len(checks) <= 2 * len(sequents_read) and len(sequents_read) == 298
@@ -747,7 +725,7 @@ def test_rendered_sequents_read_back(ante, succ, rng):
     except CttError:
         names = None
     assume(names is not None)
-    assert Sequent.make(*parse_sequent_reusing(render_sequent(s), {})) is s
+    assert Sequent.make(*parse_sequent_members(render_sequent(s))) is s
 
 
 def strict_line_outcome(capsys, tmp_path, text):
