@@ -5,9 +5,10 @@ Equality rules are checked as semantic equations under random rank-0
 assignments (the mu rule adds its exhaustive truth-context cases); sequent
 rules as validity preservation between premises and conclusion. The `ms`
 column sums the rule's per-trial durations, so slow rules show. Then one
-line per bounded table of `ctt.domains` and `ctt.semantics` gives its
-hits, misses and size (entries out of the bound), so the share of repeated
-operations shows.
+line per table of `ctt.domains` and `ctt.semantics` gives its hits,
+misses and size (entries out of the bound, or "kept on elements" for
+`render_elem` and `canonical_key`, whose results live on the elements), so
+the share of repeated operations shows.
 Exits 0 when every trial passes, 1 on a failure, 2 on a usage error (a
 negative `--trials`) or when stdout closes early (`| head`). Usage:
 
@@ -47,8 +48,9 @@ def main():
               f"{ms:9.1f}")
     print(f"total failures: {failures}  ({time.time() - t0:.1f}s)")
     for name, info in domains.table_stats() + semantics.table_stats():
-        print(f"table {name:14s} hits {info.hits:8d} misses {info.misses:7d} "
-              f"size {info.currsize}/{info.maxsize}")
+        size = ("kept on elements" if info.maxsize is None
+                else f"{info.currsize}/{info.maxsize}")
+        print(f"table {name:14s} hits {info.hits:8d} misses {info.misses:7d} size {size}")
     return 1 if failures else 0
 
 

@@ -49,7 +49,15 @@ class RankOverflow(CttError):
 # Every element class is hash-consed (syntax.Interned): equal elements are
 # the same object, so dict lookups, dedup and `==` never walk a subtree.
 
-class TruthVal(Interned):
+class _Elem(Interned):
+    """An element. `render_elem` fills `_text` and `canonical_key` fills
+    `_key` on first request, so each lives exactly as long as its element;
+    neither is filled eagerly (a `~~~~e` table's text is about 2.4 KB)."""
+
+    __slots__ = ("_text", "_key")
+
+
+class TruthVal(_Elem):
     __slots__ = __match_args__ = ("value",)  # 0 or 1
     ty = BOT
     k = 0  # every element's rank is its `k`
@@ -59,14 +67,14 @@ class TruthVal(Interned):
             raise CttError("truth values are 0 and 1")
 
 
-class Individual(Interned):
+class Individual(_Elem):
     """A named rank-0 member; symbolic when the type is not a base type."""
 
     __slots__ = __match_args__ = ("ty", "name")
     k = 0
 
 
-class FnTable(Interned):
+class FnTable(_Elem):
     __match_args__ = ("dom", "cod", "entries")  # entries: ((Atom, Atom), ...)
     __slots__ = (*__match_args__, "ty")
     k = 0
@@ -116,7 +124,7 @@ class FnTable(Interned):
         return None
 
 
-class AtomicApp(Interned):
+class AtomicApp(_Elem):
     """Symbolic application of rank-0 atoms (kept when no table applies)."""
 
     __match_args__ = ("fun", "arg")
@@ -146,15 +154,15 @@ def fn_table(dom: TypeExpr, cod: TypeExpr, mapping: dict) -> FnTable:
 # ---------------------------------------------------------------------------
 # ranked elements
 
-class NegE(Interned):
+class NegE(_Elem):
     __slots__ = __match_args__ = ("k", "ty", "child")
 
 
-class MeetE(Interned):
+class MeetE(_Elem):
     __slots__ = __match_args__ = ("k", "ty", "children")  # () = top at rank k
 
 
-class JoinE(Interned):
+class JoinE(_Elem):
     __slots__ = __match_args__ = ("k", "ty", "children")  # () = bottom at rank k
 
 
@@ -170,12 +178,12 @@ CanonElem = Union[Atom, NegE, MeetE, JoinE]
 # is bounded, so memory does not grow with how long the process has run,
 # and an operation that raises stores nothing. The sizes sit above the
 # working sets of the perfbench workloads: rule-harness's 1,344 measured
-# ops leave about 1,100 applications, 3,500 lattice nodes and 1,400 keys,
-# iso-sweep's 16,000 leave 16,060 renderings and 24 child images.
+# ops leave about 1,100 applications and 3,500 lattice nodes, iso-sweep's
+# 16,000 leave 24 child images. An element's text and canonical key are
+# not tabled: each is kept on the element (`_Elem`) and lives exactly as
+# long as it does.
 APPLY_TABLE_SIZE = 4096
 LATTICE_TABLE_SIZE = 4096
-RENDER_TABLE_SIZE = 32768
-KEY_TABLE_SIZE = 4096
 ISO_TABLE_SIZE = 4096
 
 TableInfo = namedtuple("TableInfo", "hits misses maxsize currsize")
@@ -212,8 +220,43 @@ class _BoundedTable(OrderedDict):
         return TableInfo(self.hits, self.misses, self.maxsize, len(self))
 
 
-@lru_cache(maxsize=RENDER_TABLE_SIZE)
+class _Tally:
+    """Hits and misses of a function that keeps its result on its argument;
+    `cache_info()` reads like an `lru_cache`'s, with no bound and no
+    entries, and `cache_clear()` resets the counts."""
+
+    __slots__ = ("hits", "misses")
+
+    def __init__(self):
+        self.hits = self.misses = 0
+
+    def cache_info(self) -> TableInfo:
+        return TableInfo(self.hits, self.misses, None, 0)
+
+    def cache_clear(self):
+        self.hits = self.misses = 0
+
+
+_RENDERS, _KEYS = _Tally(), _Tally()
+
+
 def render_elem(e: CanonElem) -> str:
+    """The text of `e`, made on first request and kept in its `_text`."""
+    try:
+        text = e._text
+    except AttributeError:
+        _RENDERS.misses += 1
+        text = _text_of(e)
+        object.__setattr__(e, "_text", text)
+        return text
+    _RENDERS.hits += 1
+    return text
+
+
+render_elem.cache_info, render_elem.cache_clear = _RENDERS.cache_info, _RENDERS.cache_clear
+
+
+def _text_of(e: CanonElem) -> str:
     match e:
         case TruthVal(v):
             return str(v)
@@ -467,15 +510,31 @@ def ba_leq(x: CanonElem, y: CanonElem) -> bool:
     return canonical_key(make_meet(k, x.ty, [x, y])) == canonical_key(x)
 
 
-@lru_cache(maxsize=KEY_TABLE_SIZE)
 def canonical_key(e: CanonElem):
     """A value equal for two elements exactly when they are the same
-    element of the nested free Boolean algebra (ba_equal, ba_leq).
+    element of the nested free Boolean algebra (ba_equal, ba_leq), made on
+    first request and kept in `e`'s `_key`; a key that raises keeps
+    nothing.
 
     Inessential generators are projected away; a function that is a bare
     projection keys as its generator (domains are cumulative), a constant
     keys by rank and polarity.
     """
+    try:
+        key = e._key
+    except AttributeError:
+        _KEYS.misses += 1
+        key = _key_of(e)
+        object.__setattr__(e, "_key", key)
+        return key
+    _KEYS.hits += 1
+    return key
+
+
+canonical_key.cache_info, canonical_key.cache_clear = _KEYS.cache_info, _KEYS.cache_clear
+
+
+def _key_of(e: CanonElem):
     match e:
         case TruthVal(v):
             return ("tv", v)
@@ -805,7 +864,10 @@ _TABLES = (("apply_elem", apply_elem), ("lattice", _make_lattice),
 
 
 def table_stats() -> list:
-    """(name, `cache_info()`) of every bounded table of this module."""
+    """(name, `cache_info()`) of every computed table of this module, and
+    of `render_elem` and `canonical_key`, which keep their results on the
+    elements: their rows count hits and misses, with `maxsize` None and
+    `currsize` 0."""
     return [(name, table.cache_info()) for name, table in _TABLES]
 
 

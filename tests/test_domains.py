@@ -135,14 +135,12 @@ def test_bulk_build_reuses_a_live_table():
 def test_bulk_build_leaves_no_entry_behind():
     model = ModelConfig(base_sizes={"e": 1}, rank_cap=2)
     domains._carrier.cache_clear()
-    render_elem.cache_clear()  # it keeps the sorted keys of a carrier alive
     gc.collect()
     live = len(syntax._INTERNED)
     tables = enumerate_domain(model, N4, 0)
     assert len(syntax._INTERNED) >= live + len(tables)
     del tables
     domains._carrier.cache_clear()
-    render_elem.cache_clear()
     gc.collect()
     assert len(syntax._INTERNED) == live
 
@@ -469,8 +467,74 @@ def test_canonical_key_at_the_generator_cap_is_fast():
 
 def test_canonical_key_cap_is_checked():
     atoms = [Individual(E, f"g{i}") for i in range(MAX_GENERATORS + 1)]
+    node = make_join(1, E, atoms)
     with pytest.raises(CapExceeded):
-        canonical_key(make_join(1, E, atoms))
+        canonical_key(node)
+    # a key that raises keeps nothing: the second call computes it again
+    misses = canonical_key.cache_info().misses
+    with pytest.raises(CapExceeded):
+        canonical_key(node)
+    assert canonical_key.cache_info().misses == misses + 1
+
+
+def reference_render(e):
+    """render_elem from the element syntax, recursing on every call."""
+    match e:
+        case TruthVal(v):
+            return str(v)
+        case Individual(_, name):
+            return name
+        case FnTable(_, _, entries):
+            return "table{" + ",".join(f"{reference_render(k)}->{reference_render(v)}"
+                                       for k, v in entries) + "}"
+        case AtomicApp(fun, arg):
+            return f"({reference_render(fun)} {reference_render(arg)})"
+        case NegE(k, _, child):
+            return f"neg[{k}]({reference_render(child)})"
+        case MeetE(k, _, children) | JoinE(k, _, children):
+            op = "and" if isinstance(e, MeetE) else "or"
+            return f"{op}[{k}](" + ",".join(map(reference_render, children)) + ")"
+    raise AssertionError(f"not an element: {e!r}")
+
+
+def _render_and_key_corpus():
+    """Every element of small carriers, generated ranked elements, and iso
+    inputs with their outputs."""
+    m1 = ModelConfig(base_sizes={"e": 1}, rank_cap=2)
+    m22 = ModelConfig(base_sizes={"e": 2, "t": 2})
+    elems = []
+    for model, ty, rank in [(m1, E, 1), (m1, BOT, 1), (m1, neg_type(E), 1),
+                            (m1, neg_type(neg_type(E)), 0), (m22, E, 1), (m22, T, 1),
+                            (m22, Arrow(E, T), 0), (m22, neg_type(neg_type(E)), 0)]:
+        elems += enumerate_domain(model, ty, 0)
+        if rank:
+            elems += enumerate_domain(model, ty, 1)
+    p = Individual(Arrow(E, T), "p")
+    elems += [p, AtomicApp(p, Individual(E, "a"))]
+    m3 = ModelConfig(base_sizes={"e": 3})
+    rng = gen.make_rng(17)
+    for ty in (E, BOT, neg_type(E)):
+        elems += [corpus.random_canon_elem(rng, m3, ty, max_rank=3, depth=3)
+                  for _ in range(300)]
+    inputs = random.Random(19).sample(enumerate_domain(m1, N4, 0), 200)
+    elems += inputs + [iso_iterate(N4, f, m1) for f in inputs]
+    elems += [iso_i(f, m1) for f in inputs[:50]]
+    return elems
+
+
+def test_render_and_key_match_the_references_on_every_call():
+    elems = _render_and_key_corpus()
+    kinds = {type(e) for e in elems}
+    assert kinds == {TruthVal, Individual, FnTable, AtomicApp, NegE, MeetE, JoinE}
+    for e in elems:
+        text, key = render_elem(e), canonical_key(e)
+        assert text == reference_render(e)
+        assert key == reference_canonical_key(e), text
+        # the second call answers from what the first kept, and counts a hit
+        renders, keys = render_elem.cache_info().hits, canonical_key.cache_info().hits
+        assert render_elem(e) is text and canonical_key(e) is key
+        assert render_elem.cache_info().hits == renders + 1
+        assert canonical_key.cache_info().hits == keys + 1
 
 
 # --- application ------------------------------------------------------------
@@ -585,14 +649,15 @@ def test_tables_stay_within_their_bounds_over_a_harness_sweep():
     assert [(name, info.maxsize) for name, info in domains.table_stats()] == [
         ("apply_elem", domains.APPLY_TABLE_SIZE),
         ("lattice", domains.LATTICE_TABLE_SIZE),
-        ("render_elem", domains.RENDER_TABLE_SIZE),
-        ("canonical_key", domains.KEY_TABLE_SIZE),
+        ("render_elem", None),
+        ("canonical_key", None),
         ("iso", domains.ISO_TABLE_SIZE)]
     for name, info in domains.table_stats():
         # the harness maps only rank-0 tables, whose images the isomorphism
         # does not keep; the iso row's hits are checked by the memory test
         assert info.hits > 0 or name == "iso", name
-        assert info.currsize <= info.maxsize, name
+        # texts and keys are kept on the elements, not in a table
+        assert info.currsize <= (info.maxsize or 0), name
 
 
 def test_the_isomorphism_bypasses_the_lattice_table():
@@ -607,17 +672,27 @@ def test_the_isomorphism_bypasses_the_lattice_table():
     assert all(o is iso_iterate(n4, f, alone) for o, f in zip(outs, inputs))
 
 
-def test_render_and_key_tables_are_bounded():
+def test_render_and_key_live_as_long_as_their_element():
     f = Individual(Arrow(E, BOT), "f")
-    elems = [AtomicApp(f, Individual(E, f"x{i}"))
-             for i in range(domains.RENDER_TABLE_SIZE + 50)]
-    first = [render_elem(e) for e in elems]
-    assert render_elem.cache_info().currsize <= domains.RENDER_TABLE_SIZE
-    assert first[:3] == ["(f x0)", "(f x1)", "(f x2)"]
-    assert [render_elem(e) for e in elems[:100]] == first[:100]  # evicted, re-rendered
-    keys = [canonical_key(e) for e in elems[:domains.KEY_TABLE_SIZE + 50]]
-    assert canonical_key.cache_info().currsize <= domains.KEY_TABLE_SIZE
-    assert [canonical_key(e) for e in elems[:100]] == keys[:100]
+    gc.collect()
+    live = len(syntax._INTERNED)
+    elems = [AtomicApp(f, Individual(E, f"x{i}")) for i in range(5000)]
+    texts = [render_elem(e) for e in elems]
+    keys = [canonical_key(e) for e in elems]
+    assert texts[:3] == ["(f x0)", "(f x1)", "(f x2)"]
+    assert keys[0] == ("app", canonical_key(f), ("ind", "e", "x0"))
+    assert render_elem.cache_info()[2:] == canonical_key.cache_info()[2:] == (None, 0)
+    # built again, an element is rendered and keyed again, to the same values
+    refs = [weakref.ref(e) for e in elems]
+    del elems
+    gc.collect()
+    assert not any(ref() for ref in refs)
+    assert len(syntax._INTERNED) == live
+    again = [AtomicApp(f, Individual(E, f"x{i}")) for i in range(5000)]
+    misses = render_elem.cache_info().misses
+    assert [render_elem(e) for e in again] == texts
+    assert render_elem.cache_info().misses == misses + 2 * len(again)  # app and arg
+    assert [canonical_key(e) for e in again] == keys
 
 
 def test_bounded_table_evicts_the_least_recently_used_entry():
@@ -1021,25 +1096,22 @@ def test_iso_keeps_no_image_of_a_one_off_input():
     model = ModelConfig(base_sizes={"e": 1}, rank_cap=2)
     n4 = neg_type(neg_type(neg_type(neg_type(E))))
     inputs = random.Random(43).sample(enumerate_domain(model, n4, 0), 4000)
-    render_elem.cache_clear()
-    canonical_key.cache_clear()
+    # the first 1,000 inputs leave every child image the sweep needs
+    warm = [iso_iterate(n4, f, model) for f in inputs[:1000]]
+    del warm
     gc.collect()
     live = len(syntax._INTERNED)
+    entries = len(domains._ISO_ATOM_CACHE)
     hits = domains._ISO_ATOM_CACHE.cache_info().hits
-    outs, entries = [], []
-    for i, f in enumerate(inputs):
-        outs.append(iso_iterate(n4, f, model))
-        if i + 1 in (1000, 4000):
-            entries.append(len(domains._ISO_ATOM_CACHE))
-    assert entries[0] == entries[1] <= domains.ISO_TABLE_SIZE
+    outs = [iso_iterate(n4, f, model) for f in inputs]
+    assert len(domains._ISO_ATOM_CACHE) == entries <= domains.ISO_TABLE_SIZE
     # every second step maps a rank-1 node whose children were mapped before
     assert domains._ISO_ATOM_CACHE.cache_info().hits - hits > len(inputs)
-    assert len({render_elem(o) for o in outs}) == len(inputs)
+    assert len({render_elem(o) for o in outs}) == len({canonical_key(o) for o in outs}) \
+        == len(inputs)
     del outs
-    render_elem.cache_clear()
-    canonical_key.cache_clear()
     gc.collect()
-    assert len(syntax._INTERNED) <= live + 100
+    assert len(syntax._INTERNED) == live
 
 
 def test_iso_failures_are_not_memoized(m3):

@@ -10,10 +10,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ctt import gen, sequents, syntax
 from ctt.cli import main
-from ctt.domains import ModelConfig, ba_equal
+from ctt.domains import CapExceeded, ModelConfig, ba_equal
 from ctt.rewrite import NormalStatus, normalize
 from ctt.semantics import (
-    cts_harness_model, eval_cts, sequent_valid,
+    MAX_ASSIGNMENTS, _assignment_space, cts_harness_model, eval_cts, sequent_valid,
     standard_model_family,
 )
 from ctt.sequents import (
@@ -337,6 +337,45 @@ def test_substitution_instances_are_denotational_equalities():
         for rho in assignments:
             assert ba_equal(eval_cts(member_in, model, rho),
                             eval_cts(member_out, model, rho))
+
+
+def generated_goals(n, seed=5):
+    """`n` goals of 0-2 antecedent and 1-2 succedent gen.cts_member
+    subterms at depth 2, all of one rank, 1 or 2, per goal."""
+    rng = random.Random(seed)
+    goals = []
+    for _ in range(n):
+        sig, k = {}, rng.choice((1, 2))
+        ante = [gen.cts_member(rng, sig, k, depth=2) for _ in range(rng.randint(0, 2))]
+        succ = [gen.cts_member(rng, sig, k, depth=2) for _ in range(rng.randint(1, 2))]
+        goals.append(Sequent.make(ante, succ))
+    return goals
+
+
+def test_prove_agrees_with_the_validity_sweep_on_generated_goals():
+    # A goal is sized first and skipped when some model's assignment space
+    # exceeds the cap. The stream stops at 140 goals: its goal 140 is an
+    # invalid goal under the cap on which the search, which has no budget,
+    # runs for minutes before it gives up.
+    family = standard_model_family()
+    outcomes = {"over": 0, True: 0, False: 0}
+    for goal in generated_goals(140):
+        members = [*goal.ante, *goal.succ]
+        try:
+            for model in family:
+                _assignment_space(members, model, MAX_ASSIGNMENTS)
+        except CapExceeded:
+            outcomes["over"] += 1
+            continue
+        valid = sequent_valid(list(goal.ante), list(goal.succ), family).valid
+        d = prove(goal, depth=30)
+        outcomes[valid] += 1
+        if valid:
+            assert d is not None and d.conclusion == goal, render_sequent(goal)
+            assert check_derivation(d) is None
+        else:
+            assert d is None, render_sequent(goal)
+    assert min(outcomes.values()) >= 10, outcomes
 
 
 def test_accepted_derivations_are_valid_on_models():
