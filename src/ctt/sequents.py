@@ -137,6 +137,7 @@ OPS = ("neg", "and", "or", "all", "ex")
 INTRO_RULES = tuple(f"{op}-{s}" for op in OPS for s in "LR")
 SUBST_RULES = tuple(f"{op}-{s}{f}" for op in OPS for s in "LR" for f in "rl")
 ALL_RULES = ("ax",) + INTRO_RULES + SUBST_RULES
+_INTRO, _SUBST = frozenset(INTRO_RULES), frozenset(SUBST_RULES)  # for `in`
 
 
 @dataclass
@@ -277,7 +278,7 @@ def rule_premises(seq: Sequent, rule: str, pos: Optional[Pos],
             return Violation(rule, "no member shared between the two sides")
         return []
 
-    if rule in SUBST_RULES:
+    if rule in _SUBST:
         op, flavor = rule.rsplit("-", 1)  # flavor: L/R, then r (argument) / l (functor)
         if pos is None or pos.side != flavor[0]:
             return Violation(rule, f"position must be on side {flavor[0]}")
@@ -295,7 +296,7 @@ def rule_premises(seq: Sequent, rule: str, pos: Optional[Pos],
                 return Violation(rule, clash)
         return [premise]
 
-    if rule not in INTRO_RULES:
+    if rule not in _INTRO:
         return Violation(rule, f"unknown rule {rule!r}")
     op, side = rule.rsplit("-", 1)
     if pos is None or pos.side != side or pos.path:
@@ -358,7 +359,7 @@ def _check_rule(conclusion, premises, rule, pos, direction, model):
         seq.check()
 
     eigen = None
-    if rule in SUBST_RULES:
+    if rule in _SUBST:
         if direction not in ("down", "up"):
             return Violation(rule, "substitution rules need direction down or up")
         if len(premises) != 1:
@@ -571,43 +572,55 @@ def render_derivation_file(d: Derivation) -> str:
 
 
 def parse_derivation_file(text: str) -> Derivation:
-    """Read what `render_derivation_file` writes; a malformed line raises
-    CttError naming the line. Each node's conclusion is parsed whole
-    (`parse_sequent_members`)."""
+    """Read what `render_derivation_file` writes, line by line: each node's
+    conclusion is parsed whole (`parse_sequent_members`). A malformed line
+    raises CttError naming the first such line in the file."""
+    lines, root_id = _node_lines(text, parse=True)
     nodes: dict[int, Derivation] = {}
+    for nid, (rule, direction, pos, concl, premise_ids) in lines.items():
+        nodes[nid] = Derivation(rule, concl, tuple(nodes[p] for p in premise_ids),
+                                pos, direction)
+    return nodes[_root(lines, root_id)]
+
+
+def _node_lines(text: str, parse: bool = False) -> tuple[dict[int, tuple], Optional[int]]:
+    """The node lines of `text` by id, in file order, as (rule, dir, pos,
+    concl, premise ids), and the root line's id, None without one. `concl`
+    is the conclusion's text, or with `parse` the sequent it reads as.
+    Blank lines and comments are skipped. The first line that does not
+    read raises CttError naming it; a premise must name an earlier line."""
+    lines: dict[int, tuple] = {}
     root_id = None
-    for raw, line in _file_lines(text):
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
         try:
             if line.startswith("root "):
                 if root_id is not None:
                     raise ValueError("a second root line")
                 root_id = _root_id(line)
-            elif line.startswith("node "):
-                nid, node = _parse_node(_node_fields(line), nodes)
-                if nid in nodes:
-                    raise ValueError(f"duplicate node id {nid}")
-                nodes[nid] = node
-            else:
+                continue
+            if not line.startswith("node "):
                 raise ValueError("expected a node or root line")
+            nid, rule, direction, pos, concl, premises = _node_fields(line)
+            if parse:
+                concl = parse_sequent_members(concl)
+            premise_ids = [] if premises == "-" else [int(p) for p in premises.split(",")]
+            for p in premise_ids:
+                if p not in lines:
+                    raise ValueError(f"unknown premise {p}")
+            nid = int(nid)
+            if parse:
+                concl = Sequent.make(*concl)
+            pos = None if pos == "-" else Pos.parse(pos)
+            if nid in lines:
+                raise ValueError(f"duplicate node id {nid}")
+            lines[nid] = (rule, None if direction == "-" else direction, pos, concl,
+                          premise_ids)
         except (ValueError, IndexError, CttError) as ex:
             raise CttError(f"bad derivation line {raw!r}: {ex}") from None
-    if root_id is None:
-        referenced = {id(p) for n in nodes.values() for p in n.premises}
-        roots = [n for n in nodes.values() if id(n) not in referenced]
-        if len(roots) != 1:
-            raise CttError("derivation file needs a unique root")
-        return roots[0]
-    if root_id not in nodes:
-        raise CttError(f"root {root_id} names no node")
-    return nodes[root_id]
-
-
-def _file_lines(text: str) -> Iterator[tuple[str, str]]:
-    """Each line that is not blank once its comment is cut: (raw, cut)."""
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield raw, line
+    return lines, root_id
 
 
 def _root_id(line: str) -> int:
@@ -620,127 +633,139 @@ def _root_id(line: str) -> int:
 def _node_fields(line: str) -> tuple[str, str, str, str, str, str]:
     """The texts of a node line's id, rule, dir, pos, concl and premises."""
     nid_text, rest = line[len("node "):].split(" ", 1)
-    fields = {}
-    for key in ("rule", "dir", "pos"):
-        if not rest.startswith(f"{key}="):
-            raise ValueError(f"expected {key}=")
-        fields[key], rest = rest[len(key) + 1:].split(" ", 1)
-    if fields["dir"] not in ("down", "up", "-"):
-        raise ValueError(f"dir must be down, up or -, got {fields['dir']!r}")
+    fields = []
+    for key in ("rule=", "dir=", "pos="):
+        if not rest.startswith(key):
+            raise ValueError(f"expected {key}")
+        field, rest = rest[len(key):].split(" ", 1)
+        fields.append(field)
+    rule, direction, pos = fields
+    if direction not in ("down", "up", "-"):
+        raise ValueError(f"dir must be down, up or -, got {direction!r}")
     if not rest.startswith("concl=") or " premises=" not in rest:
         raise ValueError("expected concl= and premises=")
     concl_text, premises_text = rest[len("concl="):].rsplit(" premises=", 1)
-    return nid_text, fields["rule"], fields["dir"], fields["pos"], concl_text, premises_text
+    return nid_text, rule, direction, pos, concl_text, premises_text
 
 
-def _premise_ids(premises_text: str) -> list[int]:
-    return [] if premises_text == "-" else [int(p) for p in premises_text.split(",")]
+def _root(lines: dict[int, tuple], root_id: Optional[int]) -> int:
+    """The root's id: the root line's, else the one line no line names."""
+    if root_id is None:
+        referenced = {p for line in lines.values() for p in line[4]}
+        roots = [nid for nid in lines if nid not in referenced]
+        if len(roots) != 1:
+            raise CttError("derivation file needs a unique root")
+        return roots[0]
+    if root_id not in lines:
+        raise CttError(f"root {root_id} names no node")
+    return root_id
 
 
-def _parse_node(fields, nodes: dict[int, Derivation]) -> tuple[int, Derivation]:
-    nid_text, rule, direction, pos, concl_text, premises_text = fields
-    ante, succ = parse_sequent_members(concl_text)
-    premise_ids = _premise_ids(premises_text)
-    for p in premise_ids:
-        if p not in nodes:
-            raise ValueError(f"unknown premise {p}")
-    return int(nid_text), Derivation(
-        rule=rule,
-        conclusion=Sequent.make(ante, succ),
-        premises=tuple(nodes[p] for p in premise_ids),
-        pos=None if pos == "-" else Pos.parse(pos),
-        direction=None if direction == "-" else direction,
-    )
+def _read_sequent(text: str) -> tuple[Sequent, Optional[dict]]:
+    """The sequent a conclusion's text reads as, and its names' signatures."""
+    seq = Sequent.make(*parse_sequent_members(text))
+    names: Optional[dict] = {}
+    for m in seq.ante | seq.succ:
+        names = _union(names, signature_table(m))
+    return seq, names
+
+
+def _tree_sizes(lines: dict[int, tuple]) -> dict[int, int]:
+    """The number of derivation nodes under each line, itself included,
+    counting a line once per use, as `Derivation.nodes` does."""
+    sizes: dict[int, int] = {}
+    for nid, line in lines.items():
+        sizes[nid] = 1 + sum(sizes[p] for p in line[4])
+    return sizes
 
 
 def check_derivation_file(text: str, model: Optional[ModelConfig] = None,
                           ) -> tuple[Sequent, int, Optional[DerivationFailure]]:
     """Read and check a derivation file: the root's conclusion, the number
-    of nodes and the first failing node, if any.
+    of nodes and the first failing node, if any. The results and errors are
+    those of `parse_derivation_file` followed by `check_derivation`.
 
-    The file is read top-down first (`_read_top_down`), parsing only the
-    root's conclusion. A file that cannot be read that way is read line by
-    line (`parse_derivation_file`, then `check_derivation`), which gives
-    every error and failure, so the results are those of that read."""
-    read = _read_top_down(text, model)
-    if read is not None:
-        return (*read, None)
-    d = parse_derivation_file(text)
-    return d.conclusion, sum(1 for _ in d.nodes()), check_derivation(d, model)
-
-
-def _read_top_down(text: str, model: Optional[ModelConfig],
-                   ) -> Optional[tuple[Sequent, int]]:
-    """The root's conclusion and the number of nodes of a file whose every
-    node checks, or None where that is not shown this way.
-
-    Only the root's conclusion is parsed. At each node, `rule_premises`
-    gives the premises, and the node's premise lines, which must come
-    before it, are accepted when their conclusions are the renderings of
-    those premises, in order. A rendering reads back as the sequent it
-    renders (`parse_sequent_members`) when its members pass
-    `check_sequent_member` and no name has two signatures, so those are
-    checked for the members a premise adds. Every node line must be
-    reached once. A substitution must read downward, and a big-operator
-    introduction must use the default eigenvariable, which is the one
-    `check_rule_instance` offers for that premise."""
-    lines: dict[int, tuple] = {}  # id -> (index, rule, dir, pos, concl, premise ids)
-    root_id = None
+    The walk starts at the root, whose conclusion is parsed, and visits
+    nodes in `check_derivation`'s order. At each node, `rule_premises`
+    gives the premises, and a premise line whose conclusion is the
+    rendering of the premise at its position is taken as that premise
+    unparsed. A rendering reads back as the sequent it renders when its
+    members pass `check_sequent_member` and no name has two signatures, so
+    those are checked for the members the premise adds. Other premise
+    lines are parsed. A node whose premises were all taken passes, as
+    `check_rule_instance` would pass it, when a substitution reads
+    downward; any other node is checked by `check_rule_instance`. A line
+    met again was checked in full the first time, since premises come
+    before their node and the walk stops at the first failure, so it is
+    not walked again, and its nodes are counted from the lines. Every line
+    the walk did not read is parsed after it. Where anything does not
+    read, `parse_derivation_file` raises the first error in file order."""
     try:
-        for index, (_, line) in enumerate(_file_lines(text)):
-            if line.startswith("root "):
-                if root_id is not None:
-                    return None
-                root_id = _root_id(line)
+        lines, root_id = _node_lines(text)
+        root_id = _root(lines, root_id)
+        # line id -> (its sequent, name -> signature over the members met so far)
+        read = {root_id: _read_sequent(lines[root_id][3])}
+        root = read[root_id][0]
+        walked, sizes, shared, failure = set(), None, 0, None
+        # (line id, read[line id], premise index, the parent's entry)
+        stack = [(root_id, read[root_id], 0, None)]
+        while stack:
+            entry = stack.pop()
+            nid, (seq, names), _, _ = entry
+            if nid in walked:
+                sizes = sizes or _tree_sizes(lines)
+                shared += sizes[nid]
                 continue
-            if not line.startswith("node "):
-                return None
-            nid_text, rule, direction, pos, concl, premises = _node_fields(line)
-            nid = int(nid_text)
-            if nid in lines:
-                return None
-            lines[nid] = (index, rule, direction, None if pos == "-" else Pos.parse(pos),
-                          concl, _premise_ids(premises))
-        root = Sequent.make(*parse_sequent_members(lines[root_id][4]))
-    except (ValueError, IndexError, KeyError, CttError):
-        return None
-    names: Optional[dict] = {}  # name -> signature, over the members met so far
-    for m in root.ante | root.succ:
-        names = _union(names, signature_table(m))
-    if names is None:
-        return None
-    reached = set()
-    stack = [(root_id, root, names)]
-    while stack:
-        nid, seq, names = stack.pop()
-        if nid in reached:
-            return None
-        reached.add(nid)
-        index, rule, direction, pos, _, premise_ids = lines[nid]
-        if rule in SUBST_RULES and direction != "down":
-            return None
-        try:
-            premises = rule_premises(seq, rule, pos, model)
-        except CttError:
-            return None
-        if isinstance(premises, Violation) or len(premises) != len(premise_ids):
-            return None
-        members = seq.ante | seq.succ
-        for pid, premise in zip(premise_ids, premises):
-            line = lines.get(pid)
-            if line is None or line[0] >= index or line[4] != render_sequent(premise):
-                return None
-            added = (premise.ante | premise.succ) - members
-            try:
-                premise.check(added)
-            except CttError:
-                return None
-            more = names
-            for m in added:
-                more = _union(more, signature_table(m))
-            if more is None:
-                return None
-            stack.append((pid, premise, more))
-    if len(reached) != len(lines):
-        return None
-    return root, len(reached)
+            walked.add(nid)
+            rule, direction, pos, _, premise_ids = lines[nid]
+            expected = None
+            if direction == "down" or rule not in _SUBST:
+                try:
+                    expected = rule_premises(seq, rule, pos, model)
+                except CttError:
+                    pass
+                if isinstance(expected, Violation) or \
+                        len(expected or ()) != len(premise_ids):
+                    expected = None
+            taken = expected is not None
+            for i in range(len(premise_ids) - 1, -1, -1):  # premise 0 is walked first
+                pid = premise_ids[i]
+                known = read.get(pid)
+                if known is None:
+                    premise = more = None
+                    if expected is not None and \
+                            lines[pid][3] == render_sequent(expected[i]):
+                        premise = expected[i]
+                        added = (premise.ante - seq.ante) | (premise.succ - seq.succ)
+                        more = names
+                        for m in added:
+                            more = _union(more, signature_table(m))
+                        try:
+                            premise.check(added)
+                        except CttError:
+                            more = None
+                    if more is None:
+                        premise, more = _read_sequent(lines[pid][3])
+                    known = read[pid] = premise, more
+                if taken and known[0] is not expected[i]:
+                    taken = False
+                stack.append((pid, known, i, entry))
+            if not taken:
+                v = check_rule_instance(seq, [read[p][0] for p in premise_ids], rule, pos,
+                                        direction, model)
+                if v is not None:
+                    path = []
+                    while entry[3] is not None:
+                        path.append(entry[2])
+                        entry = entry[3]
+                    failure = DerivationFailure(tuple(reversed(path)), v)
+                    break
+        for nid, line in lines.items():
+            if nid not in read:
+                _read_sequent(line[3])
+    except CttError:
+        parse_derivation_file(text)
+        raise
+    if failure is not None:
+        return root, _tree_sizes(lines)[root_id], failure
+    return root, len(walked) + shared, None

@@ -616,47 +616,43 @@ def _cts_free(s: CtsSubterm) -> Optional[dict[str, tuple[TypeExpr, int]]]:
 
 
 def _free_vars_walk(term: SlmTerm) -> dict[str, TypeExpr]:
+    """`free_vars` as a preorder walk with an explicit stack, which raises
+    at the first name it meets at a second type."""
     out: dict[str, TypeExpr] = {}
-
-    def add(name: str, ty: TypeExpr):
-        if name in out and out[name] != ty:
-            raise TypeMismatch(f"{name} occurs free at both {out[name]} and {ty}")
-        out[name] = ty
-
-    def go(t, bound: frozenset[str]):
+    stack = [(term, frozenset())]
+    while stack:
+        t, bound = stack.pop()
         match t:
             case Var(name, ty):
                 if name not in bound:
-                    add(name, ty)
+                    have = out.setdefault(name, ty)
+                    if have != ty:
+                        raise TypeMismatch(f"{name} occurs free at both {have} and {ty}")
             case Lam(b, _, body) | Mu(b, _, body):
-                go(body, bound | {b})
+                stack.append((body, bound | {b}))
             case App(fun, arg):
-                go(fun, bound)
-                go(arg, bound)
+                stack += (arg, bound), (fun, bound)
             case _:
                 raise CttError(f"unknown node {t!r}")
-
-    go(term, frozenset())
     return out
 
 
 def _signature_walk(sub: CtsSubterm) -> dict[str, tuple[TypeExpr, int]]:
+    """`cts_signature` as a preorder walk with an explicit stack, which
+    raises at the first name it meets at a second signature."""
     out: dict[str, tuple[TypeExpr, int]] = {}
-
-    def go(s: CtsSubterm):
+    stack = [sub]
+    while stack:
+        s = stack.pop()
         match s:
             case CVar(name, ty, rank):
-                if name in out and out[name] != (ty, rank):
-                    raise TypeMismatch(
-                        f"{name} used at {out[name]} and ({ty}, {rank})")
-                out[name] = (ty, rank)
+                have = out.setdefault(name, (ty, rank))
+                if have != (ty, rank):
+                    raise TypeMismatch(f"{name} used at {have} and ({ty}, {rank})")
             case CBigConj() | CBigDisj():
                 pass
             case _Ranked():  # lambda-mu nodes have no ranked variables
-                for c in children(s):
-                    go(c)
-
-    go(sub)
+                stack += reversed(children(s))
     return out
 
 

@@ -8,7 +8,7 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ctt import gen, sequents, syntax
+from ctt import cli, gen, sequents, syntax
 from ctt.cli import main
 from ctt.domains import CapExceeded, ModelConfig, ba_equal
 from ctt.rewrite import NormalStatus, normalize
@@ -482,7 +482,10 @@ def conclusion_error(text):
     """The error `parse_sequent_members` raises on the first conclusion of
     `text` that does not parse, when every line before it is a node line
     with all its fields; else None."""
-    for _, line in sequents._file_lines(text):
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
         try:
             concl = sequents._node_fields(line)[4]
         except ValueError:
@@ -628,7 +631,6 @@ def test_top_down_read_refuses_a_premise_whose_names_clash():
     # the premise renders as text that does not read back, and a
     # line-by-line read refuses it
     model = ModelConfig(base_sizes={"e": 2})
-    assert sequents._read_top_down(CLASH_FILE, model) is None
     with pytest.raises(CttError, match="a already annotated as e@1"):
         check_derivation_file(CLASH_FILE, model)
 
@@ -653,23 +655,105 @@ def test_a_squeeze_that_puts_a_name_at_two_signatures_is_refused():
         goal = seq(CLASH_GOAL.replace("a:e@1", variable))
         d = prove(goal, depth=10, model=model)
         text = render_derivation_file(d)
-        assert sequents._read_top_down(text, model) is not None
         assert check_derivation_file(text, model) == (goal, len(list(d.nodes())), None)
 
 
-def test_top_down_read_gives_up_on_shared_and_unreachable_lines():
+def test_top_down_read_counts_shared_lines_and_reads_unreachable_ones():
     # a premise named twice counts once per use, as the line-by-line read
     # counts it
     ax = "rule=ax dir=- pos=- concl=A:bot@0 |- A:bot@0 premises=-"
     and_r = "rule=and-R dir=- pos=R0 concl=A:bot@0 |- and[1](A:bot@0,A)"
     shared = f"node 1 {ax}\nnode 2 {and_r} premises=1,1\nroot 2\n"
-    assert sequents._read_top_down(shared, None) is None
     assert check_derivation_file(shared) == (seq("A |- and[1](A, A)"), 3, None)
     # a line no node reaches is still read
     unreachable = README_BLOCK + "node 9 rule=ax dir=- pos=- concl=A |- |- A premises=-\n"
-    assert sequents._read_top_down(unreachable, None) is None
     with pytest.raises(CttError, match="bad derivation line 'node 9"):
         check_derivation_file(unreachable)
+
+
+def shared_premise_file(n):
+    """The file of a derivation of A |- A, F_0, ..., F_{n-1}, where F_k is
+    and[1](or[1](b_k,c_k),or[1](c_k,b_k)): and-R takes F_k apart, or-R
+    each branch, and both branches reach one sequent, whose line the two
+    name. The file has 3n + 2 lines; the tree has 2^(n+2) - 3 nodes."""
+    forms = [seq(f"|- and[1](or[1](b{k},c{k}),or[1](c{k},b{k}))").side("R")[0]
+             for k in range(n)]
+    goal = Sequent.make([A], [A] + forms)
+    lines, nid = [], 1
+    steps = []  # (the and-R conclusion, its position, the or-R rule applications)
+    for form in forms:
+        pos = Pos("R", goal.side("R").index(form))
+        branches = []
+        for branch in rule_premises(goal, "and-R", pos):
+            bpos = Pos("R", next(i for i, m in enumerate(branch.side("R"))
+                                 if m not in goal.side("R")))
+            (goal_next,) = rule_premises(branch, "or-R", bpos)
+            branches.append((branch, bpos))
+        steps.append((goal, pos, branches))
+        goal = goal_next
+    lines.append(f"node 1 rule=ax dir=- pos=- concl={render_sequent(goal)} premises=-")
+    below = 1
+    for concl, pos, branches in reversed(steps):
+        ids = []
+        for branch, bpos in branches:
+            nid += 1
+            lines.append(f"node {nid} rule=or-R dir=- pos={bpos} "
+                         f"concl={render_sequent(branch)} premises={below}")
+            ids.append(nid)
+        nid += 1
+        lines.append(f"node {nid} rule=and-R dir=- pos={pos} concl={render_sequent(concl)} "
+                     f"premises={ids[0]},{ids[1]}")
+        below = nid
+    return "\n".join(lines + [f"root {nid}"]) + "\n"
+
+
+def test_a_line_shared_by_two_nodes_is_checked_once(capsys, tmp_path):
+    # 92 lines, whose tree a line-by-line read walks once per path
+    text = shared_premise_file(30)
+    assert len(text.splitlines()) == 92
+    assert check_derivation_file(shared_premise_file(3)) == \
+        reference_check_derivation_file(shared_premise_file(3))
+    path = tmp_path / "shared.proof"
+    path.write_text(text)
+    start = time.perf_counter()
+    code = main(["check-proof", str(path)])
+    elapsed = time.perf_counter() - start
+    assert (code, capsys.readouterr().err) == (0, "nodes: 4294967293\n")
+    assert elapsed < 1.0
+
+
+def test_a_shared_line_that_fails_fails_at_once(capsys, tmp_path):
+    # every node names the one before twice: 2^40 - 1 nodes, and the first
+    # and-R already fails, since its two premises are one sequent
+    lines = ["node 1 rule=ax dir=- pos=- concl=A |- A premises=-"]
+    lines += [f"node {i} rule=and-R dir=- pos=R0 concl=A |- and[1](A,A) premises={i - 1},{i - 1}"
+              for i in range(2, 41)]
+    text = "\n".join(lines) + "\n"
+    got = check_derivation_file(text)
+    assert got[1] == 2 ** 40 - 1 and str(got[2]) == "at root: and-R: premises do not match the rule schema"
+    path = tmp_path / "shared.proof"
+    path.write_text(text)
+    start = time.perf_counter()
+    assert main(["check-proof", str(path)]) == 1
+    assert capsys.readouterr().out == \
+        "at root: and-R: premises do not match the rule schema\n"
+    assert time.perf_counter() - start < 1.0
+
+
+def test_an_edited_line_is_the_one_line_parsed_beside_the_root(monkeypatch):
+    d = prove(chain_goal(100), depth=100000)
+    lines = render_derivation_file(d).splitlines()
+    i = next(i for i, line in enumerate(lines) if " rule=ax " in line)
+    lines[i] = lines[i].replace(", ", ",").replace(" |- ", "  |-")
+    text = "\n".join(lines) + "\n"
+    tokenized = []
+    real_tokenize = syntax.tokenize
+    monkeypatch.setattr(syntax, "tokenize",
+                        lambda text, *rest: tokenized.append(text) or real_tokenize(text, *rest))
+    assert check_derivation_file(text) == (d.conclusion, 298, None)
+    # its sibling premise line is taken by its rendering, unparsed
+    assert tokenized == [render_sequent(d.conclusion), lines[i].split(" concl=")[1]
+                         .rsplit(" premises=")[0]]
 
 
 def reference_innermost_redex(sub, path=()):
@@ -768,9 +852,8 @@ def test_rendered_sequents_read_back(ante, succ, rng):
 
 
 def strict_line_outcome(capsys, tmp_path, text):
-    """What both reads make of `text`: the top-down read gives it up, and
-    check-proof reports the line-by-line read's error with exit 2."""
-    assert sequents._read_top_down(text, None) is None
+    """What check-proof makes of `text`: the line-by-line read's error,
+    with exit 2."""
     path = tmp_path / "strict.proof"
     path.write_text(text)
     code = main(["check-proof", str(path)])
@@ -841,6 +924,44 @@ def mutants(text, rng):
     return out
 
 
+def edited(text, rng):
+    """A copy of a derivation file with one to three random edits, each
+    one of: a few characters inserted or deleted, a premise list changed,
+    a direction flipped, a line duplicated."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        line = lines[i]
+        kind = rng.choice(("insert", "delete", "premises", "dir", "duplicate"))
+        if kind == "insert":
+            j = rng.randrange(len(line) + 1)
+            line = line[:j] + "".join(rng.choices(" ,()|-=#:@01Ax", k=rng.randint(1, 3))) \
+                + line[j:]
+        elif kind == "delete":
+            j = rng.randrange(len(line))
+            line = line[:j] + line[j + rng.randint(1, 3):]
+        elif kind == "premises" and " premises=" in line:
+            ids = [str(rng.randint(1, i + 2)) for _ in range(rng.randint(1, 2))]
+            line = line.rsplit(" premises=", 1)[0] + " premises=" + (
+                rng.choice(("-", ",".join(ids), f"{ids[0]},{ids[0]}")))
+        elif kind == "dir":
+            for d in ("down", "up", "-"):
+                if f" dir={d} " in line:
+                    other = rng.choice([o for o in ("down", "up", "-") if o != d])
+                    line = line.replace(f" dir={d} ", f" dir={other} ", 1)
+                    break
+        elif kind == "duplicate":
+            lines.insert(i, line)
+        lines[i] = line
+    return "\n".join(lines) + "\n"
+
+
+def reference_check_derivation_file(text, model=None):
+    """The line-by-line read: every line parsed, then every node checked."""
+    d = parse_derivation_file(text)
+    return d.conclusion, sum(1 for _ in d.nodes()), check_derivation(d, model)
+
+
 def test_check_proof_reads_files_as_a_line_by_line_read_does(capsys, tmp_path, monkeypatch):
     """check-proof on the prover's files and on mutants of them: the same
     stdout, stderr and exit code as when every file is read line by line
@@ -854,29 +975,24 @@ def test_check_proof_reads_files_as_a_line_by_line_read_does(capsys, tmp_path, m
             files.append(render_derivation_file(prove(goal, depth=30)))
     rng = random.Random(23)
     cases = [(text, "prover") for text in files] + \
-        [(m, kind) for text in files for kind, m in mutants(text, rng).items()]
-    top_down = []
-    real = sequents._read_top_down
-    monkeypatch.setattr(sequents, "_read_top_down",
-                        lambda *args: top_down.append(real(*args)) or top_down[-1])
+        [(m, kind) for text in files for kind, m in mutants(text, rng).items()] + \
+        [(edited(text, rng), "edited") for text in files for _ in range(3)]
     path = tmp_path / "case.proof"
     answers = []
     for text, _ in cases:
         path.write_text(text)
         code = main(["check-proof", str(path)])
         answers.append((code, *capsys.readouterr()))
-    monkeypatch.setattr(sequents, "_read_top_down", lambda *args: None)
-    for (text, kind), answer, read in zip(cases, answers, top_down):
+    monkeypatch.setattr(cli, "check_derivation_file", reference_check_derivation_file)
+    for (text, kind), answer in zip(cases, answers):
         path.write_text(text)
         code = main(["check-proof", str(path)])
         assert answer == (code, *capsys.readouterr()), text
         assert answer[0] in (0, 1, 2)
-        assert read is not None or kind != "prover"  # the prover's files read top-down
+        assert answer[0] == 0 or kind != "prover"
     assert {a[0] for a in answers} == {0, 1, 2} and len(files) == 210
     assert {kind for _, kind in cases} == {
         "prover", "deleted", "swapped", "reordered", "re-spaced", "comment", "upward",
-        "eigenvariable", "premise order"}
-    # some mutants still read top-down (a comment, a swap of independent
-    # lines), the others fall back
-    mutants_read = sum(r is not None for r in top_down[len(files):])
-    assert 0 < mutants_read < len(cases) - len(files)
+        "eigenvariable", "premise order", "edited"}
+    # the random edits give every exit code
+    assert {a[0] for (_, kind), a in zip(cases, answers) if kind == "edited"} == {0, 1, 2}

@@ -401,6 +401,23 @@ def test_node_slots_match_reference_walks(tree, rng):
     assert_slots_match_reference_walks(tree, rng)
 
 
+def test_free_name_walks_need_no_recursion():
+    # a name at two types or signatures under more levels than the
+    # interpreter's recursion limit: the error reads as it does one level
+    # down, where the reference walks agree
+    e = Base("e")
+    term = App(Var("f", Arrow(e, e)), Var("f", e))
+    sub = CConj(1, CVar("a", BOT, 0), CVar("a", BOT, 1))
+    assert outcome(free_vars, term) == outcome(reference_free_vars, term)
+    assert outcome(cts_signature, sub) == outcome(reference_cts_signature, sub)
+    deep_term, deep_sub = term, sub
+    for _ in range(5000):
+        deep_term, deep_sub = Lam("x", e, deep_term), CNeg(1, deep_sub)
+    assert outcome(free_vars, deep_term) == outcome(free_vars, term)
+    assert outcome(cts_signature, deep_sub) == outcome(cts_signature, sub)
+    assert outcome(free_vars, term)[0] is TypeMismatch
+
+
 def test_node_slots_match_reference_walks_on_corpus():
     rng = random.Random(3)
     for text in corpus.CTS_TEXTS:
