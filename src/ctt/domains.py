@@ -405,9 +405,11 @@ def enumerate_domain(model: ModelConfig, ty: TypeExpr, rank: int) -> list[CanonE
 
     Rank 0 enumerates atoms. Rank 1 enumerates the full free Boolean
     algebra over the rank-0 carrier as complete-DNF joins of minterms:
-    2^(2^g) pairwise-inequivalent elements for g rank-0 atoms. Carriers
-    depend only on the base sizes and are memoized; each call returns a
-    fresh list.
+    2^(2^g) pairwise-inequivalent elements for g rank-0 atoms. Every
+    carrier is counted (`carrier_size`, `rank1_count`) before it is built,
+    so a refused one raises before any element is made. Carriers depend
+    only on the base sizes and are memoized; each call returns a fresh
+    list.
     """
     return list(_carrier(model.sizes, ty, rank))
 
@@ -415,39 +417,51 @@ def enumerate_domain(model: ModelConfig, ty: TypeExpr, rank: int) -> list[CanonE
 @lru_cache(maxsize=256)
 def _carrier(sizes: tuple, ty: TypeExpr, rank: int) -> tuple[CanonElem, ...]:
     if rank == 0:
+        count = carrier_size(sizes, ty)  # raises for a refused carrier
         match ty:
             case Bot():
                 return (FALSE, TRUE)
-            case Base(name):
-                size = dict(sizes).get(name)
-                if size is None:
-                    raise CttError(f"model declares no base type {name}")
-                return tuple(Individual(ty, n) for n in individual_names(size))
+            case Base():
+                return tuple(Individual(ty, n) for n in individual_names(count))
             case Arrow(dom, cod):
-                dom_atoms = _carrier(sizes, dom, 0)
-                cod_atoms = _carrier(sizes, cod, 0)
-                count = len(cod_atoms) ** len(dom_atoms)
-                if count > MAX_RANK0_ENUM:
-                    # past 2^64 the count is written as a power: its
-                    # decimal form can be too long for `str` to make
-                    shown = (count if count.bit_length() <= 64
-                             else f"{len(cod_atoms)}^{len(dom_atoms)}")
-                    raise CapExceeded(
-                        f"{shown} tables for {render_type(ty)} exceeds the cap")
                 # one shared (key, value) pair per row cell, not per table
-                rows = [[(k, v) for v in cod_atoms]
-                        for k in sorted(dom_atoms, key=render_elem)]
+                rows = [[(k, v) for v in _carrier(sizes, cod, 0)]
+                        for k in sorted(_carrier(sizes, dom, 0), key=render_elem)]
                 return FnTable.carrier(dom, cod, rows)
-        raise CttError(f"unknown type {ty!r}")
     if rank == 1:
-        layout = _layout(ty, sizes)
-        g = len(layout.atoms)
+        g = carrier_size(sizes, ty)
         if rank1_count(g) > MAX_RANK0_ENUM:
             raise CapExceeded(f"{g} generators is too many for rank-1 enumeration")
+        layout = _layout(ty, sizes)
         minterms = [layout.minterm(mask) for mask in range(2 ** g)]
         return tuple(_rank1_join(ty, [minterms[i] for i in range(2 ** g) if (sel >> i) & 1])
                      for sel in range(2 ** (2 ** g)))
     raise CapExceeded(f"rank-{rank} domains are not enumerable here")
+
+
+def carrier_size(sizes: tuple, ty: TypeExpr) -> int:
+    """How many rank-0 atoms `ty` has over `sizes` (a model's sorted base
+    sizes), counted without building one. Where `_carrier` refuses the
+    carrier this raises what it would: an undeclared base, or a table
+    count over MAX_RANK0_ENUM, the domain checked before the codomain."""
+    if isinstance(ty, Arrow):  # not `match`: sized once per pool of every sweep
+        dom, cod = carrier_size(sizes, ty.dom), carrier_size(sizes, ty.cod)
+        # exact up to 64 domain atoms; past them, over 2^64 unless cod is 1
+        count = cod ** min(dom, 65)
+        if count <= MAX_RANK0_ENUM:
+            return count
+        # past 2^64 the count is written as a power: its decimal form can
+        # be too long for `str` to make
+        shown = count if count.bit_length() <= 64 else f"{cod}^{dom}"
+        raise CapExceeded(f"{shown} tables for {render_type(ty)} exceeds the cap")
+    if isinstance(ty, Base):
+        for name, size in sizes:
+            if name == ty.name:
+                return size
+        raise CttError(f"model declares no base type {ty.name}")
+    if ty is BOT:
+        return 2
+    raise CttError(f"unknown type {ty!r}")
 
 
 def rank1_count(g: int) -> int:

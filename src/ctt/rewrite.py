@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 from .syntax import (
     App, Arrow, BOT, CttError, Lam, Mu, SlmTerm, TypeMismatch, Var,
-    children, free_vars, render, replace_at, subterm_at, with_child,
+    children, free_vars, render, with_child,
 )
 
 
@@ -50,18 +50,6 @@ class Step:
 class RewriteTrace:
     start: SlmTerm
     steps: list[Step] = field(default_factory=list)
-
-    def replay(self) -> SlmTerm:
-        term = self.start
-        for s in self.steps:
-            try:
-                here = subterm_at(term, s.path)
-            except CttError:  # the path leaves the term
-                here = None
-            if here != s.before:
-                raise CttError(f"trace does not replay at {s.path}")
-            term = replace_at(term, s.path, s.after)
-        return term
 
 
 class NameSupply:

@@ -25,7 +25,7 @@ from .rewrite import structural_subst
 from .domains import (
     CanonElem, CapExceeded, FALSE, Individual, MAX_RANK0_ENUM, ModelConfig,
     RankOverflow, TRUE, TruthVal, _BoundedTable, _carrier, apply_elem, ba_equal,
-    ba_leq, bottom_at, enumerate_domain, fn_table, iso_i, make_join,
+    ba_leq, bottom_at, carrier_size, enumerate_domain, fn_table, iso_i, make_join,
     make_meet, make_neg, rank1_count, render_elem, resolve_constant, top_at,
 )
 from .syntax import (
@@ -91,9 +91,11 @@ def eval_slm(term: SlmTerm, model: ModelConfig, rho: Assignment) -> CanonElem:
     free names; the nodes below are evaluated without it.
 
     Every binder evaluates its body once per atom of its rank-0 carrier, so
-    nested binders multiply; the largest product along a binder path is
-    checked against MAX_RANK0_ENUM before anything is evaluated. A table
-    hit skips that check, which an earlier call with the same key passed."""
+    nested binders multiply. Before anything is evaluated, each binder's
+    carrier is counted (`carrier_size`, which raises for a carrier that
+    cannot be built) and the largest product along a binder path is
+    checked against MAX_RANK0_ENUM. A table hit skips those checks, which
+    an earlier call with the same key passed."""
     names = free_table(term)
     if names is not None:
         key = (model, term, tuple(map(rho.get, names)))
@@ -110,50 +112,16 @@ def eval_slm(term: SlmTerm, model: ModelConfig, rho: Assignment) -> CanonElem:
     return value
 
 
-def _carrier_size(ty: TypeExpr, model: ModelConfig) -> int:
-    """Size of the rank-0 carrier of `ty` without enumerating it, saturated
-    at MAX_RANK0_ENUM + 1."""
-    match ty:
-        case Arrow(dom, cod):
-            return _table_count(_carrier_size(dom, model), _carrier_size(cod, model))
-        case Base(name):
-            return model.base_sizes.get(name, 1)  # undeclared: evaluation says so
-    return 2
-
-
-def _table_count(a: int, b: int) -> int:
-    """How many tables map a carrier of `a` atoms into one of `b`,
-    saturated at MAX_RANK0_ENUM + 1."""
-    if b == 1 or a <= MAX_RANK0_ENUM.bit_length():
-        return min(b ** a, MAX_RANK0_ENUM + 1)
-    return MAX_RANK0_ENUM + 1
-
-
-def _enumerated_size(ty: TypeExpr, model: ModelConfig) -> Optional[int]:
-    """How many atoms `enumerate_domain` builds for `ty` at rank 0,
-    counted without building them, or None where it raises instead: at a
-    base the model does not declare, or at a carrier on the way that
-    exceeds MAX_RANK0_ENUM."""
-    if isinstance(ty, Arrow):  # not `match`: sized once per pool of every sweep
-        a, b = _enumerated_size(ty.dom, model), _enumerated_size(ty.cod, model)
-        if a is None or b is None:
-            return None
-        count = _table_count(a, b)
-        return count if count <= MAX_RANK0_ENUM else None
-    if isinstance(ty, Base):
-        return model.base_sizes.get(ty.name)
-    return 2 if ty is BOT else None
-
-
 def _binder_sweep(term: SlmTerm, model: ModelConfig) -> int:
     """Largest product of binder carrier sizes along any path of `term`,
-    saturated at MAX_RANK0_ENUM + 1. Iterative, so a nest as deep as the
+    saturated at MAX_RANK0_ENUM + 1; a binder whose carrier is refused
+    raises its `carrier_size` error. Iterative, so a nest as deep as the
     parser admits stays inside the recursion limit."""
     worst, stack = 1, [(term, 1)]
     while stack:
         t, sweep = stack.pop()
         if isinstance(t, (Lam, Mu)):
-            sweep = min(sweep * _carrier_size(t.binder_ty, model),
+            sweep = min(sweep * carrier_size(model.sizes, t.binder_ty),
                         MAX_RANK0_ENUM + 1)
         worst = max(worst, sweep)
         stack.extend((c, sweep) for c in children(t))
@@ -313,23 +281,6 @@ class SequentReport:
         return self.failure is None
 
 
-def _pool_size(model: ModelConfig, ty: TypeExpr, rank: int) -> int:
-    """How many values a variable ranges over; a rank-1 pool is saturated
-    at MAX_RANK0_ENUM + 1 (`rank1_count`). The rank-0 carrier is counted,
-    not built; where enumerating it raises, it is enumerated, so the error
-    is the one enumeration gives."""
-    base = _enumerated_size(ty, model)
-    if base is None:
-        base = len(enumerate_domain(model, ty, 0))
-    return base if rank <= 0 else rank1_count(base)
-
-
-def _candidate_values(model: ModelConfig, ty: TypeExpr, rank: int) -> list[CanonElem]:
-    if rank <= 0:
-        return enumerate_domain(model, ty, 0)
-    return enumerate_domain(model, ty, 1)  # rank-1 list covers rank 0 up to ba_equal
-
-
 def _assignment_space(members: list[CtsSubterm], model: ModelConfig,
                       cap: int) -> tuple[list[str], list[list[CanonElem]]]:
     """The members' free non-constant variables, sorted by name, and the
@@ -347,7 +298,9 @@ def _assignment_space(members: list[CtsSubterm], model: ModelConfig,
     for name, (ty, rank) in sorted(sig.items()):
         if resolve_constant(model, name, ty) is not None:
             continue
-        pool = _pool_size(model, ty, rank)  # sized before any enumeration
+        pool = carrier_size(model.sizes, ty)  # sized before any enumeration
+        if rank > 0:
+            pool = rank1_count(pool)
         total *= pool
         if total > cap:
             if pool > MAX_RANK0_ENUM:  # saturated: the exact size is not computed
@@ -356,7 +309,8 @@ def _assignment_space(members: list[CtsSubterm], model: ModelConfig,
             raise CapExceeded(f"assignment space {total} exceeds the cap {cap}")
         chosen.append((name, ty, rank))
     return ([n for n, _, _ in chosen],
-            [_candidate_values(model, ty, rank) for _, ty, rank in chosen])
+            # the rank-1 list covers rank 0 up to ba_equal
+            [enumerate_domain(model, ty, 0 if rank <= 0 else 1) for _, ty, rank in chosen])
 
 
 def _decide(values: tuple, n_ante: int) -> bool:

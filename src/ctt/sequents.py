@@ -606,11 +606,12 @@ def _node_lines(text: str, parse: bool = False) -> tuple[dict[int, tuple], Optio
             nid, rule, direction, pos, concl, premises = _node_fields(line)
             if parse:
                 concl = parse_sequent_members(concl)
-            premise_ids = [] if premises == "-" else [int(p) for p in premises.split(",")]
+            premise_ids = ([] if premises == "-" else
+                           [_natural(p, "premise id") for p in premises.split(",")])
             for p in premise_ids:
                 if p not in lines:
                     raise ValueError(f"unknown premise {p}")
-            nid = int(nid)
+            nid = _natural(nid, "node id")
             if parse:
                 concl = Sequent.make(*concl)
             pos = None if pos == "-" else Pos.parse(pos)
@@ -627,17 +628,24 @@ def _root_id(line: str) -> int:
     words = line.split()
     if len(words) != 2:
         raise ValueError("expected root <id>")
-    return int(words[1])
+    return _natural(words[1], "root id")
+
+
+def _natural(text: str, what: str) -> int:
+    """The natural number a line's id field writes in ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{what} {text!r} is not a natural number")
+    return int(text)
 
 
 def _node_fields(line: str) -> tuple[str, str, str, str, str, str]:
     """The texts of a node line's id, rule, dir, pos, concl and premises."""
-    nid_text, rest = line[len("node "):].split(" ", 1)
+    nid_text, _, rest = line[len("node "):].partition(" ")
     fields = []
     for key in ("rule=", "dir=", "pos="):
         if not rest.startswith(key):
             raise ValueError(f"expected {key}")
-        field, rest = rest[len(key):].split(" ", 1)
+        field, _, rest = rest[len(key):].partition(" ")
         fields.append(field)
     rule, direction, pos = fields
     if direction not in ("down", "up", "-"):

@@ -1,3 +1,4 @@
+import gc
 import os
 import pathlib
 import random
@@ -7,7 +8,9 @@ import subprocess
 import sys
 import time
 
-from ctt import domains
+import pytest
+
+from ctt import domains, syntax
 from ctt.cli import build_parser, main
 from ctt.syntax import MAX_NESTING
 
@@ -110,15 +113,23 @@ def test_arrow_pool_is_counted_not_built(capsys, tmp_path):
 
 def test_a_carrier_count_too_long_for_decimal_exits_3(capsys, tmp_path):
     # at e = 2, ~~~~e has 2^65536 tables; the count's decimal form has
-    # 19,729 digits, more than `str` converts
+    # 19,729 digits, more than `str` converts. The carrier is counted
+    # before it is built, so the refusal builds nothing, not even the
+    # 65,536 tables of ~~~e
     mdl = tmp_path / "two.mdl"
     mdl.write_text("base e 2\n")
+    domains._carrier.cache_clear()
+    gc.collect()
+    live = len(syntax._INTERNED)
     code, out, err = run(capsys, "entail", "--model", str(mdl),
                          "|- (x:((((e -> bot) -> bot) -> bot) -> bot)@0 "
                          "y:(((e -> bot) -> bot) -> bot)@0)")
     assert (code, out) == (3, "")
     assert err == ("ctt: resource cap: 2^65536 tables for "
                    "((((e -> bot) -> bot) -> bot) -> bot) exceeds the cap\n")
+    gc.collect()
+    assert len(syntax._INTERNED) == live
+    assert domains._carrier.cache_info().currsize == 0
 
 
 RANK1_POOL_OVER_CAP = "|- ((x:(e -> (e -> bot))@1 y:e@0) z:e@0)"
@@ -274,6 +285,23 @@ def test_prove_and_check_proof(capsys, tmp_path):
     path.write_text(broken)
     code, out, _ = run(capsys, "check-proof", str(path))
     assert code in (1, 2)
+
+
+AX_LINE = "node 1 rule=ax dir=- pos=- concl=A |- A premises="
+
+
+@pytest.mark.parametrize("line", [
+    "node 1", "node 1 rule=ax", "node 1 rule=ax dir=- pos=-",
+    AX_LINE.replace("node 1", "node x") + "-", AX_LINE + "y", AX_LINE + "1,", "root z"])
+def test_a_malformed_derivation_line_is_described_in_the_format_words(capsys, tmp_path, line):
+    # a missing field or an id that is not a natural number is named as
+    # such, not in the words of the Python call that failed to read it
+    path = tmp_path / "one.proof"
+    path.write_text(line + "\n")
+    code, out, err = run(capsys, "check-proof", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"ctt: bad derivation line {line!r}: ")
+    assert "unpack" not in err and "int()" not in err
 
 
 def test_readme_derivation_file_checks(capsys, tmp_path):

@@ -145,6 +145,23 @@ def test_bulk_build_leaves_no_entry_behind():
     assert len(syntax._INTERNED) == live
 
 
+def test_a_refused_rank1_carrier_builds_nothing():
+    # at e = 4, ~~e has 65,536 rank-0 tables: too many generators for
+    # rank 1, which is known from the count before any table is built
+    model = ModelConfig(base_sizes={"e": 4})
+    domains._carrier.cache_clear()
+    gc.collect()
+    live = len(syntax._INTERNED)
+    layouts = dict(domains._MINTERM_CACHE)
+    with pytest.raises(CapExceeded) as err:
+        enumerate_domain(model, neg_type(neg_type(E)), 1)
+    assert str(err.value) == "65536 generators is too many for rank-1 enumeration"
+    gc.collect()
+    assert len(syntax._INTERNED) == live
+    assert domains._carrier.cache_info().currsize == 0
+    assert dict(domains._MINTERM_CACHE) == layouts
+
+
 def test_bulk_build_restores_the_collector_state(monkeypatch):
     model = ModelConfig(base_sizes={"e": 2})
     fresh = ModelConfig(base_sizes={"w": 2})  # no table of w is live

@@ -1,7 +1,8 @@
 """No code that only tests reach: every top-level function, class and
-module-level name of the library is referenced somewhere in the library,
-the scripts or the benchmark, outside its own definition; and every name a
-library module imports is read in that module. A reference is read off the
+module-level name of the library, and every non-dunder method of a library
+class, is referenced somewhere in the library, the scripts or the
+benchmark, outside its own definition; and every name a library module
+imports is read in that module. A reference is read off the
 syntax tree: a name, an attribute, an imported name or its alias, or a
 string constant that is an identifier (as `getattr` and patching take), so
 a mention in a docstring or a comment is none."""
@@ -55,6 +56,15 @@ def references(tree):
             yield node.value, node.lineno
 
 
+def methods(node):
+    """The non-dunder methods a top-level class defines, as (name, node)."""
+    if not isinstance(node, ast.ClassDef):
+        return []
+    return [(f.name, f) for f in node.body
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (f.name.startswith("__") and f.name.endswith("__"))]
+
+
 def unreached_definitions():
     # the lines each name is referenced on, per file, one entry per reference
     lines_of = {}
@@ -64,14 +74,17 @@ def unreached_definitions():
             lines_of[path][name].append(line)
     unreached = []
     for path, tree in library_modules():
-        for node in tree.body:
+        defined = [(name, node) for node in tree.body for name in definitions(node)]
+        defined += [(f"{node.name}.{name}", method) for node in tree.body
+                    for name, method in methods(node)]
+        for qualified, node in defined:
+            name = qualified.rsplit(".", 1)[-1]
             # the definition's own lines, decorators included, do not count
             first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
-            for name in definitions(node):
-                if not any(other != path or not first <= i <= node.end_lineno
-                           for other, names in lines_of.items()
-                           for i in names.get(name, ())):
-                    unreached.append(f"{path.name}:{name}")
+            if not any(other != path or not first <= i <= node.end_lineno
+                       for other, names in lines_of.items()
+                       for i in names.get(name, ())):
+                unreached.append(f"{path.name}:{qualified}")
     return unreached
 
 

@@ -153,10 +153,25 @@ def test_normalize_fuel_zero():
     assert out == t and trace.steps == []
 
 
+def replay(trace):
+    """The term a trace's steps lead to from its start; a step whose
+    `before` is not the subterm at its path raises CttError."""
+    term = trace.start
+    for s in trace.steps:
+        try:
+            here = subterm_at(term, s.path)
+        except CttError:  # the path leaves the term
+            here = None
+        if here != s.before:
+            raise CttError(f"trace does not replay at {s.path}")
+        term = replace_at(term, s.path, s.after)
+    return term
+
+
 def test_trace_replay():
     t = slm(r"e: ((\x:e. x) ((\y:e. y) z))")
     out, trace, _ = normalize(t)
-    assert trace.replay() == out
+    assert replay(trace) == out
 
 
 @pytest.mark.parametrize("path", [(0, 0, 5), (2,), (0, 1)])
@@ -167,7 +182,7 @@ def test_trace_replay_rejects_a_path_that_leaves_the_term(path):
     _, trace, _ = normalize(t)
     bad = RewriteTrace(t, [Step(path, RuleTag.BETA, t, trace.steps[0].after)])
     with pytest.raises(CttError) as err:
-        bad.replay()
+        replay(bad)
     assert str(err.value) == f"trace does not replay at {path}"
 
 
@@ -323,7 +338,7 @@ def outcome(fn, *args):
         return type(ex), str(ex)
     if fn in (normalize, reference_normalize):
         out, trace, status = result
-        assert trace.replay() == out
+        assert replay(trace) == out
         return out, status, [(s.path, s.rule, s.before, s.after) for s in trace.steps]
     return result
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from ctt import gen, semantics
 from ctt.domains import (
     FALSE, FnTable, Individual, ModelConfig, RankOverflow, TRUE,
-    apply_elem, ba_equal, ba_leq, bottom_at, enumerate_domain,
+    apply_elem, ba_equal, ba_leq, bottom_at, carrier_size, enumerate_domain,
     fn_table, make_join, make_meet, make_neg, render_elem, top_at,
     CapExceeded, _BoundedTable,
 )
@@ -101,6 +101,21 @@ def test_mu_rank_cap():
     with pytest.raises(RankOverflow):
         eval_slm(parse_slm("#x:~e. (x p:e)"), model,
                  {"p": Individual(E, "a")})
+
+
+def test_a_binder_over_a_refused_carrier_raises_its_error_first():
+    # the binder pre-check counts each binder's carrier with `carrier_size`,
+    # so a carrier that cannot be built is named before anything is
+    # evaluated: 2^65536 tables at e = 2, or a base the model lacks, found
+    # before the unassigned functor is looked up
+    model = ModelConfig(base_sizes={"e": 2})
+    with pytest.raises(CapExceeded) as err:
+        eval_slm(parse_slm(r"\x:~~~~e. x"), model, {})
+    assert str(err.value) == ("2^65536 tables for "
+                              "((((e -> bot) -> bot) -> bot) -> bot) exceeds the cap")
+    with pytest.raises(CttError) as err:
+        eval_slm(parse_slm(r"(f:((t -> t) -> e) \x:t. x)"), model, {})
+    assert str(err.value) == "model declares no base type t"
 
 
 def test_eval_cts_conjunction(m3):
@@ -238,20 +253,16 @@ _CARRIER_TYPES = st.recursive(
 
 @settings(max_examples=150, deadline=None)
 @given(_CARRIER_TYPES, st.dictionaries(st.sampled_from("et"), st.integers(1, 4)))
-# one table per over-cap domain: counted as 1, but enumeration refuses it
+# one table per over-cap domain: the domain is refused before the table count
 @example(Arrow(Arrow(Arrow(E, E), E), Base("t")), {"e": 4, "t": 1})
 # 2^65536 tables: a count too long to write in decimal
 @example(Arrow(Arrow(Base("t"), Arrow(BOT, Base("t"))), BOT), {"t": 4})
 def test_pool_size_counts_the_carrier_enumeration_builds(ty, sizes):
+    # `carrier_size` counts what enumeration builds, or raises what it
+    # raises: an undeclared base or a carrier over the cap
     model = ModelConfig(base_sizes=sizes)
-    try:
-        size = len(enumerate_domain(model, ty, 0))
-    except CttError:  # an undeclared base or a carrier over the cap
-        assert semantics._enumerated_size(ty, model) is None
-        return
-    assert semantics._enumerated_size(ty, model) == size
-    assert semantics._carrier_size(ty, model) == size
-    assert semantics._pool_size(model, ty, 0) == size
+    assert (outcome(carrier_size, model.sizes, ty)
+            == outcome(lambda: len(enumerate_domain(model, ty, 0))))
 
 
 def test_empty_sequent_invalid(m22):
