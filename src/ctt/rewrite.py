@@ -15,10 +15,9 @@ position, which surfaces as NonFunctorOccurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .syntax import (
     App, Arrow, BOT, CttError, Lam, Mu, SlmTerm, TypeMismatch, Var,
@@ -38,18 +37,19 @@ class RuleTag(Enum):
     MU = "mu"
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     path: tuple[int, ...]
     rule: RuleTag
     before: SlmTerm
     after: SlmTerm
 
 
-@dataclass
 class RewriteTrace:
-    start: SlmTerm
-    steps: list[Step] = field(default_factory=list)
+    __slots__ = ("start", "steps")
+
+    def __init__(self, start: SlmTerm, steps: Optional[list[Step]] = None):
+        self.start = start
+        self.steps = [] if steps is None else steps
 
 
 class NameSupply:

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import gen as _gen
 from .rewrite import structural_subst
@@ -261,15 +260,13 @@ def check_equation(lhs: SlmTerm, rhs: SlmTerm, model: ModelConfig,
 MAX_ASSIGNMENTS = 4096
 
 
-@dataclass
-class SequentVerdict:
+class SequentVerdict(NamedTuple):
     model_index: int
     assignment: Assignment
     holds: bool
 
 
-@dataclass
-class SequentReport:
+class SequentReport(NamedTuple):
     """What `sequent_valid` found: how many assignments it decided and the
     first verdict that refutes the sequent, if any."""
 
@@ -432,8 +429,7 @@ def standard_model_family() -> list[ModelConfig]:
 # ---------------------------------------------------------------------------
 # the soundness harness
 
-@dataclass
-class TrialRecord:
+class TrialRecord(NamedTuple):
     rule: str
     seed: int
     trial: int
@@ -449,10 +445,12 @@ class TrialRecord:
         return out
 
 
-@dataclass
 class HarnessReport:
-    rule: str
-    records: list[TrialRecord] = field(default_factory=list)
+    __slots__ = ("rule", "records")
+
+    def __init__(self, rule: str, records: Optional[list[TrialRecord]] = None):
+        self.rule = rule
+        self.records = [] if records is None else records
 
     @property
     def failures(self) -> list[TrialRecord]:

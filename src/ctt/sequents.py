@@ -25,9 +25,8 @@ names at another signature.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .domains import ModelConfig, enumerate_domain, render_elem, Individual, TruthVal
 from .syntax import (
@@ -110,8 +109,7 @@ def render_sequent(seq: Sequent) -> str:
     return f"{', '.join(left)} |- {', '.join(right)}".strip()
 
 
-@dataclass(frozen=True)
-class Pos:
+class Pos(NamedTuple):
     """A redex position: sequent side, index into the sorted member list,
     and a path inside that member."""
 
@@ -140,8 +138,7 @@ ALL_RULES = ("ax",) + INTRO_RULES + SUBST_RULES
 _INTRO, _SUBST = frozenset(INTRO_RULES), frozenset(SUBST_RULES)  # for `in`
 
 
-@dataclass
-class Violation:
+class Violation(NamedTuple):
     rule: str
     reason: str
 
@@ -388,8 +385,7 @@ def _check_rule(conclusion, premises, rule, pos, direction, model):
 # ---------------------------------------------------------------------------
 # derivations
 
-@dataclass
-class Derivation:
+class Derivation(NamedTuple):
     rule: str
     conclusion: Sequent
     premises: tuple["Derivation", ...] = ()
@@ -406,8 +402,7 @@ class Derivation:
         return reversed(out)
 
 
-@dataclass
-class DerivationFailure:
+class DerivationFailure(NamedTuple):
     path: tuple[int, ...]
     violation: Violation
 

@@ -14,7 +14,6 @@ first use; later occurrences may be bare and must be consistent.
 from __future__ import annotations
 
 import re
-import string
 import weakref
 from itertools import islice
 from operator import attrgetter
@@ -678,9 +677,9 @@ _TOKEN = r"""(
 )"""
 _SCANNERS = tuple(re.compile(skip + _TOKEN, re.VERBOSE | re.DOTALL)
                   for skip in (_SKIP, _SKIP_MU))
-_NAME_START = frozenset(string.ascii_letters + "_")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 # every text a one-character token can have; `.` reads any other character
-_ONE_CHAR_TOKENS = _NAME_START | frozenset(string.digits + "()[]{}.,:;@~\\#=")
+_ONE_CHAR_TOKENS = _NAME_START | frozenset("0123456789()[]{}.,:;@~\\#=")
 
 RESERVED = {"bot", "and", "or", "neg", "All", "Ex", "table"}
 

@@ -671,3 +671,19 @@ def test_scope_demo_exits_1_when_a_derivation_fails_to_check():
     proc = subprocess.run([sys.executable, "-O", str(script)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0 and proc.stdout.count("re-checked") == 2, proc.stderr
+
+
+def test_importing_ctt_loads_no_heavy_stdlib_modules():
+    # every CLI command pays for what importing ctt pulls in: `dataclasses`
+    # brings `inspect`, `ast` and `dis` and generates code with `exec`, and
+    # the records do without them; `-I -S` keeps site and the environment out
+    repo = pathlib.Path(__file__).parents[1]
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(repo / 'src')!r})\n"
+            "import ctt.cli, ctt.domains, ctt.gen, ctt.rewrite, ctt.semantics, "
+            "ctt.sequents, ctt.syntax\n"
+            "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'string') "
+            "if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
