@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Union
 
 from .syntax import (
     Arrow, BOT, Base, Bot, CttError, Interned, MAX_NESTING, ParseError, RESERVED,
-    TypeExpr, TypeMismatch, _Cursor, _INTERNED, _TOO_DEEP, _intern, _is_name,
+    TypeExpr, TypeMismatch, _Cursor, _TOO_DEEP, _intern, _is_name,
     _parse_type, is_neg_type, render_type, strip_negations, tokenize,
 )
 
@@ -85,34 +85,36 @@ class FnTable(_Elem):
     @classmethod
     def carrier(cls, dom: TypeExpr, cod: TypeExpr, rows: list) -> tuple["FnTable", ...]:
         """The table `FnTable(dom, cod, entries)` for each `entries` of
-        `itertools.product(*rows)`, in that order, interned in one loop. A
-        live table is reused; a new one gets its slots set directly, with
-        the one `Arrow(dom, cod)` as its `ty`, and enters the table through
-        `_intern`, as in `__new__`. The cyclic collector is paused for the
-        loop: a table refers only to values built before it, so the loop
-        forms no cycle, and a large carrier would otherwise set off
-        collections of the whole growing heap."""
+        `itertools.product(*rows)`, in that order, interned in one loop:
+        each gets its slots set directly, with the one `Arrow(dom, cod)` as
+        its `ty`, and `_intern` returns it, or the live table equal to it.
+        The cyclic collector is paused for the loop: a table refers only to
+        values built before it, so the loop forms no cycle. A carrier of
+        more tables than the gen-0 threshold is then promoted to the oldest
+        generation by `gc.freeze(); gc.unfreeze()`, in constant time, so
+        young collections do not walk what outlives them (Ungar, "Generation
+        Scavenging", 1984). Nothing stays frozen; the caller's young garbage
+        waits for a full collection. If anything is frozen already, the
+        unfreeze would thaw it, so there is no promotion."""
         ty = Arrow(dom, cod)
-        get, new = _INTERNED.get, object.__new__
+        tables = []
+        new, append = object.__new__, tables.append
         set_dom, set_cod = cls.dom.__set__, cls.cod.__set__
         set_entries, set_ty = cls.entries.__set__, cls.ty.__set__
-        tables = []
         enabled = gc.isenabled()
         gc.disable()
         try:
             for entries in itertools.product(*rows):
-                key = (cls, dom, cod, entries)
-                ref = get(key)
-                table = None if ref is None else ref()
-                if table is None:
-                    table = new(cls)
-                    set_dom(table, dom)
-                    set_cod(table, cod)
-                    set_entries(table, entries)
-                    set_ty(table, ty)
-                    _intern(key, table)
-                tables.append(table)
+                table = new(cls)
+                set_dom(table, dom)
+                set_cod(table, cod)
+                set_entries(table, entries)
+                set_ty(table, ty)
+                append(_intern((cls, dom, cod, entries), table))
         finally:
+            if len(tables) > gc.get_threshold()[0] and gc.get_freeze_count() == 0:
+                gc.freeze()
+                gc.unfreeze()
             if enabled:
                 gc.enable()
         return tuple(tables)

@@ -68,11 +68,18 @@ def _forget(ref: _Ref):
 _INTERNED: dict[tuple, _Ref] = {}
 
 
-def _intern(key: tuple, obj) -> None:
-    """Enter the new value `obj` in the table under `key`: the one way a
-    value enters it, for `Interned.__new__` and bulk builders alike."""
-    ref = _INTERNED[key] = _Ref(obj, _forget)
+def _intern(key: tuple, obj):
+    """The live value under `key`, or else `obj`, entered under `key` with
+    one hash: the one way into the table, for `Interned.__new__` and bulk
+    builders alike. On a hit `obj` is dropped, and its reference, whose
+    `key` is set, makes no callback."""
+    ref = _Ref(obj, _forget)
     ref.key = key
+    value = _INTERNED.setdefault(key, ref)()
+    if value is None:  # the entry held a dead reference
+        _INTERNED[key] = ref
+        return obj
+    return value
 
 
 class Interned:
