@@ -50,11 +50,12 @@ class RankOverflow(CttError):
 # the same object, so dict lookups, dedup and `==` never walk a subtree.
 
 class _Elem(Interned):
-    """An element. `render_elem` fills `_text` and `canonical_key` fills
-    `_key` on first request, so each lives exactly as long as its element;
-    neither is filled eagerly (a `~~~~e` table's text is about 2.4 KB)."""
+    """An element. `render_elem` fills `_text`, `canonical_key` `_key` and
+    `iso_i` a child's `_iso` (its image, with the base sizes it was made
+    under) on first request, so each lives exactly as long as its element;
+    none is filled eagerly (a `~~~~e` table's text is about 2.4 KB)."""
 
-    __slots__ = ("_text", "_key")
+    __slots__ = ("_text", "_key", "_iso")
 
 
 class TruthVal(_Elem):
@@ -174,19 +175,16 @@ CanonElem = Union[Atom, NegE, MeetE, JoinE]
 # Computed tables (Brace, Rudell & Bryant, "Efficient Implementation of a
 # BDD Package", 1990), beside the hash-consing table: `apply_elem` and the
 # lattice constructors keep their recent results keyed on the interned
-# operands, so an operation a sweep repeats is done once; the isomorphism
-# keeps the images of the children it maps (never the image of the element
-# it was asked about, which a sweep does not ask about again). Every table
-# is bounded, so memory does not grow with how long the process has run,
-# and an operation that raises stores nothing. The sizes sit above the
-# working sets of the perfbench workloads: rule-harness's 1,344 measured
-# ops leave about 1,100 applications and 3,500 lattice nodes, iso-sweep's
-# 16,000 leave 24 child images. An element's text and canonical key are
-# not tabled: each is kept on the element (`_Elem`) and lives exactly as
-# long as it does.
+# operands, so an operation a sweep repeats is done once. Every table is
+# bounded, so memory does not grow with how long the process has run, and
+# an operation that raises stores nothing. The sizes sit above the working
+# sets of the perfbench workloads: rule-harness's 1,344 measured ops leave
+# about 1,100 applications and 3,500 lattice nodes. An element's text,
+# canonical key and the image the isomorphism made of it as a child are not
+# tabled: each is kept on the element (`_Elem`) and lives exactly as long
+# as it does.
 APPLY_TABLE_SIZE = 4096
 LATTICE_TABLE_SIZE = 4096
-ISO_TABLE_SIZE = 4096
 
 TableInfo = namedtuple("TableInfo", "hits misses maxsize currsize")
 
@@ -225,21 +223,25 @@ class _BoundedTable(OrderedDict):
 class _Tally:
     """Hits and misses of a function that keeps its result on its argument;
     `cache_info()` reads like an `lru_cache`'s, with no bound and no
-    entries, and `cache_clear()` resets the counts."""
+    entries, `len()` is 0, and `cache_clear()` (or `clear()`) resets the
+    counts, so a tally reads like an emptied table."""
 
     __slots__ = ("hits", "misses")
-
-    def __init__(self):
-        self.hits = self.misses = 0
-
-    def cache_info(self) -> TableInfo:
-        return TableInfo(self.hits, self.misses, None, 0)
 
     def cache_clear(self):
         self.hits = self.misses = 0
 
+    __init__ = clear = cache_clear
 
-_RENDERS, _KEYS = _Tally(), _Tally()
+    def __len__(self):
+        return 0
+
+    def cache_info(self) -> TableInfo:
+        return TableInfo(self.hits, self.misses, None, 0)
+
+
+# the iso row is named for the tracer, which reads `len(_ISO_ATOM_CACHE)`
+_RENDERS, _KEYS, _ISO_ATOM_CACHE = _Tally(), _Tally(), _Tally()
 
 
 def render_elem(e: CanonElem) -> str:
@@ -695,14 +697,8 @@ def apply_elem(p: CanonElem, a: CanonElem) -> CanonElem:
 # ---------------------------------------------------------------------------
 # the type-reduction isomorphism
 
-# The children's images iso_i has mapped, per (element, sorted base sizes):
-# an image depends on the model only through its carriers, and elements are
-# interned, so a table or a node shared by many inputs is mapped once. The
-# element iso_i is asked about is not a child, and its image is not kept.
-_ISO_ATOM_CACHE = _BoundedTable(ISO_TABLE_SIZE)
 # the layout of each carrier the isomorphism has read, per (type, sorted
-# base sizes), each with the minterms made over it (the table's name is
-# from when it held minterms alone; perfbench reports its size)
+# base sizes), with its minterms; perfbench reads its size by this name
 LAYOUT_TABLE_SIZE = 256
 MINTERM_TABLE_SIZE = 4096
 _MINTERM_CACHE = _BoundedTable(LAYOUT_TABLE_SIZE)
@@ -795,13 +791,19 @@ def iso_i(f, model: ModelConfig, ty: Optional[TypeExpr] = None) -> CanonElem:
 
 
 def _iso_elem(f: CanonElem, sizes: tuple, child: bool) -> CanonElem:
-    """`f`'s image; a `child` image is kept in `_ISO_ATOM_CACHE`."""
-    key = (f, sizes)
-    hit = _ISO_ATOM_CACHE.recall(key)
-    if hit is not None:
-        return hit
-    # an input that fails raises before anything is stored, so it fails
-    # again on every later call
+    """`f`'s image over base sizes `sizes`. A `child` keeps its image in its
+    `_iso`, with `sizes`: elements are interned, so a node shared by many
+    inputs is mapped once per sizes. The element iso_i is asked about keeps
+    nothing, and an input that fails raises before anything is kept."""
+    if child:
+        try:
+            made_under, out = f._iso
+        except AttributeError:
+            made_under = None
+        if made_under == sizes:
+            _ISO_ATOM_CACHE.hits += 1
+            return out
+        _ISO_ATOM_CACHE.misses += 1
     match f:
         case FnTable():
             out = _iso_table(f, sizes)
@@ -820,7 +822,7 @@ def _iso_elem(f: CanonElem, sizes: tuple, child: bool) -> CanonElem:
             raise TypeMismatch(
                 f"cannot apply the isomorphism to {render_elem(f)}")
     if child:
-        _ISO_ATOM_CACHE.store(key, out)
+        object.__setattr__(f, "_iso", (sizes, out))
     return out
 
 
@@ -852,24 +854,20 @@ def _iso_table(f: FnTable, sizes: tuple) -> CanonElem:
 def iso_iterate(ty: TypeExpr, f, model: ModelConfig) -> CanonElem:
     """Repeated isomorphism: an element of ~...~s (2m or 2m+1 negations)
     lands in s (even) or ~s (odd), m ranks up."""
-    j, core = strip_negations(ty)
-    m = j // 2
+    m = strip_negations(ty)[0] // 2
     if m < 1:
         raise CttError(f"{render_type(ty)} carries no double negation to reduce")
     if not isinstance(f, (set, frozenset)) and f.ty != ty:
         raise TypeMismatch(
             f"isomorphism over {render_type(ty)} applied to "
             f"{render_elem(f)} : {render_type(f.ty)}")
-    out = f
-    current = ty
     for _ in range(m):
-        target = current.dom.dom  # peel two negations
-        out = iso_i(out, model, ty=target)
-        if out.k > model.rank_cap:
+        ty = ty.dom.dom  # peel two negations
+        f = iso_i(f, model, ty=ty)
+        if f.k > model.rank_cap:
             raise CapExceeded(
                 f"iterated isomorphism passed the rank cap {model.rank_cap}")
-        current = target
-    return out
+    return f
 
 
 # bound at import, so a wrapper installed over a module-level name later
@@ -881,9 +879,9 @@ _TABLES = (("apply_elem", apply_elem), ("lattice", _make_lattice),
 
 def table_stats() -> list:
     """(name, `cache_info()`) of every computed table of this module, and
-    of `render_elem` and `canonical_key`, which keep their results on the
-    elements: their rows count hits and misses, with `maxsize` None and
-    `currsize` 0."""
+    of `render_elem`, `canonical_key` and the isomorphism's child images,
+    which are kept on the elements: their rows count hits and misses, with
+    `maxsize` None and `currsize` 0."""
     return [(name, table.cache_info()) for name, table in _TABLES]
 
 

@@ -750,13 +750,15 @@ def test_tables_stay_within_their_bounds_over_a_harness_sweep():
         ("lattice", domains.LATTICE_TABLE_SIZE),
         ("render_elem", None),
         ("canonical_key", None),
-        ("iso", domains.ISO_TABLE_SIZE)]
+        ("iso", None)]
     for name, info in domains.table_stats():
         # the harness maps only rank-0 tables, whose images the isomorphism
         # does not keep; the iso row's hits are checked by the memory test
         assert info.hits > 0 or name == "iso", name
-        # texts and keys are kept on the elements, not in a table
+        # texts, keys and child images are kept on the elements, not in a
+        # table
         assert info.currsize <= (info.maxsize or 0), name
+    assert len(domains._ISO_ATOM_CACHE) == 0
 
 
 def test_the_isomorphism_bypasses_the_lattice_table():
@@ -1200,17 +1202,54 @@ def test_iso_keeps_no_image_of_a_one_off_input():
     del warm
     gc.collect()
     live = len(syntax._INTERNED)
-    entries = len(domains._ISO_ATOM_CACHE)
     hits = domains._ISO_ATOM_CACHE.cache_info().hits
     outs = [iso_iterate(n4, f, model) for f in inputs]
-    assert len(domains._ISO_ATOM_CACHE) == entries <= domains.ISO_TABLE_SIZE
-    # every second step maps a rank-1 node whose children were mapped before
+    # an input is not a child: its slot stays empty
+    assert not any(hasattr(f, "_iso") for f in inputs)
+    # every second step maps a rank-1 node whose children were mapped
+    # before, and reads their images back from them
     assert domains._ISO_ATOM_CACHE.cache_info().hits - hits > len(inputs)
     assert len({render_elem(o) for o in outs}) == len({canonical_key(o) for o in outs}) \
         == len(inputs)
     del outs
     gc.collect()
     assert len(syntax._INTERNED) == live
+
+
+def test_iso_images_die_with_their_children():
+    # each rank-1 node of a fresh rank-2 input over ~~e is a child that
+    # lives only as long as its input; of the children mapped, only the
+    # carrier's tables outlive the sweep, and they keep one image each
+    model = ModelConfig(base_sizes={"e": 2}, rank_cap=3)
+    nne = neg_type(neg_type(E))
+    tables = enumerate_domain(model, nne, 0)
+    rng = random.Random(47)
+
+    def fresh():
+        return domains._lattice(JoinE, 2, nne, [
+            domains._lattice(MeetE, 1, nne, [rng.choice(tables), rng.choice(tables),
+                                             make_neg(1, rng.choice(tables))])
+            for _ in range(3)])
+
+    gc.collect()
+    before = [ref() for ref in syntax._INTERNED.values()]
+    inputs = [fresh() for _ in range(300)]
+    outs = [iso_i(x, model) for x in inputs]
+    assert all(o is iso_i(x, model) for x, o in zip(inputs, outs))
+    del inputs, outs
+    gc.collect()
+    # what the carrier's tables keep: their images, and the parts of those
+    kept, todo = set(), [t._iso[1] for t in tables if hasattr(t, "_iso")]
+    while todo:
+        e = todo.pop()
+        if e not in kept:
+            kept.add(e)
+            todo.extend(e.children if isinstance(e, (MeetE, JoinE))
+                        else [e.child] if isinstance(e, NegE) else [])
+    old = set(map(id, before))
+    new = [v for v in (ref() for ref in syntax._INTERNED.values()) if id(v) not in old]
+    assert all(v in kept for v in new)
+    assert len(syntax._INTERNED) <= len(before) + len(tables)
 
 
 def test_iso_failures_are_not_memoized(m3):
