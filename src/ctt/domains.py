@@ -28,7 +28,7 @@ from types import MappingProxyType
 from typing import Iterable, Optional, Union
 
 from .syntax import (
-    Arrow, BOT, Base, Bot, CttError, Interned, MAX_NESTING, ParseError, RESERVED,
+    Arrow, BOT, Base, CttError, Interned, MAX_NESTING, ParseError, RESERVED,
     TypeExpr, TypeMismatch, _Cursor, _TOO_DEEP, _intern, _is_name,
     _parse_type, is_neg_type, render_type, strip_negations, tokenize,
 )
@@ -84,11 +84,11 @@ class FnTable(_Elem):
         object.__setattr__(self, "ty", Arrow(self.dom, self.cod))
 
     @classmethod
-    def carrier(cls, dom: TypeExpr, cod: TypeExpr, rows: list) -> tuple["FnTable", ...]:
-        """The table `FnTable(dom, cod, entries)` for each `entries` of
-        `itertools.product(*rows)`, in that order, interned in one loop:
-        each gets its slots set directly, with the one `Arrow(dom, cod)` as
-        its `ty`, and `_intern` returns it, or the live table equal to it.
+    def carrier(cls, ty: Arrow, rows: list) -> tuple["FnTable", ...]:
+        """The table `FnTable(ty.dom, ty.cod, entries)` for each `entries`
+        of `itertools.product(*rows)`, in that order, interned in one loop:
+        each gets its slots set directly, with `ty` itself as its `ty`, and
+        `_intern` returns it, or the live table equal to it.
         The cyclic collector is paused for the loop: a table refers only to
         values built before it, so the loop forms no cycle. A carrier of
         more tables than the gen-0 threshold is then promoted to the oldest
@@ -97,7 +97,7 @@ class FnTable(_Elem):
         Scavenging", 1984). Nothing stays frozen; the caller's young garbage
         waits for a full collection. If anything is frozen already, the
         unfreeze would thaw it, so there is no promotion."""
-        ty = Arrow(dom, cod)
+        dom, cod = ty.dom, ty.cod
         tables = []
         new, append = object.__new__, tables.append
         set_dom, set_cod = cls.dom.__set__, cls.cod.__set__
@@ -175,14 +175,14 @@ CanonElem = Union[Atom, NegE, MeetE, JoinE]
 # Computed tables (Brace, Rudell & Bryant, "Efficient Implementation of a
 # BDD Package", 1990), beside the hash-consing table: `apply_elem` and the
 # lattice constructors keep their recent results keyed on the interned
-# operands, so an operation a sweep repeats is done once. Every table is
-# bounded, so memory does not grow with how long the process has run, and
-# an operation that raises stores nothing. The sizes sit above the working
-# sets of the perfbench workloads: rule-harness's 1,344 measured ops leave
-# about 1,100 applications and 3,500 lattice nodes. An element's text,
-# canonical key and the image the isomorphism made of it as a child are not
-# tabled: each is kept on the element (`_Elem`) and lives exactly as long
-# as it does.
+# operands, so an operation a sweep repeats is done once, and each carrier
+# is built once, in its record (`_Carrier`). Every table is bounded, so
+# memory does not grow with how long the process has run, and an operation
+# that raises stores nothing. The sizes sit above the working sets of the
+# perfbench workloads: rule-harness's 1,344 measured ops leave about 1,100
+# applications, 3,500 lattice nodes and 57 carriers. An element's text,
+# canonical key and the image the isomorphism made of it as a child are
+# not tabled: each is kept on the element (`_Elem`).
 APPLY_TABLE_SIZE = 4096
 LATTICE_TABLE_SIZE = 4096
 
@@ -411,36 +411,104 @@ def enumerate_domain(model: ModelConfig, ty: TypeExpr, rank: int) -> list[CanonE
     algebra over the rank-0 carrier as complete-DNF joins of minterms:
     2^(2^g) pairwise-inequivalent elements for g rank-0 atoms. Every
     carrier is counted (`carrier_size`, `rank1_count`) before it is built,
-    so a refused one raises before any element is made. Carriers depend
-    only on the base sizes and are memoized; each call returns a fresh
-    list.
+    so a refused one raises before any element is made. Each carrier is
+    built once per base sizes (`_Carrier`); each call returns a fresh list.
     """
-    return list(_carrier(model.sizes, ty, rank))
+    if rank not in (0, 1):
+        raise CapExceeded(f"rank-{rank} domains are not enumerable here")
+    if rank == 1 and rank1_count(g := carrier_size(model.sizes, ty)) > MAX_RANK0_ENUM:
+        raise CapExceeded(f"{g} generators is too many for rank-1 enumeration")
+    carrier = _carrier(model.sizes, ty)
+    return list(carrier.rank1() if rank else carrier.atoms)
 
 
-@lru_cache(maxsize=256)
-def _carrier(sizes: tuple, ty: TypeExpr, rank: int) -> tuple[CanonElem, ...]:
-    if rank == 0:
+# one record per carrier built, keyed on (type, sorted base sizes), each
+# keeping at most MINTERM_TABLE_SIZE minterms (one read over the largest
+# admissible carrier can make 65,536); perfbench reads the table by name
+CARRIER_TABLE_SIZE = 256
+MINTERM_TABLE_SIZE = 4096
+_MINTERM_CACHE = _BoundedTable(CARRIER_TABLE_SIZE)
+
+
+class _Carrier:
+    """The rank-0 carrier of a type s over sorted base sizes: its `atoms`,
+    mask bit i standing for atom i, and, each made on first use, the
+    minterm of each mask, the rank-1 carrier, and the ~s carrier as ~~s
+    table keys (`keys`) with each key's mask, the atoms it maps to 1.
+
+    Every carrier is in rendering order without a sort, its atoms all of
+    one length: truth values (0, 1) and individuals (a, b, ...) are, and
+    a table carrier is built in product order over rows keyed by the
+    domain's atoms in that order, so its tables render the same keys in
+    the same places and differ only in values of one length. So entries
+    are in `fn_table`'s order, and entry i of a ~s key is atom i of s."""
+
+    __slots__ = ("ty", "sizes", "atoms", "minterms", "_rank1", "keys", "masks")
+
+    def __init__(self, ty: TypeExpr, sizes: tuple):
         count = carrier_size(sizes, ty)  # raises for a refused carrier
-        match ty:
-            case Bot():
-                return (FALSE, TRUE)
-            case Base():
-                return tuple(Individual(ty, n) for n in individual_names(count))
-            case Arrow(dom, cod):
-                # one shared (key, value) pair per row cell, not per table
-                rows = [[(k, v) for v in _carrier(sizes, cod, 0)]
-                        for k in sorted(_carrier(sizes, dom, 0), key=render_elem)]
-                return FnTable.carrier(dom, cod, rows)
-    if rank == 1:
-        g = carrier_size(sizes, ty)
-        if rank1_count(g) > MAX_RANK0_ENUM:
-            raise CapExceeded(f"{g} generators is too many for rank-1 enumeration")
-        layout = _layout(ty, sizes)
-        minterms = [layout.minterm(mask) for mask in range(2 ** g)]
-        return tuple(_rank1_join(ty, [minterms[i] for i in range(2 ** g) if (sel >> i) & 1])
-                     for sel in range(2 ** (2 ** g)))
-    raise CapExceeded(f"rank-{rank} domains are not enumerable here")
+        self.ty, self.sizes = ty, sizes
+        if ty is BOT:
+            self.atoms = (FALSE, TRUE)
+        elif isinstance(ty, Base):
+            self.atoms = tuple(Individual(ty, n) for n in individual_names(count))
+        else:
+            # one shared (key, value) pair per row cell, not per table
+            keys, values = _carrier(sizes, ty.dom).atoms, _carrier(sizes, ty.cod).atoms
+            self.atoms = FnTable.carrier(ty, [[(k, v) for v in values] for k in keys])
+        self.minterms = _BoundedTable(MINTERM_TABLE_SIZE)
+        self._rank1 = self.keys = self.masks = None
+
+    def rank1(self) -> tuple:
+        """The rank-1 carrier: the join of each set of minterms."""
+        if self._rank1 is None:
+            n = 2 ** len(self.atoms)
+            minterms = [self.minterm(mask) for mask in range(n)]
+            self._rank1 = tuple(
+                _rank1_join(self.ty, [minterms[i] for i in range(n) if (sel >> i) & 1])
+                for sel in range(2 ** n))
+        return self._rank1
+
+    def table_keys(self) -> tuple:
+        """The ~s carrier, in the order of a ~~s table's entries."""
+        if self.keys is None:
+            self.keys = _carrier(self.sizes, Arrow(self.ty, BOT)).atoms
+            self.masks = tuple(sum(1 << i for i, (_, v) in enumerate(k.entries) if v is TRUE)
+                               for k in self.keys)
+        return self.keys
+
+    def minterm(self, mask: int) -> CanonElem:
+        """The rank-1 meet of each atom in `mask` and each other atom's
+        negation."""
+        m = self.minterms.get(mask)
+        if m is None:
+            m = _lattice(MeetE, 1, self.ty, [a if (mask >> i) & 1 else make_neg(1, a)
+                                             for i, a in enumerate(self.atoms)])
+            self.minterms.store(mask, m)
+        return m
+
+    def read(self, masks) -> CanonElem:
+        """Full-DNF reading of the family of member sets `masks` (distinct):
+        the rank-1 join of their minterms, or a rank-0 atom when the family
+        is that atom's principal family."""
+        if len(masks) == 1 << (len(self.atoms) - 1):
+            # all 2^(g-1) sets contain one atom exactly when it is this
+            # family's only common atom
+            common = -1
+            for m in masks:
+                common &= m
+            if common:
+                return self.atoms[common.bit_length() - 1]
+        return _rank1_join(self.ty, map(self.minterm, masks))
+
+
+def _carrier(sizes: tuple, ty: TypeExpr) -> _Carrier:
+    """`ty`'s carrier over `sizes`, built on first use; a refused one raises."""
+    carrier = _MINTERM_CACHE.get((ty, sizes))
+    if carrier is None:
+        carrier = _Carrier(ty, sizes)
+        _MINTERM_CACHE.store((ty, sizes), carrier)
+    return carrier
 
 
 def carrier_size(sizes: tuple, ty: TypeExpr) -> int:
@@ -697,71 +765,6 @@ def apply_elem(p: CanonElem, a: CanonElem) -> CanonElem:
 # ---------------------------------------------------------------------------
 # the type-reduction isomorphism
 
-# the layout of each carrier the isomorphism has read, per (type, sorted
-# base sizes), with its minterms; perfbench reads its size by this name
-LAYOUT_TABLE_SIZE = 256
-MINTERM_TABLE_SIZE = 4096
-_MINTERM_CACHE = _BoundedTable(LAYOUT_TABLE_SIZE)
-
-
-class _Layout:
-    """How the isomorphism reads one carrier of a type s: s's rank-0 atoms,
-    mask bit i standing for atom i; the rank-1 minterm of each mask, made
-    on first use; and, from the first table read on, the ~s carrier in
-    table-entry order with each key's mask (the atoms it maps to 1)."""
-
-    __slots__ = ("sigma", "sizes", "atoms", "bits", "minterms", "keys", "masks")
-
-    def __init__(self, sigma: TypeExpr, sizes: tuple):
-        self.sigma, self.sizes = sigma, sizes
-        self.atoms = _carrier(sizes, sigma, 0)
-        self.bits = {a: 1 << i for i, a in enumerate(self.atoms)}
-        self.minterms = _BoundedTable(MINTERM_TABLE_SIZE)
-        self.keys = self.masks = None
-
-    def table_keys(self) -> tuple:
-        """The ~s carrier sorted by rendering, as table entries are."""
-        if self.keys is None:
-            keys = sorted(_carrier(self.sizes, Arrow(self.sigma, BOT), 0), key=render_elem)
-            self.masks = tuple(sum(self.bits[a] for a, v in k.entries if v is TRUE)
-                               for k in keys)
-            self.keys = tuple(keys)
-        return self.keys
-
-    def minterm(self, mask: int) -> CanonElem:
-        """The rank-1 meet of each atom in `mask` and each other atom's
-        negation."""
-        m = self.minterms.get(mask)
-        if m is None:
-            m = _lattice(MeetE, 1, self.sigma, [a if (mask >> i) & 1 else make_neg(1, a)
-                                                for i, a in enumerate(self.atoms)])
-            self.minterms.store(mask, m)
-        return m
-
-    def read(self, masks) -> CanonElem:
-        """Full-DNF reading of the family of member sets `masks` (distinct):
-        the rank-1 join of their minterms, or a rank-0 atom when the family
-        is that atom's principal family."""
-        if len(masks) == 1 << (len(self.atoms) - 1):
-            # all 2^(g-1) sets contain one atom exactly when it is this
-            # family's only common atom
-            common = -1
-            for m in masks:
-                common &= m
-            if common:
-                return self.atoms[common.bit_length() - 1]
-        return _rank1_join(self.sigma, map(self.minterm, masks))
-
-
-def _layout(sigma: TypeExpr, sizes: tuple) -> _Layout:
-    key = (sigma, sizes)
-    layout = _MINTERM_CACHE.get(key)
-    if layout is None:
-        layout = _Layout(sigma, sizes)
-        _MINTERM_CACHE.store(key, layout)
-    return layout
-
-
 def _rank1_join(sigma: TypeExpr, minterms: Iterable[CanonElem]) -> CanonElem:
     """The rank-1 join of distinct minterms, which no lattice step but the
     sort and the singleton collapse can change."""
@@ -782,11 +785,11 @@ def iso_i(f, model: ModelConfig, ty: Optional[TypeExpr] = None) -> CanonElem:
         if ty is None:
             raise CttError("a raw set-of-sets needs the target type")
         sets = frozenset(frozenset(s) for s in f)
-        layout = _layout(ty, model.sizes)
-        bits = layout.bits
+        carrier = _carrier(model.sizes, ty)
+        bits = {a: 1 << i for i, a in enumerate(carrier.atoms)}
         if not all(bits.keys() >= s for s in sets):
             raise TypeMismatch("set-of-sets mentions atoms outside the carrier")
-        return layout.read({sum(map(bits.__getitem__, s)) for s in sets})
+        return carrier.read({sum(map(bits.__getitem__, s)) for s in sets})
     return _iso_elem(f, model.sizes, False)
 
 
@@ -828,17 +831,16 @@ def _iso_elem(f: CanonElem, sizes: tuple, child: bool) -> CanonElem:
 
 def _iso_table(f: FnTable, sizes: tuple) -> CanonElem:
     """Read a table of type ~~s as a set of sets over the rank-0 carrier of
-    s, each ~s argument the set of atoms it maps to 1, through the layout of
-    s's carrier."""
+    s, each ~s argument the set of atoms it maps to 1, through the record
+    of s's carrier."""
     if is_neg_type(f.ty) and is_neg_type(f.dom) and f.entries:
-        layout = _layout(f.dom.dom, sizes)
+        carrier = _carrier(sizes, f.dom.dom)
         keys, values = zip(*f.entries)
-        if (keys == layout.table_keys()
+        if (keys == carrier.table_keys()
                 and values.count(TRUE) + values.count(FALSE) == len(values)):
-            return layout.read([m for m, v in zip(layout.masks, values) if v is TRUE])
-    # a table that does not fit its layout: the checks, in their order
-    carrier = _carrier(sizes, f.dom, 0)
-    if {k for k, _ in f.entries} != set(carrier):
+            return carrier.read([m for m, v in zip(carrier.masks, values) if v is TRUE])
+    # a table that does not fit its carrier: the checks, in their order
+    if {k for k, _ in f.entries} != set(_carrier(sizes, f.dom).atoms):
         raise TypeMismatch(f"table {render_elem(f)} is not total over its carrier")
     if not (is_neg_type(f.ty) and is_neg_type(f.dom)):
         raise TypeMismatch(f"{render_elem(f)} is not of a ~~s type")
@@ -846,9 +848,9 @@ def _iso_table(f: FnTable, sizes: tuple) -> CanonElem:
         if not isinstance(key, FnTable) or not isinstance(val, TruthVal):
             raise TypeMismatch("isomorphism input table must be concrete")
     # total and concrete, with its entries out of order or repeated
-    layout = _layout(f.dom.dom, sizes)
-    mask = dict(zip(layout.table_keys(), layout.masks))
-    return layout.read({mask[k] for k, v in f.entries if v is TRUE})
+    carrier = _carrier(sizes, f.dom.dom)
+    mask = dict(zip(carrier.table_keys(), carrier.masks))
+    return carrier.read({mask[k] for k, v in f.entries if v is TRUE})
 
 
 def iso_iterate(ty: TypeExpr, f, model: ModelConfig) -> CanonElem:
@@ -1042,8 +1044,7 @@ def _check_table_total(table: FnTable, model: ModelConfig):
         carrier = enumerate_domain(model, table.dom, 0)
     except CttError:
         return  # symbolic domain; nothing to check against
-    keys = [k for k, _ in table.entries]
-    if sorted(map(render_elem, keys)) != sorted(map(render_elem, carrier)):
+    if {k for k, _ in table.entries} != set(carrier):
         raise TypeMismatch(
             f"table over {render_type(table.dom)} does not cover the carrier")
 

@@ -537,10 +537,9 @@ def cts_harness_model(size: int = 2) -> ModelConfig:
     """Model for sequent-rule trials: base e plus constants naming every
     e -> bot table, so functor-side big-operator substitution has a
     name-addressable carrier."""
-    # the carrier read from the base sizes, as enumerate_domain reads a
-    # model's: a model built only to be read would die and be built anew
-    # on every call
-    tables = _carrier((("e", size),), Arrow(Base("e"), BOT), 0)
+    # read from the base sizes, as enumerate_domain reads a model's: a
+    # model built only to be read would die and be built anew on every call
+    tables = _carrier((("e", size),), Arrow(Base("e"), BOT)).atoms
     return ModelConfig(base_sizes={"e": size},
                        constants={f"k{i}": tab for i, tab in enumerate(tables)})
 

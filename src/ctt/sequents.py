@@ -166,14 +166,14 @@ def _named_carrier(model: Optional[ModelConfig], ty: TypeExpr,
     except CttError as ex:
         return str(ex)
     names = []
-    reverse = {render_elem(v): n for n, v in model.constants.items()}
+    reverse = {v: n for n, v in model.constants.items()}
     for a in atoms:
         if isinstance(a, Individual):
             names.append(CVar(a.name, ty, 0))
         elif isinstance(a, TruthVal):
             names.append(CVar(str(a.value), BOT, 0))
-        elif render_elem(a) in reverse:
-            names.append(CVar(reverse[render_elem(a)], ty, 0))
+        elif a in reverse:
+            names.append(CVar(reverse[a], ty, 0))
         else:
             return (f"carrier element {render_elem(a)} of {ty} has no name; "
                     "declare constants covering the carrier")

@@ -104,11 +104,11 @@ def test_arrow_pool_is_counted_not_built(capsys, tmp_path):
     # carrier is built
     mdl = tmp_path / "four.mdl"
     mdl.write_text("base e 4\n")
-    domains._carrier.cache_clear()
+    domains._MINTERM_CACHE.clear()
     code, out, err = run(capsys, "entail", "--model", str(mdl), ARROW_POOL_OVER_CAP)
     assert (code, out) == (3, "")
     assert err == "ctt: resource cap: assignment space 65536 exceeds the cap 4096\n"
-    assert domains._carrier.cache_info().misses == 0
+    assert len(domains._MINTERM_CACHE) == 0
 
 
 def test_a_carrier_count_too_long_for_decimal_exits_3(capsys, tmp_path):
@@ -118,7 +118,7 @@ def test_a_carrier_count_too_long_for_decimal_exits_3(capsys, tmp_path):
     # 65,536 tables of ~~~e
     mdl = tmp_path / "two.mdl"
     mdl.write_text("base e 2\n")
-    domains._carrier.cache_clear()
+    domains._MINTERM_CACHE.clear()
     gc.collect()
     live = len(syntax._INTERNED)
     code, out, err = run(capsys, "entail", "--model", str(mdl),
@@ -129,7 +129,7 @@ def test_a_carrier_count_too_long_for_decimal_exits_3(capsys, tmp_path):
                    "((((e -> bot) -> bot) -> bot) -> bot) exceeds the cap\n")
     gc.collect()
     assert len(syntax._INTERNED) == live
-    assert domains._carrier.cache_info().currsize == 0
+    assert len(domains._MINTERM_CACHE) == 0
 
 
 RANK1_POOL_OVER_CAP = "|- ((x:(e -> (e -> bot))@1 y:e@0) z:e@0)"
@@ -285,6 +285,29 @@ def test_prove_and_check_proof(capsys, tmp_path):
     path.write_text(broken)
     code, out, _ = run(capsys, "check-proof", str(path))
     assert code in (1, 2)
+
+
+# two carriers whose tables render alike: (e -> bot) named by k0 and k1,
+# (t -> bot) by j0 and j1
+TWIN_CARRIERS = ("base e 1\nbase t 1\n"
+                 "const k0 : (e -> bot) = table{a->0}\nconst k1 : (e -> bot) = table{a->1}\n"
+                 "const j0 : (t -> bot) = table{a->0}\nconst j1 : (t -> bot) = table{a->1}\n")
+
+
+def test_a_big_operator_expands_over_the_constants_of_its_type(capsys, tmp_path):
+    # All[1] over (e -> bot) expands to k0 and k1, not to the (t -> bot)
+    # constants of the same rendering, so the prover finds the derivation
+    mdl = tmp_path / "twins.mdl"
+    mdl.write_text(TWIN_CARRIERS)
+    goal = "(p:((e -> bot) -> bot)@0 All[1](i:(e -> bot)@0)) |- and[1]((p k0), (p k1))"
+    code, out, _ = run(capsys, "prove", "--model", str(mdl), goal)
+    assert code == 0
+    assert [line.split()[2] for line in out.splitlines()[:-1]] == ["rule=ax", "rule=all-Lr"]
+    path = tmp_path / "twins.proof"
+    path.write_text(out)
+    code, out, _ = run(capsys, "check-proof", "--model", str(mdl), str(path))
+    assert code == 0
+    assert out.startswith("(p:((e -> bot) -> bot)@0 All[1](i:(e -> bot)@0)) |- ")
 
 
 AX_LINE = "node 1 rule=ax dir=- pos=- concl=A |- A premises="

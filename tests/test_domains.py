@@ -102,6 +102,44 @@ def test_enumerate_domain_returns_a_fresh_list(m3):
     assert enumerate_domain(m3, E, 0) == [Individual(E, n) for n in "abc"]
 
 
+def _types(leaves, depth):
+    """Every type of at most `depth` levels over `leaves`, one level each."""
+    types = list(leaves)
+    for _ in range(depth - 1):
+        types = list(dict.fromkeys(types + [Arrow(d, c) for d in types for c in types]))
+    return types
+
+
+def test_every_rank0_carrier_is_in_rendering_order():
+    # carriers are built without a sort: each must already be in the order
+    # of its atoms' renderings, which are all of one length. A rendering
+    # names no type, so a carrier over one base renders as it does over
+    # the other, and one over both as its mirror (e and t swapped, with
+    # their sizes): the two-base models need only the types that mention
+    # both, at e's size up to t's
+    one_base = _types((BOT, E), 3)
+    mirrored = set(one_base) | set(_types((BOT, T), 3))
+    both = [ty for ty in _types((BOT, E, T), 3) if ty not in mirrored]
+    cases = [({"e": s}, one_base) for s in (1, 2, 3)]
+    cases += [({"e": s, "t": r}, both) for s in (1, 2, 3) for r in range(s, 4)]
+    checked = 0
+    try:
+        for sizes, types in cases:
+            model = ModelConfig(base_sizes=sizes)
+            for ty in types:
+                try:
+                    atoms = enumerate_domain(model, ty, 0)
+                except CapExceeded:
+                    continue
+                texts = [render_elem(a) for a in atoms]
+                assert texts == sorted(texts), (sizes, render_type(ty))
+                assert len(set(map(len, texts))) == 1, (sizes, render_type(ty))
+                checked += 1
+    finally:
+        domains._MINTERM_CACHE.clear()  # frees the rendered carriers
+    assert checked == 466
+
+
 N4 = neg_type(neg_type(neg_type(neg_type(E))))
 
 
@@ -112,7 +150,7 @@ def test_bulk_built_carriers_are_the_hash_consed_tables():
         cases += [(model, ty) for ty in (neg_type(E), Arrow(E, E), Arrow(BOT, E),
                                          Arrow(E, neg_type(E)), neg_type(neg_type(E)))]
     for model, ty in cases:
-        domains._carrier.cache_clear()
+        domains._MINTERM_CACHE.clear()
         tables = enumerate_domain(model, ty, 0)
         keys = sorted(enumerate_domain(model, ty.dom, 0), key=render_elem)
         rows = [[(k, v) for v in enumerate_domain(model, ty.cod, 0)] for k in keys]
@@ -126,7 +164,7 @@ def test_bulk_build_reuses_a_live_table():
     u = Base("u")
     model = ModelConfig(base_sizes={"u": 2})
     a, b = enumerate_domain(model, u, 0)
-    domains._carrier.cache_clear()
+    domains._MINTERM_CACHE.clear()
     gc.collect()
     table = FnTable(u, BOT, ((a, FALSE), (b, TRUE)))
     assert [t for t in enumerate_domain(model, neg_type(u), 0) if t is table] == [table]
@@ -134,13 +172,13 @@ def test_bulk_build_reuses_a_live_table():
 
 def test_bulk_build_leaves_no_entry_behind():
     model = ModelConfig(base_sizes={"e": 1}, rank_cap=2)
-    domains._carrier.cache_clear()
+    domains._MINTERM_CACHE.clear()
     gc.collect()
     live = len(syntax._INTERNED)
     tables = enumerate_domain(model, N4, 0)
     assert len(syntax._INTERNED) >= live + len(tables)
     del tables
-    domains._carrier.cache_clear()
+    domains._MINTERM_CACHE.clear()
     gc.collect()
     assert len(syntax._INTERNED) == live
 
@@ -149,17 +187,15 @@ def test_a_refused_rank1_carrier_builds_nothing():
     # at e = 4, ~~e has 65,536 rank-0 tables: too many generators for
     # rank 1, which is known from the count before any table is built
     model = ModelConfig(base_sizes={"e": 4})
-    domains._carrier.cache_clear()
+    domains._MINTERM_CACHE.clear()
     gc.collect()
     live = len(syntax._INTERNED)
-    layouts = dict(domains._MINTERM_CACHE)
     with pytest.raises(CapExceeded) as err:
         enumerate_domain(model, neg_type(neg_type(E)), 1)
     assert str(err.value) == "65536 generators is too many for rank-1 enumeration"
     gc.collect()
     assert len(syntax._INTERNED) == live
-    assert domains._carrier.cache_info().currsize == 0
-    assert dict(domains._MINTERM_CACHE) == layouts
+    assert len(domains._MINTERM_CACHE) == 0
 
 
 def test_bulk_build_restores_the_collector_state(monkeypatch):
@@ -172,7 +208,7 @@ def test_bulk_build_restores_the_collector_state(monkeypatch):
     try:
         for enabled in (True, False, True):
             (gc.enable if enabled else gc.disable)()
-            domains._carrier.cache_clear()
+            domains._MINTERM_CACHE.clear()
             assert len(enumerate_domain(model, neg_type(neg_type(E)), 0)) == 16
             assert gc.isenabled() is enabled
             # a loop that raises part-way restores it too
@@ -193,7 +229,7 @@ def _in_generation(objs, generation):
 def test_bulk_build_promotes_a_large_carrier_and_freezes_nothing():
     # ~~~~e at e = 1 is 65,536 tables, above the gen-0 threshold
     model = ModelConfig(base_sizes={"e": 1}, rank_cap=2)
-    domains._carrier.cache_clear()
+    domains._MINTERM_CACHE.clear()
     gc.collect()
     frozen = gc.get_freeze_count()
     tables = enumerate_domain(model, N4, 0)
@@ -201,7 +237,7 @@ def test_bulk_build_promotes_a_large_carrier_and_freezes_nothing():
     if frozen == 0:  # else (as on 3.12, from start-up) no promotion
         for young in range(len(gc.get_count()) - 1):
             assert not _in_generation(tables, young)
-    domains._carrier.cache_clear()
+    domains._MINTERM_CACHE.clear()
 
 
 def test_bulk_build_leaves_young_objects_young_after_a_small_carrier():
@@ -210,7 +246,7 @@ def test_bulk_build_leaves_young_objects_young_after_a_small_carrier():
     enabled = gc.isenabled()
     gc.disable()  # so that no collection moves the marker
     try:
-        domains._carrier.cache_clear()
+        domains._MINTERM_CACHE.clear()
         marker = []
         assert len(enumerate_domain(model, neg_type(neg_type(E)), 0)) == 16
         assert _in_generation([marker], 0) == [marker]
@@ -221,7 +257,7 @@ def test_bulk_build_leaves_young_objects_young_after_a_small_carrier():
 
 def test_bulk_build_keeps_a_hosts_frozen_objects_frozen():
     model = ModelConfig(base_sizes={"e": 1}, rank_cap=2)
-    domains._carrier.cache_clear()
+    domains._MINTERM_CACHE.clear()
     gc.collect()
     gc.freeze()
     try:
@@ -231,7 +267,7 @@ def test_bulk_build_keeps_a_hosts_frozen_objects_frozen():
         assert gc.get_freeze_count() == frozen
     finally:
         gc.unfreeze()
-        domains._carrier.cache_clear()
+        domains._MINTERM_CACHE.clear()
 
 
 def test_intern_replaces_an_entry_whose_value_died():
@@ -256,9 +292,9 @@ def test_rebuilding_a_carrier_returns_its_live_tables():
     # the carriers below it
     model = ModelConfig(base_sizes={"e": 1})
     ty = neg_type(neg_type(neg_type(E)))
-    domains._carrier.cache_clear()
+    domains._MINTERM_CACHE.clear()
     kept = enumerate_domain(model, ty, 0)[::3]
-    domains._carrier.cache_clear()
+    domains._MINTERM_CACHE.clear()
     gc.collect()
     live = len(syntax._INTERNED)
     tables = enumerate_domain(model, ty, 0)
@@ -1317,6 +1353,16 @@ def test_parse_model_config_cap_violation():
 def test_parse_model_config_table_mismatch():
     with pytest.raises(TypeMismatch):
         parse_model_config("base e 2\nconst f : (e -> bot) = table{a->0}")
+
+
+def test_a_table_keyed_by_another_types_twin_does_not_cover_the_carrier():
+    # j1 : (t -> bot) renders as the (e -> bot) table k1 does; a table over
+    # (e -> bot) that maps j1 in place of k1 is not total
+    model = parse_model_config("base e 1\nbase t 1\n"
+                               "const k0 : (e -> bot) = table{a->0}\n"
+                               "const j1 : (t -> bot) = table{a->1}")
+    with pytest.raises(TypeMismatch, match=r"table over \(e -> bot\) does not cover"):
+        parse_element("table{k0->1,j1->0}", model)
 
 
 def test_element_literals_round_trip(m3):
