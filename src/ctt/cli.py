@@ -213,15 +213,10 @@ def cmd_iso(args, out: Printer) -> int:
 
 
 def cmd_harness(args, out: Printer) -> int:
-    seed = os.environ.get("CTT_SEED", args.seed)
-    try:
-        seed = int(seed)
-    except ValueError:
-        raise CttError(f"CTT_SEED must be an integer, got {seed!r}") from None
     if args.rule in gen.SLM_RULE_IDS:
-        report = soundness_harness(args.rule, trials=args.trials, seed=seed)
+        report = soundness_harness(args.rule, trials=args.trials, seed=args.seed)
     elif args.rule in ALL_RULES and args.rule != "ax":
-        report = cts_rule_harness(args.rule, trials=args.trials, seed=seed)
+        report = cts_rule_harness(args.rule, trials=args.trials, seed=args.seed)
     else:
         raise CttError(f"unknown rule {args.rule!r}; equality rules: "
                        f"{', '.join(gen.SLM_RULE_IDS)}; sequent rules: "

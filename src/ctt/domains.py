@@ -381,7 +381,10 @@ class ModelConfig(Interned):
                 names[n] = names.get(n, ()) + (Individual(Base(name), n),)
         if self.rank_cap < 0:
             raise CttError("rank cap must be a natural number")
-        names.update((name, (value,)) for name, value in self.consts)
+        for name, value in self.consts:
+            if not _names_constant(name):
+                raise CttError(_BAD_CONSTANT.format(name))
+            names[name] = (value,)
         for attr, mapping in (("base_sizes", self.sizes), ("constants", self.consts),
                               ("names", names)):
             object.__setattr__(self, attr, MappingProxyType(dict(mapping)))
@@ -398,6 +401,14 @@ def _names_base_type(name: str) -> bool:
         return tokenize(name) == [name, ""] and _is_name(name) and name not in RESERVED
     except ParseError:
         return False
+
+
+_BAD_CONSTANT = "constant {!r} is not an identifier other than a reserved word, 0 or 1"
+
+
+def _names_constant(name: str) -> bool:
+    """Whether a term can name constant `name`; it may shadow 0 or 1."""
+    return name in ("0", "1") or _names_base_type(name)
 
 
 def individual_names(size: int) -> list[str]:
@@ -940,6 +951,8 @@ def parse_model_config(text: str) -> ModelConfig:
             if c.toks[c.i]:
                 raise CttError(f"bad const type in: {raw!r}")
             name = name.strip()
+            if not _names_constant(name):
+                raise ParseError(_BAD_CONSTANT.format(name), name_at, raw, lineno)
             if name in consts:
                 raise ParseError(f"model declares constant {name} twice", name_at, raw, lineno)
             consts[name] = (ty, literal, raw, lineno, end - len(literal))

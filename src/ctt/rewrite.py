@@ -53,22 +53,9 @@ class RewriteTrace:
 
 
 class NameSupply:
-    """Fresh names by priming; the only piece of state, passed explicitly."""
-
-    def __init__(self, avoid: Optional[set[str]] = None):
-        self.avoid = set(avoid or ())
-
-    def fresh(self, base: str) -> str:
-        name = base
-        while name in self.avoid:
-            name += "'"
-        self.avoid.add(name)
-        return name
-
-
-class _LazySupply(NameSupply):
-    """A NameSupply whose avoid set, `names()`, is built on the first
-    `fresh` call: most contractions never ask for a fresh name."""
+    """Fresh names by priming; the only piece of state, passed explicitly.
+    The set of names to avoid, `names()`, is built on the first `fresh`
+    call: most contractions never ask for a fresh name."""
 
     def __init__(self, names: Callable[[], set[str]]):
         self._names = names
@@ -76,6 +63,13 @@ class _LazySupply(NameSupply):
     @cached_property
     def avoid(self) -> set[str]:
         return self._names()
+
+    def fresh(self, base: str) -> str:
+        name = base
+        while name in self.avoid:
+            name += "'"
+        self.avoid.add(name)
+        return name
 
 
 def _all_names(term: SlmTerm) -> set[str]:
@@ -97,7 +91,7 @@ def substitute(term: SlmTerm, x: str, repl: SlmTerm,
                supply: Optional[NameSupply] = None) -> SlmTerm:
     """Capture-avoiding substitution term[x := repl]."""
     if supply is None:
-        supply = _LazySupply(lambda: _all_names(term) | _all_names(repl))
+        supply = NameSupply(lambda: _all_names(term) | _all_names(repl))
     repl_fv = free_vars(repl)
 
     def go(t: SlmTerm) -> SlmTerm:
@@ -134,7 +128,7 @@ def structural_subst(body: SlmTerm, x: str, q: SlmTerm, y: str,
     inapplicable (NonFunctorOccurrence).
     """
     if supply is None:
-        supply = _LazySupply(lambda: _all_names(body) | _all_names(q) | {x, y})
+        supply = NameSupply(lambda: _all_names(body) | _all_names(q) | {x, y})
     q_fv = free_vars(q)
     y_ty = None
 
@@ -228,7 +222,7 @@ class _RedexSearch:
         """Find and contract the next redex; None at normal form. The name
         supply of a contraction avoids every name of the current term, as
         a search from the root would."""
-        supply = _LazySupply(lambda: _all_names(self.root()))
+        supply = NameSupply(lambda: _all_names(self.root()))
         if self.innermost:
             return self._postorder(supply)
         if self.changed:

@@ -678,8 +678,32 @@ def _tree_sizes(lines: dict[int, tuple]) -> dict[int, int]:
     counting a line once per use, as `Derivation.nodes` does."""
     sizes: dict[int, int] = {}
     for nid, line in lines.items():
-        sizes[nid] = 1 + sum(sizes[p] for p in line[4])
+        size = 1
+        for p in line[4]:
+            size += sizes[p]
+        sizes[nid] = size
     return sizes
+
+
+def _read_premise(text: str, seq: Sequent, names: Optional[dict],
+                  expected: Optional[Sequent]) -> tuple[Sequent, Optional[dict]]:
+    """A premise line of `seq` as `_read_sequent` reads it, given `names`,
+    signatures covering the members of `seq`, and the premise `expected`
+    there, if any, taken unparsed when `text` is its rendering. A rendering
+    reads back as the sequent it renders when its members pass
+    `check_sequent_member` and no name has two signatures, so those are
+    checked for the members it adds to `seq`."""
+    if expected is not None and text == render_sequent(expected):
+        added = (expected.ante - seq.ante) | (expected.succ - seq.succ)
+        for m in added:
+            names = _union(names, signature_table(m))
+        if names is not None:
+            try:
+                expected.check(added)
+                return expected, names
+            except CttError:
+                pass
+    return _read_sequent(text)
 
 
 def check_derivation_file(text: str, model: Optional[ModelConfig] = None,
@@ -688,87 +712,54 @@ def check_derivation_file(text: str, model: Optional[ModelConfig] = None,
     of nodes and the first failing node, if any. The results and errors are
     those of `parse_derivation_file` followed by `check_derivation`.
 
-    The walk starts at the root, whose conclusion is parsed, and visits
-    nodes in `check_derivation`'s order. At each node, `rule_premises`
-    gives the premises, and a premise line whose conclusion is the
-    rendering of the premise at its position is taken as that premise
-    unparsed. A rendering reads back as the sequent it renders when its
-    members pass `check_sequent_member` and no name has two signatures, so
-    those are checked for the members the premise adds. Other premise
-    lines are parsed. A node whose premises were all taken passes, as
-    `check_rule_instance` would pass it, when a substitution reads
-    downward; any other node is checked by `check_rule_instance`. A line
-    met again was checked in full the first time, since premises come
-    before their node and the walk stops at the first failure, so it is
-    not walked again, and its nodes are counted from the lines. Every line
-    the walk did not read is parsed after it. Where anything does not
-    read, `parse_derivation_file` raises the first error in file order."""
+    The walk is `check_derivation`'s, over the lines from the root, whose
+    conclusion is parsed. At each node, `rule_premises` gives the premises
+    it expects, and `_read_premise` reads each premise line. A node whose
+    premises are all the expected ones passes, as `check_rule_instance`
+    would pass it, when a substitution reads downward; any other node is
+    checked by `check_rule_instance`. A line met again is skipped: premises
+    come before their node and the walk stops at the first failure, so the
+    first visit checked it in full. Every line the walk did not read is
+    parsed after it. Where anything does not read, `parse_derivation_file`
+    raises the first error in file order."""
     try:
         lines, root_id = _node_lines(text)
         root_id = _root(lines, root_id)
-        # line id -> (its sequent, name -> signature over the members met so far)
-        read = {root_id: _read_sequent(lines[root_id][3])}
-        root = read[root_id][0]
-        walked, sizes, shared, failure = set(), None, 0, None
-        # (line id, read[line id], premise index, the parent's entry)
-        stack = [(root_id, read[root_id], 0, None)]
+        read = {root_id: _read_sequent(lines[root_id][3])}  # line id -> (sequent, names)
+        failure, stack, walked = None, [(root_id, ())], set()
         while stack:
-            entry = stack.pop()
-            nid, (seq, names), _, _ = entry
+            nid, path = stack.pop()
             if nid in walked:
-                sizes = sizes or _tree_sizes(lines)
-                shared += sizes[nid]
                 continue
             walked.add(nid)
             rule, direction, pos, _, premise_ids = lines[nid]
+            seq, names = read[nid]
             expected = None
             if direction == "down" or rule not in _SUBST:
                 try:
                     expected = rule_premises(seq, rule, pos, model)
                 except CttError:
                     pass
-                if isinstance(expected, Violation) or \
-                        len(expected or ()) != len(premise_ids):
-                    expected = None
-            taken = expected is not None
-            for i in range(len(premise_ids) - 1, -1, -1):  # premise 0 is walked first
-                pid = premise_ids[i]
+            if isinstance(expected, Violation) or len(expected or ()) != len(premise_ids):
+                expected = None
+            premises = []
+            for i, pid in enumerate(premise_ids):
                 known = read.get(pid)
                 if known is None:
-                    premise = more = None
-                    if expected is not None and \
-                            lines[pid][3] == render_sequent(expected[i]):
-                        premise = expected[i]
-                        added = (premise.ante - seq.ante) | (premise.succ - seq.succ)
-                        more = names
-                        for m in added:
-                            more = _union(more, signature_table(m))
-                        try:
-                            premise.check(added)
-                        except CttError:
-                            more = None
-                    if more is None:
-                        premise, more = _read_sequent(lines[pid][3])
-                    known = read[pid] = premise, more
-                if taken and known[0] is not expected[i]:
-                    taken = False
-                stack.append((pid, known, i, entry))
-            if not taken:
-                v = check_rule_instance(seq, [read[p][0] for p in premise_ids], rule, pos,
-                                        direction, model)
+                    known = read[pid] = _read_premise(lines[pid][3], seq, names,
+                                                      expected and expected[i])
+                premises.append(known[0])
+            if premises != expected:
+                v = check_rule_instance(seq, premises, rule, pos, direction, model)
                 if v is not None:
-                    path = []
-                    while entry[3] is not None:
-                        path.append(entry[2])
-                        entry = entry[3]
-                    failure = DerivationFailure(tuple(reversed(path)), v)
+                    failure = DerivationFailure(path, v)
                     break
+            for i in range(len(premise_ids) - 1, -1, -1):  # premise 0 is walked first
+                stack.append((premise_ids[i], path + (i,)))
         for nid, line in lines.items():
             if nid not in read:
                 _read_sequent(line[3])
     except CttError:
         parse_derivation_file(text)
         raise
-    if failure is not None:
-        return root, _tree_sizes(lines)[root_id], failure
-    return root, len(walked) + shared, None
+    return read[root_id][0], _tree_sizes(lines)[root_id], failure

@@ -184,13 +184,12 @@ class _Node(Interned):
     languages. Derived facts live in slots: `_ty` holds the type or, for an
     ill-typed node, its first fault in a left-to-right walk as the message
     and path `.ty` raises with, so a term is typed once, as it is built,
-    and construction never raises; `height` counts the term levels of the
-    tree (types not counted); `_free` is filled by
+    and construction never raises; `_free` is filled by
     `free_vars`/`cts_signature`. `render` fills `_text`, the default text,
     and `_marks`, the span of each free name's annotation in it, joining
     both from the children's, so printing a term costs its new nodes."""
 
-    __slots__ = ("_ty", "height", "_free", "_text", "_marks")
+    __slots__ = ("_ty", "_free", "_text", "_marks")
     _child_fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
@@ -205,10 +204,6 @@ class _Node(Interned):
 
     def _build(self):  # a leaf (Var, CVar) stores its type
         object.__setattr__(self, "_ty", self.ty)
-        self._stack(())
-
-    def _stack(self, kids):
-        object.__setattr__(self, "height", 1 + max((c.height for c in kids), default=0))
 
     @property
     def ty(self) -> TypeExpr:
@@ -302,7 +297,6 @@ class App(_Node):
         else:
             ty = fty.cod
         object.__setattr__(self, "_ty", ty)
-        self._stack(children(self))
 
 
 class Lam(_Node):
@@ -313,7 +307,6 @@ class Lam(_Node):
         ty = self.body._ty
         ty = _below(0, ty) if isinstance(ty, tuple) else Arrow(self.binder_ty, ty)
         object.__setattr__(self, "_ty", ty)
-        self._stack(children(self))
 
 
 _BAD_MU_BINDER = "mu binder must have a negation type"
@@ -336,7 +329,6 @@ class Mu(_Node):
         else:
             ty = self.binder_ty.dom
         object.__setattr__(self, "_ty", ty)
-        self._stack(children(self))
 
 
 def _mu_dom(mu: Mu) -> TypeExpr:
@@ -365,7 +357,6 @@ class _Ranked(_Node):
         self._settle(())
 
     def _settle(self, kids):
-        self._stack(kids)
         faults = [c._fault if isinstance(c, _Ranked)
                   else (CttError, f"unknown subterm {c!r}") for c in kids]
         fault = next(filter(None, faults), None) or _own_fault(self)
@@ -813,12 +804,15 @@ class _SlmParser:
         self.default_ty = default_ty
 
     def term(self, bound: dict[str, TypeExpr]) -> SlmTerm:
+        """One term. Its height, in term levels, is left in `self.height`:
+        a leaf's 1, set first, or one more than its highest child's."""
         c = self.c
         c.depth += 1
         if c.depth > MAX_NESTING:
             c.fail(_TOO_DEEP)
         try:
             t = c.toks[c.i]
+            self.height = 1
             if t == "\\" or t == "#":
                 is_mu = t == "#"
                 c.i += 1
@@ -829,16 +823,20 @@ class _SlmParser:
                     c.fail(f"mu binder must have a negation type, got {bty}")
                 c.expect(".")
                 body = self.term({**bound, name: bty})
+                self.height += 1
                 return Mu(name, bty, body) if is_mu else Lam(name, bty, body)
             if t == "(":
                 c.i += 1
                 out = self.term(bound)
+                height = self.height
                 while c.toks[c.i] != ")":  # (P) groups, (P Q R) left-folds
                     # the functor `out` goes one level down per argument
-                    if c.depth + out.height > MAX_NESTING:
+                    if c.depth + height > MAX_NESTING:
                         c.fail(_TOO_DEEP)
                     out = App(out, self.term(bound))
+                    height = 1 + max(height, self.height)
                 c.i += 1
+                self.height = height
                 return out
             if _is_name(t) and t not in RESERVED:
                 c.i += 1
@@ -948,12 +946,14 @@ class _CtsParser:
         return t, ty, m
 
     def subterm(self) -> CtsSubterm:
+        """One subterm; its height is left in `self.height`, as by `term`."""
         c = self.c
         c.depth += 1
         if c.depth > MAX_NESTING:
             c.fail(_TOO_DEEP)
         try:
             t = c.toks[c.i]
+            self.height = 1
             if t in ("neg", "and", "or", "All", "Ex"):
                 op = t
                 c.i += 1
@@ -962,12 +962,15 @@ class _CtsParser:
                 if op == "neg":
                     child = self.subterm()
                     c.expect(")")
+                    self.height += 1
                     return CNeg(k, child)
                 if op in ("and", "or"):
                     left = self.subterm()
+                    height = self.height
                     c.expect(",")
                     right = self.subterm()
                     c.expect(")")
+                    self.height = 1 + max(height, self.height)
                     return (CConj if op == "and" else CDisj)(k, left, right)
                 name, ty, m = self.annotated_var()
                 c.expect(")")
@@ -975,11 +978,14 @@ class _CtsParser:
             if t == "(":
                 c.i += 1
                 out = self.subterm()
+                height = self.height
                 while c.toks[c.i] != ")":
-                    if c.depth + out.height > MAX_NESTING:
+                    if c.depth + height > MAX_NESTING:
                         c.fail(_TOO_DEEP)
                     out = CApp(out, self.subterm())
+                    height = 1 + max(height, self.height)
                 c.i += 1
+                self.height = height
                 return out
             if _is_name(t) or t.isdigit():  # 0 and 1 name the truth values
                 c.i += 1

@@ -18,8 +18,8 @@ from typing import Optional
 from ctt.syntax import (
     App, Arrow, BOT, Base, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg, CVar,
     CttError, CtsSubterm, Lam, MAX_NESTING, Mu, ParseError, SlmTerm, TypeExpr,
-    TypeMismatch, Var, _CTS_NODES, _SLM_NODES, check_sequent_member, is_neg_type,
-    neg_type, rank_check,
+    TypeMismatch, Var, _CTS_NODES, _SLM_NODES, check_sequent_member, children,
+    is_neg_type, neg_type, rank_check,
 )
 
 
@@ -110,6 +110,12 @@ def tokenize(text: str, mu_sigil: bool = False) -> list[Token]:
     return toks
 
 
+def _height(t) -> int:
+    """The term levels of `t`, types not counted, as nodes kept them in a
+    `height` slot when these parsers were current."""
+    return 1 + max(map(_height, children(t)), default=0)
+
+
 class _Cursor:
     def __init__(self, toks: list[Token], text: str):
         self.toks = toks
@@ -128,7 +134,7 @@ class _Cursor:
     def within(self, below: int):
         """Fail unless `below` levels under this one stay within the budget:
         applying the functor `out` of `(P Q R ...)` to one more argument
-        puts its deepest node `out.height` levels under this one."""
+        puts its deepest node `_height(out)` levels under this one."""
         if self.depth + below > MAX_NESTING:
             self.fail(f"input nests deeper than {MAX_NESTING} levels")
 
@@ -226,7 +232,7 @@ class _SlmParser:
                 c.next()
                 out = self.term(bound)
                 while not c.at(")"):  # (P) groups, (P Q R) left-folds
-                    c.within(out.height)
+                    c.within(_height(out))
                     out = App(out, self.term(bound))
                 c.expect(")")
                 return out
@@ -359,7 +365,7 @@ class _CtsParser:
                 c.next()
                 out = self.subterm()
                 while not c.at(")"):
-                    c.within(out.height)
+                    c.within(_height(out))
                     out = CApp(out, self.subterm())
                 c.expect(")")
                 return out

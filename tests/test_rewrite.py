@@ -222,7 +222,7 @@ def test_alpha_equivalence():
 
 
 def test_fresh_name_supply_primes():
-    supply = NameSupply({"x", "x'"})
+    supply = NameSupply(lambda: {"x", "x'"})
     assert supply.fresh("x") == "x''"
     assert supply.fresh("x") == "x'''"
 
@@ -302,7 +302,7 @@ def _reference_positions(term, innermost):
 def reference_step(term, strategy="outermost"):
     if strategy not in ("outermost", "innermost"):
         raise CttError(f"unknown strategy {strategy!r}")
-    supply = NameSupply(_reference_all_names(term))
+    supply = NameSupply(lambda: _reference_all_names(term))
     for path in _reference_positions(term, innermost=strategy == "innermost"):
         sub = subterm_at(term, path)
         hit = _match_redex(sub, supply)

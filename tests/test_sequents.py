@@ -886,7 +886,7 @@ def mutants(text, rng):
     deleted, two adjacent lines swapped, a conclusion's members reordered
     or re-spaced, a comment appended, a substitution read upward, an
     eigenvariable renamed in the lines above its rule, a premise list
-    reversed."""
+    reversed, a node's first premise named twice."""
     lines = text.splitlines()
     out = {}
 
@@ -920,6 +920,8 @@ def mutants(text, rng):
         if re.search(r"premises=\d+,\d+$", line):
             head, ids = line.rsplit("premises=", 1)
             edit("premise order", i, f"{head}premises={','.join(ids.split(',')[::-1])}")
+            first = ids.split(",")[0]
+            edit("shared", i, f"{head}premises={first},{first}")
             break
     return out
 
@@ -993,6 +995,6 @@ def test_check_proof_reads_files_as_a_line_by_line_read_does(capsys, tmp_path, m
     assert {a[0] for a in answers} == {0, 1, 2} and len(files) == 210
     assert {kind for _, kind in cases} == {
         "prover", "deleted", "swapped", "reordered", "re-spaced", "comment", "upward",
-        "eigenvariable", "premise order", "edited"}
+        "eigenvariable", "premise order", "shared", "edited"}
     # the random edits give every exit code
     assert {a[0] for (_, kind), a in zip(cases, answers) if kind == "edited"} == {0, 1, 2}

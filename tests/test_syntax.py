@@ -338,10 +338,6 @@ def reference_rank_check(sub):
     raise CttError(f"unknown subterm {sub!r}")
 
 
-def reference_height(t):
-    return 1 + max(map(reference_height, slm_children(t) + cts_children(t)), default=0)
-
-
 def uncached_render(t):
     """`render(t)` as the walk that wrote every text before texts were
     joined from the children's."""
@@ -381,7 +377,6 @@ def assert_slots_match_reference_walks(tree, rng):
         assert outcome(cts_signature, t) == outcome(reference_cts_signature, t)
         assert outcome(render, t) == outcome(uncached_render, t)
         assert outcome(rank_check, t) == outcome(reference_rank_check, t)
-        assert t.height == reference_height(t)
 
 
 # lambda-mu trees with two mu binders that are not negations, one inside
