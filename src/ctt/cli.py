@@ -202,7 +202,7 @@ def cmd_prove(args, out: Printer) -> int:
 
 def cmd_iso(args, out: Printer) -> int:
     name, sep, size = args.base.partition("=")
-    if not sep or not size.isdecimal():
+    if not (sep and size.isascii() and size.isdecimal()):
         raise CttError(f"--base needs name=size, got {args.base!r}")
     model = ModelConfig(base_sizes={name: int(size)}, rank_cap=4)
     ty = Base(name)

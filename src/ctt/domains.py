@@ -925,15 +925,16 @@ def parse_model_config(text: str) -> ModelConfig:
                    + len(rest) - len(rest.lstrip()))
         if head == "base":
             parts = rest.split()
-            if len(parts) != 2 or not parts[1].isdecimal():
+            if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdecimal()):
                 raise CttError(f"bad base line: {raw!r}")
             if parts[0] in base_sizes:
                 raise ParseError(f"model declares base {parts[0]} twice", name_at, raw, lineno)
             base_sizes[parts[0]] = int(parts[1])
         elif head == "rankcap":
-            if not rest.strip().isdecimal():
+            cap = rest.strip()
+            if not (cap.isascii() and cap.isdecimal()):
                 raise CttError(f"bad rankcap line: {raw!r}")
-            rank_cap = int(rest.strip())
+            rank_cap = int(cap)
         elif head == "const":
             name, sep, decl = rest.partition(":")
             if not sep or "=" not in decl:

@@ -10,9 +10,8 @@ from typing import Optional
 from . import rewrite
 from .domains import CanonElem, ModelConfig, enumerate_domain
 from .syntax import (
-    App, Arrow, BOT, Base, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg,
-    CVar, CtsSubterm, CttError, Lam, Mu, SlmTerm, TypeExpr, Var,
-    neg_type,
+    App, Arrow, BOT, Base, CApp, CConj, CNeg, CVar, CtsSubterm, CttError,
+    Lam, Mu, OP_NODES, SlmTerm, TypeExpr, Var, neg_type,
 )
 
 
@@ -205,6 +204,9 @@ def mu_rule_instance(gen: TermGen, rng: random.Random) -> tuple[SlmTerm, SlmTerm
 # ---------------------------------------------------------------------------
 # random ranked subterms (for sequent work)
 
+_CONNECTIVES = ("neg", "and", "or")  # drawn by index
+
+
 def cts_member(rng: random.Random, sig: dict[str, tuple[TypeExpr, int]],
                rank: int, depth: int = 2) -> CtsSubterm:
     """A bot-typed subterm of exactly the requested rank whose internal
@@ -228,12 +230,9 @@ def cts_member(rng: random.Random, sig: dict[str, tuple[TypeExpr, int]],
     def go(r: int, d: int) -> CtsSubterm:
         if r == 0:
             return atom()
-        pick = rng.randrange(3)
-        child_rank = lambda: rng.choice((0, r)) if d > 0 else 0
-        if pick == 0:
-            return CNeg(r, go(child_rank(), d - 1))
-        cls = CConj if pick == 1 else CDisj
-        return cls(r, go(child_rank(), d - 1), go(child_rank(), d - 1))
+        cls = OP_NODES[_CONNECTIVES[rng.randrange(3)]]
+        return cls(r, *[go(rng.choice((0, r)) if d > 0 else 0, d - 1)
+                        for _ in cls._child_fields])
 
     return go(rank, depth)
 
@@ -253,56 +252,35 @@ def cts_rule_instance(rule: str, rng: random.Random, model,
         return [cts_member(rng, sig, rng.choice((0, k)), depth=1)
                 for _ in range(n)]
 
+    cls = OP_NODES[op]
     if flavor in ("L", "R"):  # introduction rules
         gamma = side_members(rng.randrange(2))
         delta = side_members(rng.randrange(2))
-
-        def drop_collisions(formula):
-            # a side member equal to the introduced formula would vanish
-            # into it under set semantics
-            gamma[:] = [m for m in gamma if m != formula]
-            delta[:] = [m for m in delta if m != formula]
-
-        if op == "neg":
-            a = cts_member(rng, sig, rng.choice((0, k)), depth=1)
-            formula = CNeg(k, a)
-            drop_collisions(formula)
-            if flavor == "L":
-                conclusion = sq.Sequent.make(gamma + [formula], delta)
-                premises = [sq.Sequent.make(gamma, delta + [a])]
-            else:
-                conclusion = sq.Sequent.make(gamma, delta + [formula])
-                premises = [sq.Sequent.make(gamma + [a], delta)]
-        elif op in ("and", "or"):
-            a = cts_member(rng, sig, rng.choice((0, k)), depth=1)
-            b = cts_member(rng, sig, rng.choice((0, k)), depth=1)
-            formula = (CConj if op == "and" else CDisj)(k, a, b)
-            drop_collisions(formula)
-            if flavor == "L":
-                conclusion = sq.Sequent.make(gamma + [formula], delta)
-                if op == "and":
-                    premises = [sq.Sequent.make(gamma + [a, b], delta)]
-                else:
-                    premises = [sq.Sequent.make(gamma + [a], delta),
-                                sq.Sequent.make(gamma + [b], delta)]
-            else:
-                conclusion = sq.Sequent.make(gamma, delta + [formula])
-                if op == "and":
-                    premises = [sq.Sequent.make(gamma, delta + [a]),
-                                sq.Sequent.make(gamma, delta + [b])]
-                else:
-                    premises = [sq.Sequent.make(gamma, delta + [a, b])]
+        if op in _CONNECTIVES:
+            parts = [cts_member(rng, sig, rng.choice((0, k)), depth=1)
+                     for _ in cls._child_fields]
+            formula = cls(k, *parts)
         else:  # big operators, eigenvariable form
-            formula = (CBigConj if op == "all" else CBigDisj)(k, "x", BOT, 0)
-            eigen = CVar(f"fresh{len(sig)}", BOT, 0)
-            if flavor == "L":
-                conclusion = sq.Sequent.make(gamma + [formula], delta)
-                premises = [sq.Sequent.make(gamma + [eigen], delta)]
-            else:
-                conclusion = sq.Sequent.make(gamma, delta + [formula])
-                premises = [sq.Sequent.make(gamma, delta + [eigen])]
-        members = conclusion.side(flavor)
-        pos = sq.Pos(flavor, members.index(formula))
+            parts = [CVar(f"fresh{len(sig)}", BOT, 0)]
+            formula = cls(k, "x", BOT, 0)
+        # a side member equal to the introduced formula would vanish into
+        # it under set semantics
+        gamma = [m for m in gamma if m != formula]
+        delta = [m for m in delta if m != formula]
+
+        def put(members: list, side: str) -> "sq.Sequent":
+            if side == "L":
+                return sq.Sequent.make(gamma + members, delta)
+            return sq.Sequent.make(gamma, delta + members)
+
+        conclusion = put([formula], flavor)
+        if op == "neg":
+            premises = [put(parts, "R" if flavor == "L" else "L")]
+        elif rule in sq._BRANCHING:
+            premises = [put([p], flavor) for p in parts]
+        else:
+            premises = [put(parts, flavor)]
+        pos = sq.Pos(flavor, conclusion.side(flavor).index(formula))
         return conclusion, premises, pos, None
 
     # substitution rules
@@ -319,38 +297,25 @@ def cts_rule_instance(rule: str, rng: random.Random, model,
         # the side conditions under test are about the operator ranks
         if r == 0:
             return fresh(ty, 0)
-        pick = rng.randrange(3)
-        if pick == 0:
-            return CNeg(r, fresh(ty, 0))
-        cls = CConj if pick == 1 else CDisj
-        return cls(r, fresh(ty, 0), fresh(ty, 0))
+        inner = OP_NODES[_CONNECTIVES[rng.randrange(3)]]
+        return inner(r, *[fresh(ty, 0) for _ in inner._child_fields])
 
     if app_side == "r":  # operator inside the argument
         # a rank >= 1 arrow-typed variable would need the huge rank-1 table
         # algebra enumerated for validity checks; annotate at 0 (the h+1 <= k
         # boundary itself is covered by the mutation tests)
         functor = fresh(Arrow(e, BOT), 0)
-        if op == "neg":
-            arg = CNeg(k, inner_ranked(e, rng.choice((0, k - 1))))
-        elif op in ("and", "or"):
-            cls = CConj if op == "and" else CDisj
-            arg = cls(k, inner_ranked(e, rng.choice((0, k - 1))),
-                      inner_ranked(e, rng.choice((0, k - 1))))
-        else:
-            arg = (CBigConj if op == "all" else CBigDisj)(k, "i", e, 0)
-        redex = CApp(functor, arg)
+        ty = e
+        part = lambda: inner_ranked(e, rng.choice((0, k - 1)))
     else:  # operator inside the functor
-        h = rng.choice((0, min(k, 1)))
-        arg = fresh(e, h)
-        fn_ty = Arrow(e, BOT)
-        if op == "neg":
-            fun = CNeg(k, fresh(fn_ty, 0))
-        elif op in ("and", "or"):
-            cls = CConj if op == "and" else CDisj
-            fun = cls(k, fresh(fn_ty, 0), fresh(fn_ty, 0))
-        else:
-            fun = (CBigConj if op == "all" else CBigDisj)(k, "i", fn_ty, 0)
-        redex = CApp(fun, arg)
+        arg = fresh(e, rng.choice((0, min(k, 1))))
+        ty = Arrow(e, BOT)
+        part = lambda: fresh(ty, 0)
+    if op in _CONNECTIVES:
+        node = cls(k, *[part() for _ in cls._child_fields])
+    else:
+        node = cls(k, "i", ty, 0)
+    redex = CApp(functor, node) if app_side == "r" else CApp(node, arg)
 
     member, path = redex, ()
     if rng.random() < 0.4:  # bury the redex under a context

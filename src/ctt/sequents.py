@@ -30,10 +30,10 @@ from typing import Iterator, NamedTuple, Optional, Union
 
 from .domains import ModelConfig, enumerate_domain, render_elem, Individual, TruthVal
 from .syntax import (
-    BOT, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg, CVar, CtsSubterm,
-    CttError, Interned, TypeExpr, TypeMismatch, _union, check_sequent_member,
-    children, cts_signature, parse_sequent_members, render, replace_at,
-    signature_table, subterm_at,
+    BOT, CApp, CConj, CDisj, CNeg, CVar, CtsSubterm, CttError,
+    Interned, OP_NODES, TypeExpr, TypeMismatch, _innermost_redex, _union,
+    check_sequent_member, children, cts_signature, parse_sequent_members,
+    render, replace_at, signature_table, subterm_at,
 )
 
 
@@ -123,15 +123,18 @@ class Pos(NamedTuple):
 
     @staticmethod
     def parse(text: str) -> "Pos":
-        head, _, path = text.partition(":")
-        steps = [p for p in path.split(".") if p != ""]
-        if head[:1] not in ("L", "R") or not head[1:].isdigit() \
-                or not all(p.isdigit() for p in steps):
+        """Read what `str` writes: L or R, the member index and, when the
+        path is not empty, `:` and its steps joined by dots, each number in
+        ASCII digits."""
+        head, colon, path = text.partition(":")
+        numbers = [head[1:], *(path.split(".") if colon else ())]
+        if head[:1] not in ("L", "R") or \
+                not all(n.isascii() and n.isdigit() for n in numbers):
             raise CttError(f"bad position {text!r}")
-        return Pos(head[0], int(head[1:]), tuple(map(int, steps)))
+        return Pos(head[0], int(numbers[0]), tuple(map(int, numbers[1:])))
 
 
-OPS = ("neg", "and", "or", "all", "ex")
+OPS = tuple(OP_NODES)  # neg, and, or, all, ex
 INTRO_RULES = tuple(f"{op}-{s}" for op in OPS for s in "LR")
 SUBST_RULES = tuple(f"{op}-{s}{f}" for op in OPS for s in "LR" for f in "rl")
 ALL_RULES = ("ax",) + INTRO_RULES + SUBST_RULES
@@ -148,9 +151,6 @@ class Violation(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # substitution-rule transforms
-
-_OP_NODE = {"neg": CNeg, "and": CConj, "or": CDisj, "all": CBigConj, "ex": CBigDisj}
-
 
 def _named_carrier(model: Optional[ModelConfig], ty: TypeExpr,
                    ) -> Union[list[CtsSubterm], str]:
@@ -196,8 +196,7 @@ def squeeze_out(sub: CtsSubterm, rule_op: str, functor_side: bool,
         return "redex is not an application"
     node = sub.fun if functor_side else sub.arg
     other = sub.arg if functor_side else sub.fun
-    want = _OP_NODE[rule_op]
-    if not isinstance(node, want):
+    if node.op != rule_op:
         return f"expected a {rule_op} node on the {'functor' if functor_side else 'argument'} side"
     k = node.k
     h = other.rank
@@ -211,20 +210,14 @@ def squeeze_out(sub: CtsSubterm, rule_op: str, functor_side: bool,
     match node:
         case CNeg(_, child):
             return CNeg(k, app(child))
-        case CConj(_, l, r):
-            return CConj(k, app(l), app(r))
-        case CDisj(_, l, r):
-            return CDisj(k, app(l), app(r))
-        case CBigConj(_, _, ty, m) | CBigDisj(_, _, ty, m):
-            if m != 0:
-                return f"big-operator index rank must be 0, got {m}"
-            names = _named_carrier(model, ty)
-            if isinstance(names, str):
-                return names
-            parts = [app(n) for n in names]
-            joiner = CConj if isinstance(node, CBigConj) else CDisj
-            return _chain(joiner, k, parts)
-    return "unrecognized operator node"
+        case CConj(_, l, r) | CDisj(_, l, r):
+            return type(node)(k, app(l), app(r))
+    if node.atom_rank != 0:
+        return f"big-operator index rank must be 0, got {node.atom_rank}"
+    names = _named_carrier(model, node.index_ty)
+    if isinstance(names, str):
+        return names
+    return _chain(CConj if rule_op == "all" else CDisj, k, [app(n) for n in names])
 
 
 def _signature_clash(seq: Sequent) -> Optional[str]:
@@ -302,7 +295,7 @@ def rule_premises(seq: Sequent, rule: str, pos: Optional[Pos],
     if not 0 <= pos.member < len(members):
         return Violation(rule, f"position {pos} names no member of side {side}")
     formula = members[pos.member]
-    if not isinstance(formula, _OP_NODE[op]):
+    if formula.op != op:
         return Violation(rule, f"member {render(formula)} is not a {op} node")
     rest = seq.replace(side, formula, [])
     side_members = rest.ante | rest.succ
@@ -429,62 +422,6 @@ def check_derivation(d: Derivation, model: Optional[ModelConfig] = None,
 # ---------------------------------------------------------------------------
 # bounded backward search
 
-def _innermost_redex(sub: CtsSubterm) -> Optional[tuple[tuple[int, ...], str, bool]]:
-    """Deepest application with a Boolean-topped side: (path, op, functor?),
-    in the leftmost child that holds one, else at `sub` itself. Rank picks
-    the side, functor winning ties, exactly matching how apply_elem
-    distributes.
-
-    Each node keeps the answer in its `_redex` slot: None, the index of the
-    child the redex is in, or (op, functor?) at the redex itself. The slots
-    are filled bottom-up with an explicit stack, so a member is walked
-    once, and the path is read down the indices."""
-    todo = [sub]
-    while todo:
-        t = todo[-1]
-        if hasattr(t, "_redex"):
-            todo.pop()
-            continue
-        kids = children(t)
-        missing = [c for c in kids if not hasattr(c, "_redex")]
-        if missing:
-            todo += missing
-            continue
-        todo.pop()
-        object.__setattr__(t, "_redex", _own_redex(t, kids))
-    path = []
-    hit = sub._redex
-    while isinstance(hit, int):
-        path.append(hit)
-        sub = children(sub)[hit]
-        hit = sub._redex
-    return None if hit is None else (tuple(path), *hit)
-
-
-def _own_redex(t: CtsSubterm, kids: tuple):
-    """The `_redex` slot of `t`, from its children's slots."""
-    for i, c in enumerate(kids):
-        if c._redex is not None:
-            return i
-    if isinstance(t, CApp):
-        fun_op = _node_op(t.fun)
-        arg_op = _node_op(t.arg)
-        if fun_op and t.fun.rank >= t.arg.rank:
-            return fun_op, True
-        if arg_op:
-            return arg_op, False
-        if fun_op:
-            return fun_op, True
-    return None
-
-
-def _node_op(sub: CtsSubterm) -> Optional[str]:
-    for name, cls in _OP_NODE.items():
-        if isinstance(sub, cls):
-            return name
-    return None
-
-
 # the introduction rules with two premises
 _BRANCHING = ("and-R", "or-L")
 
@@ -523,9 +460,8 @@ def prove(goal: Sequent, depth: int = 30,
     candidates = []
     for side in ("R", "L"):
         for idx, member in enumerate(goal.side(side)):
-            op = _node_op(member)
-            if op is not None:
-                candidates.append((f"{op}-{side}", Pos(side, idx)))
+            if member.op is not None:
+                candidates.append((f"{member.op}-{side}", Pos(side, idx)))
     candidates.sort(key=lambda c: c[0] in _BRANCHING)  # stable: keeps side order
     for rule, pos in candidates:
         premises = rule_premises(goal, rule, pos, model)

@@ -348,9 +348,11 @@ SlmTerm = Union[Var, App, Lam, Mu]
 class _Ranked(_Node):
     """A ranked subterm; `_fault` is None or the (class, message) that
     `rank_check` raises: a child's fault, left to right, else `_own_fault`.
-    `_redex` is filled by `sequents._innermost_redex`."""
+    `_redex` is filled by `_innermost_redex`. An operator class names its
+    operator word once, in `op`; the other classes have None."""
 
     __slots__ = ("_fault", "_redex")
+    op: Optional[str] = None
 
     def _build(self):  # a variable; the other nodes store type and rank first
         super()._build()
@@ -393,26 +395,35 @@ class _Op(_Ranked):
 class CNeg(_Op):
     __slots__ = __match_args__ = ("k", "child")
     _child_fields = ("child",)
+    op = "neg"
 
 
 class CConj(_Op):
     __slots__ = __match_args__ = ("k", "left", "right")
     _child_fields = ("left", "right")
+    op = "and"
 
 
 class CDisj(_Op):
     __slots__ = __match_args__ = ("k", "left", "right")
     _child_fields = ("left", "right")
+    op = "or"
 
 
 class CBigConj(_Op):
-    """Generalized conjunction over the rank-`atom_rank` carrier of `index_ty`."""
+    """Generalized conjunction over the rank-`atom_rank` carrier of `index_ty`.
+    The text writes a big operator's word capitalized: `All`, `Ex`."""
 
     __slots__ = __match_args__ = ("k", "index_var", "index_ty", "atom_rank")
+    op = "all"
 
 
 class CBigDisj(_Op):
     __slots__ = __match_args__ = ("k", "index_var", "index_ty", "atom_rank")
+    op = "ex"
+
+
+OP_NODES = {cls.op: cls for cls in (CNeg, CConj, CDisj, CBigConj, CBigDisj)}
 
 
 def _own_fault(s: "CtsSubterm") -> Optional[tuple[type, str]]:
@@ -429,12 +440,11 @@ def _own_fault(s: "CtsSubterm") -> Optional[tuple[type, str]]:
         case CNeg() if s.k < 1 or s.child.rank > s.k:
             return RankViolation, f"neg[{s.k}] needs child rank {s.child.rank} <= k, k >= 1"
         case CConj(k, l, r) | CDisj(k, l, r):
-            op = "and" if isinstance(s, CConj) else "or"
             if k < 1 or l.rank > k or r.rank > k:
                 return (RankViolation,
-                        f"{op}[{k}] needs child ranks {l.rank},{r.rank} <= k, k >= 1")
+                        f"{s.op}[{k}] needs child ranks {l.rank},{r.rank} <= k, k >= 1")
             if l.ty != r.ty:
-                return TypeMismatch, f"{op}[{k}] children differ in type: {l.ty} vs {r.ty}"
+                return TypeMismatch, f"{s.op}[{k}] children differ in type: {l.ty} vs {r.ty}"
         case CBigConj() | CBigDisj() if s.k < 1 or s.atom_rank > s.k or s.atom_rank < 0:
             return RankViolation, f"big operator needs index rank {s.atom_rank} <= k, k >= 1"
 
@@ -466,33 +476,66 @@ class SyntaxClass(Enum):
     CANONICAL = "canonical"
 
 
-def _has_boolean(sub: CtsSubterm) -> bool:
-    if isinstance(sub, (CNeg, CConj, CDisj, CBigConj, CBigDisj)):
-        return True
-    return any(_has_boolean(c) for c in children(sub))
-
-
-def _canonical_shape(sub: CtsSubterm) -> bool:
-    match sub:
-        case CApp():
-            return not _has_boolean(sub)
-        case CBigConj(_, _, _, m) | CBigDisj(_, _, _, m):
-            return m == 0
-        case _:
-            return all(_canonical_shape(c) for c in children(sub))
-
-
 def classify(sub: CtsSubterm) -> SyntaxClass:
     """Strongest syntactic class: atomic < canonical < molecular.
 
     Atomic: no Boolean operator at all. Canonical: Boolean operators never
     occur beneath an application, and big-operator indices are rank 0.
+
+    An operator below an application makes a redex for `_innermost_redex`:
+    the nearest node above it that is not an operator is an application
+    with an operator child. So without a redex every operator is reached
+    from `sub` through operators alone, and there is one only when `sub`
+    is one; those are walked for the big operators' index ranks.
     """
-    if not _has_boolean(sub):
+    if _innermost_redex(sub) is not None:
+        return SyntaxClass.MOLECULAR
+    if not isinstance(sub, _Op):
         return SyntaxClass.ATOMIC
-    if _canonical_shape(sub):
-        return SyntaxClass.CANONICAL
-    return SyntaxClass.MOLECULAR
+    todo = [sub]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, (CBigConj, CBigDisj)) and t.atom_rank != 0:
+            return SyntaxClass.MOLECULAR
+        todo += (c for c in children(t) if isinstance(c, _Op))
+    return SyntaxClass.CANONICAL
+
+
+def _innermost_redex(sub: CtsSubterm) -> Optional[tuple[tuple[int, ...], str, bool]]:
+    """Deepest application with an operator-topped side: (path, op,
+    functor?), in the leftmost child that holds one, else at `sub` itself.
+    Rank picks the side, functor winning ties, exactly matching how
+    apply_elem distributes.
+
+    Each node keeps the answer in its `_redex` slot: None, the index of the
+    child the redex is in, or (op, functor?) at the redex itself. The slots
+    are filled by `_fill_up`, so a member is walked once, and the path is
+    read down the indices."""
+    if not _fill_up(sub, "_redex", _own_redex, _CTS_NODES):
+        raise CttError(f"unknown subterm {sub!r}")
+    path = []
+    hit = sub._redex
+    while isinstance(hit, int):
+        path.append(hit)
+        sub = children(sub)[hit]
+        hit = sub._redex
+    return None if hit is None else (tuple(path), *hit)
+
+
+def _own_redex(t: CtsSubterm):
+    """The `_redex` slot of `t`, from its children's slots."""
+    for i, c in enumerate(children(t)):
+        if c._redex is not None:
+            return i
+    if type(t) is CApp:
+        fun_op, arg_op = t.fun.op, t.arg.op
+        if fun_op and t.fun.rank >= t.arg.rank:
+            return fun_op, True
+        if arg_op:
+            return arg_op, False
+        if fun_op:
+            return fun_op, True
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -547,24 +590,30 @@ _CTS_NODES = (CVar, CApp, CNeg, CConj, CDisj, CBigConj, CBigDisj)
 def _free_table(node, kinds, local) -> Optional[dict]:
     """The memoized `_free` table of `node`, or None when a name maps to two
     values below it or a node is not of `kinds`, where the callers leave
-    the answer to the walk. Fills the missing tables bottom-up with an
-    explicit stack, each one by `local` from its children's tables."""
+    the answer to the walk. Fills the missing tables by `_fill_up`."""
+    return node._free if _fill_up(node, "_free", local, kinds) else None
+
+
+def _fill_up(node, slot: str, local, kinds: tuple) -> bool:
+    """Fill `slot` of `node` and of every node below it that lacks it,
+    bottom-up with an explicit stack, each one by `local` from its
+    children's; False, leaving the rest, at a node not of `kinds`."""
     todo = [node]
     while todo:
         t = todo[-1]
         if type(t) not in kinds:
-            return None
-        if hasattr(t, "_free"):
+            return False
+        if hasattr(t, slot):
             todo.pop()
             continue
         missing = [c for c in children(t)
-                   if type(c) not in kinds or not hasattr(c, "_free")]
+                   if type(c) not in kinds or not hasattr(c, slot)]
         if missing:
             todo += missing
             continue
         todo.pop()
-        object.__setattr__(t, "_free", local(t))
-    return node._free
+        object.__setattr__(t, slot, local(t))
+    return True
 
 
 def _union(out: Optional[dict], more: Optional[dict]) -> Optional[dict]:
@@ -954,8 +1003,8 @@ class _CtsParser:
         try:
             t = c.toks[c.i]
             self.height = 1
-            if t in ("neg", "and", "or", "All", "Ex"):
-                op = t
+            if t in RESERVED and t.lower() in OP_NODES:  # All and Ex capitalized
+                op = t.lower()
                 c.i += 1
                 k = self.bracket_rank()
                 c.expect("(")
@@ -971,10 +1020,10 @@ class _CtsParser:
                     right = self.subterm()
                     c.expect(")")
                     self.height = 1 + max(height, self.height)
-                    return (CConj if op == "and" else CDisj)(k, left, right)
+                    return OP_NODES[op](k, left, right)
                 name, ty, m = self.annotated_var()
                 c.expect(")")
-                return (CBigConj if op == "All" else CBigDisj)(k, name, ty, m)
+                return OP_NODES[op](k, name, ty, m)
             if t == "(":
                 c.i += 1
                 out = self.subterm()
@@ -1140,11 +1189,9 @@ def _layout(t: _Node) -> tuple[tuple, Optional[str]]:
         case CNeg(k, child):
             return (f"neg[{k}](", child, ")"), None
         case CConj(k, l, r) | CDisj(k, l, r):
-            op = "and" if isinstance(t, CConj) else "or"
-            return (f"{op}[{k}](", l, ",", r, ")"), None
+            return (f"{t.op}[{k}](", l, ",", r, ")"), None
         case CBigConj(k, x, ty, m) | CBigDisj(k, x, ty, m):
-            op = "All" if isinstance(t, CBigConj) else "Ex"
-            return (f"{op}[{k}]({x}:{ty}@{m})",), None
+            return (f"{t.op.capitalize()}[{k}]({x}:{ty}@{m})",), None
 
 
 def _join(t: _Node, pieces: tuple, binder: Optional[str]):
@@ -1209,12 +1256,10 @@ def _sorted(root: CtsSubterm) -> CtsSubterm:
                 keys[s] = f"neg[{k}]({keys[child]})"
                 built[s] = CNeg(k, built[child])
             case CConj(k, l, r) | CDisj(k, l, r):
-                op = "and" if isinstance(s, CConj) else "or"
                 if keys[r] < keys[l]:
                     l, r = r, l
-                keys[s] = f"{op}[{k}]({keys[l]},{keys[r]})"
+                keys[s] = f"{s.op}[{k}]({keys[l]},{keys[r]})"
                 built[s] = type(s)(k, built[l], built[r])
             case CBigConj(k, x, _, m) | CBigDisj(k, x, _, m):
-                op = "All" if isinstance(s, CBigConj) else "Ex"
-                keys[s], built[s] = f"{op}[{k}]({x}@{m})", s
+                keys[s], built[s] = f"{s.op.capitalize()}[{k}]({x}@{m})", s
     return built[root]

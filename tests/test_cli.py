@@ -344,6 +344,33 @@ def test_a_malformed_derivation_line_is_described_in_the_format_words(capsys, tm
     assert "unpack" not in err and "int()" not in err
 
 
+@pytest.mark.parametrize("pos", ["R\u00b2", "R\u0663", "R0:..", "R0:", "R0:1..2"])
+def test_a_position_reads_only_as_str_writes_it(capsys, tmp_path, pos):
+    # a superscript two once leaked int()'s own message, an Arabic-Indic
+    # three read as R3, and R0:.. as R0
+    line = AX_LINE.replace("pos=-", f"pos={pos}") + "-"
+    path = tmp_path / "one.proof"
+    path.write_text(line + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "check-proof", str(path))
+    assert (code, out, err) == (2, "", f"ctt: bad derivation line {line!r}: "
+                                       f"bad position {pos!r}\n")
+
+
+@pytest.mark.parametrize("text", ["base e \u0663", "rankcap \u0662"])
+def test_a_model_size_is_written_in_ascii_digits(capsys, tmp_path, text):
+    # each loaded before, as 3 and 2
+    mdl = tmp_path / "m.model"
+    mdl.write_text(text + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "eval", "--model", str(mdl), "--lang", "cts", "1")
+    assert (code, out, err) == (2, "", f"ctt: bad {text.split()[0]} line: {text!r}\n")
+
+
+def test_an_iso_base_size_is_written_in_ascii_digits(capsys):
+    # ran before, with a size of 3
+    code, out, err = run(capsys, "iso", "--base", "e=\u0663", "--element", "{{a}}")
+    assert (code, out, err) == (2, "", "ctt: --base needs name=size, got 'e=\u0663'\n")
+
+
 def test_readme_derivation_file_checks(capsys, tmp_path):
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## Derivation files", 1)[1].split("```\n")[1]

@@ -19,7 +19,7 @@ from ctt.semantics import (
 from ctt.sequents import (
     ALL_RULES, Derivation, Pos, Sequent, Violation, check_derivation,
     check_derivation_file, check_rule_instance, parse_derivation_file, prove,
-    render_derivation_file, render_sequent, _innermost_redex, _node_op,
+    render_derivation_file, render_sequent, _innermost_redex,
     rule_premises, squeeze_out,
 )
 from ctt.syntax import (
@@ -196,6 +196,11 @@ def test_prove_respects_depth():
     assert prove(goal, depth=1) is None
 
 
+# the operator word of each operator class, kept here so that the reference
+# walks do not read the `op` they are compared with
+REFERENCE_OPS = {CNeg: "neg", CConj: "and", CDisj: "or", CBigConj: "all", CBigDisj: "ex"}
+
+
 def reference_prove(goal, depth=30, model=None):
     """The search before phase 2 tried one-premise rules first: members in
     side order, R before L, whatever their rule's premise count."""
@@ -219,7 +224,7 @@ def reference_prove(goal, depth=30, model=None):
             return Derivation(rule, goal, (subproof,), pos, "down")
     for side in ("R", "L"):
         for idx, member in enumerate(goal.side(side)):
-            op = _node_op(member)
+            op = REFERENCE_OPS.get(type(member))
             if op is None:
                 continue
             rule, pos = f"{op}-{side}", Pos(side, idx)
@@ -312,6 +317,29 @@ def test_rule_premises_reads_rules_downward():
     stuck = rule_premises(Sequent.make([redex], []), "all-Lr", Pos("L", 0))
     assert isinstance(stuck, Violation) and "model" in stuck.reason
     assert isinstance(rule_premises(seq("A |- B"), "ax", None), Violation)
+
+
+# SHA-256 over the instances gen.cts_rule_instance makes of every sequent
+# rule, seeds 0-19: conclusion, premises, position and direction, or the
+# exception's text. A change to the generator that draws or builds an
+# instance otherwise shows here.
+GENERATOR_DIGEST = "ed6e47d983f5386572a6474b84936519309b1171a0bec5250260e4846a46b2c6"
+
+
+def test_generator_instances_are_pinned():
+    model = cts_harness_model()
+    digest = hashlib.sha256()
+    for rule in sequents.INTRO_RULES + sequents.SUBST_RULES:
+        for seed in range(20):
+            try:
+                concl, prems, pos, direction = gen.cts_rule_instance(
+                    rule, gen.make_rng(seed), model)
+                line = " ; ".join([render_sequent(concl), *map(render_sequent, prems),
+                                   str(pos), str(direction)])
+            except CttError as ex:
+                line = f"{type(ex).__name__}: {ex}"
+            digest.update((line + "\n").encode())
+    assert digest.hexdigest() == GENERATOR_DIGEST
 
 
 def test_substitution_instances_are_denotational_equalities():
@@ -763,7 +791,7 @@ def reference_innermost_redex(sub, path=()):
         if hit is not None:
             return hit
     if isinstance(sub, CApp):
-        fun_op, arg_op = _node_op(sub.fun), _node_op(sub.arg)
+        fun_op, arg_op = REFERENCE_OPS.get(type(sub.fun)), REFERENCE_OPS.get(type(sub.arg))
         if fun_op and sub.fun.rank >= sub.arg.rank:
             return path, fun_op, True
         if arg_op:

@@ -13,7 +13,7 @@ from ctt import syntax
 from ctt.rewrite import RuleTag, normalize
 from ctt.syntax import (
     App, Arrow, BOT, Base, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg,
-    CttError, CVar, Lam, Mu, ParseError, RankViolation, SyntaxClass,
+    CtsSubterm, CttError, CVar, Lam, Mu, ParseError, RankViolation, SyntaxClass,
     TypeMismatch, Var, children, classify, cts_signature, free_vars,
     is_neg_type, neg_type, parse, parse_cts, parse_sequent_members, parse_slm,
     parse_type, rank_check, render, render_type, replace_at, subterm_at,
@@ -159,6 +159,82 @@ def test_classify_examples():
 def test_classify_big_operator_index_rank():
     assert classify(parse_cts("All[1](x:e@0)")) is SyntaxClass.CANONICAL
     assert classify(parse_cts("All[1](x:e@1)")) is SyntaxClass.MOLECULAR
+
+
+# the recursive walks `classify` used before it read the `_redex` slot
+def _has_boolean(sub: CtsSubterm) -> bool:
+    if isinstance(sub, (CNeg, CConj, CDisj, CBigConj, CBigDisj)):
+        return True
+    return any(_has_boolean(c) for c in children(sub))
+
+
+def _canonical_shape(sub: CtsSubterm) -> bool:
+    match sub:
+        case CApp():
+            return not _has_boolean(sub)
+        case CBigConj(_, _, _, m) | CBigDisj(_, _, _, m):
+            return m == 0
+        case _:
+            return all(_canonical_shape(c) for c in children(sub))
+
+
+def reference_classify(sub):
+    if not _has_boolean(sub):
+        return SyntaxClass.ATOMIC
+    if _canonical_shape(sub):
+        return SyntaxClass.CANONICAL
+    return SyntaxClass.MOLECULAR
+
+
+def random_ranked(rng, depth):
+    """A ranked subterm built node by node, ill-ranked and ill-typed ones
+    included: operators of rank 0-2 over children of any rank, big
+    operators with index rank 0-2, operators under applications."""
+    tys = (BOT, Base("e"), Arrow(Base("e"), BOT))
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.3:
+            big = rng.choice((CBigConj, CBigDisj))
+            return big(rng.randrange(3), "x", rng.choice(tys), rng.randrange(3))
+        return CVar(rng.choice("abc"), rng.choice(tys), rng.randrange(3))
+    cls = rng.choice((CApp, CApp, CNeg, CConj, CDisj))
+    kids = [random_ranked(rng, depth - 1) for _ in cls._child_fields]
+    return cls(*kids) if cls is CApp else cls(rng.randrange(3), *kids)
+
+
+def all_subterms(t):
+    todo, out = [t], []
+    while todo:
+        s = todo.pop()
+        out.append(s)
+        todo += children(s)
+    return out
+
+
+def test_classify_matches_the_recursive_walks():
+    rng = random.Random(34)
+    roots = [random_ranked(rng, 5) for _ in range(1500)]
+    roots += [parse_cts(t) for t in corpus.CTS_TEXTS]
+    # ask in a random order, so that slots are filled from either side
+    order = [s for t in roots for s in all_subterms(t)]
+    rng.shuffle(order)
+    for s in order + roots:
+        assert classify(s) is reference_classify(s), render(s)
+    nodes = set(order)
+    assert {classify(s) for s in nodes} == set(SyntaxClass)
+    assert any(isinstance(s, (CBigConj, CBigDisj)) and s.atom_rank > 0 for s in nodes)
+    assert any(isinstance(s, CApp) and _has_boolean(s) for s in nodes)
+    assert any(s._fault is not None for s in nodes)
+
+
+def test_classify_answers_at_any_depth():
+    f, a = CVar("f", Arrow(Base("e"), BOT), 0), CVar("a", Base("e"), 0)
+    for bottom, expected in ((CVar("p", BOT, 0), SyntaxClass.CANONICAL),
+                             (CApp(f, CNeg(1, a)), SyntaxClass.MOLECULAR),
+                             (CBigConj(1, "x", Base("e"), 1), SyntaxClass.MOLECULAR)):
+        deep = bottom
+        for _ in range(5000):
+            deep = CNeg(1, deep)
+        assert classify(deep) is expected
 
 
 def test_free_vars_examples():
