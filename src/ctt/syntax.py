@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 import weakref
+from collections import deque
 from itertools import islice
 from operator import attrgetter
 from _weakref import _remove_dead_weakref
@@ -794,6 +795,18 @@ class _Cursor:
             self.fail(f"trailing input after {what}")
 
 
+# Results of the last PARSE_WINDOW successful parses, kept alive so that a
+# text parsed again finds its interned nodes, typed and printed, instead of
+# building them anew; the bound keeps memory bounded by the problem.
+PARSE_WINDOW = 64
+_PARSED: deque = deque(maxlen=PARSE_WINDOW)
+
+
+def _kept(result):
+    _PARSED.append(result)
+    return result
+
+
 # ---------------------------------------------------------------------------
 # type parser
 
@@ -840,7 +853,7 @@ def parse_type(text: str) -> TypeExpr:
     c = _Cursor(text)
     ty = _parse_type(c)
     c.end("type")
-    return ty
+    return _kept(ty)
 
 
 # ---------------------------------------------------------------------------
@@ -923,7 +936,7 @@ def _parse_slm_once(c: _Cursor, default_ty: Optional[TypeExpr]) -> SlmTerm:
     term = p.term({})
     c.end("term")
     term.ty  # raises the first type fault, with its path
-    return term
+    return _kept(term)
 
 
 def parse_slm(text: str) -> SlmTerm:
@@ -1067,7 +1080,7 @@ def parse_cts(text: str, sig: Optional[dict[str, tuple[TypeExpr, int]]] = None) 
     sub = p.subterm()
     p.c.end("subterm")
     rank_check(sub)
-    return sub
+    return _kept(sub)
 
 
 def parse_sequent_members(text: str, sig: Optional[dict[str, tuple[TypeExpr, int]]] = None
@@ -1093,6 +1106,7 @@ def parse_sequent_members(text: str, sig: Optional[dict[str, tuple[TypeExpr, int
     c.end("sequent")
     for m in ante + succ:
         check_sequent_member(m)
+    _kept((*ante, *succ))
     return ante, succ
 
 

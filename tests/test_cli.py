@@ -119,14 +119,18 @@ def test_a_carrier_count_too_long_for_decimal_exits_3(capsys, tmp_path):
     mdl = tmp_path / "two.mdl"
     mdl.write_text("base e 2\n")
     domains._MINTERM_CACHE.clear()
+    syntax._PARSED.clear()
     gc.collect()
     live = len(syntax._INTERNED)
-    code, out, err = run(capsys, "entail", "--model", str(mdl),
-                         "|- (x:((((e -> bot) -> bot) -> bot) -> bot)@0 "
-                         "y:(((e -> bot) -> bot) -> bot)@0)")
+    goal = ("(x:((((e -> bot) -> bot) -> bot) -> bot)@0 "
+            "y:(((e -> bot) -> bot) -> bot)@0)")
+    code, out, err = run(capsys, "entail", "--model", str(mdl), "|- " + goal)
     assert (code, out) == (3, "")
     assert err == ("ctt: resource cap: 2^65536 tables for "
                    "((((e -> bot) -> bot) -> bot) -> bot) exceeds the cap\n")
+    # what the run leaves alive is the goal's one parse, in the window
+    assert [tuple(map(syntax.render, p)) for p in syntax._PARSED] == [(goal,)]
+    syntax._PARSED.clear()
     gc.collect()
     assert len(syntax._INTERNED) == live
     assert len(domains._MINTERM_CACHE) == 0
@@ -750,3 +754,48 @@ def test_importing_ctt_loads_no_heavy_stdlib_modules():
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", code],
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
+
+
+README_ROUND = [  # (exit code, argv...); check-proof reads what prove printed
+    (0, "normalize", "--fuel", "100", r"e: ((\x:e. x) y)"),
+    (0, "prove", "--depth", "30", "and[1](A,B) |- and[1](B,A)"),
+    (0, "check-proof"),
+    (0, "entail", "A |- A"),
+    (0, "entail", "|- or[1](A, neg[1](A))"),
+    (1, "entail", "|- x:bot@0"),
+]
+TERM_NODES = (syntax.Var, syntax.App, syntax.Lam, syntax.Mu,
+              syntax.CVar, syntax.CConj, syntax.CDisj, syntax.CNeg)
+
+
+def test_a_repeated_session_builds_no_term_node_again(capsys, tmp_path, monkeypatch):
+    # the window of recent parses keeps a text's nodes alive for the next
+    # command that parses it, so a second round of the README's examples
+    # finds every term and subterm node it needs
+    proof = tmp_path / "out.proof"
+
+    def one_round():
+        for want, *argv in README_ROUND:
+            if argv == ["check-proof"]:
+                argv.append(str(proof))
+            code, out, _ = run(capsys, *argv)
+            assert code == want
+            if argv[0] == "prove":
+                proof.write_text(out)
+
+    def by_class():
+        gc.collect()
+        counts = dict.fromkeys(TERM_NODES, 0)
+        for key in syntax._INTERNED:
+            if key[0] in counts:
+                counts[key[0]] += 1
+        return counts
+
+    one_round()
+    after_first = by_class()
+    made, real_intern = [], syntax._intern
+    monkeypatch.setattr(syntax, "_intern",
+                        lambda key, obj: made.append(key[0]) or real_intern(key, obj))
+    one_round()
+    assert [cls for cls in made if cls in TERM_NODES] == []
+    assert by_class() == after_first

@@ -598,10 +598,14 @@ def test_interning_table_returns_to_its_size_after_a_run():
         d = prove(goal, depth=30)
         assert d is not None and check_derivation(d) is None
         assert parse_derivation_file(render_derivation_file(d)).conclusion is goal
+        # the file's root line, the window's last parse, reads as the goal
+        assert set(syntax._PARSED[-1]) == goal.ante | goal.succ
 
+    syntax._PARSED.clear()
     gc.collect()
     before = len(syntax._INTERNED)
     run()
+    syntax._PARSED.clear()
     gc.collect()
     assert len(syntax._INTERNED) == before
 

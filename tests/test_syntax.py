@@ -1,9 +1,11 @@
+import gc
 import os
 import pathlib
 import random
 import subprocess
 import sys
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1046,3 +1048,89 @@ def test_sorted_render_of_a_deep_chain_is_fast():
         text = render(sub, sort_children=True)
         assert time.perf_counter() - start < 1.0
         assert text == reference_sorted_render(sub)
+
+
+# --- the window of recent parses ---------------------------------------------
+
+def test_a_parse_outlives_its_caller_for_exactly_the_window():
+    # a text no other parse shares a node with, so only the window holds it
+    probe = weakref.ref(parse_slm(r"\win_x:e. (win_f:(e -> e) win_x)"))
+    for i in range(syntax.PARSE_WINDOW - 1):
+        parse_cts(f"win_a{i}:bot@0")
+    gc.collect()
+    assert probe() is not None and render(probe()) == r"\win_x:e. (win_f:(e -> e) win_x)"
+    parse_cts("win_last:bot@0")
+    gc.collect()
+    assert probe() is None
+
+
+def test_the_interning_table_holds_at_most_the_last_window():
+    syntax._PARSED.clear()
+    gc.collect()
+    live = len(syntax._INTERNED)
+    w = syntax.PARSE_WINDOW
+    for i in range(10 * w):
+        parse_cts(f"and[1](win_q{i}:bot@0, neg[1](win_q{i}))")
+    gc.collect()
+    # each parse made a variable, its negation and their conjunction
+    assert len(syntax._INTERNED) == live + 3 * w
+    names = {v.name for v in (ref() for ref in syntax._INTERNED.values())
+             if isinstance(v, CVar) and v.name.startswith("win_q")}
+    assert names == {f"win_q{i}" for i in range(9 * w, 10 * w)}
+
+
+def test_a_text_parsed_again_finds_its_nodes():
+    text = "or[1](win_r:bot@0,neg[1](and[1](win_r,win_s:bot@0)))"
+    first = parse_cts(text)
+    assert render(first) == text
+    kept = weakref.ref(first)
+    del first
+    gc.collect()
+    again = parse_cts(text)
+    assert again is kept()
+    assert again._text == text  # printed once, by the first caller
+    term = parse_slm(r"e: ((\win_y:e. win_y) win_z)")
+    render(term)
+    kept = weakref.ref(term)
+    del term
+    gc.collect()
+    assert parse_slm(r"e: ((\win_y:e. win_y) win_z)") is kept()
+    assert hasattr(kept(), "_text")
+
+
+@pytest.mark.parametrize("parser, text, error", [
+    (parse_type, "(e -> ", ParseError),
+    (parse_slm, r"(\win_x:e. win_x", ParseError),
+    (parse_slm, "(win_x:e win_y:e)", TypeMismatch),
+    (parse_cts, "neg[0](win_p:bot@0)", RankViolation),
+    (parse_cts, "and[1](win_p:bot@0, win_q:e@0)", TypeMismatch),
+    (parse_sequent_members, "win_p:e@0 |- win_q", TypeMismatch),
+    (parse_sequent_members, "win_p:bot@0 |- neg[0](win_p)", RankViolation),
+    # both readings fail: the plain one at the colon, the prefixed one on
+    # applying an `e` to an argument
+    (parse_slm, "e: (win_x win_y)", TypeMismatch),
+])
+def test_a_text_that_fails_leaves_the_window_unchanged(parser, text, error):
+    for i in range(syntax.PARSE_WINDOW):
+        parse_cts(f"win_f{i}:bot@0")
+    before = list(syntax._PARSED)
+    with pytest.raises(error):
+        parser(text)
+    assert list(syntax._PARSED) == before  # interned: == is identity
+
+
+def test_a_parse_that_succeeds_on_its_second_reading_is_kept_once():
+    parse_cts("win_g:bot@0")
+    before = list(syntax._PARSED)
+    term = parse_slm("e: (win_h:(e -> e) win_k)")
+    assert list(syntax._PARSED) == [*before[1 - syntax.PARSE_WINDOW:], term]
+
+
+def test_the_window_keeps_its_own_copy_of_sequent_members():
+    ante, succ = parse_sequent_members("win_a:bot@0, win_b:bot@0 |- win_c:bot@0")
+    kept = syntax._PARSED[-1]
+    assert kept == (*ante, *succ)
+    members = tuple(kept)
+    ante.append(succ.pop())
+    ante.reverse()
+    assert syntax._PARSED[-1] is kept and kept == members
