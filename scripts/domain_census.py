@@ -3,15 +3,18 @@
 free-algebra cardinalities, and the worked set-of-sets reduction.
 
     python scripts/domain_census.py [--size K]
+
+K is the size of the base type e, 1 to 4; any other size exits 2.
 """
 
 import argparse
+import sys
 
 from ctt.domains import (
-    ModelConfig, canonical_key, enumerate_domain, iso_i, parse_set_of_sets,
-    render_elem,
+    CapExceeded, ModelConfig, canonical_key, enumerate_domain, iso_i,
+    parse_set_of_sets, render_elem,
 )
-from ctt.syntax import Arrow, BOT, Base, render_type
+from ctt.syntax import Arrow, BOT, Base, CttError, render_type
 
 
 def main():
@@ -19,7 +22,11 @@ def main():
     ap.add_argument("--size", type=int, default=3)
     args = ap.parse_args()
     e = Base("e")
-    model = ModelConfig(base_sizes={"e": args.size})
+    try:
+        model = ModelConfig(base_sizes={"e": args.size})
+    except CttError as ex:  # a size outside 1..4
+        print(f"domain_census: {ex}", file=sys.stderr)
+        return 2
 
     for ty in (BOT, e, Arrow(e, BOT)):
         atoms = enumerate_domain(model, ty, 0)
@@ -28,7 +35,7 @@ def main():
             shadows = enumerate_domain(model, ty, 1)
             distinct = len({canonical_key(x) for x in shadows})
             line += f"   rank 1: {len(shadows)} ({distinct} distinct)"
-        except Exception as ex:
+        except CapExceeded as ex:
             line += f"   rank 1: {ex}"
         print(line)
 
@@ -39,4 +46,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

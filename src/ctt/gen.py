@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from . import rewrite
+from . import rewrite, sequents as sq
 from .domains import CanonElem, ModelConfig, enumerate_domain
 from .syntax import (
     App, Arrow, BOT, Base, CApp, CConj, CNeg, CVar, CtsSubterm, CttError,
@@ -211,39 +211,35 @@ def cts_member(rng: random.Random, sig: dict[str, tuple[TypeExpr, int]],
                rank: int, depth: int = 2) -> CtsSubterm:
     """A bot-typed subterm of exactly the requested rank whose internal
     ranks all lie in {0, rank} (the shape the introduction rules accept)."""
-
-    def var(ty: TypeExpr, r: int) -> CtsSubterm:
-        existing = [n for n, s in sig.items() if s == (ty, r)]
-        if existing and rng.random() < 0.6:
-            return CVar(rng.choice(existing), ty, r)
-        name = f"m{len(sig)}"
-        sig[name] = (ty, r)
-        return CVar(name, ty, r)
-
-    def atom() -> CtsSubterm:
+    if rank == 0:
         # rank-0 variables keep the assignment space small; rank variety
         # comes from the operator nodes above
         if rng.random() < 0.5:
-            return var(BOT, 0)
-        return CApp(var(neg_type(Base("e")), 0), var(Base("e"), 0))
+            return _rank0_var(rng, sig, BOT)
+        return CApp(_rank0_var(rng, sig, neg_type(Base("e"))),
+                    _rank0_var(rng, sig, Base("e")))
+    cls = OP_NODES[_CONNECTIVES[rng.randrange(3)]]
+    return cls(rank, *[cts_member(rng, sig, rng.choice((0, rank)) if depth > 0 else 0,
+                                  depth - 1)
+                       for _ in cls._child_fields])
 
-    def go(r: int, d: int) -> CtsSubterm:
-        if r == 0:
-            return atom()
-        cls = OP_NODES[_CONNECTIVES[rng.randrange(3)]]
-        return cls(r, *[go(rng.choice((0, r)) if d > 0 else 0, d - 1)
-                        for _ in cls._child_fields])
 
-    return go(rank, depth)
+def _rank0_var(rng: random.Random, sig: dict[str, tuple[TypeExpr, int]],
+               ty: TypeExpr) -> CtsSubterm:
+    """A rank-0 variable of type `ty`: often one `sig` has, else a new one
+    recorded there."""
+    existing = [n for n, s in sig.items() if s == (ty, 0)]
+    if existing and rng.random() < 0.6:
+        return CVar(rng.choice(existing), ty, 0)
+    name = f"m{len(sig)}"
+    sig[name] = (ty, 0)
+    return CVar(name, ty, 0)
 
 
 def cts_rule_instance(rule: str, rng: random.Random, model,
-                      ) -> tuple["object", list, "object", Optional[str]]:
+                      ) -> tuple[sq.Sequent, list[sq.Sequent], sq.Pos, Optional[str]]:
     """One accepted instance of a sequent rule:
-    (conclusion, premises, pos, direction). Imports sequents lazily to keep
-    module layering one-way."""
-    from . import sequents as sq
-
+    (conclusion, premises, pos, direction)."""
     sig: dict[str, tuple[TypeExpr, int]] = {}
     op, flavor = rule.rsplit("-", 1)
     k = rng.choice((1, 1, 2))
@@ -268,7 +264,7 @@ def cts_rule_instance(rule: str, rng: random.Random, model,
         gamma = [m for m in gamma if m != formula]
         delta = [m for m in delta if m != formula]
 
-        def put(members: list, side: str) -> "sq.Sequent":
+        def put(members: list, side: str) -> sq.Sequent:
             if side == "L":
                 return sq.Sequent.make(gamma + members, delta)
             return sq.Sequent.make(gamma, delta + members)

@@ -16,7 +16,7 @@ position, which surfaces as NonFunctorOccurrence.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, NamedTuple, Optional
 
 from .syntax import (
@@ -92,31 +92,14 @@ def substitute(term: SlmTerm, x: str, repl: SlmTerm,
     """Capture-avoiding substitution term[x := repl]."""
     if supply is None:
         supply = NameSupply(lambda: _all_names(term) | _all_names(repl))
-    repl_fv = free_vars(repl)
 
-    def go(t: SlmTerm) -> SlmTerm:
-        match t:
-            case Var(name, ty):
-                if name != x:
-                    return t
-                if ty != repl.ty:
-                    raise TypeMismatch(
-                        f"substituting {render(repl)} : {repl.ty} for {x} : {ty}")
-                return repl
-            case App(fun, arg):
-                return App(go(fun), go(arg))
-            case Lam(b, bty, body) | Mu(b, bty, body):
-                cls = type(t)
-                if b == x:
-                    return t
-                if b in repl_fv and x in free_vars(body):
-                    b2 = supply.fresh(b)
-                    body = substitute(body, b, Var(b2, bty), supply)
-                    return cls(b2, bty, go(body))
-                return cls(b, bty, go(body))
-        raise CttError(f"cannot substitute into {t!r}")
+    def at(var: Var, applied: bool):
+        if var.ty != repl.ty:
+            raise TypeMismatch(
+                f"substituting {render(repl)} : {repl.ty} for {x} : {var.ty}")
+        return partial(App, repl) if applied else repl
 
-    return go(term)
+    return _replace(term, x, at, free_vars(repl), (), supply, "substitute into")
 
 
 def structural_subst(body: SlmTerm, x: str, q: SlmTerm, y: str,
@@ -129,36 +112,50 @@ def structural_subst(body: SlmTerm, x: str, q: SlmTerm, y: str,
     """
     if supply is None:
         supply = NameSupply(lambda: _all_names(body) | _all_names(q) | {x, y})
-    q_fv = free_vars(q)
-    y_ty = None
 
-    def go(t: SlmTerm) -> SlmTerm:
+    def at(var: Var, applied: bool):
+        if not applied:
+            raise NonFunctorOccurrence(f"{x} occurs outside functor position")
+        ty = var.ty
+        if not (isinstance(ty, Arrow) and isinstance(ty.dom, Arrow)):
+            raise TypeMismatch(f"{x} : {ty} is not of type ~(s -> t)")
+        head = Var(y, Arrow(ty.dom.cod, BOT))
+        return lambda arg: App(head, App(arg, q))
+
+    return _replace(body, x, at, free_vars(q), (y,), supply, "rewrite")
+
+
+def _replace(term: SlmTerm, x: str, at: Callable, fv: dict, taken: tuple[str, ...],
+             supply: NameSupply, what: str) -> SlmTerm:
+    """`term` with each free occurrence of `x` replaced, in one preorder
+    walk over an explicit stack, so a term of any depth is walked without
+    recursion. A bare `x` becomes `at(x, False)`; an applied `(x R)` becomes
+    `at(x, True)(R')`, with `at` called before R is walked into R'. A binder
+    is renamed, fresh names drawn left to right, when it is in `taken`, or
+    when it is in `fv` and `x` is free below it."""
+    done: list[SlmTerm] = []
+    todo: list = [term]  # terms to walk, and (build, arity) to apply to results
+    while todo:
+        t = todo.pop()
         match t:
+            case (build, arity):
+                done[-arity:] = [build(*done[-arity:])]
             case Var(name, _):
-                if name == x:
-                    raise NonFunctorOccurrence(
-                        f"{x} occurs outside functor position")
-                return t
-            case App(Var(name, ty), arg) if name == x:
-                nonlocal y_ty
-                if not (isinstance(ty, Arrow) and isinstance(ty.dom, Arrow)):
-                    raise TypeMismatch(f"{x} : {ty} is not of type ~(s -> t)")
-                y_ty = Arrow(ty.dom.cod, BOT)
-                return App(Var(y, y_ty), App(go(arg), q))
+                done.append(at(t, False) if name == x else t)
+            case App(Var(name, _) as head, arg) if name == x:
+                todo += ((at(head, True), 1), arg)
             case App(fun, arg):
-                return App(go(fun), go(arg))
-            case Lam(b, bty, inner) | Mu(b, bty, inner):
-                cls = type(t)
-                if b == x:
-                    return t
-                if b == y or (b in q_fv and x in free_vars(inner)):
+                todo += ((App, 2), arg, fun)
+            case Lam(b, _, _) | Mu(b, _, _) if b == x:
+                done.append(t)
+            case Lam(b, bty, body) | Mu(b, bty, body):
+                if b in taken or (b in fv and x in free_vars(body)):
                     b2 = supply.fresh(b)
-                    inner = substitute(inner, b, Var(b2, bty), supply)
-                    return cls(b2, bty, go(inner))
-                return cls(b, bty, go(inner))
-        raise CttError(f"cannot rewrite {t!r}")
-
-    return go(body)
+                    b, body = b2, substitute(body, b, Var(b2, bty), supply)
+                todo += ((partial(type(t), b, bty), 1), body)
+            case _:
+                raise CttError(f"cannot {what} {t!r}")
+    return done[0]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import itertools
 import time
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import gen as _gen
 from .rewrite import structural_subst
@@ -477,24 +477,18 @@ def soundness_harness(rule: str, model: Optional[ModelConfig] = None,
     trials.
     """
     model = model or harness_model()
-    report = HarnessReport(rule)
-    rule_salt = sum(map(ord, rule))
-    for trial in range(trials):
-        start = time.perf_counter()
-        rng = _gen.make_rng(seed * 1000003 + rule_salt * 9176 + trial)
-        try:
-            lhs, rhs, ctx = _gen.slm_rule_instance(rule, rng)
-            if mutate and rule == "mu":
-                rhs = _mutate_mu_rhs(lhs, rhs)
-            rho = _gen.random_ground_assignment(rng, model, ctx)
-            ok = check_equation(lhs, rhs, model, rho)
-        except (RankOverflow, CapExceeded) as ex:
-            status, detail = "skip", str(ex)
-        else:
-            status, detail = ("pass", "") if ok else (
-                "fail", f"{render(lhs)} /= {render(rhs)}")
-        report.records.append(
-            TrialRecord(rule, seed, trial, status, detail, _ms_since(start)))
+
+    def trial(rng) -> tuple[str, str]:
+        lhs, rhs, ctx = _gen.slm_rule_instance(rule, rng)
+        if mutate and rule == "mu":
+            rhs = _mutate_mu_rhs(lhs, rhs)
+        rho = _gen.random_ground_assignment(rng, model, ctx)
+        if check_equation(lhs, rhs, model, rho):
+            return "pass", ""
+        return "fail", f"{render(lhs)} /= {render(rhs)}"
+
+    report = _run_trials(rule, seed, trials, (1000003, 9176),
+                         (RankOverflow, CapExceeded), trial)
     if rule == "mu" and not mutate:
         start = time.perf_counter()
         for i, (cls, lhs, rhs, m, rho) in enumerate(mu_exhaustive_cases(), trials):
@@ -506,6 +500,26 @@ def soundness_harness(rule: str, model: Optional[ModelConfig] = None,
     return report
 
 
+def _run_trials(rule: str, seed: int, trials: int, multipliers: tuple[int, int],
+                skips: tuple, trial: Callable) -> HarnessReport:
+    """One record per trial: `trial(rng)` gives its (status, detail), with
+    `rng` seeded from the seed, the rule's salt and the trial's index by
+    `multipliers`; an exception of `skips` makes the trial a skip."""
+    report = HarnessReport(rule)
+    seed_mul, salt_mul = multipliers
+    rule_salt = sum(map(ord, rule))
+    for i in range(trials):
+        start = time.perf_counter()
+        rng = _gen.make_rng(seed * seed_mul + rule_salt * salt_mul + i)
+        try:
+            status, detail = trial(rng)
+        except skips as ex:
+            status, detail = "skip", str(ex)
+        report.records.append(
+            TrialRecord(rule, seed, i, status, detail, _ms_since(start)))
+    return report
+
+
 def _ms_since(start: float) -> float:
     return (time.perf_counter() - start) * 1000.0
 
@@ -513,24 +527,16 @@ def _ms_since(start: float) -> float:
 def _mutate_mu_rhs(lhs: SlmTerm, rhs: SlmTerm) -> SlmTerm:
     """Deliberately wrong mu contraction: forget the truth context around
     the bound application, as if the rule ignored it."""
-
-    def find_bound_app(t: SlmTerm, binder: str) -> Optional[App]:
-        match t:
-            case App(Var(name, _), _) if name == binder:
-                return t
-            case _:
-                for c in children(t):
-                    hit = find_bound_app(c, binder)
-                    if hit is not None:
-                        return hit
-        return None
-
     if not isinstance(rhs, Mu):
         return rhs
-    inner = find_bound_app(rhs.body, rhs.binder)
-    if inner is None:
-        return rhs
-    return Mu(rhs.binder, rhs.binder_ty, inner)
+    todo = [rhs.body]
+    while todo:  # preorder: the first bound application
+        match todo.pop():
+            case App(Var(name, _), _) as inner if name == rhs.binder:
+                return Mu(rhs.binder, rhs.binder_ty, inner)
+            case t:
+                todo += reversed(children(t))
+    return rhs
 
 
 def cts_harness_model(size: int = 2) -> ModelConfig:
@@ -557,38 +563,29 @@ def cts_rule_harness(rule: str, trials: int = 100, seed: int = 0) -> HarnessRepo
     gen_model = cts_harness_model()
     big_subst = rule.startswith(("all-", "ex-")) and rule[-1] in "rl"
     models = [gen_model] if big_subst else [cts_harness_model(1), gen_model]
-    report = HarnessReport(rule)
-    rule_salt = sum(map(ord, rule))
     double_line = rule in sq.SUBST_RULES
 
     def valid(seq):
         return all(sequent_valid(seq.side("L"), seq.side("R"), [m]).valid
                    for m in models)
 
-    for trial in range(trials):
-        start = time.perf_counter()
-        rng = _gen.make_rng(seed * 2000003 + rule_salt * 5077 + trial)
-        try:
-            conclusion, premises, pos, direction = _gen.cts_rule_instance(
-                rule, rng, gen_model)
-            violation = sq.check_rule_instance(
-                conclusion, premises, rule, pos, direction, gen_model)
-            if violation is not None:
-                status, detail = "fail", f"generator rejected: {violation}"
-            else:
-                prem_ok = all(valid(p) for p in premises)
-                concl_ok = valid(conclusion)
-                sound = concl_ok or not prem_ok
-                if double_line:
-                    sound = sound and (prem_ok or not concl_ok)
-                status, detail = ("pass", "") if sound else (
-                    "fail",
-                    f"{sq.render_sequent(conclusion)} breaks validity preservation")
-        except CapExceeded as ex:
-            status, detail = "skip", str(ex)
-        report.records.append(
-            TrialRecord(rule, seed, trial, status, detail, _ms_since(start)))
-    return report
+    def trial(rng) -> tuple[str, str]:
+        conclusion, premises, pos, direction = _gen.cts_rule_instance(
+            rule, rng, gen_model)
+        violation = sq.check_rule_instance(
+            conclusion, premises, rule, pos, direction, gen_model)
+        if violation is not None:
+            return "fail", f"generator rejected: {violation}"
+        prem_ok = all(valid(p) for p in premises)
+        concl_ok = valid(conclusion)
+        sound = concl_ok or not prem_ok
+        if double_line:
+            sound = sound and (prem_ok or not concl_ok)
+        if sound:
+            return "pass", ""
+        return "fail", f"{sq.render_sequent(conclusion)} breaks validity preservation"
+
+    return _run_trials(rule, seed, trials, (2000003, 5077), (CapExceeded,), trial)
 
 
 def mu_exhaustive_cases(sizes: tuple[int, int] = (2, 2)):

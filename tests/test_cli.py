@@ -740,6 +740,26 @@ def test_scope_demo_exits_1_when_a_derivation_fails_to_check():
     assert proc.returncode == 0 and proc.stdout.count("re-checked") == 2, proc.stderr
 
 
+CENSUS_1 = """\
+bot          rank 0:    2   rank 1: 16 (16 distinct)
+e            rank 0:    1   rank 1: 4 (4 distinct)
+(e -> bot)   rank 0:    2   rank 1: 16 (16 distinct)
+"""
+
+
+@pytest.mark.parametrize("size", ["1", "0", "-1", "5"])
+def test_domain_census_refuses_a_size_outside_1_to_4(size):
+    # a refused size is one line on stderr and exit 2, not a traceback
+    repo = pathlib.Path(__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "domain_census.py"), "--size", size],
+        capture_output=True, text=True, env=env, timeout=60)
+    expected = (0, CENSUS_1, "") if size == "1" else (
+        2, "", f"domain_census: base e has size {size}; sizes must be 1..4\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
 def test_importing_ctt_loads_no_heavy_stdlib_modules():
     # every CLI command pays for what importing ctt pulls in: `dataclasses`
     # brings `inspect`, `ast` and `dis` and generates code with `exec`, and

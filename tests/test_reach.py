@@ -126,3 +126,26 @@ def test_the_library_has_no_assert_statements():
     found = [f"{path.name}:{node.lineno}" for path, tree in library_modules()
              for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def self_reading_closures():
+    """Functions nested in another function that read their own name. Such
+    a closure holds itself through its cell, so each call of the function
+    around it leaves a reference cycle that only the collector frees, and
+    a recursive one is bound by the recursion limit."""
+    found = set()
+    for path, tree in library_modules():
+        for outer in ast.walk(tree):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for inner in ast.walk(outer):
+                if (inner is not outer
+                        and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and any(isinstance(n, ast.Name) and n.id == inner.name
+                                and isinstance(n.ctx, ast.Load) for n in ast.walk(inner))):
+                    found.add(f"{path.name}:{inner.lineno}:{inner.name}")
+    return sorted(found)
+
+
+def test_no_closure_reads_its_own_name():
+    assert self_reading_closures() == []

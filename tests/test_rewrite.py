@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 from ctt import gen
 from ctt.rewrite import (
     DEFAULT_FUEL, NameSupply, NonFunctorOccurrence, NormalStatus, RewriteTrace,
-    RuleTag, Step, _match_redex, normalize, step, structural_subst, substitute,
+    RuleTag, Step, _all_names, _match_redex, normalize, step, structural_subst,
+    substitute,
 )
 from ctt.syntax import (
-    App, Arrow, BOT, Base, CttError, Lam, Mu, TypeMismatch, Var, children,
+    App, Arrow, BOT, Base, CVar, CttError, Lam, Mu, TypeMismatch, Var, children,
     free_vars, neg_type, parse_slm, render, replace_at, subterm_at,
 )
 
@@ -411,3 +412,212 @@ def test_normalize_identity_chains_scale():
         out, trace, status = normalize(chain, strategy)
         assert (out, len(trace.steps), status) == (Var("y", E), 400, NormalStatus.NORMAL_FORM)
     assert time.perf_counter() - start < 1.0
+
+
+# ---------------------------------------------------------------------------
+# the two recursive substitution walks that the shared explicit-stack walk
+# replaced, kept verbatim (but for their names) as the reference
+
+def reference_substitute(term, x, repl, supply=None):
+    """Capture-avoiding substitution term[x := repl]."""
+    if supply is None:
+        supply = NameSupply(lambda: _all_names(term) | _all_names(repl))
+    repl_fv = free_vars(repl)
+
+    def go(t):
+        match t:
+            case Var(name, ty):
+                if name != x:
+                    return t
+                if ty != repl.ty:
+                    raise TypeMismatch(
+                        f"substituting {render(repl)} : {repl.ty} for {x} : {ty}")
+                return repl
+            case App(fun, arg):
+                return App(go(fun), go(arg))
+            case Lam(b, bty, body) | Mu(b, bty, body):
+                cls = type(t)
+                if b == x:
+                    return t
+                if b in repl_fv and x in free_vars(body):
+                    b2 = supply.fresh(b)
+                    body = reference_substitute(body, b, Var(b2, bty), supply)
+                    return cls(b2, bty, go(body))
+                return cls(b, bty, go(body))
+        raise CttError(f"cannot substitute into {t!r}")
+
+    return go(term)
+
+
+def reference_structural_subst(body, x, q, y, supply=None):
+    """Rewrite every (x R) in `body` into (y (R q)), innermost first."""
+    if supply is None:
+        supply = NameSupply(lambda: _all_names(body) | _all_names(q) | {x, y})
+    q_fv = free_vars(q)
+    y_ty = None
+
+    def go(t):
+        match t:
+            case Var(name, _):
+                if name == x:
+                    raise NonFunctorOccurrence(
+                        f"{x} occurs outside functor position")
+                return t
+            case App(Var(name, ty), arg) if name == x:
+                nonlocal y_ty
+                if not (isinstance(ty, Arrow) and isinstance(ty.dom, Arrow)):
+                    raise TypeMismatch(f"{x} : {ty} is not of type ~(s -> t)")
+                y_ty = Arrow(ty.dom.cod, BOT)
+                return App(Var(y, y_ty), App(go(arg), q))
+            case App(fun, arg):
+                return App(go(fun), go(arg))
+            case Lam(b, bty, inner) | Mu(b, bty, inner):
+                cls = type(t)
+                if b == x:
+                    return t
+                if b == y or (b in q_fv and x in free_vars(inner)):
+                    b2 = supply.fresh(b)
+                    inner = reference_substitute(inner, b, Var(b2, bty), supply)
+                    return cls(b2, bty, go(inner))
+                return cls(b, bty, go(inner))
+        raise CttError(f"cannot rewrite {t!r}")
+
+    return go(body)
+
+
+T = Base("t")
+FN = Arrow(E, T)
+KONT = neg_type(FN)  # ~(e -> t), the type of a mu rule's bound x
+SMALL_TYPES = (E, T, BOT, FN, KONT)
+# binders, free names of the term and free names of the replacement are
+# drawn from one pool, so binders capture and shadow
+NAMES = ("x", "y", "y'", "a", "a'")
+
+
+def pool_term(rng, ty, depth, env):
+    """A term aimed at type `ty` over NAMES, each name read at the type
+    `env` gives it; one read in twenty takes a random type, so some terms
+    are ill-typed and some name occurs free at two types. One leaf in a
+    hundred is a ranked variable."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.25:
+        if rng.random() < 0.01:  # no lambda-mu term: neither walk goes in
+            return CVar("x", ty, 0)
+        name = "x" if rng.random() < 0.3 else rng.choice(NAMES)
+        return Var(name, env[name] if rng.random() < 0.95 else rng.choice(SMALL_TYPES))
+    if roll < 0.4 and ty == BOT:  # an application of x, the mu rule's shape
+        return App(Var("x", env["x"]), pool_term(rng, FN, depth - 1, env))
+    if roll < 0.65:
+        b = rng.choice(NAMES)
+        if isinstance(ty, Arrow) and rng.random() < 0.7:
+            return Lam(b, ty.dom, pool_term(rng, ty.cod, depth - 1, {**env, b: ty.dom}))
+        return Mu(b, neg_type(ty), pool_term(rng, BOT, depth - 1, {**env, b: neg_type(ty)}))
+    s = rng.choice(SMALL_TYPES[:3])
+    return App(pool_term(rng, Arrow(s, ty), depth - 1, env), pool_term(rng, s, depth - 1, env))
+
+
+class LoggedSupply(NameSupply):
+    """A name supply that records the fresh names it gives, in order."""
+
+    def __init__(self, names):
+        super().__init__(lambda: set(names))
+        self.log = []
+
+    def fresh(self, base):
+        name = super().fresh(base)
+        self.log.append(name)
+        return name
+
+
+def subst_outcome(fn, args, avoid):
+    """What `fn(*args)` returns or raises (class and text), with the fresh
+    names drawn: from its own supply when `avoid` is None, else from a
+    supply that avoids just `avoid`."""
+    supply = None if avoid is None else LoggedSupply(avoid)
+    try:
+        out = fn(*args, supply)
+    except CttError as ex:
+        out = type(ex), str(ex)
+    return out, None if supply is None else supply.log
+
+
+def substitution_cases(rng):
+    """One substitute and one structural_subst input: the replacement's
+    free names are often binder names of the term, sometimes its type is
+    not x's, and y is often a binder name too."""
+    sig = {n: rng.choice(SMALL_TYPES) for n in NAMES}
+    term = pool_term(rng, rng.choice(SMALL_TYPES), rng.randint(1, 5), sig)
+    if rng.random() < 0.3:  # a' under a: renaming a to a' renames a' too
+        inner = pool_term(rng, BOT, rng.randint(1, 5), {**sig, "a": E, "a'": E})
+        term = Lam("a", E, Lam("a'", E, inner))
+    roll = rng.random()
+    if roll < 0.4:
+        repl = Var(rng.choice(NAMES), sig["x"])
+    elif roll < 0.8:
+        repl = pool_term(rng, sig["x"], 2, sig)
+    else:
+        repl = pool_term(rng, rng.choice(SMALL_TYPES), 2, sig)
+    sig["x"] = KONT if rng.random() < 0.9 else rng.choice(SMALL_TYPES)
+    body = pool_term(rng, BOT, rng.randint(1, 5), sig)
+    q = Var(rng.choice(NAMES), E) if rng.random() < 0.5 else pool_term(rng, E, 2, sig)
+    y = rng.choice(NAMES[1:])
+    return (term, "x", repl), (body, "x", q, y)
+
+
+def test_substitutions_match_the_recursive_references():
+    rng = gen.make_rng(7)
+    seen = {"result": 0, "renamed": 0, TypeMismatch: 0, NonFunctorOccurrence: 0,
+            CttError: 0}
+    for case in range(1600):
+        for fn, ref, args in zip((substitute, structural_subst),
+                                 (reference_substitute, reference_structural_subst),
+                                 substitution_cases(rng)):
+            # the default supply, and one that avoids only a few names, so
+            # a fresh name (a' for a) may be a binder below, renamed in turn
+            for avoid in (None, {"a", "y", *rng.sample(NAMES, rng.randint(0, 2))}):
+                got = subst_outcome(fn, args, avoid)
+                assert got == subst_outcome(ref, args, avoid), (case, fn.__name__, args)
+                out, log = got
+                kind = out[0] if isinstance(out, tuple) else "result"
+                seen[kind] += 1
+                seen["renamed"] += bool(log)
+    assert sum(seen.values()) - seen["renamed"] == 6400
+    # every outcome, and renaming, is met often
+    assert min(seen.values()) >= 100, seen
+
+
+# terms ten times deeper than Python's default recursion limit, built
+# directly: the parsers cap nesting well below this
+DEEP = 10_000
+
+
+def f_spine(leaf):
+    """(f (f ... (f leaf))), DEEP applications deep."""
+    f = Var("f", Arrow(E, E))
+    for _ in range(DEEP):
+        leaf = App(f, leaf)
+    return leaf
+
+
+def test_substitute_walks_a_term_of_any_depth():
+    # the binder y is renamed first, and its whole body walked to do so
+    out = substitute(Lam("y", E, f_spine(Var("x", E))), "x", Var("y", E))
+    assert out == Lam("y'", E, f_spine(Var("y", E)))
+
+
+def test_structural_subst_walks_a_term_of_any_depth():
+    # (x (g (x (g ... (x r))))): every level is an application of x
+    x, y = Var("x", KONT), Var("y", neg_type(T))
+    g, r, q = Var("g", Arrow(BOT, FN)), Var("r", FN), Var("q", E)
+    body, expected = App(x, r), App(y, App(r, q))
+    for _ in range(DEEP):
+        body = App(x, App(g, body))
+        expected = App(y, App(App(g, expected), q))
+    assert structural_subst(body, "x", q, "y") == expected
+
+
+def test_normalize_contracts_a_redex_around_a_term_of_any_depth():
+    redex = App(Lam("x", E, f_spine(Var("x", E))), Var("z", E))
+    out, trace, status = normalize(redex)
+    assert (out, len(trace.steps), status) == (
+        f_spine(Var("z", E)), 1, NormalStatus.NORMAL_FORM)
