@@ -588,12 +588,12 @@ def cts_rule_harness(rule: str, trials: int = 100, seed: int = 0) -> HarnessRepo
     return _run_trials(rule, seed, trials, (2000003, 5077), (CapExceeded,), trial)
 
 
-def mu_exhaustive_cases(sizes: tuple[int, int] = (2, 2)):
+def mu_exhaustive_cases():
     """Every truth-context class x functor table x argument atom for the mu
-    rule at small base sizes; yields (context_class, lhs, rhs, model, rho).
-    The mu body is (x0 r) for T1 and (n (x0 r)) for T2-T4, with `n` the
-    truth function the class names."""
-    model = ModelConfig(base_sizes={"s": sizes[0], "t": sizes[1]})
+    rule with base types s and t of size 2; yields (context_class, lhs, rhs,
+    model, rho). The mu body is (x0 r) for T1 and (n (x0 r)) for T2-T4, with
+    `n` the truth function the class names."""
+    model = ModelConfig(base_sizes={"s": 2, "t": 2})
     sigma, tau = Base("s"), Base("t")
     fn_ty = Arrow(sigma, tau)
 

@@ -8,7 +8,10 @@ Three term languages share one tokenizer:
             | All[k](x:TY@m) | Ex[k](x:TY@m)
 
 Variables carry their type (and rank, in the ranked language) at binding or
-first use; later occurrences may be bare and must be consistent.
+first use; later occurrences may be bare and must be consistent. One
+parser, `_TermParser`, reads both term languages: they share the
+application chain and the variable production, and each keeps its head
+production (binders, or operators).
 """
 
 from __future__ import annotations
@@ -695,7 +698,7 @@ def _signature_walk(sub: CtsSubterm) -> dict[str, tuple[TypeExpr, int]]:
             case CVar(name, ty, rank):
                 have = out.setdefault(name, (ty, rank))
                 if have != (ty, rank):
-                    raise TypeMismatch(f"{name} used at {have} and ({ty}, {rank})")
+                    raise TypeMismatch(f"{name} used at {_show(have)} and {ty}@{rank}")
             case CBigConj() | CBigDisj():
                 pass
             case _Ranked():  # lambda-mu nodes have no ranked variables
@@ -857,15 +860,28 @@ def parse_type(text: str) -> TypeExpr:
 
 
 # ---------------------------------------------------------------------------
-# lambda-mu parser
+# term parser, for lambda-mu terms and ranked subterms
 
-class _SlmParser:
-    def __init__(self, c: _Cursor, default_ty: Optional[TypeExpr]):
+class _TermParser:
+    """Recursive descent over lambda-mu terms (`slm`) or ranked subterms.
+    `term` writes the productions both share once: the nesting guard, the
+    application chain `(P Q R)` and the variable. A variable's signature is
+    the tuple of fields its node class takes after the name, `(ty,)` or
+    `(ty, rank)`: the one in `bound`, else its annotation's, which must
+    agree with `known`, else the one in `known`, else `default`. Each
+    language keeps its own head production: `binder` or `operator`."""
+
+    def __init__(self, c: _Cursor, slm: bool, known: dict[str, tuple],
+                 default: Optional[tuple]):
         self.c = c
-        self.known: dict[str, TypeExpr] = {}
-        self.default_ty = default_ty
+        self.slm = slm
+        self.known = known
+        self.default = default
+        self.var, self.app = (Var, App) if slm else (CVar, CApp)
+        # besides identifiers, 0 and 1 name the truth values in ranked text
+        self.numerals = () if slm else ("0", "1")
 
-    def term(self, bound: dict[str, TypeExpr]) -> SlmTerm:
+    def term(self, bound: dict[str, tuple]):
         """One term. Its height, in term levels, is left in `self.height`:
         a leaf's 1, set first, or one more than its highest child's."""
         c = self.c
@@ -875,18 +891,6 @@ class _SlmParser:
         try:
             t = c.toks[c.i]
             self.height = 1
-            if t == "\\" or t == "#":
-                is_mu = t == "#"
-                c.i += 1
-                name = self.ident()
-                c.expect(":")
-                bty = _parse_type_atom(c)
-                if is_mu and not is_neg_type(bty):
-                    c.fail(f"mu binder must have a negation type, got {bty}")
-                c.expect(".")
-                body = self.term({**bound, name: bty})
-                self.height += 1
-                return Mu(name, bty, body) if is_mu else Lam(name, bty, body)
             if t == "(":
                 c.i += 1
                 out = self.term(bound)
@@ -895,44 +899,110 @@ class _SlmParser:
                     # the functor `out` goes one level down per argument
                     if c.depth + height > MAX_NESTING:
                         c.fail(_TOO_DEEP)
-                    out = App(out, self.term(bound))
+                    out = self.app(out, self.term(bound))
                     height = 1 + max(height, self.height)
                 c.i += 1
                 self.height = height
                 return out
-            if _is_name(t) and t not in RESERVED:
+            if t[:1] in _NAME_START and t not in RESERVED or t in self.numerals:
                 c.i += 1
-                name = t
-                if c.toks[c.i] == ":" and name not in bound:
+                if t in bound:
+                    sig = bound[t]
+                elif c.toks[c.i] == ":":
                     c.i += 1
-                    ty = _parse_type_atom(c)
-                    if name in self.known and self.known[name] != ty:
-                        c.fail(f"{name} already annotated as {self.known[name]}")
-                    self.known[name] = ty
-                    return Var(name, ty)
-                if name in bound:
-                    return Var(name, bound[name])
-                if name in self.known:
-                    return Var(name, self.known[name])
-                if self.default_ty is not None:
-                    self.known[name] = self.default_ty
-                    return Var(name, self.default_ty)
-                c.fail(f"free variable {name} needs a type annotation")
-            c.fail("expected a term")
+                    sig = self.annotation()
+                    if self.known.setdefault(t, sig) != sig:
+                        c.fail(f"{t} already annotated as {_show(self.known[t])}")
+                elif t in self.known:
+                    sig = self.known[t]
+                elif self.default is not None:
+                    sig = self.known[t] = self.default
+                else:
+                    c.fail(f"free variable {t} needs a type annotation" if self.slm
+                           else f"variable {t} needs a `:type@rank` annotation")
+                return self.var(t, *sig)
+            return self.binder(t, bound) if self.slm else self.operator(t, bound)
         finally:
             c.depth -= 1
 
-    def ident(self) -> str:
+    def annotation(self) -> tuple:
+        """A variable's annotation after its colon: `TY`, or `TY@m` in
+        ranked text, as its signature."""
+        ty = _parse_type_atom(self.c)
+        if self.slm:
+            return (ty,)
+        self.c.expect("@")
+        return ty, self.rank()
+
+    def rank(self) -> int:
+        c = self.c
+        t = c.toks[c.i]
+        if not t.isdigit():
+            c.fail("expected a rank (natural number)")
+        c.i += 1
+        return int(t)
+
+    def name(self, what: str) -> str:
+        """A binder's or index's name: an identifier, not a reserved word."""
         c = self.c
         t = c.toks[c.i]
         if not _is_name(t) or t in RESERVED:
-            c.fail("expected an identifier")
+            c.fail(f"expected {what}")
         c.i += 1
         return t
 
+    def binder(self, t: str, bound: dict[str, tuple]) -> SlmTerm:
+        """`\\x:TY. P` or `#x:~TY. P`, from its first token `t`."""
+        c = self.c
+        if t != "\\" and t != "#":
+            c.fail("expected a term")
+        c.i += 1
+        name = self.name("an identifier")
+        c.expect(":")
+        bty = _parse_type_atom(c)
+        if t == "#" and not is_neg_type(bty):
+            c.fail(f"mu binder must have a negation type, got {bty}")
+        c.expect(".")
+        body = self.term({**bound, name: (bty,)})
+        self.height += 1
+        return Mu(name, bty, body) if t == "#" else Lam(name, bty, body)
+
+    def operator(self, t: str, bound: dict[str, tuple]) -> CtsSubterm:
+        """`neg[k](P)`, `and[k](P,Q)`, `or[k](P,Q)`, `All[k](x:TY@m)` or
+        `Ex[k](x:TY@m)`, from its first token `t`."""
+        c = self.c
+        op = t.lower()  # All and Ex are capitalized
+        if t not in RESERVED or op not in OP_NODES:
+            c.fail("expected a subterm")
+        c.i += 1
+        c.expect("[")
+        k = self.rank()
+        c.expect("]")
+        c.expect("(")
+        if op == "neg":
+            out = CNeg(k, self.term(bound))
+            self.height += 1
+        elif op == "and" or op == "or":
+            left = self.term(bound)
+            height = self.height
+            c.expect(",")
+            out = OP_NODES[op](k, left, self.term(bound))
+            self.height = 1 + max(height, self.height)
+        else:
+            name = self.name("a variable")
+            c.expect(":")
+            out = OP_NODES[op](k, name, *self.annotation())
+        c.expect(")")
+        return out
+
+
+def _show(sig: tuple) -> str:
+    """A signature as an annotation writes it: `TY` or `TY@m`."""
+    return "@".join(map(str, sig))
+
 
 def _parse_slm_once(c: _Cursor, default_ty: Optional[TypeExpr]) -> SlmTerm:
-    p = _SlmParser(c, default_ty)
+    p = _TermParser(c, True, {}, None if default_ty is None else (default_ty,))
     term = p.term({})
     c.end("term")
     term.ty  # raises the first type fault, with its path
@@ -972,113 +1042,11 @@ def _reach(error: CttError, text: str) -> int:
     return error.pos if isinstance(error, ParseError) else len(text)
 
 
-# ---------------------------------------------------------------------------
-# ranked-subterm parser
-
-class _CtsParser:
-    def __init__(self, text: str, sig: Optional[dict[str, tuple[TypeExpr, int]]]):
-        self.c = _Cursor(text)
-        self.known: dict[str, tuple[TypeExpr, int]] = dict(sig or {})
-        self.default_var: Optional[tuple[TypeExpr, int]] = None
-
-    def rank(self) -> int:
-        c = self.c
-        t = c.toks[c.i]
-        if not t.isdigit():
-            c.fail("expected a rank (natural number)")
-        c.i += 1
-        return int(t)
-
-    def bracket_rank(self) -> int:
-        self.c.expect("[")
-        k = self.rank()
-        self.c.expect("]")
-        return k
-
-    def annotated_var(self) -> tuple[str, TypeExpr, int]:
-        c = self.c
-        t = c.toks[c.i]
-        if not _is_name(t) or t in RESERVED:
-            c.fail("expected a variable")
-        c.i += 1
-        c.expect(":")
-        ty = _parse_type_atom(c)
-        c.expect("@")
-        m = self.rank()
-        return t, ty, m
-
-    def subterm(self) -> CtsSubterm:
-        """One subterm; its height is left in `self.height`, as by `term`."""
-        c = self.c
-        c.depth += 1
-        if c.depth > MAX_NESTING:
-            c.fail(_TOO_DEEP)
-        try:
-            t = c.toks[c.i]
-            self.height = 1
-            if t in RESERVED and t.lower() in OP_NODES:  # All and Ex capitalized
-                op = t.lower()
-                c.i += 1
-                k = self.bracket_rank()
-                c.expect("(")
-                if op == "neg":
-                    child = self.subterm()
-                    c.expect(")")
-                    self.height += 1
-                    return CNeg(k, child)
-                if op in ("and", "or"):
-                    left = self.subterm()
-                    height = self.height
-                    c.expect(",")
-                    right = self.subterm()
-                    c.expect(")")
-                    self.height = 1 + max(height, self.height)
-                    return OP_NODES[op](k, left, right)
-                name, ty, m = self.annotated_var()
-                c.expect(")")
-                return OP_NODES[op](k, name, ty, m)
-            if t == "(":
-                c.i += 1
-                out = self.subterm()
-                height = self.height
-                while c.toks[c.i] != ")":
-                    if c.depth + height > MAX_NESTING:
-                        c.fail(_TOO_DEEP)
-                    out = CApp(out, self.subterm())
-                    height = 1 + max(height, self.height)
-                c.i += 1
-                self.height = height
-                return out
-            if _is_name(t) or t.isdigit():  # 0 and 1 name the truth values
-                c.i += 1
-                name = t
-                if c.toks[c.i] == ":":
-                    c.i += 1
-                    ty = _parse_type_atom(c)
-                    c.expect("@")
-                    m = self.rank()
-                    if name in self.known and self.known[name] != (ty, m):
-                        c.fail(f"{name} already annotated as "
-                               f"{self.known[name][0]}@{self.known[name][1]}")
-                    self.known[name] = (ty, m)
-                    return CVar(name, ty, m)
-                if name in self.known:
-                    ty, m = self.known[name]
-                    return CVar(name, ty, m)
-                if self.default_var is not None:
-                    self.known[name] = self.default_var
-                    return CVar(name, *self.default_var)
-                c.fail(f"variable {name} needs a `:type@rank` annotation")
-            c.fail("expected a subterm")
-        finally:
-            c.depth -= 1
-
-
 def parse_cts(text: str, sig: Optional[dict[str, tuple[TypeExpr, int]]] = None) -> CtsSubterm:
     """Parse a ranked subterm and check every rank side condition."""
-    p = _CtsParser(text, sig)
-    sub = p.subterm()
-    p.c.end("subterm")
+    c = _Cursor(text)
+    sub = _TermParser(c, False, dict(sig or {}), None).term({})
+    c.end("subterm")
     rank_check(sub)
     return _kept(sub)
 
@@ -1087,17 +1055,16 @@ def parse_sequent_members(text: str, sig: Optional[dict[str, tuple[TypeExpr, int
                           ) -> tuple[list[CtsSubterm], list[CtsSubterm]]:
     """Parse `A, B |- C, D`. Bare unannotated variables default to bot@0.
     Either side may be empty; a comma is always followed by a member."""
-    p = _CtsParser(text, sig)
-    p.default_var = (BOT, 0)
-    c = p.c
+    c = _Cursor(text)
+    p = _TermParser(c, False, dict(sig or {}), (BOT, 0))
 
     def side(stop: str) -> list[CtsSubterm]:
         if c.toks[c.i] in (stop, ""):
             return []
-        members = [p.subterm()]
+        members = [p.term({})]
         while c.toks[c.i] == ",":
             c.i += 1
-            members.append(p.subterm())
+            members.append(p.term({}))
         return members
 
     ante = side("|-")

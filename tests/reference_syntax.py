@@ -3,8 +3,12 @@ list of token strings and rendering joined its children's texts: the
 `finditer` tokenizer with its `Token` records, the cursor, the type,
 lambda-mu, ranked and sequent parsers, and the rendering walk. Kept
 verbatim as the reference the tests compare the current parsers and
-`render` with. One deliberate difference: `parse_sequent_members` here
-accepts a comma after the last member of a side.
+`render` with, but for two deliberate differences. `parse_sequent_members`
+here accepts a comma after the last member of a side, which the current
+parser refuses and the tests allow for. And a ranked variable here, as in
+the current parser, is named only by an identifier other than a reserved
+word, or by `0` or `1`, as a term may name a constant; the verbatim
+condition took any identifier or number, `bot` and `12` included.
 
 It also keeps `typecheck_slm`, the recursive checker that typed a parsed
 lambda-mu term before each node typed itself as it was built, as the
@@ -369,7 +373,8 @@ class _CtsParser:
                     out = CApp(out, self.subterm())
                 c.expect(")")
                 return out
-            if t.kind in ("IDENT", "NAT"):  # 0 and 1 name the truth values
+            if (t.kind == "IDENT" and t.text not in RESERVED
+                    or t.text in ("0", "1")):  # 0 and 1 name the truth values
                 c.next()
                 name = t.text
                 if c.at(":"):

@@ -166,7 +166,7 @@ def test_criterion_05_equality_rule_soundness(rule):
 
 def test_criterion_06_mu_rule_exhaustive_contexts():
     counts = {c: 0 for c in ContextClass}
-    for cls, lhs, rhs, model, rho in mu_exhaustive_cases(sizes=(2, 2)):
+    for cls, lhs, rhs, model, rho in mu_exhaustive_cases():
         assert check_equation(lhs, rhs, model, rho)
         lv, rv = eval_slm(lhs, model, rho), eval_slm(rhs, model, rho)
         tau = Base("t")

@@ -81,6 +81,44 @@ OVER_CAP_IN_LAST_MODEL = ("|- x:bot@0, (f:(e -> bot)@0 u:e@0), (g:(e -> bot)@0 w
                           "(h:(e -> bot)@0 v:e@0)")
 
 
+@pytest.mark.parametrize("text", ["bot:bot@0", "table:e@0", "12:bot@0", "007:e@0"])
+def test_a_ranked_variable_is_no_reserved_word_or_other_number(capsys, text):
+    # a term names an identifier other than a reserved word, or 0 or 1,
+    # as a model file's constant does; any other token is no subterm
+    code, out, err = run(capsys, "parse", "--lang", "cts", text)
+    assert (code, out, err) == (2, "", "ctt: expected a subterm at line 1, column 1\n")
+    code, out, err = run(capsys, "entail", "|- " + text)
+    assert (code, out, err) == (2, "", "ctt: expected a subterm at line 1, column 4\n")
+
+
+def test_bot_is_no_sequent_member(capsys):
+    code, out, err = run(capsys, "entail", "bot |- bot")
+    assert (code, out, err) == (2, "", "ctt: expected a subterm at line 1, column 1\n")
+
+
+def test_0_and_1_name_ranked_variables(capsys):
+    code, out, _ = run(capsys, "parse", "--lang", "cts", "and[1](0:bot@0,1:bot@0)")
+    assert (code, out) == (0, "and[1](0:bot@0,1:bot@0)\n")
+    code, out, _ = run(capsys, "entail", "0 |- 1")
+    assert (code, out) == (1, "invalid\n")
+
+
+def test_a_signature_clash_prints_annotations(capsys, tmp_path):
+    # ex-Rr spreads Ex[1](i:e@0) over the carrier of e, whose individual
+    # `a` is at e@0, while the sequent uses `a` at bot@0: the clash is
+    # written as annotations are
+    mdl = tmp_path / "e2.mdl"
+    mdl.write_text("base e 2\n")
+    proof = tmp_path / "clash.proof"
+    proof.write_text(
+        "node 1 rule=ax dir=- pos=- concl=A |- A premises=-\n"
+        "node 2 rule=ex-Rr dir=down pos=R0:0 concl=|- and[1]((f:(e -> bot)@0 "
+        "Ex[1](i:e@0)),a:bot@0) premises=1\n")
+    code, out, _ = run(capsys, "check-proof", "--model", str(mdl), str(proof))
+    assert (code, out) == (
+        1, "at root: ex-Rr: a used at e@0 and bot@0 (at path root)\n")
+
+
 def test_entail_over_cap_model_after_the_counterexample(capsys, tmp_path):
     # the standard family's first model refutes the sequent, its last is over the cap
     for machine in ([], ["--machine"]):

@@ -329,7 +329,8 @@ def reference_cts_signature(sub):
         match s:
             case CVar(name, ty, rank):
                 if name in out and out[name] != (ty, rank):
-                    raise TypeMismatch(f"{name} used at {out[name]} and ({ty}, {rank})")
+                    raise TypeMismatch(f"{name} used at {out[name][0]}@{out[name][1]} "
+                                       f"and {ty}@{rank}")
                 out[name] = (ty, rank)
             case CBigConj() | CBigDisj():
                 pass
@@ -928,7 +929,8 @@ def test_parsers_match_reference_on_corpus_and_generated_subterms():
 _PIECES = st.sampled_from(
     ["e", "t", "x", "y", "f", "A", ":", "#", "#x", "\\", "(", ")", ".", " ", "\n", "~",
      "->", "bot", "@", "0", "1", "[", "]", ",", "|-", "neg", "and", "or", "All",
-     "# c:", "e:", "x:e", "λ", "\\x:e.", "#k:~e.", "A:bot@0", "and[1](", "neg[1]("])
+     "# c:", "e:", "x:e", "λ", "\\x:e.", "#k:~e.", "A:bot@0", "and[1](", "neg[1](",
+     "table", "12", "007", "x:e@0"])
 
 
 @settings(max_examples=1500, deadline=None)
