@@ -195,8 +195,9 @@ def cmd_prove(args, out: Printer) -> int:
         # bounded search: absence is not a refutation
         out.record("unknown", "prove", "no derivation found", depth=args.depth)
         return NEGATIVE
-    out.record("ok", "prove", "", nodes=sum(1 for _ in d.nodes()))
-    print(render_derivation_file(d), end="")
+    text = render_derivation_file(d)
+    out.record("ok", "prove", "", nodes=text.count("\n") - 1)  # its node lines
+    print(text, end="")
     return OK
 
 

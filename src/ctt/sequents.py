@@ -31,7 +31,7 @@ from typing import Iterator, NamedTuple, Optional, Union
 from .domains import ModelConfig, enumerate_domain, render_elem, Individual, TruthVal
 from .syntax import (
     BOT, CApp, CConj, CDisj, CNeg, CVar, CtsSubterm, CttError,
-    Interned, OP_NODES, TypeExpr, TypeMismatch, _innermost_redex, _union,
+    Interned, OP_NODES, TypeExpr, TypeMismatch, _innermost_redex, _kept, _union,
     check_sequent_member, children, cts_signature, parse_sequent_members,
     render, replace_at, signature_table, subterm_at,
 )
@@ -297,8 +297,9 @@ def rule_premises(seq: Sequent, rule: str, pos: Optional[Pos],
     formula = members[pos.member]
     if formula.op != op:
         return Violation(rule, f"member {render(formula)} is not a {op} node")
-    rest = seq.replace(side, formula, [])
-    side_members = rest.ante | rest.succ
+    # every member but `formula` on its side (a copy on the other side stays)
+    side_members = (seq.ante - {formula}) | seq.succ if side == "L" else \
+        seq.ante | (seq.succ - {formula})
     ranks = [c.rank for c in children(formula)]
     if op in ("all", "ex"):
         if formula.ty != BOT:
@@ -308,13 +309,16 @@ def rule_premises(seq: Sequent, rule: str, pos: Optional[Pos],
     if bad:
         return Violation(rule, bad)
 
+    # each premise is one `replace` of `seq`, so every sequent built is one
+    # a derivation holds; neg, whose child changes sides, takes two
     match formula:
         case CNeg(_, a):
+            rest = seq.replace(side, formula, [])
             return [rest.replace("R" if side == "L" else "L", None, [a])]
         case CConj(_, a, b) | CDisj(_, a, b):
             if (op == "and") == (side == "R"):
-                return [rest.replace(side, None, [a]), rest.replace(side, None, [b])]
-            return [rest.replace(side, None, [a, b])]
+                return [seq.replace(side, formula, [a]), seq.replace(side, formula, [b])]
+            return [seq.replace(side, formula, [a, b])]
     m = formula.atom_rank
     used = {name for mem in side_members for name in cts_signature(mem)}
     if eigen is None:
@@ -326,7 +330,7 @@ def rule_premises(seq: Sequent, rule: str, pos: Optional[Pos],
         return Violation(rule, f"eigenvariable must be a bot variable at rank {m}")
     if eigen.name in used:
         return Violation(rule, f"eigenvariable {eigen.name} occurs free elsewhere")
-    return [rest.replace(side, None, [eigen])]
+    return [seq.replace(side, formula, [eigen])]
 
 
 def check_rule_instance(conclusion: Sequent, premises: list[Sequent], rule: str,
@@ -431,7 +435,18 @@ def prove(goal: Sequent, depth: int = 30,
     """Backward search: substitution rules push every member to canonical
     form (mirroring canonicalization, so this phase terminates), then the
     introduction rules decompose, then the axiom closes. Returned
-    derivations always re-check."""
+    derivations always re-check.
+
+    A derivation found joins the window of recent parses
+    (`syntax._PARSED`), so a goal proved again, or its file checked, finds
+    its sequents built, sorted and checked; the window's bound keeps the
+    memory bounded."""
+    d = _search(goal, depth, model)
+    return d if d is None else _kept(d)
+
+
+def _search(goal: Sequent, depth: int, model: Optional[ModelConfig],
+            ) -> Optional[Derivation]:
     if depth <= 0:
         return None
 
@@ -449,7 +464,7 @@ def prove(goal: Sequent, depth: int = 30,
             premises = rule_premises(goal, rule, pos, model)
             if isinstance(premises, Violation):
                 return None  # stuck redex (unnamed carrier or rank break)
-            subproof = prove(premises[0], depth - 1, model)
+            subproof = _search(premises[0], depth - 1, model)
             if subproof is None:
                 return None
             return Derivation(rule, goal, (subproof,), pos, "down")
@@ -469,7 +484,7 @@ def prove(goal: Sequent, depth: int = 30,
             continue  # side condition failed; try another member
         subproofs = []
         for p in premises:
-            sp = prove(p, depth - 1, model)
+            sp = _search(p, depth - 1, model)
             if sp is None:
                 break
             subproofs.append(sp)
@@ -657,7 +672,12 @@ def check_derivation_file(text: str, model: Optional[ModelConfig] = None,
     come before their node and the walk stops at the first failure, so the
     first visit checked it in full. Every line the walk did not read is
     parsed after it. Where anything does not read, `parse_derivation_file`
-    raises the first error in file order."""
+    raises the first error in file order.
+
+    A file that reads, whether its check passes or fails, leaves the
+    sequents it read in the window of recent parses (`syntax._PARSED`) as
+    one entry, so the same file checked again, or its goal proved, finds
+    them built; a file that raises leaves none."""
     try:
         lines, root_id = _node_lines(text)
         root_id = _root(lines, root_id)
@@ -694,7 +714,8 @@ def check_derivation_file(text: str, model: Optional[ModelConfig] = None,
                 stack.append((premise_ids[i], path + (i,)))
         for nid, line in lines.items():
             if nid not in read:
-                _read_sequent(line[3])
+                read[nid] = _read_sequent(line[3])
+        _kept(tuple(seq for seq, _ in read.values()))
     except CttError:
         parse_derivation_file(text)
         raise

@@ -800,7 +800,10 @@ class _Cursor:
 
 # Results of the last PARSE_WINDOW successful parses, kept alive so that a
 # text parsed again finds its interned nodes, typed and printed, instead of
-# building them anew; the bound keeps memory bounded by the problem.
+# building them anew; the bound keeps memory bounded by the problem. The
+# derivations `sequents.prove` finds and the sequents a derivation file
+# read join it too, so a goal proved again, or its file checked, finds its
+# sequents built.
 PARSE_WINDOW = 64
 _PARSED: deque = deque(maxlen=PARSE_WINDOW)
 

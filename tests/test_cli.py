@@ -12,6 +12,7 @@ import pytest
 
 from ctt import domains, syntax
 from ctt.cli import build_parser, main
+from ctt.sequents import Sequent
 from ctt.syntax import MAX_NESTING
 
 import corpus
@@ -814,13 +815,27 @@ def test_importing_ctt_loads_no_heavy_stdlib_modules():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
 
 
-README_ROUND = [  # (exit code, argv...); check-proof reads what prove printed
+def commuted_chain(n):
+    """An and[1] chain of n atoms |- the same chain in reverse."""
+    names = [f"P{i}" for i in range(n)]
+
+    def chain(xs):
+        out = xs[-1]
+        for x in reversed(xs[:-1]):
+            out = f"and[1]({x},{out})"
+        return out
+    return f"{chain(names)} |- {chain(names[::-1])}"
+
+
+SESSION_ROUND = [  # (exit code, argv...); check-proof reads what prove printed
     (0, "normalize", "--fuel", "100", r"e: ((\x:e. x) y)"),
     (0, "prove", "--depth", "30", "and[1](A,B) |- and[1](B,A)"),
     (0, "check-proof"),
     (0, "entail", "A |- A"),
     (0, "entail", "|- or[1](A, neg[1](A))"),
     (1, "entail", "|- x:bot@0"),
+    (0, "prove", "--depth", "60", commuted_chain(10)),
+    (0, "check-proof"),
 ]
 TERM_NODES = (syntax.Var, syntax.App, syntax.Lam, syntax.Mu,
               syntax.CVar, syntax.CConj, syntax.CDisj, syntax.CNeg)
@@ -828,12 +843,15 @@ TERM_NODES = (syntax.Var, syntax.App, syntax.Lam, syntax.Mu,
 
 def test_a_repeated_session_builds_no_term_node_again(capsys, tmp_path, monkeypatch):
     # the window of recent parses keeps a text's nodes alive for the next
-    # command that parses it, so a second round of the README's examples
-    # finds every term and subterm node it needs
+    # command that parses it, and each derivation `prove` finds or
+    # check-proof reads, so a second round of the README's examples and of
+    # a commuted chain finds every term and subterm node and every sequent
+    # it needs
     proof = tmp_path / "out.proof"
+    kept = (*TERM_NODES, Sequent)
 
     def one_round():
-        for want, *argv in README_ROUND:
+        for want, *argv in SESSION_ROUND:
             if argv == ["check-proof"]:
                 argv.append(str(proof))
             code, out, _ = run(capsys, *argv)
@@ -843,7 +861,7 @@ def test_a_repeated_session_builds_no_term_node_again(capsys, tmp_path, monkeypa
 
     def by_class():
         gc.collect()
-        counts = dict.fromkeys(TERM_NODES, 0)
+        counts = dict.fromkeys(kept, 0)
         for key in syntax._INTERNED:
             if key[0] in counts:
                 counts[key[0]] += 1
@@ -855,5 +873,5 @@ def test_a_repeated_session_builds_no_term_node_again(capsys, tmp_path, monkeypa
     monkeypatch.setattr(syntax, "_intern",
                         lambda key, obj: made.append(key[0]) or real_intern(key, obj))
     one_round()
-    assert [cls for cls in made if cls in TERM_NODES] == []
+    assert [cls for cls in made if cls in kept] == []
     assert by_class() == after_first

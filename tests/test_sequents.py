@@ -4,6 +4,7 @@ import pathlib
 import random
 import re
 import time
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -17,7 +18,7 @@ from ctt.semantics import (
     standard_model_family,
 )
 from ctt.sequents import (
-    ALL_RULES, Derivation, Pos, Sequent, Violation, check_derivation,
+    ALL_RULES, INTRO_RULES, Derivation, Pos, Sequent, Violation, check_derivation,
     check_derivation_file, check_rule_instance, parse_derivation_file, prove,
     render_derivation_file, render_sequent, _innermost_redex,
     rule_premises, squeeze_out,
@@ -319,6 +320,146 @@ def test_rule_premises_reads_rules_downward():
     assert isinstance(rule_premises(seq("A |- B"), "ax", None), Violation)
 
 
+def reference_intro_premises(seq, rule, pos, eigen=None):
+    """`rule_premises` for an introduction rule as it was built before
+    each premise came from the conclusion in one step: the conclusion
+    without the formula first, then every premise from that."""
+    op, side = rule.rsplit("-", 1)
+    if pos is None or pos.side != side or pos.path:
+        return Violation(rule, f"position must name a member on side {side}")
+    members = seq.side(side)
+    if not 0 <= pos.member < len(members):
+        return Violation(rule, f"position {pos} names no member of side {side}")
+    formula = members[pos.member]
+    if formula.op != op:
+        return Violation(rule, f"member {render(formula)} is not a {op} node")
+    rest = seq.replace(side, formula, [])
+    side_members = rest.ante | rest.succ
+    ranks = [c.rank for c in children(formula)]
+    if op in ("all", "ex"):
+        if formula.ty != BOT:
+            return Violation(rule, "big-operator introduction needs a bot-typed index")
+        ranks = [formula.atom_rank]
+    bad = sequents._intro_rank_condition(formula.k, side_members, ranks)
+    if bad:
+        return Violation(rule, bad)
+
+    match formula:
+        case CNeg(_, a):
+            return [rest.replace("R" if side == "L" else "L", None, [a])]
+        case CConj(_, a, b) | CDisj(_, a, b):
+            if (op == "and") == (side == "R"):
+                return [rest.replace(side, None, [a]), rest.replace(side, None, [b])]
+            return [rest.replace(side, None, [a, b])]
+    m = formula.atom_rank
+    used = {name for mem in side_members for name in syntax.cts_signature(mem)}
+    if eigen is None:
+        name = formula.index_var
+        while name in used:
+            name += "'"
+        eigen = CVar(name, BOT, m)
+    if not isinstance(eigen, CVar) or eigen.ty != BOT or eigen.rank != m:
+        return Violation(rule, f"eigenvariable must be a bot variable at rank {m}")
+    if eigen.name in used:
+        return Violation(rule, f"eigenvariable {eigen.name} occurs free elsewhere")
+    return [rest.replace(side, None, [eigen])]
+
+
+def intro_instances(seed, model):
+    """Instances of every introduction rule: as `gen` draws them, then
+    with members added on either side from a pool of the formula's parts,
+    the formula itself, variables at ranks 0, 1 and 2 and a negation, so
+    that some break the rank condition, some repeat a part and some hold
+    the formula on both sides; a big operator's eigenvariable is the one
+    its drawn premise adds, none, or a variable that may be bad."""
+    rng = random.Random(seed)
+    for rule in INTRO_RULES:
+        concl, prems, pos, _ = gen.cts_rule_instance(rule, gen.make_rng(seed), model)
+        side = rule[-1]
+        formula = concl.side(side)[pos.member]
+        (added,) = {m for p in prems for m in (p.ante | p.succ)} - (concl.ante | concl.succ) \
+            if formula.op in ("all", "ex") else (None,)
+        del prems  # so the premises are built anew below
+        yield concl, rule, pos, added
+        pool = [*children(formula), formula, CNeg(1, A),
+                *(CVar(f"x{r}", BOT, r) for r in (0, 1, 2))]
+        ante = concl.ante | set(rng.sample(pool, rng.randrange(3)))
+        succ = concl.succ | set(rng.sample(pool, rng.randrange(3)))
+        wider = Sequent.make(ante, succ)
+        eigen = rng.choice((added, None, CVar("x0", BOT, 0), CVar("x1", BOT, 1)))
+        yield wider, rule, Pos(side, wider.side(side).index(formula)), eigen
+
+
+def intro_edge_cases():
+    """(conclusion, rule, pos, eigen) for the cases the drawn ones may miss."""
+    big = CBigConj(1, "x", BOT, 0)
+    return [
+        # the formula on both sides
+        (seq("and[1](A,B) |- and[1](A,B)"), "and-L", Pos("L", 0), None),
+        (seq("and[1](A,B) |- and[1](A,B)"), "and-R", Pos("R", 0), None),
+        (seq("neg[1](A) |- neg[1](A)"), "neg-L", Pos("L", 0), None),
+        (seq("or[1](A,B) |- or[1](A,B), C"), "or-R", Pos("R", 1), None),
+        (Sequent.make([big], [big]), "all-R", Pos("R", 0), None),
+        # a part that is already a side member
+        (seq("and[1](A,B), A |- B"), "and-L", Pos("L", 1), None),
+        (seq("B |- and[1](A,B), A"), "and-R", Pos("R", 1), None),
+        (seq("|- or[1](A,B), B"), "or-R", Pos("R", 1), None),
+        (seq("or[1](A,B), A |-"), "or-L", Pos("L", 1), None),
+        (seq("A |- neg[1](A)"), "neg-R", Pos("R", 0), None),
+        # (the index name is taken: the eigenvariable is primed)
+        (Sequent.make([CBigDisj(1, "x", BOT, 0), CVar("x", BOT, 0)], []), "ex-L",
+         Pos("L", 0), None),
+        # a rank violation, by a side member and by a part
+        (seq("and[2](A,B), neg[1](C) |-"), "and-L", Pos("L", 0), None),
+        (seq("|- and[2](neg[1](A), B)"), "and-R", Pos("R", 0), None),
+        (Sequent.make([CBigConj(2, "x", BOT, 1)], []), "all-L", Pos("L", 0), None),
+        # a bad eigenvariable: free elsewhere, at a wrong rank, not a
+        # variable; and an index that is not bot
+        (Sequent.make([big, A], [B]), "all-L", Pos("L", 1), B),
+        (Sequent.make([A], [big]), "all-R", Pos("R", 0), CVar("y", BOT, 1)),
+        (Sequent.make([A], [big]), "all-R", Pos("R", 0), CNeg(1, B)),
+        (Sequent(frozenset(), frozenset([CBigDisj(1, "i", E, 0)])), "ex-R", Pos("R", 0),
+         None),
+        # positions that name no formula of the rule
+        (seq("and[1](A,B) |- C"), "and-L", Pos("L", 1), None),
+        (seq("and[1](A,B) |- C"), "or-L", Pos("L", 0), None),
+        (seq("and[1](A,B) |- C"), "and-L", Pos("R", 0), None),
+    ]
+
+
+def assert_premises_match_reference(concl, rule, pos, eigen):
+    got = rule_premises(concl, rule, pos, eigen=eigen)
+    if not isinstance(got, Violation):
+        # each premise's sides as `replace` laid them out, against a sort
+        # from scratch
+        for p in got:
+            for which, members in (("L", p.ante), ("R", p.succ)):
+                assert p.side(which) == sorted(members, key=render)
+            assert render_sequent(p) == (
+                f"{', '.join(sorted(map(render, p.ante)))} |- "
+                f"{', '.join(sorted(map(render, p.succ)))}").strip()
+    want = reference_intro_premises(concl, rule, pos, eigen)
+    if isinstance(want, Violation):
+        assert got == want  # the same texts
+    else:
+        assert not isinstance(got, Violation), got
+        assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
+    return got
+
+
+def test_intro_premises_match_the_two_step_construction():
+    model = cts_harness_model()
+    outcomes = {"premises": 0, "violation": 0}
+    for seed in range(100):
+        for concl, rule, pos, eigen in intro_instances(seed, model):
+            got = assert_premises_match_reference(concl, rule, pos, eigen)
+            outcomes["violation" if isinstance(got, Violation) else "premises"] += 1
+    # the added members break the rank condition or the eigenvariable often
+    assert min(outcomes.values()) > 200
+    edge = [assert_premises_match_reference(*case) for case in intro_edge_cases()]
+    assert [isinstance(g, Violation) for g in edge] == [False] * 11 + [True] * 10
+
+
 # SHA-256 over the instances gen.cts_rule_instance makes of every sequent
 # rule, seeds 0-19: conclusion, premises, position and direction, or the
 # exception's text. A change to the generator that draws or builds an
@@ -608,6 +749,79 @@ def test_interning_table_returns_to_its_size_after_a_run():
     syntax._PARSED.clear()
     gc.collect()
     assert len(syntax._INTERNED) == before
+
+
+# --- derivations in the window of recent parses -------------------------------
+
+def fresh_goal(tag):
+    """A commuted conjunction over names no other test uses, built without
+    a parse, so that only what proves it holds it."""
+    a, b = CVar(f"{tag}_a", BOT, 0), CVar(f"{tag}_b", BOT, 0)
+    return Sequent.make([CConj(1, a, b)], [CConj(1, b, a)])
+
+
+def test_a_derivation_outlives_its_caller_for_exactly_the_window():
+    def proved():
+        d = prove(fresh_goal("win_d"))
+        assert d is not None and syntax._PARSED[-1] is d
+        return [weakref.ref(node.conclusion) for node in d.nodes()]
+
+    probes = proved()
+    assert len(probes) == 4
+    for i in range(syntax.PARSE_WINDOW - 1):
+        parse_cts(f"win_e{i}:bot@0")
+    gc.collect()
+    assert all(p() is not None for p in probes)
+    parse_cts("win_e_last:bot@0")
+    gc.collect()
+    assert [p() for p in probes] == [None] * 4
+
+
+def test_a_prove_that_finds_nothing_adds_no_entry():
+    for i in range(syntax.PARSE_WINDOW):
+        parse_cts(f"win_f{i}:bot@0")
+    before = list(syntax._PARSED)
+    assert prove(Sequent.make([A], [B])) is None
+    assert prove(fresh_goal("win_g"), depth=1) is None
+    assert list(syntax._PARSED) == before  # interned: == is identity
+
+
+def test_a_checked_file_is_one_entry_of_its_sequents():
+    text = render_derivation_file(prove(fresh_goal("win_h")))
+    syntax._PARSED.clear()
+    concl, nodes, failure = check_derivation_file(text)
+    assert (nodes, failure) == (4, None)
+    # the root's parse, then the sequents read, one per line
+    (root_members, read) = syntax._PARSED
+    assert set(root_members) == concl.ante | concl.succ
+    assert read[0] is concl and len(set(read)) == 4
+    assert {render_sequent(s) for s in read} == \
+        {line.split("concl=")[1].split(" premises=")[0]
+         for line in text.splitlines()[:-1]}
+
+
+AX_LINE = "node 1 rule=ax dir=- pos=- concl=A:bot@0 |- A premises=-"
+
+
+@pytest.mark.parametrize("text", [
+    AX_LINE.replace("concl=", "concl=)"),  # a garbled root
+    AX_LINE + " premises=2",  # an unknown premise
+    # a garbled premise line under a root that reads
+    AX_LINE.replace("|- A", "|- A)") +
+    "\nnode 2 rule=and-R dir=- pos=R0 concl=A:bot@0 |- and[1](A,A) premises=1,1",
+    # an unknown premise under a root that reads
+    AX_LINE +
+    "\nnode 2 rule=and-R dir=- pos=R0 concl=A:bot@0 |- and[1](A,A) premises=1,3",
+])
+def test_a_file_that_raises_adds_no_entry_of_its_own(text):
+    # the lines read again to name the error may leave their parses, as
+    # any parse does; the sequents read stay out of the window
+    syntax._PARSED.clear()
+    with pytest.raises(CttError):
+        check_derivation_file(text)
+    assert all(isinstance(m, syntax._Ranked) for entry in syntax._PARSED for m in entry)
+    if text.startswith(AX_LINE.replace("concl=", "concl=)")):
+        assert not syntax._PARSED
 
 
 # --- reading derivation files top-down ---------------------------------------
