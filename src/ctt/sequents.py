@@ -31,7 +31,7 @@ from typing import Iterator, NamedTuple, Optional, Union
 from .domains import ModelConfig, enumerate_domain, render_elem, Individual, TruthVal
 from .syntax import (
     BOT, CApp, CConj, CDisj, CNeg, CVar, CtsSubterm, CttError,
-    Interned, OP_NODES, TypeExpr, TypeMismatch, _innermost_redex, _kept, _union,
+    Interned, OP_NODES, TypeExpr, TypeMismatch, _PARSED, _innermost_redex, _kept, _union,
     check_sequent_member, children, cts_signature, parse_sequent_members,
     render, replace_at, signature_table, subterm_at,
 )
@@ -41,7 +41,7 @@ class Sequent(Interned):
     """Two sets of ranked subterms, hash-consed like the subterms."""
 
     __match_args__ = ("ante", "succ")  # frozensets
-    __slots__ = (*__match_args__, "_sides", "_checked")
+    __slots__ = (*__match_args__, "_sides", "_checked", "_proved")
 
     @staticmethod
     def make(ante, succ) -> "Sequent":
@@ -437,21 +437,46 @@ def prove(goal: Sequent, depth: int = 30,
     introduction rules decompose, then the axiom closes. Returned
     derivations always re-check.
 
+    The search is tabled (Tamaki & Sato, "OLD resolution with tabulation",
+    ICLP 1986), keyed on the interned sequent:
+    - a failure is kept per (sequent, remaining depth) for this call only.
+      A sequent that failed at depth d fails at every depth <= d, since
+      success is monotone in depth: the search is a function of (sequent,
+      depth, model), and a candidate whose premises succeed at d - 1 still
+      succeeds at d, by induction on d;
+    - a success is kept on the sequent itself (`_proved`), keyed by the
+      exact (depth, model), as the rule, position, direction and premise
+      sequents it used. A derivation found at one depth may differ from
+      the one found at another, so a goal proved again, or a subgoal met
+      again, at that depth returns what the untabled search returns, and
+      at any other depth is searched. No premise leads back to its
+      conclusion (a substitution moves toward canonical form, an
+      introduction removes a connective), so a table names no sequent
+      whose table reaches back to it, and a goal dies by reference
+      counting.
+
     A derivation found joins the window of recent parses
     (`syntax._PARSED`), so a goal proved again, or its file checked, finds
-    its sequents built, sorted and checked; the window's bound keeps the
-    memory bounded."""
-    d = _search(goal, depth, model)
-    return d if d is None else _kept(d)
+    its sequents built, sorted, checked and proved; the window's bound
+    keeps the memory bounded."""
+    if not _search(goal, depth, model, {}):
+        return None
+    return _kept(_derivation(goal, depth, model))
 
 
 def _search(goal: Sequent, depth: int, model: Optional[ModelConfig],
-            ) -> Optional[Derivation]:
-    if depth <= 0:
-        return None
+            failed: dict[Sequent, int]) -> bool:
+    """Whether `goal` is proved within `depth`; one frame per level, so a
+    derivation as tall as the stack allows is found. `failed` holds the
+    largest depth at which each sequent failed in this call."""
+    if depth <= failed.get(goal, 0):
+        return False
+    proved = getattr(goal, "_proved", None)
+    if proved is not None and (depth, model) in proved:
+        return True
 
     if goal.ante & goal.succ:
-        return Derivation("ax", goal)
+        return _tabled(goal, depth, model, "ax", ())
 
     # phase 1: squeeze a Boolean operator out from under an application
     for side in ("L", "R"):
@@ -462,12 +487,12 @@ def _search(goal: Sequent, depth: int, model: Optional[ModelConfig],
             path, op, functor_side = hit
             rule, pos = f"{op}-{side}{'l' if functor_side else 'r'}", Pos(side, idx, path)
             premises = rule_premises(goal, rule, pos, model)
-            if isinstance(premises, Violation):
-                return None  # stuck redex (unnamed carrier or rank break)
-            subproof = _search(premises[0], depth - 1, model)
-            if subproof is None:
-                return None
-            return Derivation(rule, goal, (subproof,), pos, "down")
+            # a stuck redex (unnamed carrier or rank break) fails
+            if not isinstance(premises, Violation) and \
+                    _search(premises[0], depth - 1, model, failed):
+                return _tabled(goal, depth, model, rule, premises, pos, "down")
+            failed[goal] = depth
+            return False
 
     # phase 2: introduction rules (rank side conditions permitting), the
     # one-premise rules before the branching and-R and or-L, so a branch
@@ -482,15 +507,44 @@ def _search(goal: Sequent, depth: int, model: Optional[ModelConfig],
         premises = rule_premises(goal, rule, pos, model)
         if isinstance(premises, Violation):
             continue  # side condition failed; try another member
-        subproofs = []
         for p in premises:
-            sp = _search(p, depth - 1, model)
-            if sp is None:
+            if not _search(p, depth - 1, model, failed):
                 break
-            subproofs.append(sp)
         else:
-            return Derivation(rule, goal, tuple(subproofs), pos)
-    return None
+            return _tabled(goal, depth, model, rule, premises, pos)
+    failed[goal] = depth
+    return False
+
+
+def _tabled(goal: Sequent, depth: int, model: Optional[ModelConfig], rule: str,
+            premises, pos: Optional[Pos] = None, direction: Optional[str] = None,
+            ) -> bool:
+    """Table the step that proves `goal` at (depth, model); True."""
+    table = getattr(goal, "_proved", None)
+    if table is None:
+        table = {}
+        object.__setattr__(goal, "_proved", table)
+    table[depth, model] = (rule, tuple(premises), pos, direction)
+    return True
+
+
+def _derivation(goal: Sequent, depth: int, model: Optional[ModelConfig]) -> Derivation:
+    """The derivation the tables hold for `goal` at (depth, model), built
+    premises first with an explicit stack; a subgoal met twice at one
+    depth is built once and shared, which renders as two copies."""
+    built: dict[tuple[Sequent, int], Derivation] = {}
+    stack = [(goal, depth)]
+    while stack:
+        key = seq, d = stack[-1]
+        rule, premises, pos, direction = seq._proved[d, model]
+        todo = [(p, d - 1) for p in premises if (p, d - 1) not in built]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        built[key] = Derivation(rule, seq, tuple(built[p, d - 1] for p in premises),
+                                pos, direction)
+    return built[goal, depth]
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +731,10 @@ def check_derivation_file(text: str, model: Optional[ModelConfig] = None,
     A file that reads, whether its check passes or fails, leaves the
     sequents it read in the window of recent parses (`syntax._PARSED`) as
     one entry, so the same file checked again, or its goal proved, finds
-    them built; a file that raises leaves none."""
+    them built. A file that raises leaves the window as it found it: the
+    lines read to name the error would otherwise evict the proofs and
+    files kept there."""
+    window = list(_PARSED)
     try:
         lines, root_id = _node_lines(text)
         root_id = _root(lines, root_id)
@@ -717,6 +774,10 @@ def check_derivation_file(text: str, model: Optional[ModelConfig] = None,
                 read[nid] = _read_sequent(line[3])
         _kept(tuple(seq for seq, _ in read.values()))
     except CttError:
-        parse_derivation_file(text)
+        try:
+            parse_derivation_file(text)
+        finally:
+            _PARSED.clear()
+            _PARSED.extend(window)
         raise
     return read[root_id][0], _tree_sizes(lines)[root_id], failure

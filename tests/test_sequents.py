@@ -508,6 +508,55 @@ def test_substitution_instances_are_denotational_equalities():
                             eval_cts(member_out, model, rho))
 
 
+def untabled_prove(goal, depth=30, model=None):
+    """The search before it was tabled, verbatim: it remembers nothing
+    between branches or between calls."""
+    if depth <= 0:
+        return None
+
+    if goal.ante & goal.succ:
+        return Derivation("ax", goal)
+
+    # phase 1: squeeze a Boolean operator out from under an application
+    for side in ("L", "R"):
+        for idx, member in enumerate(goal.side(side)):
+            hit = _innermost_redex(member)
+            if hit is None:
+                continue
+            path, op, functor_side = hit
+            rule, pos = f"{op}-{side}{'l' if functor_side else 'r'}", Pos(side, idx, path)
+            premises = rule_premises(goal, rule, pos, model)
+            if isinstance(premises, Violation):
+                return None  # stuck redex (unnamed carrier or rank break)
+            subproof = untabled_prove(premises[0], depth - 1, model)
+            if subproof is None:
+                return None
+            return Derivation(rule, goal, (subproof,), pos, "down")
+
+    # phase 2: introduction rules (rank side conditions permitting), the
+    # one-premise rules before the branching and-R and or-L, so a branch
+    # does not take the rest of the sequent apart once per premise
+    candidates = []
+    for side in ("R", "L"):
+        for idx, member in enumerate(goal.side(side)):
+            if member.op is not None:
+                candidates.append((f"{member.op}-{side}", Pos(side, idx)))
+    candidates.sort(key=lambda c: c[0] in sequents._BRANCHING)  # stable: keeps side order
+    for rule, pos in candidates:
+        premises = rule_premises(goal, rule, pos, model)
+        if isinstance(premises, Violation):
+            continue  # side condition failed; try another member
+        subproofs = []
+        for p in premises:
+            sp = untabled_prove(p, depth - 1, model)
+            if sp is None:
+                break
+            subproofs.append(sp)
+        else:
+            return Derivation(rule, goal, tuple(subproofs), pos)
+    return None
+
+
 def generated_goals(n, seed=5):
     """`n` goals of 0-2 antecedent and 1-2 succedent gen.cts_member
     subterms at depth 2, all of one rank, 1 or 2, per goal."""
@@ -523,12 +572,12 @@ def generated_goals(n, seed=5):
 
 def test_prove_agrees_with_the_validity_sweep_on_generated_goals():
     # A goal is sized first and skipped when some model's assignment space
-    # exceeds the cap. The stream stops at 140 goals: its goal 140 is an
-    # invalid goal under the cap on which the search, which has no budget,
-    # runs for minutes before it gives up.
+    # exceeds the cap. Goal 140 is an invalid goal under the cap on which
+    # the untabled search ran for minutes before it gave up; the failure
+    # table answers it in a few hundredths of a second.
     family = standard_model_family()
     outcomes = {"over": 0, True: 0, False: 0}
-    for goal in generated_goals(140):
+    for goal in generated_goals(400):
         members = [*goal.ante, *goal.succ]
         try:
             for model in family:
@@ -545,6 +594,73 @@ def test_prove_agrees_with_the_validity_sweep_on_generated_goals():
         else:
             assert d is None, render_sequent(goal)
     assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_prove_returns_what_the_untabled_search_returns():
+    # the tables change how long the search takes, never what it answers:
+    # at each depth, with and without a model, on a first call and on a
+    # call that finds the goal tabled. Depth 30 goes first, so a success
+    # reused at another depth shows at depth 1; the depths then grow, so a
+    # failure kept past its call and reused at a larger depth shows too.
+    goals = generated_goals(60)
+    for model in (None, cts_harness_model()):
+        for depth in (30, *range(1, 9)):
+            for goal in goals:
+                want = untabled_prove(goal, depth, model)
+                want = want and render_derivation_file(want)
+                for _ in range(2):
+                    got = prove(goal, depth, model)
+                    assert (got and render_derivation_file(got)) == want, \
+                        (render_sequent(goal), depth, model)
+
+
+def invalid_chain(n):
+    """`and[1](Ai,Bi)` for i < n |- `or[1](Ci,Di)` for i < n: invalid, and
+    every order of taking its members apart fails."""
+    return seq(", ".join(f"and[1](A{i},B{i})" for i in range(n)) + " |- "
+               + ", ".join(f"or[1](C{i},D{i})" for i in range(n)))
+
+
+def test_an_invalid_goal_fails_once_per_sequent_and_depth():
+    # in process on a 2-vCPU host, the untabled search took 2.5-3.8 s on
+    # the n = 4 chain, the tabled one 14-19 ms
+    goal = invalid_chain(4)
+    start = time.perf_counter()
+    assert prove(goal, depth=30) is None
+    assert time.perf_counter() - start < 0.5
+
+
+def test_a_goal_proved_again_builds_no_sequent(monkeypatch):
+    # nor applies a rule: the goal's table answers without a search
+    goal = chain_goal(12)
+    first = render_derivation_file(prove(goal, depth=60))
+    made, real_intern = [], syntax._intern
+    monkeypatch.setattr(syntax, "_intern",
+                        lambda key, obj: made.append(key[0]) or real_intern(key, obj))
+    monkeypatch.setattr(sequents, "rule_premises", None)
+    assert render_derivation_file(prove(goal, depth=60)) == first
+    assert Sequent not in made
+
+
+def test_a_proved_goal_dies_without_the_cyclic_collector():
+    # a sequent's table names only its premises, never itself nor a
+    # derivation that holds it, so reference counting frees a proved goal
+    # and every sequent of its derivation once the window lets them go
+    def proved():
+        goal = fresh_goal("dies")
+        d = prove(goal, depth=30)
+        assert d is not None and prove(goal, depth=30) is not None
+        return [weakref.ref(node.conclusion) for node in d.nodes()]
+
+    gc.collect()
+    gc.disable()
+    try:
+        probes = proved()
+        assert all(p() is not None for p in probes)
+        syntax._PARSED.clear()
+        assert [p() for p in probes] == [None] * len(probes)
+    finally:
+        gc.enable()
 
 
 def test_accepted_derivations_are_valid_on_models():
@@ -814,14 +930,25 @@ AX_LINE = "node 1 rule=ax dir=- pos=- concl=A:bot@0 |- A premises=-"
     "\nnode 2 rule=and-R dir=- pos=R0 concl=A:bot@0 |- and[1](A,A) premises=1,3",
 ])
 def test_a_file_that_raises_adds_no_entry_of_its_own(text):
-    # the lines read again to name the error may leave their parses, as
-    # any parse does; the sequents read stay out of the window
+    # neither the sequents read nor the lines read again to name the error
+    # stay in the window
     syntax._PARSED.clear()
     with pytest.raises(CttError):
         check_derivation_file(text)
-    assert all(isinstance(m, syntax._Ranked) for entry in syntax._PARSED for m in entry)
-    if text.startswith(AX_LINE.replace("concl=", "concl=)")):
-        assert not syntax._PARSED
+    assert not syntax._PARSED
+
+
+def test_a_file_that_raises_keeps_the_proofs_in_the_window():
+    # a chain proof whose root line is garbled: the lines read to name the
+    # error outnumber the window, yet the proof kept before stays, tabled
+    d = prove(fresh_goal("win_k"))
+    lines = render_derivation_file(prove(chain_goal(40), depth=100000)).splitlines()
+    assert len(lines) - 1 > syntax.PARSE_WINDOW
+    lines[-2] = lines[-2].replace("concl=", "concl=)")
+    before = list(syntax._PARSED)
+    with pytest.raises(CttError, match=re.escape(f"bad derivation line {lines[-2]!r}")):
+        check_derivation_file("\n".join(lines) + "\n")
+    assert list(syntax._PARSED) == before and any(e is d for e in before)
 
 
 # --- reading derivation files top-down ---------------------------------------
