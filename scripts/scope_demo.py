@@ -9,12 +9,9 @@ stderr) otherwise.
 
 import sys
 
-from ctt.cli import demo_scope_outputs
+from ctt.cli import SCOPE_SIG, demo_scope_outputs
 from ctt.sequents import Sequent, check_derivation, prove, render_derivation_file
-from ctt.syntax import parse_cts, parse_type, Base
-
-SIG = {"L": (parse_type("(e -> ~e)"), 0), "A": (Base("e"), 0),
-       "B": (Base("e"), 0), "C": (Base("e"), 0), "D": (Base("e"), 0)}
+from ctt.syntax import parse_cts
 
 
 def main():
@@ -25,8 +22,8 @@ def main():
         print(f"  input:     {text}")
         print(f"  canonical: {canon}")
         print(f"  gloss:     {gloss}")
-        lhs = parse_cts(text, sig=dict(SIG))
-        rhs = parse_cts(canon, sig=dict(SIG))
+        lhs = parse_cts(text, sig=dict(SCOPE_SIG))
+        rhs = parse_cts(canon, sig=dict(SCOPE_SIG))
         derivation = prove(Sequent.make([lhs], [rhs]), depth=30)
         failure = ("no derivation found" if derivation is None
                    else check_derivation(derivation))

@@ -30,7 +30,7 @@ from .sequents import (
     render_derivation_file, render_sequent,
 )
 from .syntax import (
-    Base, CttError, parse_cts, parse_sequent_members, parse_slm, parse_type,
+    Arrow, Base, CttError, neg_type, parse_cts, parse_sequent_members, parse_slm,
     render, classify,
 )
 
@@ -233,18 +233,20 @@ def cmd_harness(args, out: Printer) -> int:
 
 GLOSS_1 = "Adam and Bob both love Carol, or they both love Diane."
 GLOSS_2 = "Adam loves either Carol or Diane, and so does Bob."
+# the scope demo's signature: L, "loves", of type (e -> ~e), and the
+# four individuals
+SCOPE_SIG = {"L": (Arrow(Base("e"), neg_type(Base("e"))), 0),
+             **{n: (Base("e"), 0) for n in "ABCD"}}
 
 
 def demo_scope_outputs() -> dict[int, tuple[str, str, str]]:
     """reading -> (input text, canonical rendering, gloss)."""
-    sig = {"L": (parse_type("(e -> ~e)"), 0), "A": (Base("e"), 0),
-           "B": (Base("e"), 0), "C": (Base("e"), 0), "D": (Base("e"), 0)}
     model = ModelConfig()
     out = {}
     for reading, k, gloss in ((1, 1, GLOSS_1), (2, 2, GLOSS_2)):
         text = f"((L or[1](C,D)) and[{k}](A,B))"
-        sub = parse_cts(text, sig=dict(sig))
-        rho = {n: domains.Individual(t, n) for n, (t, _) in sig.items()}
+        sub = parse_cts(text, sig=dict(SCOPE_SIG))
+        rho = {n: domains.Individual(t, n) for n, (t, _) in SCOPE_SIG.items()}
         value = eval_cts(sub, model, rho)
         out[reading] = (text, render_elem(value), gloss)
     return out

@@ -909,8 +909,9 @@ def parse_model_config(text: str) -> ModelConfig:
         const <name> : <type> = <element-literal>
 
     `#` starts a comment. Element literals use the ranked-term syntax plus
-    `table{a->0,b->1}`; and/or take any number of arguments. Each base and
-    each constant is declared once.
+    `table{a->0,b->1}`; and/or take any number of arguments, separated by
+    commas as table entries are. Each base and each constant is declared
+    once.
     """
     base_sizes: dict[str, int] = {}
     rank_cap = 2
@@ -995,17 +996,16 @@ class _ElemParser:
                 dom = hint.dom if isinstance(hint, Arrow) else None
                 cod = hint.cod if isinstance(hint, Arrow) else None
                 mapping = {}
-                while c.toks[c.i] != "}":
+
+                def entry():
                     at = c.i
                     key = self.elem(dom)
                     if key in mapping:
                         c.fail(f"table maps {render_elem(key)} twice", at)
                     c.expect("->")
-                    val = self.elem(cod)
-                    mapping[key] = val
-                    if c.toks[c.i] == ",":
-                        c.i += 1
-                c.expect("}")
+                    mapping[key] = self.elem(cod)
+
+                c.items("}", entry)
                 if not mapping and (dom is None or cod is None):
                     c.fail("empty table needs a type annotation context")
                 dom = dom or next(iter(mapping)).ty
@@ -1028,12 +1028,7 @@ class _ElemParser:
                     child = self.elem(hint)
                     c.expect(")")
                     return make_neg(k, child)
-                parts = []
-                while c.toks[c.i] != ")":
-                    parts.append(self.elem(hint))
-                    if c.toks[c.i] == ",":
-                        c.i += 1
-                c.expect(")")
+                parts = c.items(")", lambda: self.elem(hint))
                 if not parts:
                     if hint is None:
                         c.fail("empty and/or needs a type annotation context")
@@ -1094,22 +1089,18 @@ def parse_set_of_sets(text: str, model: ModelConfig,
     """`{{a},{b,c}}` over the rank-0 carrier of sigma."""
     p = _ElemParser(text, model)
     c = p.c
-    c.expect("{")
-    sets = []
-    while c.toks[c.i] != "}":
+
+    def member():
+        e = p.elem(sigma)
+        if e.k != 0:
+            c.fail("set members must be rank-0 atoms")
+        return e
+
+    def one_set():
         c.expect("{")
-        members = []
-        while c.toks[c.i] != "}":
-            e = p.elem(sigma)
-            if e.k != 0:
-                c.fail("set members must be rank-0 atoms")
-            members.append(e)
-            if c.toks[c.i] == ",":
-                c.i += 1
-        c.expect("}")
-        sets.append(frozenset(members))
-        if c.toks[c.i] == ",":
-            c.i += 1
-    c.expect("}")
+        return frozenset(c.items("}", member))
+
+    c.expect("{")
+    sets = c.items("}", one_set)
     c.end("set of sets")
     return frozenset(sets)

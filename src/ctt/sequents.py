@@ -24,11 +24,10 @@ names at another signature.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional, Union
 
-from .domains import ModelConfig, enumerate_domain, render_elem, Individual, TruthVal
+from .domains import ModelConfig, enumerate_domain, render_elem, resolve_constant
 from .syntax import (
     BOT, CApp, CConj, CDisj, CNeg, CVar, CtsSubterm, CttError,
     Interned, OP_NODES, TypeExpr, TypeMismatch, _PARSED, _innermost_redex, _kept, _union,
@@ -78,30 +77,12 @@ class Sequent(Interned):
 
     def replace(self, which: str, old: Optional[CtsSubterm], new_members) -> "Sequent":
         """This sequent with `old` taken out of side `which` and
-        `new_members` put in. When this sequent's sides are sorted already,
-        the new one's are too: the side that changes is re-sorted by moving
-        only the members that change."""
-        i = which != "L"
-        before = (self.ante, self.succ)[i]
-        side = set(before)
+        `new_members` put in."""
+        side = set(self.ante if which == "L" else self.succ)
         side.discard(old)
         side.update(new_members)
-        seq = Sequent(frozenset(side), self.succ) if i == 0 else \
+        return Sequent(frozenset(side), self.succ) if which == "L" else \
             Sequent(self.ante, frozenset(side))
-        if hasattr(self, "_sides") and not hasattr(seq, "_sides"):
-            members, texts = map(list, self._sides[i])
-            if old in before and old not in side:
-                j = members.index(old)
-                del members[j], texts[j]
-            for m in side.difference(before):
-                text = render(m)
-                j = bisect_right(texts, text)
-                members.insert(j, m)
-                texts.insert(j, text)
-            layout = list(self._sides)
-            layout[i] = (tuple(members), tuple(texts))
-            object.__setattr__(seq, "_sides", tuple(layout))
-        return seq
 
 
 def render_sequent(seq: Sequent) -> str:
@@ -156,8 +137,11 @@ def _named_carrier(model: Optional[ModelConfig], ty: TypeExpr,
                    ) -> Union[list[CtsSubterm], str]:
     """Rank-0 carrier of `ty` as named variables, or an error string.
 
-    Base types and bot have automatic names; an arrow carrier needs model
-    constants covering every table.
+    Each atom is named by what the model's name table resolves to it at
+    `ty` (`resolve_constant`): its own name (an individual's, or 0 or 1)
+    unless a constant shadows that name, else the first constant declared
+    with it as its value. An atom no name reaches, such as a table no
+    constant holds or a shadowed individual, leaves the carrier unnamed.
     """
     if model is None:
         return "big-operator substitution needs a model"
@@ -165,18 +149,15 @@ def _named_carrier(model: Optional[ModelConfig], ty: TypeExpr,
         atoms = enumerate_domain(model, ty, 0)
     except CttError as ex:
         return str(ex)
+    named = {}
+    for name in (*(n for n in model.names if n not in model.constants), *model.constants):
+        named.setdefault(resolve_constant(model, name, ty), name)
     names = []
-    reverse = {v: n for n, v in model.constants.items()}
     for a in atoms:
-        if isinstance(a, Individual):
-            names.append(CVar(a.name, ty, 0))
-        elif isinstance(a, TruthVal):
-            names.append(CVar(str(a.value), BOT, 0))
-        elif a in reverse:
-            names.append(CVar(reverse[a], ty, 0))
-        else:
+        if a not in named:
             return (f"carrier element {render_elem(a)} of {ty} has no name; "
                     "declare constants covering the carrier")
+        names.append(CVar(named[a], ty, 0))
     return names
 
 

@@ -788,6 +788,19 @@ class _Cursor:
             self.fail(f"expected {tok!r}, found {self.toks[self.i] or 'end of input'!r}")
         self.i += 1
 
+    def items(self, close: str, read) -> list:
+        """What `read()` returns for each item of a comma-separated list,
+        possibly empty, up to and including the token `close`; a missing or
+        trailing comma fails at the token where an item or `close` was due."""
+        out = []
+        if self.toks[self.i] != close:
+            out.append(read())
+            while self.toks[self.i] == ",":
+                self.i += 1
+                out.append(read())
+        self.expect(close)
+        return out
+
     def fail(self, msg: str, at: Optional[int] = None):
         """Raise `msg` at token `at`, by default the next one."""
         at = self.i if at is None else at

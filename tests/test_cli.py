@@ -370,6 +370,86 @@ def test_a_big_operator_expands_over_the_constants_of_its_type(capsys, tmp_path)
     assert out.startswith("(p:((e -> bot) -> bot)@0 All[1](i:(e -> bot)@0)) |- ")
 
 
+# the constant a denotes individual b, so no name reaches individual a
+SHADOWED_A = "base e 2\nconst a : e = b\n"
+SHADOWED_GOAL = "(f:(e -> bot)@0 Ex[1](i:e@0)) |- (f a), (f b)"
+# the derivation that expands Ex[1] over a and b under their own names
+SHADOWED_PROOF = """\
+node 1 rule=ax dir=- pos=- concl=(f:(e -> bot)@0 a:e@0) |- (f:(e -> bot)@0 a:e@0), (f:(e -> bot)@0 b:e@0) premises=-
+node 2 rule=ax dir=- pos=- concl=(f:(e -> bot)@0 b:e@0) |- (f:(e -> bot)@0 a:e@0), (f:(e -> bot)@0 b:e@0) premises=-
+node 3 rule=or-L dir=- pos=L0 concl=or[1]((f:(e -> bot)@0 a:e@0),(f b:e@0)) |- (f:(e -> bot)@0 a:e@0), (f:(e -> bot)@0 b:e@0) premises=1,2
+node 4 rule=ex-Lr dir=down pos=L0 concl=(f:(e -> bot)@0 Ex[1](i:e@0)) |- (f:(e -> bot)@0 a:e@0), (f:(e -> bot)@0 b:e@0) premises=3
+root 4
+"""
+
+
+def test_a_shadowed_individual_blocks_big_operator_substitution(capsys, tmp_path):
+    # the name a denotes b in this model, so spreading Ex[1] over the
+    # carrier under the names a and b would reach b twice and a never:
+    # prove finds nothing, check-proof refuses the file that spreads it,
+    # and entail finds the counterexample
+    mdl = tmp_path / "shadow.mdl"
+    mdl.write_text(SHADOWED_A)
+    code, out, _ = run(capsys, "prove", "--model", str(mdl), "--depth", "30", SHADOWED_GOAL)
+    assert (code, out.splitlines()[0]) == (1, "no derivation found")
+    proof = tmp_path / "shadow.proof"
+    proof.write_text(SHADOWED_PROOF)
+    code, out, _ = run(capsys, "check-proof", "--model", str(mdl), str(proof))
+    assert (code, out) == (1, "at root: ex-Lr: carrier element a of e has no name; "
+                              "declare constants covering the carrier\n")
+    code, out, err = run(capsys, "entail", "--model", str(mdl), SHADOWED_GOAL)
+    assert (code, out) == (1, "invalid\n")
+    assert "counterexample: f = table{a->0,b->1}" in err
+    # a constant declared before the shadow names individual a, so the
+    # expansion names a by z and b by its own name
+    mdl.write_text("base e 2\nconst z : e = a\nconst a : e = b\n")
+    code, out, _ = run(capsys, "prove", "--model", str(mdl), "--depth", "30",
+                       "(f:(e -> bot)@0 Ex[1](i:e@0)) |- (f z), (f b)")
+    assert code == 0 and "concl=or[1]((f:(e -> bot)@0 z:e@0),(f b:e@0)) |- " in out
+
+
+@pytest.mark.parametrize("literal, column", [
+    ("table{a->0 b->1}", 35),    # a missing comma between entries
+    ("table{a->0,b->1,}", 40),   # a trailing comma
+])
+def test_table_entries_need_commas(capsys, tmp_path, literal, column):
+    mdl = tmp_path / "m.mdl"
+    mdl.write_text(f"base e 2\nconst f : (e -> bot) = {literal}\n")
+    code, out, err = run(capsys, "entail", "--model", str(mdl), "|- (f a)")
+    assert (code, out) == (2, "")
+    assert err.endswith(f" at line 2, column {column}\n"), err
+
+
+@pytest.mark.parametrize("literal, column", [
+    ("and[1](0 1,)", 26),        # a missing comma between parts
+    ("or[1](0,1,)", 27),         # a trailing comma
+])
+def test_and_or_parts_need_commas(capsys, tmp_path, literal, column):
+    mdl = tmp_path / "m.mdl"
+    mdl.write_text(f"const c : bot = {literal}\n")
+    code, out, err = run(capsys, "entail", "--model", str(mdl), "|- c")
+    assert (code, out) == (2, "")
+    assert err.endswith(f" at line 1, column {column}\n"), err
+
+
+@pytest.mark.parametrize("element, column", [
+    ("{{a b},{c}}", 5),          # a missing comma inside a set
+    ("{{a,b} {c}}", 8),          # a missing comma between sets
+    ("{{a,b,},{c}}", 7),         # trailing commas
+    ("{{a,b},{c},}", 12),
+])
+def test_set_of_sets_items_need_commas(capsys, element, column):
+    code, out, err = run(capsys, "iso", "--base", "e=3", "--element", element)
+    assert (code, out) == (2, "")
+    assert err.endswith(f" at line 1, column {column}\n"), err
+
+
+def test_empty_sets_of_sets_stay_allowed(capsys):
+    for element, image in (("{}", "or[1]()"), ("{{}}", "and[1](neg[1](a),neg[1](b))")):
+        code, out, _ = run(capsys, "iso", "--base", "e=2", "--element", element)
+        assert (code, out.splitlines()[0]) == (0, image)
+
+
 AX_LINE = "node 1 rule=ax dir=- pos=- concl=A |- A premises="
 
 

@@ -1452,8 +1452,8 @@ def test_name_table_answers_as_the_two_walks(model):
 
 
 def test_later_constants_keep_their_declaration_order():
-    # sequents._named_carrier names a carrier element by the last constant
-    # holding it, so the order constants were declared in is kept
+    # sequents._named_carrier names a carrier element by the first constant
+    # declared with it, so the order constants were declared in is kept
     model = parse_model_config("base e 1\nconst z : bot = 1\nconst y : bot = 1\n"
                                "const w : bot = y")
     assert list(model.constants) == ["z", "y", "w"]

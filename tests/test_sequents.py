@@ -11,7 +11,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ctt import cli, gen, sequents, syntax
 from ctt.cli import main
-from ctt.domains import CapExceeded, ModelConfig, ba_equal
+from ctt.domains import (
+    FALSE, TRUE, CapExceeded, Individual, ModelConfig, TruthVal, ba_equal,
+    enumerate_domain, parse_model_config, render_elem, resolve_constant,
+)
 from ctt.rewrite import NormalStatus, normalize
 from ctt.semantics import (
     MAX_ASSIGNMENTS, _assignment_space, cts_harness_model, eval_cts, sequent_valid,
@@ -136,6 +139,151 @@ def test_big_substitution_functor_side_needs_named_tables():
     assert isinstance(out, CDisj)
     unnamed = ModelConfig(base_sizes={"e": 2})
     assert isinstance(squeeze_out(redex, "ex", functor_side=True, model=unnamed), str)
+
+
+def reference_named_carrier(model, ty):
+    """`sequents._named_carrier` as it was before it read the model's name
+    table, verbatim: a branch per element class, and the constants
+    reversed, so the last constant declared with a table names it."""
+    if model is None:
+        return "big-operator substitution needs a model"
+    try:
+        atoms = enumerate_domain(model, ty, 0)
+    except CttError as ex:
+        return str(ex)
+    names = []
+    reverse = {v: n for n, v in model.constants.items()}
+    for a in atoms:
+        if isinstance(a, Individual):
+            names.append(CVar(a.name, ty, 0))
+        elif isinstance(a, TruthVal):
+            names.append(CVar(str(a.value), BOT, 0))
+        elif a in reverse:
+            names.append(CVar(reverse[a], ty, 0))
+        else:
+            return (f"carrier element {render_elem(a)} of {ty} has no name; "
+                    "declare constants covering the carrier")
+    return names
+
+
+def readme_world_model():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    return parse_model_config(readme.split("## Model files", 1)[1].split("```\n")[1])
+
+
+def test_carrier_names_are_the_old_ones_where_no_constant_shadows():
+    # without a constant that shadows a name or shares a table with
+    # another, the name table gives each atom the name the class dispatch
+    # gave it, and an unnamed atom the same refusal
+    two_bases = ModelConfig(base_sizes={"e": 2, "t": 1},
+                            constants={"k": TRUE, "p": Individual(E, "b")})
+    models = [None, cts_harness_model(1), cts_harness_model(2), readme_world_model(),
+              ModelConfig(base_sizes={"e": 3}), two_bases]
+    types = [E, BOT, Base("t"), Arrow(E, BOT), Arrow(BOT, BOT), Arrow(Arrow(E, BOT), BOT)]
+    named = 0
+    for model in models:
+        for ty in types:
+            got = sequents._named_carrier(model, ty)
+            assert got == reference_named_carrier(model, ty), (model, ty)
+            named += not isinstance(got, str)
+    assert named == 13
+
+
+def test_a_shadowed_atom_is_named_by_a_constant_or_not_at_all():
+    e2 = {"e": 2}
+    named = lambda consts, ty=E: sequents._named_carrier(
+        ModelConfig(base_sizes=e2, constants=consts), ty)
+    a, b = Individual(E, "a"), Individual(E, "b")
+    # a denotes b: individual a has no name, b keeps its own
+    assert named({"a": b}) == "carrier element a of e has no name; " \
+                              "declare constants covering the carrier"
+    assert named({"z": a, "a": b}) == [CVar("z", E, 0), CVar("b", E, 0)]
+    # the first constant declared with an atom names it
+    assert named({"y": a, "x": a, "a": b}) == [CVar("y", E, 0), CVar("b", E, 0)]
+    # a constant of another type shadows the individual too
+    assert isinstance(named({"a": TRUE}), str)
+    assert named({"1": FALSE, "t": TRUE}, BOT) == [CVar("0", BOT, 0), CVar("t", BOT, 0)]
+    assert isinstance(named({"0": TRUE}, BOT), str)
+    # two constants of one table: the first declared names it
+    tables = enumerate_domain(ModelConfig(base_sizes=e2), Arrow(E, BOT), 0)
+    consts = {f"k{i}": tab for i, tab in enumerate(tables)}
+    got = named({"j": tables[0], **consts, "m": tables[1]}, Arrow(E, BOT))
+    assert [v.name for v in got] == ["j", "k1", "k2", "k3"]
+
+
+_SHADOWING_NAMES = ("a", "b", "0", "1", "z", "k0", "k1")
+
+
+@st.composite
+def shadowing_models(draw):
+    """A model of base e, size 1 or 2, whose constants, of rank 0 at e,
+    bot or (e -> bot), include one that shadows an individual or 0 or 1."""
+    size = draw(st.integers(1, 2))
+    plain = ModelConfig(base_sizes={"e": size})
+    pools = [enumerate_domain(plain, ty, 0) for ty in (E, BOT, Arrow(E, BOT))]
+    names = draw(st.lists(st.sampled_from(_SHADOWING_NAMES), min_size=1, max_size=5,
+                          unique=True))
+    assume(any(n in plain.names for n in names))
+    consts = {n: draw(st.sampled_from(draw(st.sampled_from(pools)))) for n in names}
+    return ModelConfig(base_sizes={"e": size}, constants=consts)
+
+
+def big_substitution_instances(model):
+    """(conclusion, rule, pos) for each big operator at rank 1 under an
+    application, over e, bot or (e -> bot) in the argument or over
+    (e -> bot) in the functor, on either side, facing up to two members
+    `(f n)` on the other side for names n the model pins at that type."""
+    cases = [(ty, False) for ty in (E, BOT, Arrow(E, BOT))] + [(Arrow(E, BOT), True)]
+    for ty, functor_side in cases:
+        fun_ty = Arrow(E, BOT) if functor_side else ty
+        f = CVar("f", Arrow(fun_ty, BOT), 0) if not functor_side else None
+        x = CVar("x", E, 0)
+        pinned = [CVar(n, fun_ty, 0) for n in _SHADOWING_NAMES
+                  if resolve_constant(model, n, fun_ty) is not None]
+        faces = [[]] + [[p] for p in pinned] + \
+            [[p, q] for i, p in enumerate(pinned) for q in pinned[i + 1:]]
+        for op, big in (("all", CBigConj), ("ex", CBigDisj)):
+            node = big(1, "i", ty, 0)
+            redex = CApp(node, x) if functor_side else CApp(f, node)
+            for side in "LR":
+                for face in faces:
+                    apps = [CApp(p, x) if functor_side else CApp(f, p) for p in face]
+                    concl = Sequent.make([redex], apps) if side == "L" else \
+                        Sequent.make(apps, [redex])
+                    pos = Pos(side, concl.side(side).index(redex))
+                    yield concl, f"{op}-{side}{'l' if functor_side else 'r'}", pos
+
+
+def check_big_substitutions_preserve_validity(model):
+    accepted = 0
+    for concl, rule, pos in big_substitution_instances(model):
+        premises = rule_premises(concl, rule, pos, model)
+        if isinstance(premises, Violation):
+            continue
+        accepted += 1
+        (premise,) = premises
+        valid = [sequent_valid(s.side("L"), s.side("R"), [model]).valid
+                 for s in (concl, premise)]
+        assert valid[0] == valid[1], (render_sequent(concl), rule, render_sequent(premise))
+    return accepted
+
+
+@settings(max_examples=60, deadline=None)
+@given(shadowing_models())
+def test_big_substitution_preserves_validity_where_constants_shadow(model):
+    check_big_substitutions_preserve_validity(model)
+
+
+def test_big_substitution_preserves_validity_on_chosen_shadowing_models():
+    # the shadowing goal and its neighbours, each with instances accepted
+    e2 = {"e": 2}
+    a, b = Individual(E, "a"), Individual(E, "b")
+    tables = enumerate_domain(ModelConfig(base_sizes=e2), Arrow(E, BOT), 0)
+    for consts in ({"a": b}, {"z": a, "a": b}, {"k0": b, "b": a, "0": TRUE},
+                   {"1": FALSE, "z": TRUE, "k0": tables[3], "a": tables[0]},
+                   {"k0": a, "k1": a, "b": b, "0": FALSE}):
+        model = ModelConfig(base_sizes=e2, constants=consts)
+        assert check_big_substitutions_preserve_validity(model) > 0, consts
 
 
 def test_check_derivation_localizes_failure():
