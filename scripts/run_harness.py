@@ -10,7 +10,8 @@ misses and size (entries out of the bound, or "kept on elements" for
 `render_elem`, `canonical_key` and the isomorphism's child images, whose
 results live on the elements), so the share of repeated operations shows.
 Exits 0 when every trial passes, 1 on a failure, 2 on a usage error (a
-negative `--trials`) or when stdout closes early (`| head`). Usage:
+negative `--trials`) or when stdout closes early (`| head`), 3 before any
+trial when `--trials` is over `semantics.MAX_TRIALS`. Usage:
 
     python scripts/run_harness.py [--trials N] [--seed S]
 """
@@ -22,6 +23,7 @@ import time
 
 from ctt import domains, semantics
 from ctt.cli import count
+from ctt.domains import CapExceeded
 from ctt.gen import SLM_RULE_IDS
 from ctt.semantics import cts_rule_harness, soundness_harness
 from ctt.sequents import INTRO_RULES, SUBST_RULES
@@ -58,6 +60,9 @@ if __name__ == "__main__":
     try:
         code = main()
         sys.stdout.flush()
+    except CapExceeded as ex:
+        print(f"run_harness: resource cap: {ex}", file=sys.stderr)
+        code = 3
     except BrokenPipeError:
         # the reader is gone; let the exit-time flush write to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

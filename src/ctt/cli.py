@@ -22,7 +22,7 @@ from .domains import (
 )
 from .rewrite import NormalStatus, normalize
 from .semantics import (
-    canonicalize_cts, cts_rule_harness, eval_cts, eval_slm, sequent_valid,
+    MAX_TRIALS, canonicalize_cts, cts_rule_harness, eval_cts, eval_slm, sequent_valid,
     sequent_verdicts, soundness_harness, standard_model_family,
 )
 from .sequents import (
@@ -342,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("harness", help="soundness harness for one rule")
     sp.add_argument("--rule", required=True)
-    sp.add_argument("--trials", type=count, default=100)
+    sp.add_argument("--trials", type=count, default=100,
+                    help=f"at most {MAX_TRIALS}; more exits 3 before any trial")
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_harness)
 

@@ -498,10 +498,9 @@ class _Carrier:
             self.minterms.store(mask, m)
         return m
 
-    def read(self, masks) -> CanonElem:
-        """Full-DNF reading of the family of member sets `masks` (distinct):
-        the rank-1 join of their minterms, or a rank-0 atom when the family
-        is that atom's principal family."""
+    def principal(self, masks) -> Optional[Atom]:
+        """The atom whose principal family the member sets `masks`
+        (distinct) are, or None."""
         if len(masks) == 1 << (len(self.atoms) - 1):
             # all 2^(g-1) sets contain one atom exactly when it is this
             # family's only common atom
@@ -510,7 +509,14 @@ class _Carrier:
                 common &= m
             if common:
                 return self.atoms[common.bit_length() - 1]
-        return _rank1_join(self.ty, map(self.minterm, masks))
+        return None
+
+    def read(self, masks) -> CanonElem:
+        """Full-DNF reading of the family of member sets `masks` (distinct):
+        the rank-1 join of their minterms, or a rank-0 atom when the family
+        is that atom's principal family."""
+        atom = self.principal(masks)
+        return _rank1_join(self.ty, map(self.minterm, masks)) if atom is None else atom
 
 
 def _carrier(sizes: tuple, ty: TypeExpr) -> _Carrier:
@@ -795,13 +801,20 @@ def iso_i(f, model: ModelConfig, ty: Optional[TypeExpr] = None) -> CanonElem:
     if isinstance(f, (set, frozenset)):
         if ty is None:
             raise CttError("a raw set-of-sets needs the target type")
-        sets = frozenset(frozenset(s) for s in f)
-        carrier = _carrier(model.sizes, ty)
-        bits = {a: 1 << i for i, a in enumerate(carrier.atoms)}
-        if not all(bits.keys() >= s for s in sets):
-            raise TypeMismatch("set-of-sets mentions atoms outside the carrier")
-        return carrier.read({sum(map(bits.__getitem__, s)) for s in sets})
+        carrier, masks = _set_family(f, model.sizes, ty)
+        return carrier.read(masks)
     return _iso_elem(f, model.sizes, False)
+
+
+def _set_family(f, sizes: tuple, ty: TypeExpr) -> tuple[_Carrier, set]:
+    """The carrier of `ty` and the member sets of the raw set-of-sets `f`
+    over it, each as a bitmask."""
+    sets = frozenset(frozenset(s) for s in f)
+    carrier = _carrier(sizes, ty)
+    bits = {a: 1 << i for i, a in enumerate(carrier.atoms)}
+    if not all(bits.keys() >= s for s in sets):
+        raise TypeMismatch("set-of-sets mentions atoms outside the carrier")
+    return carrier, {sum(map(bits.__getitem__, s)) for s in sets}
 
 
 def _iso_elem(f: CanonElem, sizes: tuple, child: bool) -> CanonElem:
@@ -820,7 +833,8 @@ def _iso_elem(f: CanonElem, sizes: tuple, child: bool) -> CanonElem:
         _ISO_ATOM_CACHE.misses += 1
     match f:
         case FnTable():
-            out = _iso_table(f, sizes)
+            carrier, masks = _table_family(f, sizes)
+            out = carrier.read(masks)
         case NegE(k, _, c):
             image = _iso_elem(c, sizes, True)
             out = NegE(k + 1, image.ty, image)
@@ -840,17 +854,18 @@ def _iso_elem(f: CanonElem, sizes: tuple, child: bool) -> CanonElem:
     return out
 
 
-def _iso_table(f: FnTable, sizes: tuple) -> CanonElem:
+def _table_family(f: FnTable, sizes: tuple) -> tuple[_Carrier, Iterable[int]]:
     """Read a table of type ~~s as a set of sets over the rank-0 carrier of
-    s, each ~s argument the set of atoms it maps to 1, through the record
-    of s's carrier."""
+    s, each ~s argument the set of atoms it maps to 1: the record of s's
+    carrier and the distinct bitmasks of the sets. One pass over the
+    entries when they fit the carrier's table keys; otherwise the checks,
+    in their order."""
     if is_neg_type(f.ty) and is_neg_type(f.dom) and f.entries:
         carrier = _carrier(sizes, f.dom.dom)
         keys, values = zip(*f.entries)
         if (keys == carrier.table_keys()
                 and values.count(TRUE) + values.count(FALSE) == len(values)):
-            return carrier.read([m for m, v in zip(carrier.masks, values) if v is TRUE])
-    # a table that does not fit its carrier: the checks, in their order
+            return carrier, [m for m, v in zip(carrier.masks, values) if v is TRUE]
     if {k for k, _ in f.entries} != set(_carrier(sizes, f.dom).atoms):
         raise TypeMismatch(f"table {render_elem(f)} is not total over its carrier")
     if not (is_neg_type(f.ty) and is_neg_type(f.dom)):
@@ -861,25 +876,48 @@ def _iso_table(f: FnTable, sizes: tuple) -> CanonElem:
     # total and concrete, with its entries out of order or repeated
     carrier = _carrier(sizes, f.dom.dom)
     mask = dict(zip(carrier.table_keys(), carrier.masks))
-    return carrier.read({mask[k] for k, v in f.entries if v is TRUE})
+    return carrier, {mask[k] for k, v in f.entries if v is TRUE}
+
+
+_PAST_CAP = "iterated isomorphism passed the rank cap {}"
 
 
 def iso_iterate(ty: TypeExpr, f, model: ModelConfig) -> CanonElem:
     """Repeated isomorphism: an element of ~...~s (2m or 2m+1 negations)
-    lands in s (even) or ~s (odd), m ranks up."""
+    lands in s (even) or ~s (odd), m ranks up.
+
+    A rank-0 input (a table or a raw set-of-sets) with two or more steps
+    to go is read once. Unless its family is principal or a single set,
+    its image is the rank-m join of its minterms' images, each reached
+    through the images the minterm and its images keep as children, so
+    no join of an intermediate rank is built; the rank cap is checked
+    against m first. Everything else goes one `iso_i` step at a time."""
     m = strip_negations(ty)[0] // 2
     if m < 1:
         raise CttError(f"{render_type(ty)} carries no double negation to reduce")
-    if not isinstance(f, (set, frozenset)) and f.ty != ty:
+    raw = isinstance(f, (set, frozenset))
+    if not raw and f.ty != ty:
         raise TypeMismatch(
             f"isomorphism over {render_type(ty)} applied to "
             f"{render_elem(f)} : {render_type(f.ty)}")
+    if m > 1 and (raw or isinstance(f, FnTable)):
+        sizes = model.sizes
+        carrier, masks = (_set_family(f, sizes, ty.dom.dom) if raw
+                          else _table_family(f, sizes))
+        if len(masks) != 1 and carrier.principal(masks) is None:
+            if m > model.rank_cap:
+                raise CapExceeded(_PAST_CAP.format(model.rank_cap))
+            images = list(map(carrier.minterm, masks))
+            for _ in range(m - 1):
+                images = [_iso_elem(x, sizes, True) for x in images]
+            for _ in range(m):
+                ty = ty.dom.dom
+            return JoinE(m, ty, tuple(sorted(images, key=render_elem)))
     for _ in range(m):
         ty = ty.dom.dom  # peel two negations
         f = iso_i(f, model, ty=ty)
         if f.k > model.rank_cap:
-            raise CapExceeded(
-                f"iterated isomorphism passed the rank cap {model.rank_cap}")
+            raise CapExceeded(_PAST_CAP.format(model.rank_cap))
     return f
 
 

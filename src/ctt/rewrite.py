@@ -20,8 +20,8 @@ from functools import cached_property, partial
 from typing import Callable, NamedTuple, Optional
 
 from .syntax import (
-    App, Arrow, BOT, CttError, Lam, Mu, SlmTerm, TypeMismatch, Var,
-    children, free_vars, render, with_child,
+    App, Arrow, BOT, CttError, Lam, Mu, SlmTerm, TypeExpr, TypeMismatch, Var,
+    children, free_table, free_vars, render, with_child,
 )
 
 
@@ -99,7 +99,7 @@ def substitute(term: SlmTerm, x: str, repl: SlmTerm,
                 f"substituting {render(repl)} : {repl.ty} for {x} : {var.ty}")
         return partial(App, repl) if applied else repl
 
-    return _replace(term, x, at, free_vars(repl), (), supply, "substitute into")
+    return _replace(term, x, at, _free_names(repl), (), supply, "substitute into")
 
 
 def structural_subst(body: SlmTerm, x: str, q: SlmTerm, y: str,
@@ -122,7 +122,16 @@ def structural_subst(body: SlmTerm, x: str, q: SlmTerm, y: str,
         head = Var(y, Arrow(ty.dom.cod, BOT))
         return lambda arg: App(head, App(arg, q))
 
-    return _replace(body, x, at, free_vars(q), (y,), supply, "rewrite")
+    return _replace(body, x, at, _free_names(q), (y,), supply, "rewrite")
+
+
+def _free_names(term: SlmTerm) -> dict[str, TypeExpr]:
+    """`term`'s free names with their types, for membership tests: the
+    memoized table itself (never mutate it), not the copy `free_vars`
+    returns; `free_vars` where there is no table, so a name free at two
+    types raises as it does there."""
+    table = free_table(term)
+    return free_vars(term) if table is None else table
 
 
 def _replace(term: SlmTerm, x: str, at: Callable, fv: dict, taken: tuple[str, ...],
@@ -149,7 +158,7 @@ def _replace(term: SlmTerm, x: str, at: Callable, fv: dict, taken: tuple[str, ..
             case Lam(b, _, _) | Mu(b, _, _) if b == x:
                 done.append(t)
             case Lam(b, bty, body) | Mu(b, bty, body):
-                if b in taken or (b in fv and x in free_vars(body)):
+                if b in taken or (b in fv and x in _free_names(body)):
                     b2 = supply.fresh(b)
                     b, body = b2, substitute(body, b, Var(b2, bty), supply)
                 todo += ((partial(type(t), b, bty), 1), body)
@@ -169,12 +178,12 @@ def _match_redex(term: SlmTerm, supply: NameSupply) -> Optional[tuple[SlmTerm, R
         case App(Lam(b, _, body), arg):
             return substitute(body, b, arg, supply), RuleTag.BETA
         case Lam(b, bty, App(fun, Var(name, vty))) if (
-                name == b and vty == bty and b not in free_vars(fun)):
+                name == b and vty == bty and b not in _free_names(fun)):
             return fun, RuleTag.ETA
         case App(fun, Mu(b, bty, body)) if fun.ty == bty:
             return substitute(body, b, fun, supply), RuleTag.BETA_MU
         case Mu(b, bty, App(Var(name, vty), arg)) if (
-                name == b and vty == bty and b not in free_vars(arg)):
+                name == b and vty == bty and b not in _free_names(arg)):
             return arg, RuleTag.ETA_MU
         case App(Mu(b, bty, body), arg) if (
                 isinstance(bty, Arrow) and isinstance(bty.dom, Arrow)):

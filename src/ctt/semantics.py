@@ -500,11 +500,21 @@ def soundness_harness(rule: str, model: Optional[ModelConfig] = None,
     return report
 
 
+# a harness run keeps a record per trial, so its count is capped before the
+# first trial runs
+MAX_TRIALS = 100_000
+
+
 def _run_trials(rule: str, seed: int, trials: int, multipliers: tuple[int, int],
                 skips: tuple, trial: Callable) -> HarnessReport:
     """One record per trial: `trial(rng)` gives its (status, detail), with
     `rng` seeded from the seed, the rule's salt and the trial's index by
-    `multipliers`; an exception of `skips` makes the trial a skip."""
+    `multipliers`; an exception of `skips` makes the trial a skip. More
+    than MAX_TRIALS trials raise CapExceeded before any runs."""
+    if trials > MAX_TRIALS:
+        # a count too long for decimal is not written out
+        shown = trials if trials.bit_length() <= 64 else "over 2^64"
+        raise CapExceeded(f"{shown} trials exceeds the cap {MAX_TRIALS}")
     report = HarnessReport(rule)
     seed_mul, salt_mul = multipliers
     rule_salt = sum(map(ord, rule))

@@ -730,7 +730,9 @@ def test_fuzz_no_crash(capsys, tmp_path):
               # oversized counts are bounds, not work: these finish at once
               (["prove", "--depth", str(10 ** 30), "A |- A"], 0),
               (["prove", "--depth", str(10 ** 30), "A |- B"], 1),
-              (["normalize", "--fuel", str(10 ** 30), "e: ((\\x:e. x) y)"], 0)]
+              (["normalize", "--fuel", str(10 ** 30), "e: ((\\x:e. x) y)"], 0),
+              # the harness keeps a record per trial: over its cap, exit 3
+              (["harness", "--rule", "beta", "--trials", str(10 ** 30)], 3)]
     for argv, want in counts:
         assert main(argv) == want, argv
         capsys.readouterr()
@@ -739,6 +741,11 @@ def test_fuzz_no_crash(capsys, tmp_path):
                            "--trials", "-1"], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(repo / "src")))
     assert proc.returncode == 2 and "must be >= 0" in proc.stderr, proc.stderr
+    proc = subprocess.run([sys.executable, str(repo / "scripts" / "run_harness.py"),
+                           "--trials", str(10 ** 30)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(repo / "src")))
+    assert proc.returncode == 3 and "exceeds the cap" in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr
     # just inside the budget, later passes over the tree do not overflow
     inside = MAX_NESTING - 2
     for cmd in ("canon", "entail"):

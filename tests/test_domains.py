@@ -1091,7 +1091,9 @@ def test_iso_iterate_four_negations_exhaustive_size1():
     Outputs are construction-sorted complete DNFs over the four rank-1
     generator images, so distinct renderings are distinct elements once
     those four generators are pairwise inequivalent (checked below, plus a
-    sampled semantic-key sweep)."""
+    sampled semantic-key sweep). Each is the element two `iso_i` steps
+    give, though `iso_iterate` reads a table once and builds no rank-1
+    join."""
     model = ModelConfig(base_sizes={"e": 1}, rank_cap=2)
     n4 = Arrow(Arrow(Arrow(Arrow(E, BOT), BOT), BOT), BOT)
     inputs = enumerate_domain(model, n4, 0)
@@ -1100,6 +1102,7 @@ def test_iso_iterate_four_negations_exhaustive_size1():
     for f in inputs:
         out = iso_iterate(n4, f, model)
         assert out.k <= 2
+        assert out is iso_i(iso_i(f, model), model)
         outs.append(out)
     assert len({render_elem(o) for o in outs}) == 2 ** 16
     nne = Arrow(Arrow(E, BOT), BOT)
@@ -1119,12 +1122,91 @@ def test_iso_iterate_odd_negations(m3):
     assert len({canonical_key(o) for o in outs}) == len(outs)
 
 
-def test_iso_iterate_rank_cap():
+def test_iso_iterate_rank_cap(monkeypatch):
     model = ModelConfig(base_sizes={"e": 1}, rank_cap=1)
     n4 = Arrow(Arrow(Arrow(Arrow(E, BOT), BOT), BOT), BOT)
-    f = enumerate_domain(model, n4, 0)[0]
-    with pytest.raises(CapExceeded):
-        iso_iterate(n4, f, model)
+    inputs = enumerate_domain(model, n4, 0)
+    made, real_intern = [], syntax._intern
+    monkeypatch.setattr(syntax, "_intern",
+                        lambda key, obj: made.append(key[0]) or real_intern(key, obj))
+    # the empty family, and two families of several sets
+    for f in (inputs[0], inputs[3], inputs[-1]):
+        with pytest.raises(CapExceeded, match="passed the rank cap 1"):
+            iso_iterate(n4, f, model)
+    # the cap is checked against the final rank before any node is built
+    assert made == []
+
+
+def _iso_twice(f, model, nne):
+    return iso_i(iso_i(f, model, ty=nne), model, ty=nne.dom.dom)
+
+
+def _assert_iterates_as_two_steps(n4, f, model):
+    """The same element, or an error of the same type and text."""
+    assert _outcome(iso_iterate, n4, f, model) == _outcome(_iso_twice, f, model, n4.dom.dom)
+
+
+def test_iso_iterate_is_two_iso_steps_on_unfit_tables_families_and_nodes():
+    model = ModelConfig(base_sizes={"e": 1}, rank_cap=4)
+    nne = neg_type(neg_type(E))
+    n3, n4 = neg_type(nne), neg_type(neg_type(nne))
+    rng = random.Random(59)
+    tables = enumerate_domain(model, n4, 0)
+    sample = rng.sample(tables, 300) + tables[:2] + tables[-2:]
+    p = Individual(BOT, "p")
+    for f in sample:
+        entries = f.entries
+        for variant in (entries[::-1],  # reversed: read through the key masks
+                        entries + entries[:1],  # a key repeated
+                        entries[1:],  # not total
+                        entries[:-1] + ((entries[-1][0], p),)):  # not concrete
+            _assert_iterates_as_two_steps(n4, FnTable(f.dom, f.cod, variant), model)
+    # raw families of sets of ~~e tables: empty, principal, one set, all
+    # sets, random, and one that mentions an atom outside the carrier
+    atoms = enumerate_domain(model, nne, 0)
+    subsets = _powerset(atoms)
+    families = [frozenset(), frozenset(subsets), frozenset([subsets[5]])]
+    families += [frozenset(s for s in subsets if a in s) for a in atoms]
+    families += [frozenset(rng.sample(subsets, rng.randint(2, 15))) for _ in range(100)]
+    families += [frozenset([frozenset([Individual(E, "a")])])]
+    for family in families:
+        _assert_iterates_as_two_steps(n4, set(family), model)
+    # rank-1 and rank-2 nodes over ~~~~e atoms, one over a partial table;
+    # the atoms are reversed tables, which die with the test, so no carrier
+    # table keeps an image as a child
+    partial = FnTable(n3, BOT, sample[0].entries[1:])
+    t = [FnTable(f.dom, f.cod, f.entries[::-1]) for f in sample[:6]]
+    nodes = [make_join(1, n4, [t[0], make_neg(1, t[1])]),
+             make_meet(1, n4, [t[2], t[3], t[4]]),
+             make_neg(2, make_join(1, n4, [t[0], t[5]])),
+             make_join(2, n4, [make_meet(1, n4, [t[1], make_neg(1, t[2])]),
+                               make_neg(2, t[3])]),
+             make_join(1, n4, [partial, t[0]])]
+    for x in nodes:
+        _assert_iterates_as_two_steps(n4, x, model)
+
+
+def test_iso_iterate_builds_one_join_per_fresh_input(monkeypatch):
+    model = ModelConfig(base_sizes={"e": 1}, rank_cap=2)
+    n4 = neg_type(neg_type(neg_type(neg_type(E))))
+    inputs = random.Random(61).sample(enumerate_domain(model, n4, 0), 1100)
+    # joins that the computed tables keep from other tests would be found
+    apply_elem.cache_clear()
+    domains._make_lattice.cache_clear()
+    # the warm-up leaves every minterm of the ~~e carrier with its image
+    warm = [iso_iterate(n4, f, model) for f in inputs[:1000]]
+    del warm
+    gc.collect()
+    # inputs whose family is neither principal nor a single set
+    fresh = [f for f in inputs[1000:] if isinstance(iso_i(f, model), JoinE)]
+    assert len(fresh) > 50
+    made, real_intern = [], syntax._intern
+    monkeypatch.setattr(syntax, "_intern",
+                        lambda key, obj: made.append(key[0]) or real_intern(key, obj))
+    for f in fresh:
+        made.clear()
+        out = iso_iterate(n4, f, model)
+        assert made == [JoinE] and out.k == 2
 
 
 def reference_family_image(sets, sigma, model):
@@ -1242,8 +1324,8 @@ def test_iso_keeps_no_image_of_a_one_off_input():
     outs = [iso_iterate(n4, f, model) for f in inputs]
     # an input is not a child: its slot stays empty
     assert not any(hasattr(f, "_iso") for f in inputs)
-    # every second step maps a rank-1 node whose children were mapped
-    # before, and reads their images back from them
+    # each input's minterms were mapped before, and their images are read
+    # back from them
     assert domains._ISO_ATOM_CACHE.cache_info().hits - hits > len(inputs)
     assert len({render_elem(o) for o in outs}) == len({canonical_key(o) for o in outs}) \
         == len(inputs)

@@ -16,7 +16,7 @@ from ctt.domains import (
 )
 from ctt.rewrite import step
 from ctt.semantics import (
-    MAX_ASSIGNMENTS, ContextClass, NonGroundValue, UnassignedVariable,
+    MAX_ASSIGNMENTS, MAX_TRIALS, ContextClass, NonGroundValue, UnassignedVariable,
     canonicalize_cts, check_equation, cts_harness_model,
     cts_rule_harness, eval_cts, eval_slm,
     mu_exhaustive_cases, sequent_semantics, sequent_valid, sequent_verdicts,
@@ -695,6 +695,21 @@ def test_soundness_harness_mu():
 def test_soundness_harness_detects_corruption():
     report = soundness_harness("mu", trials=30, seed=11, mutate=True)
     assert report.failures  # the sanity control must trip
+
+
+def test_harness_refuses_a_trial_count_over_the_cap(monkeypatch):
+    # refused before the first trial draws its generator
+    def no_trial(seed):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(gen, "make_rng", no_trial)
+    for count, shown in [(MAX_TRIALS + 1, str(MAX_TRIALS + 1)),
+                         (10 ** 30, "over 2^64"), (10 ** 5000, "over 2^64")]:
+        for run in (soundness_harness, cts_rule_harness):
+            rule = "mu" if run is soundness_harness else "and-L"
+            with pytest.raises(CapExceeded, match=f"^{re.escape(shown)} trials exceeds "
+                                                  f"the cap {MAX_TRIALS}$"):
+                run(rule, trials=count, seed=1)
 
 
 def test_harness_records_render():
