@@ -327,17 +327,53 @@ def normalize(term: SlmTerm, strategy: str = "outermost",
     """Contract redexes until normal form or the fuel runs out. Each step
     resumes the search where the last one contracted, so it costs about
     the size of its redex (plus, outermost, the depth of its position);
-    the steps are those that repeated `step` calls would take."""
+    the steps are those that repeated `step` calls would take.
+
+    A run that reaches normal form is kept on the interned term, one per
+    strategy (`_normal`), and a later call with fuel for at least its
+    steps answers from it, with a fresh list of the same steps, and runs
+    no search. The answer is the one a new run gives: the search is
+    deterministic, and it draws its fresh names from the term alone. A run
+    that runs out of fuel or raises keeps nothing, and less fuel than the
+    kept steps searches anew. The run lives exactly as long as its term."""
     _check_strategy(strategy)
+    kept = getattr(term, "_normal", {}).get(strategy)
+    if kept is not None and fuel >= len(kept[0]):
+        return _from_kept(term, *kept)
     trace = RewriteTrace(term)
     search = _RedexSearch(term, strategy == "innermost")
     for _ in range(fuel):
         hit = search.next()
         if hit is None:
-            return search.root(), trace, NormalStatus.NORMAL_FORM
+            return _keep_run(term, strategy, trace, search.root())
         trace.steps.append(hit)
-    term = search.root()
+    result = search.root()
     if search.next() is None:
-        return term, trace, NormalStatus.NORMAL_FORM
-    return term, trace, NormalStatus.FUEL_EXHAUSTED
+        return _keep_run(term, strategy, trace, result)
+    return result, trace, NormalStatus.FUEL_EXHAUSTED
 
+
+# A kept run names its own term nowhere, so the term still dies by reference
+# counting: None stands for it as the `before` of a first step at the root
+# and as the result of a term already normal. No later step or result of a
+# run that reaches normal form is the term: the term would then reduce to a
+# term that holds it, an infinite reduction, which typed terms do not have.
+
+def _keep_run(term: SlmTerm, strategy: str, trace: RewriteTrace, result: SlmTerm):
+    steps = tuple(trace.steps)
+    if steps and not steps[0].path:
+        steps = (steps[0]._replace(before=None), *steps[1:])
+    runs = getattr(term, "_normal", None)
+    if runs is None:
+        runs = {}
+        object.__setattr__(term, "_normal", runs)
+    runs[strategy] = (steps, None if result is term else result)
+    return result, trace, NormalStatus.NORMAL_FORM
+
+
+def _from_kept(term: SlmTerm, steps: tuple[Step, ...], result: Optional[SlmTerm]):
+    steps = list(steps)
+    if steps and steps[0].before is None:
+        steps[0] = steps[0]._replace(before=term)
+    result = term if result is None else result
+    return result, RewriteTrace(term, steps), NormalStatus.NORMAL_FORM

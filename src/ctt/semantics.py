@@ -509,11 +509,15 @@ def _run_trials(rule: str, seed: int, trials: int, multipliers: tuple[int, int],
                 skips: tuple, trial: Callable) -> HarnessReport:
     """One record per trial: `trial(rng)` gives its (status, detail), with
     `rng` seeded from the seed, the rule's salt and the trial's index by
-    `multipliers`; an exception of `skips` makes the trial a skip. More
-    than MAX_TRIALS trials raise CapExceeded before any runs."""
-    if trials > MAX_TRIALS:
+    `multipliers`; an exception of `skips` makes the trial a skip. A
+    negative count raises CttError, and more than MAX_TRIALS trials raise
+    CapExceeded, before any trial runs."""
+    if not 0 <= trials <= MAX_TRIALS:
         # a count too long for decimal is not written out
-        shown = trials if trials.bit_length() <= 64 else "over 2^64"
+        shown = (trials if trials.bit_length() <= 64
+                 else "over 2^64" if trials > 0 else "below -2^64")
+        if trials < 0:
+            raise CttError(f"trials must be >= 0, got {shown}")
         raise CapExceeded(f"{shown} trials exceeds the cap {MAX_TRIALS}")
     report = HarnessReport(rule)
     seed_mul, salt_mul = multipliers

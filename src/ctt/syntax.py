@@ -191,9 +191,11 @@ class _Node(Interned):
     and construction never raises; `_free` is filled by
     `free_vars`/`cts_signature`. `render` fills `_text`, the default text,
     and `_marks`, the span of each free name's annotation in it, joining
-    both from the children's, so printing a term costs its new nodes."""
+    both from the children's, so printing a term costs its new nodes.
+    `_normal` is filled by `rewrite.normalize` with the runs that reached
+    normal form from the node, one per strategy."""
 
-    __slots__ = ("_ty", "_free", "_text", "_marks")
+    __slots__ = ("_ty", "_free", "_text", "_marks", "_normal")
     _child_fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):

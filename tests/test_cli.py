@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from ctt import domains, syntax
+from ctt import domains, rewrite, syntax
 from ctt.cli import build_parser, main
 from ctt.sequents import Sequent
 from ctt.syntax import MAX_NESTING
@@ -37,6 +37,24 @@ def test_normalize_machine_steps(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("step=0")
     assert lines[-1] == "status=ok cmd=normalize steps=2 payload=z:e"
+
+
+def test_normalize_again_answers_from_the_kept_run(capsys, monkeypatch):
+    # the README example, plain and --machine: the second run finds the
+    # parse in the window and the normal-form run kept on its term, so it
+    # prints the same bytes and builds no node and no redex search
+    made, searches = [], []
+    intern, search = syntax._intern, rewrite._RedexSearch
+    for machine in ([], ["--machine"]):
+        argv = [*machine, "normalize", "--fuel", "100", r"e: ((\x:e. x) y)"]
+        first = run(capsys, *argv)
+        monkeypatch.setattr(syntax, "_intern",
+                            lambda key, obj: made.append(key) or intern(key, obj))
+        monkeypatch.setattr(rewrite, "_RedexSearch",
+                            lambda *args: searches.append(args) or search(*args))
+        assert run(capsys, *argv) == first
+        assert first[0] == 0 and (made, searches) == ([], [])
+        monkeypatch.undo()
 
 
 def test_normalize_fuel_exhaustion_exit_code(capsys):
@@ -678,6 +696,15 @@ def test_machine_transcript_replays(capsys):
     assert first[0][1].splitlines()[0].endswith("payload=" + corpus.WORKED_ISO_GOLDEN)
 
 
+def drawn_formula(rng, atoms):
+    """A formula of rank 1 over `atoms`, each used once, of drawn shape."""
+    if len(atoms) == 1:
+        return rng.choice(("{}", "neg[1]({})")).format(atoms[0])
+    cut = rng.randint(1, len(atoms) - 1)
+    return (f"{rng.choice(('and', 'or'))}[1]({drawn_formula(rng, atoms[:cut])},"
+            f"{drawn_formula(rng, atoms[cut:])})")
+
+
 def test_fuzz_no_crash(capsys, tmp_path):
     rng = random.Random(5)
     alphabet = string.printable + "λμ⊥∧∨¬ÿ"
@@ -731,11 +758,27 @@ def test_fuzz_no_crash(capsys, tmp_path):
               (["prove", "--depth", str(10 ** 30), "A |- A"], 0),
               (["prove", "--depth", str(10 ** 30), "A |- B"], 1),
               (["normalize", "--fuel", str(10 ** 30), "e: ((\\x:e. x) y)"], 0),
+              # the run just kept has one step: fuel 0 still runs out
+              (["normalize", "--fuel", "0", "e: ((\\x:e. x) y)"], 3),
               # the harness keeps a record per trial: over its cap, exit 3
               (["harness", "--rule", "beta", "--trials", str(10 ** 30)], 3)]
     for argv, want in counts:
         assert main(argv) == want, argv
         capsys.readouterr()
+    # goals over the assignment cap, the drawn ones in the first model of
+    # the family: exit 3 with the cap's message. Tall `prove` goals are
+    # left out until the prover has a node budget
+    over = [OVER_CAP_IN_LAST_MODEL, RANK1_POOL_OVER_CAP]
+    for _ in range(4):
+        atoms = [f"A{i}" for i in range(rng.randint(13, 18))]
+        rng.shuffle(atoms)
+        cut = rng.randint(1, len(atoms) - 1)
+        over.append(f"{drawn_formula(rng, atoms[:cut])} |- "
+                    f"{drawn_formula(rng, atoms[cut:])}")
+    for goal in over:
+        code, out, err = run(capsys, "entail", goal)
+        assert (code, out) == (3, "") and err.startswith("ctt: resource cap: "), goal
+        assert "Traceback" not in err
     repo = pathlib.Path(__file__).parents[1]
     proc = subprocess.run([sys.executable, str(repo / "scripts" / "run_harness.py"),
                            "--trials", "-1"], capture_output=True, text=True,

@@ -1,9 +1,11 @@
+import gc
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctt import gen
+from ctt import gen, rewrite, syntax
 from ctt.rewrite import (
     DEFAULT_FUEL, NameSupply, NonFunctorOccurrence, NormalStatus, RewriteTrace,
     RuleTag, Step, _all_names, _match_redex, normalize, step, structural_subst,
@@ -344,9 +346,9 @@ def outcome(fn, *args):
     return result
 
 
-def assert_normalizers_agree(term):
+def assert_normalizers_agree(term, fuels=FUELS):
     for strategy in ("outermost", "innermost"):
-        for fuel in FUELS:
+        for fuel in fuels:
             assert (outcome(normalize, term, strategy, fuel)
                     == outcome(reference_normalize, term, strategy, fuel)), (
                 render(term), strategy, fuel)
@@ -396,6 +398,100 @@ def test_normalize_matches_reference_on_corpus_and_chains():
         assert_normalizers_agree(chain)
         assert_normalizers_agree(Lam("y", E, chain))
         assert_normalizers_agree(App(Lam("w", E, chain), chain))
+
+
+# ---------------------------------------------------------------------------
+# runs kept on the term
+
+def test_kept_runs_match_the_reference_at_every_fuel():
+    terms = [parse_slm(text) for text in corpus.SLM_TEXTS + RESUME_TEXTS]
+    for n in (1, 2, 7, 30):
+        chain = identity_chain(n, "y")
+        terms += [chain, Lam("y", E, chain), App(Lam("w", E, chain), chain)]
+    for term in terms:
+        # ascending, the last run has fuel to reach normal form and is kept;
+        # descending, the first call answers from it and the rest meet it
+        assert_normalizers_agree(term)
+        for strategy in ("outermost", "innermost"):
+            kept = strategy in getattr(term, "_normal", {})
+            raises = isinstance(outcome(reference_normalize, term, strategy)[0], type)
+            assert kept is not raises, (render(term), strategy)
+        assert_normalizers_agree(term, FUELS[::-1])
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The number of redex searches built so far, in a one-item list."""
+    built = [0]
+    search = rewrite._RedexSearch
+
+    def counted(*args):
+        built[0] += 1
+        return search(*args)
+
+    monkeypatch.setattr(rewrite, "_RedexSearch", counted)
+    return built
+
+
+def test_a_kept_run_answers_each_strategy_without_a_search(searches):
+    term = parse_slm(r"((\x:e. ((\y:e. y) x)) ((\z:e. z) w:e))")
+    first = {s: outcome(normalize, term, s) for s in ("outermost", "innermost")}
+    assert searches == [2] and set(term._normal) == {"outermost", "innermost"}
+    assert first["outermost"][2] != first["innermost"][2]  # different steps
+    for strategy, want in first.items():
+        steps = len(want[2])
+        for fuel in (steps, steps + 1, 10 ** 30):
+            assert outcome(normalize, term, strategy, fuel) == want
+    assert searches == [2]
+    # too little fuel for the kept steps searches anew
+    for strategy, want in first.items():
+        _, _, status = normalize(term, strategy, len(want[2]) - 1)
+        assert status is NormalStatus.FUEL_EXHAUSTED
+    assert searches == [4]
+
+
+def test_a_raising_run_keeps_nothing(searches):
+    term = parse_slm(RESUME_TEXTS[4])
+    for n in (1, 2):
+        with pytest.raises(NonFunctorOccurrence):
+            normalize(term)
+        assert getattr(term, "_normal", None) is None and searches == [n]
+
+
+def test_a_returned_trace_is_the_callers_own(searches):
+    # names of its own, so the first call is a new run
+    term = parse_slm(ERASES_Y.replace("q:e", "own_q:e"))
+    _, trace, _ = normalize(term)
+    want = list(trace.steps)
+    trace.steps.clear()
+    _, again, _ = normalize(term)
+    assert again.steps == want and again.steps is not trace.steps
+    again.steps.append(again.steps[0])
+    again.steps[0] = None
+    _, third, _ = normalize(term)
+    assert third.steps == want and searches == [1]
+
+
+@pytest.mark.parametrize("text", [
+    r"e: ((\x:e. x) kept_y)",  # the first redex is the term itself
+    r"\x:e. (kept_f:(e -> (e -> e)) x x)",  # normal already
+    r"e: (kept_g:(e -> e) ((\x:e. x) kept_y))",  # the first redex below the root
+])
+def test_a_kept_run_does_not_keep_its_term_alive(text):
+    term = parse_slm(text)
+    syntax._PARSED.clear()  # the window holds the parse's result
+    gc.disable()
+    try:
+        for strategy in ("outermost", "innermost"):
+            out, trace, _ = normalize(term, strategy)
+            assert (out is term) is (not trace.steps)
+            assert normalize(term, strategy)[1].steps == trace.steps
+        assert len(term._normal) == 2
+        ref = weakref.ref(term)
+        del term, out, trace
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_fresh_names_avoid_only_the_current_term():

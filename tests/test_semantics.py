@@ -712,6 +712,25 @@ def test_harness_refuses_a_trial_count_over_the_cap(monkeypatch):
                 run(rule, trials=count, seed=1)
 
 
+def test_harness_refuses_a_negative_trial_count(monkeypatch):
+    # zero trials is legal: mu still runs its 32 exhaustive cases from 0
+    report = soundness_harness("mu", trials=0, seed=1)
+    assert [r.trial for r in report.records] == list(range(32))
+
+    def no_trial(seed):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(gen, "make_rng", no_trial)
+    for run, rule in ((soundness_harness, "mu"), (soundness_harness, "beta"),
+                      (cts_rule_harness, "and-L")):
+        for count, shown in [(-1, "-1"), (-5, "-5"), (-10 ** 30, "below -2^64"),
+                             (-10 ** 5000, "below -2^64")]:
+            with pytest.raises(CttError, match=f"^trials must be >= 0, "
+                                               f"got {re.escape(shown)}$") as ex:
+                run(rule, trials=count, seed=1)
+            assert not isinstance(ex.value, CapExceeded)
+
+
 def test_harness_records_render():
     report = soundness_harness("beta", trials=3, seed=5)
     lines = [r.line() for r in report.records]
