@@ -253,8 +253,6 @@ def demo_scope_outputs() -> dict[int, tuple[str, str, str]]:
 
 
 def cmd_demo(args, out: Printer) -> int:
-    if args.what != "scope":
-        raise CttError(f"unknown demo {args.what!r}")
     readings = (1, 2) if args.reading == "both" else (int(args.reading),)
     table = demo_scope_outputs()
     for r in readings:

@@ -350,13 +350,14 @@ class ModelConfig(Interned):
 
     A model is a hash-consed value like an element: models of equal
     contents are one object, and nothing in one can be assigned.
-    `base_sizes` and `constants` are read-only mappings; constants keep
-    their declaration order. `names` maps each name the model resolves to
-    the elements it can denote: a constant alone, else a truth value for
-    0 and 1, else every base's individual of that name."""
+    `sizes` holds (base, size) pairs sorted by base, and `consts` (name,
+    value) pairs in declaration order. `names` is a read-only mapping from
+    each name the model resolves to the elements it can denote: a constant
+    alone, else a truth value for 0 and 1, else every base's individual of
+    that name."""
 
     __match_args__ = ("sizes", "rank_cap", "consts")  # sizes sorted by base
-    __slots__ = (*__match_args__, "base_sizes", "constants", "names")
+    __slots__ = (*__match_args__, "names")
 
     def __new__(cls, base_sizes=(), rank_cap: int = 2, constants=()):
         sizes = tuple(sorted(dict(base_sizes).items()))
@@ -385,9 +386,7 @@ class ModelConfig(Interned):
             if not _names_constant(name):
                 raise CttError(_BAD_CONSTANT.format(name))
             names[name] = (value,)
-        for attr, mapping in (("base_sizes", self.sizes), ("constants", self.consts),
-                              ("names", names)):
-            object.__setattr__(self, attr, MappingProxyType(dict(mapping)))
+        object.__setattr__(self, "names", MappingProxyType(names))
 
 
 def _is_int(value) -> bool:
@@ -886,24 +885,23 @@ def iso_iterate(ty: TypeExpr, f, model: ModelConfig) -> CanonElem:
     """Repeated isomorphism: an element of ~...~s (2m or 2m+1 negations)
     lands in s (even) or ~s (odd), m ranks up.
 
-    A rank-0 input (a table or a raw set-of-sets) with two or more steps
-    to go is read once. Unless its family is principal or a single set,
-    its image is the rank-m join of its minterms' images, each reached
-    through the images the minterm and its images keep as children, so
-    no join of an intermediate rank is built; the rank cap is checked
-    against m first. Everything else goes one `iso_i` step at a time."""
+    `f` is a table or a ranked element; raw sets go through `iso_i`. A
+    table with two or more steps to go is read once. Unless its family is
+    principal or a single set, its image is the rank-m join of its
+    minterms' images, each reached through the images the minterm and its
+    images keep as children, so no join of an intermediate rank is built;
+    the rank cap is checked against m first. Everything else goes one
+    `iso_i` step at a time."""
     m = strip_negations(ty)[0] // 2
     if m < 1:
         raise CttError(f"{render_type(ty)} carries no double negation to reduce")
-    raw = isinstance(f, (set, frozenset))
-    if not raw and f.ty != ty:
+    if f.ty != ty:
         raise TypeMismatch(
             f"isomorphism over {render_type(ty)} applied to "
             f"{render_elem(f)} : {render_type(f.ty)}")
-    if m > 1 and (raw or isinstance(f, FnTable)):
+    if m > 1 and isinstance(f, FnTable):
         sizes = model.sizes
-        carrier, masks = (_set_family(f, sizes, ty.dom.dom) if raw
-                          else _table_family(f, sizes))
+        carrier, masks = _table_family(f, sizes)
         if len(masks) != 1 and carrier.principal(masks) is None:
             if m > model.rank_cap:
                 raise CapExceeded(_PAST_CAP.format(model.rank_cap))
@@ -914,8 +912,7 @@ def iso_iterate(ty: TypeExpr, f, model: ModelConfig) -> CanonElem:
                 ty = ty.dom.dom
             return JoinE(m, ty, tuple(sorted(images, key=render_elem)))
     for _ in range(m):
-        ty = ty.dom.dom  # peel two negations
-        f = iso_i(f, model, ty=ty)
+        f = iso_i(f, model)
         if f.k > model.rank_cap:
             raise CapExceeded(_PAST_CAP.format(model.rank_cap))
     return f
@@ -948,11 +945,11 @@ def parse_model_config(text: str) -> ModelConfig:
 
     `#` starts a comment. Element literals use the ranked-term syntax plus
     `table{a->0,b->1}`; and/or take any number of arguments, separated by
-    commas as table entries are. Each base and each constant is declared
-    once.
+    commas as table entries are. Each base, each constant and the rank cap
+    is declared once.
     """
     base_sizes: dict[str, int] = {}
-    rank_cap = 2
+    rank_cap, cap_declared = 2, False
     consts: dict[str, tuple[TypeExpr, str, str, int, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -973,7 +970,9 @@ def parse_model_config(text: str) -> ModelConfig:
             cap = rest.strip()
             if not (cap.isascii() and cap.isdecimal()):
                 raise CttError(f"bad rankcap line: {raw!r}")
-            rank_cap = int(cap)
+            if cap_declared:
+                raise ParseError("model declares the rank cap twice", name_at, raw, lineno)
+            rank_cap, cap_declared = int(cap), True
         elif head == "const":
             name, sep, decl = rest.partition(":")
             if not sep or "=" not in decl:

@@ -22,11 +22,10 @@ def make_rng(seed: Optional[int]) -> random.Random:
 DEFAULT_BASES = ("e", "t")
 
 
-def random_type(rng: random.Random, bases=DEFAULT_BASES, depth: int = 2) -> TypeExpr:
+def random_type(rng: random.Random, depth: int = 2) -> TypeExpr:
     if depth <= 0 or rng.random() < 0.6:
-        return rng.choice([Base(b) for b in bases] + [BOT])
-    return Arrow(random_type(rng, bases, depth - 1),
-                 random_type(rng, bases, depth - 1))
+        return rng.choice([Base(b) for b in DEFAULT_BASES] + [BOT])
+    return Arrow(random_type(rng, depth - 1), random_type(rng, depth - 1))
 
 
 class TermGen:
@@ -38,9 +37,8 @@ class TermGen:
     non-rank-0, which the finite evaluator rejects by design.
     """
 
-    def __init__(self, rng: random.Random, bases=DEFAULT_BASES):
+    def __init__(self, rng: random.Random):
         self.rng = rng
-        self.bases = bases
         self.ctx: dict[str, TypeExpr] = {}
         self.counter = 0
 
@@ -71,7 +69,7 @@ class TermGen:
             body = self.term(ty.cod, depth - 1, {**bound, b: ty.dom})
             return Lam(b, ty.dom, body)
         if pick == "app":
-            arg_ty = rng.choice([Base(b) for b in self.bases] + [BOT])
+            arg_ty = rng.choice([Base(b) for b in DEFAULT_BASES] + [BOT])
             fun = self.term(Arrow(arg_ty, ty), depth - 1, bound)
             arg = self.term(arg_ty, depth - 1, bound)
             return App(fun, arg)
@@ -97,7 +95,7 @@ SLM_RULE_IDS = (
 def _beta_pair(gen: TermGen, ty: TypeExpr) -> tuple[SlmTerm, SlmTerm]:
     """A beta redex of the given type together with its contraction."""
     rng = gen.rng
-    arg_ty = rng.choice([Base(b) for b in gen.bases] + [BOT])
+    arg_ty = rng.choice([Base(b) for b in DEFAULT_BASES] + [BOT])
     gen.counter += 1
     b = f"x{gen.counter}"
     body = gen.term(ty, 2, {b: arg_ty})
@@ -114,8 +112,8 @@ def slm_rule_instance(rule: str, rng: random.Random,
     and its contraction), matching their premise.
     """
     gen = TermGen(rng)
-    ty = random_type(rng, gen.bases, depth=1)
-    sigma = rng.choice([Base(b) for b in gen.bases])
+    ty = random_type(rng, depth=1)
+    sigma = rng.choice([Base(b) for b in DEFAULT_BASES])
 
     if rule == "refl":
         t = gen.term(ty, 2)

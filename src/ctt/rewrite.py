@@ -298,16 +298,9 @@ class _RedexSearch:
                 self.changed = True
 
 
-def _check_strategy(strategy: str):
-    if strategy not in ("outermost", "innermost"):
-        raise CttError(f"unknown strategy {strategy!r}")
-
-
-def step(term: SlmTerm, strategy: str = "outermost",
-         ) -> Optional[tuple[SlmTerm, tuple[int, ...], RuleTag]]:
-    """Contract the leftmost-outermost (or -innermost) redex, if any."""
-    _check_strategy(strategy)
-    search = _RedexSearch(term, strategy == "innermost")
+def step(term: SlmTerm) -> Optional[tuple[SlmTerm, tuple[int, ...], RuleTag]]:
+    """Contract the leftmost-outermost redex, if any."""
+    search = _RedexSearch(term, False)
     hit = search.next()
     if hit is None:
         return None
@@ -336,7 +329,8 @@ def normalize(term: SlmTerm, strategy: str = "outermost",
     deterministic, and it draws its fresh names from the term alone. A run
     that runs out of fuel or raises keeps nothing, and less fuel than the
     kept steps searches anew. The run lives exactly as long as its term."""
-    _check_strategy(strategy)
+    if strategy not in ("outermost", "innermost"):
+        raise CttError(f"unknown strategy {strategy!r}")
     kept = getattr(term, "_normal", {}).get(strategy)
     if kept is not None and fuel >= len(kept[0]):
         return _from_kept(term, *kept)

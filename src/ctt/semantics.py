@@ -207,30 +207,20 @@ def eval_cts(sub: CtsSubterm, model: ModelConfig, rho: Assignment) -> CanonElem:
     return value
 
 
-def symbolic_assignment(subs: Iterable[CtsSubterm], model: ModelConfig) -> Assignment:
-    """Map every free rank-0 variable to a symbolic named atom (used for
-    canonicalization, where no concrete carrier is wanted). Variables
-    already naming a model constant keep that value; rank >= 1 variables
-    have no symbolic representation and are rejected."""
+def canonicalize_cts(sub: CtsSubterm, model: ModelConfig) -> CanonElem:
+    """Canonical form of a subterm: evaluate with a symbolic named atom
+    for each free rank-0 variable, where no concrete carrier is wanted.
+    Variables already naming a model constant keep that value; rank >= 1
+    variables have no symbolic representation and are rejected."""
     rho: Assignment = {}
-    for sub in subs:
-        for name, (ty, rank) in cts_signature(sub).items():
-            if resolve_constant(model, name, ty) is not None:
-                continue
-            if rank != 0:
-                raise CttError(
-                    f"cannot canonicalize symbolically with {name}@{rank}; "
-                    "only rank-0 free variables stay symbolic")
-            rho[name] = Individual(ty, name)
-    return rho
-
-
-def canonicalize_cts(sub: CtsSubterm, model: ModelConfig,
-                     rho: Optional[Assignment] = None) -> CanonElem:
-    """Canonical form of a subterm: evaluate with symbolic atoms for its
-    free variables."""
-    if rho is None:
-        rho = symbolic_assignment([sub], model)
+    for name, (ty, rank) in cts_signature(sub).items():
+        if resolve_constant(model, name, ty) is not None:
+            continue
+        if rank != 0:
+            raise CttError(
+                f"cannot canonicalize symbolically with {name}@{rank}; "
+                "only rank-0 free variables stay symbolic")
+        rho[name] = Individual(ty, name)
     return eval_cts(sub, model, rho)
 
 
@@ -279,7 +269,7 @@ class SequentReport(NamedTuple):
 
 
 def _assignment_space(members: list[CtsSubterm], model: ModelConfig,
-                      cap: int) -> tuple[list[str], list[list[CanonElem]]]:
+                      ) -> tuple[list[str], list[list[CanonElem]]]:
     """The members' free non-constant variables, sorted by name, and the
     values each ranges over: its type's carrier up to rank min(bound, 1).
     The space is sized, and CapExceeded raised, before any pool is
@@ -299,11 +289,11 @@ def _assignment_space(members: list[CtsSubterm], model: ModelConfig,
         if rank > 0:
             pool = rank1_count(pool)
         total *= pool
-        if total > cap:
+        if total > MAX_ASSIGNMENTS:
             if pool > MAX_RANK0_ENUM:  # saturated: the exact size is not computed
-                raise CapExceeded(f"assignment space exceeds the cap {cap}: {name} "
-                                  f"alone ranges over more than {MAX_RANK0_ENUM} values")
-            raise CapExceeded(f"assignment space {total} exceeds the cap {cap}")
+                raise CapExceeded(f"assignment space exceeds the cap {MAX_ASSIGNMENTS}: "
+                                  f"{name} alone ranges over more than {MAX_RANK0_ENUM} values")
+            raise CapExceeded(f"assignment space {total} exceeds the cap {MAX_ASSIGNMENTS}")
         chosen.append((name, ty, rank))
     return ([n for n, _, _ in chosen],
             # the rank-1 list covers rank 0 up to ba_equal
@@ -335,7 +325,7 @@ _NO_VARIABLES = itemgetter(slice(0))
 
 
 def _sweep(ante: list[CtsSubterm], succ: list[CtsSubterm],
-           models: Iterable[ModelConfig], cap: int) -> Iterator[tuple]:
+           models: Iterable[ModelConfig]) -> Iterator[tuple]:
     """(model index, names, values, holds) for every value tuple of every
     model's assignment space, lazily, model by model and each model's
     tuples in `itertools.product` order; a model's space is sized
@@ -358,7 +348,7 @@ def _sweep(ante: list[CtsSubterm], succ: list[CtsSubterm],
     n_ante = len(ante)
     verdicts: dict = {}
     for idx, model in enumerate(models):
-        names, pools = _assignment_space(members, model, cap)
+        names, pools = _assignment_space(members, model)
         position = {name: i for i, name in enumerate(names)}
         memos: dict = {}  # member -> projection -> value; a member may recur
         lookups = []
@@ -385,21 +375,19 @@ def _sweep(ante: list[CtsSubterm], succ: list[CtsSubterm],
 
 
 def sequent_verdicts(ante: list[CtsSubterm], succ: list[CtsSubterm],
-                     models: Iterable[ModelConfig],
-                     cap: int = MAX_ASSIGNMENTS) -> Iterator[SequentVerdict]:
+                     models: Iterable[ModelConfig]) -> Iterator[SequentVerdict]:
     """One verdict per model and assignment, lazily, model by model and
     each model's assignments in `itertools.product` order over the pools
     of `_assignment_space`, its names sorted. A model's
     assignment space is sized (CapExceeded) when the stream reaches it.
     Each verdict builds its assignment dict; see `_sweep` for how the
     members are evaluated and the verdicts decided."""
-    for idx, names, values, holds in _sweep(ante, succ, models, cap):
+    for idx, names, values, holds in _sweep(ante, succ, models):
         yield SequentVerdict(idx, dict(zip(names, values)), holds)
 
 
 def sequent_valid(ante: list[CtsSubterm], succ: list[CtsSubterm],
-                  models: Iterable[ModelConfig],
-                  cap: int = MAX_ASSIGNMENTS) -> SequentReport:
+                  models: Iterable[ModelConfig]) -> SequentReport:
     """Validity over a family of models: the `sequent_verdicts` sweep read
     up to its first failing verdict, building no assignment dict but that
     counterexample's. A valid sequent decides every assignment. An invalid
@@ -408,11 +396,11 @@ def sequent_valid(ante: list[CtsSubterm], succ: list[CtsSubterm],
     full sweep does."""
     models = list(models)
     checked = 0
-    for idx, names, values, holds in _sweep(ante, succ, models, cap):
+    for idx, names, values, holds in _sweep(ante, succ, models):
         checked += 1
         if not holds:
             for model in models[idx + 1:]:
-                _assignment_space([*ante, *succ], model, cap)
+                _assignment_space([*ante, *succ], model)
             return SequentReport(checked,
                                  SequentVerdict(idx, dict(zip(names, values)), False))
     return SequentReport(checked)
@@ -448,9 +436,9 @@ class TrialRecord(NamedTuple):
 class HarnessReport:
     __slots__ = ("rule", "records")
 
-    def __init__(self, rule: str, records: Optional[list[TrialRecord]] = None):
+    def __init__(self, rule: str):
         self.rule = rule
-        self.records = [] if records is None else records
+        self.records: list[TrialRecord] = []
 
     @property
     def failures(self) -> list[TrialRecord]:

@@ -30,9 +30,9 @@ from typing import Iterator, NamedTuple, Optional, Union
 from .domains import ModelConfig, enumerate_domain, render_elem, resolve_constant
 from .syntax import (
     BOT, CApp, CConj, CDisj, CNeg, CVar, CtsSubterm, CttError,
-    Interned, OP_NODES, TypeExpr, TypeMismatch, _PARSED, _innermost_redex, _kept, _union,
+    Interned, OP_NODES, TypeExpr, TypeMismatch, _PARSED, _innermost_redex, _kept,
     check_sequent_member, children, cts_signature, parse_sequent_members,
-    render, replace_at, signature_table, subterm_at,
+    render, replace_at, subterm_at,
 )
 
 
@@ -48,12 +48,12 @@ class Sequent(Interned):
         seq.check()
         return seq
 
-    def check(self, members=None) -> None:
+    def check(self) -> None:
         """Raise what `check_sequent_member` raises for the first member
-        that fails it; `members` narrows the check to the members not known
-        to pass. A sequent that passed records it, so it is checked once."""
+        that fails it. A sequent that passed records it, so it is checked
+        once."""
         if not hasattr(self, "_checked"):
-            for m in self.ante | self.succ if members is None else members:
+            for m in self.ante | self.succ:
                 check_sequent_member(m)
             object.__setattr__(self, "_checked", True)
 
@@ -150,7 +150,8 @@ def _named_carrier(model: Optional[ModelConfig], ty: TypeExpr,
     except CttError as ex:
         return str(ex)
     named = {}
-    for name in (*(n for n in model.names if n not in model.constants), *model.constants):
+    consts = [name for name, _ in model.consts]
+    for name in (*(n for n in model.names if n not in consts), *consts):
         named.setdefault(resolve_constant(model, name, ty), name)
     names = []
     for a in atoms:
@@ -650,13 +651,9 @@ def _root(lines: dict[int, tuple], root_id: Optional[int]) -> int:
     return root_id
 
 
-def _read_sequent(text: str) -> tuple[Sequent, Optional[dict]]:
-    """The sequent a conclusion's text reads as, and its names' signatures."""
-    seq = Sequent.make(*parse_sequent_members(text))
-    names: Optional[dict] = {}
-    for m in seq.ante | seq.succ:
-        names = _union(names, signature_table(m))
-    return seq, names
+def _read_sequent(text: str) -> Sequent:
+    """The sequent a conclusion's text reads as."""
+    return Sequent.make(*parse_sequent_members(text))
 
 
 def _tree_sizes(lines: dict[int, tuple]) -> dict[int, int]:
@@ -671,24 +668,21 @@ def _tree_sizes(lines: dict[int, tuple]) -> dict[int, int]:
     return sizes
 
 
-def _read_premise(text: str, seq: Sequent, names: Optional[dict],
-                  expected: Optional[Sequent]) -> tuple[Sequent, Optional[dict]]:
-    """A premise line of `seq` as `_read_sequent` reads it, given `names`,
-    signatures covering the members of `seq`, and the premise `expected`
-    there, if any, taken unparsed when `text` is its rendering. A rendering
-    reads back as the sequent it renders when its members pass
-    `check_sequent_member` and no name has two signatures, so those are
-    checked for the members it adds to `seq`."""
+def _read_premise(text: str, expected: Optional[Sequent]) -> Sequent:
+    """A premise line as `_read_sequent` reads it, given the premise
+    `expected` there, if any, taken unparsed when `text` is its rendering.
+
+    Nothing is left to check: a rendering reads back as the sequent it
+    renders when its members pass `check_sequent_member` and share one
+    signature table, and `expected` comes from a conclusion that was
+    parsed, or taken so itself, whose members do. An introduction adds
+    the member's children, or a bot eigenvariable at the index rank named
+    apart from the sequent; a substitution puts a term of the redex's
+    type and rank, under `squeeze_out`'s side conditions, and
+    `rule_premises` refuses a big operator's squeeze whose carrier names
+    would clash."""
     if expected is not None and text == render_sequent(expected):
-        added = (expected.ante - seq.ante) | (expected.succ - seq.succ)
-        for m in added:
-            names = _union(names, signature_table(m))
-        if names is not None:
-            try:
-                expected.check(added)
-                return expected, names
-            except CttError:
-                pass
+        return expected
     return _read_sequent(text)
 
 
@@ -719,7 +713,7 @@ def check_derivation_file(text: str, model: Optional[ModelConfig] = None,
     try:
         lines, root_id = _node_lines(text)
         root_id = _root(lines, root_id)
-        read = {root_id: _read_sequent(lines[root_id][3])}  # line id -> (sequent, names)
+        read = {root_id: _read_sequent(lines[root_id][3])}  # line id -> sequent
         failure, stack, walked = None, [(root_id, ())], set()
         while stack:
             nid, path = stack.pop()
@@ -727,7 +721,7 @@ def check_derivation_file(text: str, model: Optional[ModelConfig] = None,
                 continue
             walked.add(nid)
             rule, direction, pos, _, premise_ids = lines[nid]
-            seq, names = read[nid]
+            seq = read[nid]
             expected = None
             if direction == "down" or rule not in _SUBST:
                 try:
@@ -740,9 +734,8 @@ def check_derivation_file(text: str, model: Optional[ModelConfig] = None,
             for i, pid in enumerate(premise_ids):
                 known = read.get(pid)
                 if known is None:
-                    known = read[pid] = _read_premise(lines[pid][3], seq, names,
-                                                      expected and expected[i])
-                premises.append(known[0])
+                    known = read[pid] = _read_premise(lines[pid][3], expected and expected[i])
+                premises.append(known)
             if premises != expected:
                 v = check_rule_instance(seq, premises, rule, pos, direction, model)
                 if v is not None:
@@ -753,7 +746,7 @@ def check_derivation_file(text: str, model: Optional[ModelConfig] = None,
         for nid, line in lines.items():
             if nid not in read:
                 read[nid] = _read_sequent(line[3])
-        _kept(tuple(seq for seq, _ in read.values()))
+        _kept(tuple(read.values()))
     except CttError:
         try:
             parse_derivation_file(text)
@@ -761,4 +754,4 @@ def check_derivation_file(text: str, model: Optional[ModelConfig] = None,
             _PARSED.clear()
             _PARSED.extend(window)
         raise
-    return read[root_id][0], _tree_sizes(lines)[root_id], failure
+    return read[root_id], _tree_sizes(lines)[root_id], failure

@@ -182,11 +182,10 @@ def is_canonical_elem(e: CanonElem) -> bool:
             return True
 
 
-def assignments(members: list[CtsSubterm], model: ModelConfig,
-                cap: int = semantics.MAX_ASSIGNMENTS):
+def assignments(members: list[CtsSubterm], model: ModelConfig):
     """Every assignment of the members' free non-constant variables, in the
     order a validity sweep decides them. The space is sized, and
     CapExceeded raised, at the call; the assignments are built one at a
     time as the caller asks."""
-    names, pools = semantics._assignment_space(members, model, cap)
+    names, pools = semantics._assignment_space(members, model)
     return (dict(zip(names, values)) for values in itertools.product(*pools))

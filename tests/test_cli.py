@@ -256,12 +256,14 @@ def test_table_literal_maps_each_key_once(capsys, tmp_path):
 
 
 def test_model_file_declares_each_name_once(capsys, tmp_path):
-    # the later line used to win silently: e of size 3, c = 1
+    # the later line used to win silently: e of size 3, c = 1, rank cap 3
     mdl = tmp_path / "m.model"
     files = {"base e 2\nbase e 3\n":
              "model declares base e twice at line 2, column 6",
              "base e 2\nconst c : bot = 0\n  const   c: bot = 1 # again\n":
-             "model declares constant c twice at line 3, column 11"}
+             "model declares constant c twice at line 3, column 11",
+             "base e 2\nrankcap 1\nrankcap 3\n":
+             "model declares the rank cap twice at line 3, column 9"}
     for text, msg in files.items():
         mdl.write_text(text)
         for argv in (["eval", "--model", str(mdl), "--lang", "cts", "c:bot@0"],

@@ -107,6 +107,80 @@ def test_every_library_definition_is_reached_outside_the_tests():
     assert unreached_definitions() == []
 
 
+# parameters with a default that no call in the program passes, each kept
+# for what it serves
+UNPASSED_DEFAULTS = {
+    # the acceptance criteria run the harness over several models
+    "semantics.py:soundness_harness.model",
+    # check-proof's reference: the line-by-line read checks under a model
+    "sequents.py:check_derivation.model",
+}
+
+
+def defaulted_parameters(tree):
+    """(qualified name, name a call uses, parameter, index) for each
+    parameter with a default of a top-level function or of a method of a
+    top-level class. A class is called for its `__init__` or `__new__`;
+    the index counts the positional arguments a call writes, so a method
+    does not count its first parameter unless it is static, and it is None
+    for a keyword-only parameter."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            functions = [(node.name, node.name, node, 0)]
+        elif isinstance(node, ast.ClassDef):
+            functions = [(f"{node.name}.{f.name}",
+                          node.name if f.name in ("__init__", "__new__") else f.name, f,
+                          0 if any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                   for d in f.decorator_list) else 1)
+                         for f in node.body if isinstance(f, ast.FunctionDef)]
+        else:
+            continue
+        for qualified, called, f, bound in functions:
+            positional = f.args.posonlyargs + f.args.args
+            first = len(positional) - len(f.args.defaults)
+            found += [(qualified, called, positional[i].arg, i - bound)
+                      for i in range(first, len(positional))]
+            found += [(qualified, called, arg.arg, None)
+                      for arg, default in zip(f.args.kwonlyargs, f.args.kw_defaults)
+                      if default is not None]
+    return found
+
+
+def passes(call, parameter, index):
+    """Whether `call` may pass `parameter`: by keyword or `**`, or by
+    position, a `*` argument counting for every position from its own."""
+    if any(kw.arg in (None, parameter) for kw in call.keywords):
+        return True
+    if index is None:
+        return False
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return index >= i
+    return index < len(call.args)
+
+
+def unpassed_defaults():
+    calls = collections.defaultdict(list)  # the name a call uses -> calls
+    for path in program_files():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                if isinstance(node.func, ast.Name):
+                    calls[node.func.id].append(node)
+                elif isinstance(node.func, ast.Attribute):
+                    calls[node.func.attr].append(node)
+    return [f"{path.name}:{qualified}.{parameter}"
+            for path, tree in library_modules()
+            for qualified, called, parameter, index in defaulted_parameters(tree)
+            if not any(passes(call, parameter, index) for call in calls[called])]
+
+
+def test_every_default_is_passed_by_some_call_of_the_program():
+    # an option that only tests set is code that only tests reach
+    assert sorted(set(unpassed_defaults()) - UNPASSED_DEFAULTS) == []
+    assert sorted(UNPASSED_DEFAULTS - set(unpassed_defaults())) == []
+
+
 def test_every_import_is_read_in_its_module():
     assert unread_imports() == []
 

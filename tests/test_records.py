@@ -92,4 +92,4 @@ def test_list_owning_records_never_share_their_list():
     first, second = HarnessReport("beta"), HarnessReport(rule="beta")
     first.records.append(TrialRecord("beta", 0, 0, "pass"))
     assert (first.rule, first.passes, second.records) == ("beta", 1, [])
-    assert HarnessReport("beta", records=[]).failures == []
+    assert second.failures == []

@@ -20,14 +20,14 @@ from ctt.semantics import (
     canonicalize_cts, check_equation, cts_harness_model,
     cts_rule_harness, eval_cts, eval_slm,
     mu_exhaustive_cases, sequent_semantics, sequent_valid, sequent_verdicts,
-    soundness_harness, standard_model_family, symbolic_assignment, table_stats,
+    soundness_harness, standard_model_family, table_stats,
     _lookup,
 )
 from ctt.sequents import INTRO_RULES, SUBST_RULES
 from ctt.syntax import (
     App, Arrow, BOT, Base, CApp, CBigConj, CBigDisj, CConj, CDisj, CNeg, CVar,
-    CttError, Lam, Mu, TypeMismatch, Var, parse_cts, parse_sequent_members,
-    parse_slm, render,
+    CttError, Lam, Mu, TypeMismatch, Var, cts_signature, parse_cts,
+    parse_sequent_members, parse_slm, render,
 )
 
 import corpus
@@ -157,7 +157,9 @@ def test_scope_readings_evaluate_codenotationally():
 
 def test_canonical_output_equals_molecular_input_on_corpus(m22):
     for sub, _ in corpus.bracketed_examples():
-        molecular = eval_cts(sub, m22, symbolic_assignment([sub], m22))
+        # a symbolic atom for each free variable, none naming a constant
+        symbolic = {name: Individual(ty, name) for name, (ty, _) in cts_signature(sub).items()}
+        molecular = eval_cts(sub, m22, symbolic)
         again = canonicalize_cts(sub, m22)
         assert ba_equal(molecular, again)
 
@@ -239,11 +241,12 @@ def test_sequent_rank_jump_invalid(m22):
     assert not sequent_valid(ante, succ, [m22]).valid
 
 
-def test_assignment_cap(m22):
+def test_assignment_cap(m22, monkeypatch):
+    monkeypatch.setattr(semantics, "MAX_ASSIGNMENTS", 1000)
     members, _ = parse_sequent_members(
         "x:bot@1, y:bot@1, z:bot@1, v:bot@1 |- x")
-    with pytest.raises(CapExceeded):
-        corpus.assignments(members, m22, cap=1000)
+    with pytest.raises(CapExceeded, match="exceeds the cap 1000"):
+        corpus.assignments(members, m22)
 
 
 _CARRIER_TYPES = st.recursive(
@@ -306,40 +309,40 @@ def reference_decision(ante, succ, model, rho):
     return ba_leq(lhs, rhs)
 
 
-def iter_reference_verdicts(ante, succ, models, cap=MAX_ASSIGNMENTS):
+def iter_reference_verdicts(ante, succ, models):
     """The per-assignment sweep the memoized one replaced, as
     (model_index, assignment, holds) triples, one model after another."""
     for idx, model in enumerate(models):
-        for rho in corpus.assignments(list(ante) + list(succ), model, cap):
+        for rho in corpus.assignments(list(ante) + list(succ), model):
             yield idx, rho, reference_decision(ante, succ, model, rho)
 
 
-def reference_sequent_verdicts(ante, succ, models, cap=MAX_ASSIGNMENTS):
-    return list(iter_reference_verdicts(ante, succ, models, cap))
+def reference_sequent_verdicts(ante, succ, models):
+    return list(iter_reference_verdicts(ante, succ, models))
 
 
-def verdict_triples(ante, succ, models, cap=MAX_ASSIGNMENTS):
+def verdict_triples(ante, succ, models):
     return [(v.model_index, v.assignment, v.holds)
-            for v in sequent_verdicts(ante, succ, models, cap)]
+            for v in sequent_verdicts(ante, succ, models)]
 
 
-def reference_answer(ante, succ, models, cap=MAX_ASSIGNMENTS):
+def reference_answer(ante, succ, models):
     """What the reference sweep implies for `sequent_valid`: None when every
     verdict holds, else the first failing (model_index, assignment) and the
     number of verdicts up to it. After that failure only the later models'
     assignment spaces are sized; what sizing raises is raised."""
     checked = 0
-    for idx, rho, holds in iter_reference_verdicts(ante, succ, models, cap):
+    for idx, rho, holds in iter_reference_verdicts(ante, succ, models):
         checked += 1
         if not holds:
             for model in models[idx + 1:]:
-                corpus.assignments(list(ante) + list(succ), model, cap)
+                corpus.assignments(list(ante) + list(succ), model)
             return (idx, rho), checked
     return None, checked
 
 
-def valid_answer(ante, succ, models, cap=MAX_ASSIGNMENTS):
-    report = sequent_valid(ante, succ, models, cap)
+def valid_answer(ante, succ, models):
+    report = sequent_valid(ante, succ, models)
     ce = report.failure
     assert report.valid == (ce is None)
     return (None if ce is None else (ce.model_index, ce.assignment)), report.checked
@@ -437,7 +440,7 @@ def test_sequent_valid_answers_what_the_reference_implies(seed, rule, n_ante, n_
         assert_answer_agrees(ante, succ, models)
 
 
-def test_sweep_raises_what_the_reference_raises(m22):
+def test_sweep_raises_what_the_reference_raises(m22, monkeypatch):
     # a model constant above the variable's rank bound
     model = ModelConfig(base_sizes={"e": 2}, constants={"c": make_neg(1, FALSE)})
     low = [CVar("c", BOT, 0)]
@@ -450,12 +453,13 @@ def test_sweep_raises_what_the_reference_raises(m22):
         with pytest.raises(UnassignedVariable):
             decide(ante, succ, m22, {"A": TRUE})
     # an assignment space over the cap, refused before any enumeration
+    monkeypatch.setattr(semantics, "MAX_ASSIGNMENTS", 1000)
     members, _ = parse_sequent_members("x:bot@1, y:bot@1, z:bot@1, v:bot@1 |- x")
     with pytest.raises(CapExceeded):
-        corpus.assignments(members, m22, 1000)  # at the call, before any next()
+        corpus.assignments(members, m22)  # at the call, before any next()
     for check in (sequent_valid, verdict_triples, reference_sequent_verdicts):
         with pytest.raises(CapExceeded):
-            check(members, [], [m22], 1000)
+            check(members, [], [m22])
 
 
 def test_sweep_evaluates_a_member_once_per_value_of_its_own_variables(m22, monkeypatch):
@@ -557,20 +561,17 @@ def test_eval_table_keys_on_the_constants_as_well_as_the_base_sizes():
 def test_a_model_cannot_be_assigned():
     tables = enumerate_domain(ModelConfig(base_sizes={"e": 2}), Arrow(E, BOT), 0)
     model = ModelConfig(base_sizes={"e": 2}, constants={"k0": tables[1]})
-    for attr in ("base_sizes", "rank_cap", "constants", "names", "sizes", "consts"):
+    for attr in ("rank_cap", "names", "sizes", "consts"):
         with pytest.raises(AttributeError):
             setattr(model, attr, getattr(model, attr))
         with pytest.raises(AttributeError):
             delattr(model, attr)
     with pytest.raises(TypeError):
-        model.base_sizes["e"] = 3
-    with pytest.raises(TypeError):
-        model.constants["k0"] = tables[2]
-    with pytest.raises(TypeError):
         model.names["k0"] = (tables[2],)
     with pytest.raises(TypeError):
-        del model.constants["k0"]
-    assert model.base_sizes == {"e": 2} and model.constants == {"k0": tables[1]}
+        del model.names["k0"]
+    assert model.sizes == (("e", 2),) and model.consts == (("k0", tables[1]),)
+    assert model.names["k0"] == (tables[1],)
 
 
 def test_equal_models_are_one_object_with_one_eval_table_part(monkeypatch):

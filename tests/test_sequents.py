@@ -17,7 +17,7 @@ from ctt.domains import (
 )
 from ctt.rewrite import NormalStatus, normalize
 from ctt.semantics import (
-    MAX_ASSIGNMENTS, _assignment_space, cts_harness_model, eval_cts, sequent_valid,
+    _assignment_space, cts_harness_model, eval_cts, sequent_valid,
     standard_model_family,
 )
 from ctt.sequents import (
@@ -143,8 +143,9 @@ def test_big_substitution_functor_side_needs_named_tables():
 
 def reference_named_carrier(model, ty):
     """`sequents._named_carrier` as it was before it read the model's name
-    table, verbatim: a branch per element class, and the constants
-    reversed, so the last constant declared with a table names it."""
+    table, verbatim but for reading the constants as pairs: a branch per
+    element class, and the constants reversed, so the last constant
+    declared with a table names it."""
     if model is None:
         return "big-operator substitution needs a model"
     try:
@@ -152,7 +153,7 @@ def reference_named_carrier(model, ty):
     except CttError as ex:
         return str(ex)
     names = []
-    reverse = {v: n for n, v in model.constants.items()}
+    reverse = {v: n for n, v in model.consts}
     for a in atoms:
         if isinstance(a, Individual):
             names.append(CVar(a.name, ty, 0))
@@ -729,7 +730,7 @@ def test_prove_agrees_with_the_validity_sweep_on_generated_goals():
         members = [*goal.ante, *goal.succ]
         try:
             for model in family:
-                _assignment_space(members, model, MAX_ASSIGNMENTS)
+                _assignment_space(members, model)
         except CapExceeded:
             outcomes["over"] += 1
             continue
@@ -1177,6 +1178,50 @@ def test_a_squeeze_that_puts_a_name_at_two_signatures_is_refused():
         d = prove(goal, depth=10, model=model)
         text = render_derivation_file(d)
         assert check_derivation_file(text, model) == (goal, len(list(d.nodes())), None)
+
+
+def positions(s):
+    """None, then every position in `s`: each member of each side, and
+    each path inside it."""
+    out = [None]
+    for side in "LR":
+        for i, member in enumerate(s.side(side)):
+            todo = [(member, ())]
+            while todo:
+                t, path = todo.pop()
+                out.append(Pos(side, i, path))
+                todo += ((c, path + (j,)) for j, c in enumerate(children(t)))
+    return out
+
+
+def test_every_premise_the_schema_gives_reads_back_as_itself():
+    # the derivation reader takes an expected premise unparsed when a line
+    # is its rendering, and checks nothing of it: every premise
+    # `rule_premises` gives has members that pass `check_sequent_member`
+    # and share one signature table, so its rendering reads back as it
+    rng = random.Random(43)
+    goals = random_goals() + rng.sample(generated_goals(400), 60) + [seq(CLASH_GOAL)]
+    seen = 0
+    for goal in goals:
+        for model in (None, cts_harness_model()):
+            for pos in positions(goal):
+                for rule in ALL_RULES:
+                    premises = rule_premises(goal, rule, pos, model)
+                    if isinstance(premises, Violation):
+                        continue
+                    for premise in premises:
+                        premise.check()
+                        names = {}
+                        for m in premise.ante | premise.succ:
+                            table = signature_table(m)
+                            assert table is not None, render_sequent(premise)
+                            for name, sig in table.items():
+                                assert names.setdefault(name, sig) == sig, \
+                                    render_sequent(premise)
+                        text = render_sequent(premise)
+                        assert Sequent.make(*parse_sequent_members(text)) is premise
+                        seen += 1
+    assert seen > 1000
 
 
 def test_top_down_read_counts_shared_lines_and_reads_unreachable_ones():
