@@ -1016,12 +1016,13 @@ class _ElemParser:
     def __init__(self, text: str, model: ModelConfig):
         self.c = _Cursor(text)
         self.model = model
+        self.depth = 0  # nesting, failing past MAX_NESTING before recursion does
 
     def elem(self, hint: Optional[TypeExpr]) -> CanonElem:
         c = self.c
         t = c.toks[c.i]
-        c.depth += 1
-        if c.depth > MAX_NESTING:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
             c.fail(_TOO_DEEP)
         try:
             if t in ("0", "1"):
@@ -1082,7 +1083,7 @@ class _ElemParser:
                 return hit
             c.fail("expected an element literal")
         finally:
-            c.depth -= 1
+            self.depth -= 1
 
 
 def _check_table_total(table: FnTable, model: ModelConfig):

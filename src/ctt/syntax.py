@@ -8,10 +8,11 @@ Three term languages share one tokenizer:
             | All[k](x:TY@m) | Ex[k](x:TY@m)
 
 Variables carry their type (and rank, in the ranked language) at binding or
-first use; later occurrences may be bare and must be consistent. One
-parser, `_TermParser`, reads both term languages: they share the
-application chain and the variable production, and each keeps its head
-production (binders, or operators).
+first use; later occurrences may be bare and must be consistent.
+`_parse_term` reads both term languages: they share the application
+chain and the variable production, and each keeps its head production
+(binders, or operators). It and `_parse_type` are loops over an explicit
+stack that look nodes up in the intern table by key.
 """
 
 from __future__ import annotations
@@ -141,12 +142,17 @@ class Arrow(Interned):
     __match_args__ = ("dom", "cod")
     __slots__ = (*__match_args__, "text")
 
-    def _build(self):
-        # rendered once, from the children's texts, so printing a deeply
-        # nested type never recurses
-        object.__setattr__(self, "text", f"({self.dom} -> {self.cod})")
-
     def __str__(self):
+        # rendered once asked, bottom-up with an explicit stack, so printing
+        # a deep type never recurses and building one stores no text
+        todo = [self]
+        while not hasattr(self, "text"):
+            t = todo[-1]
+            below = [c for c in (t.dom, t.cod) if type(c) is Arrow and not hasattr(c, "text")]
+            if below:
+                todo += below
+            else:
+                object.__setattr__(todo.pop(), "text", f"({t.dom} -> {t.cod})")
         return self.text
 
 
@@ -714,17 +720,18 @@ def _signature_walk(sub: CtsSubterm) -> dict[str, tuple[TypeExpr, int]]:
 # One match per token: whitespace and comments are skipped, then the token
 # is read into the one group. A comment runs from `#` to the end of the
 # line, except that in lambda-mu text a `#` glued to an identifier is the mu
-# sigil (`#x:...`), read as a token. `.` reads a character no token starts
-# with; the empty alternative matches at the end of the text and reads "",
-# which stands for the end of input.
+# sigil (`#x:...`), read as a token. The token alternatives start with
+# distinct characters, so the commonest are tried first. `.` reads a
+# character no token starts with; the empty alternative matches at the end
+# of the text and reads "", which stands for the end of input.
 _SKIP = r"(?:\s|\#[^\n]*)*"
 _SKIP_MU = r"(?:\s|\#(?![A-Za-z_])[^\n]*)*"
 _TOKEN = r"""(
-      ->
-    | \|-
+      [()\[\]{}.,:;@~\\\#=]
     | [A-Za-z_][A-Za-z0-9_']*
+    | ->
+    | \|-
     | [0-9]+
-    | [()\[\]{}.,:;@~\\\#=]
     | .
     | \Z
 )"""
@@ -736,11 +743,11 @@ _ONE_CHAR_TOKENS = _NAME_START | frozenset("0123456789()[]{}.,:;@~\\#=")
 
 RESERVED = {"bot", "and", "or", "neg", "All", "Ex", "table"}
 
-# Deepest nesting of recursive parser productions, and of the tree an
-# application chain builds. The passes that later walk the tree (rewriting,
-# evaluation) recurse about as deep, so inputs within
-# the budget stay inside the interpreter's default recursion limit; a
-# 400-step identity chain still parses.
+# Deepest nesting of grammar productions, and of the tree an application
+# chain builds. The type and term parsers read any depth; the cap keeps
+# the passes that still recurse (evaluation, canonical keys, element
+# literals) within the default recursion limit. A 400-step identity chain
+# parses.
 MAX_NESTING = 450
 _TOO_DEEP = f"input nests deeper than {MAX_NESTING} levels"
 
@@ -774,21 +781,22 @@ def _is_name(tok: str) -> bool:
 
 class _Cursor:
     """The token list of `text` and the index of the next token. Parsers
-    read `toks[i]` and advance `i` themselves, and count their nesting in
-    `depth`, failing past MAX_NESTING before the interpreter stack runs out
-    in the parser or in any later recursive pass over the tree."""
+    read `toks[i]` and advance `i` themselves."""
 
     def __init__(self, text: str, mu_sigil: bool = False):
         self.toks = tokenize(text, mu_sigil)
         self.text = text
         self.mu_sigil = mu_sigil
         self.i = 0
-        self.depth = 0
 
     def expect(self, tok: str):
-        if self.toks[self.i] != tok:
-            self.fail(f"expected {tok!r}, found {self.toks[self.i] or 'end of input'!r}")
-        self.i += 1
+        self.i = self.want(tok, self.i)
+
+    def want(self, tok: str, at: int) -> int:
+        """The index after token `at`, which must be `tok`."""
+        if self.toks[at] != tok:
+            self.fail(f"expected {tok!r}, found {self.toks[at] or 'end of input'!r}", at)
+        return at + 1
 
     def items(self, close: str, read) -> list:
         """What `read()` returns for each item of a comma-separated list,
@@ -831,43 +839,54 @@ def _kept(result):
 # ---------------------------------------------------------------------------
 # type parser
 
-def _parse_type_atom(c: _Cursor) -> TypeExpr:
-    c.depth += 1
-    if c.depth > MAX_NESTING:
-        c.fail(_TOO_DEEP)
-    try:
-        t = c.toks[c.i]
-        if t == "bot":
-            c.i += 1
-            return BOT
+# Frames of the type loop, besides an arrow's domain: `~` and `(`, and a
+# type waiting for its first atom, after which it reads `->` or ends.
+_NEG, _PAREN, _TYPE = "~", "(", "->"
+
+
+def _parse_type(c: _Cursor, depth: int = 0, atom: bool = False) -> TypeExpr:
+    """The type, or with `atom` the type atom, at the next token of `c`,
+    by nonrecursive predictive parsing (Aho, Lam, Sethi & Ullman, 2006,
+    4.4.4): read an atom, opening a frame per production it starts, then
+    hand the type to the frames waiting for it. An atom nests one level
+    below its frames and `depth`. A node is looked up by key in the intern
+    table and built only when none is alive (an interned value is true)."""
+    toks, i, get = c.toks, c.i, _INTERNED.get
+    stack: list = [] if atom else [_TYPE]
+    while True:
+        if depth + len(stack) >= MAX_NESTING:
+            c.fail(_TOO_DEEP, i)
+        t = toks[i]
+        i += 1
         if t == "~":
-            c.i += 1
-            return neg_type(_parse_type_atom(c))
+            stack.append(_NEG)
+            continue
         if t == "(":
-            c.i += 1
-            ty = _parse_type(c)
-            c.expect(")")
+            stack += _PAREN, _TYPE
+            continue
+        if t == "bot":
+            ty = BOT
+        elif t[:1] in _NAME_START and t not in RESERVED:
+            ref = get((Base, t))
+            ty = ref and ref() or Base(t)
+        else:
+            c.fail("expected a type", i - 1)
+        while stack:
+            f = stack.pop()
+            if f is _TYPE:
+                if toks[i] == "->":
+                    stack += ty, _TYPE
+                    i += 1
+                    break
+            elif f is _PAREN:
+                i = c.want(")", i)
+            else:
+                key = (Arrow, ty, BOT) if f is _NEG else (Arrow, f, ty)
+                ref = get(key)
+                ty = ref and ref() or Arrow(*key[1:])
+        else:
+            c.i = i
             return ty
-        if _is_name(t) and t not in RESERVED:
-            c.i += 1
-            return Base(t)
-        c.fail("expected a type")
-    finally:
-        c.depth -= 1
-
-
-def _parse_type(c: _Cursor) -> TypeExpr:
-    c.depth += 1
-    if c.depth > MAX_NESTING:
-        c.fail(_TOO_DEEP)
-    try:
-        left = _parse_type_atom(c)
-        if c.toks[c.i] == "->":
-            c.i += 1
-            return Arrow(left, _parse_type(c))
-        return left
-    finally:
-        c.depth -= 1
 
 
 def parse_type(text: str) -> TypeExpr:
@@ -880,138 +899,156 @@ def parse_type(text: str) -> TypeExpr:
 # ---------------------------------------------------------------------------
 # term parser, for lambda-mu terms and ranked subterms
 
-class _TermParser:
-    """Recursive descent over lambda-mu terms (`slm`) or ranked subterms.
-    `term` writes the productions both share once: the nesting guard, the
-    application chain `(P Q R)` and the variable. A variable's signature is
-    the tuple of fields its node class takes after the name, `(ty,)` or
-    `(ty, rank)`: the one in `bound`, else its annotation's, which must
-    agree with `known`, else the one in `known`, else `default`. Each
-    language keeps its own head production: `binder` or `operator`."""
+# Frames of the term loop: [_GROUP, functor or None, its height] for
+# `(P Q ...)`; (Lam or Mu, name, type, the name's outer signature or
+# None); and (CNeg, k) or [CConj or CDisj, k, left child or None, height].
+_GROUP = "("
 
-    def __init__(self, c: _Cursor, slm: bool, known: dict[str, tuple],
-                 default: Optional[tuple]):
-        self.c = c
-        self.slm = slm
-        self.known = known
-        self.default = default
-        self.var, self.app = (Var, App) if slm else (CVar, CApp)
-        # besides identifiers, 0 and 1 name the truth values in ranked text
-        self.numerals = () if slm else ("0", "1")
 
-    def term(self, bound: dict[str, tuple]):
-        """One term. Its height, in term levels, is left in `self.height`:
-        a leaf's 1, set first, or one more than its highest child's."""
-        c = self.c
-        c.depth += 1
-        if c.depth > MAX_NESTING:
-            c.fail(_TOO_DEEP)
-        try:
-            t = c.toks[c.i]
-            self.height = 1
+def _parse_term(c: _Cursor, slm: bool, known: dict[str, tuple],
+                default: Optional[tuple]):
+    """The lambda-mu term (`slm`) or ranked subterm at the next token of
+    `c`, by one loop as in `_parse_type`: a head is a variable or opens a
+    frame, and each node goes to the frames waiting for it.
+
+    A variable's signature, `(ty,)` or `(ty, rank)`, is its binder's, else
+    its annotation's, which must agree with `known`, else the one in
+    `known`, else `default`. A production nests one level below its
+    frames; an application chain spends its level plus its functor's
+    height in term levels. A node is looked up by key, `(class, *fields)`,
+    and its class, which checks it and fills its slots, is called only when
+    none is alive: a text parsed again while its nodes live builds none."""
+    toks, i, get = c.toks, c.i, _INTERNED.get
+    var, app = (Var, App) if slm else (CVar, CApp)
+    numerals = () if slm else ("0", "1")  # ranked names of the truth values
+    bound: dict[str, tuple] = {}
+    stack: list = []
+    key = None  # the node to hand up, by key; None to read a head
+    while True:
+        if key is None:
+            if len(stack) >= MAX_NESTING:
+                c.fail(_TOO_DEEP, i)
+            t = toks[i]
+            i += 1
             if t == "(":
-                c.i += 1
-                out = self.term(bound)
-                height = self.height
-                while c.toks[c.i] != ")":  # (P) groups, (P Q R) left-folds
-                    # the functor `out` goes one level down per argument
-                    if c.depth + height > MAX_NESTING:
-                        c.fail(_TOO_DEEP)
-                    out = self.app(out, self.term(bound))
-                    height = 1 + max(height, self.height)
-                c.i += 1
-                self.height = height
-                return out
-            if t[:1] in _NAME_START and t not in RESERVED or t in self.numerals:
-                c.i += 1
+                stack.append([_GROUP, None, 0])
+                continue
+            height = 1
+            if t[:1] in _NAME_START and t not in RESERVED or t in numerals:
                 if t in bound:
                     sig = bound[t]
-                elif c.toks[c.i] == ":":
-                    c.i += 1
-                    sig = self.annotation()
-                    if self.known.setdefault(t, sig) != sig:
-                        c.fail(f"{t} already annotated as {_show(self.known[t])}")
-                elif t in self.known:
-                    sig = self.known[t]
-                elif self.default is not None:
-                    sig = self.known[t] = self.default
+                elif toks[i] == ":":
+                    c.i = i + 1
+                    sig = (_parse_type(c, len(stack) + 1, True),)
+                    i = c.i
+                    if not slm:
+                        sig += (_rank(c, c.want("@", i)),)
+                        i += 2
+                    if known.setdefault(t, sig) != sig:
+                        c.fail(f"{t} already annotated as {_show(known[t])}", i)
+                elif t in known:
+                    sig = known[t]
+                elif default is not None:
+                    sig = known[t] = default
                 else:
-                    c.fail(f"free variable {t} needs a type annotation" if self.slm
-                           else f"variable {t} needs a `:type@rank` annotation")
-                return self.var(t, *sig)
-            return self.binder(t, bound) if self.slm else self.operator(t, bound)
-        finally:
-            c.depth -= 1
-
-    def annotation(self) -> tuple:
-        """A variable's annotation after its colon: `TY`, or `TY@m` in
-        ranked text, as its signature."""
-        ty = _parse_type_atom(self.c)
-        if self.slm:
-            return (ty,)
-        self.c.expect("@")
-        return ty, self.rank()
-
-    def rank(self) -> int:
-        c = self.c
-        t = c.toks[c.i]
-        if not t.isdigit():
-            c.fail("expected a rank (natural number)")
-        c.i += 1
-        return int(t)
-
-    def name(self, what: str) -> str:
-        """A binder's or index's name: an identifier, not a reserved word."""
-        c = self.c
-        t = c.toks[c.i]
-        if not _is_name(t) or t in RESERVED:
-            c.fail(f"expected {what}")
-        c.i += 1
-        return t
-
-    def binder(self, t: str, bound: dict[str, tuple]) -> SlmTerm:
-        """`\\x:TY. P` or `#x:~TY. P`, from its first token `t`."""
-        c = self.c
-        if t != "\\" and t != "#":
-            c.fail("expected a term")
-        c.i += 1
-        name = self.name("an identifier")
-        c.expect(":")
-        bty = _parse_type_atom(c)
-        if t == "#" and not is_neg_type(bty):
-            c.fail(f"mu binder must have a negation type, got {bty}")
-        c.expect(".")
-        body = self.term({**bound, name: (bty,)})
-        self.height += 1
-        return Mu(name, bty, body) if t == "#" else Lam(name, bty, body)
-
-    def operator(self, t: str, bound: dict[str, tuple]) -> CtsSubterm:
-        """`neg[k](P)`, `and[k](P,Q)`, `or[k](P,Q)`, `All[k](x:TY@m)` or
-        `Ex[k](x:TY@m)`, from its first token `t`."""
-        c = self.c
-        op = t.lower()  # All and Ex are capitalized
-        if t not in RESERVED or op not in OP_NODES:
-            c.fail("expected a subterm")
-        c.i += 1
-        c.expect("[")
-        k = self.rank()
-        c.expect("]")
-        c.expect("(")
-        if op == "neg":
-            out = CNeg(k, self.term(bound))
-            self.height += 1
-        elif op == "and" or op == "or":
-            left = self.term(bound)
-            height = self.height
-            c.expect(",")
-            out = OP_NODES[op](k, left, self.term(bound))
-            self.height = 1 + max(height, self.height)
+                    c.fail(f"free variable {t} needs a type annotation" if slm
+                           else f"variable {t} needs a `:type@rank` annotation", i)
+                key = (var, t, *sig)
+            elif slm:
+                if t != "\\" and t != "#":
+                    c.fail("expected a term", i - 1)
+                name = toks[i]
+                if name[:1] not in _NAME_START or name in RESERVED:
+                    c.fail("expected an identifier", i)
+                i = c.want(":", i + 1)
+                ty = toks[i]  # a base name is read here
+                if ty[:1] in _NAME_START and ty not in RESERVED and len(stack) < MAX_NESTING - 1:
+                    ref = get((Base, ty))
+                    ty = ref and ref() or Base(ty)
+                    i += 1
+                else:
+                    c.i = i
+                    ty = _parse_type(c, len(stack) + 1, True)
+                    i = c.i
+                if t == "#" and not is_neg_type(ty):
+                    c.fail(f"mu binder must have a negation type, got {ty}", i)
+                i = c.want(".", i)
+                stack.append((Mu if t == "#" else Lam, name, ty, bound.get(name)))
+                bound[name] = (ty,)
+                continue
+            else:
+                cls = OP_NODES.get(t.lower()) if t in RESERVED else None
+                if cls is None:
+                    c.fail("expected a subterm", i - 1)
+                k = _rank(c, c.want("[", i))
+                i = c.want("(", c.want("]", i + 2))
+                if cls is CNeg:
+                    stack.append((CNeg, k))
+                    continue
+                if cls is not CBigConj and cls is not CBigDisj:
+                    stack.append([cls, k, None, 0])
+                    continue
+                name = toks[i]
+                if name[:1] not in _NAME_START or name in RESERVED:
+                    c.fail("expected a variable", i)
+                c.i = c.want(":", i + 1)
+                ty = _parse_type(c, len(stack) + 1, True)
+                i = c.want("@", c.i)
+                key = (cls, k, name, ty, _rank(c, i))
+                i = c.want(")", i + 1)
+        ref = get(key)
+        node = ref and ref() or key[0](*key[1:])
+        key = None
+        while stack:  # hand `node`, `height` levels tall, to its frames
+            f = stack[-1]
+            kind = f[0]
+            if kind is _GROUP:
+                if f[1] is not None:  # apply the functor, which then comes back
+                    key = (app, f[1], node)
+                    height = 1 + max(f[2], height)
+                    f[1] = None
+                    break
+                if toks[i] != ")":  # (P) groups, (P Q R) left-folds
+                    if len(stack) + height > MAX_NESTING:
+                        c.fail(_TOO_DEEP, i)
+                    f[1], f[2] = node, height
+                    break
+                i += 1
+                stack.pop()
+            elif kind is CNeg or kind is Lam or kind is Mu:  # one child
+                stack.pop()
+                if kind is CNeg:
+                    i = c.want(")", i)
+                    key = (CNeg, f[1], node)
+                else:
+                    _, name, ty, outside = f
+                    if outside is None:
+                        del bound[name]
+                    else:
+                        bound[name] = outside
+                    key = (kind, name, ty, node)
+                height += 1
+                break
+            elif f[2] is None:
+                i = c.want(",", i)
+                f[2], f[3] = node, height
+                break
+            else:
+                stack.pop()
+                i = c.want(")", i)
+                key = (kind, f[1], f[2], node)
+                height = 1 + max(f[3], height)
+                break
         else:
-            name = self.name("a variable")
-            c.expect(":")
-            out = OP_NODES[op](k, name, *self.annotation())
-        c.expect(")")
-        return out
+            c.i = i
+            return node
+
+
+def _rank(c: _Cursor, at: int) -> int:
+    """The natural number at token `at`."""
+    if not c.toks[at].isdigit():
+        c.fail("expected a rank (natural number)", at)
+    return int(c.toks[at])
 
 
 def _show(sig: tuple) -> str:
@@ -1020,8 +1057,7 @@ def _show(sig: tuple) -> str:
 
 
 def _parse_slm_once(c: _Cursor, default_ty: Optional[TypeExpr]) -> SlmTerm:
-    p = _TermParser(c, True, {}, None if default_ty is None else (default_ty,))
-    term = p.term({})
+    term = _parse_term(c, True, {}, None if default_ty is None else (default_ty,))
     c.end("term")
     term.ty  # raises the first type fault, with its path
     return _kept(term)
@@ -1040,7 +1076,7 @@ def parse_slm(text: str) -> SlmTerm:
     try:
         return _parse_slm_once(c, None)
     except CttError as original:
-        c.i = c.depth = 0
+        c.i = 0
         try:
             prefix_ty = _parse_type(c)
             c.expect(":")
@@ -1063,7 +1099,7 @@ def _reach(error: CttError, text: str) -> int:
 def parse_cts(text: str, sig: Optional[dict[str, tuple[TypeExpr, int]]] = None) -> CtsSubterm:
     """Parse a ranked subterm and check every rank side condition."""
     c = _Cursor(text)
-    sub = _TermParser(c, False, dict(sig or {}), None).term({})
+    sub = _parse_term(c, False, dict(sig or {}), None)
     c.end("subterm")
     rank_check(sub)
     return _kept(sub)
@@ -1074,15 +1110,15 @@ def parse_sequent_members(text: str, sig: Optional[dict[str, tuple[TypeExpr, int
     """Parse `A, B |- C, D`. Bare unannotated variables default to bot@0.
     Either side may be empty; a comma is always followed by a member."""
     c = _Cursor(text)
-    p = _TermParser(c, False, dict(sig or {}), (BOT, 0))
+    known = dict(sig or {})
 
     def side(stop: str) -> list[CtsSubterm]:
         if c.toks[c.i] in (stop, ""):
             return []
-        members = [p.term({})]
+        members = [_parse_term(c, False, known, (BOT, 0))]
         while c.toks[c.i] == ",":
             c.i += 1
-            members.append(p.term({}))
+            members.append(_parse_term(c, False, known, (BOT, 0)))
         return members
 
     ante = side("|-")

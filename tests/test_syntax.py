@@ -948,6 +948,125 @@ def test_comment_before_prefix_colon(capsys):
         capsys.readouterr()
 
 
+# --- nesting: the cap, and depths past it ------------------------------------
+
+# Each production kind as a text whose deepest production is nested `n`
+# levels deep, as the recursive grammar counts: a production one level
+# below the one it is read in, a type atom one below the annotation or
+# type that reads it, and an application chain spending its level plus
+# its functor's height. The parser named reads the kind.
+NESTED_TEXTS = {
+    "group": ("parse_slm", lambda n: "(" * (n - 2) + "x:e" + ")" * (n - 2)),
+    "ranked group": ("parse_cts", lambda n: "(" * (n - 2) + "A:bot@0" + ")" * (n - 2)),
+    "chain": ("parse_slm", lambda n: "(x:e" + " x" * (n - 1) + ")"),
+    "ranked chain": ("parse_cts", lambda n: "(p:e@0" + " p" * (n - 1) + ")"),
+    # README's deep functor with many arguments
+    "deep functor": ("parse_slm",
+                     lambda n: "((" + "\\y:e. " * 200 + "y) x:e" + " x" * (n - 202) + ")"),
+    "lambda": ("parse_slm", lambda n: "\\x:e. " * (n - 1) + "x"),
+    "mu": ("parse_slm", lambda n: "#k:~bot. " * (n - 3) + "(k z:bot)"),
+    "neg": ("parse_cts", lambda n: "neg[1](" * (n - 2) + "A:bot@0" + ")" * (n - 2)),
+    "and": ("parse_cts", lambda n: "and[1](A:bot@0," * (n - 2) + "A" + ")" * (n - 2)),
+    "or": ("parse_sequent_members",
+           lambda n: "|- " + "or[1](" * (n - 2) + "A:bot@0" + ",A)" * (n - 2)),
+    "All index type": ("parse_cts", lambda n: "All[1](x:" + "~" * (n - 2) + "e@0)"),
+    "Ex index type": ("parse_cts", lambda n: "Ex[1](x:(" + "e -> " * (n - 4) + "e)@0)"),
+    "annotation type": ("parse_slm", lambda n: "x:" + "~" * (n - 2) + "e"),
+    "ranked annotation type": ("parse_cts", lambda n: "A:" + "~" * (n - 2) + "bot@0"),
+    "binder type": ("parse_slm", lambda n: "\\x:" + "~" * (n - 2) + "e. x"),
+    "arrow type": ("parse_type", lambda n: "e -> " * (n - 2) + "e"),
+    "parenthesized type": ("parse_type", lambda n: "~" * (n % 2) + "(" * ((n - 2) // 2)
+                           + "e" + ")" * ((n - 2) // 2)),
+    "TYPE : prefix": ("parse_slm", lambda n: "~" * (n - 2) + "e: y"),
+}
+
+
+@pytest.mark.parametrize("kind", NESTED_TEXTS)
+def test_parsers_match_reference_at_the_nesting_cap(kind):
+    parser, nested = NESTED_TEXTS[kind]
+    cap = syntax.MAX_NESTING
+    for n in (cap - 1, cap, cap + 1):
+        assert_parsers_match_reference(nested(n))
+    # the texts straddle the cap: the deepest is refused, and only it
+    at_cap, past = (parse_outcome(getattr(reference_syntax, parser), nested(n))
+                    for n in (cap, cap + 1))
+    assert not (isinstance(at_cap, tuple) and at_cap[0] == "raises"
+                and "nests deeper" in at_cap[2])
+    if kind == "TYPE : prefix":  # a prefix that fails leaves the plain reading's error
+        assert past == ("raises", ParseError, "expected a term at line 1, column 1", 0)
+    else:
+        assert past[0] == "raises" and f"nests deeper than {cap} levels" in past[2]
+
+
+def test_the_parsers_read_any_depth(monkeypatch):
+    # the type and term parsers are loops: with the cap lifted, texts
+    # 10,000 deep parse under the interpreter's default recursion limit
+    assert sys.getrecursionlimit() == 1000
+    monkeypatch.setattr(syntax, "MAX_NESTING", 20_000)
+    n = 10_000
+    e = Base("e")
+    negs, arrows = e, e
+    for _ in range(n):
+        negs, arrows = neg_type(negs), Arrow(e, arrows)
+    assert parse_type("~" * n + "e") is negs
+    assert parse_type("e -> " * n + "e") is arrows
+    lams, mus = Var("x", e), App(Var("k", neg_type(BOT)), Var("z", BOT))
+    for _ in range(n):
+        lams, mus = Lam("x", e, lams), Mu("k", neg_type(BOT), mus)
+    assert parse_slm("\\x:e. " * n + "x") is lams
+    assert parse_slm("#k:~bot. " * n + "(k z:bot)") is mus
+    f, apps = Var("f", Arrow(e, e)), Var("y", e)
+    for _ in range(n):
+        apps = App(f, apps)
+    assert parse_slm("(f:(e -> e) " + "(f " * (n - 1) + "y:e" + ")" * n) is apps
+    a = CVar("A", BOT, 0)
+    nested_negs, conjs = a, a
+    for _ in range(n):
+        nested_negs, conjs = CNeg(1, nested_negs), CConj(1, a, conjs)
+    assert parse_cts("neg[1](" * n + "A:bot@0" + ")" * n) is nested_negs
+    ante, succ = parse_sequent_members("|- " + "and[1](A," * n + "A" + ")" * n)
+    assert ante == [] and len(succ) == 1 and succ[0] is conjs
+
+
+def identity_chain(n):
+    """`normalize`'s identity chain from the cli-session benchmark."""
+    term = "y"
+    for _ in range(n):
+        term = f"((\\x:e. x) {term})"
+    return "e: " + term
+
+
+def test_a_text_parsed_again_builds_no_node(monkeypatch):
+    # the loops look each node up in the intern table by its key and call
+    # its class only when none is alive: a second parse of a text whose
+    # nodes the window keeps enters no constructor
+    text = identity_chain(120)
+    first = parse_slm(text)
+    entered = []
+    new = syntax.Interned.__new__
+    monkeypatch.setattr(syntax.Interned, "__new__",
+                        lambda cls, *fields: entered.append(cls) or new(cls, *fields))
+    again = parse_slm(text)
+    assert entered == [] and again is first
+    # a fresh ill-typed term builds its nodes, and the first fault in it
+    # raises at the path the reference checker finds
+    with pytest.raises(TypeMismatch) as fault:
+        parse_slm(r"\key_x:e. (key_f:(e -> t) (key_g:(t -> t) key_x))")
+    assert Var in entered and App in entered and Lam in entered
+    monkeypatch.undo()
+    e, t = Base("e"), Base("t")
+    built = Var("y", e)
+    for _ in range(120):
+        built = App(Lam("x", e, Var("x", e)), built)
+    assert again is built
+    x, g, f = Var("key_x", e), Var("key_g", Arrow(t, t)), Var("key_f", Arrow(e, t))
+    ill = Lam("key_x", e, App(f, App(g, x)))
+    with pytest.raises(TypeMismatch) as want:
+        reference_syntax.typecheck_slm(ill, {"key_f": f.ty, "key_g": g.ty})
+    assert fault.value.path == want.value.path == (0, 1, 1)
+    assert str(fault.value) == str(want.value)
+
+
 # ---------------------------------------------------------------------------
 # the `_bare_key` sort order, kept verbatim as the reference for the
 # sorted printer
