@@ -7,8 +7,9 @@ rules as validity preservation between premises and conclusion. The `ms`
 column sums the rule's per-trial durations, so slow rules show. Then one
 line per table of `ctt.domains` and `ctt.semantics` gives its hits,
 misses and size (entries out of the bound, or "kept on elements" for
-`render_elem`, `canonical_key` and the isomorphism's child images, whose
-results live on the elements), so the share of repeated operations shows.
+`render_elem`, `canonical_key` and the isomorphism's images, whose
+results live on the elements and, for minterm images, in the carrier
+records), so the share of repeated operations shows.
 Exits 0 when every trial passes, 1 on a failure, 2 on a usage error (a
 negative `--trials`) or when stdout closes early (`| head`), 3 before any
 trial when `--trials` is over `semantics.MAX_TRIALS`. Usage:

@@ -24,6 +24,7 @@ import gc
 import itertools
 from collections import OrderedDict, namedtuple
 from functools import lru_cache
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Optional, Union
 
@@ -274,9 +275,9 @@ def _text_of(e: CanonElem) -> str:
         case NegE(k, _, child):
             return f"neg[{k}]({render_elem(child)})"
         case MeetE(k, _, children):
-            return f"and[{k}](" + ",".join(render_elem(c) for c in children) + ")"
+            return f"and[{k}](" + ",".join(map(render_elem, children)) + ")"
         case JoinE(k, _, children):
-            return f"or[{k}](" + ",".join(render_elem(c) for c in children) + ")"
+            return f"or[{k}](" + ",".join(map(render_elem, children)) + ")"
     raise CttError(f"cannot render {e!r}")
 
 
@@ -433,17 +434,54 @@ def enumerate_domain(model: ModelConfig, ty: TypeExpr, rank: int) -> list[CanonE
 
 
 # one record per carrier built, keyed on (type, sorted base sizes), each
-# keeping at most MINTERM_TABLE_SIZE minterms (one read over the largest
-# admissible carrier can make 65,536); perfbench reads the table by name
+# keeping at most MINTERM_TABLE_SIZE minterms, and as many images at each
+# rank above (one read over the largest admissible carrier can make
+# 65,536); perfbench reads the table by name
 CARRIER_TABLE_SIZE = 256
 MINTERM_TABLE_SIZE = 4096
 _MINTERM_CACHE = _BoundedTable(CARRIER_TABLE_SIZE)
+# the sort key of a carrier's kept images, each rendered when it was made
+_TEXT = attrgetter("_text")
+
+
+class _Images(_BoundedTable):
+    """A carrier's minterms' images at one rank, by mask: each made on
+    first read by `make` and rendered, and the oldest dropped past
+    MINTERM_TABLE_SIZE. No `make` refers to the carrier, so a record
+    dropped from its table is freed at once."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__(MINTERM_TABLE_SIZE)
+        self.make = make
+
+    def __missing__(self, mask: int) -> CanonElem:
+        image = self.make(mask)
+        render_elem(image)
+        self.store(mask, image)
+        return image
+
+
+def _image_maker(minterms: _Images, sizes: tuple, steps: int):
+    """A mask's minterm's image `steps` ranks up, through the images the
+    minterm and its images keep as children. Each build is a miss of the
+    iso row, where `iso_iterate` counted the read as a hit."""
+    def make(mask):
+        _ISO_ATOM_CACHE.hits -= 1
+        _ISO_ATOM_CACHE.misses += 1
+        image = minterms[mask]
+        for _ in range(steps):
+            image = _iso_elem(image, sizes, True)
+        return image
+    return make
 
 
 class _Carrier:
     """The rank-0 carrier of a type s over sorted base sizes: its `atoms`,
     mask bit i standing for atom i, and, each made on first use, the
-    minterm of each mask, the rank-1 carrier, and the ~s carrier as ~~s
+    image of each mask's minterm m ranks up (`images[m]`, the minterms
+    at m = 1), the rank-1 carrier, and the ~s carrier as ~~s
     table keys (`keys`) with each key's mask, the atoms it maps to 1.
 
     Every carrier is in rendering order without a sort, its atoms all of
@@ -451,32 +489,44 @@ class _Carrier:
     a table carrier is built in product order over rows keyed by the
     domain's atoms in that order, so its tables render the same keys in
     the same places and differ only in values of one length. So entries
-    are in `fn_table`'s order, and entry i of a ~s key is atom i of s."""
+    are in `fn_table`'s order, and entry i of a ~s key is atom i of s.
+    A join of images is sorted by their kept texts."""
 
-    __slots__ = ("ty", "sizes", "atoms", "minterms", "_rank1", "keys", "masks")
+    __slots__ = ("ty", "sizes", "atoms", "images", "_rank1", "keys", "masks")
 
     def __init__(self, ty: TypeExpr, sizes: tuple):
         count = carrier_size(sizes, ty)  # raises for a refused carrier
         self.ty, self.sizes = ty, sizes
         if ty is BOT:
-            self.atoms = (FALSE, TRUE)
+            atoms = (FALSE, TRUE)
         elif isinstance(ty, Base):
-            self.atoms = tuple(Individual(ty, n) for n in individual_names(count))
+            atoms = tuple(Individual(ty, n) for n in individual_names(count))
         else:
             # one shared (key, value) pair per row cell, not per table
             keys, values = _carrier(sizes, ty.dom).atoms, _carrier(sizes, ty.cod).atoms
-            self.atoms = FnTable.carrier(ty, [[(k, v) for v in values] for k in keys])
-        self.minterms = _BoundedTable(MINTERM_TABLE_SIZE)
+            atoms = FnTable.carrier(ty, [[(k, v) for v in values] for k in keys])
+        self.atoms = atoms
+        # a mask's minterm: the meet of each atom in it and each other
+        # atom's negation
+        self.images = {1: _Images(lambda mask: _lattice(
+            MeetE, 1, ty, [a if (mask >> i) & 1 else make_neg(1, a) for i, a in enumerate(atoms)]))}
         self._rank1 = self.keys = self.masks = None
+
+    def join(self, m: int, ty: TypeExpr, masks) -> CanonElem:
+        """The rank-m join over `ty` of the images of `masks` (distinct)."""
+        images = self.images.get(m)
+        if images is None:
+            images = self.images[m] = _Images(_image_maker(self.images[1], self.sizes, m - 1))
+        return _dnf(m, ty, sorted(map(images.__getitem__, masks), key=_TEXT))
 
     def rank1(self) -> tuple:
         """The rank-1 carrier: the join of each set of minterms."""
         if self._rank1 is None:
-            n = 2 ** len(self.atoms)
-            minterms = [self.minterm(mask) for mask in range(n)]
-            self._rank1 = tuple(
-                _rank1_join(self.ty, [minterms[i] for i in range(n) if (sel >> i) & 1])
-                for sel in range(2 ** n))
+            n, minterms = 2 ** len(self.atoms), self.images[1]
+            bits = sorted([(1 << mask, minterms[mask]) for mask in range(n)],
+                          key=lambda bit: _TEXT(bit[1]))
+            self._rank1 = tuple(_dnf(1, self.ty, [m for bit, m in bits if sel & bit])
+                                for sel in range(2 ** n))
         return self._rank1
 
     def table_keys(self) -> tuple:
@@ -486,16 +536,6 @@ class _Carrier:
             self.masks = tuple(sum(1 << i for i, (_, v) in enumerate(k.entries) if v is TRUE)
                                for k in self.keys)
         return self.keys
-
-    def minterm(self, mask: int) -> CanonElem:
-        """The rank-1 meet of each atom in `mask` and each other atom's
-        negation."""
-        m = self.minterms.get(mask)
-        if m is None:
-            m = _lattice(MeetE, 1, self.ty, [a if (mask >> i) & 1 else make_neg(1, a)
-                                             for i, a in enumerate(self.atoms)])
-            self.minterms.store(mask, m)
-        return m
 
     def principal(self, masks) -> Optional[Atom]:
         """The atom whose principal family the member sets `masks`
@@ -515,7 +555,7 @@ class _Carrier:
         the rank-1 join of their minterms, or a rank-0 atom when the family
         is that atom's principal family."""
         atom = self.principal(masks)
-        return _rank1_join(self.ty, map(self.minterm, masks)) if atom is None else atom
+        return self.join(1, self.ty, masks) if atom is None else atom
 
 
 def _carrier(sizes: tuple, ty: TypeExpr) -> _Carrier:
@@ -781,11 +821,11 @@ def apply_elem(p: CanonElem, a: CanonElem) -> CanonElem:
 # ---------------------------------------------------------------------------
 # the type-reduction isomorphism
 
-def _rank1_join(sigma: TypeExpr, minterms: Iterable[CanonElem]) -> CanonElem:
-    """The rank-1 join of distinct minterms, which no lattice step but the
-    sort and the singleton collapse can change."""
-    ms = sorted(minterms, key=render_elem)
-    return ms[0] if len(ms) == 1 else JoinE(1, sigma, tuple(ms))
+def _dnf(k: int, sigma: TypeExpr, images: list) -> CanonElem:
+    """The rank-k join of distinct minterms, or of their images, in
+    rendering order, which no lattice step but the singleton collapse can
+    change."""
+    return images[0] if len(images) == 1 else JoinE(k, sigma, tuple(images))
 
 
 def iso_i(f, model: ModelConfig, ty: Optional[TypeExpr] = None) -> CanonElem:
@@ -887,11 +927,10 @@ def iso_iterate(ty: TypeExpr, f, model: ModelConfig) -> CanonElem:
 
     `f` is a table or a ranked element; raw sets go through `iso_i`. A
     table with two or more steps to go is read once. Unless its family is
-    principal or a single set, its image is the rank-m join of its
-    minterms' images, each reached through the images the minterm and its
-    images keep as children, so no join of an intermediate rank is built;
-    the rank cap is checked against m first. Everything else goes one
-    `iso_i` step at a time."""
+    principal, its image is the rank-m join of its minterms' images, which
+    its carrier keeps by mask and rank, sorted by their kept texts, so no
+    join of an intermediate rank is built; the rank cap is checked against
+    m first. Everything else goes one `iso_i` step at a time."""
     m = strip_negations(ty)[0] // 2
     if m < 1:
         raise CttError(f"{render_type(ty)} carries no double negation to reduce")
@@ -900,17 +939,14 @@ def iso_iterate(ty: TypeExpr, f, model: ModelConfig) -> CanonElem:
             f"isomorphism over {render_type(ty)} applied to "
             f"{render_elem(f)} : {render_type(f.ty)}")
     if m > 1 and isinstance(f, FnTable):
-        sizes = model.sizes
-        carrier, masks = _table_family(f, sizes)
-        if len(masks) != 1 and carrier.principal(masks) is None:
+        carrier, masks = _table_family(f, model.sizes)
+        if carrier.principal(masks) is None:
             if m > model.rank_cap:
                 raise CapExceeded(_PAST_CAP.format(model.rank_cap))
-            images = list(map(carrier.minterm, masks))
-            for _ in range(m - 1):
-                images = [_iso_elem(x, sizes, True) for x in images]
+            _ISO_ATOM_CACHE.hits += len(masks)  # `_image_maker` counts a build
             for _ in range(m):
                 ty = ty.dom.dom
-            return JoinE(m, ty, tuple(sorted(images, key=render_elem)))
+            return carrier.join(m, ty, masks)
     for _ in range(m):
         f = iso_i(f, model)
         if f.k > model.rank_cap:
@@ -927,9 +963,10 @@ _TABLES = (("apply_elem", apply_elem), ("lattice", _make_lattice),
 
 def table_stats() -> list:
     """(name, `cache_info()`) of every computed table of this module, and
-    of `render_elem`, `canonical_key` and the isomorphism's child images,
-    which are kept on the elements: their rows count hits and misses, with
-    `maxsize` None and `currsize` 0."""
+    of `render_elem`, `canonical_key` and the isomorphism's images, kept
+    on the elements and, as minterm images, in each carrier's record:
+    their rows count hits and misses, with `maxsize` None and `currsize`
+    0."""
     return [(name, table.cache_info()) for name, table in _TABLES]
 
 

@@ -1198,6 +1198,37 @@ def test_iso_iterate_builds_one_join_per_fresh_input(monkeypatch):
         assert made == [JoinE] and out.k == 2
 
 
+def test_iso_iterate_keeps_at_most_its_bound_of_images(monkeypatch):
+    model = ModelConfig(base_sizes={"e": 1}, rank_cap=2)
+    wider = ModelConfig(base_sizes={"e": 1, "t": 2}, rank_cap=2)
+    inputs = random.Random(67).sample(enumerate_domain(model, N4, 0), 2000)
+    # a carrier takes its bound when it is built, so every carrier is new
+    monkeypatch.setattr(domains, "MINTERM_TABLE_SIZE", 4)
+    monkeypatch.setattr(domains, "_MINTERM_CACHE",
+                        domains._BoundedTable(domains.CARRIER_TABLE_SIZE))
+    # the warm-up leaves each ~~e table with its image as a child
+    warm = [iso_iterate(N4, f, model) for f in inputs[:100]]
+    del warm
+    domains._MINTERM_CACHE.clear()
+    gc.collect()
+    live = len(syntax._INTERNED)
+    misses = domains._ISO_ATOM_CACHE.cache_info().misses
+    outs = []
+    for f in inputs:
+        out = iso_iterate(N4, f, model)
+        assert out is _iso_twice(f, model)
+        assert all(len(images) <= 4 for carrier in domains._MINTERM_CACHE.values()
+                   for images in carrier.images.values())
+        outs.append(out)
+    # 16 minterms share 4 places, so images are made again and again
+    assert domains._ISO_ATOM_CACHE.cache_info().misses - misses > len(inputs)
+    assert all(iso_iterate(N4, f, wider) is out for f, out in zip(inputs, outs))
+    del outs, out
+    domains._MINTERM_CACHE.clear()
+    gc.collect()
+    assert len(syntax._INTERNED) == live
+
+
 def reference_family_image(sets, sigma, model):
     """The full-DNF reading of a family of member sets, from its
     definition: the atom whose principal family it is, else the join of
